@@ -1,8 +1,10 @@
 """Command-line toolchain for the pipeline.
 
-Every subcommand accepts `--config FILE` (a JSON dict of defaults whose
-keys mirror the long flag names); explicit flags override the file. Exit
-codes: 0 success, 1 validation failure, 2 usage error.
+Every subcommand accepts `--config FILE` (a JSON object whose keys mirror
+the subcommand's long flag names); its values replace the flag defaults
+and may supply required flags, and explicit flags override the file. Exit
+codes: 0 success, 1 validation failure (a bad config file included), 2
+usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import dataset as dataset_mod
 from . import geometry, harness, policy, retiming, unified_space
 from .embodiments import load_embodiment_config
 from .errors import CrossembError
-from .kinematics import IkParams, forward_kinematics, ik_solve, retarget_action
+from .kinematics import IkParams, RobotCommand, forward_kinematics, ik_solve, retarget_action
 from .geometry import Pose
 
 EXIT_OK = 0
@@ -30,16 +32,36 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _load_defaults(args: argparse.Namespace) -> argparse.Namespace:
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    defaults = json.loads(Path(path).read_text())
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) in (None, False):
-            setattr(args, attr, value)
-    return args
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Make the subcommand's `--config` file values its flag defaults, so
+    every flag not given on the command line, required or not, takes them."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    if not path or not argv or argv[0] not in commands:
+        return
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CrossembError(f"config file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CrossembError(f"config file {path} must hold a JSON object")
+    flags = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
+    for key, value in doc.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise CrossembError(f"config file {path}: unknown key {key!r}")
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError) as exc:
+            raise CrossembError(f"config file {path}: bad {key!r}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise CrossembError(f"config file {path}: {key!r} must be one of {action.choices}")
+        action.default = value
+        action.required = False
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -161,28 +183,19 @@ def _cmd_predict(args) -> int:
 def _cmd_retarget(args) -> int:
     config = load_embodiment_config(args.embodiment_config)
     action = _parse_floats(args.action)
-    task_home = _parse_floats(args.q_prev) if args.q_prev else None
-    n_l, n_r = config.left_arm.n_joints, config.right_arm.n_joints
-    if task_home is None:
-        from .kinematics import RobotCommand
-
-        cmd = RobotCommand(
-            left_arm_q=config.left_arm.mid_range(),
-            right_arm_q=config.right_arm.mid_range(),
-            neck_q=np.zeros(2),
-            left_hand=np.full(6, 0.5),
-            right_hand=np.full(6, 0.5),
-        )
+    if args.q_prev:
+        q_prev = _parse_floats(args.q_prev)
     else:
-        from .kinematics import RobotCommand
-
-        cmd = RobotCommand(
-            left_arm_q=task_home[:n_l],
-            right_arm_q=task_home[n_l : n_l + n_r],
-            neck_q=task_home[n_l + n_r : n_l + n_r + 2],
-            left_hand=task_home[n_l + n_r + 2 : n_l + n_r + 8],
-            right_hand=task_home[n_l + n_r + 8 : n_l + n_r + 14],
-        )
+        q_prev = np.concatenate([config.left_arm.mid_range(), config.right_arm.mid_range(),
+                                 np.zeros(2), np.full(12, 0.5)])
+    n_l, n_r = config.left_arm.n_joints, config.right_arm.n_joints
+    cmd = RobotCommand(
+        left_arm_q=q_prev[:n_l],
+        right_arm_q=q_prev[n_l : n_l + n_r],
+        neck_q=q_prev[n_l + n_r : n_l + n_r + 2],
+        left_hand=q_prev[n_l + n_r + 2 : n_l + n_r + 8],
+        right_hand=q_prev[n_l + n_r + 8 : n_l + n_r + 14],
+    )
     out, diag = retarget_action(action, config, cmd)
     print(
         _dumps(
@@ -252,12 +265,10 @@ def _cmd_ik(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
-    from .embodiments import BUILTIN_CONFIGS
     from .tasks import make_reach_task
 
     config = load_embodiment_config(args.embodiment_config)
     model = policy.load_checkpoint(args.checkpoint)
-    settings = harness.ExperimentSettings()
     task = make_reach_task(config, feature_dim=model.config.feature_dim)
     goal = (
         _parse_floats(args.goal)
@@ -457,19 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
+        _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
-        args = _load_defaults(args)
-        return args.func(args)
-    except CrossembError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except FileNotFoundError as exc:
+    except (CrossembError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

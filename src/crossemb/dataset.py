@@ -5,16 +5,24 @@ Human frames carry world-frame head/wrist poses and ten fingertips; robot
 frames carry joint readings and require an embodiment config. Processed
 episodes are little-endian float64 blocks indexed by manifest.json, so
 write/read round-trips are bit-exact.
+
+Training pairs are ACT-style chunks: state `obs[s]`, feature
+`features[s]` and actions `frames[s+1 : s+1+K]`, with s = `starts[row]`.
+One `PairSet` per tag holds its episodes concatenated into `frames`,
+`obs` (both (M, 54)) and `features` (M, F), plus `starts` (N,) and the
+"<episode>#<start>" `ids`; chunks never cross episodes.
+`MixedSampler.stream()` yields `(pair_set, row)`; `PairSet.take` gathers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -129,8 +137,11 @@ def load_raw_capture(path: str | Path) -> RawCapture:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            if "t" not in doc:
+            if not isinstance(doc, dict) or "t" not in doc:
                 raise ParseError(line_no, "record missing timestamp 't'")
+            t = doc["t"]
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+                raise ParseError(line_no, f"timestamp 't' must be a finite number, got {t!r}")
             doc["_line"] = line_no
             records.append(doc)
     records.sort(key=lambda d: d["t"])
@@ -170,7 +181,6 @@ def canonical_frame(head_pose: Pose, torso_offset: float) -> Pose:
 def _split_streams(records: Sequence[dict], pose_keys: tuple[str, ...]):
     proprio, visual = [], []
     for doc in records:
-        line_no = doc.get("_line", 0)
         if all(k in doc for k in pose_keys):
             proprio.append((float(doc["t"]), doc))
         if "feature_vector" in doc or "image_ref" in doc:
@@ -442,40 +452,57 @@ def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    pair_id: str
-    embodiment_tag: str
-    state: np.ndarray        # (54,)
-    feature: np.ndarray      # (F,)
-    action_chunk: np.ndarray # (K, 54)
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Every training pair of one embodiment tag (layout in the module
+    docstring). Compared by identity, so a batch can be grouped by set."""
+
+    tag: str
+    frames: np.ndarray    # (M, 54) episode states, concatenated
+    obs: np.ndarray       # (M, 54) state view; `frames` except in the joint-space ablation
+    features: np.ndarray  # (M, F)
+    starts: np.ndarray    # (N,) frame row of each pair's state
+    chunk_length: int
+    ids: tuple[str, ...]  # "<episode>#<start>" per pair
+
+    def __len__(self) -> int:
+        return int(self.starts.shape[0])
+
+    def take(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """States (B, 54), features (B, F) and action chunks (B, K, 54)."""
+        at = self.starts[rows]
+        chunk_rows = at[:, None] + np.arange(1, self.chunk_length + 1)
+        return self.obs[at], self.features[at], self.frames[chunk_rows]
 
 
 def extract_pairs(
-    episode: DemonstrationEpisode, chunk_length: int, stride: int = 1
-) -> list[TrainingPair]:
-    """Pairs (state_i, actions i+1..i+K); tails shorter than K are dropped."""
+    episodes: Sequence[DemonstrationEpisode], chunk_length: int, stride: int = 1
+) -> PairSet:
+    """Pairs (state_i, actions i+1..i+K) of same-tag episodes; short tails are dropped."""
     if chunk_length < 1 or stride < 1:
         raise ValueError("chunk_length and stride must be positive")
-    n = len(episode)
-    if n < chunk_length + 1:
-        raise EpisodeTooShort(
-            f"episode {episode.id} has {n} frames; needs >= {chunk_length + 1}"
-        )
-    pairs = []
-    count = (n - 1 - chunk_length) // stride + 1
-    for i in range(count):
-        start = i * stride
-        pairs.append(
-            TrainingPair(
-                pair_id=f"{episode.id}#{start}",
-                embodiment_tag=episode.embodiment_tag,
-                state=episode.states[start],
-                feature=episode.features[start],
-                action_chunk=episode.states[start + 1 : start + 1 + chunk_length],
-            )
-        )
-    return pairs
+    tags = {ep.embodiment_tag for ep in episodes}
+    if len(tags) != 1:
+        raise ValueError(f"a pair set needs episodes of exactly one tag, got {sorted(tags)}")
+    starts, ids, offset = [], [], 0
+    for ep in episodes:
+        n = len(ep)
+        if n < chunk_length + 1:
+            raise EpisodeTooShort(f"episode {ep.id} has {n} frames; needs >= {chunk_length + 1}")
+        local = np.arange(0, n - chunk_length, stride)
+        starts.append(offset + local)
+        ids.extend(f"{ep.id}#{start}" for start in local)
+        offset += n
+    frames = np.concatenate([ep.states for ep in episodes])
+    return PairSet(
+        tag=tags.pop(),
+        frames=frames,
+        obs=frames,
+        features=np.concatenate([ep.features for ep in episodes]),
+        starts=np.concatenate(starts),
+        chunk_length=chunk_length,
+        ids=tuple(ids),
+    )
 
 
 class MixedSampler:
@@ -489,7 +516,7 @@ class MixedSampler:
 
     def __init__(
         self,
-        pairs_by_tag: Mapping[str, Sequence[TrainingPair]],
+        pairs_by_tag: Mapping[str, PairSet],
         ratio: Mapping[str, float],
         seed: int = 0,
     ):
@@ -501,7 +528,7 @@ class MixedSampler:
                 raise ValueError(f"weight for tag {tag!r} must be positive")
             if tag not in pairs_by_tag or len(pairs_by_tag[tag]) == 0:
                 raise EmptySource(tag)
-        self._pairs = {tag: list(pairs_by_tag[tag]) for tag in self.tags}
+        self._pairs = {tag: pairs_by_tag[tag] for tag in self.tags}
         total = float(sum(ratio[t] for t in self.tags))
         self._share = {t: ratio[t] / total for t in self.tags}
         self.seed = seed
@@ -512,8 +539,9 @@ class MixedSampler:
             np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=(idx,)))
         )
 
-    def stream(self, skip: int = 0) -> Iterable[TrainingPair]:
-        """Infinite deterministic pair stream; `skip` fast-forwards."""
+    def stream(self, skip: int = 0) -> Iterator[tuple[PairSet, int]]:
+        """Infinite deterministic stream of (pair_set, row) references;
+        `skip` fast-forwards."""
         emitted = {t: 0 for t in self.tags}
         rngs = {t: self._tag_rng(t) for t in self.tags}
         perms = {t: rngs[t].permutation(len(self._pairs[t])) for t in self.tags}
@@ -530,13 +558,10 @@ class MixedSampler:
             if cursor[tag] >= len(perms[tag]):
                 perms[tag] = rngs[tag].permutation(len(self._pairs[tag]))
                 cursor[tag] = 0
-            pair = self._pairs[tag][perms[tag][cursor[tag]]]
+            row = perms[tag][cursor[tag]]
             cursor[tag] += 1
             if step > skip:
-                yield pair
-
-    def __iter__(self):
-        return iter(self.stream())
+                yield self._pairs[tag], row
 
 
 def pair_stream_digest(sampler: MixedSampler, n: int = 10_000) -> str:
@@ -544,21 +569,22 @@ def pair_stream_digest(sampler: MixedSampler, n: int = 10_000) -> str:
     h = hashlib.sha256()
     stream = sampler.stream()
     for _ in range(n):
-        h.update(next(stream).pair_id.encode())
+        pair_set, row = next(stream)
+        h.update(pair_set.ids[row].encode())
         h.update(b"\n")
     return h.hexdigest()
 
 
 def episodes_to_pairs_by_tag(
     episodes: Sequence[DemonstrationEpisode], chunk_length: int, stride: int = 1
-) -> dict[str, list[TrainingPair]]:
-    out: dict[str, list[TrainingPair]] = {}
+) -> dict[str, PairSet]:
+    by_tag: dict[str, list[DemonstrationEpisode]] = {}
     for ep in episodes:
-        out.setdefault(ep.embodiment_tag, []).extend(extract_pairs(ep, chunk_length, stride))
-    return out
+        by_tag.setdefault(ep.embodiment_tag, []).append(ep)
+    return {tag: extract_pairs(eps, chunk_length, stride) for tag, eps in by_tag.items()}
 
 
-def default_ratio(pairs_by_tag: Mapping[str, Sequence[TrainingPair]]) -> dict[str, float]:
+def default_ratio(pairs_by_tag: Mapping[str, PairSet]) -> dict[str, float]:
     """Proportional-to-size mixing weights."""
     return {tag: float(len(pairs)) for tag, pairs in pairs_by_tag.items() if len(pairs) > 0}
 

@@ -82,6 +82,10 @@ class VersionUnsupported(CrossembError):
     """Dataset or checkpoint format version is not supported."""
 
 
+class CorruptCheckpoint(CrossembError):
+    """Checkpoint header is undecodable or disagrees with the bytes after it."""
+
+
 class EpisodeTooShort(CrossembError):
     """Episode has too few frames to extract a training pair."""
 

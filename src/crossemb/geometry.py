@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DegenerateRotation6D
 
-ORTHONORMAL_TOL = 1e-9
 # Columns closer than this angle (radians) cannot span a frame.
 PARALLEL_ANGLE_TOL = 1e-6
 # Below this arc angle slerp falls back to normalized lerp.
@@ -30,24 +29,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
-
-
-def is_rotation_matrix(R: np.ndarray, tol: float = ORTHONORMAL_TOL) -> bool:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
-        return False
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
-        return False
-    return abs(np.linalg.det(R) - 1.0) <= tol
-
-
-def validate_rotation_matrix(R: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
-    if not is_rotation_matrix(R, tol):
-        raise ValueError("matrix is not orthonormal with det +1 within tolerance")
-    return R
 
 
 def decode_rot6d(r: np.ndarray) -> np.ndarray:

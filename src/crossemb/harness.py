@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import policy as policy_mod
 from . import unified_space
-from .dataset import MixedSampler, TrainingPair, extract_pairs
+from .dataset import MixedSampler, PairSet, extract_pairs
 from .errors import CrossembError
 from .kinematics import (
     EmbodimentConfig,
@@ -267,47 +267,28 @@ def pairs_from_bundles(
     bundles: Mapping[str, Sequence[DemoBundle]],
     chunk_length: int,
     joint_space_robot_states: bool = False,
-) -> dict[str, list[TrainingPair]]:
-    out: dict[str, list[TrainingPair]] = {}
+) -> dict[str, PairSet]:
+    """One pair set per tag that has bundles. `joint_space_robot_states` makes
+    robot pairs observe the joint-state view; actions stay unified."""
+    out: dict[str, PairSet] = {}
     for tag, items in bundles.items():
-        pairs: list[TrainingPair] = []
-        for bundle in items:
-            ep_pairs = extract_pairs(bundle.episode, chunk_length)
-            if joint_space_robot_states and tag == "robot":
-                js = bundle.joint_states
-                fixed = []
-                for p in ep_pairs:
-                    start = int(p.pair_id.rsplit("#", 1)[1])
-                    fixed.append(
-                        TrainingPair(
-                            pair_id=p.pair_id,
-                            embodiment_tag=p.embodiment_tag,
-                            state=js[start],
-                            feature=p.feature,
-                            action_chunk=p.action_chunk,
-                        )
-                    )
-                ep_pairs = fixed
-            pairs.extend(ep_pairs)
-        out[tag] = pairs
+        if not items:
+            continue
+        pair_set = extract_pairs([bundle.episode for bundle in items], chunk_length)
+        if joint_space_robot_states and tag == "robot":
+            pair_set = replace(pair_set, obs=np.concatenate([b.joint_states for b in items]))
+        out[tag] = pair_set
     return out
 
 
 def stats_from_pairs(
-    pairs_by_tag: Mapping[str, Sequence[TrainingPair]],
+    pairs_by_tag: Mapping[str, PairSet],
     epsilon: float,
     mode: str = MODE_SHARED,
 ) -> tuple[NormalizationStats, NormalizationStats]:
-    states = {
-        tag: np.stack([p.state for p in pairs])
-        for tag, pairs in pairs_by_tag.items()
-        if pairs
-    }
-    actions = {
-        tag: np.concatenate([p.action_chunk for p in pairs], axis=0)
-        for tag, pairs in pairs_by_tag.items()
-        if pairs
-    }
+    states, actions = {}, {}
+    for tag, pair_set in pairs_by_tag.items():
+        states[tag], _, actions[tag] = pair_set.take(np.arange(len(pair_set)))
     return (
         compute_stats(states, mode=mode, epsilon=epsilon),
         compute_stats(actions, mode=mode, epsilon=epsilon),
@@ -322,7 +303,8 @@ def train_policy_on_bundles(
 ) -> PolicyModel:
     pairs = pairs_from_bundles(bundles, settings.chunk_length, joint_space_robot_states)
     state_stats, action_stats = stats_from_pairs(pairs, settings.stats_epsilon)
-    ratio = {tag: 1.0 for tag in pairs}
+    # A tag without bundles stays in the ratio, so the sampler rejects it.
+    ratio = {tag: 1.0 for tag in bundles}
     if "human" in ratio:
         ratio["human"] = settings.human_weight
     sampler = MixedSampler(pairs, ratio, seed=seed)
@@ -394,7 +376,7 @@ def evaluate_policy(
 
 def embodiment_probe_accuracy(
     model: PolicyModel,
-    pairs_by_tag: Mapping[str, Sequence[TrainingPair]],
+    pairs_by_tag: Mapping[str, PairSet],
     seed: int = 0,
     max_per_tag: int = 256,
 ) -> float:
@@ -407,10 +389,9 @@ def embodiment_probe_accuracy(
     feats, labels = [], []
     n = min(max_per_tag, *(len(pairs_by_tag[t]) for t in tags))
     for label, tag in enumerate(tags):
-        pairs = list(pairs_by_tag[tag])
-        idx = rng.permutation(len(pairs))[:n]
-        batch = [pairs[i] for i in idx]
-        x, _ = policy_mod.assemble_batch(model, batch)
+        pair_set = pairs_by_tag[tag]
+        idx = rng.permutation(len(pair_set))[:n]
+        x, _ = policy_mod.assemble_batch(model, [(pair_set, i) for i in idx])
         feats.append(policy_mod.penultimate_activations(model, x))
         labels.append(np.full(n, label))
     X = np.concatenate(feats)

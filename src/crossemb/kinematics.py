@@ -8,7 +8,7 @@ state between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -535,7 +535,3 @@ def embed_robot_state(
         right_wrist_pos=right.translation,
         fingertips=tips,
     )
-
-
-def default_ik_params(**overrides) -> IkParams:
-    return replace(IkParams(), **overrides) if overrides else IkParams()

@@ -13,7 +13,6 @@ smoothing near zero (used by gradient checks only).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import time
@@ -24,8 +23,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, unified_space
-from .dataset import TrainingPair
-from .errors import DimensionMismatch, NonFiniteLoss, VersionUnsupported
+from .dataset import PairSet
+from .errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss, VersionUnsupported
 from .unified_space import STATE_DIM, NormalizationStats
 
 CHECKPOINT_MAGIC = b"CEPOLIC1"
@@ -70,6 +69,11 @@ class PolicyModel:
         return self.config.chunk_length * STATE_DIM
 
 
+def _layer_dims(config: PolicyConfig) -> list[int]:
+    return [config.proprio_dim + config.feature_dim, *config.hidden_layers,
+            config.chunk_length * STATE_DIM]
+
+
 def init_model(
     config: PolicyConfig,
     state_stats: NormalizationStats | None = None,
@@ -78,8 +82,7 @@ def init_model(
     """Seeded init; the output layer starts at zero so the initial policy
     predicts the (normalized) dataset mean."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    dims = [config.proprio_dim + config.feature_dim, *config.hidden_layers,
-            config.chunk_length * STATE_DIM]
+    dims = _layer_dims(config)
     weights, biases = [], []
     for i in range(len(dims) - 1):
         fan_in, fan_out = dims[i], dims[i + 1]
@@ -190,30 +193,25 @@ class TrainReport:
         return asdict(self)
 
 
-def _normalize_rows(
-    vectors: np.ndarray, tags: Sequence[str], stats: NormalizationStats | None
-) -> np.ndarray:
-    if stats is None:
-        return np.asarray(vectors, dtype=float)
-    out = np.empty_like(np.asarray(vectors, dtype=float))
-    for i, tag in enumerate(tags):
-        entry = stats.resolve(tag)
-        out[i] = (vectors[i] - entry.mean) / entry.std
-    return out
-
-
-def assemble_batch(model: PolicyModel, pairs: Sequence[TrainingPair]):
-    """Stack pairs into (x, target) arrays in normalized space."""
+def assemble_batch(model: PolicyModel, refs: Sequence[tuple[PairSet, int]]):
+    """Gather (pair_set, row) references into (x, target) arrays in
+    normalized space, rows in the order of `refs`."""
     cfg = model.config
-    tags = [p.embodiment_tag for p in pairs]
-    states = _normalize_rows(np.stack([p.state for p in pairs]), tags, model.state_stats)
-    feats = np.stack([p.feature for p in pairs]).astype(float)
-    x = np.concatenate([states, feats], axis=1)
-    chunks = np.stack([p.action_chunk for p in pairs])  # (B, K, 54)
-    flat = chunks.reshape(len(pairs) * cfg.chunk_length, STATE_DIM)
-    flat_tags = [t for t in tags for _ in range(cfg.chunk_length)]
-    target = _normalize_rows(flat, flat_tags, model.action_stats)
-    return x, target.reshape(len(pairs), cfg.chunk_length, STATE_DIM)
+    x = np.empty((len(refs), cfg.proprio_dim + cfg.feature_dim))
+    target = np.empty((len(refs), cfg.chunk_length, STATE_DIM))
+    slots_by_set: dict[PairSet, list[int]] = {}
+    for slot, (pair_set, _) in enumerate(refs):
+        slots_by_set.setdefault(pair_set, []).append(slot)
+    for pair_set, slots in slots_by_set.items():
+        states, feats, chunks = pair_set.take([refs[slot][1] for slot in slots])
+        if model.state_stats is not None:
+            states = unified_space.normalize(states, model.state_stats, pair_set.tag)
+        if model.action_stats is not None:
+            chunks = unified_space.normalize(chunks, model.action_stats, pair_set.tag)
+        x[slots, : cfg.proprio_dim] = states
+        x[slots, cfg.proprio_dim :] = feats
+        target[slots] = chunks
+    return x, target
 
 
 def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
@@ -262,17 +260,18 @@ def _global_norm(grads_w, grads_b) -> float:
 
 def train(
     model: PolicyModel,
-    pair_stream: Iterator[TrainingPair],
+    pair_stream: Iterator[tuple[PairSet, int]],
     steps: int,
     report_every: int = 50,
 ) -> tuple[PolicyModel, TrainReport]:
-    """Plain SGD with global gradient-norm clipping; deterministic."""
+    """Plain SGD with global gradient-norm clipping; deterministic. Each
+    step draws `batch_size` `(pair_set, row)` items from `pair_stream`."""
     cfg = model.config
     report = TrainReport()
     t_start = time.perf_counter()
     for step in range(1, steps + 1):
-        pairs = [next(pair_stream) for _ in range(cfg.batch_size)]
-        x, target = assemble_batch(model, pairs)
+        refs = [next(pair_stream) for _ in range(cfg.batch_size)]
+        x, target = assemble_batch(model, refs)
         total, base, eef, grad_w, grad_b = backward(model, x, target)
         norm = _global_norm(grad_w, grad_b)
         scale = 1.0
@@ -370,15 +369,33 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
     blob = Path(path).read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise VersionUnsupported(f"bad checkpoint magic {blob[:8]!r}")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16 : 16 + header_len].decode())
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise VersionUnsupported(f"checkpoint version {header.get('format_version')!r}")
-    config = _config_from_dict(header["config"])
-    weights, biases = [], []
+    try:
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16 : 16 + header_len].decode())
+        version = header.get("format_version")
+    except (struct.error, ValueError, AttributeError) as exc:
+        raise CorruptCheckpoint(f"undecodable checkpoint header: {exc!r}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise VersionUnsupported(f"checkpoint version {version!r}")
+    try:
+        config = _config_from_dict(header["config"])
+        steps_completed = int(header["steps_completed"])
+        state_stats, action_stats = (
+            NormalizationStats.from_json_dict(header[key]) if header.get(key) else None
+            for key in ("state_stats", "action_stats")
+        )
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise CorruptCheckpoint(f"bad checkpoint header: {exc!r}") from exc
+    dims = _layer_dims(config)
+    shapes = list(zip(dims[:-1], dims[1:]))
     off = 16 + header_len
-    for shape in header["param_shapes"]:
-        fan_in, fan_out = shape
+    declared = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    if len(blob) - off != declared:
+        raise CorruptCheckpoint(
+            f"parameter block is {len(blob) - off} bytes; header declares {declared}"
+        )
+    weights, biases = [], []
+    for fan_in, fan_out in shapes:
         n = fan_in * fan_out
         W = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(fan_in, fan_out)
         off += 8 * n
@@ -386,25 +403,11 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
         off += 8 * fan_out
         weights.append(W.copy())
         biases.append(b.copy())
-    state_stats = (
-        NormalizationStats.from_json_dict(header["state_stats"])
-        if header.get("state_stats")
-        else None
-    )
-    action_stats = (
-        NormalizationStats.from_json_dict(header["action_stats"])
-        if header.get("action_stats")
-        else None
-    )
     return PolicyModel(
         config=config,
         weights=weights,
         biases=biases,
         state_stats=state_stats,
         action_stats=action_stats,
-        steps_completed=int(header["steps_completed"]),
+        steps_completed=steps_completed,
     )
-
-
-def checkpoint_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -5,7 +5,7 @@ import pytest
 
 from crossemb import geometry, unified_space
 from crossemb.cli import cli
-from crossemb.dataset import write_dataset
+from crossemb.dataset import read_dataset, write_dataset
 from crossemb.embodiments import humanoid_a_config, save_embodiment_config
 from crossemb.kinematics import forward_kinematics
 from crossemb.retiming import Trajectory, retime
@@ -167,3 +167,70 @@ def test_config_file_defaults(tmp_path, config_file, capsys):
         "fk", "--embodiment-config", config_file, "--config", str(defaults),
         "--q", "0,0,0,0,0",
     ]) == 0
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_config_file_overrides_flag_defaults(tmp_path, config_file, capsys):
+    src = tmp_path / "traj.json"
+    src.write_text(json.dumps(fixture_traj_doc()))
+    out = tmp_path / "out.json"
+    base = ["retime", "--input", str(src), "--alpha", "4", "--output", str(out)]
+    assert cli(base + ["--config", write_config(tmp_path, {"rate": 60})]) == 0
+    assert len(json.loads(out.read_text())["frames"]) == 73
+    # an explicit flag still wins over the file
+    assert cli(base + ["--config", write_config(tmp_path, {"rate": 60}), "--rate", "30"]) == 0
+    assert len(json.loads(out.read_text())["frames"]) == 37
+
+    fk = ["fk", "--embodiment-config", config_file, "--q", "0,0,0,0,0"]
+    assert cli(fk + ["--config", write_config(tmp_path, {"chain": "left_arm"})]) == 0
+    pose = forward_kinematics(humanoid_a_config().left_arm, np.zeros(5))
+    np.testing.assert_allclose(json.loads(capsys.readouterr().out)["translation"],
+                               pose.translation, atol=1e-15)
+
+    h = write_human_raw(tmp_path, n=12, episode_id="h1")
+    assert cli(["ingest", "--raw", str(h), "--out", str(tmp_path / "data"),
+                "--feature-dim", "4",
+                "--config", write_config(tmp_path, {"alpha": 2.0})]) == 0
+    _, (ep,) = read_dataset(tmp_path / "data")
+    assert ep.metadata["alpha_applied"] == 2.0
+
+
+def test_config_file_supplies_required_flag(tmp_path, capsys):
+    src = tmp_path / "traj.json"
+    src.write_text(json.dumps(fixture_traj_doc()))
+    out = tmp_path / "out.json"
+    assert cli(["retime", "--input", str(src), "--output", str(out),
+                "--config", write_config(tmp_path, {"alpha": 4})]) == 0
+    assert len(json.loads(out.read_text())["frames"]) == 37
+    # still required when neither the file nor the command line gives it
+    assert cli(["retime", "--input", str(src),
+                "--config", write_config(tmp_path, {"rate": 30})]) == 2
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "not json", '{"no-such-flag": 1}',
+                                  '{"rate": "fast"}'])
+def test_bad_config_file_exit_1(tmp_path, text, capsys):
+    path = tmp_path / "defaults.json"
+    path.write_text(text)
+    src = tmp_path / "traj.json"
+    src.write_text(json.dumps(fixture_traj_doc()))
+    assert cli(["retime", "--input", str(src), "--alpha", "4",
+                "--config", str(path)]) == 1
+
+
+def test_predict_truncated_checkpoint_exit_1(tmp_path, capsys):
+    eps = [synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)]
+    write_dataset(eps, tmp_path / "d")
+    ckpt = tmp_path / "model.ckpt"
+    assert cli(["train", "--dataset", str(tmp_path / "d"), "--out", str(ckpt),
+                "--chunk-length", "3", "--hidden", "8", "--steps", "2",
+                "--batch-size", "4"]) == 0
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    state = ",".join(str(v) for v in unified_space.identity_state_vector())
+    assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
+                "--feature", "0,0,0,0", "--tag", "human"]) == 1

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from crossemb.dataset import (
     DemonstrationEpisode,
     IngestOptions,
     MixedSampler,
-    TrainingPair,
     extract_pairs,
     ingest,
     load_raw_capture,
@@ -194,6 +194,17 @@ def test_ingest_parse_error(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("bad_t", ['"0.1"', "true", "null", "NaN", "Infinity", "[0]"])
+def test_ingest_rejects_non_numeric_timestamp(tmp_path, bad_t):
+    root = tmp_path / "bad"
+    root.mkdir()
+    (root / "meta.json").write_text(json.dumps({"embodiment_tag": "human"}))
+    (root / "frames.jsonl").write_text('{"t": 0.0}\n{"t": %s}\n' % bad_t)
+    with pytest.raises(ParseError) as err:
+        load_raw_capture(root)
+    assert err.value.line_no == 2
+
+
 def test_ingest_image_ref_features(tmp_path):
     root = write_human_raw(tmp_path, n=10)
     lines = [json.loads(l) for l in (root / "frames.jsonl").read_text().splitlines()]
@@ -257,51 +268,60 @@ def test_read_rejects_bad_version(tmp_path):
 
 def test_extract_pairs_counts():
     ep = synthetic_episode("e", "human", n=4)
-    assert len(extract_pairs(ep, 3, 1)) == 1
+    assert len(extract_pairs([ep], 3, 1)) == 1
     ep = synthetic_episode("e", "human", n=10)
-    assert len(extract_pairs(ep, 3, 1)) == 7
+    assert len(extract_pairs([ep], 3, 1)) == 7
     with pytest.raises(EpisodeTooShort):
-        extract_pairs(synthetic_episode("e", "human", n=3), 3, 1)
+        extract_pairs([synthetic_episode("e", "human", n=3)], 3, 1)
 
 
 def test_extract_pairs_contents_match_index_oracle():
     n, K, stride = 12, 4, 2
     ep = synthetic_episode("e", "robot", n=n, seed=9)
-    pairs = extract_pairs(ep, K, stride)
+    pairs = extract_pairs([ep], K, stride)
     expected_count = (n - 1 - K) // stride + 1
     assert len(pairs) == expected_count
-    for i, pair in enumerate(pairs):
+    states, feats, chunks = pairs.take(np.arange(len(pairs)))
+    for i in range(len(pairs)):
         start = i * stride
-        np.testing.assert_array_equal(pair.state, ep.states[start])
-        np.testing.assert_array_equal(pair.feature, ep.features[start])
-        np.testing.assert_array_equal(pair.action_chunk, ep.states[start + 1 : start + 1 + K])
-        assert pair.pair_id == f"e#{start}"
+        np.testing.assert_array_equal(states[i], ep.states[start])
+        np.testing.assert_array_equal(feats[i], ep.features[start])
+        np.testing.assert_array_equal(chunks[i], ep.states[start + 1 : start + 1 + K])
+        assert pairs.ids[i] == f"e#{start}"
 
 
 def test_pairs_never_cross_episodes():
     eps = [synthetic_episode(f"e{i}", "human", n=8, seed=i) for i in range(3)]
-    by_tag = ds.episodes_to_pairs_by_tag(eps, chunk_length=3)
-    for pair in by_tag["human"]:
-        ep_id = pair.pair_id.split("#")[0]
+    pairs = ds.episodes_to_pairs_by_tag(eps, chunk_length=3)["human"]
+    _, _, chunks = pairs.take(np.arange(len(pairs)))
+    for pair_id, chunk in zip(pairs.ids, chunks):
+        ep_id = pair_id.split("#")[0]
         ep = next(e for e in eps if e.id == ep_id)
-        start = int(pair.pair_id.split("#")[1])
-        np.testing.assert_array_equal(pair.action_chunk, ep.states[start + 1 : start + 4])
+        start = int(pair_id.split("#")[1])
+        np.testing.assert_array_equal(chunk, ep.states[start + 1 : start + 4])
 
 
 # --- mixed sampler -----------------------------------------------------------
 
 def make_pairs(tag, count):
+    """`count` one-pair episodes (K = 2, F = 2), all at the identity state."""
     vec = unified_space.identity_state_vector()
-    return [
-        TrainingPair(
-            pair_id=f"{tag}-{i}",
+    episodes = [
+        DemonstrationEpisode(
+            id=f"{tag}-{i}",
             embodiment_tag=tag,
-            state=vec,
-            feature=np.zeros(2),
-            action_chunk=np.tile(vec, (2, 1)),
+            instruction="",
+            times=np.arange(3) / 30.0,
+            states=np.tile(vec, (3, 1)),
+            features=np.zeros((3, 2)),
         )
         for i in range(count)
     ]
+    return extract_pairs(episodes, 2)
+
+
+def stream_ids(stream, n):
+    return [pair_set.ids[row] for pair_set, row in itertools.islice(stream, n)]
 
 
 def test_sampler_exact_ratio():
@@ -310,26 +330,23 @@ def test_sampler_exact_ratio():
     stream = sampler.stream()
     counts = {"human": 0, "robot": 0}
     for _ in range(4000):
-        counts[next(stream).embodiment_tag] += 1
+        counts[next(stream)[0].tag] += 1
     assert counts == {"human": 3000, "robot": 1000}
 
 
 def test_sampler_single_tag_passthrough_permutation():
     pairs = {"robot": make_pairs("robot", 10)}
     sampler = MixedSampler(pairs, {"robot": 1.0}, seed=5)
-    stream = sampler.stream()
-    first_epoch = [next(stream).pair_id for _ in range(10)]
-    assert sorted(first_epoch) == sorted(p.pair_id for p in pairs["robot"])
+    first_epoch = stream_ids(sampler.stream(), 10)
+    assert sorted(first_epoch) == sorted(pairs["robot"].ids)
 
 
 def test_sampler_two_seeds_same_multiset():
     pairs = {"human": make_pairs("human", 30), "robot": make_pairs("robot", 10)}
     a = MixedSampler(pairs, {"human": 3.0, "robot": 1.0}, seed=1)
     b = MixedSampler(pairs, {"human": 3.0, "robot": 1.0}, seed=2)
-    sa = a.stream()
-    sb = b.stream()
-    ids_a = [next(sa).pair_id for _ in range(120)]
-    ids_b = [next(sb).pair_id for _ in range(120)]
+    ids_a = stream_ids(a.stream(), 120)
+    ids_b = stream_ids(b.stream(), 120)
     assert ids_a != ids_b
     assert sorted(ids_a) == sorted(ids_b)
 
@@ -345,10 +362,9 @@ def test_sampler_digest_stable():
 
 def test_sampler_skip_matches_uninterrupted():
     pairs = {"human": make_pairs("human", 25), "robot": make_pairs("robot", 9)}
-    full = MixedSampler(pairs, {"human": 2, "robot": 1}, seed=3).stream()
-    ids_full = [next(full).pair_id for _ in range(200)]
+    ids_full = stream_ids(MixedSampler(pairs, {"human": 2, "robot": 1}, seed=3).stream(), 200)
     resumed = MixedSampler(pairs, {"human": 2, "robot": 1}, seed=3).stream(skip=120)
-    ids_resumed = [next(resumed).pair_id for _ in range(80)]
+    ids_resumed = stream_ids(resumed, 80)
     assert ids_full[120:] == ids_resumed
 
 
@@ -357,3 +373,16 @@ def test_sampler_empty_source():
         MixedSampler({"human": []}, {"human": 1.0}, seed=0)
     with pytest.raises(EmptySource):
         MixedSampler({"human": make_pairs("human", 3)}, {"human": 1.0, "robot": 1.0}, seed=0)
+
+
+def test_sampler_digest_pinned():
+    """Digests of a fixed episode set, recorded before pairs became arrays."""
+    eps = [synthetic_episode(f"h{i}", "human", n=10 + i, seed=i) for i in range(5)]
+    eps += [synthetic_episode(f"r{i}", "robot", n=9 + i, seed=10 + i) for i in range(3)]
+    pairs = ds.episodes_to_pairs_by_tag(eps, 3)
+    assert pair_stream_digest(MixedSampler(pairs, ds.default_ratio(pairs), seed=0), n=5000) == (
+        "d549f38180836a3881f66bd0d818b76b5407d468ed61049b262900e16f4de146"
+    )
+    assert pair_stream_digest(MixedSampler(pairs, {"human": 3, "robot": 1}, seed=7), n=5000) == (
+        "b5abb11fc58aed456c14d2e597670994e5df27ad9cc237b054da26a23d024a32"
+    )

@@ -150,6 +150,25 @@ def test_joint_space_condition_trains(task):
     assert res.steps_executed == 10 or res.success
 
 
+def test_joint_space_pairs_swap_only_robot_states(task):
+    bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=2, seed=0)
+    unified = pairs_from_bundles(bundles, FAST.chunk_length)
+    joint = pairs_from_bundles(bundles, FAST.chunk_length, joint_space_robot_states=True)
+    by_id = {b.episode.id: b for items in bundles.values() for b in items}
+    for tag in ("robot", "human"):
+        rows = np.arange(len(joint[tag]))
+        states, feats, chunks = joint[tag].take(rows)
+        u_states, u_feats, u_chunks = unified[tag].take(rows)
+        np.testing.assert_array_equal(chunks, u_chunks)
+        np.testing.assert_array_equal(feats, u_feats)
+        if tag == "human":
+            np.testing.assert_array_equal(states, u_states)
+            continue
+        for pair_id, state in zip(joint[tag].ids, states):
+            ep_id, start = pair_id.split("#")
+            np.testing.assert_array_equal(state, by_id[ep_id].joint_states[int(start)])
+
+
 def test_cotraining_zero_human_identical_rows():
     settings = ExperimentSettings(train_steps=150, max_steps=20, id_eval_goals=2,
                                   ood_eval_goals_per_cell=1)

@@ -1,9 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from crossemb import unified_space
-from crossemb.dataset import MixedSampler, TrainingPair
-from crossemb.errors import DimensionMismatch, NonFiniteLoss
+from crossemb.dataset import (
+    DemonstrationEpisode,
+    MixedSampler,
+    episodes_to_pairs_by_tag,
+    extract_pairs,
+    stats_from_episodes,
+)
+from crossemb.errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss
 from crossemb.policy import (
     PolicyConfig,
     assemble_batch,
@@ -28,9 +36,11 @@ def eq1_loss_oracle(pred, target, lam):
 
 
 def make_pairs(tag, count, K=3, F=4, seed=0, constant_action=False):
+    """`count` episodes of K + 1 frames, one pair each: frame 0 is the
+    state, frames 1..K the action chunk."""
     rng = np.random.default_rng(seed)
     base = unified_space.identity_state_vector()
-    pairs = []
+    episodes = []
     const_chunk = np.tile(base, (K, 1))
     for i in range(count):
         state = base + np.concatenate([np.zeros(18), rng.normal(scale=0.1, size=36)])
@@ -40,16 +50,23 @@ def make_pairs(tag, count, K=3, F=4, seed=0, constant_action=False):
             else np.tile(base, (K, 1))
             + np.concatenate([np.zeros(18), rng.normal(scale=0.1, size=36)])
         )
-        pairs.append(
-            TrainingPair(
-                pair_id=f"{tag}-{i}",
+        feature = rng.normal(size=F)
+        episodes.append(
+            DemonstrationEpisode(
+                id=f"{tag}-{i}",
                 embodiment_tag=tag,
-                state=state,
-                feature=rng.normal(size=F),
-                action_chunk=np.asarray(chunk, dtype=float),
+                instruction="",
+                times=np.arange(K + 1) / 30.0,
+                states=np.vstack([state, chunk]),
+                features=np.tile(feature, (K + 1, 1)),
             )
         )
-    return pairs
+    return extract_pairs(episodes, K)
+
+
+def all_pairs(pairs):
+    """States, features and action chunks of every pair in a pair set."""
+    return pairs.take(np.arange(len(pairs)))
 
 
 def small_model(K=2, F=3, hidden=(6,), seed=0, delta=0.0, lam=2.0, lr=1e-2):
@@ -152,6 +169,48 @@ def test_loss_dimension_mismatch():
         loss(np.zeros((2, 54)), np.zeros((3, 54)), 2.0)
 
 
+def test_mixed_batch_matches_per_row_oracle():
+    """A two-tag batch under per-embodiment stats equals, bit for bit, each
+    row normalized on its own straight from the episodes, in stream order."""
+    K, F = 3, 4
+    episodes = []
+    for i, tag in enumerate(["human", "robot", "human", "robot", "human"]):
+        rng = np.random.default_rng(i)
+        n = 6 + i
+        states = np.tile(unified_space.identity_state_vector(), (n, 1))
+        states[:, 18:] += rng.normal(scale=0.1, size=(n, 36))
+        episodes.append(DemonstrationEpisode(
+            id=f"{tag}{i}", embodiment_tag=tag, instruction="",
+            times=np.arange(n) / 30.0, states=states, features=rng.normal(size=(n, F)),
+        ))
+    pairs = episodes_to_pairs_by_tag(episodes, K)
+    mode = unified_space.MODE_PER_EMBODIMENT
+    model = init_model(
+        PolicyConfig(feature_dim=F, chunk_length=K, hidden_layers=(4,)),
+        stats_from_episodes(episodes, mode=mode, kind="state"),
+        stats_from_episodes(episodes, mode=mode, kind="action"),
+    )
+    stream = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=4).stream()
+    refs = [next(stream) for _ in range(24)]
+    assert {pair_set.tag for pair_set, _ in refs} == {"human", "robot"}
+    x, target = assemble_batch(model, refs)
+
+    by_id = {ep.id: ep for ep in episodes}
+    for i, (pair_set, row) in enumerate(refs):
+        ep_id, start = pair_set.ids[row].split("#")
+        ep, start = by_id[ep_id], int(start)
+        s_entry = model.state_stats.entries[ep.embodiment_tag]
+        a_entry = model.action_stats.entries[ep.embodiment_tag]
+        np.testing.assert_array_equal(
+            x[i], np.concatenate([(ep.states[start] - s_entry.mean) / s_entry.std,
+                                  ep.features[start]])
+        )
+        for k in range(K):
+            np.testing.assert_array_equal(
+                target[i, k], (ep.states[start + 1 + k] - a_entry.mean) / a_entry.std
+            )
+
+
 # --- gradients -------------------------------------------------------------
 
 def flatten_params(model):
@@ -249,8 +308,7 @@ def build_sampler(pairs, seed=0):
 
 
 def make_stats(pairs, epsilon=1e-3):
-    states = np.stack([p.state for p in pairs])
-    actions = np.concatenate([p.action_chunk for p in pairs])
+    states, _, actions = all_pairs(pairs)
     return (
         compute_stats({"human": states}, epsilon=epsilon),
         compute_stats({"human": actions}, epsilon=epsilon),
@@ -308,6 +366,45 @@ def test_training_seed_determinism_and_checkpoint_roundtrip(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "c.ckpt").read_bytes()
 
 
+def saved_checkpoint(tmp_path):
+    model = small_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [8, 1])
+def test_load_checkpoint_rejects_short_parameter_block(tmp_path, cut):
+    path, blob = saved_checkpoint(tmp_path)
+    path.write_bytes(blob[:-cut])
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_long_parameter_block(tmp_path):
+    path, blob = saved_checkpoint(tmp_path)
+    path.write_bytes(blob + bytes(8))
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("mangle", ["cut_in_header", "bad_utf8", "bad_json", "not_object"])
+def test_load_checkpoint_rejects_undecodable_header(tmp_path, mangle):
+    path, blob = saved_checkpoint(tmp_path)
+    if mangle == "cut_in_header":
+        blob = blob[:40]
+    elif mangle == "bad_utf8":
+        blob = blob[:16] + b"\xff" + blob[17:]
+    elif mangle == "bad_json":
+        blob = blob[:16] + b"[" + blob[17:]
+    else:
+        header = b"[1]"
+        blob = blob[:8] + struct.pack("<Q", len(header)) + header
+    path.write_bytes(blob)
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
 def test_resumed_training_equals_uninterrupted(tmp_path):
     pairs = make_pairs("human", 30)
     state_stats, action_stats = make_stats(pairs)
@@ -357,8 +454,9 @@ def test_predict_rotation_blocks_orthonormal():
     model, _ = train(model, build_sampler(pairs).stream(), steps=300)
     from crossemb.geometry import decode_rot6d
 
-    for p in pairs[:10]:
-        chunk = predict(model, p.state, p.feature, tag="human")
+    states, feats, _ = all_pairs(pairs)
+    for state, feature in zip(states[:10], feats[:10]):
+        chunk = predict(model, state, feature, tag="human")
         for k in range(chunk.shape[0]):
             for sl in unified_space.ROTATION_SLICES:
                 R = decode_rot6d(chunk[k, sl])  # must not raise
@@ -368,7 +466,7 @@ def test_predict_rotation_blocks_orthonormal():
 def test_normalize_denormalize_consistency():
     pairs = make_pairs("human", 20)
     state_stats, action_stats = make_stats(pairs)
-    x = pairs[0].state
+    x = all_pairs(pairs)[0][0]
     from crossemb.unified_space import denormalize, normalize
 
     np.testing.assert_allclose(
@@ -385,7 +483,7 @@ def test_action_excluding_head_carries_state_head():
                        action_includes_head=False)
     model = init_model(cfg, state_stats, action_stats)
     model, _ = train(model, build_sampler(pairs).stream(), steps=50)
-    p = pairs[0]
-    chunk = predict(model, p.state, p.feature, tag="human")
+    states, feats, _ = all_pairs(pairs)
+    chunk = predict(model, states[0], feats[0], tag="human")
     for k in range(chunk.shape[0]):
-        np.testing.assert_allclose(chunk[k, :6], p.state[:6], atol=1e-12)
+        np.testing.assert_allclose(chunk[k, :6], states[0][:6], atol=1e-12)
