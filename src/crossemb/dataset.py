@@ -34,6 +34,7 @@ from .errors import (
     EmptySource,
     EpisodeTooShort,
     FrameSyncExhausted,
+    InvalidMetadata,
     ParseError,
     VersionUnsupported,
 )
@@ -123,10 +124,39 @@ def _pose_from_record(doc: dict, line_no: int, key: str) -> Pose:
     return Pose(geometry.quat_to_matrix(q), t)
 
 
+def _read_json_object(path: Path) -> dict:
+    """The JSON object stored in `path`; InvalidMetadata for anything else."""
+    try:
+        doc = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidMetadata(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidMetadata(f"{path}: must hold a JSON object")
+    return doc
+
+
+def _check_fields(doc: dict, where: str, required: dict, optional: dict | None = None) -> None:
+    """Raise InvalidMetadata unless each required key, and each optional
+    key present, holds a value of its type(s); booleans are not integers."""
+    present = {key: kind for key, kind in (optional or {}).items() if key in doc}
+    for key, kind in {**required, **present}.items():
+        value = doc.get(key)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise InvalidMetadata(f"{where}: field {key!r} is missing or mistyped ({value!r})")
+
+
 def load_raw_capture(path: str | Path) -> RawCapture:
     """Read <dir>/meta.json and <dir>/frames.jsonl."""
     root = Path(path)
-    meta = json.loads((root / "meta.json").read_text())
+    meta = _read_json_object(root / "meta.json")
+    _check_fields(
+        meta,
+        str(root / "meta.json"),
+        required={"embodiment_tag": str},
+        optional={key: str for key in ("device", "instruction", "id", "scene", "kind")},
+    )
+    if meta.get("kind", "robot") not in ("robot", "human"):
+        raise InvalidMetadata(f"{root / 'meta.json'}: kind must be 'robot' or 'human'")
     records = []
     with open(root / "frames.jsonl") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -432,11 +462,27 @@ def write_dataset(
 def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode]]:
     """Load manifest + episodes, verifying version and checksums."""
     root = Path(directory)
-    manifest = json.loads((root / "manifest.json").read_text())
+    where = str(root / "manifest.json")
+    manifest = _read_json_object(root / "manifest.json")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise VersionUnsupported(
             f"dataset format_version {manifest.get('format_version')!r} unsupported"
         )
+    _check_fields(
+        manifest, where, required={"episodes": list, "feature_dim": int},
+        optional={"stats_files": (dict, type(None))},
+    )
+    for i, entry in enumerate(manifest["episodes"]):
+        if not isinstance(entry, dict):
+            raise InvalidMetadata(f"{where}: episode entry {i} is not a JSON object")
+        _check_fields(
+            entry, f"{where}: episode entry {i}",
+            required={key: str for key in ("id", "file", "sha256", "embodiment_tag")},
+            optional={"instruction": str, "metadata": dict},
+        )
+        file = Path(entry["file"])
+        if file.is_absolute() or ".." in file.parts:
+            raise InvalidMetadata(f"{where}: episode entry {i}: file must lie inside the dataset")
     episodes = []
     for entry in manifest["episodes"]:
         blob = (root / entry["file"]).read_bytes()

@@ -59,6 +59,11 @@ class ParseError(CrossembError):
         self.reason = reason
 
 
+class InvalidMetadata(CrossembError):
+    """A capture's meta.json or a dataset's manifest.json is unparsable,
+    not a JSON object, or lacks a required field."""
+
+
 class FrameSyncExhausted(CrossembError):
     """Timestamp synchronization left fewer than two usable frames."""
 

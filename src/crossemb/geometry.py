@@ -31,38 +31,55 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bit-equal to `np.linalg.norm`
+    of each 1-D row (`np.linalg.norm(v, axis=-1)` sums in another order)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products over the last axis, bit-equal to `np.cross`, without
+    its per-call overhead."""
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
+
+
 def decode_rot6d(r: np.ndarray) -> np.ndarray:
     """Decode a 6D rotation code into a rotation matrix via Gram-Schmidt.
 
     Column 1 is the normalized first 3-vector, column 2 the second
     3-vector orthogonalized against it, column 3 their cross product.
+    A stack of codes (..., 6) decodes to (..., 3, 3); any degenerate row
+    raises.
     """
     r = np.asarray(r, dtype=float)
-    if r.shape != (6,):
+    if r.ndim == 0 or r.shape[-1] != 6:
         raise DegenerateRotation6D(f"expected 6 values, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
         raise DegenerateRotation6D("6D code contains non-finite values")
-    a, b = r[:3], r[3:]
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-9 or nb < 1e-9:
+    a, b = r[..., :3], r[..., 3:]
+    na = norms(a)
+    nb = norms(b)
+    if np.any(na < 1e-9) or np.any(nb < 1e-9):
         raise DegenerateRotation6D("6D column norm below 1e-9")
-    c1 = a / na
-    b_orth = b - (b @ c1) * c1
+    c1 = a / na[..., None]
+    b_orth = b - np.vecdot(b, c1)[..., None] * c1
+    nbo = norms(b_orth)
     # sin(angle between a and b) = |b_orth| / |b|
-    if np.linalg.norm(b_orth) / nb < PARALLEL_ANGLE_TOL:
+    if np.any(nbo / nb < PARALLEL_ANGLE_TOL):
         raise DegenerateRotation6D("6D columns parallel within 1e-6 rad")
-    c2 = b_orth / np.linalg.norm(b_orth)
-    c3 = np.cross(c1, c2)
-    return np.stack([c1, c2, c3], axis=1)
+    c2 = b_orth / nbo[..., None]
+    return np.stack([c1, c2, cross(c1, c2)], axis=-1)
 
 
 def encode_rot6d(R: np.ndarray) -> np.ndarray:
-    """Return the first two columns of R, stacked column-major."""
+    """Return the first two columns of R, stacked column-major; a stack
+    (..., 3, 3) encodes to (..., 6)."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got {R.shape}")
-    return np.concatenate([R[:, 0], R[:, 1]])
+    return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -161,42 +178,51 @@ def slerp(q0: np.ndarray, q1: np.ndarray, t: float) -> np.ndarray:
     return quat_normalize(out)
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
+# [k]x of a unit axis k, flattened row-major: the component of k in each
+# entry and its sign (0 on the diagonal).
+_SKEW_COMPONENT = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+
+
+def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
+    """Rodrigues rotation about a unit axis: (1 - c) k k^T + s [k]x + c I.
+
+    Broadcasts: axes (..., 3) and angles (...) give rotations (..., 3, 3).
+    """
     axis = np.asarray(axis, dtype=float)
-    kx, ky, kz = axis
+    angle = np.asarray(angle, dtype=float)[..., None]
     c, s = np.cos(angle), np.sin(angle)
-    v = 1.0 - c
-    return np.array(
-        [
-            [c + kx * kx * v, kx * ky * v - kz * s, kx * kz * v + ky * s],
-            [ky * kx * v + kz * s, c + ky * ky * v, ky * kz * v - kx * s],
-            [kz * kx * v - ky * s, kz * ky * v + kx * s, c + kz * kz * v],
-        ]
-    )
+    kk = (axis[..., :, None] * axis[..., None, :]).reshape(axis.shape[:-1] + (9,))
+    R = kk * (1.0 - c) + (axis * s)[..., _SKEW_COMPONENT] * _SKEW_SIGN
+    R[..., ::4] += c
+    return R.reshape(R.shape[:-1] + (3, 3))
 
 
 def rotation_log(R: np.ndarray) -> np.ndarray:
-    """Axis-angle vector (axis * angle) of a rotation matrix."""
+    """Axis-angle vector (axis * angle) of a rotation matrix; a stack
+    (..., 3, 3) gives (..., 3)."""
     R = np.asarray(R, dtype=float)
-    cos_theta = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
+    cos_theta = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
     theta = np.arccos(cos_theta)
-    if theta < 1e-9:
-        return np.zeros(3)
-    if theta > np.pi - 1e-6:
+    w = np.stack(
+        [R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0], R[..., 1, 0] - R[..., 0, 1]],
+        axis=-1,
+    )
+    with np.errstate(invalid="ignore"):  # 0 / 0 at theta == 0, zeroed below
+        out = w * (theta / (2.0 * np.sin(theta)))[..., None]
+    out[theta < 1e-9] = 0.0
+    for idx in map(tuple, np.argwhere(theta > np.pi - 1e-6)):
         # Near pi the antisymmetric part vanishes; recover the axis from
         # the symmetric part R + I = 2 aa^T (choose largest diagonal).
-        A = (R + np.eye(3)) * 0.5
+        A = (R[idx] + np.eye(3)) * 0.5
         i = int(np.argmax(np.diag(A)))
         axis = A[:, i] / np.sqrt(max(A[i, i], 1e-18))
         axis /= np.linalg.norm(axis)
         # Fix the sign using the antisymmetric residue when available.
-        w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-        if w @ axis < 0:
+        if w[idx] @ axis < 0:
             axis = -axis
-        return axis * theta
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return w * (theta / (2.0 * np.sin(theta)))
+        out[idx] = axis * theta[idx]
+    return out
 
 
 @dataclass(frozen=True)

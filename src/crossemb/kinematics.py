@@ -4,6 +4,20 @@ retargeting between the unified space and robot joint commands.
 Angle units are radians throughout; config files store degrees (see
 `embodiments`). Chains and configs are immutable; the IK solver keeps no
 state between calls.
+
+The FK, Jacobian and IK core runs on batches: joint vectors are the rows
+of a (B, n) array, giving tip rotations (B, 3, 3), tip positions (B, 3),
+world joint axes and origins (B, n, 3) and Jacobians (B, 6, n). Every row
+goes through the same floating-point operations as a batch of one, so no
+result depends on the batch it ran in; `forward_kinematics` and
+`jacobian` are batches of one.
+
+`ik_solve` first descends from `q_init` alone. If that fails, all restart
+seeds descend together in lockstep, each row with its own damping and
+joint-limit mask, leaving the batch when it converges or stalls. The
+first converged seed in seed order wins (rows after a converged one are
+dropped), else the first seed of least weighted error: the same answer
+as trying the seeds one after another.
 """
 
 from __future__ import annotations
@@ -55,11 +69,16 @@ class KinematicChain:
     joints: tuple[Joint, ...]
     base_frame: Pose
     tip_offset: Pose
+    # Every joint's local axis, stacked (n, 3) for the batched rotations.
+    axes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.joints) < 1:
             raise ValueError("chain needs at least one joint")
         object.__setattr__(self, "joints", tuple(self.joints))
+        axes = np.array([j.axis for j in self.joints])
+        axes.flags.writeable = False
+        object.__setattr__(self, "axes", axes)
 
     @property
     def n_joints(self) -> int:
@@ -89,39 +108,51 @@ def _check_q(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _fk_frames(chain: KinematicChain, q: np.ndarray):
-    """Tip pose plus per-joint world axes and origins (for the Jacobian)."""
-    R = chain.base_frame.rotation.copy()
-    t = chain.base_frame.translation.copy()
-    axes = np.empty((chain.n_joints, 3))
-    origins = np.empty((chain.n_joints, 3))
+def _fk_frames(chain: KinematicChain, Q: np.ndarray):
+    """Tip poses plus per-joint world axes and origins (for the Jacobian)
+    of a (B, n) batch of joint vectors: R (B, 3, 3), t (B, 3), axes and
+    origins (B, n, 3)."""
+    B, n = Q.shape
+    joint_R = geometry.rotation_about_axis(chain.axes, Q)
+    # R and t gain the batch axis at the first joint rotation.
+    R, t = chain.base_frame.rotation, chain.base_frame.translation
+    axes = np.empty((B, n, 3))
+    origins = np.empty((B, n, 3))
     for i, joint in enumerate(chain.joints):
         t = R @ joint.origin.translation + t
         R = R @ joint.origin.rotation
-        axes[i] = R @ joint.axis
-        origins[i] = t
-        R = R @ geometry.rotation_about_axis(joint.axis, q[i])
+        axes[:, i] = R @ joint.axis
+        origins[:, i] = t
+        R = R @ joint_R[:, i]
     t = R @ chain.tip_offset.translation + t
     R = R @ chain.tip_offset.rotation
     return R, t, axes, origins
 
 
+def _jacobians(t, axes, origins, w):
+    """Geometric Jacobians (B, 6, n) with the angular rows scaled by w.
+
+    C-contiguous on purpose: `J @ J.T` on a transposed view takes another
+    BLAS path and drifts in the last bits.
+    """
+    linear = geometry.cross(axes, t[:, None, :] - origins)
+    return np.ascontiguousarray(
+        np.concatenate([linear, w * axes], axis=2).transpose(0, 2, 1)
+    )
+
+
 def forward_kinematics(chain: KinematicChain, q: np.ndarray) -> Pose:
     """Compose base frame, per-joint rotations about their axes, tip offset."""
     q = _check_q(chain, q)
-    R, t, _, _ = _fk_frames(chain, q)
-    return Pose(R, t)
+    R, t, _, _ = _fk_frames(chain, q[None])
+    return Pose(R[0], t[0])
 
 
 def jacobian(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
     """Geometric Jacobian, 6 x n: linear velocity rows, then angular."""
     q = _check_q(chain, q)
-    _, tip, axes, origins = _fk_frames(chain, q)
-    J = np.empty((6, chain.n_joints))
-    for i in range(chain.n_joints):
-        J[:3, i] = np.cross(axes[i], tip - origins[i])
-        J[3:, i] = axes[i]
-    return J
+    _, t, axes, origins = _fk_frames(chain, q[None])
+    return _jacobians(t, axes, origins, 1.0)[0]
 
 
 @dataclass(frozen=True)
@@ -145,65 +176,92 @@ class IkParams:
             raise ValueError("orientation_weight must be >= 0")
 
 
-def _pose_error(current_R, current_t, target: Pose):
-    e_pos = target.translation - current_t
-    e_rot = geometry.rotation_log(target.rotation @ current_R.T)
-    return e_pos, e_rot
+class IkSolution(tuple):
+    """`(q, status)` as returned by `ik_solve`; also carries the final
+    position error (m) and rotation error (rad) of q as `pos_err` and
+    `rot_err`, so callers need not run FK again."""
+
+    def __new__(cls, q, status, pos_err, rot_err):
+        self = super().__new__(cls, (q, status))
+        self.pos_err = float(pos_err)
+        self.rot_err = float(rot_err)
+        return self
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return (*self, self.pos_err, self.rot_err)
 
 
-def _dls_attempt(chain, target, q0, params):
-    """One damped-least-squares descent; returns (q, pos_err, rot_err, ok).
+def _pose_errors(R, t, target: Pose, w: float):
+    """Per-row position and rotation error norms of a (B,) batch of poses
+    against `target`, and the stacked errors [e_pos, w * e_rot] (B, 6)."""
+    e_pos = target.translation - t
+    e_rot = geometry.rotation_log(target.rotation @ R.transpose(0, 2, 1))
+    e = np.concatenate([e_pos, w * e_rot], axis=1)
+    return geometry.norms(e_pos), geometry.norms(e_rot), e
 
-    The damping factor adapts per step (halved on improvement, grown on
-    rejection) so the iteration rides out near-singular configurations;
-    columns of joints pinned at a limit and pushed further out are masked
-    so clamping cannot stall the descent.
+
+def _dls_attempts(chain, target, Q0, params):
+    """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep.
+
+    Each row runs the single-descent recipe on its own state. Its damping
+    factor adapts per step (halved on improvement, grown fivefold per
+    rejected trial, at most 6 trials per step) so the iteration rides out
+    near-singular configurations; columns of joints pinned at a limit and
+    pushed further out are masked so clamping cannot stall the descent.
+    A row leaves the batch when it converges or when all 6 trials are
+    rejected.
+
+    Rows are seeds in order of preference: the result is the first
+    converged row, else the first row of least pos_err + w * rot_err.
+    Rows after a converged row can no longer be chosen and are dropped.
+    Returns (q, pos_err, rot_err, converged) of that row.
     """
     lo, hi = chain.lower_limits, chain.upper_limits
-    n = chain.n_joints
-    q = chain.clamp(np.asarray(q0, dtype=float))
     w = params.orientation_weight
-    lam = params.damping
-    R, t, axes, origins = _fk_frames(chain, q)
-    e_pos, e_rot = _pose_error(R, t, target)
-    pos_err = float(np.linalg.norm(e_pos))
-    rot_err = float(np.linalg.norm(e_rot))
+    Q = np.clip(Q0, lo, hi)
+    R, t, axes, origins = _fk_frames(chain, Q)
+    pos_err, rot_err, e = _pose_errors(R, t, target, w)
     err = pos_err + w * rot_err
-    for _ in range(params.max_iters):
-        if pos_err <= params.pos_tol and (w == 0.0 or rot_err <= params.rot_tol):
-            return q, pos_err, rot_err, True
-        J = np.empty((6, n))
-        for i in range(n):
-            J[:3, i] = np.cross(axes[i], t - origins[i])
-            J[3:, i] = w * axes[i]
-        e = np.concatenate([e_pos, w * e_rot])
-        grad = J.T @ e
-        mask = np.ones(n)
-        at_lo = q <= lo + 1e-12
-        at_hi = q >= hi - 1e-12
-        mask[(at_lo & (grad < 0)) | (at_hi & (grad > 0))] = 0.0
-        Jm = J * mask
-        improved = False
-        for _trial in range(6):
-            A = Jm @ Jm.T + (lam * lam) * np.eye(6)
-            dq = Jm.T @ np.linalg.solve(A, e)
-            q_new = chain.clamp(q + params.step_scale * dq)
-            R2, t2, axes2, origins2 = _fk_frames(chain, q_new)
-            e_pos2, e_rot2 = _pose_error(R2, t2, target)
-            pos2 = float(np.linalg.norm(e_pos2))
-            rot2 = float(np.linalg.norm(e_rot2))
-            if pos2 + w * rot2 < err:
-                q, R, t, axes, origins = q_new, R2, t2, axes2, origins2
-                e_pos, e_rot = e_pos2, e_rot2
-                pos_err, rot_err, err = pos2, rot2, pos2 + w * rot2
-                lam = max(lam * 0.5, 1e-5)
-                improved = True
-                break
-            lam *= 5.0
-        if not improved:
+    lam = np.full(len(Q), params.damping)
+    live = np.arange(len(Q))  # rows still descending, ascending
+    first_ok = len(Q)
+    # One more convergence test follows the last allowed step.
+    for step in range(params.max_iters + 1):
+        done = (pos_err[live] <= params.pos_tol) & ((w == 0.0) | (rot_err[live] <= params.rot_tol))
+        if done.any():
+            first_ok = min(first_ok, live[done][0])
+            live = live[~done & (live < first_ok)]
+        if step == params.max_iters or not live.size:
             break
-    ok = pos_err <= params.pos_tol and (w == 0.0 or rot_err <= params.rot_tol)
-    return q, pos_err, rot_err, ok
+        J = _jacobians(t[live], axes[live], origins[live], w)
+        grad = np.vecmat(e[live], J)
+        q = Q[live]
+        pinned = ((q <= lo + 1e-12) & (grad < 0)) | ((q >= hi - 1e-12) & (grad > 0))
+        Jm = J * np.where(pinned, 0.0, 1.0)[:, None, :]
+        trying = np.arange(live.size)  # positions in `live` with no step accepted yet
+        for _trial in range(6):
+            rows = live[trying]
+            Jt = Jm[trying]
+            A = Jt @ Jt.transpose(0, 2, 1) + (lam[rows] * lam[rows])[:, None, None] * np.eye(6)
+            x = np.linalg.solve(A, e[rows][..., None])[..., 0]
+            q_new = np.clip(Q[rows] + params.step_scale * np.vecmat(x, Jt), lo, hi)
+            R2, t2, axes2, origins2 = _fk_frames(chain, q_new)
+            pos2, rot2, e2 = _pose_errors(R2, t2, target, w)
+            err2 = pos2 + w * rot2
+            acc = err2 < err[rows]
+            up = rows[acc]
+            Q[up], t[up], axes[up], origins[up], e[up] = (
+                q_new[acc], t2[acc], axes2[acc], origins2[acc], e2[acc]
+            )
+            pos_err[up], rot_err[up], err[up] = pos2[acc], rot2[acc], err2[acc]
+            lam[up] = np.maximum(lam[up] * 0.5, 1e-5)
+            lam[rows[~acc]] *= 5.0
+            trying = trying[~acc]
+            if not trying.size:
+                break
+        live = np.delete(live, trying)
+    best = first_ok if first_ok < len(Q) else int(np.argmin(err))
+    return Q[best], pos_err[best], rot_err[best], first_ok < len(Q)
 
 
 def ik_solve(
@@ -211,33 +269,32 @@ def ik_solve(
     target: Pose,
     q_init: np.ndarray,
     params: IkParams = IkParams(),
-) -> tuple[np.ndarray, str]:
+) -> IkSolution:
     """Damped-least-squares IK: dq = J^T (J J^T + damping^2 I)^-1 e.
 
     The first attempt starts at `q_init`; on failure a fixed set of
-    seeded in-limit restarts is tried, so results are deterministic. The
+    seeded in-limit restarts runs as one lockstep batch, so results are
+    deterministic and equal to trying the seeds one after another. The
     returned joints are always clamped within limits; status is
     `converged` or `best_effort` (closest local solution found).
     """
     q_init = _check_q(chain, q_init)
     if not (np.all(np.isfinite(target.rotation)) and np.all(np.isfinite(target.translation))):
         raise NonFiniteTarget("IK target contains non-finite values")
-    attempts = [q_init]
-    if params.restarts > 0:
+    best = _dls_attempts(chain, target, q_init[None], params)
+    if not best[3] and params.restarts > 0:
         lo, hi = chain.lower_limits, chain.upper_limits
         rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
-        attempts.append(chain.mid_range())
-        for _ in range(params.restarts - 1):
-            attempts.append(lo + rng.random(chain.n_joints) * (hi - lo))
-    best = None
-    for q0 in attempts:
-        q, pos_err, rot_err, ok = _dls_attempt(chain, target, q0, params)
-        if ok:
-            return q, STATUS_CONVERGED
-        score = pos_err + params.orientation_weight * rot_err
-        if best is None or score < best[0]:
-            best = (score, q)
-    return best[1], STATUS_BEST_EFFORT
+        seeds = np.vstack(
+            [chain.mid_range(), lo + rng.random((params.restarts - 1, chain.n_joints)) * (hi - lo)]
+        )
+        restart = _dls_attempts(chain, target, seeds, params)
+        w = params.orientation_weight
+        # Attempt 0 keeps ties: the seeds are tried after it.
+        if restart[3] or restart[1] + w * restart[2] < best[1] + w * best[2]:
+            best = restart
+    q, pos_err, rot_err, ok = best
+    return IkSolution(q, STATUS_CONVERGED if ok else STATUS_BEST_EFFORT, pos_err, rot_err)
 
 
 @dataclass(frozen=True)
@@ -377,7 +434,7 @@ def retarget_hand(
     if np.linalg.norm(in_plane) < 1e-12:
         angle = 0.5 * sum(hand_model.thumb_rot_range)  # undefined; use neutral
     else:
-        angle = float(np.arctan2(n @ np.cross(ref, in_plane), ref @ in_plane))
+        angle = float(np.arctan2(n @ geometry.cross(ref, in_plane), ref @ in_plane))
     lo, hi = hand_model.thumb_rot_range
     thumb_rot = float(np.clip((angle - lo) / (hi - lo), 0.0, 1.0))
     return np.concatenate([closure, [thumb_rot]])
@@ -449,6 +506,7 @@ def retarget_action(
     clamps = []
     limbs = {}
     arms = {}
+    targets = {}
     for side, chain, rot_sl, pos_sl, q0 in (
         (
             "left",
@@ -465,15 +523,10 @@ def retarget_action(
             q_prev.right_arm_q,
         ),
     ):
-        target = _wrist_target(action, rot_sl, pos_sl)
-        q, status = ik_solve(chain, target, q0, params)
-        achieved = forward_kinematics(chain, q)
-        e_pos, e_rot = _pose_error(achieved.rotation, achieved.translation, target)
-        limbs[side] = LimbResult(
-            status=status,
-            pos_err=float(np.linalg.norm(e_pos)),
-            rot_err=float(np.linalg.norm(e_rot)),
-        )
+        targets[side] = _wrist_target(action, rot_sl, pos_sl)
+        solution = ik_solve(chain, targets[side], q0, params)
+        q, status = solution
+        limbs[side] = LimbResult(status, solution.pos_err, solution.rot_err)
         if status == STATUS_BEST_EFFORT:
             clamps.append(f"{side}_arm:best_effort")
         arms[side] = q
@@ -486,13 +539,10 @@ def retarget_action(
         clamps.append("neck:limit")
 
     tips = action[unified_space.FINGERTIPS].reshape(10, 3)
-    hands = {}
-    for side, rows, rot_sl, pos_sl in (
-        ("left", slice(0, 5), unified_space.LEFT_WRIST_ROT, unified_space.LEFT_WRIST_POS),
-        ("right", slice(5, 10), unified_space.RIGHT_WRIST_ROT, unified_space.RIGHT_WRIST_POS),
-    ):
-        wrist = _wrist_target(action, rot_sl, pos_sl)
-        hands[side] = retarget_hand(tips[rows], wrist, config.hand_model)
+    hands = {
+        "left": retarget_hand(tips[:5], targets["left"], config.hand_model),
+        "right": retarget_hand(tips[5:], targets["right"], config.hand_model),
+    }
 
     cmd = RobotCommand(
         left_arm_q=arms["left"],

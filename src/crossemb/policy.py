@@ -310,13 +310,11 @@ def predict(
     if not model.config.action_includes_head:
         # Head excluded from the action: carry the current head rotation.
         chunk[:, unified_space.HEAD_ROT] = raw_state[unified_space.HEAD_ROT]
-    out = np.empty_like(chunk)
-    out[:] = chunk
-    for k in range(chunk.shape[0]):
-        for sl in unified_space.ROTATION_SLICES:
-            R = geometry.decode_rot6d(chunk[k, sl])
-            out[k, sl] = geometry.encode_rot6d(R)
-    return out
+    codes = np.stack([chunk[:, sl] for sl in unified_space.ROTATION_SLICES], axis=1)
+    codes = geometry.encode_rot6d(geometry.decode_rot6d(codes))
+    for i, sl in enumerate(unified_space.ROTATION_SLICES):
+        chunk[:, sl] = codes[:, i]
+    return chunk
 
 
 def penultimate_activations(model: PolicyModel, x: np.ndarray) -> np.ndarray:

@@ -49,6 +49,26 @@ def test_validate_ok_and_failure(tmp_path, capsys):
     assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
 
 
+def test_validate_malformed_manifest_exit_1(tmp_path, capsys):
+    write_dataset([synthetic_episode("e0", "robot")], tmp_path / "d")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    del doc["episodes"]
+    manifest_path.write_text(json.dumps(doc))
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+    manifest_path.write_text("{not json")
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+    assert "manifest.json" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("meta", ['{"device": "vr"}', "[]", "{not json"])
+def test_ingest_bad_meta_exit_1(tmp_path, meta, capsys):
+    raw = write_human_raw(tmp_path, n=12, episode_id="h1")
+    (raw / "meta.json").write_text(meta)
+    assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "data")]) == 1
+    assert "meta.json" in capsys.readouterr().err
+
+
 def test_fk_matches_library_and_byte_stable(config_file, capsys):
     argv = ["fk", "--embodiment-config", config_file, "--chain", "right_arm",
             "--q", "0,0,0,0,0"]

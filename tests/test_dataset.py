@@ -24,6 +24,7 @@ from crossemb.errors import (
     ChecksumMismatch,
     EmptySource,
     EpisodeTooShort,
+    InvalidMetadata,
     ParseError,
     VersionUnsupported,
 )
@@ -205,6 +206,23 @@ def test_ingest_rejects_non_numeric_timestamp(tmp_path, bad_t):
     assert err.value.line_no == 2
 
 
+BAD_META = {
+    "missing_tag": json.dumps({"device": "vr", "kind": "human"}),
+    "not_object": json.dumps(["embodiment_tag", "human"]),
+    "unparsable": '{"embodiment_tag": "human"',
+    "tag_not_string": json.dumps({"embodiment_tag": 3}),
+    "unknown_kind": json.dumps({"embodiment_tag": "human", "kind": "alien"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_META))
+def test_load_raw_capture_rejects_bad_meta(tmp_path, case):
+    root = write_human_raw(tmp_path)
+    (root / "meta.json").write_text(BAD_META[case])
+    with pytest.raises(InvalidMetadata):
+        load_raw_capture(root)
+
+
 def test_ingest_image_ref_features(tmp_path):
     root = write_human_raw(tmp_path, n=10)
     lines = [json.loads(l) for l in (root / "frames.jsonl").read_text().splitlines()]
@@ -261,6 +279,54 @@ def test_read_rejects_bad_version(tmp_path):
     doc["format_version"] = 99
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(VersionUnsupported):
+        read_dataset(tmp_path / "d")
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _drop_entry(key):
+    def edit(doc):
+        del doc["episodes"][0][key]
+    return edit
+
+
+BAD_MANIFEST = {
+    "no_episodes": _drop("episodes"),
+    "no_feature_dim": _drop("feature_dim"),
+    "episodes_not_list": lambda doc: doc.update(episodes={"ep0": {}}),
+    "stats_files_not_object": lambda doc: doc.update(stats_files=["state.json"]),
+    "entry_not_object": lambda doc: doc["episodes"].__setitem__(0, "episodes/ep0.bin"),
+    "entry_no_file": _drop_entry("file"),
+    "entry_no_sha256": _drop_entry("sha256"),
+    "entry_no_id": _drop_entry("id"),
+    "entry_sha256_not_string": lambda doc: doc["episodes"][0].update(sha256=None),
+    "entry_file_absolute": lambda doc: doc["episodes"][0].update(file="/etc/hostname"),
+    "entry_file_outside": lambda doc: doc["episodes"][0].update(file="../d/episodes/ep0.bin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFEST))
+def test_read_rejects_malformed_manifest(tmp_path, case):
+    write_dataset([synthetic_episode("ep0", "robot")], tmp_path / "d")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    BAD_MANIFEST[case](doc)
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidMetadata):
+        read_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize(
+    "blob", [b"{not json", b"[1, 2]", b"\xff\xfe{}"], ids=["unparsable", "not_object", "not_utf8"]
+)
+def test_read_rejects_unparsable_manifest(tmp_path, blob):
+    write_dataset([synthetic_episode("ep0", "robot")], tmp_path / "d")
+    (tmp_path / "d" / "manifest.json").write_bytes(blob)
+    with pytest.raises(InvalidMetadata):
         read_dataset(tmp_path / "d")
 
 

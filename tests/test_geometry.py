@@ -99,6 +99,96 @@ def test_decode_rejects_degenerate():
         geometry.decode_rot6d(np.array([1, 0, 0, np.nan, 1, 0]))
 
 
+def decode_rot6d_reference(r):
+    """The one-code decoder the batched one replaced, operation for operation."""
+    a, b = r[:3], r[3:]
+    c1 = a / np.linalg.norm(a)
+    b_orth = b - (b @ c1) * c1
+    c2 = b_orth / np.linalg.norm(b_orth)
+    return np.stack([c1, c2, np.cross(c1, c2)], axis=1)
+
+
+def rodrigues_reference(axis, angle):
+    """The per-entry Rodrigues formula, one axis and one angle at a time."""
+    kx, ky, kz = axis
+    c, s = np.cos(angle), np.sin(angle)
+    v = 1.0 - c
+    return np.array(
+        [
+            [c + kx * kx * v, kx * ky * v - kz * s, kx * kz * v + ky * s],
+            [ky * kx * v + kz * s, c + ky * ky * v, ky * kz * v - kx * s],
+            [kz * kx * v - ky * s, kz * ky * v + kx * s, c + kz * kz * v],
+        ]
+    )
+
+
+def rotation_log_reference(R):
+    """The one-matrix rotation log the batched one replaced."""
+    theta = np.arccos(np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0))
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if theta < 1e-9:
+        return np.zeros(3)
+    if theta > np.pi - 1e-6:
+        A = (R + np.eye(3)) * 0.5
+        i = int(np.argmax(np.diag(A)))
+        axis = A[:, i] / np.sqrt(max(A[i, i], 1e-18))
+        axis /= np.linalg.norm(axis)
+        return (-axis if w @ axis < 0 else axis) * theta
+    return w * (theta / (2.0 * np.sin(theta)))
+
+
+def test_rotation_log_batch_bit_equal_to_reference():
+    rng = np.random.default_rng(22)
+    axes = rng.normal(size=(9, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.array([0.0, 1e-12, 0.3, 2.0, np.pi - 1e-7, np.pi, np.pi - 1e-3, 1.0, -2.5])
+    M = geometry.rotation_about_axis(axes, angles)
+    logs = geometry.rotation_log(M.reshape(3, 3, 3, 3))
+    assert logs.shape == (3, 3, 3)
+    for m, log in zip(M, logs.reshape(9, 3)):
+        want = rotation_log_reference(m).tobytes()
+        assert log.tobytes() == want
+        assert geometry.rotation_log(m).tobytes() == want
+
+
+def test_decode_rot6d_batch_bit_equal_to_single_rows():
+    rng = np.random.default_rng(8)
+    codes = rng.normal(size=(4, 5, 6)) * rng.choice([1e-3, 1.0, 1e3], size=(4, 5, 1))
+    batch = geometry.decode_rot6d(codes)
+    assert batch.shape == (4, 5, 3, 3)
+    for idx in np.ndindex(4, 5):
+        assert batch[idx].tobytes() == geometry.decode_rot6d(codes[idx]).tobytes()
+        assert batch[idx].tobytes() == decode_rot6d_reference(codes[idx]).tobytes()
+    assert geometry.encode_rot6d(batch).tobytes() == np.stack(
+        [[geometry.encode_rot6d(R) for R in row] for row in batch]
+    ).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad", [[0, 0, 0, 0, 1, 0], [1, 0, 0, 2, 0, 0], [1, 0, 0, np.nan, 1, 0]],
+    ids=["zero_column", "parallel", "non_finite"],
+)
+def test_decode_rot6d_batch_raises_on_one_degenerate_row(bad):
+    codes = np.tile([1.0, 0, 0, 0, 1, 0], (6, 1))
+    codes[4] = bad
+    with pytest.raises(DegenerateRotation6D):
+        geometry.decode_rot6d(codes)
+
+
+def test_rotation_about_axis_batch_bit_equal_to_reference():
+    rng = np.random.default_rng(9)
+    axes = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))])
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = np.concatenate([[0.0, -0.0, np.pi, -np.pi / 2], rng.normal(size=6) * 3])
+    batch = geometry.rotation_about_axis(axes, angles[:, None])
+    assert batch.shape == (len(angles), len(axes), 3, 3)
+    for i, angle in enumerate(angles):
+        for j, axis in enumerate(axes):
+            want = rodrigues_reference(axis, angle).tobytes()
+            assert batch[i, j].tobytes() == want
+            assert geometry.rotation_about_axis(axis, angle).tobytes() == want
+
+
 def test_projection_idempotence():
     rng = np.random.default_rng(3)
     for _ in range(100):

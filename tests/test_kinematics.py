@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from crossemb.kinematics import (
     Joint,
     KinematicChain,
     RobotCommand,
+    _fk_frames,
     embed_robot_state,
     forward_kinematics,
     hand_fingertips,
@@ -25,6 +29,8 @@ from crossemb.kinematics import (
 )
 
 Z = np.array([0.0, 0.0, 1.0])
+# ik_fixture_digest() of the sequential solver this one replaced.
+IK_FIXTURE_DIGEST = "2a9564c0dae396467b6ba963868537dddac9a6fed64a5c78a1bdb4ca11b18175"
 
 
 # --- oracles ---------------------------------------------------------------
@@ -270,6 +276,22 @@ def test_fk_ik_roundtrip_sample():
         assert converged >= int(0.95 * n)
 
 
+def test_ik_solution_carries_errors_of_returned_joints():
+    chain = humanoid_b_config().right_arm
+    start = forward_kinematics(chain, chain.mid_range())
+    for offset, want in (([0.02, -0.03, 0.01], "converged"), ([2.0, 0.0, 0.0], "best_effort")):
+        target = Pose(start.rotation, start.translation + offset)
+        solution = ik_solve(chain, target, chain.mid_range())
+        q, status = solution
+        assert status == want
+        pose = forward_kinematics(chain, q)
+        pos_err = float(np.linalg.norm(target.translation - pose.translation))
+        rot_err = float(np.linalg.norm(geometry.rotation_log(target.rotation @ pose.rotation.T)))
+        assert (solution.pos_err, solution.rot_err) == (pos_err, rot_err)
+        again = pickle.loads(pickle.dumps(solution))
+        assert (again.pos_err, again.rot_err, again[1]) == (pos_err, rot_err, status)
+
+
 def test_ik_deterministic():
     cfg = humanoid_b_config()
     chain = cfg.right_arm
@@ -485,3 +507,87 @@ def test_table_limits_transcription():
     np.testing.assert_allclose(by_name_b["shoulder_yaw"], np.deg2rad([-152, 172]))
     np.testing.assert_allclose(by_name_b["elbow"], np.deg2rad([-54, 182]))
     np.testing.assert_allclose(by_name_b["wrist_roll"], np.deg2rad([-172, 157]))
+
+
+# --- batched core: exactness against single-row calls and the parent ------
+
+def restart_seeds(chain, restarts=30):
+    """`ik_solve`'s restart seeds, in order: mid-range, then seeded draws."""
+    lo, hi = chain.lower_limits, chain.upper_limits
+    rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
+    seeds = [chain.mid_range()]
+    for _ in range(restarts - 1):
+        seeds.append(lo + rng.random(chain.n_joints) * (hi - lo))
+    return seeds
+
+
+def test_fk_frames_batch_rows_equal_single_calls():
+    rng = np.random.default_rng(21)
+    for chain in (humanoid_a_config().left_arm, humanoid_b_config().right_arm,
+                  humanoid_b_config().neck, random_chain(rng, 6)):
+        lo, hi = chain.lower_limits, chain.upper_limits
+        Q = lo + rng.random((9, chain.n_joints)) * (hi - lo)
+        batch = _fk_frames(chain, Q)
+        for b in range(len(Q)):
+            single = _fk_frames(chain, Q[b][None])
+            for got, want in zip(batch, single):
+                assert got[b].tobytes() == want[0].tobytes()
+            pose = forward_kinematics(chain, Q[b])
+            assert pose.rotation.tobytes() == batch[0][b].tobytes()
+            assert pose.translation.tobytes() == batch[1][b].tobytes()
+
+
+def ik_fixture_digest():
+    """SHA-256 over joints and status of a fixed set of IK solves: warm
+    streams, unreachable targets 2 m out along +-x, +-y, +-z, position-only
+    solving and no restarts, on the 5-DoF and the 7-DoF arm."""
+    h = hashlib.sha256()
+
+    def solve(chain, target, q_init, params=IkParams()):
+        q, status = ik_solve(chain, target, q_init, params)
+        h.update(np.asarray(q).tobytes())
+        h.update(status.encode())
+        return q
+
+    for cfg in (humanoid_a_config(), humanoid_b_config()):
+        chain = cfg.right_arm
+        home = chain.mid_range()
+        start = forward_kinematics(chain, home)
+        sweep = 0.4 * np.cos(np.arange(chain.n_joints))
+        q = home
+        for f in np.linspace(0.0, 1.0, 12):
+            q = solve(chain, forward_kinematics(chain, home + f * sweep), q)
+        for direction in np.vstack([np.eye(3), -np.eye(3)]):
+            solve(chain, Pose(start.rotation, start.translation + 2.0 * direction), home)
+        reach = Pose(geometry.rotation_about_axis(Z, 1.0), start.translation + [0.1, -0.1, 0.1])
+        solve(chain, reach, chain.lower_limits, IkParams(orientation_weight=0.0))
+        solve(chain, reach, chain.lower_limits, IkParams(restarts=0))
+    return h.hexdigest()
+
+
+def test_ik_outputs_pinned():
+    assert ik_fixture_digest() == IK_FIXTURE_DIGEST
+
+
+def test_ik_restarts_return_earliest_converging_seed():
+    chain = humanoid_a_config().right_arm
+    target = forward_kinematics(chain, np.array(
+        [1.643545923566443, 0.49141106917277877, 3.7413455887754536,
+         -1.0132764542420798, -1.0011039084636608]))
+    q_init = np.array([-2.8623399732707004, -0.33161255787892263, 4.4505895925855405,
+                       -1.239183768915974, -3.0543261909900767])
+    one = IkParams(restarts=0)
+    # Sequential reference: every attempt on its own, in ik_solve's order.
+    attempts = [ik_solve(chain, target, q0, one) for q0 in [q_init, *restart_seeds(chain)]]
+    converged = [i for i, (_, status) in enumerate(attempts) if status == "converged"]
+    assert attempts[0][1] == "best_effort"
+    assert len(converged) >= 2
+    # A later seed converges in fewer iterations than the earliest one, so
+    # the earliest must win even though it is not the first to finish.
+    short = IkParams(max_iters=12, restarts=0)
+    seeds = [q_init, *restart_seeds(chain)]
+    assert ik_solve(chain, target, seeds[converged[0]], short)[1] == "best_effort"
+    assert any(ik_solve(chain, target, seeds[i], short)[1] == "converged" for i in converged[1:])
+    q, status = ik_solve(chain, target, q_init)
+    assert status == "converged"
+    assert q.tobytes() == attempts[converged[0]][0].tobytes()
