@@ -19,7 +19,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import geometry, harness, policy, retiming, unified_space
 from .embodiments import load_embodiment_config
-from .errors import CrossembError
+from .errors import CrossembError, ParseError
 from .kinematics import IkParams, RobotCommand, forward_kinematics, ik_solve, retarget_action
 from .geometry import Pose
 
@@ -64,8 +64,25 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
         action.required = False
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+def _parse_floats(text: str, flag: str, count: int | None = None) -> np.ndarray:
+    """Comma-separated finite numbers of `flag`; `count`, if given, is how many."""
+    try:
+        values = np.array([float(v) for v in text.split(",")], dtype=float)
+        finite = bool(np.all(np.isfinite(values)))
+    except ValueError:
+        finite = False
+    if not finite:
+        raise ParseError(None, f"expected comma-separated finite numbers, got {text!r}", flag)
+    if count is not None and len(values) != count:
+        raise ParseError(None, f"expected {count} values, got {len(values)}", flag)
+    return values
+
+
+def _parse_counts(text: str, flag: str) -> tuple[int, ...]:
+    values = _parse_floats(text, flag)
+    if not np.all((values >= 0) & (values == np.floor(values))):
+        raise ParseError(None, f"expected whole numbers >= 0, got {text!r}", flag)
+    return tuple(int(v) for v in values)
 
 
 def _chain(config, name: str):
@@ -159,7 +176,7 @@ def _cmd_train(args) -> int:
     config = policy.PolicyConfig(
         feature_dim=manifest["feature_dim"],
         chunk_length=args.chunk_length,
-        hidden_layers=tuple(int(h) for h in args.hidden.split(",")),
+        hidden_layers=_parse_counts(args.hidden, "--hidden"),
         learning_rate=args.lr,
         batch_size=args.batch_size,
         seed=args.seed,
@@ -173,8 +190,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = policy.load_checkpoint(args.checkpoint)
-    state = _parse_floats(args.state)
-    feature = _parse_floats(args.feature)
+    state = _parse_floats(args.state, "--state", unified_space.STATE_DIM)
+    feature = _parse_floats(args.feature, "--feature", model.config.feature_dim)
     chunk = policy.predict(model, state, feature, tag=args.tag)
     print(_dumps({"action_chunk": chunk.tolist()}))
     return EXIT_OK
@@ -182,21 +199,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_retarget(args) -> int:
     config = load_embodiment_config(args.embodiment_config)
-    action = _parse_floats(args.action)
+    action = _parse_floats(args.action, "--action", unified_space.STATE_DIM)
     if args.q_prev:
-        q_prev = _parse_floats(args.q_prev)
+        n_cmd = config.left_arm.n_joints + config.right_arm.n_joints + 14
+        q_prev = _parse_floats(args.q_prev, "--q-prev", n_cmd)
     else:
         q_prev = np.concatenate([config.left_arm.mid_range(), config.right_arm.mid_range(),
                                  np.zeros(2), np.full(12, 0.5)])
-    n_l, n_r = config.left_arm.n_joints, config.right_arm.n_joints
-    cmd = RobotCommand(
-        left_arm_q=q_prev[:n_l],
-        right_arm_q=q_prev[n_l : n_l + n_r],
-        neck_q=q_prev[n_l + n_r : n_l + n_r + 2],
-        left_hand=q_prev[n_l + n_r + 2 : n_l + n_r + 8],
-        right_hand=q_prev[n_l + n_r + 8 : n_l + n_r + 14],
-    )
-    out, diag = retarget_action(action, config, cmd)
+    out, diag = retarget_action(action, config, RobotCommand.from_vector(config, q_prev))
     print(
         _dumps(
             {
@@ -221,7 +231,7 @@ def _cmd_retarget(args) -> int:
 def _cmd_fk(args) -> int:
     config = load_embodiment_config(args.embodiment_config)
     chain = _chain(config, args.chain)
-    q = _parse_floats(args.q)
+    q = _parse_floats(args.q, "--q", chain.n_joints)
     if args.degrees:
         q = np.deg2rad(q)
     pose = forward_kinematics(chain, q)
@@ -240,13 +250,18 @@ def _cmd_fk(args) -> int:
 def _cmd_ik(args) -> int:
     config = load_embodiment_config(args.embodiment_config)
     chain = _chain(config, args.chain)
-    target = Pose(
-        geometry.quat_to_matrix(_parse_floats(args.target_quat))
-        if args.target_quat
-        else np.eye(3),
-        _parse_floats(args.target_pos),
+    rotation = np.eye(3)
+    if args.target_quat:
+        quat = _parse_floats(args.target_quat, "--target-quat", 4)
+        try:
+            rotation = geometry.quat_to_matrix(quat)
+        except ValueError as exc:
+            raise ParseError(None, str(exc), "--target-quat") from exc
+    target = Pose(rotation, _parse_floats(args.target_pos, "--target-pos", 3))
+    q_init = (
+        _parse_floats(args.q_init, "--q-init", chain.n_joints) if args.q_init
+        else chain.mid_range()
     )
-    q_init = _parse_floats(args.q_init) if args.q_init else chain.mid_range()
     q, status = ik_solve(chain, target, q_init, IkParams())
     achieved = forward_kinematics(chain, q)
     print(
@@ -271,7 +286,7 @@ def _cmd_rollout(args) -> int:
     model = policy.load_checkpoint(args.checkpoint)
     task = make_reach_task(config, feature_dim=model.config.feature_dim)
     goal = (
-        _parse_floats(args.goal)
+        _parse_floats(args.goal, "--goal", 3)
         if args.goal
         else task.grid.cell_center(args.cell)
     )
@@ -293,6 +308,7 @@ def _cmd_rollout(args) -> int:
                 if result.tracking_error.size
                 else 0.0,
                 "clamp_events": result.clamp_events,
+                "errors": result.errors,
             }
         )
     )
@@ -302,7 +318,7 @@ def _cmd_rollout(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.kind == "cotraining":
         report = harness.cotraining_experiment(
-            robot_counts=tuple(int(v) for v in args.robot_counts.split(",")),
+            robot_counts=_parse_counts(args.robot_counts, "--robot-counts"),
             human_demos=args.human_demos,
             seeds=tuple(range(args.seeds)),
             out_dir=args.out,

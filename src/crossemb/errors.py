@@ -51,11 +51,13 @@ class RetargetFailure(CrossembError):
 
 
 class ParseError(CrossembError):
-    """A raw capture line failed to parse."""
+    """A raw capture line (`line_no`) or a command-line flag's value (`flag`)
+    failed to parse."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no: int | None, reason: str, flag: str | None = None):
+        super().__init__(f"{flag if flag else f'line {line_no}'}: {reason}")
         self.line_no = line_no
+        self.flag = flag
         self.reason = reason
 
 

@@ -45,32 +45,58 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
 
 
+# Why a 6D code cannot be decoded, indexed by the defect number that
+# `decode_rot6d_rows` reports (0: it decodes).
+ROT6D_DEFECTS = (
+    "",
+    "6D code contains non-finite values",
+    "6D column norm below 1e-9",
+    "6D columns parallel within 1e-6 rad",
+)
+
+
+def decode_rot6d_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt decode of a stack of 6D codes (..., 6), code by code.
+
+    Returns the rotations (..., 3, 3) and, per code, the number of the
+    first validity test it fails, in the order `decode_rot6d` applies them
+    (0: none, else an index into `ROT6D_DEFECTS`); `defect == 0` masks the
+    codes that decode. Rotations of defective codes are meaningless.
+    """
+    r = np.asarray(r, dtype=float)
+    a, b = r[..., :3], r[..., 3:]
+    with np.errstate(all="ignore"):  # defective codes divide by 0 or inf
+        na = norms(a)
+        nb = norms(b)
+        c1 = a / na[..., None]
+        b_orth = b - np.vecdot(b, c1)[..., None] * c1
+        nbo = norms(b_orth)
+        # sin(angle between a and b) = |b_orth| / |b|
+        parallel = nbo / nb < PARALLEL_ANGLE_TOL
+        c2 = b_orth / nbo[..., None]
+        R = np.stack([c1, c2, cross(c1, c2)], axis=-1)
+    defect = np.where(
+        ~np.isfinite(r).all(axis=-1), 1,
+        np.where((na < 1e-9) | (nb < 1e-9), 2, np.where(parallel, 3, 0)),
+    )
+    return R, defect
+
+
 def decode_rot6d(r: np.ndarray) -> np.ndarray:
     """Decode a 6D rotation code into a rotation matrix via Gram-Schmidt.
 
     Column 1 is the normalized first 3-vector, column 2 the second
     3-vector orthogonalized against it, column 3 their cross product.
     A stack of codes (..., 6) decodes to (..., 3, 3); any degenerate row
-    raises.
+    raises, with the first test in `ROT6D_DEFECTS` order that any row fails.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim == 0 or r.shape[-1] != 6:
         raise DegenerateRotation6D(f"expected 6 values, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise DegenerateRotation6D("6D code contains non-finite values")
-    a, b = r[..., :3], r[..., 3:]
-    na = norms(a)
-    nb = norms(b)
-    if np.any(na < 1e-9) or np.any(nb < 1e-9):
-        raise DegenerateRotation6D("6D column norm below 1e-9")
-    c1 = a / na[..., None]
-    b_orth = b - np.vecdot(b, c1)[..., None] * c1
-    nbo = norms(b_orth)
-    # sin(angle between a and b) = |b_orth| / |b|
-    if np.any(nbo / nb < PARALLEL_ANGLE_TOL):
-        raise DegenerateRotation6D("6D columns parallel within 1e-6 rad")
-    c2 = b_orth / nbo[..., None]
-    return np.stack([c1, c2, cross(c1, c2)], axis=-1)
+    R, defect = decode_rot6d_rows(r)
+    if defect.any():
+        raise DegenerateRotation6D(ROT6D_DEFECTS[defect[defect > 0].min()])
+    return R
 
 
 def encode_rot6d(R: np.ndarray) -> np.ndarray:

@@ -5,6 +5,18 @@ kinematics, isolating retargeting and learning quality from dynamics.
 Experiments reproduce two qualitative trends: co-training with
 human-style data lifts out-of-distribution success, and skipping the
 slow-down step inflates commanded-speed variance.
+
+Rollouts run in lockstep: `rollouts` steps every goal of an evaluation
+together, one row per goal, with one batched retarget (`_retarget_rows`)
+and one batched state embedding (`_embed_rows`) per step. Each row keeps
+its own command, feature RNG, step count and exit: it leaves on reaching
+its goal (with `stop_on_goal`) or at `max_steps`, and the rows still
+running share one step count, so they replan together. `agent.predict`
+stays one call per row: a batched forward takes a matrix-matrix BLAS
+product where one row takes a matrix-vector one, and the two differ in
+the last bits. Every result therefore equals that of its goal run alone;
+`rollout` is `rollouts` of one goal. Agents must be stateless: `predict`
+may depend only on its arguments, since rows call it interleaved.
 """
 
 from __future__ import annotations
@@ -18,16 +30,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import geometry
 from . import policy as policy_mod
-from . import unified_space
 from .dataset import MixedSampler, PairSet, extract_pairs
-from .errors import CrossembError
 from .kinematics import (
+    STATUS_BEST_EFFORT,
+    STATUS_CONVERGED,
     EmbodimentConfig,
     IkParams,
     RobotCommand,
-    embed_robot_state,
-    retarget_action,
+    _embed_rows,
+    _retarget_rows,
 )
 from .policy import PolicyConfig, PolicyModel, init_model, predict, train
 from .tasks import (
@@ -39,7 +52,13 @@ from .tasks import (
     joint_state_vector,
     make_reach_task,
 )
-from .unified_space import MODE_SHARED, NormalizationStats, compute_stats
+from .unified_space import (
+    LEFT_WRIST_POS,
+    MODE_SHARED,
+    RIGHT_WRIST_POS,
+    NormalizationStats,
+    compute_stats,
+)
 
 REPORT_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("condition", "robot_demos", "seed", "id_success", "ood_success",
@@ -98,7 +117,8 @@ class RolloutResult:
     success: bool
     steps_executed: int
     tracking_error: np.ndarray  # per executed step, meters
-    clamp_events: int
+    clamp_events: int           # best-effort arm solves and neck clamps
+    errors: int                 # actions that could not be retargeted
     ik_statuses: tuple[str, ...]
     final_goal_error: float
     commanded_displacements: np.ndarray  # per executed step, meters
@@ -132,6 +152,105 @@ class OracleReplayAgent:
         return self.reference[idx]
 
 
+def rollouts(
+    agent,
+    config: EmbodimentConfig,
+    task: ReachTask,
+    goals: Sequence[np.ndarray],
+    seeds: Sequence[int],
+    max_steps: int = 40,
+    replan_every: int | None = None,
+    ik_params: IkParams = IkParams(),
+    state_adapter: Callable[[RobotCommand, np.ndarray], np.ndarray] | None = None,
+    stop_on_goal: bool = True,
+) -> list[RolloutResult]:
+    """Closed-loop execution towards each goal, its feature noise seeded
+    by the matching seed: predict a chunk, retarget and execute its first
+    `replan_every` actions through the kinematic plant, repeat.
+
+    The goals run in lockstep (see the module docstring); result i equals
+    that of goal i run alone.
+    """
+    if replan_every is None:
+        replan_every = max(1, agent.chunk_length // 2)
+    goals = np.array(goals, dtype=float).reshape(-1, 3)
+    n = len(goals)
+    if len(seeds) != n:
+        raise ValueError(f"{n} goals but {len(seeds)} seeds")
+    feature_rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    commands = np.tile(task.home_command(config).vector(), (n, 1))
+    unified = _embed_rows(config, commands)
+    prev_cmd_wrist = unified[:, RIGHT_WRIST_POS].copy()
+
+    tracking, displacements, statuses = ([[] for _ in range(n)] for _ in range(3))
+    clamp_events = np.zeros(n, dtype=int)
+    errors = np.zeros(n, dtype=int)
+    success = np.zeros(n, dtype=bool)
+    executed = np.zeros(n, dtype=int)
+    active = np.flatnonzero(executed < max_steps)
+    while active.size:
+        chunks = {}
+        for i in active:
+            obs = unified[i]
+            if state_adapter is not None:
+                obs = state_adapter(RobotCommand.from_vector(config, commands[i]), obs)
+            feature = task.codec.observe(goals[i], feature_rngs[i])
+            chunks[i] = agent.predict(obs, feature, int(executed[i]))
+        stepping = active
+        for j in range(replan_every):
+            stepping = np.array([i for i in stepping if j < len(chunks[i])], dtype=int)
+            if not stepping.size:
+                break
+            actions = np.array([chunks[i][j] for i in stepping], dtype=float)
+            rows = _retarget_rows(actions, config, commands[stepping], ik_params)
+            failed = np.array([e is not None for e in rows.errors], dtype=bool)
+            for k, i in enumerate(stepping):
+                if failed[k]:
+                    # Degenerate action: the row holds its previous command.
+                    statuses[i].append("error")
+                else:
+                    statuses[i] += [STATUS_CONVERGED if ok else STATUS_BEST_EFFORT
+                                    for ok in rows.converged[k]]
+            errors[stepping] += failed
+            clamp_events[stepping] += np.where(
+                failed, 0, (~rows.converged).sum(axis=1) + rows.neck_clamped
+            )
+            commands[stepping] = rows.commands
+            achieved = _embed_rows(config, rows.commands)
+            # A fresh array: an agent may keep the observations it was given.
+            unified = unified.copy()
+            unified[stepping] = achieved
+            cmd_wrist = actions[:, RIGHT_WRIST_POS]
+            moved = geometry.norms(cmd_wrist - prev_cmd_wrist[stepping])
+            prev_cmd_wrist[stepping] = cmd_wrist
+            err_l = geometry.norms(achieved[:, LEFT_WRIST_POS] - actions[:, LEFT_WRIST_POS])
+            err_r = geometry.norms(achieved[:, RIGHT_WRIST_POS] - actions[:, RIGHT_WRIST_POS])
+            worst = np.where(err_r > err_l, err_r, err_l)  # max() of the scalar loop
+            for k, i in enumerate(stepping):
+                displacements[i].append(float(moved[k]))
+                tracking[i].append(float(worst[k]))
+            executed[stepping] += 1
+            reached = task.goal_reached(achieved, goals[stepping])
+            success[stepping] |= reached
+            leave = (reached & stop_on_goal) | (executed[stepping] >= max_steps)
+            active = np.setdiff1d(active, stepping[leave])
+            stepping = stepping[~leave]
+    final_err = geometry.norms(unified[:, RIGHT_WRIST_POS] - goals)
+    return [
+        RolloutResult(
+            success=bool(success[i]),
+            steps_executed=int(executed[i]),
+            tracking_error=np.array(tracking[i]),
+            clamp_events=int(clamp_events[i]),
+            errors=int(errors[i]),
+            ik_statuses=tuple(statuses[i]),
+            final_goal_error=float(final_err[i]),
+            commanded_displacements=np.array(displacements[i]),
+        )
+        for i in range(n)
+    ]
+
+
 def rollout(
     agent,
     config: EmbodimentConfig,
@@ -144,63 +263,9 @@ def rollout(
     state_adapter: Callable[[RobotCommand, np.ndarray], np.ndarray] | None = None,
     stop_on_goal: bool = True,
 ) -> RolloutResult:
-    """Closed-loop execution: predict a chunk, retarget and execute the
-    first `replan_every` actions through the kinematic plant, repeat."""
-    if replan_every is None:
-        replan_every = max(1, agent.chunk_length // 2)
-    feature_rng = np.random.Generator(np.random.PCG64(seed))
-    cmd = task.home_command(config)
-    unified = unified_space.encode_state(embed_robot_state(cmd, config))
-    prev_cmd_wrist = unified[unified_space.RIGHT_WRIST_POS].copy()
-
-    tracking, displacements, statuses = [], [], []
-    clamp_events = 0
-    success = False
-    executed = 0
-    while executed < max_steps and not (success and stop_on_goal):
-        obs = unified if state_adapter is None else state_adapter(cmd, unified)
-        feature = task.codec.observe(goal, feature_rng)
-        chunk = agent.predict(obs, feature, executed)
-        for action in chunk[:replan_every]:
-            try:
-                cmd, diag = retarget_action(action, config, cmd, ik_params)
-                statuses.append(diag.left.status)
-                statuses.append(diag.right.status)
-                clamp_events += len(diag.clamp_events)
-            except CrossembError:
-                # Degenerate action: hold the previous command, keep going.
-                statuses.append("error")
-                clamp_events += 1
-            unified = unified_space.encode_state(embed_robot_state(cmd, config))
-            cmd_wrist = np.asarray(action)[unified_space.RIGHT_WRIST_POS]
-            displacements.append(float(np.linalg.norm(cmd_wrist - prev_cmd_wrist)))
-            prev_cmd_wrist = cmd_wrist
-            err_l = np.linalg.norm(
-                unified[unified_space.LEFT_WRIST_POS] - action[unified_space.LEFT_WRIST_POS]
-            )
-            err_r = np.linalg.norm(
-                unified[unified_space.RIGHT_WRIST_POS] - action[unified_space.RIGHT_WRIST_POS]
-            )
-            tracking.append(float(max(err_l, err_r)))
-            executed += 1
-            if task.goal_reached(unified, goal):
-                success = True
-                if stop_on_goal:
-                    break
-            if executed >= max_steps:
-                break
-    final_err = float(
-        np.linalg.norm(unified[unified_space.RIGHT_WRIST_POS] - np.asarray(goal))
-    )
-    return RolloutResult(
-        success=success,
-        steps_executed=executed,
-        tracking_error=np.array(tracking),
-        clamp_events=clamp_events,
-        ik_statuses=tuple(statuses),
-        final_goal_error=final_err,
-        commanded_displacements=np.array(displacements),
-    )
+    """`rollouts` of a single goal."""
+    return rollouts(agent, config, task, [goal], [seed], max_steps, replan_every, ik_params,
+                    state_adapter, stop_on_goal)[0]
 
 
 # --------------------------------------------------------------------------
@@ -348,28 +413,24 @@ def evaluate_policy(
     seed: int,
     state_adapter=None,
 ) -> dict:
-    agent = PolicyAgent(model)
     id_goals, ood_goals = evaluation_goals(task, settings, seed)
-    results = {"id": [], "ood": []}
-    tracking = []
-    for key, goals in (("id", id_goals), ("ood", ood_goals)):
-        for i, goal in enumerate(goals):
-            res = rollout(
-                agent,
-                config,
-                task,
-                goal,
-                max_steps=settings.max_steps,
-                replan_every=settings.replan_every,
-                seed=seed * 1000 + i,
-                state_adapter=state_adapter,
-            )
-            results[key].append(res.success)
-            if res.tracking_error.size:
-                tracking.append(float(res.tracking_error.mean()))
+    seeds = [seed * 1000 + i for goals in (id_goals, ood_goals) for i in range(len(goals))]
+    results = rollouts(
+        PolicyAgent(model),
+        config,
+        task,
+        id_goals + ood_goals,
+        seeds,
+        max_steps=settings.max_steps,
+        replan_every=settings.replan_every,
+        state_adapter=state_adapter,
+    )
+    success = [res.success for res in results]
+    id_success, ood_success = success[: len(id_goals)], success[len(id_goals) :]
+    tracking = [float(res.tracking_error.mean()) for res in results if res.tracking_error.size]
     return {
-        "id_success": float(np.mean(results["id"])) if results["id"] else 0.0,
-        "ood_success": float(np.mean(results["ood"])) if results["ood"] else 0.0,
+        "id_success": float(np.mean(id_success)) if id_success else 0.0,
+        "ood_success": float(np.mean(ood_success)) if ood_success else 0.0,
         "mean_tracking_error_m": float(np.mean(tracking)) if tracking else 0.0,
     }
 
@@ -492,24 +553,23 @@ def speed_fluctuation(
     """Mean per-rollout variance of commanded wrist displacement, measured
     over a fixed horizon (no early stop, so arrival holds count)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    agent = PolicyAgent(model)
-    variances = []
-    for i in range(n_rollouts):
+    goals = []
+    for _ in range(n_rollouts):
         cell = int(rng.integers(0, task.grid.n_cells))
-        goal = task.grid.sample_goal(cell, rng)
-        res = rollout(
-            agent,
-            config,
-            task,
-            goal,
-            max_steps=settings.max_steps,
-            replan_every=settings.replan_every,
-            seed=seed * 77 + i,
-            stop_on_goal=False,
-            state_adapter=state_adapter,
-        )
-        if res.commanded_displacements.size:
-            variances.append(float(np.var(res.commanded_displacements)))
+        goals.append(task.grid.sample_goal(cell, rng))
+    results = rollouts(
+        PolicyAgent(model),
+        config,
+        task,
+        goals,
+        [seed * 77 + i for i in range(n_rollouts)],
+        max_steps=settings.max_steps,
+        replan_every=settings.replan_every,
+        stop_on_goal=False,
+        state_adapter=state_adapter,
+    )
+    variances = [float(np.var(res.commanded_displacements))
+                 for res in results if res.commanded_displacements.size]
     return float(np.mean(variances)) if variances else 0.0
 
 

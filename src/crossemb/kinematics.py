@@ -12,17 +12,30 @@ goes through the same floating-point operations as a batch of one, so no
 result depends on the batch it ran in; `forward_kinematics` and
 `jacobian` are batches of one.
 
-`ik_solve` first descends from `q_init` alone. If that fails, all restart
-seeds descend together in lockstep, each row with its own damping and
-joint-limit mask, leaving the batch when it converges or stalls. The
-first converged seed in seed order wins (rows after a converged one are
-dropped), else the first seed of least weighted error: the same answer
-as trying the seeds one after another.
+IK takes one target per row. `_ik_rows` first descends every row from
+its own initial joints as one lockstep batch, each row with its own
+damping and joint-limit mask, leaving the batch when it converges or
+stalls. The rows that fail then descend from all restart seeds as one
+batch, the seeds of each failed row forming a restart group: within a
+group the first converged seed in seed order wins (later seeds of the
+group are dropped once an earlier one converges), else the first seed
+of least weighted error. That is the answer of trying the seeds one
+after another, and every row gets the answer it gets alone: `ik_solve`
+is `_ik_rows` of one row.
+
+Retargeting and state embedding run on the same rows. `_retarget_rows`
+solves each arm once for a batch of unified actions (rows whose action
+is non-finite or holds a rotation code that does not decode are not
+solved and get the error `retarget_action` raises for them);
+`_embed_rows` turns a batch of command vectors (`RobotCommand.vector`)
+into unified 54-vectors. `retarget_action` and `embed_robot_state` are
+batches of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,17 +204,18 @@ class IkSolution(tuple):
         return (*self, self.pos_err, self.rot_err)
 
 
-def _pose_errors(R, t, target: Pose, w: float):
+def _pose_errors(R, t, target_R, target_t, w: float):
     """Per-row position and rotation error norms of a (B,) batch of poses
-    against `target`, and the stacked errors [e_pos, w * e_rot] (B, 6)."""
-    e_pos = target.translation - t
-    e_rot = geometry.rotation_log(target.rotation @ R.transpose(0, 2, 1))
+    against per-row targets, and the stacked errors [e_pos, w * e_rot] (B, 6)."""
+    e_pos = target_t - t
+    e_rot = geometry.rotation_log(target_R @ R.transpose(0, 2, 1))
     e = np.concatenate([e_pos, w * e_rot], axis=1)
     return geometry.norms(e_pos), geometry.norms(e_rot), e
 
 
-def _dls_attempts(chain, target, Q0, params):
-    """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep.
+def _dls_attempts(chain, target_R, target_t, group, Q0, params):
+    """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep,
+    row b towards its own target (target_R[b], target_t[b]).
 
     Each row runs the single-descent recipe on its own state. Its damping
     factor adapts per step (halved on improvement, grown fivefold per
@@ -211,26 +225,28 @@ def _dls_attempts(chain, target, Q0, params):
     A row leaves the batch when it converges or when all 6 trials are
     rejected.
 
-    Rows are seeds in order of preference: the result is the first
-    converged row, else the first row of least pos_err + w * rot_err.
-    Rows after a converged row can no longer be chosen and are dropped.
-    Returns (q, pos_err, rot_err, converged) of that row.
+    `group` (B,) numbers the rows' groups 0..G-1, non-decreasing: within a
+    group rows are seeds in order of preference. A group's result is its
+    first converged row, else its first row of least pos_err + w * rot_err;
+    rows after a converged row of their group can no longer be chosen and
+    are dropped. Returns q (G, n), pos_err, rot_err and converged (G,).
     """
     lo, hi = chain.lower_limits, chain.upper_limits
     w = params.orientation_weight
+    B = len(Q0)
     Q = np.clip(Q0, lo, hi)
     R, t, axes, origins = _fk_frames(chain, Q)
-    pos_err, rot_err, e = _pose_errors(R, t, target, w)
+    pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t, w)
     err = pos_err + w * rot_err
-    lam = np.full(len(Q), params.damping)
-    live = np.arange(len(Q))  # rows still descending, ascending
-    first_ok = len(Q)
+    lam = np.full(B, params.damping)
+    live = np.arange(B)  # rows still descending, ascending
+    first_ok = np.full(group[-1] + 1, B)  # per group; B: none converged yet
     # One more convergence test follows the last allowed step.
     for step in range(params.max_iters + 1):
         done = (pos_err[live] <= params.pos_tol) & ((w == 0.0) | (rot_err[live] <= params.rot_tol))
         if done.any():
-            first_ok = min(first_ok, live[done][0])
-            live = live[~done & (live < first_ok)]
+            np.minimum.at(first_ok, group[live[done]], live[done])
+            live = live[~done & (live < first_ok[group[live]])]
         if step == params.max_iters or not live.size:
             break
         J = _jacobians(t[live], axes[live], origins[live], w)
@@ -246,7 +262,7 @@ def _dls_attempts(chain, target, Q0, params):
             x = np.linalg.solve(A, e[rows][..., None])[..., 0]
             q_new = np.clip(Q[rows] + params.step_scale * np.vecmat(x, Jt), lo, hi)
             R2, t2, axes2, origins2 = _fk_frames(chain, q_new)
-            pos2, rot2, e2 = _pose_errors(R2, t2, target, w)
+            pos2, rot2, e2 = _pose_errors(R2, t2, target_R[rows], target_t[rows], w)
             err2 = pos2 + w * rot2
             acc = err2 < err[rows]
             up = rows[acc]
@@ -260,8 +276,46 @@ def _dls_attempts(chain, target, Q0, params):
             if not trying.size:
                 break
         live = np.delete(live, trying)
-    best = first_ok if first_ok < len(Q) else int(np.argmin(err))
-    return Q[best], pos_err[best], rot_err[best], first_ok < len(Q)
+    converged = first_ok < B
+    best = first_ok.copy()
+    for g in np.flatnonzero(~converged):
+        rows = np.flatnonzero(group == g)
+        best[g] = rows[np.argmin(err[rows])]
+    return Q[best], pos_err[best], rot_err[best], converged
+
+
+def _ik_rows(chain, target_R, target_t, Q_init, params):
+    """IK for B rows at once, row b from Q_init[b] towards its own target:
+    each row's result equals `ik_solve` of that row alone.
+
+    Attempt 0 of every row runs as one lockstep batch. The rows that fail
+    then descend from all restart seeds as one batch, grouped by row, and
+    keep the restart result if it converged or has less error. Returns
+    q (B, n), pos_err, rot_err and converged (B,).
+    """
+    B = len(Q_init)
+    q, pos_err, rot_err, ok = _dls_attempts(chain, target_R, target_t, np.arange(B), Q_init,
+                                            params)
+    failed = np.flatnonzero(~ok)
+    if failed.size and params.restarts > 0:
+        lo, hi = chain.lower_limits, chain.upper_limits
+        rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
+        seeds = np.vstack(
+            [chain.mid_range(), lo + rng.random((params.restarts - 1, chain.n_joints)) * (hi - lo)]
+        )
+        group = np.repeat(np.arange(failed.size), len(seeds))
+        rows = failed[group]
+        rq, rpos, rrot, rok = _dls_attempts(
+            chain, target_R[rows], target_t[rows], group, np.tile(seeds, (failed.size, 1)),
+            params,
+        )
+        w = params.orientation_weight
+        # Attempt 0 keeps ties: the seeds are tried after it.
+        better = rok | (rpos + w * rrot < pos_err[failed] + w * rot_err[failed])
+        up = failed[better]
+        q[up], pos_err[up], rot_err[up] = rq[better], rpos[better], rrot[better]
+        ok[up] = rok[better]
+    return q, pos_err, rot_err, ok
 
 
 def ik_solve(
@@ -281,20 +335,11 @@ def ik_solve(
     q_init = _check_q(chain, q_init)
     if not (np.all(np.isfinite(target.rotation)) and np.all(np.isfinite(target.translation))):
         raise NonFiniteTarget("IK target contains non-finite values")
-    best = _dls_attempts(chain, target, q_init[None], params)
-    if not best[3] and params.restarts > 0:
-        lo, hi = chain.lower_limits, chain.upper_limits
-        rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
-        seeds = np.vstack(
-            [chain.mid_range(), lo + rng.random((params.restarts - 1, chain.n_joints)) * (hi - lo)]
-        )
-        restart = _dls_attempts(chain, target, seeds, params)
-        w = params.orientation_weight
-        # Attempt 0 keeps ties: the seeds are tried after it.
-        if restart[3] or restart[1] + w * restart[2] < best[1] + w * best[2]:
-            best = restart
-    q, pos_err, rot_err, ok = best
-    return IkSolution(q, STATUS_CONVERGED if ok else STATUS_BEST_EFFORT, pos_err, rot_err)
+    q, pos_err, rot_err, ok = _ik_rows(
+        chain, target.rotation[None], target.translation[None], q_init[None], params
+    )
+    return IkSolution(q[0], STATUS_CONVERGED if ok[0] else STATUS_BEST_EFFORT,
+                      pos_err[0], rot_err[0])
 
 
 @dataclass(frozen=True)
@@ -393,6 +438,17 @@ class RobotCommand:
             if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
                 raise ValueError(f"{name} values must lie in [0, 1]")
 
+    def vector(self) -> np.ndarray:
+        """Flat command vector: left arm, right arm, neck, left hand, right hand."""
+        return np.concatenate(
+            [self.left_arm_q, self.right_arm_q, self.neck_q, self.left_hand, self.right_hand]
+        )
+
+    @staticmethod
+    def from_vector(config: EmbodimentConfig, vec: np.ndarray) -> "RobotCommand":
+        """Inverse of `vector` for `config`'s arm sizes."""
+        return RobotCommand(*(part[0] for part in _split_commands(config, np.asarray(vec)[None])))
+
     def validate_limits(self, config: EmbodimentConfig) -> list[str]:
         """Names of joints outside their configured limits."""
         bad = []
@@ -406,6 +462,47 @@ class RobotCommand:
                 if value < lo - 1e-9 or value > hi + 1e-9:
                     bad.append(f"{label}.{joint.name}")
         return bad
+
+
+def _split_commands(config: EmbodimentConfig, commands: np.ndarray) -> list[np.ndarray]:
+    """Views of a batch of command vectors (B, n_cmd) (see `RobotCommand.vector`):
+    left arm, right arm, neck, left hand, right hand."""
+    n_l, n_r = config.left_arm.n_joints, config.right_arm.n_joints
+    return np.split(commands, np.cumsum([n_l, n_r, 2, HAND_ACTUATOR_COUNT]), axis=1)
+
+
+def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
+    """`retarget_hand` for a batch: fingertips (B, 5, 3) and wrist poses
+    (B, 3, 3), (B, 3) to actuators (B, 6)."""
+    dist = np.linalg.norm(tips - wrist_t[:, None, :], axis=-1)
+    closure = 1.0 - np.clip(dist / hand_model.fingertip_extent, 0.0, 1.0)
+
+    # Thumb rotation from the wrist-frame tip direction.
+    local = (wrist_R.transpose(0, 2, 1) @ (tips[:, 0] - wrist_t)[..., None])[..., 0]
+    n = hand_model.palm_normal
+    ref = hand_model.finger_dirs[0]
+    in_plane = local - np.vecdot(local, n)[:, None] * n
+    angle = np.arctan2(np.vecdot(n, geometry.cross(ref, in_plane)), np.vecdot(ref, in_plane))
+    # The direction is undefined on the palm normal: use the neutral angle.
+    angle[geometry.norms(in_plane) < 1e-12] = 0.5 * sum(hand_model.thumb_rot_range)
+    lo, hi = hand_model.thumb_rot_range
+    thumb_rot = np.clip((angle - lo) / (hi - lo), 0.0, 1.0)
+    return np.concatenate([closure, thumb_rot[:, None]], axis=1)
+
+
+def _fingertip_rows(actuators, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
+    """`hand_fingertips` for a batch: actuators (B, 6) and wrist poses
+    (B, 3, 3), (B, 3) to fingertips (B, 5, 3)."""
+    act = np.clip(actuators, 0.0, 1.0)
+    dist = hand_model.fingertip_extent * (1.0 - act[:, :5])
+    lo, hi = hand_model.thumb_rot_range
+    theta = lo + act[:, 5] * (hi - lo)
+    thumb_dir = geometry.rotation_about_axis(hand_model.palm_normal, theta) @ (
+        hand_model.finger_dirs[0]
+    )
+    local = hand_model.finger_dirs * dist[:, :, None]
+    local[:, 0] = thumb_dir * dist[:, :1]
+    return local @ wrist_R.transpose(0, 2, 1) + wrist_t[:, None, :]
 
 
 def retarget_hand(
@@ -423,21 +520,9 @@ def retarget_hand(
         raise DimensionMismatch(f"fingertips must be (5, 3), got {tips.shape}")
     if not np.all(np.isfinite(tips)):
         raise RetargetFailure("fingertips contain non-finite values")
-    dist = np.linalg.norm(tips - wrist_pose.translation, axis=1)
-    closure = 1.0 - np.clip(dist / hand_model.fingertip_extent, 0.0, 1.0)
-
-    # Thumb rotation from the wrist-frame tip direction.
-    local = wrist_pose.rotation.T @ (tips[0] - wrist_pose.translation)
-    n = hand_model.palm_normal
-    ref = hand_model.finger_dirs[0]
-    in_plane = local - (local @ n) * n
-    if np.linalg.norm(in_plane) < 1e-12:
-        angle = 0.5 * sum(hand_model.thumb_rot_range)  # undefined; use neutral
-    else:
-        angle = float(np.arctan2(n @ geometry.cross(ref, in_plane), ref @ in_plane))
-    lo, hi = hand_model.thumb_rot_range
-    thumb_rot = float(np.clip((angle - lo) / (hi - lo), 0.0, 1.0))
-    return np.concatenate([closure, [thumb_rot]])
+    return _hand_actuators(
+        tips[None], wrist_pose.rotation[None], wrist_pose.translation[None], hand_model
+    )[0]
 
 
 def hand_fingertips(
@@ -447,22 +532,17 @@ def hand_fingertips(
     act = np.asarray(actuators, dtype=float)
     if act.shape != (HAND_ACTUATOR_COUNT,):
         raise DimensionMismatch(f"expected 6 actuator values, got {act.shape}")
-    act = np.clip(act, 0.0, 1.0)
-    dist = hand_model.fingertip_extent * (1.0 - act[:5])
-    lo, hi = hand_model.thumb_rot_range
-    theta = lo + act[5] * (hi - lo)
-    thumb_dir = geometry.rotation_about_axis(hand_model.palm_normal, theta) @ (
-        hand_model.finger_dirs[0]
-    )
-    local = hand_model.finger_dirs * dist[:, None]
-    local[0] = thumb_dir * dist[0]
-    return wrist_pose.apply(local)
+    return _fingertip_rows(
+        act[None], wrist_pose.rotation[None], wrist_pose.translation[None], hand_model
+    )[0]
 
 
-def neck_angles_from_head_rotation(R: np.ndarray) -> tuple[float, float]:
-    """Yaw and pitch of a head rotation, ZYX convention, roll discarded."""
-    yaw = float(np.arctan2(R[1, 0], R[0, 0]))
-    pitch = float(np.arcsin(np.clip(-R[2, 0], -1.0, 1.0)))
+def neck_angles_from_head_rotation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Yaw and pitch of a head rotation, ZYX convention, roll discarded; a
+    stack (..., 3, 3) gives one angle per rotation."""
+    R = np.asarray(R)
+    yaw = np.arctan2(R[..., 1, 0], R[..., 0, 0])
+    pitch = np.arcsin(np.clip(-R[..., 2, 0], -1.0, 1.0))
     return yaw, pitch
 
 
@@ -480,9 +560,73 @@ class RetargetDiagnostics:
     clamp_events: tuple[str, ...]
 
 
-def _wrist_target(action: np.ndarray, rot_slice, pos_slice) -> Pose:
-    R = geometry.decode_rot6d(action[rot_slice])
-    return Pose(R, action[pos_slice])
+class _RetargetRows(NamedTuple):
+    """Per-row outcome of `_retarget_rows`; arm columns are (left, right)."""
+
+    commands: np.ndarray      # (B, n_cmd); a failed row keeps its previous command
+    converged: np.ndarray     # (B, 2) bool
+    pos_err: np.ndarray       # (B, 2) meters
+    rot_err: np.ndarray       # (B, 2) radians
+    neck_clamped: np.ndarray  # (B,) bool
+    errors: list              # per row the CrossembError it raised, else None
+
+
+def _retarget_rows(
+    actions: np.ndarray,
+    config: EmbodimentConfig,
+    commands: np.ndarray,
+    params: IkParams = IkParams(),
+) -> _RetargetRows:
+    """`retarget_action` for a batch: row b retargets actions[b] (B, 54)
+    warm-started at the command vector commands[b] (B, n_cmd).
+
+    Each arm is solved once for all rows (`_ik_rows`); neck and hands run
+    as one batch. A row whose action holds non-finite values or a rotation
+    code that does not decode is not solved: it keeps its previous command
+    and gets the error `retarget_action` raises for it.
+    """
+    B = len(actions)
+    U = unified_space
+    rotations, defect = geometry.decode_rot6d_rows(
+        np.stack([actions[:, sl] for sl in U.ROTATION_SLICES], axis=1)
+    )
+    head_R, left_R, right_R = rotations[:, 0], rotations[:, 1], rotations[:, 2]
+    finite = np.isfinite(actions).all(axis=1)
+    defect = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
+    solve = finite & ~defect.any(axis=1)
+    errors = [None] * B
+    for b in np.flatnonzero(~solve):
+        if not finite[b]:
+            errors[b] = RetargetFailure("action contains non-finite values")
+        else:
+            errors[b] = DegenerateRotation6D(geometry.ROT6D_DEFECTS[defect[b][defect[b] > 0][0]])
+    out = _RetargetRows(commands.copy(), np.zeros((B, 2), bool), np.zeros((B, 2)),
+                       np.zeros((B, 2)), np.zeros(B, bool), errors)
+    if not solve.any():
+        return out
+    A = actions[solve]
+    left_q, right_q = _split_commands(config, commands[solve])[:2]
+    arms = []
+    for k, (chain, R, pos_sl, q0) in enumerate((
+        (config.left_arm, left_R[solve], U.LEFT_WRIST_POS, left_q),
+        (config.right_arm, right_R[solve], U.RIGHT_WRIST_POS, right_q),
+    )):
+        q, out.pos_err[solve, k], out.rot_err[solve, k], out.converged[solve, k] = _ik_rows(
+            chain, R, A[:, pos_sl], q0, params
+        )
+        arms.append(q)
+
+    neck_raw = np.stack(neck_angles_from_head_rotation(head_R[solve]), axis=1)
+    neck_q = config.neck.clamp(neck_raw)
+    out.neck_clamped[solve] = ~np.isclose(neck_q, neck_raw, atol=1e-12).all(axis=1)
+
+    tips = A[:, U.FINGERTIPS].reshape(-1, 10, 3)
+    hands = [
+        _hand_actuators(tips[:, :5], left_R[solve], A[:, U.LEFT_WRIST_POS], config.hand_model),
+        _hand_actuators(tips[:, 5:], right_R[solve], A[:, U.RIGHT_WRIST_POS], config.hand_model),
+    ]
+    out.commands[solve] = np.concatenate([*arms, neck_q, *hands], axis=1)
+    return out
 
 
 def retarget_action(
@@ -500,61 +644,45 @@ def retarget_action(
     action = np.asarray(action, dtype=float)
     if action.shape != (unified_space.STATE_DIM,):
         raise DimensionMismatch(f"action must be (54,), got {action.shape}")
-    if not np.all(np.isfinite(action)):
-        raise RetargetFailure("action contains non-finite values")
-
-    clamps = []
-    limbs = {}
-    arms = {}
-    targets = {}
-    for side, chain, rot_sl, pos_sl, q0 in (
-        (
-            "left",
-            config.left_arm,
-            unified_space.LEFT_WRIST_ROT,
-            unified_space.LEFT_WRIST_POS,
-            q_prev.left_arm_q,
-        ),
-        (
-            "right",
-            config.right_arm,
-            unified_space.RIGHT_WRIST_ROT,
-            unified_space.RIGHT_WRIST_POS,
-            q_prev.right_arm_q,
-        ),
-    ):
-        targets[side] = _wrist_target(action, rot_sl, pos_sl)
-        solution = ik_solve(chain, targets[side], q0, params)
-        q, status = solution
-        limbs[side] = LimbResult(status, solution.pos_err, solution.rot_err)
-        if status == STATUS_BEST_EFFORT:
-            clamps.append(f"{side}_arm:best_effort")
-        arms[side] = q
-
-    head_R = geometry.decode_rot6d(action[unified_space.HEAD_ROT])
-    yaw, pitch = neck_angles_from_head_rotation(head_R)
-    neck_raw = np.array([yaw, pitch])
-    neck_q = config.neck.clamp(neck_raw)
-    if not np.allclose(neck_q, neck_raw, atol=1e-12):
+    _check_q(config.left_arm, q_prev.left_arm_q)
+    _check_q(config.right_arm, q_prev.right_arm_q)
+    rows = _retarget_rows(action[None], config, q_prev.vector()[None], params)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    limbs = [
+        LimbResult(STATUS_CONVERGED if ok else STATUS_BEST_EFFORT, float(pos_err), float(rot_err))
+        for ok, pos_err, rot_err in zip(rows.converged[0], rows.pos_err[0], rows.rot_err[0])
+    ]
+    clamps = [f"{side}_arm:best_effort"
+              for side, ok in zip(("left", "right"), rows.converged[0]) if not ok]
+    if rows.neck_clamped[0]:
         clamps.append("neck:limit")
+    diag = RetargetDiagnostics(left=limbs[0], right=limbs[1], clamp_events=tuple(clamps))
+    return RobotCommand.from_vector(config, rows.commands[0]), diag
 
-    tips = action[unified_space.FINGERTIPS].reshape(10, 3)
-    hands = {
-        "left": retarget_hand(tips[:5], targets["left"], config.hand_model),
-        "right": retarget_hand(tips[5:], targets["right"], config.hand_model),
-    }
 
-    cmd = RobotCommand(
-        left_arm_q=arms["left"],
-        right_arm_q=arms["right"],
-        neck_q=neck_q,
-        left_hand=hands["left"],
-        right_hand=hands["right"],
-    )
-    diag = RetargetDiagnostics(
-        left=limbs["left"], right=limbs["right"], clamp_events=tuple(clamps)
-    )
-    return cmd, diag
+def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
+    """`embed_robot_state` for a batch of command vectors (B, n_cmd): FK of
+    each arm and the neck as one batch each, written as unified 54-vectors
+    (B, 54) and checked as `encode_state` checks them."""
+    U = unified_space
+    left_q, right_q, neck_q, left_hand, right_hand = _split_commands(config, commands)
+    left_R, left_t, _, _ = _fk_frames(config.left_arm, left_q)
+    right_R, right_t, _, _ = _fk_frames(config.right_arm, right_q)
+    head_R = _fk_frames(config.neck, neck_q)[0]
+    out = np.empty((len(commands), U.STATE_DIM))
+    out[:, U.HEAD_ROT] = geometry.encode_rot6d(head_R)
+    out[:, U.LEFT_WRIST_ROT] = geometry.encode_rot6d(left_R)
+    out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(right_R)
+    out[:, U.LEFT_WRIST_POS] = left_t
+    out[:, U.RIGHT_WRIST_POS] = right_t
+    tips = np.concatenate([
+        _fingertip_rows(left_hand, left_R, left_t, config.hand_model),
+        _fingertip_rows(right_hand, right_R, right_t, config.hand_model),
+    ], axis=1)
+    out[:, U.FINGERTIPS] = tips.reshape(-1, 3 * 2 * U.FINGERS_PER_HAND)
+    U.check_state_rows(out)
+    return out
 
 
 def embed_robot_state(
@@ -567,21 +695,4 @@ def embed_robot_state(
     ):
         if np.asarray(q).shape != (chain.n_joints,):
             raise DimensionMismatch(f"{name} must have {chain.n_joints} values")
-    left = forward_kinematics(config.left_arm, cmd.left_arm_q)
-    right = forward_kinematics(config.right_arm, cmd.right_arm_q)
-    head = forward_kinematics(config.neck, cmd.neck_q)
-    tips = np.concatenate(
-        [
-            hand_fingertips(cmd.left_hand, left, config.hand_model),
-            hand_fingertips(cmd.right_hand, right, config.hand_model),
-        ],
-        axis=0,
-    )
-    return unified_space.UnifiedState(
-        head_rot=geometry.encode_rot6d(head.rotation),
-        left_wrist_rot=geometry.encode_rot6d(left.rotation),
-        right_wrist_rot=geometry.encode_rot6d(right.rotation),
-        left_wrist_pos=left.translation,
-        right_wrist_pos=right.translation,
-        fingertips=tips,
-    )
+    return unified_space.decode_state(_embed_rows(config, cmd.vector()[None])[0])

@@ -133,9 +133,11 @@ class ReachTask:
             right_hand=HAND_REST.copy(),
         )
 
-    def goal_reached(self, state_vec: np.ndarray, goal: np.ndarray) -> bool:
-        wrist = state_vec[unified_space.RIGHT_WRIST_POS]
-        return float(np.linalg.norm(wrist - goal)) <= self.goal_tolerance
+    def goal_reached(self, state_vec: np.ndarray, goal: np.ndarray) -> np.ndarray:
+        """Whether the right wrist is within tolerance of the goal; states
+        (..., 54) and goals (..., 3) broadcast row by row."""
+        wrist = state_vec[..., unified_space.RIGHT_WRIST_POS]
+        return geometry.norms(wrist - goal) <= self.goal_tolerance
 
 
 def make_reach_task(
@@ -253,9 +255,7 @@ class DemoBundle:
 
 def joint_state_vector(cmd: RobotCommand) -> np.ndarray:
     """Joint-position state padded to 54 dims (used by the state-space ablation)."""
-    parts = np.concatenate(
-        [cmd.left_arm_q, cmd.right_arm_q, cmd.neck_q, cmd.left_hand, cmd.right_hand]
-    )
+    parts = cmd.vector()
     out = np.zeros(unified_space.STATE_DIM)
     out[: parts.shape[0]] = parts
     return out

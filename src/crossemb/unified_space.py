@@ -84,14 +84,6 @@ class UnifiedState:
 
 def encode_state(state: UnifiedState) -> np.ndarray:
     """Flatten to the canonical 54-vector; inverse of `decode_state`."""
-    for name in ("head_rot", "left_wrist_rot", "right_wrist_rot"):
-        try:
-            geometry.decode_rot6d(getattr(state, name))
-        except DegenerateRotation6D as exc:
-            raise InvalidComponent(f"{name}: {exc}") from exc
-    for name in ("left_wrist_pos", "right_wrist_pos", "fingertips"):
-        if not np.all(np.isfinite(getattr(state, name))):
-            raise InvalidComponent(f"{name} contains non-finite values")
     out = np.empty(STATE_DIM)
     out[HEAD_ROT] = state.head_rot
     out[LEFT_WRIST_ROT] = state.left_wrist_rot
@@ -99,7 +91,32 @@ def encode_state(state: UnifiedState) -> np.ndarray:
     out[LEFT_WRIST_POS] = state.left_wrist_pos
     out[RIGHT_WRIST_POS] = state.right_wrist_pos
     out[FINGERTIPS] = state.fingertips.reshape(-1)
+    check_state_rows(out[None])
     return out
+
+
+_ROTATION_NAMES = ("head_rot", "left_wrist_rot", "right_wrist_rot")
+_POSITION_FIELDS = (
+    ("left_wrist_pos", LEFT_WRIST_POS),
+    ("right_wrist_pos", RIGHT_WRIST_POS),
+    ("fingertips", FINGERTIPS),
+)
+
+
+def check_state_rows(rows: np.ndarray) -> None:
+    """Raise InvalidComponent unless every row of a (B, 54) batch has three
+    decodable rotation codes and finite positions (the checks of
+    `encode_state`), naming the first failing component."""
+    codes = np.stack([rows[:, sl] for sl in ROTATION_SLICES], axis=1)
+    _, defect = geometry.decode_rot6d_rows(codes)
+    if defect.any():
+        row, block = np.argwhere(defect)[0]
+        raise InvalidComponent(
+            f"{_ROTATION_NAMES[block]}: {geometry.ROT6D_DEFECTS[defect[row, block]]}"
+        )
+    for name, sl in _POSITION_FIELDS:
+        if not np.all(np.isfinite(rows[:, sl])):
+            raise InvalidComponent(f"{name} contains non-finite values")
 
 
 def decode_state(vec: np.ndarray) -> UnifiedState:

@@ -254,3 +254,44 @@ def test_predict_truncated_checkpoint_exit_1(tmp_path, capsys):
     state = ",".join(str(v) for v in unified_space.identity_state_vector())
     assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
                 "--feature", "0,0,0,0", "--tag", "human"]) == 1
+
+
+@pytest.fixture
+def tiny_checkpoint(tmp_path):
+    eps = [synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)]
+    write_dataset(eps, tmp_path / "d")
+    ckpt = tmp_path / "model.ckpt"
+    assert cli(["train", "--dataset", str(tmp_path / "d"), "--out", str(ckpt),
+                "--chunk-length", "3", "--hidden", "8", "--steps", "2",
+                "--batch-size", "4"]) == 0
+    return str(ckpt)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fk", "--q", "a,b"], "--q"),
+    (["retarget", "--action", "1,2,x"], "--action"),
+    (["ik", "--target-pos", "0.3,0.1"], "--target-pos"),
+    (["ik", "--target-pos", "0.3,0.1,0.2", "--target-quat", "1,0,0"], "--target-quat"),
+    (["rollout", "--goal", "1,2"], "--goal"),
+    (["experiment", "cotraining", "--robot-counts", "x"], "--robot-counts"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_malformed_numeric_flag_exit_1(tmp_path, config_file, tiny_checkpoint, argv, flag,
+                                       capsys):
+    extra = {
+        "fk": ["--embodiment-config", config_file],
+        "retarget": ["--embodiment-config", config_file],
+        "ik": ["--embodiment-config", config_file],
+        "rollout": ["--checkpoint", tiny_checkpoint],
+        "experiment": ["--out", str(tmp_path / "out")],
+    }[argv[0]]
+    capsys.readouterr()
+    assert cli(argv + extra) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_rollout_cli_reports_errors_apart_from_clamps(tiny_checkpoint, capsys):
+    capsys.readouterr()
+    assert cli(["rollout", "--checkpoint", tiny_checkpoint, "--max-steps", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["steps_executed"] == 3
+    assert isinstance(out["errors"], int) and isinstance(out["clamp_events"], int)

@@ -175,6 +175,31 @@ def test_decode_rot6d_batch_raises_on_one_degenerate_row(bad):
         geometry.decode_rot6d(codes)
 
 
+def test_decode_rot6d_rows_mask_matches_decode_rot6d():
+    """Each code's defect number names the error `decode_rot6d` raises for it
+    alone; a stack raises the first test in order that any code fails."""
+    codes = np.array([
+        [1.0, 0, 0, 0, 1, 0],
+        [1, 0, 0, 2, 0, 0],            # parallel
+        [0, 0, 0, 0, 1, 0],            # zero column
+        [1, 0, 0, np.inf, 1, 0],       # non-finite
+        [0.3, -2.0, 0.5, 1.0, 0.2, 0.7],
+        [1e-10, 0, 0, 1e-10, 1e-10, 0],  # both short
+    ])
+    R, defect = geometry.decode_rot6d_rows(codes)
+    assert defect.tolist() == [0, 3, 2, 1, 0, 2]
+    for code, rot, d in zip(codes, R, defect):
+        if d == 0:
+            assert rot.tobytes() == geometry.decode_rot6d(code).tobytes()
+            continue
+        with pytest.raises(DegenerateRotation6D, match=geometry.ROT6D_DEFECTS[d]):
+            geometry.decode_rot6d(code)
+    with pytest.raises(DegenerateRotation6D, match=geometry.ROT6D_DEFECTS[1]):
+        geometry.decode_rot6d(codes)
+    with pytest.raises(DegenerateRotation6D, match=geometry.ROT6D_DEFECTS[2]):
+        geometry.decode_rot6d(codes[[0, 1, 2]])
+
+
 def test_rotation_about_axis_batch_bit_equal_to_reference():
     rng = np.random.default_rng(9)
     axes = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(4, 3))])

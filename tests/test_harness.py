@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from crossemb.harness import (
     ExperimentSettings,
     OracleReplayAgent,
     PolicyAgent,
+    RolloutResult,
     ablation_suite,
     build_demo_bundles,
     cotraining_experiment,
@@ -15,6 +20,7 @@ from crossemb.harness import (
     evaluate_policy,
     pairs_from_bundles,
     rollout,
+    rollouts,
     speed_fluctuation,
     train_policy_on_bundles,
     write_report,
@@ -90,13 +96,14 @@ def test_oracle_replay_rollout(task):
     assert res.tracking_error.max() <= 2e-3
 
 
+class HoldAgent:
+    chunk_length = 8
+
+    def predict(self, state, feature, step):
+        return np.tile(state, (8, 1))
+
+
 def test_rollout_zero_motion_model_fails(task):
-    class HoldAgent:
-        chunk_length = 8
-
-        def predict(self, state, feature, step):
-            return np.tile(state, (8, 1))
-
     goal = task.grid.cell_center(0)  # away from home
     res = rollout(HoldAgent(), CFG, task, goal, max_steps=20, seed=0)
     assert not res.success
@@ -217,3 +224,107 @@ def test_speed_fluctuation_runs(task):
     model = train_policy_on_bundles(bundles, FAST, seed=0)
     v = speed_fluctuation(model, task, CFG, FAST, seed=0, n_rollouts=2)
     assert np.isfinite(v) and v >= 0.0
+
+
+# --- lockstep rollouts: each row equals its goal run alone -------------------
+
+
+@pytest.fixture(scope="module")
+def models(task):
+    bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=4, seed=0)
+    return (train_policy_on_bundles(bundles, FAST, seed=0),
+            train_policy_on_bundles(bundles, FAST, seed=0, joint_space_robot_states=True))
+
+
+class DegenerateAtStep:
+    """Replays the current state; action 1 of the chunk predicted at step
+    `step` (or at every step) has a zero left-wrist rotation column."""
+
+    chunk_length = 8
+
+    def __init__(self, step=None):
+        self.step = step
+
+    def predict(self, state, feature, step):
+        chunk = np.tile(state, (8, 1))
+        if self.step is None or step == self.step:
+            chunk[1, 6:9] = 0.0
+        return chunk
+
+
+def oracle_agent(task):
+    reference = ideal_reach_trajectory(
+        task, CFG, task.grid.cell_center(4), np.random.Generator(np.random.PCG64(0)),
+        capture_rate=task.rate, move_duration=task.move_duration,
+        hold_duration=task.hold_duration, embodiment_tag="robot", start_spread=0.0,
+    )
+    return OracleReplayAgent(reference.states, chunk_length=8)
+
+
+def assert_same_rollout(got, want):
+    for field in dataclasses.fields(RolloutResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+@pytest.mark.parametrize("case", ["oracle", "policy", "no_stop", "joint_space", "error_row"])
+def test_rollouts_rows_equal_single_goal_rollouts(task, models, case):
+    model, joint_model = models
+    agent = {"oracle": oracle_agent(task), "policy": PolicyAgent(model),
+             "no_stop": PolicyAgent(model), "joint_space": PolicyAgent(joint_model),
+             "error_row": DegenerateAtStep()}[case]
+    kwargs = dict(max_steps=24, replan_every=4)
+    if case == "no_stop":
+        kwargs["stop_on_goal"] = False
+    if case == "joint_space":
+        kwargs["state_adapter"] = lambda cmd, unified: joint_state_vector(cmd)
+    # The home cell first: some rows stop early while the others go on.
+    goals = [task.grid.cell_center(4)] + [task.grid.cell_center(c) for c in (0, 5, 8)]
+    seeds = [3, 1, 4, 1]
+    results = rollouts(agent, CFG, task, goals, seeds, **kwargs)
+    for goal, seed, got in zip(goals, seeds, results):
+        assert_same_rollout(got, rollout(agent, CFG, task, goal, seed=seed, **kwargs))
+    if case == "error_row":
+        assert all(res.errors == 6 for res in results)
+    else:
+        assert all(res.errors == 0 for res in results)
+
+
+def test_rollouts_of_no_goals():
+    assert rollouts(HoldAgent(), CFG, make_reach_task(CFG), [], []) == []
+
+
+def test_rollout_counts_errors_apart_from_clamps(task):
+    """One degenerate action is held over, counted once in `errors` and
+    never in `clamp_events`."""
+    res = rollout(DegenerateAtStep(step=0), CFG, task, task.grid.cell_center(0),
+                  max_steps=8, replan_every=4)
+    assert res.steps_executed == 8
+    assert res.errors == 1 and res.clamp_events == 0
+    assert res.ik_statuses.count("error") == 1
+    assert len(res.ik_statuses) == 1 + 2 * 7
+
+
+# SHA-256 of the reduced reports below, without `wall_time_s`, as produced
+# by the per-goal rollout loop that the lockstep rollouts replaced.
+REDUCED_COTRAINING_DIGEST = "3aefe1c02665a569aaa9da6c2ce984567a15fff4c429eadc732010eae58515ef"
+REDUCED_ABLATION_DIGEST = "72fdb6bfdc8810236107766c995150bdad781ff125eacd676a5a39c82fd0f35c"
+
+
+def report_digest(report):
+    doc = {k: v for k, v in report.items() if k != "wall_time_s"}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_reduced_experiment_reports_pinned():
+    """Covers evaluate_policy, speed_fluctuation and the joint-space adapter."""
+    settings = ExperimentSettings(train_steps=300, human_demos=12, id_eval_goals=2,
+                                  max_steps=40)
+    cotraining = cotraining_experiment(robot_counts=(4,), human_demos=12, seeds=(0,),
+                                       settings=settings)
+    ablation = ablation_suite(seeds=(0,), n_robot=4, human_demos=12, settings=settings)
+    assert report_digest(cotraining) == REDUCED_COTRAINING_DIGEST
+    assert report_digest(ablation) == REDUCED_ABLATION_DIGEST

@@ -10,14 +10,17 @@ from crossemb.embodiments import (
     humanoid_a_config,
     humanoid_b_config,
 )
-from crossemb.errors import DimensionMismatch, NonFiniteTarget, RetargetFailure
+from crossemb.errors import CrossembError, DimensionMismatch, NonFiniteTarget, RetargetFailure
 from crossemb.geometry import Pose
 from crossemb.kinematics import (
     IkParams,
     Joint,
     KinematicChain,
     RobotCommand,
+    _embed_rows,
     _fk_frames,
+    _ik_rows,
+    _retarget_rows,
     embed_robot_state,
     forward_kinematics,
     hand_fingertips,
@@ -569,13 +572,17 @@ def test_ik_outputs_pinned():
     assert ik_fixture_digest() == IK_FIXTURE_DIGEST
 
 
+# Humanoid A's right arm: attempt 0 from the init fails, several seeds converge.
+RESTART_CASE_Q = [1.643545923566443, 0.49141106917277877, 3.7413455887754536,
+                  -1.0132764542420798, -1.0011039084636608]
+RESTART_CASE_INIT = [-2.8623399732707004, -0.33161255787892263, 4.4505895925855405,
+                     -1.239183768915974, -3.0543261909900767]
+
+
 def test_ik_restarts_return_earliest_converging_seed():
     chain = humanoid_a_config().right_arm
-    target = forward_kinematics(chain, np.array(
-        [1.643545923566443, 0.49141106917277877, 3.7413455887754536,
-         -1.0132764542420798, -1.0011039084636608]))
-    q_init = np.array([-2.8623399732707004, -0.33161255787892263, 4.4505895925855405,
-                       -1.239183768915974, -3.0543261909900767])
+    target = forward_kinematics(chain, np.array(RESTART_CASE_Q))
+    q_init = np.array(RESTART_CASE_INIT)
     one = IkParams(restarts=0)
     # Sequential reference: every attempt on its own, in ik_solve's order.
     attempts = [ik_solve(chain, target, q0, one) for q0 in [q_init, *restart_seeds(chain)]]
@@ -591,3 +598,87 @@ def test_ik_restarts_return_earliest_converging_seed():
     q, status = ik_solve(chain, target, q_init)
     assert status == "converged"
     assert q.tobytes() == attempts[converged[0]][0].tobytes()
+
+
+# --- one target per row: batches equal their rows run alone ----------------
+
+def ik_rows_fixture():
+    """Warm rows, a row that needs restarts (attempt 0 fails, later seeds
+    converge) and a target 2 m out of reach, on the 5-DoF arm."""
+    chain = humanoid_a_config().right_arm
+    home = chain.mid_range()
+    start = forward_kinematics(chain, home)
+    targets = [
+        forward_kinematics(chain, home + 0.05 * np.cos(np.arange(5))),
+        forward_kinematics(chain, np.array(RESTART_CASE_Q)),
+        Pose(start.rotation, start.translation + [2.0, 0.0, 0.0]),
+        forward_kinematics(chain, home - 0.1),
+    ]
+    q_init = np.array([home, RESTART_CASE_INIT, home, home])
+    return chain, targets, q_init
+
+
+@pytest.mark.parametrize("params", [IkParams(), IkParams(orientation_weight=0.0),
+                                    IkParams(restarts=0)],
+                         ids=["default", "position_only", "no_restarts"])
+def test_ik_rows_equal_per_row_ik_solve(params):
+    chain, targets, q_init = ik_rows_fixture()
+    q, pos_err, rot_err, ok = _ik_rows(
+        chain, np.array([t.rotation for t in targets]),
+        np.array([t.translation for t in targets]), q_init, params,
+    )
+    statuses = []
+    for b, target in enumerate(targets):
+        single = ik_solve(chain, target, q_init[b], params)
+        assert q[b].tobytes() == single[0].tobytes()
+        assert (pos_err[b], rot_err[b]) == (single.pos_err, single.rot_err)
+        statuses.append(single[1])
+        assert ok[b] == (single[1] == "converged")
+    if params.restarts:
+        # The restart row converges only through its seeds; the far one never.
+        assert statuses[1:3] == ["converged", "best_effort"]
+        assert ik_solve(chain, targets[1], q_init[1], IkParams(restarts=0))[1] == "best_effort"
+
+
+def test_retarget_rows_equal_per_row_retarget_action():
+    cfg = humanoid_b_config()
+    rng = np.random.default_rng(4)
+    cmd = home_command(cfg)
+    base = unified_space.encode_state(embed_robot_state(cmd, cfg))
+    actions = np.tile(base, (7, 1)) + rng.normal(scale=0.01, size=(7, 54))
+    actions[1, 20] = np.nan                            # non-finite
+    actions[2, unified_space.RIGHT_WRIST_ROT] = 0.0    # zero column
+    actions[3, 0:6] = [1, 0, 0, 2, 0, 0]               # parallel head code
+    actions[4, unified_space.RIGHT_WRIST_POS] += [2.0, 0, 0]  # out of reach
+    actions[5, unified_space.HEAD_ROT] = geometry.encode_rot6d(
+        geometry.rotation_about_axis(Z, 3.0))           # neck past its limit
+    prev = np.tile(cmd.vector(), (7, 1))
+    rows = _retarget_rows(actions, cfg, prev)
+    for b, action in enumerate(actions):
+        try:
+            out, diag = retarget_action(action, cfg, cmd)
+        except CrossembError as exc:
+            assert type(rows.errors[b]) is type(exc) and str(rows.errors[b]) == str(exc)
+            assert rows.commands[b].tobytes() == prev[b].tobytes()
+            continue
+        assert rows.errors[b] is None
+        assert rows.commands[b].tobytes() == out.vector().tobytes()
+        assert rows.pos_err[b].tolist() == [diag.left.pos_err, diag.right.pos_err]
+        assert rows.rot_err[b].tolist() == [diag.left.rot_err, diag.right.rot_err]
+        assert rows.converged[b].tolist() == [diag.left.status == "converged",
+                                              diag.right.status == "converged"]
+        assert rows.neck_clamped[b] == ("neck:limit" in diag.clamp_events)
+    assert [type(e).__name__ for e in rows.errors[1:4]] == [
+        "RetargetFailure", "DegenerateRotation6D", "DegenerateRotation6D"]
+    assert not rows.converged[4, 1] and rows.neck_clamped[5]
+
+
+def test_embed_rows_equal_per_row_embed_robot_state():
+    rng = np.random.default_rng(8)
+    for cfg in (humanoid_a_config(), humanoid_b_config()):
+        n_arms = cfg.left_arm.n_joints + cfg.right_arm.n_joints
+        commands = np.hstack([rng.normal(scale=1.5, size=(6, n_arms + 2)), rng.random((6, 12))])
+        batch = _embed_rows(cfg, commands)
+        for row, vec in zip(commands, batch):
+            single = embed_robot_state(RobotCommand.from_vector(cfg, row), cfg)
+            assert unified_space.encode_state(single).tobytes() == vec.tobytes()
