@@ -39,7 +39,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .geometry import Pose
-from .kinematics import EmbodimentConfig, RobotCommand, embed_robot_state
+from .kinematics import EmbodimentConfig, RobotCommand, embed_robot_vector
 from .retiming import Trajectory, sync_streams
 
 FORMAT_VERSION = 1
@@ -345,9 +345,8 @@ def _ingest_robot(
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(line_no, f"bad joints record: {exc}") from exc
-        state = embed_robot_state(cmd, config)
         times.append(t)
-        states.append(unified_space.encode_state(state))
+        states.append(embed_robot_vector(cmd, config))
         feats.append(_visual_feature(vdoc, options.feature_dim))
     return DemonstrationEpisode(
         id=raw.episode_id,

@@ -28,8 +28,9 @@ solves each arm once for a batch of unified actions (rows whose action
 is non-finite or holds a rotation code that does not decode are not
 solved and get the error `retarget_action` raises for them);
 `_embed_rows` turns a batch of command vectors (`RobotCommand.vector`)
-into unified 54-vectors. `retarget_action` and `embed_robot_state` are
-batches of one.
+into unified 54-vectors. `retarget_action` runs the same checks, neck
+and hands on one row and solves each arm with `ik_solve`, itself `_ik_rows`
+of one row; `embed_robot_vector` is `_embed_rows` of one row.
 """
 
 from __future__ import annotations
@@ -571,6 +572,41 @@ class _RetargetRows(NamedTuple):
     errors: list              # per row the CrossembError it raised, else None
 
 
+def _decode_actions(actions: np.ndarray):
+    """Head, left wrist and right wrist rotations (B, 3, 3) each of a batch
+    of unified actions (B, 54), and per row the error retargeting raises
+    for it, else None: non-finite values, or else the first rotation code
+    (left wrist, right wrist, head) that does not decode."""
+    U = unified_space
+    rotations, defect = geometry.decode_rot6d_rows(
+        np.stack([actions[:, sl] for sl in U.ROTATION_SLICES], axis=1)
+    )
+    finite = np.isfinite(actions).all(axis=1)
+    defect = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
+    errors = [None] * len(actions)
+    for b in np.flatnonzero(~finite | defect.any(axis=1)):
+        if not finite[b]:
+            errors[b] = RetargetFailure("action contains non-finite values")
+        else:
+            errors[b] = DegenerateRotation6D(geometry.ROT6D_DEFECTS[defect[b][defect[b] > 0][0]])
+    return (rotations[:, 0], rotations[:, 1], rotations[:, 2]), errors
+
+
+def _neck_and_hands(config: EmbodimentConfig, actions, head_R, left_R, right_R):
+    """Neck angles (B, 2) within limits, whether the limits moved them (B,),
+    and the left and right hand actuators (B, 6) of a batch of actions."""
+    U = unified_space
+    neck_raw = np.stack(neck_angles_from_head_rotation(head_R), axis=1)
+    neck_q = config.neck.clamp(neck_raw)
+    clamped = ~np.isclose(neck_q, neck_raw, atol=1e-12).all(axis=1)
+    tips = actions[:, U.FINGERTIPS].reshape(-1, 10, 3)
+    hands = [
+        _hand_actuators(tips[:, :5], left_R, actions[:, U.LEFT_WRIST_POS], config.hand_model),
+        _hand_actuators(tips[:, 5:], right_R, actions[:, U.RIGHT_WRIST_POS], config.hand_model),
+    ]
+    return neck_q, clamped, hands
+
+
 def _retarget_rows(
     actions: np.ndarray,
     config: EmbodimentConfig,
@@ -587,44 +623,27 @@ def _retarget_rows(
     """
     B = len(actions)
     U = unified_space
-    rotations, defect = geometry.decode_rot6d_rows(
-        np.stack([actions[:, sl] for sl in U.ROTATION_SLICES], axis=1)
-    )
-    head_R, left_R, right_R = rotations[:, 0], rotations[:, 1], rotations[:, 2]
-    finite = np.isfinite(actions).all(axis=1)
-    defect = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
-    solve = finite & ~defect.any(axis=1)
-    errors = [None] * B
-    for b in np.flatnonzero(~solve):
-        if not finite[b]:
-            errors[b] = RetargetFailure("action contains non-finite values")
-        else:
-            errors[b] = DegenerateRotation6D(geometry.ROT6D_DEFECTS[defect[b][defect[b] > 0][0]])
+    (head_R, left_R, right_R), errors = _decode_actions(actions)
+    solve = np.array([e is None for e in errors], dtype=bool)
     out = _RetargetRows(commands.copy(), np.zeros((B, 2), bool), np.zeros((B, 2)),
                        np.zeros((B, 2)), np.zeros(B, bool), errors)
     if not solve.any():
         return out
     A = actions[solve]
+    left_R, right_R = left_R[solve], right_R[solve]
     left_q, right_q = _split_commands(config, commands[solve])[:2]
     arms = []
     for k, (chain, R, pos_sl, q0) in enumerate((
-        (config.left_arm, left_R[solve], U.LEFT_WRIST_POS, left_q),
-        (config.right_arm, right_R[solve], U.RIGHT_WRIST_POS, right_q),
+        (config.left_arm, left_R, U.LEFT_WRIST_POS, left_q),
+        (config.right_arm, right_R, U.RIGHT_WRIST_POS, right_q),
     )):
         q, out.pos_err[solve, k], out.rot_err[solve, k], out.converged[solve, k] = _ik_rows(
             chain, R, A[:, pos_sl], q0, params
         )
         arms.append(q)
-
-    neck_raw = np.stack(neck_angles_from_head_rotation(head_R[solve]), axis=1)
-    neck_q = config.neck.clamp(neck_raw)
-    out.neck_clamped[solve] = ~np.isclose(neck_q, neck_raw, atol=1e-12).all(axis=1)
-
-    tips = A[:, U.FINGERTIPS].reshape(-1, 10, 3)
-    hands = [
-        _hand_actuators(tips[:, :5], left_R[solve], A[:, U.LEFT_WRIST_POS], config.hand_model),
-        _hand_actuators(tips[:, 5:], right_R[solve], A[:, U.RIGHT_WRIST_POS], config.hand_model),
-    ]
+    neck_q, out.neck_clamped[solve], hands = _neck_and_hands(
+        config, A, head_R[solve], left_R, right_R
+    )
     out.commands[solve] = np.concatenate([*arms, neck_q, *hands], axis=1)
     return out
 
@@ -637,32 +656,39 @@ def retarget_action(
 ) -> tuple[RobotCommand, RetargetDiagnostics]:
     """Convert one unified action into a robot command.
 
-    Wrist targets are solved by IK warm-started at `q_prev`; the neck
-    takes the head rotation's yaw/pitch (roll discarded, clamped); hands
-    go through the fingertip-distance closure map.
+    Wrist targets are solved by IK (`ik_solve`) warm-started at `q_prev`;
+    the neck takes the head rotation's yaw/pitch (roll discarded,
+    clamped); hands go through the fingertip-distance closure map. The
+    checks, neck and hands are those of `_retarget_rows`, on one row.
     """
+    U = unified_space
     action = np.asarray(action, dtype=float)
-    if action.shape != (unified_space.STATE_DIM,):
+    if action.shape != (U.STATE_DIM,):
         raise DimensionMismatch(f"action must be (54,), got {action.shape}")
-    _check_q(config.left_arm, q_prev.left_arm_q)
-    _check_q(config.right_arm, q_prev.right_arm_q)
-    rows = _retarget_rows(action[None], config, q_prev.vector()[None], params)
-    if rows.errors[0] is not None:
-        raise rows.errors[0]
-    limbs = [
-        LimbResult(STATUS_CONVERGED if ok else STATUS_BEST_EFFORT, float(pos_err), float(rot_err))
-        for ok, pos_err, rot_err in zip(rows.converged[0], rows.pos_err[0], rows.rot_err[0])
-    ]
-    clamps = [f"{side}_arm:best_effort"
-              for side, ok in zip(("left", "right"), rows.converged[0]) if not ok]
-    if rows.neck_clamped[0]:
+    rows = action[None]
+    (head_R, left_R, right_R), errors = _decode_actions(rows)
+    if errors[0] is not None:
+        raise errors[0]
+    limbs, arms, clamps = [], [], []
+    for side, chain, R, pos_sl, q0 in (
+        ("left", config.left_arm, left_R, U.LEFT_WRIST_POS, q_prev.left_arm_q),
+        ("right", config.right_arm, right_R, U.RIGHT_WRIST_POS, q_prev.right_arm_q),
+    ):
+        q, status = solution = ik_solve(chain, Pose(R[0], action[pos_sl]), q0, params)
+        limbs.append(LimbResult(status, solution.pos_err, solution.rot_err))
+        if status == STATUS_BEST_EFFORT:
+            clamps.append(f"{side}_arm:best_effort")
+        arms.append(q)
+    neck_q, neck_clamped, hands = _neck_and_hands(config, rows, head_R, left_R, right_R)
+    if neck_clamped[0]:
         clamps.append("neck:limit")
+    cmd = RobotCommand(arms[0], arms[1], neck_q[0], hands[0][0], hands[1][0])
     diag = RetargetDiagnostics(left=limbs[0], right=limbs[1], clamp_events=tuple(clamps))
-    return RobotCommand.from_vector(config, rows.commands[0]), diag
+    return cmd, diag
 
 
 def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
-    """`embed_robot_state` for a batch of command vectors (B, n_cmd): FK of
+    """`embed_robot_vector` for a batch of command vectors (B, n_cmd): FK of
     each arm and the neck as one batch each, written as unified 54-vectors
     (B, 54) and checked as `encode_state` checks them."""
     U = unified_space
@@ -685,14 +711,19 @@ def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed_robot_state(
-    cmd: RobotCommand, config: EmbodimentConfig
-) -> unified_space.UnifiedState:
-    """Express a robot command (or joint readings) as a unified state."""
+def embed_robot_vector(cmd: RobotCommand, config: EmbodimentConfig) -> np.ndarray:
+    """Express a robot command (or joint readings) as a unified 54-vector."""
     for chain, q, name in (
         (config.left_arm, cmd.left_arm_q, "left_arm_q"),
         (config.right_arm, cmd.right_arm_q, "right_arm_q"),
     ):
         if np.asarray(q).shape != (chain.n_joints,):
             raise DimensionMismatch(f"{name} must have {chain.n_joints} values")
-    return unified_space.decode_state(_embed_rows(config, cmd.vector()[None])[0])
+    return _embed_rows(config, cmd.vector()[None])[0]
+
+
+def embed_robot_state(
+    cmd: RobotCommand, config: EmbodimentConfig
+) -> unified_space.UnifiedState:
+    """Express a robot command (or joint readings) as a unified state."""
+    return unified_space.decode_state(embed_robot_vector(cmd, config))

@@ -19,7 +19,7 @@ from .kinematics import (
     EmbodimentConfig,
     IkParams,
     RobotCommand,
-    embed_robot_state,
+    embed_robot_vector,
     forward_kinematics,
     hand_fingertips,
     retarget_action,
@@ -274,7 +274,7 @@ def teleop_simulate(
     joint_view = np.empty((len(reference), unified_space.STATE_DIM))
     for i in range(len(reference)):
         cmd, _ = retarget_action(reference.states[i], config, cmd, ik_params)
-        achieved[i] = unified_space.encode_state(embed_robot_state(cmd, config))
+        achieved[i] = embed_robot_vector(cmd, config)
         joint_view[i] = joint_state_vector(cmd)
     return achieved, joint_view
 
