@@ -19,7 +19,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import geometry, harness, policy, retiming, unified_space
 from .embodiments import load_embodiment_config
-from .errors import CrossembError, ParseError
+from .errors import CrossembError, InvalidMetadata, ParseError
 from .kinematics import IkParams, RobotCommand, forward_kinematics, ik_solve, retarget_action
 from .geometry import Pose
 
@@ -351,16 +351,21 @@ def _cmd_validate(args) -> int:
             problems.append(f"{ep.id}: human episode not retimed")
         if ep.embodiment_tag != "human" and meta.get("alpha_applied", 1.0) != 1.0:
             problems.append(f"{ep.id}: robot episode has alpha != 1")
-        for i, state in enumerate(ep.states):
-            try:
-                unified_space.validate_state_vector(state, check_reach=args.check_reach)
-            except CrossembError as exc:
-                problems.append(f"{ep.id} frame {i}: {exc}")
-                break
+        try:
+            unified_space.check_state_rows(
+                ep.states, unified_space.DEFAULT_MAX_HAND_REACH if args.check_reach else None
+            )
+        except CrossembError as exc:
+            problems.append(f"{ep.id} {exc}")
     stats_files = manifest.get("stats_files") or {}
     for kind, rel in stats_files.items():
-        doc = json.loads((Path(args.dataset) / rel).read_text())
-        stats = unified_space.NormalizationStats.from_json_dict(doc)
+        path = Path(args.dataset) / rel
+        try:
+            stats = unified_space.NormalizationStats.from_json_dict(
+                dataset_mod._read_json_object(path)
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise InvalidMetadata(f"{path}: not valid statistics: {exc!r}") from exc
         for tag, entry in stats.entries.items():
             if np.any(entry.std < stats.epsilon - 1e-12):
                 problems.append(f"stats {kind}/{tag}: std below epsilon")

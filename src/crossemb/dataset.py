@@ -2,9 +2,12 @@
 
 Raw captures are JSON Lines (one frame per line) plus a meta.json sidecar.
 Human frames carry world-frame head/wrist poses and ten fingertips; robot
-frames carry joint readings and require an embodiment config. Processed
-episodes are little-endian float64 blocks indexed by manifest.json, so
-write/read round-trips are bit-exact.
+frames carry joint readings and require an embodiment config. Ingest
+pairs the pose or joint records with visual frames (`_synced_frames`)
+and turns them into one (N, 54) state array per capture, checked once by
+`unified_space.check_state_rows`. Processed episodes are little-endian
+float64 blocks (`pack_blocks`, the layout checkpoints share) indexed by
+manifest.json, so write/read round-trips are bit-exact.
 
 Training pairs are ACT-style chunks: state `obs[s]`, feature
 `features[s]` and actions `frames[s+1 : s+1+K]`, with s = `starts[row]`.
@@ -30,7 +33,10 @@ from . import geometry, retiming, unified_space
 from .errors import (
     BodyMotionRejected,
     ChecksumMismatch,
+    CorruptEpisode,
+    CrossembError,
     DegenerateTrajectory,
+    DimensionMismatch,
     EmptySource,
     EpisodeTooShort,
     FrameSyncExhausted,
@@ -39,7 +45,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .geometry import Pose
-from .kinematics import EmbodimentConfig, RobotCommand, embed_robot_vector
+from .kinematics import EmbodimentConfig, RobotCommand, _embed_rows
 from .retiming import Trajectory, sync_streams
 
 FORMAT_VERSION = 1
@@ -117,11 +123,11 @@ def _pose_from_record(doc: dict, line_no: int, key: str) -> Pose:
         entry = doc[key]
         t = np.array(entry["translation"], dtype=float)
         q = np.array(entry["rotation_quaternion"], dtype=float)
+        if t.shape != (3,) or q.shape != (4,):
+            raise ValueError("wrong arity")
+        return Pose(geometry.quat_to_matrix(q), t)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(line_no, f"bad pose field {key!r}: {exc}") from exc
-    if t.shape != (3,) or q.shape != (4,):
-        raise ParseError(line_no, f"pose field {key!r} has wrong arity")
-    return Pose(geometry.quat_to_matrix(q), t)
 
 
 def _read_json_object(path: Path) -> dict:
@@ -231,54 +237,68 @@ def _default_skew(visual: Sequence[tuple[float, dict]]) -> float:
     return float(np.median(periods)) / 2.0
 
 
-def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpisode:
-    pose_keys = ("head_pose", "left_wrist_pose", "right_wrist_pose", "fingertips")
+def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestOptions):
+    """Pair the capture's records holding every key of `pose_keys` with
+    their nearest visual frames (`sync_streams`). Returns the first such
+    record, the synced pairs' times (N,), records and visual features
+    (N, F), and how many records sync dropped."""
     proprio, visual = _split_streams(raw.records, pose_keys)
     if len(proprio) < 2:
-        raise FrameSyncExhausted("fewer than two pose records in the capture")
+        raise FrameSyncExhausted("fewer than two proprioceptive records in the capture")
     if not visual:
         raise FrameSyncExhausted("no visual records in the capture")
-
-    first_head = _pose_from_record(proprio[0][1], proprio[0][1]["_line"], "head_pose")
-    base = canonical_frame(first_head, options.torso_offset)
-    base_inv = base.inverse()
-
     max_skew = options.max_skew if options.max_skew is not None else _default_skew(visual)
     sync = sync_streams(proprio, visual, max_skew)
     if len(sync.pairs) < 2:
         raise FrameSyncExhausted(
             f"synchronization left {len(sync.pairs)} frame(s); dropped {sync.dropped}"
         )
+    times = np.array([t for (t, _), _ in sync.pairs])
+    docs = [doc for (_, doc), _ in sync.pairs]
+    feats = np.array([_visual_feature(vdoc, options.feature_dim) for _, (_, vdoc) in sync.pairs])
+    return proprio[0][1], times, docs, feats, sync.dropped
 
-    times, states, feats, head_pos = [], [], [], []
-    for (t, doc), (_, vdoc) in sync.pairs:
+
+_HUMAN_POSES = (
+    ("head_pose", unified_space.HEAD_ROT),
+    ("left_wrist_pose", unified_space.LEFT_WRIST_ROT),
+    ("right_wrist_pose", unified_space.RIGHT_WRIST_ROT),
+)
+
+
+def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpisode:
+    U = unified_space
+    first, times, docs, feats, dropped = _synced_frames(
+        raw, (*(key for key, _ in _HUMAN_POSES), "fingertips"), options
+    )
+    base_inv = canonical_frame(
+        _pose_from_record(first, first["_line"], "head_pose"), options.torso_offset
+    ).inverse()
+    states = np.empty((len(docs), U.STATE_DIM))
+    positions = np.empty((len(docs), len(_HUMAN_POSES), 3))  # head, left, right
+    for k, doc in enumerate(docs):
         line_no = doc["_line"]
-        head = base_inv.compose(_pose_from_record(doc, line_no, "head_pose"))
-        left = base_inv.compose(_pose_from_record(doc, line_no, "left_wrist_pose"))
-        right = base_inv.compose(_pose_from_record(doc, line_no, "right_wrist_pose"))
-        tips = np.array(doc["fingertips"], dtype=float)
+        for j, (key, rot_sl) in enumerate(_HUMAN_POSES):
+            pose = base_inv.compose(_pose_from_record(doc, line_no, key))
+            states[k, rot_sl] = geometry.encode_rot6d(pose.rotation)
+            positions[k, j] = pose.translation
+        try:
+            tips = np.array(doc["fingertips"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(line_no, f"bad fingertips: {exc}") from exc
         if tips.shape != (10, 3):
             raise ParseError(line_no, f"fingertips must be 10x3, got {tips.shape}")
-        tips = base_inv.apply(tips)
-        state = unified_space.UnifiedState(
-            head_rot=geometry.encode_rot6d(head.rotation),
-            left_wrist_rot=geometry.encode_rot6d(left.rotation),
-            right_wrist_rot=geometry.encode_rot6d(right.rotation),
-            left_wrist_pos=left.translation,
-            right_wrist_pos=right.translation,
-            fingertips=tips,
-        )
-        times.append(t)
-        states.append(unified_space.encode_state(state))
-        feats.append(_visual_feature(vdoc, options.feature_dim))
-        head_pos.append(head.translation)
+        states[k, U.FINGERTIPS] = base_inv.apply(tips).reshape(-1)
+    states[:, U.LEFT_WRIST_POS] = positions[:, 1]
+    states[:, U.RIGHT_WRIST_POS] = positions[:, 2]
+    U.check_state_rows(states)
 
     traj = Trajectory(
-        times=np.array(times),
-        states=np.array(states),
+        times=times,
+        states=states,
         embodiment_tag=raw.embodiment_tag,
         nominal_rate=options.out_rate,
-        head_positions=np.array(head_pos),
+        head_positions=positions[:, 0],
     )
     report = retiming.body_motion_check(traj, options.body_motion_threshold)
     if not report.passed:
@@ -287,7 +307,6 @@ def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpiso
     retimed = retiming.retime(traj, options.alpha, options.out_rate)
     # Visual features cannot be interpolated; each output frame takes the
     # nearest source frame's feature under the stretched time map.
-    feats = np.array(feats)
     src_times = (retimed.times - retimed.times[0]) / options.alpha + traj.times[0]
     idx = np.clip(np.searchsorted(traj.times, src_times, side="left"), 0, len(traj) - 1)
     left_ok = idx > 0
@@ -296,7 +315,6 @@ def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpiso
         traj.times[idx[left_ok]] - src_times[left_ok]
     )
     idx[nearer_left] -= 1
-    out_feats = feats[idx]
 
     return DemonstrationEpisode(
         id=raw.episode_id,
@@ -304,64 +322,50 @@ def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpiso
         instruction=raw.instruction,
         times=retimed.times,
         states=retimed.states,
-        features=out_feats,
+        features=feats[idx],
         metadata={
             "device": raw.device,
             "scene": raw.scene,
             "duration_s": float(retimed.times[-1] - retimed.times[0]),
             "retimed": True,
             "alpha_applied": options.alpha,
-            "dropped_frames": sync.dropped,
+            "dropped_frames": dropped,
             "head_excursion_m": report.excursion_m,
         },
     )
 
 
+_JOINT_KEYS = ("left_arm", "right_arm", "neck", "left_hand", "right_hand")
+
+
 def _ingest_robot(
     raw: RawCapture, config: EmbodimentConfig, options: IngestOptions
 ) -> DemonstrationEpisode:
-    proprio, visual = _split_streams(raw.records, ("joints",))
-    if len(proprio) < 2:
-        raise FrameSyncExhausted("fewer than two joint records in the capture")
-    if not visual:
-        raise FrameSyncExhausted("no visual records in the capture")
-    max_skew = options.max_skew if options.max_skew is not None else _default_skew(visual)
-    sync = sync_streams(proprio, visual, max_skew)
-    if len(sync.pairs) < 2:
-        raise FrameSyncExhausted(
-            f"synchronization left {len(sync.pairs)} frame(s); dropped {sync.dropped}"
-        )
-    times, states, feats = [], [], []
-    for (t, doc), (_, vdoc) in sync.pairs:
-        line_no = doc["_line"]
-        joints = doc["joints"]
+    _, times, docs, feats, dropped = _synced_frames(raw, ("joints",), options)
+    arms = (config.left_arm.n_joints,), (config.right_arm.n_joints,)
+    commands = []
+    for doc in docs:
         try:
-            cmd = RobotCommand(
-                left_arm_q=np.array(joints["left_arm"], dtype=float),
-                right_arm_q=np.array(joints["right_arm"], dtype=float),
-                neck_q=np.array(joints["neck"], dtype=float),
-                left_hand=np.array(joints["left_hand"], dtype=float),
-                right_hand=np.array(joints["right_hand"], dtype=float),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(line_no, f"bad joints record: {exc}") from exc
-        times.append(t)
-        states.append(embed_robot_vector(cmd, config))
-        feats.append(_visual_feature(vdoc, options.feature_dim))
+            cmd = RobotCommand(*(np.array(doc["joints"][key], dtype=float) for key in _JOINT_KEYS))
+            if (cmd.left_arm_q.shape, cmd.right_arm_q.shape) != arms:
+                raise ValueError(f"arms must have {arms[0][0]} and {arms[1][0]} joints")
+        except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+            raise ParseError(doc["_line"], f"bad joints record: {exc}") from exc
+        commands.append(cmd.vector())
     return DemonstrationEpisode(
         id=raw.episode_id,
         embodiment_tag=raw.embodiment_tag,
         instruction=raw.instruction,
-        times=np.array(times),
-        states=np.array(states),
-        features=np.array(feats),
+        times=times,
+        states=_embed_rows(config, np.array(commands)),
+        features=feats,
         metadata={
             "device": raw.device,
             "scene": raw.scene,
             "duration_s": float(times[-1] - times[0]),
             "retimed": False,
             "alpha_applied": 1.0,
-            "dropped_frames": sync.dropped,
+            "dropped_frames": dropped,
         },
     )
 
@@ -375,7 +379,7 @@ def ingest(
 
     Human captures are re-expressed in the canonical base frame, stream
     synchronized, checked for body motion, and retimed; robot captures
-    are embedded frame by frame and never retimed.
+    are embedded as one batch and never retimed.
     """
     if raw.kind == "robot":
         if config is None:
@@ -389,34 +393,49 @@ def ingest(
 # --------------------------------------------------------------------------
 
 
+def pack_blocks(magic: bytes, header: bytes, arrays: Sequence[np.ndarray]) -> bytes:
+    """The binary layout of episode and checkpoint files: `magic`, then
+    `header`, then each array as a block of little-endian float64."""
+    blocks = (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    return b"".join([magic, header, *blocks])
+
+
+def unpack_blocks(
+    blob: bytes, offset: int, shapes: Sequence[tuple[int, ...]], error: type[CrossembError]
+) -> list[np.ndarray]:
+    """Inverse of `pack_blocks`: the arrays of `shapes` stored from byte
+    `offset` on. Raises `error` unless they fill the rest of `blob` exactly."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(blob) - offset != 8 * sum(sizes):
+        raise error(f"data blocks are {len(blob) - offset} bytes; header declares {8 * sum(sizes)}")
+    arrays = []
+    for shape, size in zip(shapes, sizes):
+        arrays.append(np.frombuffer(blob, "<f8", size, offset).reshape(shape).copy())
+        offset += 8 * size
+    return arrays
+
+
 def _episode_bytes(ep: DemonstrationEpisode) -> bytes:
-    n, f = len(ep), ep.feature_dim
-    header = EPISODE_MAGIC + struct.pack("<II", n, f)
-    return (
-        header
-        + ep.times.tobytes()
-        + ep.states.tobytes()
-        + ep.features.tobytes()
-    )
+    header = struct.pack("<II", len(ep), ep.feature_dim)
+    return pack_blocks(EPISODE_MAGIC, header, [ep.times, ep.states, ep.features])
 
 
 def _episode_from_bytes(blob: bytes, entry: dict) -> DemonstrationEpisode:
     if blob[:8] != EPISODE_MAGIC:
         raise VersionUnsupported(f"bad episode magic {blob[:8]!r}")
+    if len(blob) < 16:
+        raise CorruptEpisode(f"episode {entry['id']}: header cut short")
     n, f = struct.unpack("<II", blob[8:16])
-    off = 16
-    times = np.frombuffer(blob, dtype="<f8", count=n, offset=off)
-    off += 8 * n
-    states = np.frombuffer(blob, dtype="<f8", count=n * unified_space.STATE_DIM, offset=off)
-    off += 8 * n * unified_space.STATE_DIM
-    features = np.frombuffer(blob, dtype="<f8", count=n * f, offset=off)
+    times, states, features = unpack_blocks(
+        blob, 16, [(n,), (n, unified_space.STATE_DIM), (n, f)], CorruptEpisode
+    )
     return DemonstrationEpisode(
         id=entry["id"],
         embodiment_tag=entry["embodiment_tag"],
         instruction=entry.get("instruction", ""),
-        times=times.copy(),
-        states=states.reshape(n, unified_space.STATE_DIM).copy(),
-        features=features.reshape(n, f).copy(),
+        times=times,
+        states=states,
+        features=features,
         metadata=dict(entry.get("metadata", {})),
     )
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
+from .errors import InvalidMetadata
 from .geometry import Pose
 from .kinematics import (
     HAND_ACTUATOR_COUNT,
@@ -24,6 +25,7 @@ from .kinematics import (
     Joint,
     KinematicChain,
 )
+from .unified_space import FINGERS_PER_HAND
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -212,8 +214,8 @@ def config_to_json_dict(config: EmbodimentConfig) -> dict:
         "right_arm": _chain_to_json(config.right_arm),
         "neck": _chain_to_json(config.neck),
         "hand_model": {
-            "fingers": hm.fingers,
-            "actuators": hm.actuators,
+            "fingers": FINGERS_PER_HAND,
+            "actuators": HAND_ACTUATOR_COUNT,
             "fingertip_extent_m": hm.fingertip_extent.tolist(),
             "finger_dirs": hm.finger_dirs.tolist(),
             "palm_normal": hm.palm_normal.tolist(),
@@ -228,6 +230,12 @@ def config_to_json_dict(config: EmbodimentConfig) -> dict:
 
 def config_from_json_dict(doc: dict) -> EmbodimentConfig:
     hm = doc["hand_model"]
+    if hm.get("fingers", FINGERS_PER_HAND) != FINGERS_PER_HAND or (
+        hm.get("actuators", HAND_ACTUATOR_COUNT) != HAND_ACTUATOR_COUNT
+    ):
+        raise ValueError(
+            f"hand model must have {FINGERS_PER_HAND} fingers and {HAND_ACTUATOR_COUNT} actuators"
+        )
     hand = HandModel(
         fingertip_extent=np.array(hm["fingertip_extent_m"], dtype=float),
         finger_dirs=np.array(hm["finger_dirs"], dtype=float),
@@ -240,8 +248,6 @@ def config_from_json_dict(doc: dict) -> EmbodimentConfig:
             hm.get("actuator_joint_range", np.tile([0.0, 1.7], (HAND_ACTUATOR_COUNT, 1))),
             dtype=float,
         ),
-        fingers=int(hm.get("fingers", 5)),
-        actuators=int(hm.get("actuators", HAND_ACTUATOR_COUNT)),
     )
     return EmbodimentConfig(
         name=doc["name"],
@@ -258,8 +264,12 @@ def save_embodiment_config(config: EmbodimentConfig, path: str | Path) -> None:
 
 
 def load_embodiment_config(path: str | Path) -> EmbodimentConfig:
-    """Load a config file, or a builtin by name (`humanoid_a`, `humanoid_b`)."""
+    """Load a config file, or a builtin by name (`humanoid_a`, `humanoid_b`);
+    InvalidMetadata for a file that does not hold a valid config."""
     key = str(path)
     if key in BUILTIN_CONFIGS:
         return BUILTIN_CONFIGS[key]()
-    return config_from_json_dict(json.loads(Path(path).read_text()))
+    try:
+        return config_from_json_dict(json.loads(Path(path).read_text()))
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidMetadata(f"embodiment config {path}: {exc!r}") from exc

@@ -62,8 +62,9 @@ class ParseError(CrossembError):
 
 
 class InvalidMetadata(CrossembError):
-    """A capture's meta.json or a dataset's manifest.json is unparsable,
-    not a JSON object, or lacks a required field."""
+    """A capture's meta.json, a dataset's manifest.json or statistics file,
+    or an embodiment config file is unparsable, not a JSON object, or lacks
+    or mistypes a required field."""
 
 
 class FrameSyncExhausted(CrossembError):
@@ -91,6 +92,10 @@ class VersionUnsupported(CrossembError):
 
 class CorruptCheckpoint(CrossembError):
     """Checkpoint header is undecodable or disagrees with the bytes after it."""
+
+
+class CorruptEpisode(CrossembError):
+    """Episode file header disagrees with the bytes after it."""
 
 
 class EpisodeTooShort(CrossembError):

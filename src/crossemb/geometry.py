@@ -299,11 +299,3 @@ class Pose:
         T[:3, 3] = self.translation
         return T
 
-
-def interpolate_pose(p0: Pose, p1: Pose, t: float) -> Pose:
-    """Linear translation, slerped rotation."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-    q = slerp(quat_from_matrix(p0.rotation), quat_from_matrix(p1.rotation), t)
-    trans = (1.0 - t) * p0.translation + t * p1.translation
-    return Pose(quat_to_matrix(q), trans)

@@ -28,9 +28,11 @@ solves each arm once for a batch of unified actions (rows whose action
 is non-finite or holds a rotation code that does not decode are not
 solved and get the error `retarget_action` raises for them);
 `_embed_rows` turns a batch of command vectors (`RobotCommand.vector`)
-into unified 54-vectors. `retarget_action` runs the same checks, neck
-and hands on one row and solves each arm with `ik_solve`, itself `_ik_rows`
-of one row; `embed_robot_vector` is `_embed_rows` of one row.
+into unified 54-vectors: the rollouts, `tasks.teleop_simulate` and robot
+capture ingest embed whole batches. `retarget_action` runs the same
+checks, neck and hands on one row and solves each arm with `ik_solve`,
+itself `_ik_rows` of one row; `embed_robot_state` decodes `_embed_rows`
+of one row.
 """
 
 from __future__ import annotations
@@ -359,8 +361,6 @@ class HandModel:
     actuator_joint_range: np.ndarray = field(
         default_factory=lambda: np.tile([0.0, 1.7], (HAND_ACTUATOR_COUNT, 1))
     )  # (6, 2) physical actuator angle span, metadata only
-    fingers: int = 5
-    actuators: int = HAND_ACTUATOR_COUNT
 
     def __post_init__(self):
         ext = np.array(self.fingertip_extent, dtype=float)
@@ -392,8 +392,6 @@ class HandModel:
         object.__setattr__(self, "palm_normal", normal)
         object.__setattr__(self, "thumb_rot_range", (float(lo), float(hi)))
         object.__setattr__(self, "actuator_joint_range", rng)
-        if self.fingers != 5 or self.actuators != HAND_ACTUATOR_COUNT:
-            raise ValueError("hand model must have 5 fingers and 6 actuators")
 
 
 @dataclass(frozen=True)
@@ -688,7 +686,7 @@ def retarget_action(
 
 
 def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
-    """`embed_robot_vector` for a batch of command vectors (B, n_cmd): FK of
+    """`embed_robot_state` for a batch of command vectors (B, n_cmd): FK of
     each arm and the neck as one batch each, written as unified 54-vectors
     (B, 54) and checked as `encode_state` checks them."""
     U = unified_space
@@ -711,19 +709,14 @@ def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed_robot_vector(cmd: RobotCommand, config: EmbodimentConfig) -> np.ndarray:
-    """Express a robot command (or joint readings) as a unified 54-vector."""
+def embed_robot_state(
+    cmd: RobotCommand, config: EmbodimentConfig
+) -> unified_space.UnifiedState:
+    """Express a robot command (or joint readings) as a unified state."""
     for chain, q, name in (
         (config.left_arm, cmd.left_arm_q, "left_arm_q"),
         (config.right_arm, cmd.right_arm_q, "right_arm_q"),
     ):
         if np.asarray(q).shape != (chain.n_joints,):
             raise DimensionMismatch(f"{name} must have {chain.n_joints} values")
-    return _embed_rows(config, cmd.vector()[None])[0]
-
-
-def embed_robot_state(
-    cmd: RobotCommand, config: EmbodimentConfig
-) -> unified_space.UnifiedState:
-    """Express a robot command (or joint readings) as a unified state."""
-    return unified_space.decode_state(embed_robot_vector(cmd, config))
+    return unified_space.decode_state(_embed_rows(config, cmd.vector()[None])[0])

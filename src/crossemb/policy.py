@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, unified_space
-from .dataset import PairSet
+from .dataset import PairSet, pack_blocks, unpack_blocks
 from .errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss, VersionUnsupported
 from .unified_space import STATE_DIM, NormalizationStats
 
@@ -63,10 +63,6 @@ class PolicyModel:
     state_stats: NormalizationStats | None = None
     action_stats: NormalizationStats | None = None
     steps_completed: int = 0
-
-    @property
-    def output_dim(self) -> int:
-        return self.config.chunk_length * STATE_DIM
 
 
 def _layer_dims(config: PolicyConfig) -> list[int]:
@@ -356,11 +352,10 @@ def save_checkpoint(model: PolicyModel, path: str | Path) -> None:
         },
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    blocks = [CHECKPOINT_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes]
-    for W, b in zip(model.weights, model.biases):
-        blocks.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        blocks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(blocks))
+    params = [p for layer in zip(model.weights, model.biases) for p in layer]
+    Path(path).write_bytes(pack_blocks(
+        CHECKPOINT_MAGIC, struct.pack("<Q", len(header_bytes)) + header_bytes, params
+    ))
 
 
 def load_checkpoint(path: str | Path) -> PolicyModel:
@@ -385,26 +380,12 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise CorruptCheckpoint(f"bad checkpoint header: {exc!r}") from exc
     dims = _layer_dims(config)
-    shapes = list(zip(dims[:-1], dims[1:]))
-    off = 16 + header_len
-    declared = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
-    if len(blob) - off != declared:
-        raise CorruptCheckpoint(
-            f"parameter block is {len(blob) - off} bytes; header declares {declared}"
-        )
-    weights, biases = [], []
-    for fan_in, fan_out in shapes:
-        n = fan_in * fan_out
-        W = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(fan_in, fan_out)
-        off += 8 * n
-        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off)
-        off += 8 * fan_out
-        weights.append(W.copy())
-        biases.append(b.copy())
+    shapes = [s for layer in zip(dims[:-1], dims[1:]) for s in (layer, layer[1:])]
+    params = unpack_blocks(blob, 16 + header_len, shapes, CorruptCheckpoint)
     return PolicyModel(
         config=config,
-        weights=weights,
-        biases=biases,
+        weights=params[0::2],
+        biases=params[1::2],
         state_stats=state_stats,
         action_stats=action_stats,
         steps_completed=steps_completed,

@@ -61,17 +61,6 @@ class Trajectory:
         return int(self.times.shape[0])
 
 
-@dataclass(frozen=True)
-class SlowdownFactor:
-    """Temporal stretch applied to human demonstrations."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha <= 1.0:
-            raise ValueError(f"slow-down factor must be finite and > 1, got {self.alpha}")
-
-
 def interpolate_states(s0: np.ndarray, s1: np.ndarray, u: float) -> np.ndarray:
     """Blend two 54-vectors: positions lerp, rotation blocks slerp."""
     out = (1.0 - u) * s0 + u * s1
@@ -82,16 +71,15 @@ def interpolate_states(s0: np.ndarray, s1: np.ndarray, u: float) -> np.ndarray:
     return out
 
 
-def retime(
-    traj: Trajectory, alpha: float | SlowdownFactor, out_rate: float
-) -> Trajectory:
-    """Stretch a trajectory by `alpha` and resample uniformly at `out_rate`.
+def retime(traj: Trajectory, alpha: float, out_rate: float) -> Trajectory:
+    """Stretch a trajectory by the slow-down factor `alpha` (finite, >= 1;
+    1 leaves the timing as it is) and resample uniformly at `out_rate`.
 
     Output duration equals alpha * input duration to within one output
     frame period; the first and last output states equal the input
     endpoints exactly.
     """
-    a = alpha.alpha if isinstance(alpha, SlowdownFactor) else float(alpha)
+    a = float(alpha)
     if not np.isfinite(a) or a < 1.0:
         raise ValueError(f"alpha must be finite and >= 1, got {a}")
     if out_rate <= 0:

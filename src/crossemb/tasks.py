@@ -14,14 +14,13 @@ import numpy as np
 
 from . import geometry, retiming, unified_space
 from .dataset import DemonstrationEpisode
-from .geometry import Pose
 from .kinematics import (
     EmbodimentConfig,
     IkParams,
     RobotCommand,
-    embed_robot_vector,
+    _embed_rows,
+    _fingertip_rows,
     forward_kinematics,
-    hand_fingertips,
     retarget_action,
 )
 from .retiming import Trajectory
@@ -200,37 +199,35 @@ def ideal_reach_trajectory(
     rot_noise = _smooth_noise(rng, n, 9, 0.01, times) + 0.005 * rng.standard_normal((n, 9))
     hand_noise = _smooth_noise(rng, n, 12, 0.01, times) + 0.005 * rng.standard_normal((n, 12))
 
-    states = np.empty((n, unified_space.STATE_DIM))
     head_positions = np.zeros((n, 3))
     head_positions[:, 2] = config.canonical_frame_offset
     head_positions += _smooth_noise(rng, n, 3, jit, times)
-    for i in range(n):
-        Rr = right_home.rotation @ geometry.rotation_about_axis(
-            _unit(rot_noise[i, 0:3]), np.linalg.norm(rot_noise[i, 0:3])
-        )
-        Rl = left_home.rotation @ geometry.rotation_about_axis(
-            _unit(rot_noise[i, 3:6]), np.linalg.norm(rot_noise[i, 3:6])
-        )
-        Rh = geometry.rotation_about_axis(_unit(rot_noise[i, 6:9]), np.linalg.norm(rot_noise[i, 6:9]))
-        right_pos = wrist_path[i] + pos_noise[i]
-        left_pos = left_home.translation + left_noise[i]
-        left_act = np.clip(HAND_REST + hand_noise[i, :6], 0.0, 1.0)
-        right_act = np.clip(HAND_REST + hand_noise[i, 6:], 0.0, 1.0)
-        tips = np.concatenate(
-            [
-                hand_fingertips(left_act, Pose(Rl, left_pos), config.hand_model),
-                hand_fingertips(right_act, Pose(Rr, right_pos), config.hand_model),
-            ]
-        )
-        state = unified_space.UnifiedState(
-            head_rot=geometry.encode_rot6d(Rh),
-            left_wrist_rot=geometry.encode_rot6d(Rl),
-            right_wrist_rot=geometry.encode_rot6d(Rr),
-            left_wrist_pos=left_pos,
-            right_wrist_pos=right_pos,
-            fingertips=tips.reshape(10, 3),
-        )
-        states[i] = unified_space.encode_state(state)
+    # Per frame a small rotation about each noise vector's direction, by
+    # its norm: right wrist, left wrist, head.
+    rot_noise = rot_noise.reshape(n, 3, 3)
+    angles = geometry.norms(rot_noise)
+    with np.errstate(all="ignore"):  # zero-norm rows take the x axis
+        axes = np.where((angles > 1e-12)[..., None], rot_noise / angles[..., None], [1.0, 0.0, 0.0])
+    noise_R = geometry.rotation_about_axis(axes, angles)
+    Rr = right_home.rotation @ noise_R[:, 0]
+    Rl = left_home.rotation @ noise_R[:, 1]
+    right_pos = wrist_path + pos_noise
+    left_pos = left_home.translation + left_noise
+    left_act = np.clip(HAND_REST + hand_noise[:, :6], 0.0, 1.0)
+    right_act = np.clip(HAND_REST + hand_noise[:, 6:], 0.0, 1.0)
+    U = unified_space
+    states = np.empty((n, U.STATE_DIM))
+    states[:, U.HEAD_ROT] = geometry.encode_rot6d(noise_R[:, 2])
+    states[:, U.LEFT_WRIST_ROT] = geometry.encode_rot6d(Rl)
+    states[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(Rr)
+    states[:, U.LEFT_WRIST_POS] = left_pos
+    states[:, U.RIGHT_WRIST_POS] = right_pos
+    tips = np.concatenate([
+        _fingertip_rows(left_act, Rl, left_pos, config.hand_model),
+        _fingertip_rows(right_act, Rr, right_pos, config.hand_model),
+    ], axis=1)
+    states[:, U.FINGERTIPS] = tips.reshape(n, -1)
+    U.check_state_rows(states)
     return Trajectory(
         times=times,
         states=states,
@@ -238,11 +235,6 @@ def ideal_reach_trajectory(
         nominal_rate=capture_rate,
         head_positions=head_positions,
     )
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 1e-12 else np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -253,12 +245,16 @@ class DemoBundle:
     joint_states: np.ndarray | None = None  # (N, 54), zero-padded joint form
 
 
+def _joint_states(commands: np.ndarray) -> np.ndarray:
+    """Command vectors (..., n_cmd) zero-padded to 54 dims."""
+    out = np.zeros(commands.shape[:-1] + (unified_space.STATE_DIM,))
+    out[..., : commands.shape[-1]] = commands
+    return out
+
+
 def joint_state_vector(cmd: RobotCommand) -> np.ndarray:
     """Joint-position state padded to 54 dims (used by the state-space ablation)."""
-    parts = cmd.vector()
-    out = np.zeros(unified_space.STATE_DIM)
-    out[: parts.shape[0]] = parts
-    return out
+    return _joint_states(cmd.vector())
 
 
 def teleop_simulate(
@@ -270,13 +266,12 @@ def teleop_simulate(
     """Track a unified-space reference with IK; return achieved states and
     the joint-form view of the executed commands."""
     cmd = home_cmd
-    achieved = np.empty_like(reference.states)
-    joint_view = np.empty((len(reference), unified_space.STATE_DIM))
-    for i in range(len(reference)):
-        cmd, _ = retarget_action(reference.states[i], config, cmd, ik_params)
-        achieved[i] = embed_robot_vector(cmd, config)
-        joint_view[i] = joint_state_vector(cmd)
-    return achieved, joint_view
+    commands = []
+    for state in reference.states:
+        cmd, _ = retarget_action(state, config, cmd, ik_params)
+        commands.append(cmd.vector())
+    commands = np.array(commands)
+    return _embed_rows(config, commands), _joint_states(commands)
 
 
 def generate_robot_demo(

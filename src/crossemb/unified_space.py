@@ -24,7 +24,6 @@ import numpy as np
 
 from . import geometry
 from .errors import (
-    DegenerateRotation6D,
     EmptyDataset,
     InsufficientFrames,
     InvalidComponent,
@@ -95,28 +94,39 @@ def encode_state(state: UnifiedState) -> np.ndarray:
     return out
 
 
-_ROTATION_NAMES = ("head_rot", "left_wrist_rot", "right_wrist_rot")
-_POSITION_FIELDS = (
-    ("left_wrist_pos", LEFT_WRIST_POS),
-    ("right_wrist_pos", RIGHT_WRIST_POS),
-    ("fingertips", FINGERTIPS),
-)
+_COMPONENT_NAMES = ("head_rot", "left_wrist_rot", "right_wrist_rot",
+                    "left_wrist_pos", "right_wrist_pos", "fingertips")
 
 
-def check_state_rows(rows: np.ndarray) -> None:
+def check_state_rows(rows: np.ndarray, max_reach: float | None = None) -> None:
     """Raise InvalidComponent unless every row of a (B, 54) batch has three
     decodable rotation codes and finite positions (the checks of
-    `encode_state`), naming the first failing component."""
-    codes = np.stack([rows[:, sl] for sl in ROTATION_SLICES], axis=1)
-    _, defect = geometry.decode_rot6d_rows(codes)
-    if defect.any():
-        row, block = np.argwhere(defect)[0]
-        raise InvalidComponent(
-            f"{_ROTATION_NAMES[block]}: {geometry.ROT6D_DEFECTS[defect[row, block]]}"
-        )
-    for name, sl in _POSITION_FIELDS:
-        if not np.all(np.isfinite(rows[:, sl])):
-            raise InvalidComponent(f"{name} contains non-finite values")
+    `encode_state`) and, if `max_reach` is given, every fingertip within
+    `max_reach` meters of its wrist. The error names the first failing row
+    and its first failing component, in layout order."""
+    _, defect = geometry.decode_rot6d_rows(
+        np.stack([rows[:, sl] for sl in ROTATION_SLICES], axis=1)
+    )
+    positions = [rows[:, sl] for sl in (LEFT_WRIST_POS, RIGHT_WRIST_POS, FINGERTIPS)]
+    bad = [defect > 0, *(~np.isfinite(p).all(axis=1, keepdims=True) for p in positions)]
+    if max_reach is not None:
+        tips = rows[:, FINGERTIPS].reshape(-1, 2, FINGERS_PER_HAND, 3)
+        wrists = np.stack(positions[:2], axis=1)[:, :, None, :]
+        reach = geometry.norms(tips - wrists).reshape(-1, 2 * FINGERS_PER_HAND)
+        bad.append(reach > max_reach)
+    bad = np.concatenate(bad, axis=1)
+    if not bad.any():
+        return
+    row, col = np.argwhere(bad)[0]
+    if col < 3:
+        reason = f"{_COMPONENT_NAMES[col]}: {geometry.ROT6D_DEFECTS[defect[row, col]]}"
+    elif col < 6:
+        reason = f"{_COMPONENT_NAMES[col]} contains non-finite values"
+    else:
+        side, finger = divmod(col - 6, FINGERS_PER_HAND)
+        reason = (f"{('left', 'right')[side]} fingertip {finger} is "
+                  f"{reach[row, col - 6]:.3f} m from wrist")
+    raise InvalidComponent(f"row {row}: {reason}")
 
 
 def decode_state(vec: np.ndarray) -> UnifiedState:
@@ -131,47 +141,6 @@ def decode_state(vec: np.ndarray) -> UnifiedState:
         right_wrist_pos=vec[RIGHT_WRIST_POS],
         fingertips=vec[FINGERTIPS].reshape(10, 3),
     )
-
-
-def hand_reach_violations(
-    vec: np.ndarray, max_reach: float = DEFAULT_MAX_HAND_REACH
-) -> list[str]:
-    """Return messages for fingertips farther than `max_reach` from their wrist."""
-    vec = np.asarray(vec, dtype=float)
-    tips = vec[FINGERTIPS].reshape(10, 3)
-    problems = []
-    for side, wrist_slice, rows in (
-        ("left", LEFT_WRIST_POS, range(0, 5)),
-        ("right", RIGHT_WRIST_POS, range(5, 10)),
-    ):
-        wrist = vec[wrist_slice]
-        for i in rows:
-            d = float(np.linalg.norm(tips[i] - wrist))
-            if d > max_reach:
-                problems.append(f"{side} fingertip {i % 5} is {d:.3f} m from wrist")
-    return problems
-
-
-def validate_state_vector(
-    vec: np.ndarray,
-    max_reach: float = DEFAULT_MAX_HAND_REACH,
-    check_reach: bool = True,
-) -> None:
-    """Raise InvalidComponent unless `vec` satisfies the state invariants."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (STATE_DIM,):
-        raise InvalidComponent(f"state vector must have shape (54,), got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise InvalidComponent("state vector contains non-finite values")
-    for sl in ROTATION_SLICES:
-        try:
-            geometry.decode_rot6d(vec[sl])
-        except DegenerateRotation6D as exc:
-            raise InvalidComponent(str(exc)) from exc
-    if check_reach:
-        problems = hand_reach_violations(vec, max_reach)
-        if problems:
-            raise InvalidComponent("; ".join(problems))
 
 
 def identity_state_vector() -> np.ndarray:

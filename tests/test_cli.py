@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -47,6 +48,29 @@ def test_validate_ok_and_failure(tmp_path, capsys):
     blob[-1] ^= 0xFF
     target.write_bytes(bytes(blob))
     assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+
+
+def test_validate_check_reach_exit_1(tmp_path, capsys):
+    ep = synthetic_episode("e0", "robot")
+    states = ep.states.copy()
+    states[7, 24:27] = states[7, 18:21] + [1.0, 0.0, 0.0]  # left thumb 1 m from its wrist
+    write_dataset([dataclasses.replace(ep, states=states)], tmp_path / "d")
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
+    assert cli(["validate", "--dataset", str(tmp_path / "d"), "--check-reach"]) == 1
+    assert "FAIL e0 row 7: left fingertip 0 is 1.000 m from wrist" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["{broken", '{"mode": "shared", "epsilon": 1e-06}', "[]"],
+                         ids=["unparsable", "no_entries", "not_object"])
+def test_validate_bad_stats_file_exit_1(tmp_path, text, capsys):
+    write_dataset([synthetic_episode("e0", "robot")], tmp_path / "d")
+    assert cli(["stats", "--dataset", str(tmp_path / "d")]) == 0
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 0
+    (tmp_path / "d" / "stats" / "state.json").write_text(text)
+    capsys.readouterr()
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+    assert "state.json" in capsys.readouterr().err
 
 
 def test_validate_malformed_manifest_exit_1(tmp_path, capsys):
@@ -295,3 +319,40 @@ def test_rollout_cli_reports_errors_apart_from_clamps(tiny_checkpoint, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["steps_executed"] == 3
     assert isinstance(out["errors"], int) and isinstance(out["clamp_events"], int)
+
+
+BAD_EMBODIMENT_CONFIGS = {
+    "unparsable": "{not json",
+    "empty_object": "{}",
+    "list": "[]",
+    "four_fingers": lambda doc: doc["hand_model"].update(fingers=4),
+    "one_joint_neck": lambda doc: doc["neck"]["joints"].pop(),
+}
+
+
+@pytest.mark.parametrize("command", ["fk", "ik", "retarget", "rollout", "ingest"])
+def test_malformed_embodiment_config_exit_1(tmp_path, config_file, command, request, capsys):
+    argv = {
+        "fk": lambda: ["fk", "--q", "0,0,0,0,0"],
+        "ik": lambda: ["ik", "--target-pos", "0.3,-0.2,0.2"],
+        "retarget": lambda: ["retarget", "--action",
+                             ",".join(map(str, unified_space.identity_state_vector()))],
+        "rollout": lambda: ["rollout", "--checkpoint", request.getfixturevalue("tiny_checkpoint"),
+                            "--max-steps", "1"],
+        "ingest": lambda: ["ingest", "--raw", str(write_robot_raw(tmp_path)),
+                           "--out", str(tmp_path / "o"), "--feature-dim", "4"],
+    }[command]()
+    # The same command runs with the well-formed file.
+    assert cli(argv + ["--embodiment-config", config_file]) == 0
+    with open(config_file) as fh:
+        good = fh.read()
+    for case, bad in sorted(BAD_EMBODIMENT_CONFIGS.items()):
+        if callable(bad):
+            doc = json.loads(good)
+            bad(doc)
+            bad = json.dumps(doc)
+        path = tmp_path / f"{case}.json"
+        path.write_text(bad)
+        capsys.readouterr()
+        assert cli(argv + ["--embodiment-config", str(path)]) == 1, case
+        assert f"embodiment config {path}" in capsys.readouterr().err, case

@@ -22,6 +22,7 @@ from crossemb.embodiments import humanoid_a_config
 from crossemb.errors import (
     BodyMotionRejected,
     ChecksumMismatch,
+    CorruptEpisode,
     EmptySource,
     EpisodeTooShort,
     InvalidMetadata,
@@ -206,6 +207,50 @@ def test_ingest_rejects_non_numeric_timestamp(tmp_path, bad_t):
     assert err.value.line_no == 2
 
 
+BAD_POSES = {
+    "zero_quaternion": ("left_wrist_pose", {"translation": [0.3, 0.2, 1.0],
+                                            "rotation_quaternion": [0, 0, 0, 0]}),
+    "nan_quaternion": ("head_pose", {"translation": [0.1, 0.0, 1.5],
+                                     "rotation_quaternion": [float("nan"), 0, 0, 1]}),
+    "inf_translation": ("right_wrist_pose", {"translation": [float("inf"), 0, 0],
+                                             "rotation_quaternion": [1, 0, 0, 0]}),
+    "short_translation": ("left_wrist_pose", {"translation": [0.3, 0.2],
+                                              "rotation_quaternion": [1, 0, 0, 0]}),
+    "fingertips_not_numbers": ("fingertips", [["a", "b", "c"]] * 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POSES))
+def test_ingest_rejects_bad_pose(tmp_path, case):
+    root = write_human_raw(tmp_path)
+    lines = (root / "frames.jsonl").read_text().splitlines()
+    record = json.loads(lines[4])
+    key, value = BAD_POSES[case]
+    record[key] = value
+    lines[4] = json.dumps(record)
+    (root / "frames.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
+    assert err.value.line_no == 5
+
+
+@pytest.mark.parametrize("joints", [
+    {"left_arm": [0.0] * 4}, {"right_arm": [0.0] * 7}, {"neck": [0.0] * 3},
+    {"left_hand": [1.5] * 6}, {"right_hand": None},
+], ids=["short_left_arm", "long_right_arm", "long_neck", "hand_out_of_range", "no_hand"])
+def test_ingest_rejects_bad_joints_record(tmp_path, joints):
+    root = write_robot_raw(tmp_path)
+    lines = (root / "frames.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record["joints"].update(joints)
+    lines[2] = json.dumps(record)
+    (root / "frames.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        ingest(load_raw_capture(root), config=humanoid_a_config(),
+               options=IngestOptions(feature_dim=4))
+    assert err.value.line_no == 3
+
+
 BAD_META = {
     "missing_tag": json.dumps({"device": "vr", "kind": "human"}),
     "not_object": json.dumps(["embodiment_tag", "human"]),
@@ -279,6 +324,23 @@ def test_read_rejects_bad_version(tmp_path):
     doc["format_version"] = 99
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(VersionUnsupported):
+        read_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("edit", [lambda b: b[:-8], lambda b: b[:12], lambda b: b + bytes(8)],
+                         ids=["truncated", "cut_in_header", "trailing_bytes"])
+def test_read_rejects_episode_file_of_wrong_length(tmp_path, edit):
+    """A file whose manifest checksum matches but whose length disagrees
+    with its header."""
+    write_dataset([synthetic_episode("ep0", "robot")], tmp_path / "d")
+    path = tmp_path / "d" / "episodes" / "ep0.bin"
+    blob = edit(path.read_bytes())
+    path.write_bytes(blob)
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["episodes"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptEpisode):
         read_dataset(tmp_path / "d")
 
 

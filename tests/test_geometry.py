@@ -324,30 +324,6 @@ def test_pose_compose_associative():
     np.testing.assert_allclose(left.translation, right.translation, atol=1e-12)
 
 
-def test_interpolate_pose_endpoints_and_midpoint():
-    p0 = Pose(np.eye(3), np.zeros(3))
-    p1 = Pose(np.eye(3), np.array([1.0, 0, 0]))
-    at0 = geometry.interpolate_pose(p0, p1, 0.0)
-    np.testing.assert_allclose(at0.translation, p0.translation, atol=1e-12)
-    mid = geometry.interpolate_pose(p0, p1, 0.5)
-    np.testing.assert_allclose(mid.translation, [0.5, 0, 0], atol=1e-12)
-
-
-def test_interpolate_pose_matches_per_component_oracle():
-    rng = np.random.default_rng(37)
-    p0 = Pose(random_rotation_oracle(rng), rng.normal(size=3))
-    p1 = Pose(random_rotation_oracle(rng), rng.normal(size=3))
-    t = 0.75
-    out = geometry.interpolate_pose(p0, p1, t)
-    # oracle: translation lerp + quaternion slerp, assembled independently
-    expect_t = (1 - t) * p0.translation + t * p1.translation
-    q = geometry.slerp(
-        geometry.quat_from_matrix(p0.rotation), geometry.quat_from_matrix(p1.rotation), t
-    )
-    np.testing.assert_allclose(out.translation, expect_t, atol=1e-12)
-    np.testing.assert_allclose(out.rotation, geometry.quat_to_matrix(q), atol=1e-12)
-
-
 def test_rotation_log_small_and_pi():
     w = geometry.rotation_log(geometry.rotation_about_axis(np.array([0.0, 0, 1]), 0.3))
     np.testing.assert_allclose(w, [0, 0, 0.3], atol=1e-12)

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from crossemb.embodiments import humanoid_b_config
+from crossemb import geometry, tasks, unified_space
+from crossemb.embodiments import humanoid_a_config, humanoid_b_config
+from crossemb.geometry import Pose
+from crossemb.kinematics import forward_kinematics, hand_fingertips
 from crossemb.harness import (
     ABLATION_REPORT_SCHEMA,
     COTRAINING_REPORT_SCHEMA,
@@ -80,6 +83,74 @@ def test_human_demo_speed_gap(task):
         return steps[steps > 1e-5].mean()
 
     assert mean_step(fast.episode) > 2.5 * mean_step(slow.episode)
+
+
+def per_frame_reach_states(task, config, goal, rng, capture_rate, move_duration,
+                           hold_duration, start_spread):
+    """Reference for `ideal_reach_trajectory`: the same draws, each frame
+    built on its own through `UnifiedState` and `encode_state`."""
+    right_home = forward_kinematics(config.right_arm, task.home_right_q)
+    left_home = forward_kinematics(config.left_arm, task.home_left_q)
+    p0 = right_home.translation + start_spread * rng.uniform(-1.0, 1.0, size=3)
+    n = int(round((move_duration + hold_duration) * capture_rate)) + 1
+    times = np.arange(n) / capture_rate
+    s = tasks._min_jerk(times / move_duration)
+    wrist_path = p0[None, :] + s[:, None] * (np.asarray(goal) - p0)[None, :]
+    jit = task.jitter
+    smooth = tasks._smooth_noise
+    pos_noise = smooth(rng, n, 3, jit, times) + jit * rng.standard_normal((n, 3))
+    left_noise = smooth(rng, n, 3, jit, times) + jit * rng.standard_normal((n, 3))
+    rot_noise = smooth(rng, n, 9, 0.01, times) + 0.005 * rng.standard_normal((n, 9))
+    hand_noise = smooth(rng, n, 12, 0.01, times) + 0.005 * rng.standard_normal((n, 12))
+    head_positions = np.zeros((n, 3))
+    head_positions[:, 2] = config.canonical_frame_offset
+    head_positions += smooth(rng, n, 3, jit, times)
+
+    def rotation(v):
+        norm = np.linalg.norm(v)
+        axis = v / norm if norm > 1e-12 else np.array([1.0, 0.0, 0.0])
+        return geometry.rotation_about_axis(axis, norm)
+
+    states = np.empty((n, 54))
+    for i in range(n):
+        Rr = right_home.rotation @ rotation(rot_noise[i, 0:3])
+        Rl = left_home.rotation @ rotation(rot_noise[i, 3:6])
+        right_pos = wrist_path[i] + pos_noise[i]
+        left_pos = left_home.translation + left_noise[i]
+        left_act = np.clip(tasks.HAND_REST + hand_noise[i, :6], 0.0, 1.0)
+        right_act = np.clip(tasks.HAND_REST + hand_noise[i, 6:], 0.0, 1.0)
+        tips = np.concatenate([
+            hand_fingertips(left_act, Pose(Rl, left_pos), config.hand_model),
+            hand_fingertips(right_act, Pose(Rr, right_pos), config.hand_model),
+        ])
+        states[i] = unified_space.encode_state(unified_space.UnifiedState(
+            head_rot=geometry.encode_rot6d(rotation(rot_noise[i, 6:9])),
+            left_wrist_rot=geometry.encode_rot6d(Rl),
+            right_wrist_rot=geometry.encode_rot6d(Rr),
+            left_wrist_pos=left_pos,
+            right_wrist_pos=right_pos,
+            fingertips=tips,
+        ))
+    return times, states, head_positions
+
+
+@pytest.mark.parametrize("config", [humanoid_a_config(), humanoid_b_config()],
+                         ids=lambda c: c.name)
+def test_ideal_reach_trajectory_equals_per_frame_reference(config):
+    task = make_reach_task(config)
+    for seed, (rate, move, hold, spread) in enumerate(
+        [(10.0, 2.4, 0.4, 0.01), (30.0, 0.6, 0.1, 0.04), (30.0, 0.6, 0.0, 0.0)]
+    ):
+        goal = task.grid.cell_center(seed * 4)
+        kwargs = dict(capture_rate=rate, move_duration=move, hold_duration=hold,
+                      start_spread=spread)
+        traj = ideal_reach_trajectory(task, config, goal, np.random.default_rng(seed),
+                                      embodiment_tag="x", **kwargs)
+        times, states, head = per_frame_reach_states(task, config, goal,
+                                                     np.random.default_rng(seed), **kwargs)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.head_positions.tobytes() == head.tobytes()
 
 
 def test_oracle_replay_rollout(task):

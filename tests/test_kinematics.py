@@ -13,6 +13,7 @@ from crossemb.embodiments import (
 from crossemb.errors import CrossembError, DimensionMismatch, NonFiniteTarget, RetargetFailure
 from crossemb.geometry import Pose
 from crossemb.kinematics import (
+    HAND_ACTUATOR_COUNT,
     IkParams,
     Joint,
     KinematicChain,
@@ -492,7 +493,7 @@ def test_embodiment_config_shapes():
     assert a.left_arm.n_joints == 5 and a.right_arm.n_joints == 5
     assert b.left_arm.n_joints == 7 and b.right_arm.n_joints == 7
     assert a.neck.n_joints == 2 and b.neck.n_joints == 2
-    assert a.hand_model.actuators == 6
+    assert a.hand_model.actuator_joint_range.shape == (HAND_ACTUATOR_COUNT, 2) == (6, 2)
 
 
 def test_table_limits_transcription():

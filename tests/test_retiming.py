@@ -4,7 +4,6 @@ import pytest
 from crossemb import geometry, retiming, unified_space
 from crossemb.errors import DegenerateTrajectory, EmptyStream
 from crossemb.retiming import (
-    SlowdownFactor,
     Trajectory,
     body_motion_check,
     retime,
@@ -39,16 +38,16 @@ def test_trajectory_invariants():
 
 
 def test_slowdown_factor_validation():
-    with pytest.raises(ValueError):
-        SlowdownFactor(1.0)
-    with pytest.raises(ValueError):
-        SlowdownFactor(float("inf"))
-    assert SlowdownFactor(4.0).alpha == 4.0
+    traj = make_fixture_trajectory(n=10, rate=30.0)
+    for alpha in (0.5, float("inf")):
+        with pytest.raises(ValueError):
+            retime(traj, alpha, 30.0)
+    assert len(retime(traj, 4.0, 30.0)) == 37
 
 
 def test_retime_fixture_frame_count_and_endpoints():
     traj = make_fixture_trajectory(n=10, rate=30.0)
-    out = retime(traj, SlowdownFactor(4.0), 30.0)
+    out = retime(traj, 4.0, 30.0)
     assert len(out) == 37
     assert abs(out.duration - 4.0 * traj.duration) <= 1.0 / 30.0
     np.testing.assert_array_equal(out.states[0], traj.states[0])

@@ -119,8 +119,31 @@ def test_hand_reach_validation():
     vec = identity_state_vector()
     vec[24:27] = [1.0, 0, 0]  # left thumb 1 m from wrist at origin
     with pytest.raises(InvalidComponent):
-        unified_space.validate_state_vector(vec)
-    unified_space.validate_state_vector(vec, check_reach=False)
+        unified_space.check_state_rows(vec[None], unified_space.DEFAULT_MAX_HAND_REACH)
+    unified_space.check_state_rows(vec[None])
+
+
+def test_check_state_rows_names_first_failing_row():
+    rows = np.tile(identity_state_vector(), (5, 1))
+    unified_space.check_state_rows(rows, unified_space.DEFAULT_MAX_HAND_REACH)
+    cases = [
+        ((3, 21), np.nan, r"^row 3: right_wrist_pos contains non-finite values$"),
+        ((1, slice(6, 12)), 0.0, r"^row 1: left_wrist_rot: 6D column norm below 1e-9$"),
+        ((4, slice(39, 42)), [0.0, 0.0, 1.0], r"^row 4: right fingertip 0 is 1\.000 m from wrist$"),
+    ]
+    for (row, col), value, message in cases:
+        bad = rows.copy()
+        bad[row, col] = value
+        if row == 4:
+            unified_space.check_state_rows(bad)  # reach is checked only on request
+        with pytest.raises(InvalidComponent, match=message):
+            unified_space.check_state_rows(bad, unified_space.DEFAULT_MAX_HAND_REACH)
+    # The first failing row wins over later ones, whatever their component.
+    bad = rows.copy()
+    bad[2, 26] = 0.5
+    bad[3, 0] = np.inf
+    with pytest.raises(InvalidComponent, match=r"^row 2: left fingertip 0 is 0\.500 m"):
+        unified_space.check_state_rows(bad, 0.35)
 
 
 # --- statistics ----------------------------------------------------------
