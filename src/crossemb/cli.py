@@ -43,12 +43,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     )
     if not path or not argv or argv[0] not in commands:
         return
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CrossembError(f"config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CrossembError(f"config file {path} must hold a JSON object")
+    doc = dataset_mod._read_json_object(path, "config file")
     flags = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
     for key, value in doc.items():
         action = flags.get(key.replace("-", "_"))
@@ -108,13 +103,22 @@ def _trajectory_to_json(traj: retiming.Trajectory) -> dict:
 
 
 def _trajectory_from_json(doc: dict) -> retiming.Trajectory:
-    frames = doc["frames"]
+    """The trajectory a `retime --input` document holds; ParseError for a
+    document without well-formed `frames`."""
+    try:
+        frames = doc["frames"]
+        times = np.array([f["t"] for f in frames], dtype=float)
+        states = np.array([f["state"] for f in frames], dtype=float)
+        nominal_rate = float(doc.get("nominal_rate", 30.0))
+        head = np.array(doc["head_positions"], dtype=float) if "head_positions" in doc else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(None, f"bad trajectory: {exc!r}", "--input") from exc
     return retiming.Trajectory(
-        times=np.array([f["t"] for f in frames]),
-        states=np.array([f["state"] for f in frames]),
+        times=times,
+        states=states,
         embodiment_tag=doc.get("embodiment_tag", "unknown"),
-        nominal_rate=float(doc.get("nominal_rate", 30.0)),
-        head_positions=np.array(doc["head_positions"]) if "head_positions" in doc else None,
+        nominal_rate=nominal_rate,
+        head_positions=head,
     )
 
 
@@ -135,7 +139,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_retime(args) -> int:
-    traj = _trajectory_from_json(json.loads(Path(args.input).read_text()))
+    traj = _trajectory_from_json(dataset_mod._read_json_object(args.input, "trajectory"))
     out = retiming.retime(traj, args.alpha, args.rate)
     text = _dumps(_trajectory_to_json(out))
     if args.output:

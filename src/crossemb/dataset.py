@@ -130,14 +130,18 @@ def _pose_from_record(doc: dict, line_no: int, key: str) -> Pose:
         raise ParseError(line_no, f"bad pose field {key!r}: {exc}") from exc
 
 
-def _read_json_object(path: Path) -> dict:
-    """The JSON object stored in `path`; InvalidMetadata for anything else."""
+def _read_json_object(path: str | Path, what: str = "") -> dict:
+    """The JSON object stored in `path`; InvalidMetadata, naming the file
+    as `what` and its path, if it cannot be read or holds anything else."""
+    name = f"{what} {path}" if what else str(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InvalidMetadata(f"{name}: cannot read: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidMetadata(f"{path}: not valid JSON: {exc}") from exc
+        raise InvalidMetadata(f"{name}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InvalidMetadata(f"{path}: must hold a JSON object")
+        raise InvalidMetadata(f"{name}: must hold a JSON object")
     return doc
 
 
@@ -225,9 +229,15 @@ def _split_streams(records: Sequence[dict], pose_keys: tuple[str, ...]):
 
 
 def _visual_feature(doc: dict, feature_dim: int) -> np.ndarray:
-    if "feature_vector" in doc:
-        return np.array(doc["feature_vector"], dtype=float)
-    return synthetic_features(str(doc["image_ref"]), feature_dim)
+    if "feature_vector" not in doc:
+        return synthetic_features(str(doc["image_ref"]), feature_dim)
+    try:
+        feature = np.array(doc["feature_vector"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(doc["_line"], f"bad feature_vector: {exc}") from exc
+    if feature.ndim != 1:
+        raise ParseError(doc["_line"], f"feature_vector must be a flat list, got {feature.shape}")
+    return feature
 
 
 def _default_skew(visual: Sequence[tuple[float, dict]]) -> float:
@@ -255,8 +265,11 @@ def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestO
         )
     times = np.array([t for (t, _), _ in sync.pairs])
     docs = [doc for (_, doc), _ in sync.pairs]
-    feats = np.array([_visual_feature(vdoc, options.feature_dim) for _, (_, vdoc) in sync.pairs])
-    return proprio[0][1], times, docs, feats, sync.dropped
+    feats = [_visual_feature(vdoc, options.feature_dim) for _, (_, vdoc) in sync.pairs]
+    for (_, (_, vdoc)), feature in zip(sync.pairs, feats):
+        if len(feature) != len(feats[0]):
+            raise ParseError(vdoc["_line"], f"feature length {len(feature)} != {len(feats[0])}")
+    return proprio[0][1], times, docs, np.array(feats), sync.dropped
 
 
 _HUMAN_POSES = (

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
+from .dataset import _read_json_object
 from .errors import InvalidMetadata
 from .geometry import Pose
 from .kinematics import (
@@ -270,6 +271,6 @@ def load_embodiment_config(path: str | Path) -> EmbodimentConfig:
     if key in BUILTIN_CONFIGS:
         return BUILTIN_CONFIGS[key]()
     try:
-        return config_from_json_dict(json.loads(Path(path).read_text()))
+        return config_from_json_dict(_read_json_object(path, "embodiment config"))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidMetadata(f"embodiment config {path}: {exc!r}") from exc

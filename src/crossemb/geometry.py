@@ -109,99 +109,84 @@ def encode_rot6d(R: np.ndarray) -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Normalize to unit length and enforce the canonical sign w >= 0."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
+    """Normalize to unit length and enforce the canonical sign w >= 0; a
+    stack (..., 4) normalizes row by row and raises if any row is degenerate."""
+    q = np.ascontiguousarray(q, dtype=float)  # `norms` of strided rows may sum in another order
+    if q.ndim == 0 or q.shape[-1] != 4:
         raise ValueError(f"quaternion must have 4 components, got {q.shape}")
-    n = np.linalg.norm(q)
-    if n < 1e-12 or not np.isfinite(n):
+    n = norms(q)[..., None]
+    if np.any((n < 1e-12) | ~np.isfinite(n)):
         raise ValueError("quaternion norm is degenerate")
     q = q / n
-    return -q if q[0] < 0.0 else q
-
-
-def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.where(q[..., :1] < 0.0, -q, q)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
+    """Rotation matrix of a quaternion; a stack (..., 4) gives (..., 3, 3)."""
+    q = quat_normalize(q)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array(
+    R = np.stack(
         [
-            [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
-            [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
-            [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
-        ]
+            1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+            2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+            2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
+        ],
+        axis=-1,
     )
+    return R.reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_from_matrix(R: np.ndarray) -> np.ndarray:
-    """Shepperd's method; output is canonicalized (w >= 0)."""
+    """Shepperd's method; output is canonicalized (w >= 0). A stack
+    (..., 3, 3) gives (..., 4), each row taking its own branch."""
     R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = np.moveaxis(R, (-2, -1), (0, 1))
+    tr = r00 + r11 + r22
+    with np.errstate(all="ignore"):  # branches a row does not take may divide by 0
         s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] > R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    return quat_normalize(q)
+        q0 = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+        s = np.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q1 = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+        s = np.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q2 = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
+        s = np.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q3 = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    q = np.select([tr > 0.0, (r00 > r11) & (r00 > r22), r11 > r22], [q0, q1, q2], q3)
+    return quat_normalize(np.moveaxis(q, 0, -1))
 
 
 def quat_rotation_angle(q0: np.ndarray, q1: np.ndarray) -> float:
     """Rotation angle (radians, in [0, pi]) carrying q0 onto q1."""
-    rel = quat_multiply(quat_conjugate(np.asarray(q0, dtype=float)), np.asarray(q1, dtype=float))
+    q0, q1 = np.asarray(q0, dtype=float), np.asarray(q1, dtype=float)
+    # conj(q0) q1 has scalar part q0 . q1 and vector part w0 v1 - w1 v0 - v0 x v1
+    v = q0[0] * q1[1:] - q1[0] * q0[1:] - cross(q0[1:], q1[1:])
     # atan2 form stays accurate for tiny angles where acos loses digits
-    return 2.0 * np.arctan2(np.linalg.norm(rel[1:]), abs(rel[0]))
+    return 2.0 * np.arctan2(np.linalg.norm(v), abs(q0 @ q1))
 
 
-def slerp(q0: np.ndarray, q1: np.ndarray, t: float) -> np.ndarray:
-    """Shortest-arc spherical interpolation; angle from q0 is linear in t."""
-    if not 0.0 <= t <= 1.0:
+def slerp(q0: np.ndarray, q1: np.ndarray, t) -> np.ndarray:
+    """Shortest-arc spherical interpolation; angle from q0 is linear in t.
+
+    Broadcasts: quaternions (..., 4) and fractions t (...) give (..., 4).
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError(f"t must be in [0, 1], got {t}")
+    t = t[..., None]
     q0 = quat_normalize(q0)
     q1 = quat_normalize(q1)
-    dot = float(q0 @ q1)
-    if dot < 0.0:
-        q1 = -q1
-        dot = -dot
-    dot = min(dot, 1.0)
-    half_angle = np.arctan2(np.sqrt(max(0.0, 1.0 - dot * dot)), dot)
-    if 2.0 * half_angle < SLERP_LERP_THRESHOLD:
-        return quat_normalize((1.0 - t) * q0 + t * q1)
-    s = np.sin(half_angle)
-    out = (np.sin((1.0 - t) * half_angle) * q0 + np.sin(t * half_angle) * q1) / s
-    return quat_normalize(out)
+    dot = np.vecdot(q0, q1)[..., None]
+    q1 = np.where(dot < 0.0, -q1, q1)
+    dot = np.minimum(np.abs(dot), 1.0)
+    half_angle = np.arctan2(np.sqrt(np.maximum(0.0, 1.0 - dot * dot)), dot)
+    with np.errstate(all="ignore"):  # 0 / 0 on the rows that lerp
+        s = np.sin(half_angle)
+        arc = (np.sin((1.0 - t) * half_angle) * q0 + np.sin(t * half_angle) * q1) / s
+    lerp = 2.0 * half_angle < SLERP_LERP_THRESHOLD
+    return quat_normalize(np.where(lerp, (1.0 - t) * q0 + t * q1, arc))
 
 
 # [k]x of a unit axis k, flattened row-major: the component of k in each

@@ -307,13 +307,10 @@ def build_demo_bundles(
     robot_seeds = root.spawn(1)[0].generate_state(max(n_robot, 1))
     human_seeds = root.spawn(2)[1].generate_state(max(n_human, 1))
     goal_rng = np.random.Generator(np.random.PCG64(root.spawn(3)[2]))
-    bundles: dict[str, list[DemoBundle]] = {"robot": [], "human": []}
-    for i in range(n_robot):
-        cell = cells[i % len(cells)]
-        goal = task.grid.sample_goal(cell, goal_rng)
-        bundles["robot"].append(
-            generate_robot_demo(task, config, goal, int(robot_seeds[i]), f"robot-{seed}-{i}")
-        )
+    robot_goals = [task.grid.sample_goal(cells[i % len(cells)], goal_rng) for i in range(n_robot)]
+    robot = generate_robot_demo(task, config, robot_goals, [int(s) for s in robot_seeds[:n_robot]],
+                                [f"robot-{seed}-{i}" for i in range(n_robot)])
+    bundles: dict[str, list[DemoBundle]] = {"robot": robot, "human": []}
     for i in range(n_human):
         cell = i % task.grid.n_cells
         goal = task.grid.sample_goal(cell, goal_rng)

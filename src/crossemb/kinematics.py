@@ -28,8 +28,10 @@ solves each arm once for a batch of unified actions (rows whose action
 is non-finite or holds a rotation code that does not decode are not
 solved and get the error `retarget_action` raises for them);
 `_embed_rows` turns a batch of command vectors (`RobotCommand.vector`)
-into unified 54-vectors: the rollouts, `tasks.teleop_simulate` and robot
-capture ingest embed whole batches. `retarget_action` runs the same
+into unified 54-vectors. The evaluation rollouts and
+`tasks.teleop_simulate` retarget one row per rollout or demo at each
+step and embed whole batches; robot capture ingest embeds whole
+batches. `retarget_action` runs the same
 checks, neck and hands on one row and solves each arm with `ik_solve`,
 itself `_ik_rows` of one row; `embed_robot_state` decodes `_embed_rows`
 of one row.

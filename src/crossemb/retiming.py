@@ -3,7 +3,10 @@
 Human demonstrations run roughly four times faster than teleoperated
 robot motion, so they are stretched by a slow-down factor and resampled
 uniformly at the robot control rate. Robot trajectories are never
-retimed.
+retimed. `retime` resamples a whole trajectory at once: the source
+interval and blend weight of every output frame come from one pass, and
+the rotation blocks of all blended frames are decoded, converted to
+quaternions, slerped and encoded as one batch each.
 """
 
 from __future__ import annotations
@@ -61,56 +64,48 @@ class Trajectory:
         return int(self.times.shape[0])
 
 
-def interpolate_states(s0: np.ndarray, s1: np.ndarray, u: float) -> np.ndarray:
-    """Blend two 54-vectors: positions lerp, rotation blocks slerp."""
-    out = (1.0 - u) * s0 + u * s1
-    for sl in unified_space.ROTATION_SLICES:
-        q0 = geometry.quat_from_matrix(geometry.decode_rot6d(s0[sl]))
-        q1 = geometry.quat_from_matrix(geometry.decode_rot6d(s1[sl]))
-        out[sl] = geometry.encode_rot6d(geometry.quat_to_matrix(geometry.slerp(q0, q1, u)))
-    return out
-
-
 def retime(traj: Trajectory, alpha: float, out_rate: float) -> Trajectory:
     """Stretch a trajectory by the slow-down factor `alpha` (finite, >= 1;
     1 leaves the timing as it is) and resample uniformly at `out_rate`.
 
     Output duration equals alpha * input duration to within one output
     frame period; the first and last output states equal the input
-    endpoints exactly.
+    endpoints exactly. Each output frame blends the two source frames
+    around its source time: positions lerp, rotation blocks slerp, and a
+    frame that lands on a source frame copies it.
     """
     a = float(alpha)
     if not np.isfinite(a) or a < 1.0:
         raise ValueError(f"alpha must be finite and >= 1, got {a}")
     if out_rate <= 0:
         raise ValueError(f"out_rate must be positive, got {out_rate}")
-    t0 = traj.times[0]
-    stretched = a * traj.duration
-    n_intervals = max(1, int(round(stretched * out_rate)))
+    times = traj.times
+    t0 = times[0]
+    n_intervals = max(1, int(round(a * traj.duration * out_rate)))
     out_times = t0 + np.arange(n_intervals + 1) / out_rate
+    src = np.minimum(t0 + (out_times - t0) / a, times[-1])
+    src[0], src[-1] = times[0], times[-1]
+    j = np.clip(np.searchsorted(times, src, side="right") - 1, 0, len(traj) - 2)
+    u = np.clip((src - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0)
 
-    have_head = traj.head_positions is not None
-    out_states = np.empty((n_intervals + 1, unified_space.STATE_DIM))
-    out_head = np.empty((n_intervals + 1, 3)) if have_head else None
-    for k in range(n_intervals + 1):
-        if k == 0:
-            src = traj.times[0]
-        elif k == n_intervals:
-            src = traj.times[-1]
-        else:
-            src = min(t0 + (out_times[k] - t0) / a, traj.times[-1])
-        j = int(np.searchsorted(traj.times, src, side="right")) - 1
-        j = min(max(j, 0), len(traj) - 2)
-        span = traj.times[j + 1] - traj.times[j]
-        u = float(np.clip((src - traj.times[j]) / span, 0.0, 1.0))
-        if u == 0.0:
-            out_states[k] = traj.states[j]
-        elif u == 1.0:
-            out_states[k] = traj.states[j + 1]
-        else:
-            out_states[k] = interpolate_states(traj.states[j], traj.states[j + 1], u)
-        if have_head:
-            out_head[k] = (1.0 - u) * traj.head_positions[j] + u * traj.head_positions[j + 1]
+    w = u[:, None]
+    s0, s1 = traj.states[j], traj.states[j + 1]
+    out_states = (1.0 - w) * s0 + w * s1
+    blend = (u > 0.0) & (u < 1.0)
+    q0, q1 = (
+        geometry.quat_from_matrix(geometry.decode_rot6d(
+            np.stack([s[blend, sl] for sl in unified_space.ROTATION_SLICES], axis=1)
+        ))
+        for s in (s0, s1)
+    )
+    codes = geometry.encode_rot6d(geometry.quat_to_matrix(geometry.slerp(q0, q1, u[blend, None])))
+    for k, sl in enumerate(unified_space.ROTATION_SLICES):
+        out_states[blend, sl] = codes[:, k]
+    out_states[u == 0.0] = s0[u == 0.0]
+    out_states[u == 1.0] = s1[u == 1.0]
+    out_head = None
+    if traj.head_positions is not None:
+        out_head = (1.0 - w) * traj.head_positions[j] + w * traj.head_positions[j + 1]
     return Trajectory(
         times=out_times,
         states=out_states,

@@ -9,19 +9,21 @@ distribution and 4x faster motion (slowed down at ingestion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry, retiming, unified_space
 from .dataset import DemonstrationEpisode
+from .errors import DimensionMismatch
 from .kinematics import (
     EmbodimentConfig,
     IkParams,
     RobotCommand,
     _embed_rows,
     _fingertip_rows,
+    _retarget_rows,
     forward_kinematics,
-    retarget_action,
 )
 from .retiming import Trajectory
 
@@ -258,64 +260,80 @@ def joint_state_vector(cmd: RobotCommand) -> np.ndarray:
 
 
 def teleop_simulate(
-    reference: Trajectory,
+    references: np.ndarray,
     config: EmbodimentConfig,
     home_cmd: RobotCommand,
     ik_params: IkParams = IkParams(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Track a unified-space reference with IK; return achieved states and
-    the joint-form view of the executed commands."""
-    cmd = home_cmd
-    commands = []
-    for state in reference.states:
-        cmd, _ = retarget_action(state, config, cmd, ik_params)
-        commands.append(cmd.vector())
-    commands = np.array(commands)
-    return _embed_rows(config, commands), _joint_states(commands)
+    """Track D unified-space references (D, N, 54) with IK, all D in
+    lockstep: frame k of every reference is retargeted in one batch, each
+    row warm-started at its own previous command. Returns the achieved
+    states (D, N, 54) and the joint-form view of the executed commands."""
+    try:
+        references = np.array(references, dtype=float)
+    except ValueError as exc:  # ragged stack
+        raise DimensionMismatch(f"references must stack to (D, N, 54): {exc}") from exc
+    if references.ndim != 3 or references.shape[2] != unified_space.STATE_DIM:
+        raise DimensionMismatch(f"references must be (D, N, 54), got {references.shape}")
+    D, N = references.shape[:2]
+    cmd = np.tile(home_cmd.vector(), (D, 1))
+    commands = np.empty((D, N, cmd.shape[1]))
+    for k in range(N):
+        rows = _retarget_rows(references[:, k], config, cmd, ik_params)
+        for error in rows.errors:
+            if error is not None:
+                raise error
+        cmd = commands[:, k] = rows.commands
+    states = _embed_rows(config, commands.reshape(D * N, -1)).reshape(D, N, -1)
+    return states, _joint_states(commands)
 
 
 def generate_robot_demo(
     task: ReachTask,
     config: EmbodimentConfig,
-    goal: np.ndarray,
-    seed: int,
-    demo_id: str,
+    goals: Sequence[np.ndarray],
+    seeds: Sequence[int],
+    demo_ids: Sequence[str],
     ik_params: IkParams = IkParams(),
-) -> DemoBundle:
-    """Teleoperation-style demo: the robot tracks an ideal robot-speed reach."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    reference = ideal_reach_trajectory(
-        task,
-        config,
-        goal,
-        rng,
-        capture_rate=task.rate,
-        move_duration=task.move_duration,
-        hold_duration=task.hold_duration,
-        embodiment_tag="robot",
-        start_spread=0.01,
+) -> list[DemoBundle]:
+    """Teleoperation-style demos, one per goal, seed and id: the robot
+    tracks an ideal robot-speed reach to each goal, all demos in lockstep."""
+    if not len(goals):
+        return []
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    references = [
+        ideal_reach_trajectory(task, config, goal, rng, capture_rate=task.rate,
+                               move_duration=task.move_duration,
+                               hold_duration=task.hold_duration,
+                               embodiment_tag="robot", start_spread=0.01)
+        for goal, rng in zip(goals, rngs, strict=True)
+    ]
+    states, joint_views = teleop_simulate(
+        [ref.states for ref in references], config, task.home_command(config), ik_params
     )
-    states, joint_view = teleop_simulate(reference, config, task.home_command(config), ik_params)
-    feats = np.stack(
-        [task.codec.observe(goal, rng) for _ in range(len(reference))]
-    )
-    episode = DemonstrationEpisode(
-        id=demo_id,
-        embodiment_tag="robot",
-        instruction=f"reach the point in cell {goal_cell(task, goal)}",
-        times=reference.times,
-        states=states,
-        features=feats,
-        metadata={
-            "device": "teleop-sim",
-            "scene": "grid-table",
-            "duration_s": float(reference.times[-1]),
-            "retimed": False,
-            "alpha_applied": 1.0,
-            "goal": np.asarray(goal).tolist(),
-        },
-    )
-    return DemoBundle(episode=episode, joint_states=joint_view)
+    bundles = []
+    for goal, rng, demo_id, reference, demo_states, joint_view in zip(
+        goals, rngs, demo_ids, references, states, joint_views, strict=True
+    ):
+        feats = np.stack([task.codec.observe(goal, rng) for _ in range(len(reference))])
+        episode = DemonstrationEpisode(
+            id=demo_id,
+            embodiment_tag="robot",
+            instruction=f"reach the point in cell {goal_cell(task, goal)}",
+            times=reference.times,
+            states=demo_states,
+            features=feats,
+            metadata={
+                "device": "teleop-sim",
+                "scene": "grid-table",
+                "duration_s": float(reference.times[-1]),
+                "retimed": False,
+                "alpha_applied": 1.0,
+                "goal": np.asarray(goal).tolist(),
+            },
+        )
+        bundles.append(DemoBundle(episode=episode, joint_states=joint_view))
+    return bundles
 
 
 def generate_human_demo(

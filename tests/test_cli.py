@@ -356,3 +356,33 @@ def test_malformed_embodiment_config_exit_1(tmp_path, config_file, command, requ
         capsys.readouterr()
         assert cli(argv + ["--embodiment-config", str(path)]) == 1, case
         assert f"embodiment config {path}" in capsys.readouterr().err, case
+
+
+@pytest.mark.parametrize("doc", [
+    {"nominal_rate": 30},
+    {"frames": 3},
+    {"frames": [{"t": 0.0}]},
+    {"frames": [{"t": "a", "state": [0.0] * 54}] * 2},
+    {"frames": [{"t": 0.0, "state": [0.0] * 54}, {"t": 0.1, "state": [0.0] * 53}]},
+    dict(fixture_traj_doc(), head_positions=[[0.0, 0.0, 0.0]] * 9 + [[0.0, 0.0]]),
+    dict(fixture_traj_doc(), nominal_rate="fast"),
+], ids=["no_frames", "frames_not_list", "frame_without_state", "time_not_number",
+        "ragged_states", "ragged_head", "rate_not_number"])
+def test_retime_malformed_input_exit_1(tmp_path, doc, capsys):
+    src = tmp_path / "traj.json"
+    src.write_text(json.dumps(doc))
+    assert cli(["retime", "--input", str(src), "--alpha", "4"]) == 1
+    assert "--input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fk", "retime", "config"])
+def test_input_path_that_is_a_directory_exit_1(tmp_path, config_file, command, capsys):
+    src = tmp_path / "traj.json"
+    src.write_text(json.dumps(fixture_traj_doc()))
+    argv = {
+        "fk": ["fk", "--embodiment-config", str(tmp_path), "--q", "0,0,0,0,0"],
+        "retime": ["retime", "--input", str(tmp_path), "--alpha", "4"],
+        "config": ["retime", "--input", str(src), "--alpha", "4", "--config", str(tmp_path)],
+    }[command]
+    assert cli(argv) == 1
+    assert f"{tmp_path}: cannot read" in capsys.readouterr().err

@@ -234,6 +234,21 @@ def test_ingest_rejects_bad_pose(tmp_path, case):
     assert err.value.line_no == 5
 
 
+@pytest.mark.parametrize("feature", [["a", "b", "c", "d"], [1.0, 2.0, 3.0], [[1.0, 2.0]] * 2],
+                         ids=["not_numbers", "ragged", "nested"])
+def test_ingest_rejects_bad_feature_vector(tmp_path, feature):
+    root = write_robot_raw(tmp_path)
+    lines = (root / "frames.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    record["feature_vector"] = feature
+    lines[3] = json.dumps(record)
+    (root / "frames.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        ingest(load_raw_capture(root), config=humanoid_a_config(),
+               options=IngestOptions(feature_dim=4))
+    assert err.value.line_no == 4
+
+
 @pytest.mark.parametrize("joints", [
     {"left_arm": [0.0] * 4}, {"right_arm": [0.0] * 7}, {"neck": [0.0] * 3},
     {"left_hand": [1.5] * 6}, {"right_hand": None},

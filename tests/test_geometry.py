@@ -342,3 +342,49 @@ def test_decode_always_orthonormal_or_degenerate(values):
     assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9
     assert abs(np.linalg.det(R) - 1.0) <= 1e-9
     assert not np.any(np.isnan(R))
+
+
+# --- quaternion helpers on stacks -----------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+def test_quaternion_helpers_on_a_stack_equal_per_row_calls(seed, n):
+    rng = np.random.default_rng(seed)
+    # Random rotations plus half turns about each axis, so every branch
+    # of Shepperd's method is taken.
+    R = np.stack([random_rotation_oracle(rng) for _ in range(n)]
+                 + [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+                    np.diag([-1.0, -1.0, 1.0])])
+    q = rng.normal(size=(len(R), 4))
+    q1 = rng.normal(size=(len(R), 4))
+    q1[0] = q[0] * (1 + 1e-12)  # an arc short enough to lerp
+    t = rng.random(len(R))
+    t[1], t[2] = 0.0, 1.0
+    cases = [
+        (geometry.quat_normalize, (q,)),
+        (geometry.quat_to_matrix, (q,)),
+        (geometry.quat_from_matrix, (R,)),
+        (geometry.slerp, (q, q1, t)),
+    ]
+    for fn, args in cases:
+        stacked = fn(*args)
+        rows = np.stack([fn(*row) for row in zip(*args)])
+        assert stacked.tobytes() == rows.tobytes(), fn.__name__
+        # Leading axes broadcast: a (2, m) stack gives the same bytes.
+        pairs = fn(*(a[: len(a) // 2 * 2].reshape(2, -1, *a.shape[1:]) for a in args))
+        assert pairs.tobytes() == rows[: len(rows) // 2 * 2].tobytes(), fn.__name__
+
+
+def test_quaternion_helpers_check_every_row():
+    q = np.array([[1.0, 0, 0, 0], [0.0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        geometry.quat_normalize(q)
+    with pytest.raises(ValueError, match="degenerate"):
+        geometry.quat_to_matrix(q[::-1])
+    with pytest.raises(ValueError, match="4 components"):
+        geometry.quat_normalize(np.ones((2, 3)))
+    good = np.array([[1.0, 0, 0, 0], [0.0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="t must be"):
+        geometry.slerp(good, good[::-1], np.array([0.5, 1.5]))
+    with pytest.raises(ValueError, match="t must be"):
+        geometry.slerp(good, good[::-1], np.array([np.nan, 0.5]))

@@ -8,7 +8,15 @@ import pytest
 from crossemb import geometry, tasks, unified_space
 from crossemb.embodiments import humanoid_a_config, humanoid_b_config
 from crossemb.geometry import Pose
-from crossemb.kinematics import forward_kinematics, hand_fingertips
+from crossemb.errors import CrossembError
+from crossemb.kinematics import (
+    IkParams,
+    RobotCommand,
+    _embed_rows,
+    forward_kinematics,
+    hand_fingertips,
+    retarget_action,
+)
 from crossemb.harness import (
     ABLATION_REPORT_SCHEMA,
     COTRAINING_REPORT_SCHEMA,
@@ -34,6 +42,7 @@ from crossemb.tasks import (
     ideal_reach_trajectory,
     joint_state_vector,
     make_reach_task,
+    teleop_simulate,
 )
 
 CFG = humanoid_b_config()
@@ -47,13 +56,86 @@ def task():
 
 def test_demo_generators_deterministic(task):
     goal = task.grid.cell_center(4)
-    a = generate_robot_demo(task, CFG, goal, seed=5, demo_id="d")
-    b = generate_robot_demo(task, CFG, goal, seed=5, demo_id="d")
+    [a] = generate_robot_demo(task, CFG, [goal], seeds=[5], demo_ids=["d"])
+    [b] = generate_robot_demo(task, CFG, [goal], seeds=[5], demo_ids=["d"])
     np.testing.assert_array_equal(a.episode.states, b.episode.states)
     np.testing.assert_array_equal(a.joint_states, b.joint_states)
     h1 = generate_human_demo(task, CFG, goal, seed=5, demo_id="h")
     h2 = generate_human_demo(task, CFG, goal, seed=5, demo_id="h")
     np.testing.assert_array_equal(h1.episode.states, h2.episode.states)
+
+
+def per_demo_teleop_reference(states, config, home, params):
+    """Achieved states and joint view of one demo tracked frame by frame
+    with `retarget_action`, each frame warm-started at the last command."""
+    cmd, commands = home, []
+    for state in states:
+        cmd, _ = retarget_action(state, config, cmd, params)
+        commands.append(cmd.vector())
+    commands = np.array(commands)
+    joints = np.zeros((len(commands), 54))
+    joints[:, : commands.shape[1]] = commands
+    return _embed_rows(config, commands), joints
+
+
+# The 5-joint arms of humanoid_a cannot follow the reach's wrist rotations,
+# so nearly every solve restarts; a shorter reference and fewer iterations
+# keep its per-demo loop short.
+@pytest.mark.parametrize("config, params, n_frames", [
+    (humanoid_a_config(), IkParams(max_iters=20, restarts=2), 8),
+    (humanoid_b_config(), IkParams(), None),
+], ids=["humanoid_a", "humanoid_b"])
+def test_lockstep_teleop_equals_per_demo_retarget_loop(config, params, n_frames):
+    task = make_reach_task(config)
+    home = task.home_command(config)
+    references = np.stack([
+        ideal_reach_trajectory(task, config, task.grid.sample_goal(i % 9, rng), rng,
+                               capture_rate=task.rate, move_duration=task.move_duration,
+                               hold_duration=task.hold_duration, embodiment_tag="robot",
+                               start_spread=0.01).states
+        for i, rng in enumerate(np.random.default_rng(s) for s in range(8))
+    ])[:, :n_frames]
+    want = [per_demo_teleop_reference(ref, config, home, params) for ref in references]
+    for D in (1, 3, 8):
+        states, joints = teleop_simulate(references[:D], config, home, params)
+        assert states.shape == joints.shape == references[:D].shape
+        for d in range(D):
+            assert states[d].tobytes() == want[d][0].tobytes()
+            assert joints[d].tobytes() == want[d][1].tobytes()
+
+
+def test_lockstep_teleop_rejects_ragged_and_degenerate_references(task):
+    home = task.home_command(CFG)
+    ref = ideal_reach_trajectory(task, CFG, task.grid.cell_center(4), np.random.default_rng(0),
+                                 capture_rate=task.rate, move_duration=task.move_duration,
+                                 hold_duration=task.hold_duration,
+                                 embodiment_tag="robot").states
+    with pytest.raises(CrossembError):
+        teleop_simulate([ref, ref[:-1]], CFG, home)
+    with pytest.raises(CrossembError):
+        teleop_simulate(ref, CFG, home)  # one reference, not a stack
+    for bad in (0.0, np.nan):
+        broken = ref.copy()
+        broken[5, unified_space.RIGHT_WRIST_ROT] = bad
+        with pytest.raises(CrossembError) as err:
+            teleop_simulate([ref, broken, ref], CFG, home)
+        # The error retarget_action raises for that frame.
+        with pytest.raises(type(err.value)):
+            retarget_action(broken[5], CFG, RobotCommand.from_vector(CFG, home.vector()))
+
+
+def test_robot_demos_in_one_batch_equal_one_by_one(task):
+    goals = [task.grid.sample_goal(c, np.random.default_rng(c)) for c in (4, 5, 4)]
+    batch = generate_robot_demo(task, CFG, goals, seeds=[3, 4, 5], demo_ids=["a", "b", "c"])
+    for bundle, goal, seed, demo_id in zip(batch, goals, [3, 4, 5], ["a", "b", "c"]):
+        [alone] = generate_robot_demo(task, CFG, [goal], seeds=[seed], demo_ids=[demo_id])
+        assert bundle.episode.id == alone.episode.id
+        assert bundle.episode.metadata == alone.episode.metadata
+        for field in ("times", "states", "features"):
+            assert (getattr(bundle.episode, field).tobytes()
+                    == getattr(alone.episode, field).tobytes())
+        assert bundle.joint_states.tobytes() == alone.joint_states.tobytes()
+    assert generate_robot_demo(task, CFG, [], seeds=[], demo_ids=[]) == []
 
 
 def test_human_demo_retiming_metadata(task):

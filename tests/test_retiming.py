@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossemb import geometry, retiming, unified_space
 from crossemb.errors import DegenerateTrajectory, EmptyStream
@@ -237,3 +238,71 @@ def test_body_motion_report_json():
     traj = make_fixture_trajectory(n=4)
     doc = body_motion_check(traj).to_json_dict("ep1")
     assert set(doc.keys()) == {"episode_id", "excursion_m", "pass"}
+
+
+def per_frame_retime_reference(traj, alpha, out_rate):
+    """`retime` as one blend per output frame, each rotation block decoded,
+    converted, slerped and encoded on its own."""
+    t0 = traj.times[0]
+    n_intervals = max(1, int(round(alpha * traj.duration * out_rate)))
+    out_times = t0 + np.arange(n_intervals + 1) / out_rate
+    states = np.empty((n_intervals + 1, 54))
+    head = np.empty((n_intervals + 1, 3))
+    for k in range(n_intervals + 1):
+        if k == 0:
+            src = traj.times[0]
+        elif k == n_intervals:
+            src = traj.times[-1]
+        else:
+            src = min(t0 + (out_times[k] - t0) / alpha, traj.times[-1])
+        j = int(np.searchsorted(traj.times, src, side="right")) - 1
+        j = min(max(j, 0), len(traj) - 2)
+        u = float(np.clip((src - traj.times[j]) / (traj.times[j + 1] - traj.times[j]), 0.0, 1.0))
+        s0, s1 = traj.states[j], traj.states[j + 1]
+        if u == 0.0:
+            states[k] = s0
+        elif u == 1.0:
+            states[k] = s1
+        else:
+            states[k] = (1.0 - u) * s0 + u * s1
+            for sl in unified_space.ROTATION_SLICES:
+                q0 = geometry.quat_from_matrix(geometry.decode_rot6d(s0[sl]))
+                q1 = geometry.quat_from_matrix(geometry.decode_rot6d(s1[sl]))
+                states[k, sl] = geometry.encode_rot6d(
+                    geometry.quat_to_matrix(geometry.slerp(q0, q1, u))
+                )
+        if traj.head_positions is not None:
+            head[k] = (1.0 - u) * traj.head_positions[j] + u * traj.head_positions[j + 1]
+    return out_times, states, head if traj.head_positions is not None else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 14),
+    uniform_times=st.booleans(),
+    alpha=st.one_of(st.just(1.0), st.just(4.0), st.floats(1.0, 8.0)),
+    out_rate=st.sampled_from([10.0, 30.0]),
+    with_head=st.booleans(),
+)
+def test_retime_equals_per_frame_reference(seed, n, uniform_times, alpha, out_rate, with_head):
+    rng = np.random.default_rng(seed)
+    steps = np.full(n - 1, 1 / 30.0) if uniform_times else rng.uniform(0.005, 0.08, n - 1)
+    times = rng.uniform(0.0, 5.0) + np.concatenate([[0.0], np.cumsum(steps)])
+    states = rng.normal(size=(n, 54))
+    # Small rotations between frames as well as unrelated ones.
+    states[1::2, :18] = states[::2, :18][: n // 2] + rng.normal(scale=1e-3, size=(n // 2, 18))
+    # Signed zeros tell an exact endpoint copy from a blend with weight 0.
+    positions = states[:, 18:]
+    positions[rng.random(positions.shape) < 0.2] = -0.0
+    traj = Trajectory(times=times, states=states, embodiment_tag="human",
+                      nominal_rate=30.0,
+                      head_positions=rng.normal(size=(n, 3)) if with_head else None)
+    out = retime(traj, alpha, out_rate)
+    want_times, want_states, want_head = per_frame_retime_reference(traj, alpha, out_rate)
+    assert out.times.tobytes() == want_times.tobytes()
+    assert out.states.tobytes() == want_states.tobytes()
+    if with_head:
+        assert out.head_positions.tobytes() == want_head.tobytes()
+    else:
+        assert out.head_positions is None
