@@ -42,6 +42,7 @@ from .errors import (
     FrameSyncExhausted,
     InvalidMetadata,
     ParseError,
+    UnreadableFile,
     VersionUnsupported,
 )
 from .geometry import Pose
@@ -130,6 +131,15 @@ def _pose_from_record(doc: dict, line_no: int, key: str) -> Pose:
         raise ParseError(line_no, f"bad pose field {key!r}: {exc}") from exc
 
 
+def _read_file(path: str | Path, text: bool = False) -> str | bytes:
+    """The bytes (or decoded text) of file `path`; UnreadableFile if it is
+    a directory or cannot be read or decoded."""
+    try:
+        return Path(path).read_text() if text else Path(path).read_bytes()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UnreadableFile(f"{path}: cannot read: {exc}") from exc
+
+
 def _read_json_object(path: str | Path, what: str = "") -> dict:
     """The JSON object stored in `path`; InvalidMetadata, naming the file
     as `what` and its path, if it cannot be read or holds anything else."""
@@ -168,22 +178,22 @@ def load_raw_capture(path: str | Path) -> RawCapture:
     if meta.get("kind", "robot") not in ("robot", "human"):
         raise InvalidMetadata(f"{root / 'meta.json'}: kind must be 'robot' or 'human'")
     records = []
-    with open(root / "frames.jsonl") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(doc, dict) or "t" not in doc:
-                raise ParseError(line_no, "record missing timestamp 't'")
-            t = doc["t"]
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-                raise ParseError(line_no, f"timestamp 't' must be a finite number, got {t!r}")
-            doc["_line"] = line_no
-            records.append(doc)
+    # read_text already turned every line ending into "\n".
+    for line_no, line in enumerate(_read_file(root / "frames.jsonl", text=True).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict) or "t" not in doc:
+            raise ParseError(line_no, "record missing timestamp 't'")
+        t = doc["t"]
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+            raise ParseError(line_no, f"timestamp 't' must be a finite number, got {t!r}")
+        doc["_line"] = line_no
+        records.append(doc)
     records.sort(key=lambda d: d["t"])
     kind = meta.get("kind", "robot" if any("joints" in r for r in records) else "human")
     return RawCapture(
@@ -516,7 +526,7 @@ def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode
             raise InvalidMetadata(f"{where}: episode entry {i}: file must lie inside the dataset")
     episodes = []
     for entry in manifest["episodes"]:
-        blob = (root / entry["file"]).read_bytes()
+        blob = _read_file(root / entry["file"])
         digest = hashlib.sha256(blob).hexdigest()
         if digest != entry["sha256"]:
             raise ChecksumMismatch(f"episode {entry['id']}: checksum mismatch")
@@ -671,7 +681,6 @@ def stats_from_episodes(
     mode: str = unified_space.MODE_SHARED,
     epsilon: float = 1e-6,
     kind: str = "state",
-    chunk_length: int | None = None,
 ) -> unified_space.NormalizationStats:
     """State stats use every frame; action stats use frames 1..N (targets)."""
     frames: dict[str, list[np.ndarray]] = {}

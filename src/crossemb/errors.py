@@ -67,6 +67,10 @@ class InvalidMetadata(CrossembError):
     or mistypes a required field."""
 
 
+class UnreadableFile(CrossembError):
+    """An input path is a directory, or a file that cannot be read or decoded."""
+
+
 class FrameSyncExhausted(CrossembError):
     """Timestamp synchronization left fewer than two usable frames."""
 

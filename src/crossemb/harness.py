@@ -2,9 +2,10 @@
 
 The simulated plant executes commands exactly through forward
 kinematics, isolating retargeting and learning quality from dynamics.
-Experiments reproduce two qualitative trends: co-training with
-human-style data lifts out-of-distribution success, and skipping the
-slow-down step inflates commanded-speed variance.
+Experiments check the paper's three trends: co-training with human-style
+data lifts out-of-distribution success, skipping the slow-down step
+inflates commanded-speed variance, and the unified state space beats a
+joint-space state.
 
 Rollouts run in lockstep: `rollouts` steps every goal of an evaluation
 together, one row per goal, with one batched retarget (`_retarget_rows`)
@@ -17,6 +18,14 @@ product where one row takes a matrix-vector one, and the two differ in
 the last bits. Every result therefore equals that of its goal run alone;
 `rollout` is `rollouts` of one goal. Agents must be stateless: `predict`
 may depend only on its arguments, since rows call it interleaved.
+
+Both experiments are views of one condition table. `CONDITIONS` maps a
+name to three facts: whether human demos join the robot demos, whether
+they are retimed, and whether robot states are joint-space. Per (robot
+count, seed), `run_conditions` draws the robot demos and the human goals
+and seeds once, builds the human demos once per retime flag needed, and
+trains and evaluates each condition once; `ABLATION_CONDITIONS` also get
+their commanded-speed variance.
 """
 
 from __future__ import annotations
@@ -26,19 +35,17 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import geometry
 from . import policy as policy_mod
-from .dataset import MixedSampler, PairSet, extract_pairs
+from .dataset import MixedSampler, PairSet, episodes_to_pairs_by_tag
 from .kinematics import (
     STATUS_BEST_EFFORT,
     STATUS_CONVERGED,
     EmbodimentConfig,
-    IkParams,
-    RobotCommand,
     _embed_rows,
     _retarget_rows,
 )
@@ -46,15 +53,14 @@ from .policy import PolicyConfig, PolicyModel, init_model, predict, train
 from .tasks import (
     DemoBundle,
     ReachTask,
+    _joint_states,
     generate_human_demo,
     generate_robot_demo,
     goal_cell,
-    joint_state_vector,
     make_reach_task,
 )
 from .unified_space import (
     LEFT_WRIST_POS,
-    MODE_SHARED,
     RIGHT_WRIST_POS,
     NormalizationStats,
     compute_stats,
@@ -160,13 +166,14 @@ def rollouts(
     seeds: Sequence[int],
     max_steps: int = 40,
     replan_every: int | None = None,
-    ik_params: IkParams = IkParams(),
-    state_adapter: Callable[[RobotCommand, np.ndarray], np.ndarray] | None = None,
+    joint_space: bool = False,
     stop_on_goal: bool = True,
 ) -> list[RolloutResult]:
     """Closed-loop execution towards each goal, its feature noise seeded
     by the matching seed: predict a chunk, retarget and execute its first
-    `replan_every` actions through the kinematic plant, repeat.
+    `replan_every` actions through the kinematic plant, repeat. With
+    `joint_space` the agent observes the zero-padded command vector
+    instead of the unified state.
 
     The goals run in lockstep (see the module docstring); result i equals
     that of goal i run alone.
@@ -191,9 +198,7 @@ def rollouts(
     while active.size:
         chunks = {}
         for i in active:
-            obs = unified[i]
-            if state_adapter is not None:
-                obs = state_adapter(RobotCommand.from_vector(config, commands[i]), obs)
+            obs = _joint_states(commands[i]) if joint_space else unified[i]
             feature = task.codec.observe(goals[i], feature_rngs[i])
             chunks[i] = agent.predict(obs, feature, int(executed[i]))
         stepping = active
@@ -202,7 +207,7 @@ def rollouts(
             if not stepping.size:
                 break
             actions = np.array([chunks[i][j] for i in stepping], dtype=float)
-            rows = _retarget_rows(actions, config, commands[stepping], ik_params)
+            rows = _retarget_rows(actions, config, commands[stepping])
             failed = np.array([e is not None for e in rows.errors], dtype=bool)
             for k, i in enumerate(stepping):
                 if failed[k]:
@@ -259,13 +264,12 @@ def rollout(
     max_steps: int = 40,
     replan_every: int | None = None,
     seed: int = 0,
-    ik_params: IkParams = IkParams(),
-    state_adapter: Callable[[RobotCommand, np.ndarray], np.ndarray] | None = None,
+    joint_space: bool = False,
     stop_on_goal: bool = True,
 ) -> RolloutResult:
     """`rollouts` of a single goal."""
-    return rollouts(agent, config, task, [goal], [seed], max_steps, replan_every, ik_params,
-                    state_adapter, stop_on_goal)[0]
+    return rollouts(agent, config, task, [goal], [seed], max_steps, replan_every, joint_space,
+                    stop_on_goal)[0]
 
 
 # --------------------------------------------------------------------------
@@ -291,6 +295,29 @@ class ExperimentSettings:
     human_demos: int = 72
 
 
+def _draw_demos(
+    task: ReachTask, config: EmbodimentConfig, n_robot: int, n_human: int, seed: int,
+    retime_flags: Sequence[bool],
+) -> tuple[list[DemoBundle], dict[bool, list[DemoBundle]]]:
+    """Robot demos, cycling the task's robot cells, and the human demos
+    under each retime flag; human goals sweep every cell. Goals and seeds
+    are drawn once, so the flags' human demos differ only in retiming."""
+    root = np.random.SeedSequence(entropy=seed)
+    robot_seeds = root.spawn(1)[0].generate_state(max(n_robot, 1))
+    human_seeds = root.spawn(2)[1].generate_state(max(n_human, 1))
+    goal_rng = np.random.Generator(np.random.PCG64(root.spawn(3)[2]))
+    cells = task.robot_cells
+    robot_goals = [task.grid.sample_goal(cells[i % len(cells)], goal_rng) for i in range(n_robot)]
+    human_goals = [task.grid.sample_goal(i % task.grid.n_cells, goal_rng) for i in range(n_human)]
+    robot = generate_robot_demo(task, config, robot_goals, [int(s) for s in robot_seeds[:n_robot]],
+                                [f"robot-{seed}-{i}" for i in range(n_robot)])
+    human = {flag: [generate_human_demo(task, config, goal, int(s), f"human-{seed}-{i}",
+                                        retime_demo=flag)
+                    for i, (goal, s) in enumerate(zip(human_goals, human_seeds))]
+             for flag in retime_flags}
+    return robot, human
+
+
 def build_demo_bundles(
     task: ReachTask,
     config: EmbodimentConfig,
@@ -298,31 +325,11 @@ def build_demo_bundles(
     n_human: int,
     seed: int,
     retime_human: bool = True,
-    robot_cells: tuple[int, ...] | None = None,
 ) -> dict[str, list[DemoBundle]]:
-    """Robot demos cycle `robot_cells` (the task's restricted cells by
-    default); human demos sweep every cell."""
-    cells = robot_cells if robot_cells is not None else task.robot_cells
-    root = np.random.SeedSequence(entropy=seed)
-    robot_seeds = root.spawn(1)[0].generate_state(max(n_robot, 1))
-    human_seeds = root.spawn(2)[1].generate_state(max(n_human, 1))
-    goal_rng = np.random.Generator(np.random.PCG64(root.spawn(3)[2]))
-    robot_goals = [task.grid.sample_goal(cells[i % len(cells)], goal_rng) for i in range(n_robot)]
-    robot = generate_robot_demo(task, config, robot_goals, [int(s) for s in robot_seeds[:n_robot]],
-                                [f"robot-{seed}-{i}" for i in range(n_robot)])
-    bundles: dict[str, list[DemoBundle]] = {"robot": robot, "human": []}
-    for i in range(n_human):
-        cell = i % task.grid.n_cells
-        goal = task.grid.sample_goal(cell, goal_rng)
-        bundles["human"].append(
-            generate_human_demo(
-                task, config, goal, int(human_seeds[i]), f"human-{seed}-{i}",
-                retime_demo=retime_human,
-            )
-        )
-    if not bundles["human"]:
-        del bundles["human"]
-    return bundles
+    """Robot and human demos by tag; "human" is left out when there are none."""
+    robot, human = _draw_demos(task, config, n_robot, n_human, seed, (retime_human,))
+    human = human[retime_human]
+    return {"robot": robot, "human": human} if human else {"robot": robot}
 
 
 def pairs_from_bundles(
@@ -332,29 +339,23 @@ def pairs_from_bundles(
 ) -> dict[str, PairSet]:
     """One pair set per tag that has bundles. `joint_space_robot_states` makes
     robot pairs observe the joint-state view; actions stay unified."""
-    out: dict[str, PairSet] = {}
-    for tag, items in bundles.items():
-        if not items:
-            continue
-        pair_set = extract_pairs([bundle.episode for bundle in items], chunk_length)
-        if joint_space_robot_states and tag == "robot":
-            pair_set = replace(pair_set, obs=np.concatenate([b.joint_states for b in items]))
-        out[tag] = pair_set
-    return out
+    pairs = episodes_to_pairs_by_tag(
+        [bundle.episode for items in bundles.values() for bundle in items], chunk_length
+    )
+    if joint_space_robot_states and "robot" in pairs:
+        joint_states = np.concatenate([b.joint_states for b in bundles["robot"]])
+        pairs["robot"] = replace(pairs["robot"], obs=joint_states)
+    return pairs
 
 
 def stats_from_pairs(
-    pairs_by_tag: Mapping[str, PairSet],
-    epsilon: float,
-    mode: str = MODE_SHARED,
+    pairs_by_tag: Mapping[str, PairSet], epsilon: float
 ) -> tuple[NormalizationStats, NormalizationStats]:
+    """Shared-mode state and action statistics over every pair."""
     states, actions = {}, {}
     for tag, pair_set in pairs_by_tag.items():
         states[tag], _, actions[tag] = pair_set.take(np.arange(len(pair_set)))
-    return (
-        compute_stats(states, mode=mode, epsilon=epsilon),
-        compute_stats(actions, mode=mode, epsilon=epsilon),
-    )
+    return compute_stats(states, epsilon=epsilon), compute_stats(actions, epsilon=epsilon)
 
 
 def train_policy_on_bundles(
@@ -408,20 +409,12 @@ def evaluate_policy(
     config: EmbodimentConfig,
     settings: ExperimentSettings,
     seed: int,
-    state_adapter=None,
+    joint_space: bool = False,
 ) -> dict:
     id_goals, ood_goals = evaluation_goals(task, settings, seed)
     seeds = [seed * 1000 + i for goals in (id_goals, ood_goals) for i in range(len(goals))]
-    results = rollouts(
-        PolicyAgent(model),
-        config,
-        task,
-        id_goals + ood_goals,
-        seeds,
-        max_steps=settings.max_steps,
-        replan_every=settings.replan_every,
-        state_adapter=state_adapter,
-    )
+    results = rollouts(PolicyAgent(model), config, task, id_goals + ood_goals, seeds,
+                       settings.max_steps, settings.replan_every, joint_space)
     success = [res.success for res in results]
     id_success, ood_success = success[: len(id_goals)], success[len(id_goals) :]
     tracking = [float(res.tracking_error.mean()) for res in results if res.tracking_error.size]
@@ -471,6 +464,80 @@ def embodiment_probe_accuracy(
 # --------------------------------------------------------------------------
 
 
+class Condition(NamedTuple):
+    human: bool        # human demos join the robot demos
+    retimed: bool      # human demos are slowed down by the task's alpha
+    joint_space: bool  # robot states are observed as joint positions
+
+
+CONDITIONS = {
+    "robot_only": Condition(human=False, retimed=False, joint_space=False),
+    "cotrained": Condition(human=True, retimed=True, joint_space=False),
+    "unified_retimed": Condition(human=True, retimed=True, joint_space=False),
+    "unified_not_retimed": Condition(human=True, retimed=False, joint_space=False),
+    "joint_space_retimed": Condition(human=True, retimed=True, joint_space=True),
+}
+ABLATION_CONDITIONS = ("unified_retimed", "unified_not_retimed", "joint_space_retimed")
+
+
+def speed_fluctuation(
+    model: PolicyModel,
+    task: ReachTask,
+    config: EmbodimentConfig,
+    settings: ExperimentSettings,
+    seed: int,
+    n_rollouts: int = 6,
+    joint_space: bool = False,
+) -> float:
+    """Mean per-rollout variance of commanded wrist displacement, measured
+    over a fixed horizon (no early stop, so arrival holds count)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    goals = []
+    for _ in range(n_rollouts):
+        cell = int(rng.integers(0, task.grid.n_cells))
+        goals.append(task.grid.sample_goal(cell, rng))
+    results = rollouts(PolicyAgent(model), config, task, goals,
+                       [seed * 77 + i for i in range(n_rollouts)], settings.max_steps,
+                       settings.replan_every, joint_space, stop_on_goal=False)
+    variances = [float(np.var(res.commanded_displacements))
+                 for res in results if res.commanded_displacements.size]
+    return float(np.mean(variances)) if variances else 0.0
+
+
+def run_conditions(
+    names: Sequence[str],
+    robot_counts: Sequence[int],
+    human_demos: int,
+    seeds: Sequence[int],
+    task: ReachTask,
+    config: EmbodimentConfig,
+    settings: ExperimentSettings,
+) -> Iterator[tuple[dict, PolicyModel, dict[str, list[DemoBundle]]]]:
+    """Train and evaluate each named condition of `CONDITIONS` once per
+    robot count and seed, in that order; yield its row, model and
+    training bundles. A row holds `condition`, `robot_demos`, `seed`, the
+    `evaluate_policy` metrics and, for `ABLATION_CONDITIONS`, the
+    `displacement_variance`."""
+    retime_flags = dict.fromkeys(CONDITIONS[name].retimed for name in names
+                                 if CONDITIONS[name].human)
+    for n_robot in robot_counts:
+        for seed in seeds:
+            robot, human = _draw_demos(task, config, n_robot, human_demos, seed, retime_flags)
+            for name in names:
+                cond = CONDITIONS[name]
+                bundles = {"robot": robot}
+                if cond.human and human[cond.retimed]:
+                    bundles["human"] = human[cond.retimed]
+                model = train_policy_on_bundles(bundles, settings, seed, cond.joint_space)
+                row = {"condition": name, "robot_demos": int(n_robot), "seed": int(seed),
+                       **evaluate_policy(model, task, config, settings, seed, cond.joint_space)}
+                if name in ABLATION_CONDITIONS:
+                    row["displacement_variance"] = speed_fluctuation(
+                        model, task, config, settings, seed, joint_space=cond.joint_space
+                    )
+                yield row, model, bundles
+
+
 def cotraining_experiment(
     robot_counts: Sequence[int] = (4, 8, 16, 32),
     human_demos: int = 72,
@@ -488,41 +555,23 @@ def cotraining_experiment(
 
     config = config or humanoid_b_config()
     settings = settings or ExperimentSettings(human_demos=human_demos)
-    task = make_reach_task(
-        config, feature_dim=settings.feature_dim
-    )
+    task = make_reach_task(config, feature_dim=settings.feature_dim)
     rows = []
     probe_values = []
     t0 = time.perf_counter()
-    for n_robot in robot_counts:
-        for seed in seeds:
-            bundles = build_demo_bundles(task, config, n_robot, human_demos, seed)
-            robot_only = {"robot": bundles["robot"]}
-            for condition, data in (("robot_only", robot_only), ("cotrained", bundles)):
-                model = train_policy_on_bundles(data, settings, seed)
-                metrics = evaluate_policy(model, task, config, settings, seed)
-                rows.append(
-                    {
-                        "condition": condition,
-                        "robot_demos": int(n_robot),
-                        "seed": int(seed),
-                        **metrics,
-                    }
-                )
-                if condition == "cotrained" and "human" in data and n_robot == max(robot_counts):
-                    # Match goal cells so the probe cannot read the goal
-                    # feature instead of the embodiment.
-                    matched = {
-                        "robot": data["robot"],
-                        "human": [
-                            b
-                            for b in data["human"]
-                            if goal_cell(task, np.array(b.episode.metadata["goal"]))
-                            in task.robot_cells
-                        ],
-                    }
-                    pairs = pairs_from_bundles(matched, settings.chunk_length)
-                    probe_values.append(embodiment_probe_accuracy(model, pairs, seed))
+    for row, model, bundles in run_conditions(("robot_only", "cotrained"), robot_counts,
+                                              human_demos, seeds, task, config, settings):
+        rows.append(row)
+        if (row["condition"] == "cotrained" and "human" in bundles
+                and row["robot_demos"] == max(robot_counts)):
+            # Match goal cells so the probe cannot read the goal
+            # feature instead of the embodiment.
+            matched = {"robot": bundles["robot"], "human": [
+                b for b in bundles["human"]
+                if goal_cell(task, np.array(b.episode.metadata["goal"])) in task.robot_cells
+            ]}
+            pairs = pairs_from_bundles(matched, settings.chunk_length)
+            probe_values.append(embodiment_probe_accuracy(model, pairs, row["seed"]))
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "task": task.name,
@@ -536,41 +585,6 @@ def cotraining_experiment(
     if out_dir is not None:
         write_report(report, out_dir, "cotraining")
     return report
-
-
-def speed_fluctuation(
-    model: PolicyModel,
-    task: ReachTask,
-    config: EmbodimentConfig,
-    settings: ExperimentSettings,
-    seed: int,
-    n_rollouts: int = 6,
-    state_adapter=None,
-) -> float:
-    """Mean per-rollout variance of commanded wrist displacement, measured
-    over a fixed horizon (no early stop, so arrival holds count)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    goals = []
-    for _ in range(n_rollouts):
-        cell = int(rng.integers(0, task.grid.n_cells))
-        goals.append(task.grid.sample_goal(cell, rng))
-    results = rollouts(
-        PolicyAgent(model),
-        config,
-        task,
-        goals,
-        [seed * 77 + i for i in range(n_rollouts)],
-        max_steps=settings.max_steps,
-        replan_every=settings.replan_every,
-        stop_on_goal=False,
-        state_adapter=state_adapter,
-    )
-    variances = [float(np.var(res.commanded_displacements))
-                 for res in results if res.commanded_displacements.size]
-    return float(np.mean(variances)) if variances else 0.0
-
-
-ABLATION_CONDITIONS = ("unified_retimed", "unified_not_retimed", "joint_space_retimed")
 
 
 def ablation_suite(
@@ -587,37 +601,13 @@ def ablation_suite(
     config = config or humanoid_b_config()
     settings = settings or ExperimentSettings()
     task = make_reach_task(config, feature_dim=settings.feature_dim)
-    rows = []
     t0 = time.perf_counter()
-    for seed in seeds:
-        for condition in ABLATION_CONDITIONS:
-            retimed = condition != "unified_not_retimed"
-            joint_space = condition == "joint_space_retimed"
-            bundles = build_demo_bundles(
-                task, config, n_robot, human_demos, seed, retime_human=retimed
-            )
-            adapter = None
-            if joint_space:
-                adapter = lambda cmd, unified: joint_state_vector(cmd)
-            model = train_policy_on_bundles(
-                bundles, settings, seed, joint_space_robot_states=joint_space
-            )
-            metrics = evaluate_policy(
-                model, task, config, settings, seed, state_adapter=adapter
-            )
-            variance = speed_fluctuation(
-                model, task, config, settings, seed, state_adapter=adapter
-            )
-            rows.append(
-                {
-                    "condition": condition,
-                    "seed": int(seed),
-                    "ood_success": metrics["ood_success"],
-                    "id_success": metrics["id_success"],
-                    "displacement_variance": variance,
-                    "trained": True,
-                }
-            )
+    rows = [
+        {key: row[key] for key in ("condition", "seed", "ood_success", "id_success",
+                                   "displacement_variance")} | {"trained": True}
+        for row, _, _ in run_conditions(ABLATION_CONDITIONS, (n_robot,), human_demos, seeds,
+                                        task, config, settings)
+    ]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "task": task.name,
@@ -632,19 +622,14 @@ def ablation_suite(
 
 
 def write_report(report: dict, out_dir: str | Path, name: str) -> None:
-    """Emit <name>.json plus a plot-ready <name>.csv."""
+    """Emit <name>.json plus a plot-ready <name>.csv whose columns are the
+    keys of the first row."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     (root / f"{name}.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     rows = report.get("rows", [])
+    cols = list(rows[0]) if rows else []
     with open(root / f"{name}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        if rows and "robot_demos" in rows[0]:
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow([row[c] for c in CSV_COLUMNS])
-        else:
-            cols = list(rows[0].keys()) if rows else []
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([row[c] for c in cols])
+        writer.writerow(cols)
+        writer.writerows([row[c] for c in cols] for row in rows)

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, unified_space
-from .dataset import PairSet, pack_blocks, unpack_blocks
+from .dataset import PairSet, _read_file, pack_blocks, unpack_blocks
 from .errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss, VersionUnsupported
 from .unified_space import STATE_DIM, NormalizationStats
 
@@ -359,7 +359,7 @@ def save_checkpoint(model: PolicyModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> PolicyModel:
-    blob = Path(path).read_bytes()
+    blob = _read_file(path)
     if blob[:8] != CHECKPOINT_MAGIC:
         raise VersionUnsupported(f"bad checkpoint magic {blob[:8]!r}")
     try:

@@ -248,15 +248,11 @@ class DemoBundle:
 
 
 def _joint_states(commands: np.ndarray) -> np.ndarray:
-    """Command vectors (..., n_cmd) zero-padded to 54 dims."""
+    """Command vectors (..., n_cmd) zero-padded to 54 dims: the joint-space
+    state of the state-space ablation."""
     out = np.zeros(commands.shape[:-1] + (unified_space.STATE_DIM,))
     out[..., : commands.shape[-1]] = commands
     return out
-
-
-def joint_state_vector(cmd: RobotCommand) -> np.ndarray:
-    """Joint-position state padded to 54 dims (used by the state-space ablation)."""
-    return _joint_states(cmd.vector())
 
 
 def teleop_simulate(
@@ -294,7 +290,6 @@ def generate_robot_demo(
     goals: Sequence[np.ndarray],
     seeds: Sequence[int],
     demo_ids: Sequence[str],
-    ik_params: IkParams = IkParams(),
 ) -> list[DemoBundle]:
     """Teleoperation-style demos, one per goal, seed and id: the robot
     tracks an ideal robot-speed reach to each goal, all demos in lockstep."""
@@ -309,7 +304,7 @@ def generate_robot_demo(
         for goal, rng in zip(goals, rngs, strict=True)
     ]
     states, joint_views = teleop_simulate(
-        [ref.states for ref in references], config, task.home_command(config), ik_params
+        [ref.states for ref in references], config, task.home_command(config)
     )
     bundles = []
     for goal, rng, demo_id, reference, demo_states, joint_view in zip(

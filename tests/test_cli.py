@@ -386,3 +386,27 @@ def test_input_path_that_is_a_directory_exit_1(tmp_path, config_file, command, c
     }[command]
     assert cli(argv) == 1
     assert f"{tmp_path}: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ingest", "train", "predict"])
+def test_binary_or_frames_path_that_is_a_directory_exit_1(tmp_path, command, capsys):
+    state = ",".join(str(v) for v in unified_space.identity_state_vector())
+    if command == "ingest":
+        raw = write_human_raw(tmp_path, n=12, episode_id="h1")
+        blocked = raw / "frames.jsonl"
+        argv = ["ingest", "--raw", str(raw), "--out", str(tmp_path / "data")]
+    elif command == "train":
+        write_dataset([synthetic_episode("e0", "human", n=12)], tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        blocked = tmp_path / "d" / manifest["episodes"][0]["file"]
+        argv = ["train", "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "m.ckpt"),
+                "--chunk-length", "3", "--hidden", "8", "--steps", "2", "--batch-size", "4"]
+    else:
+        blocked = tmp_path / "model.ckpt"
+        argv = ["predict", "--checkpoint", str(blocked), "--state", state,
+                "--feature", "0,0,0,0", "--tag", "human"]
+    if blocked.exists():
+        blocked.unlink()
+    blocked.mkdir()
+    assert cli(argv) == 1
+    assert f"{blocked}: cannot read" in capsys.readouterr().err

@@ -23,6 +23,7 @@ from crossemb.errors import (
     BodyMotionRejected,
     ChecksumMismatch,
     CorruptEpisode,
+    CrossembError,
     EmptySource,
     EpisodeTooShort,
     InvalidMetadata,
@@ -194,6 +195,26 @@ def test_ingest_parse_error(tmp_path):
     with pytest.raises(ParseError) as err:
         load_raw_capture(root)
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_ingest_parse_error_line_counts_any_line_ending(tmp_path, newline):
+    root = tmp_path / "bad"
+    root.mkdir()
+    (root / "meta.json").write_text(json.dumps({"embodiment_tag": "human"}))
+    (root / "frames.jsonl").write_bytes(newline.join(['{"t": 0.0}', "{not json}", ""]).encode())
+    with pytest.raises(ParseError) as err:
+        load_raw_capture(root)
+    assert err.value.line_no == 2
+
+
+def test_ingest_rejects_undecodable_frames(tmp_path):
+    root = tmp_path / "bad"
+    root.mkdir()
+    (root / "meta.json").write_text(json.dumps({"embodiment_tag": "human"}))
+    (root / "frames.jsonl").write_bytes(b'{"t": 0.0}\n{"t": 0.1, "x": "\xff\xfe"}\n')
+    with pytest.raises(CrossembError):
+        load_raw_capture(root)
 
 
 @pytest.mark.parametrize("bad_t", ['"0.1"', "true", "null", "NaN", "Infinity", "[0]"])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from crossemb import geometry, tasks, unified_space
+from crossemb import geometry, harness, tasks, unified_space
 from crossemb.embodiments import humanoid_a_config, humanoid_b_config
 from crossemb.geometry import Pose
 from crossemb.errors import CrossembError
@@ -19,6 +19,7 @@ from crossemb.kinematics import (
 )
 from crossemb.harness import (
     ABLATION_REPORT_SCHEMA,
+    CONDITIONS,
     COTRAINING_REPORT_SCHEMA,
     ExperimentSettings,
     OracleReplayAgent,
@@ -40,7 +41,6 @@ from crossemb.tasks import (
     generate_human_demo,
     generate_robot_demo,
     ideal_reach_trajectory,
-    joint_state_vector,
     make_reach_task,
     teleop_simulate,
 )
@@ -302,10 +302,9 @@ def test_train_policy_smoke_and_probe(task):
 def test_joint_space_condition_trains(task):
     bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=4, seed=0)
     model = train_policy_on_bundles(bundles, FAST, seed=0, joint_space_robot_states=True)
-    adapter = lambda cmd, unified: joint_state_vector(cmd)
     res = rollout(
         PolicyAgent(model), CFG, task, task.grid.cell_center(4),
-        max_steps=10, seed=0, state_adapter=adapter,
+        max_steps=10, seed=0, joint_space=True,
     )
     assert res.steps_executed == 10 or res.success
 
@@ -433,7 +432,7 @@ def test_rollouts_rows_equal_single_goal_rollouts(task, models, case):
     if case == "no_stop":
         kwargs["stop_on_goal"] = False
     if case == "joint_space":
-        kwargs["state_adapter"] = lambda cmd, unified: joint_state_vector(cmd)
+        kwargs["joint_space"] = True
     # The home cell first: some rows stop early while the others go on.
     goals = [task.grid.cell_center(4)] + [task.grid.cell_center(c) for c in (0, 5, 8)]
     seeds = [3, 1, 4, 1]
@@ -472,12 +471,52 @@ def report_digest(report):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def test_reduced_experiment_reports_pinned():
-    """Covers evaluate_policy, speed_fluctuation and the joint-space adapter."""
+@pytest.fixture(scope="module")
+def reduced_reports():
     settings = ExperimentSettings(train_steps=300, human_demos=12, id_eval_goals=2,
                                   max_steps=40)
     cotraining = cotraining_experiment(robot_counts=(4,), human_demos=12, seeds=(0,),
                                        settings=settings)
     ablation = ablation_suite(seeds=(0,), n_robot=4, human_demos=12, settings=settings)
+    return cotraining, ablation
+
+
+def test_reduced_experiment_reports_pinned(reduced_reports):
+    """Covers evaluate_policy, speed_fluctuation and joint-space rollouts."""
+    cotraining, ablation = reduced_reports
     assert report_digest(cotraining) == REDUCED_COTRAINING_DIGEST
     assert report_digest(ablation) == REDUCED_ABLATION_DIGEST
+
+
+def test_cotrained_row_equals_unified_retimed_row(reduced_reports):
+    """One model stands for both names, as the claims gate assumes."""
+    assert CONDITIONS["cotrained"] == CONDITIONS["unified_retimed"]
+    cotraining, ablation = reduced_reports
+    [cotrained] = [r for r in cotraining["rows"] if r["condition"] == "cotrained"]
+    [unified] = [r for r in ablation["rows"] if r["condition"] == "unified_retimed"]
+    for key in ("seed", "id_success", "ood_success"):
+        assert cotrained[key] == unified[key]
+
+
+def test_ablation_builds_each_demo_set_once(monkeypatch):
+    """Robot demos once per seed, human demos once per retime flag."""
+    robot_calls, human_calls = [], []
+
+    def robot_demo(task, config, goals, seeds, demo_ids):
+        robot_calls.append(tuple(demo_ids))
+        return generate_robot_demo(task, config, goals, seeds, demo_ids)
+
+    def human_demo(task, config, goal, seed, demo_id, retime_demo=True):
+        human_calls.append((demo_id, retime_demo))
+        return generate_human_demo(task, config, goal, seed, demo_id, retime_demo)
+
+    monkeypatch.setattr(harness, "generate_robot_demo", robot_demo)
+    monkeypatch.setattr(harness, "generate_human_demo", human_demo)
+    settings = ExperimentSettings(train_steps=10, max_steps=5, id_eval_goals=1,
+                                  ood_eval_goals_per_cell=0)
+    report = ablation_suite(seeds=(0, 1), n_robot=2, human_demos=3, settings=settings)
+    assert len(report["rows"]) == 6
+    assert robot_calls == [("robot-0-0", "robot-0-1"), ("robot-1-0", "robot-1-1")]
+    assert sorted(human_calls) == sorted(
+        (f"human-{seed}-{i}", flag) for seed in (0, 1) for i in range(3) for flag in (True, False)
+    )
