@@ -73,10 +73,10 @@ def _parse_floats(text: str, flag: str, count: int | None = None) -> np.ndarray:
     return values
 
 
-def _parse_counts(text: str, flag: str) -> tuple[int, ...]:
+def _parse_counts(text: str, flag: str, minimum: int = 0) -> tuple[int, ...]:
     values = _parse_floats(text, flag)
-    if not np.all((values >= 0) & (values == np.floor(values))):
-        raise ParseError(None, f"expected whole numbers >= 0, got {text!r}", flag)
+    if not np.all((values >= minimum) & (values == np.floor(values))):
+        raise ParseError(None, f"expected whole numbers >= {minimum}, got {text!r}", flag)
     return tuple(int(v) for v in values)
 
 
@@ -167,6 +167,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    for flag, value in (("--steps", args.steps), ("--batch-size", args.batch_size),
+                        ("--chunk-length", args.chunk_length), ("--stride", args.stride)):
+        if value < 1:
+            raise ParseError(None, f"expected a whole number >= 1, got {value}", flag)
+    hidden = _parse_counts(args.hidden, "--hidden", minimum=1)
     manifest, episodes = dataset_mod.read_dataset(args.dataset)
     pairs = dataset_mod.episodes_to_pairs_by_tag(episodes, args.chunk_length, args.stride)
     ratio = dataset_mod.default_ratio(pairs)
@@ -180,7 +185,7 @@ def _cmd_train(args) -> int:
     config = policy.PolicyConfig(
         feature_dim=manifest["feature_dim"],
         chunk_length=args.chunk_length,
-        hidden_layers=_parse_counts(args.hidden, "--hidden"),
+        hidden_layers=hidden,
         learning_rate=args.lr,
         batch_size=args.batch_size,
         seed=args.seed,

@@ -13,8 +13,9 @@ Training pairs are ACT-style chunks: state `obs[s]`, feature
 `features[s]` and actions `frames[s+1 : s+1+K]`, with s = `starts[row]`.
 One `PairSet` per tag holds its episodes concatenated into `frames`,
 `obs` (both (M, 54)) and `features` (M, F), plus `starts` (N,) and the
-"<episode>#<start>" `ids`; chunks never cross episodes.
-`MixedSampler.stream()` yields `(pair_set, row)`; `PairSet.take` gathers.
+"<episode>#<start>" `ids`; chunks never cross episodes. Training maps each
+set once to `PairSet.normalized` and batches only gather (`PairSet.take`).
+`MixedSampler.stream()` yields `(pair_set, row)`, scheduled a block at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -48,11 +49,13 @@ from .errors import (
 from .geometry import Pose
 from .kinematics import EmbodimentConfig, RobotCommand, _embed_rows
 from .retiming import Trajectory, sync_streams
+from .unified_space import NormalizationStats
 
 FORMAT_VERSION = 1
 EPISODE_MAGIC = b"CEEPISO1"
 DEFAULT_ALPHA = 4.0
 DEFAULT_OUT_RATE = 30.0
+_SCHEDULE_BLOCK = 1024  # items MixedSampler.stream schedules at once; any size gives one stream
 
 
 @dataclass(frozen=True)
@@ -561,6 +564,14 @@ class PairSet:
         chunk_rows = at[:, None] + np.arange(1, self.chunk_length + 1)
         return self.obs[at], self.features[at], self.frames[chunk_rows]
 
+    def normalized(
+        self, state_stats: NormalizationStats | None, action_stats: NormalizationStats | None
+    ) -> PairSet:
+        """This set with `obs` in state-normalized and `frames` in
+        action-normalized units for its tag."""
+        return replace(self, obs=unified_space.normalize(self.obs, state_stats, self.tag),
+                       frames=unified_space.normalize(self.frames, action_stats, self.tag))
+
 
 def extract_pairs(
     episodes: Sequence[DemonstrationEpisode], chunk_length: int, stride: int = 1
@@ -615,40 +626,39 @@ class MixedSampler:
                 raise ValueError(f"weight for tag {tag!r} must be positive")
             if tag not in pairs_by_tag or len(pairs_by_tag[tag]) == 0:
                 raise EmptySource(tag)
-        self._pairs = {tag: pairs_by_tag[tag] for tag in self.tags}
+        self._sets = [pairs_by_tag[tag] for tag in self.tags]
         total = float(sum(ratio[t] for t in self.tags))
-        self._share = {t: ratio[t] / total for t in self.tags}
+        self._shares = [ratio[t] / total for t in self.tags]
         self.seed = seed
-
-    def _tag_rng(self, tag: str) -> np.random.Generator:
-        idx = self.tags.index(tag)
-        return np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=(idx,)))
-        )
 
     def stream(self, skip: int = 0) -> Iterator[tuple[PairSet, int]]:
         """Infinite deterministic stream of (pair_set, row) references;
         `skip` fast-forwards."""
-        emitted = {t: 0 for t in self.tags}
-        rngs = {t: self._tag_rng(t) for t in self.tags}
-        perms = {t: rngs[t].permutation(len(self._pairs[t])) for t in self.tags}
-        cursor = {t: 0 for t in self.tags}
+        sets, shares = self._sets, self._shares
+        seeds = [np.random.SeedSequence(self.seed, spawn_key=(i,)) for i in range(len(sets))]
+        rows = [_epoch_rows(seed, len(pairs)) for seed, pairs in zip(seeds, sets)]
+        emitted = [0] * len(sets)
         step = 0
         while True:
-            step += 1
-            # Largest-remainder pick: most under-served tag wins.
-            tag = max(
-                self.tags,
-                key=lambda t: (self._share[t] * step - emitted[t], -self.tags.index(t)),
-            )
-            emitted[tag] += 1
-            if cursor[tag] >= len(perms[tag]):
-                perms[tag] = rngs[tag].permutation(len(self._pairs[tag]))
-                cursor[tag] = 0
-            row = perms[tag][cursor[tag]]
-            cursor[tag] += 1
-            if step > skip:
-                yield self._pairs[tag], row
+            block = []
+            for step in range(step + 1, step + 1 + _SCHEDULE_BLOCK):
+                # Largest-remainder pick: the most under-served tag wins, ties to the first.
+                tag, top = 0, shares[0] * step - emitted[0]
+                for other in range(1, len(sets)):
+                    deficit = shares[other] * step - emitted[other]
+                    if deficit > top:
+                        tag, top = other, deficit
+                emitted[tag] += 1
+                block.append((sets[tag], next(rows[tag])))
+            yield from block[max(skip, 0):]
+            skip = max(0, skip - _SCHEDULE_BLOCK)
+
+
+def _epoch_rows(seed: np.random.SeedSequence, n: int) -> Iterator[int]:
+    """Rows 0..n-1, in a fresh seeded permutation each epoch."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    while True:
+        yield from rng.permutation(n).tolist()
 
 
 def pair_stream_digest(sampler: MixedSampler, n: int = 10_000) -> str:
@@ -681,7 +691,7 @@ def stats_from_episodes(
     mode: str = unified_space.MODE_SHARED,
     epsilon: float = 1e-6,
     kind: str = "state",
-) -> unified_space.NormalizationStats:
+) -> NormalizationStats:
     """State stats use every frame; action stats use frames 1..N (targets)."""
     frames: dict[str, list[np.ndarray]] = {}
     for ep in episodes:

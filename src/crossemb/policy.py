@@ -14,8 +14,8 @@ smoothing near zero (used by gradient checks only).
 from __future__ import annotations
 
 import json
+import math
 import struct
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -26,6 +26,10 @@ from . import geometry, unified_space
 from .dataset import PairSet, _read_file, pack_blocks, unpack_blocks
 from .errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss, VersionUnsupported
 from .unified_space import STATE_DIM, NormalizationStats
+
+# Wrist translations (`eef_indices`), and every column but the leading head rotation.
+_EEF = slice(unified_space.LEFT_WRIST_POS.start, unified_space.RIGHT_WRIST_POS.stop)
+_NOT_HEAD = slice(unified_space.HEAD_ROT.stop, STATE_DIM)
 
 CHECKPOINT_MAGIC = b"CEPOLIC1"
 CHECKPOINT_VERSION = 1
@@ -46,8 +50,10 @@ class PolicyConfig:
     action_includes_head: bool = True
 
     def __post_init__(self):
-        if self.feature_dim < 1 or self.chunk_length < 1 or self.proprio_dim < 1:
-            raise ValueError("dimensions must be positive")
+        sizes = (self.feature_dim, self.chunk_length, self.proprio_dim, self.batch_size,
+                 *self.hidden_layers)
+        if min(sizes) < 1:
+            raise ValueError("dimensions, batch_size and hidden layer widths must be >= 1")
         if self.lambda_eef < 0:
             raise ValueError("lambda_eef must be >= 0")
         if self.smoothing_delta < 0:
@@ -122,35 +128,25 @@ def forward(model: PolicyModel, state: np.ndarray, feature: np.ndarray) -> np.nd
     return out[0].reshape(model.config.chunk_length, STATE_DIM)
 
 
-def _eef_mask(chunk_length: int) -> np.ndarray:
-    mask = np.zeros((chunk_length, STATE_DIM), dtype=bool)
-    mask[:, unified_space.eef_indices()] = True
-    return mask
+def _abs_smoothed(r: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """|r| and its derivative, Huber-smoothed below `delta` when it is > 0."""
+    a, g = np.abs(r), np.sign(r)
+    if delta > 0.0:
+        small = a < delta
+        a[small] = r[small] * r[small] / (2.0 * delta) + delta / 2.0
+        g[small] = r[small] / delta
+    return a, g
 
 
-def _include_mask(config: PolicyConfig) -> np.ndarray:
-    mask = np.ones((config.chunk_length, STATE_DIM), dtype=bool)
-    if not config.action_includes_head:
-        mask[:, unified_space.HEAD_ROT] = False
-    return mask
-
-
-def _abs_smoothed(r: np.ndarray, delta: float) -> np.ndarray:
-    if delta <= 0.0:
-        return np.abs(r)
-    out = np.abs(r).astype(float)
-    small = out < delta
-    out[small] = r[small] * r[small] / (2.0 * delta) + delta / 2.0
-    return out
-
-
-def _abs_smoothed_grad(r: np.ndarray, delta: float) -> np.ndarray:
-    if delta <= 0.0:
-        return np.sign(r)
-    g = np.sign(r).astype(float)
-    small = np.abs(r) < delta
-    g[small] = r[small] / delta
-    return g
+def _loss_terms(a: np.ndarray, lambda_eef: float, include_head: bool):
+    """(total, base, eef) from the residual magnitudes `a` (K, 54) or (B, K, 54).
+    Each mean runs over a (B, kept entries) copy in Fortran order: the layout
+    of a boolean-mask gather, which fixes numpy's summation order."""
+    rows = a.shape[:-2] + (-1,)
+    kept = a if include_head else a[..., _NOT_HEAD]
+    base = float(np.asfortranarray(kept.reshape(rows)).mean())
+    eef = float(np.asfortranarray(a[..., _EEF].reshape(rows)).mean())
+    return base + lambda_eef * eef, base, eef
 
 
 def loss(
@@ -158,22 +154,16 @@ def loss(
     target: np.ndarray,
     lambda_eef: float,
     smoothing_delta: float = 0.0,
-    include_mask: np.ndarray | None = None,
+    include_head: bool = True,
 ) -> tuple[float, float, float]:
-    """Returns (total, base, eef). Arrays may be (K, 54) or (B, K, 54)."""
+    """Returns (total, base, eef). Arrays may be (K, 54) or (B, K, 54).
+    Without `include_head` the base term leaves out the head rotation."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape or pred.shape[-1] != STATE_DIM:
         raise DimensionMismatch(f"pred {pred.shape} vs target {target.shape}")
-    r = _abs_smoothed(pred - target, smoothing_delta)
-    eef_mask = _eef_mask(pred.shape[-2])
-    if include_mask is None:
-        base = float(r.mean())
-    else:
-        base = float(r[..., include_mask].mean())
-    eef = float(r[..., eef_mask].mean())
-    total = base + lambda_eef * eef
-    return total, base, eef
+    a, _ = _abs_smoothed(pred - target, smoothing_delta)
+    return _loss_terms(a, lambda_eef, include_head)
 
 
 @dataclass
@@ -183,27 +173,20 @@ class TrainReport:
     base: list[float] = field(default_factory=list)
     eef: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def assemble_batch(model: PolicyModel, refs: Sequence[tuple[PairSet, int]]):
-    """Gather (pair_set, row) references into (x, target) arrays in
-    normalized space, rows in the order of `refs`."""
+    """Gather `(pair_set, row)` references into (x, target) arrays, rows in
+    the order of `refs`. The sets must already be in the model's normalized
+    form (`PairSet.normalized`): this only gathers, once per set."""
     cfg = model.config
-    x = np.empty((len(refs), cfg.proprio_dim + cfg.feature_dim))
-    target = np.empty((len(refs), cfg.chunk_length, STATE_DIM))
-    slots_by_set: dict[PairSet, list[int]] = {}
-    for slot, (pair_set, _) in enumerate(refs):
-        slots_by_set.setdefault(pair_set, []).append(slot)
-    for pair_set, slots in slots_by_set.items():
-        states, feats, chunks = pair_set.take([refs[slot][1] for slot in slots])
-        if model.state_stats is not None:
-            states = unified_space.normalize(states, model.state_stats, pair_set.tag)
-        if model.action_stats is not None:
-            chunks = unified_space.normalize(chunks, model.action_stats, pair_set.tag)
+    owners, rows = zip(*refs)
+    rows = np.array(rows)
+    x = np.empty((len(rows), cfg.proprio_dim + cfg.feature_dim))
+    target = np.empty((len(rows), cfg.chunk_length, STATE_DIM))
+    for pair_set in dict.fromkeys(owners):
+        slots = [i for i, owner in enumerate(owners) if owner is pair_set]
+        states, feats, chunks = pair_set.take(rows[slots])
         x[slots, : cfg.proprio_dim] = states
         x[slots, cfg.proprio_dim :] = feats
         target[slots] = chunks
@@ -220,20 +203,16 @@ def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
     B = x.shape[0]
     acts, out = _forward_cached(model, x)
     pred = out.reshape(B, cfg.chunk_length, STATE_DIM)
-    r = pred - target
-    total, base, eef = loss(
-        pred, target, cfg.lambda_eef, cfg.smoothing_delta, _include_mask(cfg)
-    )
-    if not np.isfinite(total):
+    a, g = _abs_smoothed(pred - target, cfg.smoothing_delta)
+    total, base, eef = _loss_terms(a, cfg.lambda_eef, cfg.action_includes_head)
+    if not math.isfinite(total):
         raise NonFiniteLoss(f"loss is {total}")
-    g = _abs_smoothed_grad(r, cfg.smoothing_delta)
-    include = _include_mask(cfg)
-    eef_mask = _eef_mask(cfg.chunk_length)
-    dpred = np.zeros_like(g)
-    n_base = B * int(include.sum())
-    n_eef = B * int(eef_mask.sum())
-    dpred[:, include] += g[:, include] / n_base
-    dpred[:, eef_mask] += cfg.lambda_eef * g[:, eef_mask] / n_eef
+    n_base = a.size if cfg.action_includes_head else a[..., _NOT_HEAD].size
+    # 0.0 + turns a -0.0 gradient entry into +0.0.
+    dpred = 0.0 + g / n_base
+    if not cfg.action_includes_head:
+        dpred[..., unified_space.HEAD_ROT] = 0.0
+    dpred[..., _EEF] += cfg.lambda_eef * g[..., _EEF] / a[..., _EEF].size
     delta = dpred.reshape(B, -1)
 
     grad_w = [np.empty_like(W) for W in model.weights]
@@ -248,10 +227,7 @@ def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
 
 
 def _global_norm(grads_w, grads_b) -> float:
-    total = 0.0
-    for g in (*grads_w, *grads_b):
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
+    return math.sqrt(sum(float((g * g).sum()) for g in (*grads_w, *grads_b)))
 
 
 def train(
@@ -261,13 +237,17 @@ def train(
     report_every: int = 50,
 ) -> tuple[PolicyModel, TrainReport]:
     """Plain SGD with global gradient-norm clipping; deterministic. Each
-    step draws `batch_size` `(pair_set, row)` items from `pair_stream`."""
+    step draws `batch_size` `(pair_set, row)` items from `pair_stream` and
+    gathers them from each set's normalized form, made once per set."""
     cfg = model.config
     report = TrainReport()
-    t_start = time.perf_counter()
+    normalized: dict[PairSet, PairSet] = {}
     for step in range(1, steps + 1):
         refs = [next(pair_stream) for _ in range(cfg.batch_size)]
-        x, target = assemble_batch(model, refs)
+        for pair_set, _ in refs:
+            if pair_set not in normalized:
+                normalized[pair_set] = pair_set.normalized(model.state_stats, model.action_stats)
+        x, target = assemble_batch(model, [(normalized[p], row) for p, row in refs])
         total, base, eef, grad_w, grad_b = backward(model, x, target)
         norm = _global_norm(grad_w, grad_b)
         scale = 1.0
@@ -284,7 +264,6 @@ def train(
             report.base.append(base)
             report.eef.append(eef)
             report.grad_norm.append(norm)
-    report.wall_time_s = time.perf_counter() - t_start
     return model, report
 
 
@@ -296,13 +275,8 @@ def predict(
 ) -> np.ndarray:
     """Physical-units action chunk (K, 54), rotations re-orthogonalized."""
     raw_state = np.asarray(state, dtype=float)
-    state_in = raw_state
-    if model.state_stats is not None:
-        state_in = unified_space.normalize(raw_state, model.state_stats, tag)
-    chunk = forward(model, state_in, feature)
-    if model.action_stats is not None:
-        chunk = unified_space.denormalize(chunk, model.action_stats, tag)
-    chunk = np.array(chunk)
+    chunk = forward(model, unified_space.normalize(raw_state, model.state_stats, tag), feature)
+    chunk = np.array(unified_space.denormalize(chunk, model.action_stats, tag))
     if not model.config.action_includes_head:
         # Head excluded from the action: carry the current head rotation.
         chunk[:, unified_space.HEAD_ROT] = raw_state[unified_space.HEAD_ROT]

@@ -245,12 +245,20 @@ def compute_stats(
     return NormalizationStats(mode=mode, epsilon=epsilon, entries=entries)
 
 
-def normalize(x: np.ndarray, stats: NormalizationStats, tag: str | None = None) -> np.ndarray:
-    """(x - mean) / std elementwise; works on (54,) or (..., 54)."""
+def normalize(
+    x: np.ndarray, stats: NormalizationStats | None, tag: str | None = None
+) -> np.ndarray:
+    """(x - mean) / std elementwise; works on (54,) or (..., 54). No stats: x as is."""
+    if stats is None:
+        return np.asarray(x, dtype=float)
     entry = stats.resolve(tag)
     return (np.asarray(x, dtype=float) - entry.mean) / entry.std
 
 
-def denormalize(y: np.ndarray, stats: NormalizationStats, tag: str | None = None) -> np.ndarray:
+def denormalize(
+    y: np.ndarray, stats: NormalizationStats | None, tag: str | None = None
+) -> np.ndarray:
+    if stats is None:
+        return np.asarray(y, dtype=float)
     entry = stats.resolve(tag)
     return np.asarray(y, dtype=float) * entry.std + entry.mean

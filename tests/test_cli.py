@@ -313,6 +313,21 @@ def test_malformed_numeric_flag_exit_1(tmp_path, config_file, tiny_checkpoint, a
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--steps", "0"), ("--steps", "-3"), ("--batch-size", "0"), ("--batch-size", "-1"),
+    ("--chunk-length", "0"), ("--stride", "0"), ("--hidden", "0"), ("--hidden", "8,0"),
+])
+def test_train_nonpositive_size_flag_exit_1(tmp_path, flag, value, capsys):
+    write_dataset([synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)],
+                  tmp_path / "d")
+    argv = ["train", "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "m.ckpt"),
+            "--chunk-length", "3", "--hidden", "8", "--steps", "2", "--batch-size", "4"]
+    capsys.readouterr()
+    assert cli(argv + [flag, value]) == 1
+    assert f"error: {flag}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_rollout_cli_reports_errors_apart_from_clamps(tiny_checkpoint, capsys):
     capsys.readouterr()
     assert cli(["rollout", "--checkpoint", tiny_checkpoint, "--max-steps", "3"]) == 0

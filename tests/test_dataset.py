@@ -550,3 +550,21 @@ def test_sampler_digest_pinned():
     assert pair_stream_digest(MixedSampler(pairs, {"human": 3, "robot": 1}, seed=7), n=5000) == (
         "b5abb11fc58aed456c14d2e597670994e5df27ad9cc237b054da26a23d024a32"
     )
+
+
+def test_sampler_blocks_keep_item_schedule_and_skip():
+    """Three-tag streams with tied shares keep the schedule of the item-at-a-time
+    sampler (digests recorded before it was computed in blocks), and `skip`
+    resumes across block boundaries and epoch reshuffles."""
+    pairs = {tag: make_pairs(tag, n) for tag, n in (("a", 7), ("b", 5), ("c", 11))}
+    tied = MixedSampler(pairs, {"a": 1, "b": 1, "c": 1}, seed=2)
+    assert pair_stream_digest(tied, n=3000) == (
+        "2dd1c15670386a4f1466063c3838535fbe6a5568c8e77d126aa12a5440cca854"
+    )
+    halves = MixedSampler(pairs, {"a": 1, "b": 2, "c": 1}, seed=4)
+    assert pair_stream_digest(halves, n=3000) == (
+        "b516939bf016b6ae94013e22a16fc73c760bc1b35932b09022e559bae06c82b3"
+    )
+    full = stream_ids(halves.stream(), 3000)
+    for k in (1, 1023, 1024, 1025, 2222):
+        assert stream_ids(halves.stream(skip=k), 3000 - k) == full[k:]

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -121,6 +123,12 @@ def test_forward_dimension_mismatch():
         forward(model, np.zeros(54), np.zeros(4))
 
 
+def test_config_rejects_empty_batch_and_layers():
+    for kwargs in ({"batch_size": 0}, {"batch_size": -1}, {"hidden_layers": (8, 0)}):
+        with pytest.raises(ValueError):
+            PolicyConfig(feature_dim=3, chunk_length=2, **kwargs)
+
+
 # --- loss ---------------------------------------------------------------------
 
 def test_loss_zero_for_equal():
@@ -170,8 +178,9 @@ def test_loss_dimension_mismatch():
 
 
 def test_mixed_batch_matches_per_row_oracle():
-    """A two-tag batch under per-embodiment stats equals, bit for bit, each
-    row normalized on its own straight from the episodes, in stream order."""
+    """A two-tag batch gathered from pair sets normalized once under
+    per-embodiment stats equals, bit for bit, each row normalized on its own
+    straight from the episodes, in stream order."""
     K, F = 3, 4
     episodes = []
     for i, tag in enumerate(["human", "robot", "human", "robot", "human"]):
@@ -193,7 +202,8 @@ def test_mixed_batch_matches_per_row_oracle():
     stream = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=4).stream()
     refs = [next(stream) for _ in range(24)]
     assert {pair_set.tag for pair_set, _ in refs} == {"human", "robot"}
-    x, target = assemble_batch(model, refs)
+    normalized = {p: p.normalized(model.state_stats, model.action_stats) for p in pairs.values()}
+    x, target = assemble_batch(model, [(normalized[p], row) for p, row in refs])
 
     by_id = {ep.id: ep for ep in episodes}
     for i, (pair_set, row) in enumerate(refs):
@@ -426,6 +436,68 @@ def test_resumed_training_equals_uninterrupted(tmp_path):
         np.testing.assert_array_equal(W0, W1)
     for b0, b1 in zip(full.biases, resumed.biases):
         np.testing.assert_array_equal(b0, b1)
+
+
+def two_tag_pairs(K=3, F=4, joint_space_robot=False):
+    """Human and robot pair sets from random episodes; with
+    `joint_space_robot` the robot set observes a zero-padded joint view."""
+    episodes = []
+    for i, tag in enumerate(["human", "robot", "human", "robot", "human", "robot"]):
+        rng = np.random.default_rng(20 + i)
+        n = 8 + i
+        states = np.tile(unified_space.identity_state_vector(), (n, 1))
+        states[:, 18:] += rng.normal(scale=0.1, size=(n, 36))
+        episodes.append(DemonstrationEpisode(
+            id=f"{tag}{i}", embodiment_tag=tag, instruction="",
+            times=np.arange(n) / 30.0, states=states, features=rng.normal(size=(n, F)),
+        ))
+    pairs = episodes_to_pairs_by_tag(episodes, K)
+    if joint_space_robot:
+        robot = pairs["robot"]
+        joints = np.zeros_like(robot.frames)
+        joints[:, :19] = np.random.default_rng(7).normal(size=(len(joints), 19))
+        pairs["robot"] = dataclasses.replace(robot, obs=joints)
+    return episodes, pairs
+
+
+PINNED_TRAIN_DIGESTS = {
+    "shared": "686d3108708c853e6a0ebfd67d903a96d3055ea39f932d9c87e0ac8119d20f31",
+    "per_embodiment": "02f02fdb68e52c071a7012d8a6ce4865e3feb7be16c6d8493677cba31730eddb",
+    "head_excluded": "fd04fd3f33c45354c2a8995dd0293603c585a3217b2d1766f7ec9580408271d7",
+    "smoothed": "10b9b789102cf9890708b95b2efecb3e726dbff19418075860bc372348644d61",
+    "joint_space_obs": "46eac958f4249b78c59aa8bd7f00a217f9965030a5d77d052ef82c923d86d8aa",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRAIN_DIGESTS))
+def test_train_outputs_pinned(case):
+    """Weights, biases and loss curve after 60 mixed two-tag steps, recorded
+    before batches were gathered from pair sets normalized once."""
+    episodes, pairs = two_tag_pairs(joint_space_robot=case == "joint_space_obs")
+    mode = unified_space.MODE_PER_EMBODIMENT if case == "per_embodiment" else (
+        unified_space.MODE_SHARED)
+    if case == "joint_space_obs":
+        states, _, actions = zip(*(pairs[t].take(np.arange(len(pairs[t]))) for t in pairs))
+        state_stats = compute_stats(dict(zip(pairs, states)))
+        action_stats = compute_stats(dict(zip(pairs, actions)))
+    else:
+        state_stats = stats_from_episodes(episodes, mode=mode, kind="state")
+        action_stats = stats_from_episodes(episodes, mode=mode, kind="action")
+    cfg = PolicyConfig(
+        feature_dim=4, chunk_length=3, hidden_layers=(12, 8), learning_rate=0.05,
+        batch_size=8, seed=3, smoothing_delta=0.05 if case == "smoothed" else 0.0,
+        action_includes_head=case != "head_excluded",
+    )
+    model = init_model(cfg, state_stats, action_stats)
+    sampler = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=5)
+    model, report = train(model, sampler.stream(), steps=60, report_every=7)
+    h = hashlib.sha256()
+    for arr in (*model.weights, *model.biases):
+        h.update(arr.tobytes())
+    h.update(np.asarray(report.steps, dtype=np.int64).tobytes())
+    for values in (report.total, report.base, report.eef, report.grad_norm):
+        h.update(np.asarray(values, dtype=float).tobytes())
+    assert h.hexdigest() == PINNED_TRAIN_DIGESTS[case]
 
 
 # --- predict -----------------------------------------------------------------
