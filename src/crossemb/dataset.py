@@ -14,8 +14,9 @@ Training pairs are ACT-style chunks: state `obs[s]`, feature
 One `PairSet` per tag holds its episodes concatenated into `frames`,
 `obs` (both (M, 54)) and `features` (M, F), plus `starts` (N,) and the
 "<episode>#<start>" `ids`; chunks never cross episodes. Training maps each
-set once to `PairSet.normalized` and batches only gather (`PairSet.take`).
-`MixedSampler.stream()` yields `(pair_set, row)`, scheduled a block at a time.
+set once to `PairSet.normalized` (`policy.assemble_batch` keeps the
+normalized forms) and batches only gather (`PairSet.take`).
+`MixedSampler.stream()` yields `(pair_set, row)`, scheduled with plain list arithmetic.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ FORMAT_VERSION = 1
 EPISODE_MAGIC = b"CEEPISO1"
 DEFAULT_ALPHA = 4.0
 DEFAULT_OUT_RATE = 30.0
-_SCHEDULE_BLOCK = 1024  # items MixedSampler.stream schedules at once; any size gives one stream
 
 
 @dataclass(frozen=True)
@@ -640,18 +640,17 @@ class MixedSampler:
         emitted = [0] * len(sets)
         step = 0
         while True:
-            block = []
-            for step in range(step + 1, step + 1 + _SCHEDULE_BLOCK):
-                # Largest-remainder pick: the most under-served tag wins, ties to the first.
-                tag, top = 0, shares[0] * step - emitted[0]
-                for other in range(1, len(sets)):
-                    deficit = shares[other] * step - emitted[other]
-                    if deficit > top:
-                        tag, top = other, deficit
-                emitted[tag] += 1
-                block.append((sets[tag], next(rows[tag])))
-            yield from block[max(skip, 0):]
-            skip = max(0, skip - _SCHEDULE_BLOCK)
+            step += 1
+            # Largest-remainder pick: the most under-served tag wins, ties to the first.
+            tag, top = 0, shares[0] * step - emitted[0]
+            for other in range(1, len(sets)):
+                deficit = shares[other] * step - emitted[other]
+                if deficit > top:
+                    tag, top = other, deficit
+            emitted[tag] += 1
+            row = next(rows[tag])
+            if step > skip:
+                yield sets[tag], row
 
 
 def _epoch_rows(seed: np.random.SeedSequence, n: int) -> Iterator[int]:

@@ -440,9 +440,9 @@ def embodiment_probe_accuracy(
     feats, labels = [], []
     n = min(max_per_tag, *(len(pairs_by_tag[t]) for t in tags))
     for label, tag in enumerate(tags):
-        pair_set = pairs_by_tag[tag].normalized(model.state_stats, model.action_stats)
+        pair_set = pairs_by_tag[tag]
         idx = rng.permutation(len(pair_set))[:n]
-        x, _ = policy_mod.assemble_batch(model, [(pair_set, i) for i in idx])
+        x, _ = policy_mod.assemble_batch(model, [(pair_set, i) for i in idx], {})
         feats.append(policy_mod.penultimate_activations(model, x))
         labels.append(np.full(n, label))
     X = np.concatenate(feats)

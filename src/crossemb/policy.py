@@ -154,16 +154,14 @@ def loss(
     target: np.ndarray,
     lambda_eef: float,
     smoothing_delta: float = 0.0,
-    include_head: bool = True,
 ) -> tuple[float, float, float]:
-    """Returns (total, base, eef). Arrays may be (K, 54) or (B, K, 54).
-    Without `include_head` the base term leaves out the head rotation."""
+    """Returns (total, base, eef). Arrays may be (K, 54) or (B, K, 54)."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape or pred.shape[-1] != STATE_DIM:
         raise DimensionMismatch(f"pred {pred.shape} vs target {target.shape}")
     a, _ = _abs_smoothed(pred - target, smoothing_delta)
-    return _loss_terms(a, lambda_eef, include_head)
+    return _loss_terms(a, lambda_eef, True)
 
 
 @dataclass
@@ -175,18 +173,22 @@ class TrainReport:
     grad_norm: list[float] = field(default_factory=list)
 
 
-def assemble_batch(model: PolicyModel, refs: Sequence[tuple[PairSet, int]]):
-    """Gather `(pair_set, row)` references into (x, target) arrays, rows in
-    the order of `refs`. The sets must already be in the model's normalized
-    form (`PairSet.normalized`): this only gathers, once per set."""
+def assemble_batch(model: PolicyModel, refs: Sequence[tuple[PairSet, int]],
+                   normalized: dict[PairSet, PairSet]):
+    """Gather `(pair_set, row)` references into normalized (x, target) arrays,
+    rows in the order of `refs`. `normalized` maps each set to its
+    `PairSet.normalized` form under the model's stats and gains the sets it
+    lacks, so a dict kept across batches normalizes each set once."""
     cfg = model.config
     owners, rows = zip(*refs)
     rows = np.array(rows)
     x = np.empty((len(rows), cfg.proprio_dim + cfg.feature_dim))
     target = np.empty((len(rows), cfg.chunk_length, STATE_DIM))
     for pair_set in dict.fromkeys(owners):
+        if pair_set not in normalized:
+            normalized[pair_set] = pair_set.normalized(model.state_stats, model.action_stats)
         slots = [i for i, owner in enumerate(owners) if owner is pair_set]
-        states, feats, chunks = pair_set.take(rows[slots])
+        states, feats, chunks = normalized[pair_set].take(rows[slots])
         x[slots, : cfg.proprio_dim] = states
         x[slots, cfg.proprio_dim :] = feats
         target[slots] = chunks
@@ -238,16 +240,14 @@ def train(
 ) -> tuple[PolicyModel, TrainReport]:
     """Plain SGD with global gradient-norm clipping; deterministic. Each
     step draws `batch_size` `(pair_set, row)` items from `pair_stream` and
-    gathers them from each set's normalized form, made once per set."""
+    gathers them from each set's normalized form, made once per set by
+    `assemble_batch`."""
     cfg = model.config
     report = TrainReport()
     normalized: dict[PairSet, PairSet] = {}
     for step in range(1, steps + 1):
         refs = [next(pair_stream) for _ in range(cfg.batch_size)]
-        for pair_set, _ in refs:
-            if pair_set not in normalized:
-                normalized[pair_set] = pair_set.normalized(model.state_stats, model.action_stats)
-        x, target = assemble_batch(model, [(normalized[p], row) for p, row in refs])
+        x, target = assemble_batch(model, refs, normalized)
         total, base, eef, grad_w, grad_b = backward(model, x, target)
         norm = _global_norm(grad_w, grad_b)
         scale = 1.0

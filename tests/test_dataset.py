@@ -552,10 +552,9 @@ def test_sampler_digest_pinned():
     )
 
 
-def test_sampler_blocks_keep_item_schedule_and_skip():
-    """Three-tag streams with tied shares keep the schedule of the item-at-a-time
-    sampler (digests recorded before it was computed in blocks), and `skip`
-    resumes across block boundaries and epoch reshuffles."""
+def test_sampler_tied_schedule_and_skip():
+    """Three-tag streams with tied shares keep the schedule of the numpy-based
+    sampler they were recorded on, and `skip` resumes past epoch reshuffles."""
     pairs = {tag: make_pairs(tag, n) for tag, n in (("a", 7), ("b", 5), ("c", 11))}
     tied = MixedSampler(pairs, {"a": 1, "b": 1, "c": 1}, seed=2)
     assert pair_stream_digest(tied, n=3000) == (
@@ -566,5 +565,5 @@ def test_sampler_blocks_keep_item_schedule_and_skip():
         "b516939bf016b6ae94013e22a16fc73c760bc1b35932b09022e559bae06c82b3"
     )
     full = stream_ids(halves.stream(), 3000)
-    for k in (1, 1023, 1024, 1025, 2222):
+    for k in (1, 23, 1000, 2222):
         assert stream_ids(halves.stream(skip=k), 3000 - k) == full[k:]

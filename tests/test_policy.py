@@ -178,9 +178,8 @@ def test_loss_dimension_mismatch():
 
 
 def test_mixed_batch_matches_per_row_oracle():
-    """A two-tag batch gathered from pair sets normalized once under
-    per-embodiment stats equals, bit for bit, each row normalized on its own
-    straight from the episodes, in stream order."""
+    """A two-tag batch under per-embodiment stats equals, bit for bit, each
+    row normalized on its own straight from the episodes, in stream order."""
     K, F = 3, 4
     episodes = []
     for i, tag in enumerate(["human", "robot", "human", "robot", "human"]):
@@ -202,8 +201,7 @@ def test_mixed_batch_matches_per_row_oracle():
     stream = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=4).stream()
     refs = [next(stream) for _ in range(24)]
     assert {pair_set.tag for pair_set, _ in refs} == {"human", "robot"}
-    normalized = {p: p.normalized(model.state_stats, model.action_stats) for p in pairs.values()}
-    x, target = assemble_batch(model, [(normalized[p], row) for p, row in refs])
+    x, target = assemble_batch(model, refs, {})
 
     by_id = {ep.id: ep for ep in episodes}
     for i, (pair_set, row) in enumerate(refs):
