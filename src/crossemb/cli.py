@@ -10,6 +10,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -211,11 +212,14 @@ def _cmd_retarget(args) -> int:
     action = _parse_floats(args.action, "--action", unified_space.STATE_DIM)
     if args.q_prev:
         n_cmd = config.left_arm.n_joints + config.right_arm.n_joints + 14
-        q_prev = _parse_floats(args.q_prev, "--q-prev", n_cmd)
+        try:
+            q_prev = RobotCommand.from_vector(config, _parse_floats(args.q_prev, "--q-prev", n_cmd))
+        except ValueError as exc:  # hand values outside [0, 1]
+            raise ParseError(None, str(exc), "--q-prev") from exc
     else:
-        q_prev = np.concatenate([config.left_arm.mid_range(), config.right_arm.mid_range(),
-                                 np.zeros(2), np.full(12, 0.5)])
-    out, diag = retarget_action(action, config, RobotCommand.from_vector(config, q_prev))
+        q_prev = RobotCommand(config.left_arm.mid_range(), config.right_arm.mid_range(),
+                              np.zeros(2), np.full(6, 0.5), np.full(6, 0.5))
+    out, diag = retarget_action(action, config, q_prev)
     print(
         _dumps(
             {
@@ -224,13 +228,7 @@ def _cmd_retarget(args) -> int:
                 "neck_q": out.neck_q.tolist(),
                 "left_hand": out.left_hand.tolist(),
                 "right_hand": out.right_hand.tolist(),
-                "diagnostics": {
-                    "left": {"status": diag.left.status, "pos_err": diag.left.pos_err,
-                             "rot_err": diag.left.rot_err},
-                    "right": {"status": diag.right.status, "pos_err": diag.right.pos_err,
-                              "rot_err": diag.right.rot_err},
-                    "clamp_events": list(diag.clamp_events),
-                },
+                "diagnostics": dataclasses.asdict(diag),
             }
         )
     )
@@ -289,8 +287,14 @@ def _cmd_ik(args) -> int:
 
 
 def _cmd_rollout(args) -> int:
-    from .tasks import make_reach_task
+    from .tasks import GoalGrid, make_reach_task
 
+    n_cells = GoalGrid().n_cells  # the grid make_reach_task lays out
+    if not 0 <= args.cell < n_cells:
+        raise ParseError(None, f"expected a cell in 0..{n_cells - 1}, got {args.cell}", "--cell")
+    for flag, value, minimum in (("--max-steps", args.max_steps, 1), ("--seed", args.seed, 0)):
+        if value < minimum:
+            raise ParseError(None, f"expected a whole number >= {minimum}, got {value}", flag)
     config = load_embodiment_config(args.embodiment_config)
     model = policy.load_checkpoint(args.checkpoint)
     task = make_reach_task(config, feature_dim=model.config.feature_dim)

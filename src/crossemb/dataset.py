@@ -48,7 +48,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .geometry import Pose
-from .kinematics import EmbodimentConfig, RobotCommand, _embed_rows
+from .kinematics import EmbodimentConfig, RobotCommand, _command_vector, _embed_rows
 from .retiming import Trajectory, sync_streams
 from .unified_space import NormalizationStats
 
@@ -368,16 +368,13 @@ def _ingest_robot(
     raw: RawCapture, config: EmbodimentConfig, options: IngestOptions
 ) -> DemonstrationEpisode:
     _, times, docs, feats, dropped = _synced_frames(raw, ("joints",), options)
-    arms = (config.left_arm.n_joints,), (config.right_arm.n_joints,)
     commands = []
     for doc in docs:
         try:
             cmd = RobotCommand(*(np.array(doc["joints"][key], dtype=float) for key in _JOINT_KEYS))
-            if (cmd.left_arm_q.shape, cmd.right_arm_q.shape) != arms:
-                raise ValueError(f"arms must have {arms[0][0]} and {arms[1][0]} joints")
+            commands.append(_command_vector(config, cmd))
         except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise ParseError(doc["_line"], f"bad joints record: {exc}") from exc
-        commands.append(cmd.vector())
     return DemonstrationEpisode(
         id=raw.episode_id,
         embodiment_tag=raw.embodiment_tag,

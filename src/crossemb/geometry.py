@@ -37,12 +37,16 @@ def norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+# Cyclic shifts of the last axis: (a x b)_k = a_{k+1} b_{k+2} - a_{k+2} b_{k+1}.
+_NEXT = np.array([1, 2, 0])
+_AFTER_NEXT = np.array([2, 0, 1])
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross products over the last axis, bit-equal to `np.cross`, without
     its per-call overhead."""
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=-1)
+    return (a.take(_NEXT, axis=-1) * b.take(_AFTER_NEXT, axis=-1)
+            - a.take(_AFTER_NEXT, axis=-1) * b.take(_NEXT, axis=-1))
 
 
 # Why a 6D code cannot be decoded, indexed by the defect number that
@@ -213,7 +217,8 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
     """Axis-angle vector (axis * angle) of a rotation matrix; a stack
     (..., 3, 3) gives (..., 3)."""
     R = np.asarray(R, dtype=float)
-    cos_theta = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
+    trace = R[..., 0, 0] + R[..., 1, 1] + R[..., 2, 2]
+    cos_theta = np.minimum(np.maximum((trace - 1.0) * 0.5, -1.0), 1.0)
     theta = np.arccos(cos_theta)
     w = np.stack(
         [R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0], R[..., 1, 0] - R[..., 0, 1]],
@@ -222,7 +227,8 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # 0 / 0 at theta == 0, zeroed below
         out = w * (theta / (2.0 * np.sin(theta)))[..., None]
     out[theta < 1e-9] = 0.0
-    for idx in map(tuple, np.argwhere(theta > np.pi - 1e-6)):
+    near_pi = theta > np.pi - 1e-6
+    for idx in map(tuple, np.argwhere(near_pi) if near_pi.any() else ()):
         # Near pi the antisymmetric part vanishes; recover the axis from
         # the symmetric part R + I = 2 aa^T (choose largest diagonal).
         A = (R[idx] + np.eye(3)) * 0.5

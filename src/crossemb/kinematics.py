@@ -7,34 +7,28 @@ state between calls.
 
 The FK, Jacobian and IK core runs on batches: joint vectors are the rows
 of a (B, n) array, giving tip rotations (B, 3, 3), tip positions (B, 3),
-world joint axes and origins (B, n, 3) and Jacobians (B, 6, n). Every row
-goes through the same floating-point operations as a batch of one, so no
-result depends on the batch it ran in; `forward_kinematics` and
-`jacobian` are batches of one.
+world joint axes and origins (B, n, 3) and Jacobians (B, 6, n). A chain's
+geometry is a set of arrays (`_ChainArrays`), shared by every row or
+given per row, so rows on different chains of one joint count (a
+config's two arms) run as one batch. Every row goes through the same
+floating-point operations as a batch of one on its own chain, so no
+result depends on the batch it ran in.
 
 IK takes one target per row. `_ik_rows` first descends every row from
 its own initial joints as one lockstep batch, each row with its own
 damping and joint-limit mask, leaving the batch when it converges or
-stalls. The rows that fail then descend from all restart seeds as one
-batch, the seeds of each failed row forming a restart group: within a
-group the first converged seed in seed order wins (later seeds of the
-group are dropped once an earlier one converges), else the first seed
-of least weighted error. That is the answer of trying the seeds one
-after another, and every row gets the answer it gets alone: `ik_solve`
-is `_ik_rows` of one row.
+stalls. The rows that fail then descend from all restart seeds of their
+chain as one batch, the seeds of each failed row forming a group: the
+first converged seed in seed order wins, else the first seed of least
+weighted error, as if the seeds were tried one after another.
 
-Retargeting and state embedding run on the same rows. `_retarget_rows`
-solves each arm once for a batch of unified actions (rows whose action
-is non-finite or holds a rotation code that does not decode are not
-solved and get the error `retarget_action` raises for them);
-`_embed_rows` turns a batch of command vectors (`RobotCommand.vector`)
-into unified 54-vectors. The evaluation rollouts and
-`tasks.teleop_simulate` retarget one row per rollout or demo at each
-step and embed whole batches; robot capture ingest embeds whole
-batches. `retarget_action` runs the same
-checks, neck and hands on one row and solves each arm with `ik_solve`,
-itself `_ik_rows` of one row; `embed_robot_state` decodes `_embed_rows`
-of one row.
+`_retarget_rows` solves both arms of a batch of unified actions as one
+`_ik_rows` batch (rows whose action is non-finite or holds a rotation
+code that does not decode get the error `retarget_action` raises for
+them), and `_embed_rows` turns command vectors (`RobotCommand.vector`)
+into unified 54-vectors. Rollouts, demo generation and capture ingest
+run on these rows; `ik_solve`, `retarget_action`, `forward_kinematics`,
+`jacobian` and `embed_robot_state` are their batches of one.
 """
 
 from __future__ import annotations
@@ -55,6 +49,7 @@ from .geometry import Pose
 
 STATUS_CONVERGED = "converged"
 STATUS_BEST_EFFORT = "best_effort"
+_EYE6 = np.eye(6)  # the damping term's identity
 
 # Actuator layout per hand: thumb and finger closures, then thumb rotation.
 HAND_ACTUATORS = ("thumb_flex", "index", "middle", "ring", "pinky", "thumb_rot")
@@ -82,21 +77,53 @@ class Joint:
         object.__setattr__(self, "limits", (float(lo), float(hi)))
 
 
+class _ChainArrays(NamedTuple):
+    """A chain's geometry as FK and IK read it: one chain's own arrays, or
+    stacked with a leading axis, per arm (2, n, ...) or per row (B, n, ...)."""
+
+    axes: np.ndarray          # (n, 3) unit joint axes, joint frame
+    origin_R: np.ndarray      # (n, 3, 3) joint origin rotations
+    offsets: np.ndarray       # (n + 1, 3) joint origin translations, then the tip's
+    base_R: np.ndarray        # (3, 3)
+    base_t: np.ndarray        # (3,)
+    tip_R: np.ndarray         # (3, 3)
+    lo: np.ndarray            # (n,) joint limits, radians
+    hi: np.ndarray            # (n,)
+
+    def take(self, index) -> "_ChainArrays":
+        """The arrays at `index` of the leading axis (an int or rows)."""
+        return _ChainArrays(*(a[index] for a in self))
+
+    def for_rows(self, arm: np.ndarray) -> "_ChainArrays":
+        """Of a stack (K, n, ...), the arrays of rows on chains `arm`: that
+        chain's own when every row is on one, else one chain per row."""
+        k = arm[0]
+        return self.take(k if (arm == k).all() else arm)
+
+
 @dataclass(frozen=True)
 class KinematicChain:
     joints: tuple[Joint, ...]
     base_frame: Pose
     tip_offset: Pose
-    # Every joint's local axis, stacked (n, 3) for the batched rotations.
-    axes: np.ndarray = field(init=False, repr=False, compare=False)
+    # The chain's geometry as arrays, built once.
+    arrays: _ChainArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.joints) < 1:
             raise ValueError("chain needs at least one joint")
         object.__setattr__(self, "joints", tuple(self.joints))
-        axes = np.array([j.axis for j in self.joints])
-        axes.flags.writeable = False
-        object.__setattr__(self, "axes", axes)
+        arrays = _ChainArrays(
+            np.array([j.axis for j in self.joints]),
+            np.array([j.origin.rotation for j in self.joints]),
+            np.array([j.origin.translation for j in self.joints] + [self.tip_offset.translation]),
+            self.base_frame.rotation, self.base_frame.translation, self.tip_offset.rotation,
+            np.array([j.limits[0] for j in self.joints]),
+            np.array([j.limits[1] for j in self.joints]),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "arrays", arrays)
 
     @property
     def n_joints(self) -> int:
@@ -104,17 +131,17 @@ class KinematicChain:
 
     @property
     def lower_limits(self) -> np.ndarray:
-        return np.array([j.limits[0] for j in self.joints])
+        return self.arrays.lo
 
     @property
     def upper_limits(self) -> np.ndarray:
-        return np.array([j.limits[1] for j in self.joints])
+        return self.arrays.hi
 
     def mid_range(self) -> np.ndarray:
         return 0.5 * (self.lower_limits + self.upper_limits)
 
     def clamp(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.lower_limits, self.upper_limits)
+        return np.minimum(np.maximum(q, self.lower_limits), self.upper_limits)
 
 
 def _check_q(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
@@ -126,25 +153,29 @@ def _check_q(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _fk_frames(chain: KinematicChain, Q: np.ndarray):
+def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     """Tip poses plus per-joint world axes and origins (for the Jacobian)
     of a (B, n) batch of joint vectors: R (B, 3, 3), t (B, 3), axes and
-    origins (B, n, 3)."""
-    B, n = Q.shape
+    origins (B, n, 3). `chain` holds one chain's own arrays, shared by all
+    rows, or per-row arrays (B, n, ...); leading axes broadcast."""
+    n = Q.shape[-1]
     joint_R = geometry.rotation_about_axis(chain.axes, Q)
-    # R and t gain the batch axis at the first joint rotation.
-    R, t = chain.base_frame.rotation, chain.base_frame.translation
-    axes = np.empty((B, n, 3))
-    origins = np.empty((B, n, 3))
-    for i, joint in enumerate(chain.joints):
-        t = R @ joint.origin.translation + t
-        R = R @ joint.origin.rotation
-        axes[:, i] = R @ joint.axis
-        origins[:, i] = t
-        R = R @ joint_R[:, i]
-    t = R @ chain.tip_offset.translation + t
-    R = R @ chain.tip_offset.rotation
-    return R, t, axes, origins
+    # Frames before each joint's origin (and the tip's) and after its origin
+    # rotation; R gains the batch axis at the first joint rotation.
+    before = np.empty(Q.shape[:-1] + (n + 1, 3, 3))
+    after = np.empty(Q.shape + (3, 3))
+    R = chain.base_R
+    for i in range(n):
+        before[..., i, :, :] = R
+        after[..., i, :, :] = R = R @ chain.origin_R[..., i, :, :]
+        R = R @ joint_R[..., i, :, :]
+    before[..., n, :, :] = R
+    # Positions sum the rotated offsets from the base one joint at a time.
+    steps = np.empty(Q.shape[:-1] + (n + 2, 3))
+    steps[..., 0, :] = chain.base_t
+    steps[..., 1:, :] = (before @ chain.offsets[..., None])[..., 0]
+    t = np.cumsum(steps, axis=-2)
+    return R @ chain.tip_R, t[..., -1, :], (after @ chain.axes[..., None])[..., 0], t[..., 1:-1, :]
 
 
 def _jacobians(t, axes, origins, w):
@@ -162,14 +193,14 @@ def _jacobians(t, axes, origins, w):
 def forward_kinematics(chain: KinematicChain, q: np.ndarray) -> Pose:
     """Compose base frame, per-joint rotations about their axes, tip offset."""
     q = _check_q(chain, q)
-    R, t, _, _ = _fk_frames(chain, q[None])
+    R, t, _, _ = _fk_frames(chain.arrays, q[None])
     return Pose(R[0], t[0])
 
 
 def jacobian(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
     """Geometric Jacobian, 6 x n: linear velocity rows, then angular."""
     q = _check_q(chain, q)
-    _, t, axes, origins = _fk_frames(chain, q[None])
+    _, t, axes, origins = _fk_frames(chain.arrays, q[None])
     return _jacobians(t, axes, origins, 1.0)[0]
 
 
@@ -218,9 +249,10 @@ def _pose_errors(R, t, target_R, target_t, w: float):
     return geometry.norms(e_pos), geometry.norms(e_rot), e
 
 
-def _dls_attempts(chain, target_R, target_t, group, Q0, params):
+def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
     """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep,
-    row b towards its own target (target_R[b], target_t[b]).
+    row b on the chain arms[arm[b]] towards its own target (target_R[b],
+    target_t[b]).
 
     Each row runs the single-descent recipe on its own state. Its damping
     factor adapts per step (halved on improvement, grown fivefold per
@@ -236,10 +268,10 @@ def _dls_attempts(chain, target_R, target_t, group, Q0, params):
     rows after a converged row of their group can no longer be chosen and
     are dropped. Returns q (G, n), pos_err, rot_err and converged (G,).
     """
-    lo, hi = chain.lower_limits, chain.upper_limits
     w = params.orientation_weight
     B = len(Q0)
-    Q = np.clip(Q0, lo, hi)
+    chain = arms.for_rows(arm)
+    Q = np.minimum(np.maximum(Q0, chain.lo), chain.hi)
     R, t, axes, origins = _fk_frames(chain, Q)
     pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t, w)
     err = pos_err + w * rot_err
@@ -257,15 +289,17 @@ def _dls_attempts(chain, target_R, target_t, group, Q0, params):
         J = _jacobians(t[live], axes[live], origins[live], w)
         grad = np.vecmat(e[live], J)
         q = Q[live]
-        pinned = ((q <= lo + 1e-12) & (grad < 0)) | ((q >= hi - 1e-12) & (grad > 0))
-        Jm = J * np.where(pinned, 0.0, 1.0)[:, None, :]
-        trying = np.arange(live.size)  # positions in `live` with no step accepted yet
+        chain = arms.for_rows(arm[live])
+        pinned = ((q <= chain.lo + 1e-12) & (grad < 0)) | ((q >= chain.hi - 1e-12) & (grad > 0))
+        Jm = J * ~pinned[:, None, :]
+        waiting = np.ones(live.size, dtype=bool)  # rows of `live` with no step accepted yet
         for _trial in range(6):
-            rows = live[trying]
-            Jt = Jm[trying]
-            A = Jt @ Jt.transpose(0, 2, 1) + (lam[rows] * lam[rows])[:, None, None] * np.eye(6)
+            rows = live[waiting]
+            Jt = Jm[waiting]
+            A = Jt @ Jt.transpose(0, 2, 1) + (lam[rows] * lam[rows])[:, None, None] * _EYE6
             x = np.linalg.solve(A, e[rows][..., None])[..., 0]
-            q_new = np.clip(Q[rows] + params.step_scale * np.vecmat(x, Jt), lo, hi)
+            q_new = Q[rows] + params.step_scale * np.vecmat(x, Jt)
+            q_new = np.minimum(np.maximum(q_new, chain.lo), chain.hi)
             R2, t2, axes2, origins2 = _fk_frames(chain, q_new)
             pos2, rot2, e2 = _pose_errors(R2, t2, target_R[rows], target_t[rows], w)
             err2 = pos2 + w * rot2
@@ -277,10 +311,11 @@ def _dls_attempts(chain, target_R, target_t, group, Q0, params):
             pos_err[up], rot_err[up], err[up] = pos2[acc], rot2[acc], err2[acc]
             lam[up] = np.maximum(lam[up] * 0.5, 1e-5)
             lam[rows[~acc]] *= 5.0
-            trying = trying[~acc]
-            if not trying.size:
+            waiting[waiting] = ~acc
+            if not waiting.any():
                 break
-        live = np.delete(live, trying)
+            chain = arms.for_rows(arm[rows[~acc]])
+        live = live[~waiting]
     converged = first_ok < B
     best = first_ok.copy()
     for g in np.flatnonzero(~converged):
@@ -289,30 +324,31 @@ def _dls_attempts(chain, target_R, target_t, group, Q0, params):
     return Q[best], pos_err[best], rot_err[best], converged
 
 
-def _ik_rows(chain, target_R, target_t, Q_init, params):
-    """IK for B rows at once, row b from Q_init[b] towards its own target:
-    each row's result equals `ik_solve` of that row alone.
+def _ik_rows(arms, arm, target_R, target_t, Q_init, params):
+    """IK for B rows at once, row b on chain arms[arm[b]] of the stack
+    `arms` (K, n, ...) from Q_init[b] towards its own target: each row's
+    result equals `ik_solve` of that row alone on its chain.
 
     Attempt 0 of every row runs as one lockstep batch. The rows that fail
-    then descend from all restart seeds as one batch, grouped by row, and
-    keep the restart result if it converged or has less error. Returns
-    q (B, n), pos_err, rot_err and converged (B,).
+    then descend from all restart seeds of their chain as one batch,
+    grouped by row, and keep the restart result if it converged or has
+    less error. Returns q (B, n), pos_err, rot_err and converged (B,).
     """
     B = len(Q_init)
-    q, pos_err, rot_err, ok = _dls_attempts(chain, target_R, target_t, np.arange(B), Q_init,
+    q, pos_err, rot_err, ok = _dls_attempts(arms, arm, target_R, target_t, np.arange(B), Q_init,
                                             params)
     failed = np.flatnonzero(~ok)
     if failed.size and params.restarts > 0:
-        lo, hi = chain.lower_limits, chain.upper_limits
+        lo, hi = arms.lo[:, None], arms.hi[:, None]
         rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
-        seeds = np.vstack(
-            [chain.mid_range(), lo + rng.random((params.restarts - 1, chain.n_joints)) * (hi - lo)]
-        )
-        group = np.repeat(np.arange(failed.size), len(seeds))
+        u = rng.random((params.restarts - 1, lo.shape[-1]))
+        # Per chain (K, restarts, n): mid-range, then the seeded draws.
+        seeds = np.concatenate([0.5 * (lo + hi), lo + u * (hi - lo)], axis=1)
+        group = np.repeat(np.arange(failed.size), params.restarts)
         rows = failed[group]
         rq, rpos, rrot, rok = _dls_attempts(
-            chain, target_R[rows], target_t[rows], group, np.tile(seeds, (failed.size, 1)),
-            params,
+            arms, arm[rows], target_R[rows], target_t[rows], group,
+            seeds[arm[failed]].reshape(-1, lo.shape[-1]), params,
         )
         w = params.orientation_weight
         # Attempt 0 keeps ties: the seeds are tried after it.
@@ -341,7 +377,8 @@ def ik_solve(
     if not (np.all(np.isfinite(target.rotation)) and np.all(np.isfinite(target.translation))):
         raise NonFiniteTarget("IK target contains non-finite values")
     q, pos_err, rot_err, ok = _ik_rows(
-        chain, target.rotation[None], target.translation[None], q_init[None], params
+        chain.arrays.take(np.newaxis), np.zeros(1, dtype=int),  # a stack of one chain
+        target.rotation[None], target.translation[None], q_init[None], params,
     )
     return IkSolution(q[0], STATUS_CONVERGED if ok[0] else STATUS_BEST_EFFORT,
                       pos_err[0], rot_err[0])
@@ -404,13 +441,20 @@ class EmbodimentConfig:
     neck: KinematicChain
     hand_model: HandModel
     canonical_frame_offset: float = 0.60  # meters, head-to-torso drop
+    # Both arms' arrays stacked (2, n, ...), left then right.
+    arms: _ChainArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for side, chain in (("left", self.left_arm), ("right", self.right_arm)):
-            if chain.n_joints not in (5, 7):
-                raise ValueError(f"{side} arm must have 5 or 7 joints, got {chain.n_joints}")
+        n_left, n_right = self.left_arm.n_joints, self.right_arm.n_joints
+        if n_left not in (5, 7) or n_right != n_left:
+            raise ValueError(f"arms must have 5 or 7 joints each, as many on both sides; "
+                             f"got {n_left} and {n_right}")
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
+        arms = _ChainArrays(*map(np.stack, zip(self.left_arm.arrays, self.right_arm.arrays)))
+        for a in arms:
+            a.flags.writeable = False
+        object.__setattr__(self, "arms", arms)
 
 
 @dataclass(frozen=True)
@@ -476,7 +520,7 @@ def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray
     """`retarget_hand` for a batch: fingertips (B, 5, 3) and wrist poses
     (B, 3, 3), (B, 3) to actuators (B, 6)."""
     dist = np.linalg.norm(tips - wrist_t[:, None, :], axis=-1)
-    closure = 1.0 - np.clip(dist / hand_model.fingertip_extent, 0.0, 1.0)
+    closure = 1.0 - np.minimum(np.maximum(dist / hand_model.fingertip_extent, 0.0), 1.0)
 
     # Thumb rotation from the wrist-frame tip direction.
     local = (wrist_R.transpose(0, 2, 1) @ (tips[:, 0] - wrist_t)[..., None])[..., 0]
@@ -487,14 +531,14 @@ def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray
     # The direction is undefined on the palm normal: use the neutral angle.
     angle[geometry.norms(in_plane) < 1e-12] = 0.5 * sum(hand_model.thumb_rot_range)
     lo, hi = hand_model.thumb_rot_range
-    thumb_rot = np.clip((angle - lo) / (hi - lo), 0.0, 1.0)
+    thumb_rot = np.minimum(np.maximum((angle - lo) / (hi - lo), 0.0), 1.0)
     return np.concatenate([closure, thumb_rot[:, None]], axis=1)
 
 
 def _fingertip_rows(actuators, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
     """`hand_fingertips` for a batch: actuators (B, 6) and wrist poses
     (B, 3, 3), (B, 3) to fingertips (B, 5, 3)."""
-    act = np.clip(actuators, 0.0, 1.0)
+    act = np.minimum(np.maximum(actuators, 0.0), 1.0)
     dist = hand_model.fingertip_extent * (1.0 - act[:, :5])
     lo, hi = hand_model.thumb_rot_range
     theta = lo + act[:, 5] * (hi - lo)
@@ -543,7 +587,7 @@ def neck_angles_from_head_rotation(R: np.ndarray) -> tuple[np.ndarray, np.ndarra
     stack (..., 3, 3) gives one angle per rotation."""
     R = np.asarray(R)
     yaw = np.arctan2(R[..., 1, 0], R[..., 0, 0])
-    pitch = np.arcsin(np.clip(-R[..., 2, 0], -1.0, 1.0))
+    pitch = np.arcsin(np.minimum(np.maximum(-R[..., 2, 0], -1.0), 1.0))
     return yaw, pitch
 
 
@@ -592,21 +636,6 @@ def _decode_actions(actions: np.ndarray):
     return (rotations[:, 0], rotations[:, 1], rotations[:, 2]), errors
 
 
-def _neck_and_hands(config: EmbodimentConfig, actions, head_R, left_R, right_R):
-    """Neck angles (B, 2) within limits, whether the limits moved them (B,),
-    and the left and right hand actuators (B, 6) of a batch of actions."""
-    U = unified_space
-    neck_raw = np.stack(neck_angles_from_head_rotation(head_R), axis=1)
-    neck_q = config.neck.clamp(neck_raw)
-    clamped = ~np.isclose(neck_q, neck_raw, atol=1e-12).all(axis=1)
-    tips = actions[:, U.FINGERTIPS].reshape(-1, 10, 3)
-    hands = [
-        _hand_actuators(tips[:, :5], left_R, actions[:, U.LEFT_WRIST_POS], config.hand_model),
-        _hand_actuators(tips[:, 5:], right_R, actions[:, U.RIGHT_WRIST_POS], config.hand_model),
-    ]
-    return neck_q, clamped, hands
-
-
 def _retarget_rows(
     actions: np.ndarray,
     config: EmbodimentConfig,
@@ -616,10 +645,11 @@ def _retarget_rows(
     """`retarget_action` for a batch: row b retargets actions[b] (B, 54)
     warm-started at the command vector commands[b] (B, n_cmd).
 
-    Each arm is solved once for all rows (`_ik_rows`); neck and hands run
-    as one batch. A row whose action holds non-finite values or a rotation
-    code that does not decode is not solved: it keeps its previous command
-    and gets the error `retarget_action` raises for it.
+    Both arms of every row are solved as one `_ik_rows` batch (left rows,
+    then right rows); neck and hands run as one batch. A row whose action
+    holds non-finite values or a rotation code that does not decode is
+    not solved: it keeps its previous command and gets the error
+    `retarget_action` raises for it.
     """
     B = len(actions)
     U = unified_space
@@ -630,21 +660,20 @@ def _retarget_rows(
     if not solve.any():
         return out
     A = actions[solve]
-    left_R, right_R = left_R[solve], right_R[solve]
-    left_q, right_q = _split_commands(config, commands[solve])[:2]
-    arms = []
-    for k, (chain, R, pos_sl, q0) in enumerate((
-        (config.left_arm, left_R, U.LEFT_WRIST_POS, left_q),
-        (config.right_arm, right_R, U.RIGHT_WRIST_POS, right_q),
-    )):
-        q, out.pos_err[solve, k], out.rot_err[solve, k], out.converged[solve, k] = _ik_rows(
-            chain, R, A[:, pos_sl], q0, params
-        )
-        arms.append(q)
-    neck_q, out.neck_clamped[solve], hands = _neck_and_hands(
-        config, A, head_R[solve], left_R, right_R
-    )
-    out.commands[solve] = np.concatenate([*arms, neck_q, *hands], axis=1)
+    S = len(A)
+    wrist_R = np.concatenate([left_R[solve], right_R[solve]])
+    wrist_t = np.concatenate([A[:, U.LEFT_WRIST_POS], A[:, U.RIGHT_WRIST_POS]])
+    q0 = np.concatenate(_split_commands(config, commands[solve])[:2])
+    q, pos_err, rot_err, ok = _ik_rows(config.arms, np.repeat([0, 1], S), wrist_R, wrist_t, q0,
+                                       params)
+    out.pos_err[solve], out.rot_err[solve] = pos_err.reshape(2, S).T, rot_err.reshape(2, S).T
+    out.converged[solve] = ok.reshape(2, S).T
+    neck_raw = np.stack(neck_angles_from_head_rotation(head_R[solve]), axis=1)
+    neck_q = config.neck.clamp(neck_raw)
+    out.neck_clamped[solve] = ~np.isclose(neck_q, neck_raw, atol=1e-12).all(axis=1)
+    tips = A[:, U.FINGERTIPS].reshape(S, 2, -1, 3).swapaxes(0, 1).reshape(2 * S, -1, 3)
+    hands = _hand_actuators(tips, wrist_R, wrist_t, config.hand_model)  # left, then right
+    out.commands[solve] = np.concatenate([q[:S], q[S:], neck_q, hands[:S], hands[S:]], axis=1)
     return out
 
 
@@ -654,71 +683,55 @@ def retarget_action(
     q_prev: RobotCommand,
     params: IkParams = IkParams(),
 ) -> tuple[RobotCommand, RetargetDiagnostics]:
-    """Convert one unified action into a robot command.
-
-    Wrist targets are solved by IK (`ik_solve`) warm-started at `q_prev`;
-    the neck takes the head rotation's yaw/pitch (roll discarded,
-    clamped); hands go through the fingertip-distance closure map. The
-    checks, neck and hands are those of `_retarget_rows`, on one row.
-    """
-    U = unified_space
+    """Convert one unified action into a robot command: `_retarget_rows` of
+    one row, warm-started at `q_prev`. The wrists go through DLS IK, the
+    neck takes the head rotation's yaw/pitch (roll discarded, clamped) and
+    the hands the fingertip-distance closure map."""
     action = np.asarray(action, dtype=float)
-    if action.shape != (U.STATE_DIM,):
+    if action.shape != (unified_space.STATE_DIM,):
         raise DimensionMismatch(f"action must be (54,), got {action.shape}")
-    rows = action[None]
-    (head_R, left_R, right_R), errors = _decode_actions(rows)
-    if errors[0] is not None:
-        raise errors[0]
-    limbs, arms, clamps = [], [], []
-    for side, chain, R, pos_sl, q0 in (
-        ("left", config.left_arm, left_R, U.LEFT_WRIST_POS, q_prev.left_arm_q),
-        ("right", config.right_arm, right_R, U.RIGHT_WRIST_POS, q_prev.right_arm_q),
-    ):
-        q, status = solution = ik_solve(chain, Pose(R[0], action[pos_sl]), q0, params)
-        limbs.append(LimbResult(status, solution.pos_err, solution.rot_err))
-        if status == STATUS_BEST_EFFORT:
-            clamps.append(f"{side}_arm:best_effort")
-        arms.append(q)
-    neck_q, neck_clamped, hands = _neck_and_hands(config, rows, head_R, left_R, right_R)
-    if neck_clamped[0]:
-        clamps.append("neck:limit")
-    cmd = RobotCommand(arms[0], arms[1], neck_q[0], hands[0][0], hands[1][0])
-    diag = RetargetDiagnostics(left=limbs[0], right=limbs[1], clamp_events=tuple(clamps))
-    return cmd, diag
+    rows = _retarget_rows(action[None], config, _command_vector(config, q_prev)[None], params)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    limbs = [LimbResult(STATUS_CONVERGED if ok else STATUS_BEST_EFFORT, float(p), float(r))
+             for ok, p, r in zip(rows.converged[0], rows.pos_err[0], rows.rot_err[0])]
+    clamps = [f"{side}_arm:best_effort" for side, ok in zip(("left", "right"), rows.converged[0])
+              if not ok] + ["neck:limit"] * bool(rows.neck_clamped[0])
+    return (RobotCommand.from_vector(config, rows.commands[0]),
+            RetargetDiagnostics(*limbs, clamp_events=tuple(clamps)))
 
 
 def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     """`embed_robot_state` for a batch of command vectors (B, n_cmd): FK of
-    each arm and the neck as one batch each, written as unified 54-vectors
+    both arms as one batch and of the neck, written as unified 54-vectors
     (B, 54) and checked as `encode_state` checks them."""
     U = unified_space
+    B = len(commands)
     left_q, right_q, neck_q, left_hand, right_hand = _split_commands(config, commands)
-    left_R, left_t, _, _ = _fk_frames(config.left_arm, left_q)
-    right_R, right_t, _, _ = _fk_frames(config.right_arm, right_q)
-    head_R = _fk_frames(config.neck, neck_q)[0]
-    out = np.empty((len(commands), U.STATE_DIM))
+    # Each arm's arrays broadcast over its rows: R (2, B, 3, 3), t (2, B, 3).
+    R, t, _, _ = _fk_frames(config.arms.take(np.s_[:, None]), np.stack([left_q, right_q]))
+    head_R = _fk_frames(config.neck.arrays, neck_q)[0]
+    out = np.empty((B, U.STATE_DIM))
     out[:, U.HEAD_ROT] = geometry.encode_rot6d(head_R)
-    out[:, U.LEFT_WRIST_ROT] = geometry.encode_rot6d(left_R)
-    out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(right_R)
-    out[:, U.LEFT_WRIST_POS] = left_t
-    out[:, U.RIGHT_WRIST_POS] = right_t
-    tips = np.concatenate([
-        _fingertip_rows(left_hand, left_R, left_t, config.hand_model),
-        _fingertip_rows(right_hand, right_R, right_t, config.hand_model),
-    ], axis=1)
+    out[:, U.LEFT_WRIST_ROT], out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(R)
+    out[:, U.LEFT_WRIST_POS], out[:, U.RIGHT_WRIST_POS] = t
+    tips = _fingertip_rows(np.concatenate([left_hand, right_hand]), R.reshape(-1, 3, 3),
+                           t.reshape(-1, 3), config.hand_model)
+    tips = np.concatenate([tips[:B], tips[B:]], axis=1)
     out[:, U.FINGERTIPS] = tips.reshape(-1, 3 * 2 * U.FINGERS_PER_HAND)
     U.check_state_rows(out)
     return out
+
+
+def _command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:
+    """`cmd.vector()`, once its arms have `config`'s joint counts."""
+    for chain, q in ((config.left_arm, cmd.left_arm_q), (config.right_arm, cmd.right_arm_q)):
+        _check_q(chain, q)
+    return cmd.vector()
 
 
 def embed_robot_state(
     cmd: RobotCommand, config: EmbodimentConfig
 ) -> unified_space.UnifiedState:
     """Express a robot command (or joint readings) as a unified state."""
-    for chain, q, name in (
-        (config.left_arm, cmd.left_arm_q, "left_arm_q"),
-        (config.right_arm, cmd.right_arm_q, "right_arm_q"),
-    ):
-        if np.asarray(q).shape != (chain.n_joints,):
-            raise DimensionMismatch(f"{name} must have {chain.n_joints} values")
-    return unified_space.decode_state(_embed_rows(config, cmd.vector()[None])[0])
+    return unified_space.decode_state(_embed_rows(config, _command_vector(config, cmd)[None])[0])

@@ -328,6 +328,30 @@ def test_train_nonpositive_size_flag_exit_1(tmp_path, flag, value, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--cell", "9"), ("--cell", "-1"), ("--max-steps", "0"), ("--max-steps", "-2"),
+    ("--seed", "-1"),
+])
+def test_rollout_out_of_range_flag_exit_1(tmp_path, flag, value, capsys):
+    """Checked before the checkpoint is read: the missing one never shows."""
+    argv = ["rollout", "--checkpoint", str(tmp_path / "missing.ckpt"), flag, value]
+    capsys.readouterr()
+    assert cli(argv) == 1
+    assert f"error: {flag}: expected" in capsys.readouterr().err
+
+
+def test_retarget_q_prev_hand_out_of_range_exit_1(config_file, capsys):
+    cfg = humanoid_a_config()
+    q_prev = np.concatenate([cfg.left_arm.mid_range(), cfg.right_arm.mid_range(), np.zeros(2),
+                             np.full(6, 0.5), np.full(6, 1.5)])
+    argv = ["retarget", "--embodiment-config", config_file,
+            "--action", ",".join(map(str, unified_space.identity_state_vector())),
+            "--q-prev", ",".join(map(str, q_prev))]
+    capsys.readouterr()
+    assert cli(argv) == 1
+    assert "error: --q-prev: right_hand values must lie in [0, 1]" in capsys.readouterr().err
+
+
 def test_rollout_cli_reports_errors_apart_from_clamps(tiny_checkpoint, capsys):
     capsys.readouterr()
     assert cli(["rollout", "--checkpoint", tiny_checkpoint, "--max-steps", "3"]) == 0
@@ -342,6 +366,8 @@ BAD_EMBODIMENT_CONFIGS = {
     "list": "[]",
     "four_fingers": lambda doc: doc["hand_model"].update(fingers=4),
     "one_joint_neck": lambda doc: doc["neck"]["joints"].pop(),
+    "five_and_seven_joint_arms": lambda doc: doc["right_arm"]["joints"].extend(
+        doc["right_arm"]["joints"][:2]),
 }
 
 

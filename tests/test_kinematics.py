@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from crossemb.kinematics import (
 Z = np.array([0.0, 0.0, 1.0])
 # ik_fixture_digest() of the sequential solver this one replaced.
 IK_FIXTURE_DIGEST = "2a9564c0dae396467b6ba963868537dddac9a6fed64a5c78a1bdb4ca11b18175"
+# retarget_fixture_digest() of the per-arm retarget_action this one replaced.
+RETARGET_FIXTURE_DIGEST = "3fdb001e1821664222e80e1210e97de40acc4f90c710433e39b6af3bc2732d66"
 
 
 # --- oracles ---------------------------------------------------------------
@@ -531,14 +534,25 @@ def test_fk_frames_batch_rows_equal_single_calls():
                   humanoid_b_config().neck, random_chain(rng, 6)):
         lo, hi = chain.lower_limits, chain.upper_limits
         Q = lo + rng.random((9, chain.n_joints)) * (hi - lo)
-        batch = _fk_frames(chain, Q)
+        batch = _fk_frames(chain.arrays, Q)
         for b in range(len(Q)):
-            single = _fk_frames(chain, Q[b][None])
+            single = _fk_frames(chain.arrays, Q[b][None])
             for got, want in zip(batch, single):
                 assert got[b].tobytes() == want[0].tobytes()
             pose = forward_kinematics(chain, Q[b])
             assert pose.rotation.tobytes() == batch[0][b].tobytes()
             assert pose.translation.tobytes() == batch[1][b].tobytes()
+    # Per-row arrays of both arms: every row as on its own arm's arrays.
+    for cfg in (humanoid_a_config(), humanoid_b_config()):
+        lo, hi = cfg.arms.lo, cfg.arms.hi
+        for B in (1, 5, 30):
+            arm = rng.integers(0, 2, size=B)
+            Q = lo[arm] + rng.random((B, lo.shape[1])) * (hi - lo)[arm]
+            rows = _fk_frames(cfg.arms.take(arm), Q)
+            for k, chain in enumerate((cfg.left_arm, cfg.right_arm)):
+                own = _fk_frames(chain.arrays, Q[arm == k])
+                for got, want in zip(rows, own):
+                    assert got[arm == k].tobytes() == want.tobytes()
 
 
 def ik_fixture_digest():
@@ -625,7 +639,8 @@ def ik_rows_fixture():
 def test_ik_rows_equal_per_row_ik_solve(params):
     chain, targets, q_init = ik_rows_fixture()
     q, pos_err, rot_err, ok = _ik_rows(
-        chain, np.array([t.rotation for t in targets]),
+        chain.arrays.take(np.newaxis), np.zeros(len(targets), dtype=int),
+        np.array([t.rotation for t in targets]),
         np.array([t.translation for t in targets]), q_init, params,
     )
     statuses = []
@@ -641,37 +656,132 @@ def test_ik_rows_equal_per_row_ik_solve(params):
         assert ik_solve(chain, targets[1], q_init[1], IkParams(restarts=0))[1] == "best_effort"
 
 
+# Humanoid B's right arm: attempt 0 from the init fails, a restart converges.
+RESTART_CASE_B_Q = [-0.14, 0.646, -2.421, -0.874, 0.984, 2.239, 0.335]
+RESTART_CASE_B_INIT = [0.296, 1.673, 2.635, 2.418, -1.562, 1.921, -1.465]
+
+
+def retarget_oracle(action, cfg, cmd, params=IkParams()):
+    """`retarget_action` of one row from its per-arm parts: each wrist by
+    `ik_solve` on its own chain, the neck by `neck_angles_from_head_rotation`
+    and `neck.clamp`, each hand by `retarget_hand`. Returns the command
+    vector, the two `IkSolution`s and whether the limits moved the neck;
+    raises what retarget_action raises for the row."""
+    U = unified_space
+    if not np.all(np.isfinite(action)):
+        raise RetargetFailure("action contains non-finite values")
+    left_R, right_R, head_R = (
+        geometry.decode_rot6d(action[sl]) for sl in (U.LEFT_WRIST_ROT, U.RIGHT_WRIST_ROT, U.HEAD_ROT)
+    )
+    wrists = (Pose(left_R, action[U.LEFT_WRIST_POS]), Pose(right_R, action[U.RIGHT_WRIST_POS]))
+    arms = [ik_solve(chain, wrist, q0, params) for chain, wrist, q0 in zip(
+        (cfg.left_arm, cfg.right_arm), wrists, (cmd.left_arm_q, cmd.right_arm_q))]
+    raw = np.array(neck_angles_from_head_rotation(head_R))
+    neck = cfg.neck.clamp(raw)
+    tips = action[U.FINGERTIPS].reshape(2, 5, 3)
+    hands = [retarget_hand(t, wrist, cfg.hand_model) for t, wrist in zip(tips, wrists)]
+    vector = np.concatenate([arms[0][0], arms[1][0], neck, *hands])
+    return vector, arms, not np.isclose(neck, raw, atol=1e-12).all()
+
+
 def test_retarget_rows_equal_per_row_retarget_action():
-    cfg = humanoid_b_config()
+    """Every row of a batch equals the per-arm oracle and `retarget_action`
+    of that row alone, bit for bit, on the 5-DoF and the 7-DoF humanoid."""
+    U = unified_space
     rng = np.random.default_rng(4)
-    cmd = home_command(cfg)
-    base = unified_space.encode_state(embed_robot_state(cmd, cfg))
-    actions = np.tile(base, (7, 1)) + rng.normal(scale=0.01, size=(7, 54))
-    actions[1, 20] = np.nan                            # non-finite
-    actions[2, unified_space.RIGHT_WRIST_ROT] = 0.0    # zero column
-    actions[3, 0:6] = [1, 0, 0, 2, 0, 0]               # parallel head code
-    actions[4, unified_space.RIGHT_WRIST_POS] += [2.0, 0, 0]  # out of reach
-    actions[5, unified_space.HEAD_ROT] = geometry.encode_rot6d(
-        geometry.rotation_about_axis(Z, 3.0))           # neck past its limit
-    prev = np.tile(cmd.vector(), (7, 1))
-    rows = _retarget_rows(actions, cfg, prev)
-    for b, action in enumerate(actions):
-        try:
-            out, diag = retarget_action(action, cfg, cmd)
-        except CrossembError as exc:
-            assert type(rows.errors[b]) is type(exc) and str(rows.errors[b]) == str(exc)
-            assert rows.commands[b].tobytes() == prev[b].tobytes()
-            continue
-        assert rows.errors[b] is None
-        assert rows.commands[b].tobytes() == out.vector().tobytes()
-        assert rows.pos_err[b].tolist() == [diag.left.pos_err, diag.right.pos_err]
-        assert rows.rot_err[b].tolist() == [diag.left.rot_err, diag.right.rot_err]
-        assert rows.converged[b].tolist() == [diag.left.status == "converged",
-                                              diag.right.status == "converged"]
-        assert rows.neck_clamped[b] == ("neck:limit" in diag.clamp_events)
-    assert [type(e).__name__ for e in rows.errors[1:4]] == [
-        "RetargetFailure", "DegenerateRotation6D", "DegenerateRotation6D"]
-    assert not rows.converged[4, 1] and rows.neck_clamped[5]
+    restart_cases = {"humanoid_a": (RESTART_CASE_Q, RESTART_CASE_INIT),
+                     "humanoid_b": (RESTART_CASE_B_Q, RESTART_CASE_B_INIT)}
+    for cfg in (humanoid_a_config(), humanoid_b_config()):
+        cmd = home_command(cfg)
+        base = U.encode_state(embed_robot_state(cmd, cfg))
+        actions = np.tile(base, (8, 1)) + rng.normal(scale=0.01, size=(8, 54))
+        prev = np.tile(cmd.vector(), (8, 1))
+        actions[1, 20] = np.nan                            # non-finite
+        actions[2, U.RIGHT_WRIST_ROT] = 0.0                # zero column
+        actions[3, 0:6] = [1, 0, 0, 2, 0, 0]               # parallel head code
+        actions[4, U.RIGHT_WRIST_POS] += [2.0, 0, 0]       # both wrists out of reach
+        actions[4, U.LEFT_WRIST_POS] += [0, 2.0, 0]
+        actions[5, U.HEAD_ROT] = geometry.encode_rot6d(
+            geometry.rotation_about_axis(Z, 3.0))           # neck past its limit
+        # Row 6: the right arm's attempt 0 fails and a restart converges.
+        q, q_init = (np.array(v) for v in restart_cases[cfg.name])
+        n = cfg.left_arm.n_joints
+        restart = cmd.vector()
+        restart[n:2 * n] = q
+        actions[6] = U.encode_state(embed_robot_state(RobotCommand.from_vector(cfg, restart), cfg))
+        prev[6, n:2 * n] = q_init
+        rows = _retarget_rows(actions, cfg, prev)
+        for b, action in enumerate(actions):
+            q_prev = RobotCommand.from_vector(cfg, prev[b])
+            try:
+                vector, arms, neck_clamped = retarget_oracle(action, cfg, q_prev)
+            except CrossembError as exc:
+                assert type(rows.errors[b]) is type(exc) and str(rows.errors[b]) == str(exc)
+                assert rows.commands[b].tobytes() == prev[b].tobytes()
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    retarget_action(action, cfg, q_prev)
+                continue
+            assert rows.errors[b] is None
+            assert rows.commands[b].tobytes() == vector.tobytes()
+            assert rows.pos_err[b].tolist() == [arm.pos_err for arm in arms]
+            assert rows.rot_err[b].tolist() == [arm.rot_err for arm in arms]
+            assert rows.converged[b].tolist() == [arm[1] == "converged" for arm in arms]
+            assert rows.neck_clamped[b] == neck_clamped
+            out, diag = retarget_action(action, cfg, q_prev)
+            assert out.vector().tobytes() == vector.tobytes()
+            assert [(limb.status, limb.pos_err, limb.rot_err) for limb in (diag.left, diag.right)] \
+                == [(arm[1], arm.pos_err, arm.rot_err) for arm in arms]
+            assert ("neck:limit" in diag.clamp_events) == neck_clamped
+        assert [type(e).__name__ for e in rows.errors[1:4]] == [
+            "RetargetFailure", "DegenerateRotation6D", "DegenerateRotation6D"]
+        assert not rows.converged[4].any() and rows.neck_clamped[5] and rows.converged[6].all()
+        right_target = Pose(geometry.decode_rot6d(actions[6, U.RIGHT_WRIST_ROT]),
+                            actions[6, U.RIGHT_WRIST_POS])
+        assert ik_solve(cfg.right_arm, right_target, q_init, IkParams(restarts=0))[1] == "best_effort"
+
+
+def retarget_fixture_digest():
+    """SHA-256 over commands, statuses and errors of `retarget_action` on
+    warm reach streams, the six unreachable targets 2 m out along +-x, +-y,
+    +-z, position-only solving and no restarts, on both humanoids."""
+    U = unified_space
+    h = hashlib.sha256()
+
+    def run(action, cfg, q_prev, params=IkParams()):
+        out, diag = retarget_action(action, cfg, q_prev, params)
+        h.update(out.vector().tobytes())
+        for limb in (diag.left, diag.right):
+            h.update(limb.status.encode())
+            h.update(np.array([limb.pos_err, limb.rot_err]).tobytes())
+        return out
+
+    for cfg in (humanoid_a_config(), humanoid_b_config()):
+        home = home_command(cfg)
+        base = U.encode_state(embed_robot_state(home, cfg))
+        sweep = 0.4 * np.cos(np.arange(cfg.right_arm.n_joints))
+        cmd = home
+        for f in np.linspace(0.0, 1.0, 12):
+            reach = RobotCommand(home.left_arm_q - 0.5 * f * sweep, home.right_arm_q + f * sweep,
+                                 f * np.array([0.3, -0.2]), home.left_hand + 0.3 * f,
+                                 home.right_hand - 0.2 * f)
+            cmd = run(U.encode_state(embed_robot_state(reach, cfg)), cfg, cmd)
+        for direction in np.vstack([np.eye(3), -np.eye(3)]):
+            action = base.copy()
+            action[U.RIGHT_WRIST_POS] += 2.0 * direction
+            run(action, cfg, home)
+        action = base.copy()
+        action[U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(geometry.rotation_about_axis(Z, 1.0))
+        action[U.RIGHT_WRIST_POS] += [0.1, -0.1, 0.1]
+        action[U.LEFT_WRIST_POS] += [0.05, 0.1, -0.05]
+        low = RobotCommand(cfg.left_arm.lower_limits, cfg.right_arm.lower_limits,
+                           np.zeros(2), home.left_hand, home.right_hand)
+        run(action, cfg, low, IkParams(orientation_weight=0.0))
+        run(action, cfg, low, IkParams(restarts=0))
+    return h.hexdigest()
+
+
+def test_retarget_outputs_pinned():
+    assert retarget_fixture_digest() == RETARGET_FIXTURE_DIGEST
 
 
 def test_embed_rows_equal_per_row_embed_robot_state():
