@@ -56,6 +56,8 @@ FORMAT_VERSION = 1
 EPISODE_MAGIC = b"CEEPISO1"
 DEFAULT_ALPHA = 4.0
 DEFAULT_OUT_RATE = 30.0
+# Human captures whose head strays farther (m) from its first position are rejected.
+BODY_MOTION_THRESHOLD_M = 0.15
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,8 @@ class DemonstrationEpisode:
 class IngestOptions:
     alpha: float = DEFAULT_ALPHA
     out_rate: float = DEFAULT_OUT_RATE
-    max_skew: float | None = None  # default: half the median visual period
     feature_dim: int = 16          # for synthesized features from image refs
     torso_offset: float = 0.60     # canonical-frame drop below the head, meters
-    body_motion_threshold: float = retiming.DEFAULT_BODY_MOTION_THRESHOLD_M
 
 
 def synthetic_features(key: str, dim: int) -> np.ndarray:
@@ -270,8 +270,7 @@ def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestO
         raise FrameSyncExhausted("fewer than two proprioceptive records in the capture")
     if not visual:
         raise FrameSyncExhausted("no visual records in the capture")
-    max_skew = options.max_skew if options.max_skew is not None else _default_skew(visual)
-    sync = sync_streams(proprio, visual, max_skew)
+    sync = sync_streams(proprio, visual, _default_skew(visual))
     if len(sync.pairs) < 2:
         raise FrameSyncExhausted(
             f"synchronization left {len(sync.pairs)} frame(s); dropped {sync.dropped}"
@@ -326,21 +325,15 @@ def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpiso
         nominal_rate=options.out_rate,
         head_positions=positions[:, 0],
     )
-    report = retiming.body_motion_check(traj, options.body_motion_threshold)
-    if not report.passed:
-        raise BodyMotionRejected(report.excursion_m, report.threshold_m)
+    excursion = retiming.body_motion_check(traj)
+    if not excursion <= BODY_MOTION_THRESHOLD_M:
+        raise BodyMotionRejected(excursion, BODY_MOTION_THRESHOLD_M)
 
     retimed = retiming.retime(traj, options.alpha, options.out_rate)
     # Visual features cannot be interpolated; each output frame takes the
     # nearest source frame's feature under the stretched time map.
     src_times = (retimed.times - retimed.times[0]) / options.alpha + traj.times[0]
-    idx = np.clip(np.searchsorted(traj.times, src_times, side="left"), 0, len(traj) - 1)
-    left_ok = idx > 0
-    nearer_left = np.zeros_like(idx, dtype=bool)
-    nearer_left[left_ok] = np.abs(traj.times[idx[left_ok] - 1] - src_times[left_ok]) <= np.abs(
-        traj.times[idx[left_ok]] - src_times[left_ok]
-    )
-    idx[nearer_left] -= 1
+    idx = retiming.nearest_frames(traj.times, src_times)
 
     return DemonstrationEpisode(
         id=raw.episode_id,
@@ -356,7 +349,7 @@ def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpiso
             "retimed": True,
             "alpha_applied": options.alpha,
             "dropped_frames": dropped,
-            "head_excursion_m": report.excursion_m,
+            "head_excursion_m": excursion,
         },
     )
 

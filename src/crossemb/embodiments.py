@@ -10,7 +10,6 @@ memory.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +223,6 @@ def config_to_json_dict(config: EmbodimentConfig) -> dict:
                 float(np.rad2deg(hm.thumb_rot_range[0])),
                 float(np.rad2deg(hm.thumb_rot_range[1])),
             ],
-            "actuator_joint_range": hm.actuator_joint_range.tolist(),
         },
     }
 
@@ -245,10 +243,6 @@ def config_from_json_dict(doc: dict) -> EmbodimentConfig:
             np.deg2rad(hm["thumb_rot_range_deg"][0]),
             np.deg2rad(hm["thumb_rot_range_deg"][1]),
         ),
-        actuator_joint_range=np.array(
-            hm.get("actuator_joint_range", np.tile([0.0, 1.7], (HAND_ACTUATOR_COUNT, 1))),
-            dtype=float,
-        ),
     )
     return EmbodimentConfig(
         name=doc["name"],
@@ -258,10 +252,6 @@ def config_from_json_dict(doc: dict) -> EmbodimentConfig:
         hand_model=hand,
         canonical_frame_offset=float(doc.get("canonical_frame_offset_m", 0.60)),
     )
-
-
-def save_embodiment_config(config: EmbodimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_json_dict(config), indent=2, sort_keys=True))
 
 
 def load_embodiment_config(path: str | Path) -> EmbodimentConfig:

@@ -284,9 +284,3 @@ class Pose:
         points = np.asarray(points, dtype=float)
         return points @ self.rotation.T + self.translation
 
-    def to_matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
-

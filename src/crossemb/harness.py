@@ -67,6 +67,8 @@ from .unified_space import (
 )
 
 REPORT_SCHEMA_VERSION = 1
+# Lower bound on the per-dimension std of the training statistics.
+STATS_EPSILON = 0.02
 CSV_COLUMNS = ("condition", "robot_demos", "seed", "id_success", "ood_success",
                "mean_tracking_error_m")
 
@@ -285,8 +287,6 @@ class ExperimentSettings:
     learning_rate: float = 0.05
     batch_size: int = 32
     train_steps: int = 4000
-    grad_clip: float = 1.0
-    stats_epsilon: float = 0.02
     human_weight: float = 3.0   # human:robot mixing ratio
     max_steps: int = 80
     replan_every: int = 4
@@ -324,11 +324,11 @@ def build_demo_bundles(
     n_robot: int,
     n_human: int,
     seed: int,
-    retime_human: bool = True,
 ) -> dict[str, list[DemoBundle]]:
-    """Robot and human demos by tag; "human" is left out when there are none."""
-    robot, human = _draw_demos(task, config, n_robot, n_human, seed, (retime_human,))
-    human = human[retime_human]
+    """Robot and retimed human demos by tag; "human" is left out when
+    there are none."""
+    robot, human = _draw_demos(task, config, n_robot, n_human, seed, (True,))
+    human = human[True]
     return {"robot": robot, "human": human} if human else {"robot": robot}
 
 
@@ -349,13 +349,14 @@ def pairs_from_bundles(
 
 
 def stats_from_pairs(
-    pairs_by_tag: Mapping[str, PairSet], epsilon: float
+    pairs_by_tag: Mapping[str, PairSet],
 ) -> tuple[NormalizationStats, NormalizationStats]:
     """Shared-mode state and action statistics over every pair."""
     states, actions = {}, {}
     for tag, pair_set in pairs_by_tag.items():
         states[tag], _, actions[tag] = pair_set.take(np.arange(len(pair_set)))
-    return compute_stats(states, epsilon=epsilon), compute_stats(actions, epsilon=epsilon)
+    return (compute_stats(states, epsilon=STATS_EPSILON),
+            compute_stats(actions, epsilon=STATS_EPSILON))
 
 
 def train_policy_on_bundles(
@@ -365,7 +366,7 @@ def train_policy_on_bundles(
     joint_space_robot_states: bool = False,
 ) -> PolicyModel:
     pairs = pairs_from_bundles(bundles, settings.chunk_length, joint_space_robot_states)
-    state_stats, action_stats = stats_from_pairs(pairs, settings.stats_epsilon)
+    state_stats, action_stats = stats_from_pairs(pairs)
     # A tag without bundles stays in the ratio, so the sampler rejects it.
     ratio = {tag: 1.0 for tag in bundles}
     if "human" in ratio:
@@ -377,7 +378,6 @@ def train_policy_on_bundles(
         hidden_layers=settings.hidden_layers,
         learning_rate=settings.learning_rate,
         batch_size=settings.batch_size,
-        grad_clip=settings.grad_clip,
         seed=seed,
     )
     model = init_model(cfg, state_stats, action_stats)
@@ -429,16 +429,16 @@ def embodiment_probe_accuracy(
     model: PolicyModel,
     pairs_by_tag: Mapping[str, PairSet],
     seed: int = 0,
-    max_per_tag: int = 256,
 ) -> float:
     """Accuracy of a logistic probe predicting the embodiment from the
-    penultimate layer on a balanced set. Diagnostic only; chance is 0.5."""
+    penultimate layer on a balanced set of at most 256 pairs per tag.
+    Diagnostic only; chance is 0.5."""
     tags = sorted(t for t in pairs_by_tag if pairs_by_tag[t])
     if len(tags) != 2:
         return float("nan")
     rng = np.random.Generator(np.random.PCG64(seed))
     feats, labels = [], []
-    n = min(max_per_tag, *(len(pairs_by_tag[t]) for t in tags))
+    n = min(256, *(len(pairs_by_tag[t]) for t in tags))
     for label, tag in enumerate(tags):
         pair_set = pairs_by_tag[tag]
         idx = rng.permutation(len(pair_set))[:n]

@@ -27,8 +27,8 @@ weighted error, as if the seeds were tried one after another.
 code that does not decode get the error `retarget_action` raises for
 them), and `_embed_rows` turns command vectors (`RobotCommand.vector`)
 into unified 54-vectors. Rollouts, demo generation and capture ingest
-run on these rows; `ik_solve`, `retarget_action`, `forward_kinematics`,
-`jacobian` and `embed_robot_state` are their batches of one.
+run on these rows; `ik_solve`, `retarget_action`, `forward_kinematics`
+and `embed_robot_state` are their batches of one.
 """
 
 from __future__ import annotations
@@ -50,9 +50,11 @@ from .geometry import Pose
 STATUS_CONVERGED = "converged"
 STATUS_BEST_EFFORT = "best_effort"
 _EYE6 = np.eye(6)  # the damping term's identity
+# Initial DLS damping factor and the fraction of each solved step taken.
+_DAMPING = 0.05
+_STEP_SCALE = 0.5
 
-# Actuator layout per hand: thumb and finger closures, then thumb rotation.
-HAND_ACTUATORS = ("thumb_flex", "index", "middle", "ring", "pinky", "thumb_rot")
+# Actuators per hand: thumb and finger closures, then thumb rotation.
 HAND_ACTUATOR_COUNT = 6
 
 
@@ -197,30 +199,17 @@ def forward_kinematics(chain: KinematicChain, q: np.ndarray) -> Pose:
     return Pose(R[0], t[0])
 
 
-def jacobian(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
-    """Geometric Jacobian, 6 x n: linear velocity rows, then angular."""
-    q = _check_q(chain, q)
-    _, t, axes, origins = _fk_frames(chain.arrays, q[None])
-    return _jacobians(t, axes, origins, 1.0)[0]
-
-
 @dataclass(frozen=True)
 class IkParams:
-    damping: float = 0.05
     max_iters: int = 100
     pos_tol: float = 1e-3            # meters
     rot_tol: float = np.deg2rad(0.5) # radians
-    step_scale: float = 0.5
     orientation_weight: float = 1.0  # 0 gives position-only solving
     restarts: int = 30               # deterministic extra seeds on failure
 
     def __post_init__(self):
-        if self.damping <= 0:
-            raise ValueError("damping must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.step_scale <= 1.0:
-            raise ValueError("step_scale must be in (0, 1]")
         if self.orientation_weight < 0:
             raise ValueError("orientation_weight must be >= 0")
 
@@ -275,7 +264,7 @@ def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
     R, t, axes, origins = _fk_frames(chain, Q)
     pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t, w)
     err = pos_err + w * rot_err
-    lam = np.full(B, params.damping)
+    lam = np.full(B, _DAMPING)
     live = np.arange(B)  # rows still descending, ascending
     first_ok = np.full(group[-1] + 1, B)  # per group; B: none converged yet
     # One more convergence test follows the last allowed step.
@@ -298,7 +287,7 @@ def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
             Jt = Jm[waiting]
             A = Jt @ Jt.transpose(0, 2, 1) + (lam[rows] * lam[rows])[:, None, None] * _EYE6
             x = np.linalg.solve(A, e[rows][..., None])[..., 0]
-            q_new = Q[rows] + params.step_scale * np.vecmat(x, Jt)
+            q_new = Q[rows] + _STEP_SCALE * np.vecmat(x, Jt)
             q_new = np.minimum(np.maximum(q_new, chain.lo), chain.hi)
             R2, t2, axes2, origins2 = _fk_frames(chain, q_new)
             pos2, rot2, e2 = _pose_errors(R2, t2, target_R[rows], target_t[rows], w)
@@ -397,15 +386,11 @@ class HandModel:
     finger_dirs: np.ndarray       # (5, 3) unit rays in the wrist frame
     palm_normal: np.ndarray       # (3,) unit, wrist frame
     thumb_rot_range: tuple[float, float]  # radians, lo < hi, within (-pi, pi)
-    actuator_joint_range: np.ndarray = field(
-        default_factory=lambda: np.tile([0.0, 1.7], (HAND_ACTUATOR_COUNT, 1))
-    )  # (6, 2) physical actuator angle span, metadata only
 
     def __post_init__(self):
         ext = np.array(self.fingertip_extent, dtype=float)
         dirs = np.array(self.finger_dirs, dtype=float)
         normal = np.array(self.palm_normal, dtype=float)
-        rng = np.array(self.actuator_joint_range, dtype=float)
         if ext.shape != (5,) or np.any(ext <= 0):
             raise ValueError("fingertip_extent must be 5 positive lengths")
         if dirs.shape != (5, 3):
@@ -422,15 +407,12 @@ class HandModel:
         lo, hi = self.thumb_rot_range
         if not (-np.pi < lo < hi < np.pi):
             raise ValueError("thumb_rot_range must satisfy -pi < lo < hi < pi")
-        if rng.shape != (HAND_ACTUATOR_COUNT, 2):
-            raise ValueError("actuator_joint_range must be (6, 2)")
-        for arr in (ext, dirs, normal, rng):
+        for arr in (ext, dirs, normal):
             arr.flags.writeable = False
         object.__setattr__(self, "fingertip_extent", ext)
         object.__setattr__(self, "finger_dirs", dirs)
         object.__setattr__(self, "palm_normal", normal)
         object.__setattr__(self, "thumb_rot_range", (float(lo), float(hi)))
-        object.__setattr__(self, "actuator_joint_range", rng)
 
 
 @dataclass(frozen=True)
@@ -517,8 +499,14 @@ def _split_commands(config: EmbodimentConfig, commands: np.ndarray) -> list[np.n
 
 
 def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
-    """`retarget_hand` for a batch: fingertips (B, 5, 3) and wrist poses
-    (B, 3, 3), (B, 3) to actuators (B, 6)."""
+    """Map fingertips (B, 5, 3) and wrist poses (B, 3, 3), (B, 3) to the
+    6 normalized hand actuators (B, 6).
+
+    Flexion actuators: 1 - clamp(|tip - wrist| / extent, 0, 1), thumb
+    first then index..pinky. The sixth actuator is the thumb tip angle
+    about the palm normal, normalized over the model's rotation range.
+    Total and monotone: closing distance never decreases closure.
+    """
     dist = np.linalg.norm(tips - wrist_t[:, None, :], axis=-1)
     closure = 1.0 - np.minimum(np.maximum(dist / hand_model.fingertip_extent, 0.0), 1.0)
 
@@ -536,8 +524,8 @@ def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray
 
 
 def _fingertip_rows(actuators, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
-    """`hand_fingertips` for a batch: actuators (B, 6) and wrist poses
-    (B, 3, 3), (B, 3) to fingertips (B, 5, 3)."""
+    """Inverse of `_hand_actuators`: actuators (B, 6) and wrist poses
+    (B, 3, 3), (B, 3) to fingertips (B, 5, 3) placed along the model rays."""
     act = np.minimum(np.maximum(actuators, 0.0), 1.0)
     dist = hand_model.fingertip_extent * (1.0 - act[:, :5])
     lo, hi = hand_model.thumb_rot_range
@@ -548,38 +536,6 @@ def _fingertip_rows(actuators, wrist_R, wrist_t, hand_model: HandModel) -> np.nd
     local = hand_model.finger_dirs * dist[:, :, None]
     local[:, 0] = thumb_dir * dist[:, :1]
     return local @ wrist_R.transpose(0, 2, 1) + wrist_t[:, None, :]
-
-
-def retarget_hand(
-    fingertips: np.ndarray, wrist_pose: Pose, hand_model: HandModel
-) -> np.ndarray:
-    """Map 5 fingertip positions to the 6 normalized hand actuators.
-
-    Flexion actuators: 1 - clamp(|tip - wrist| / extent, 0, 1), thumb
-    first then index..pinky. The sixth actuator is the thumb tip angle
-    about the palm normal, normalized over the model's rotation range.
-    Total and monotone: closing distance never decreases closure.
-    """
-    tips = np.asarray(fingertips, dtype=float)
-    if tips.shape != (5, 3):
-        raise DimensionMismatch(f"fingertips must be (5, 3), got {tips.shape}")
-    if not np.all(np.isfinite(tips)):
-        raise RetargetFailure("fingertips contain non-finite values")
-    return _hand_actuators(
-        tips[None], wrist_pose.rotation[None], wrist_pose.translation[None], hand_model
-    )[0]
-
-
-def hand_fingertips(
-    actuators: np.ndarray, wrist_pose: Pose, hand_model: HandModel
-) -> np.ndarray:
-    """Inverse of `retarget_hand`: place fingertips along the model rays."""
-    act = np.asarray(actuators, dtype=float)
-    if act.shape != (HAND_ACTUATOR_COUNT,):
-        raise DimensionMismatch(f"expected 6 actuator values, got {act.shape}")
-    return _fingertip_rows(
-        act[None], wrist_pose.rotation[None], wrist_pose.translation[None], hand_model
-    )[0]
 
 
 def neck_angles_from_head_rotation(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -621,10 +577,7 @@ def _decode_actions(actions: np.ndarray):
     of unified actions (B, 54), and per row the error retargeting raises
     for it, else None: non-finite values, or else the first rotation code
     (left wrist, right wrist, head) that does not decode."""
-    U = unified_space
-    rotations, defect = geometry.decode_rot6d_rows(
-        np.stack([actions[:, sl] for sl in U.ROTATION_SLICES], axis=1)
-    )
+    rotations, defect = geometry.decode_rot6d_rows(unified_space.rotation_codes(actions))
     finite = np.isfinite(actions).all(axis=1)
     defect = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
     errors = [None] * len(actions)

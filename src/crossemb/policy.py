@@ -280,10 +280,8 @@ def predict(
     if not model.config.action_includes_head:
         # Head excluded from the action: carry the current head rotation.
         chunk[:, unified_space.HEAD_ROT] = raw_state[unified_space.HEAD_ROT]
-    codes = np.stack([chunk[:, sl] for sl in unified_space.ROTATION_SLICES], axis=1)
-    codes = geometry.encode_rot6d(geometry.decode_rot6d(codes))
-    for i, sl in enumerate(unified_space.ROTATION_SLICES):
-        chunk[:, sl] = codes[:, i]
+    codes = geometry.encode_rot6d(geometry.decode_rot6d(unified_space.rotation_codes(chunk)))
+    chunk[:, unified_space.ROTATIONS] = codes.reshape(-1, 18)
     return chunk
 
 

@@ -19,8 +19,6 @@ import numpy as np
 from . import geometry, unified_space
 from .errors import DegenerateTrajectory, EmptyStream
 
-DEFAULT_BODY_MOTION_THRESHOLD_M = 0.15
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -93,14 +91,11 @@ def retime(traj: Trajectory, alpha: float, out_rate: float) -> Trajectory:
     out_states = (1.0 - w) * s0 + w * s1
     blend = (u > 0.0) & (u < 1.0)
     q0, q1 = (
-        geometry.quat_from_matrix(geometry.decode_rot6d(
-            np.stack([s[blend, sl] for sl in unified_space.ROTATION_SLICES], axis=1)
-        ))
+        geometry.quat_from_matrix(geometry.decode_rot6d(unified_space.rotation_codes(s[blend])))
         for s in (s0, s1)
     )
     codes = geometry.encode_rot6d(geometry.quat_to_matrix(geometry.slerp(q0, q1, u[blend, None])))
-    for k, sl in enumerate(unified_space.ROTATION_SLICES):
-        out_states[blend, sl] = codes[:, k]
+    out_states[blend, unified_space.ROTATIONS] = codes.reshape(-1, 18)
     out_states[u == 0.0] = s0[u == 0.0]
     out_states[u == 1.0] = s1[u == 1.0]
     out_head = None
@@ -121,65 +116,44 @@ class SyncResult:
     dropped: int
 
 
+def nearest_frames(times: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index into the sorted, nonempty `times` of the frame nearest to each
+    query time; ties go to the earlier frame."""
+    after = np.searchsorted(times, query, side="left")  # first frame at or after
+    left, right = np.maximum(after - 1, 0), np.minimum(after, len(times) - 1)
+    return np.where(np.abs(times[left] - query) <= np.abs(times[right] - query), left, right)
+
+
 def sync_streams(
     proprio: Sequence[tuple[float, Any]],
     visual: Sequence[tuple[float, Any]],
     max_skew: float,
 ) -> SyncResult:
-    """Pair every proprio record with the closest-timestamp visual frame.
+    """Pair every proprio record with the closest-timestamp visual frame
+    (`nearest_frames`).
 
-    Pairs whose skew exceeds `max_skew` are dropped and counted; ties go
-    to the earlier visual frame. Both inputs must be timestamp-sorted.
+    Pairs whose skew exceeds `max_skew` are dropped and counted. Both
+    inputs must be timestamp-sorted.
     """
     if len(proprio) == 0 or len(visual) == 0:
         raise EmptyStream("both streams must be nonempty")
     vis_times = np.array([t for t, _ in visual], dtype=float)
-    pairs = []
-    dropped = 0
-    for t, payload in proprio:
-        i = int(np.searchsorted(vis_times, t, side="left"))
-        # Candidates: the frame at/after t and the one before it.
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(visual):
-                dt = abs(vis_times[j] - t)
-                # Strict < keeps the earlier frame on ties.
-                if best is None or dt < best[0]:
-                    best = (dt, j)
-        if best[0] > max_skew:
-            dropped += 1
-            continue
-        pairs.append(((t, payload), visual[best[1]]))
-    return SyncResult(pairs=tuple(pairs), dropped=dropped)
+    prop_times = np.array([t for t, _ in proprio], dtype=float)
+    nearest = nearest_frames(vis_times, prop_times)
+    dropped = np.abs(vis_times[nearest] - prop_times) > max_skew
+    pairs = tuple(((t, payload), visual[j])
+                  for (t, payload), j, drop in zip(proprio, nearest.tolist(), dropped) if not drop)
+    return SyncResult(pairs=pairs, dropped=int(dropped.sum()))
 
 
-@dataclass(frozen=True)
-class BodyMotionReport:
-    excursion_m: float
-    threshold_m: float
-    passed: bool
-
-    def to_json_dict(self, episode_id: str = "") -> dict:
-        return {
-            "episode_id": episode_id,
-            "excursion_m": self.excursion_m,
-            "pass": self.passed,
-        }
-
-
-def body_motion_check(
-    traj: Trajectory, threshold: float = DEFAULT_BODY_MOTION_THRESHOLD_M
-) -> BodyMotionReport:
-    """Flag episodes whose head drifts too far from its initial position.
+def body_motion_check(traj: Trajectory) -> float:
+    """How far (m) the head strays from its initial position: the largest
+    distance of any frame's head position from the first.
 
     Trajectories without head-position metadata (robot logs) are treated
     as stationary.
     """
     if traj.head_positions is None:
-        excursion = 0.0
-    else:
-        deltas = traj.head_positions - traj.head_positions[0]
-        excursion = float(np.max(np.linalg.norm(deltas, axis=1)))
-    return BodyMotionReport(
-        excursion_m=excursion, threshold_m=threshold, passed=excursion <= threshold
-    )
+        return 0.0
+    deltas = traj.head_positions - traj.head_positions[0]
+    return float(np.max(np.linalg.norm(deltas, axis=1)))

@@ -8,7 +8,7 @@ distribution and 4x faster motion (slowed down at ingestion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,22 +32,19 @@ HOME_ARM_Q_7 = np.array([-1.7, -0.2, 0.0, 2.1, 0.6, 0.0, 0.0])
 HOME_ARM_Q_5 = np.array([-1.7, -0.2, 0.0, 2.1, 0.0])
 HAND_REST = np.array([0.25, 0.2, 0.2, 0.2, 0.2, 0.5])
 
-GRID_ORIGIN = np.array([0.10, -0.37, 0.15])  # lower corner of cell (0, 0)
-GRID_CELL = 0.10
+# Amplitude of the positional jitter of reach trajectories, meters.
+JITTER = 0.002
 
 
-@dataclass(frozen=True)
 class GoalGrid:
-    """Row-major 3x3 grid of square cells on the table plane."""
+    """Row-major 3x3 grid of 10 cm cells on the table plane; `origin` is
+    the lower corner of cell (0, 0)."""
 
-    origin: np.ndarray = field(default_factory=lambda: GRID_ORIGIN.copy())
-    cell_size: float = GRID_CELL
-    rows: int = 3
-    cols: int = 3
-
-    @property
-    def n_cells(self) -> int:
-        return self.rows * self.cols
+    origin = np.array([0.10, -0.37, 0.15])
+    origin.flags.writeable = False
+    cell_size = 0.10
+    rows = cols = 3
+    n_cells = rows * cols
 
     def cell_corner(self, cell: int) -> np.ndarray:
         r, c = divmod(cell, self.cols)
@@ -65,25 +62,22 @@ class GoalGrid:
 
 
 class FeatureCodec:
-    """Random-Fourier goal encoding plus observation noise.
+    """Random-Fourier goal encoding (lengthscale 0.12 m, fixed seed) plus
+    observation noise of standard deviation 0.02.
 
     Stands in for visual features: smooth in the goal position but not
     linearly extrapolatable, so training coverage matters.
     """
 
-    def __init__(self, dim: int = 12, lengthscale: float = 0.12, noise: float = 0.02,
-                 seed: int = 1234):
-        rng = np.random.Generator(np.random.PCG64(seed))
+    def __init__(self, dim: int):
+        rng = np.random.Generator(np.random.PCG64(1234))
         self.dim = dim
-        self.noise = noise
-        self._W = rng.standard_normal((dim, 3)) / lengthscale
+        self._W = rng.standard_normal((dim, 3)) / 0.12
         self._phase = rng.random(dim) * 2.0 * np.pi
 
-    def encode(self, goal: np.ndarray) -> np.ndarray:
-        return np.cos(self._W @ np.asarray(goal, dtype=float) + self._phase)
-
     def observe(self, goal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.encode(goal) + self.noise * rng.standard_normal(self.dim)
+        encoded = np.cos(self._W @ np.asarray(goal, dtype=float) + self._phase)
+        return encoded + 0.02 * rng.standard_normal(self.dim)
 
 
 def _min_jerk(tau: np.ndarray) -> np.ndarray:
@@ -119,7 +113,6 @@ class ReachTask:
     codec: FeatureCodec
     home_right_q: np.ndarray
     home_left_q: np.ndarray
-    jitter: float = 0.002       # positional jitter amplitude, meters
 
     @property
     def ood_cells(self) -> tuple[int, ...]:
@@ -141,32 +134,22 @@ class ReachTask:
         return geometry.norms(wrist - goal) <= self.goal_tolerance
 
 
-def make_reach_task(
-    config: EmbodimentConfig,
-    feature_dim: int = 12,
-    feature_noise: float = 0.02,
-    rate: float = 10.0,
-    move_duration: float = 2.4,
-    hold_duration: float = 0.4,
-    alpha: float = 4.0,
-    goal_tolerance: float = 0.02,
-    robot_cells: tuple[int, ...] = (4, 5),
-    codec_seed: int = 1234,
-) -> ReachTask:
-    n = config.right_arm.n_joints
-    home = HOME_ARM_Q_7 if n == 7 else HOME_ARM_Q_5
+def make_reach_task(config: EmbodimentConfig, feature_dim: int = 12) -> ReachTask:
+    """The reach task on `config`: robot demos cover cells 4 and 5, human
+    demos run 4x faster than the robot's 2.4 s moves at 10 Hz."""
+    home = HOME_ARM_Q_7 if config.right_arm.n_joints == 7 else HOME_ARM_Q_5
     return ReachTask(
         name="reach",
         config_name=config.name,
         grid=GoalGrid(),
-        robot_cells=robot_cells,
-        goal_tolerance=goal_tolerance,
-        rate=rate,
-        move_duration=move_duration,
-        hold_duration=hold_duration,
+        robot_cells=(4, 5),
+        goal_tolerance=0.02,
+        rate=10.0,
+        move_duration=2.4,
+        hold_duration=0.4,
         human_capture_rate=30.0,
-        alpha=alpha,
-        codec=FeatureCodec(dim=feature_dim, noise=feature_noise, seed=codec_seed),
+        alpha=4.0,
+        codec=FeatureCodec(feature_dim),
         home_right_q=home.copy(),
         home_left_q=home.copy(),
     )
@@ -193,17 +176,16 @@ def ideal_reach_trajectory(
     s = _min_jerk(times / move_duration)
     wrist_path = p0[None, :] + s[:, None] * (np.asarray(goal) - p0)[None, :]
 
-    jit = task.jitter
     # Smooth drift plus white sensor noise; the white part doubles as
     # augmentation (it carries no phase information).
-    pos_noise = _smooth_noise(rng, n, 3, jit, times) + jit * rng.standard_normal((n, 3))
-    left_noise = _smooth_noise(rng, n, 3, jit, times) + jit * rng.standard_normal((n, 3))
+    pos_noise = _smooth_noise(rng, n, 3, JITTER, times) + JITTER * rng.standard_normal((n, 3))
+    left_noise = _smooth_noise(rng, n, 3, JITTER, times) + JITTER * rng.standard_normal((n, 3))
     rot_noise = _smooth_noise(rng, n, 9, 0.01, times) + 0.005 * rng.standard_normal((n, 9))
     hand_noise = _smooth_noise(rng, n, 12, 0.01, times) + 0.005 * rng.standard_normal((n, 12))
 
     head_positions = np.zeros((n, 3))
     head_positions[:, 2] = config.canonical_frame_offset
-    head_positions += _smooth_noise(rng, n, 3, jit, times)
+    head_positions += _smooth_noise(rng, n, 3, JITTER, times)
     # Per frame a small rotation about each noise vector's direction, by
     # its norm: right wrist, left wrist, head.
     rot_noise = rot_noise.reshape(n, 3, 3)

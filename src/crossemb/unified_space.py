@@ -37,7 +37,7 @@ RIGHT_WRIST_ROT = slice(12, 18)
 LEFT_WRIST_POS = slice(18, 21)
 RIGHT_WRIST_POS = slice(21, 24)
 FINGERTIPS = slice(24, 54)
-ROTATION_SLICES = (HEAD_ROT, LEFT_WRIST_ROT, RIGHT_WRIST_ROT)
+ROTATIONS = slice(0, 18)  # the three rotation codes, head first
 
 FINGERS_PER_HAND = 5
 # Anatomical sanity bound on wrist-to-fingertip distance, meters.
@@ -46,6 +46,12 @@ DEFAULT_MAX_HAND_REACH = 0.35
 SHARED_KEY = "shared"
 MODE_SHARED = "shared"
 MODE_PER_EMBODIMENT = "per_embodiment"
+
+
+def rotation_codes(x: np.ndarray) -> np.ndarray:
+    """The rotation codes of states (..., 54) as (..., 3, 6): head, left
+    wrist, right wrist. A view of `x` where its strides allow one."""
+    return x[..., ROTATIONS].reshape(x.shape[:-1] + (3, 6))
 
 
 def eef_indices() -> np.ndarray:
@@ -104,9 +110,7 @@ def check_state_rows(rows: np.ndarray, max_reach: float | None = None) -> None:
     `encode_state`) and, if `max_reach` is given, every fingertip within
     `max_reach` meters of its wrist. The error names the first failing row
     and its first failing component, in layout order."""
-    _, defect = geometry.decode_rot6d_rows(
-        np.stack([rows[:, sl] for sl in ROTATION_SLICES], axis=1)
-    )
+    _, defect = geometry.decode_rot6d_rows(rotation_codes(rows))
     positions = [rows[:, sl] for sl in (LEFT_WRIST_POS, RIGHT_WRIST_POS, FINGERTIPS)]
     bad = [defect > 0, *(~np.isfinite(p).all(axis=1, keepdims=True) for p in positions)]
     if max_reach is not None:
@@ -141,15 +145,6 @@ def decode_state(vec: np.ndarray) -> UnifiedState:
         right_wrist_pos=vec[RIGHT_WRIST_POS],
         fingertips=vec[FINGERTIPS].reshape(10, 3),
     )
-
-
-def identity_state_vector() -> np.ndarray:
-    """All-identity rotations, all-zero positions."""
-    ident = geometry.encode_rot6d(np.eye(3))
-    out = np.zeros(STATE_DIM)
-    for sl in ROTATION_SLICES:
-        out[sl] = ident
-    return out
 
 
 @dataclass(frozen=True)

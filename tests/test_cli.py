@@ -1,32 +1,32 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from crossemb import geometry, unified_space
+from crossemb import geometry, harness, unified_space
 from crossemb.cli import cli
 from crossemb.dataset import read_dataset, write_dataset
-from crossemb.embodiments import humanoid_a_config, save_embodiment_config
+from crossemb.embodiments import config_to_json_dict, humanoid_a_config
 from crossemb.kinematics import forward_kinematics
 from crossemb.retiming import Trajectory, retime
 
-from test_dataset import synthetic_episode, write_human_raw, write_robot_raw
+from test_dataset import IDENTITY_STATE, synthetic_episode, write_human_raw, write_robot_raw
 
 
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "a.json"
-    save_embodiment_config(humanoid_a_config(), path)
+    path.write_text(json.dumps(config_to_json_dict(humanoid_a_config())))
     return str(path)
 
 
 def fixture_traj_doc(n=10, rate=30.0):
     times = np.arange(n) / rate
-    base = unified_space.identity_state_vector()
     frames = []
     for i, f in enumerate(np.linspace(0, 1, n)):
-        vec = base.copy()
+        vec = IDENTITY_STATE.copy()
         vec[unified_space.LEFT_WRIST_POS] = [f, 0, 0]
         frames.append({"t": float(times[i]), "state": vec.tolist()})
     return {"embodiment_tag": "human", "nominal_rate": rate, "frames": frames}
@@ -48,6 +48,24 @@ def test_validate_ok_and_failure(tmp_path, capsys):
     blob[-1] ^= 0xFF
     target.write_bytes(bytes(blob))
     assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+
+
+def test_validate_non_increasing_times_exit_1(tmp_path, capsys):
+    """Times that do not increase, stored under a matching checksum, fail
+    the episode's own check when the dataset is read."""
+    write_dataset([synthetic_episode("e0", "robot")], tmp_path / "d")
+    target = tmp_path / "d" / "episodes" / "e0.bin"
+    blob = bytearray(target.read_bytes())
+    blob[24:32] = blob[16:24]  # times[1] = times[0]
+    target.write_bytes(bytes(blob))
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["episodes"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+    out = capsys.readouterr().out
+    assert "validation failed" in out and "strictly increasing" in out
 
 
 def test_validate_check_reach_exit_1(tmp_path, capsys):
@@ -169,7 +187,7 @@ def test_train_and_predict_cli(tmp_path):
         "--lr", "0.01", "--batch-size", "4",
     ]) == 0
     assert ckpt.exists()
-    state = ",".join(str(v) for v in unified_space.identity_state_vector())
+    state = ",".join(str(v) for v in IDENTITY_STATE)
     feature = "0,0,0,0"
     assert cli([
         "predict", "--checkpoint", str(ckpt), "--state", state,
@@ -275,7 +293,7 @@ def test_predict_truncated_checkpoint_exit_1(tmp_path, capsys):
                 "--chunk-length", "3", "--hidden", "8", "--steps", "2",
                 "--batch-size", "4"]) == 0
     ckpt.write_bytes(ckpt.read_bytes()[:-8])
-    state = ",".join(str(v) for v in unified_space.identity_state_vector())
+    state = ",".join(str(v) for v in IDENTITY_STATE)
     assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
                 "--feature", "0,0,0,0", "--tag", "human"]) == 1
 
@@ -340,12 +358,31 @@ def test_rollout_out_of_range_flag_exit_1(tmp_path, flag, value, capsys):
     assert f"error: {flag}: expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["cotraining", "--seeds", "0"], "--seeds"),
+    (["ablation", "--seeds", "-1"], "--seeds"),
+    (["cotraining", "--robot-counts", "8,0"], "--robot-counts"),
+    (["cotraining", "--human-demos", "-1"], "--human-demos"),
+    (["ablation", "--human-demos", "0"], "--human-demos"),
+], ids=["cotraining_seeds", "ablation_seeds", "robot_counts", "cotraining_human_demos",
+        "ablation_human_demos"])
+def test_experiment_out_of_range_flag_exit_1(tmp_path, monkeypatch, argv, flag, capsys):
+    """Checked before any demo is built."""
+    def draw_demos(*args, **kwargs):
+        raise AssertionError("demos were drawn")
+
+    monkeypatch.setattr(harness, "_draw_demos", draw_demos)
+    capsys.readouterr()
+    assert cli(["experiment", *argv, "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {flag}: expected" in capsys.readouterr().err
+
+
 def test_retarget_q_prev_hand_out_of_range_exit_1(config_file, capsys):
     cfg = humanoid_a_config()
     q_prev = np.concatenate([cfg.left_arm.mid_range(), cfg.right_arm.mid_range(), np.zeros(2),
                              np.full(6, 0.5), np.full(6, 1.5)])
     argv = ["retarget", "--embodiment-config", config_file,
-            "--action", ",".join(map(str, unified_space.identity_state_vector())),
+            "--action", ",".join(map(str, IDENTITY_STATE)),
             "--q-prev", ",".join(map(str, q_prev))]
     capsys.readouterr()
     assert cli(argv) == 1
@@ -377,7 +414,7 @@ def test_malformed_embodiment_config_exit_1(tmp_path, config_file, command, requ
         "fk": lambda: ["fk", "--q", "0,0,0,0,0"],
         "ik": lambda: ["ik", "--target-pos", "0.3,-0.2,0.2"],
         "retarget": lambda: ["retarget", "--action",
-                             ",".join(map(str, unified_space.identity_state_vector()))],
+                             ",".join(map(str, IDENTITY_STATE))],
         "rollout": lambda: ["rollout", "--checkpoint", request.getfixturevalue("tiny_checkpoint"),
                             "--max-steps", "1"],
         "ingest": lambda: ["ingest", "--raw", str(write_robot_raw(tmp_path)),
@@ -431,7 +468,7 @@ def test_input_path_that_is_a_directory_exit_1(tmp_path, config_file, command, c
 
 @pytest.mark.parametrize("command", ["ingest", "train", "predict"])
 def test_binary_or_frames_path_that_is_a_directory_exit_1(tmp_path, command, capsys):
-    state = ",".join(str(v) for v in unified_space.identity_state_vector())
+    state = ",".join(str(v) for v in IDENTITY_STATE)
     if command == "ingest":
         raw = write_human_raw(tmp_path, n=12, episode_id="h1")
         blocked = raw / "frames.jsonl"

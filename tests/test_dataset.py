@@ -32,6 +32,9 @@ from crossemb.errors import (
 )
 from crossemb.geometry import Pose
 
+# Identity rotations, zero positions.
+IDENTITY_STATE = np.array([1.0, 0, 0, 0, 1, 0] * 3 + [0.0] * 36)
+
 
 def pose_json(R=None, t=(0.0, 0.0, 0.0)):
     q = geometry.quat_from_matrix(R if R is not None else np.eye(3))
@@ -102,8 +105,7 @@ def write_robot_raw(tmp_path, n=10, rate=30.0, episode_id="r1"):
 
 def synthetic_episode(ep_id, tag, n=20, feature_dim=4, seed=0):
     rng = np.random.default_rng(seed)
-    base = unified_space.identity_state_vector()
-    states = np.tile(base, (n, 1))
+    states = np.tile(IDENTITY_STATE, (n, 1))
     states[:, 18:24] += rng.normal(scale=0.05, size=(n, 6))
     return DemonstrationEpisode(
         id=ep_id,
@@ -469,14 +471,13 @@ def test_pairs_never_cross_episodes():
 
 def make_pairs(tag, count):
     """`count` one-pair episodes (K = 2, F = 2), all at the identity state."""
-    vec = unified_space.identity_state_vector()
     episodes = [
         DemonstrationEpisode(
             id=f"{tag}-{i}",
             embodiment_tag=tag,
             instruction="",
             times=np.arange(3) / 30.0,
-            states=np.tile(vec, (3, 1)),
+            states=np.tile(IDENTITY_STATE, (3, 1)),
             features=np.zeros((3, 2)),
         )
         for i in range(count)

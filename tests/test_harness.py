@@ -7,14 +7,13 @@ import pytest
 
 from crossemb import geometry, harness, tasks, unified_space
 from crossemb.embodiments import humanoid_a_config, humanoid_b_config
-from crossemb.geometry import Pose
 from crossemb.errors import CrossembError
 from crossemb.kinematics import (
     IkParams,
     RobotCommand,
     _embed_rows,
+    _fingertip_rows,
     forward_kinematics,
-    hand_fingertips,
     retarget_action,
 )
 from crossemb.harness import (
@@ -178,7 +177,7 @@ def per_frame_reach_states(task, config, goal, rng, capture_rate, move_duration,
     times = np.arange(n) / capture_rate
     s = tasks._min_jerk(times / move_duration)
     wrist_path = p0[None, :] + s[:, None] * (np.asarray(goal) - p0)[None, :]
-    jit = task.jitter
+    jit = tasks.JITTER
     smooth = tasks._smooth_noise
     pos_noise = smooth(rng, n, 3, jit, times) + jit * rng.standard_normal((n, 3))
     left_noise = smooth(rng, n, 3, jit, times) + jit * rng.standard_normal((n, 3))
@@ -202,8 +201,8 @@ def per_frame_reach_states(task, config, goal, rng, capture_rate, move_duration,
         left_act = np.clip(tasks.HAND_REST + hand_noise[i, :6], 0.0, 1.0)
         right_act = np.clip(tasks.HAND_REST + hand_noise[i, 6:], 0.0, 1.0)
         tips = np.concatenate([
-            hand_fingertips(left_act, Pose(Rl, left_pos), config.hand_model),
-            hand_fingertips(right_act, Pose(Rr, right_pos), config.hand_model),
+            _fingertip_rows(left_act[None], Rl[None], left_pos[None], config.hand_model)[0],
+            _fingertip_rows(right_act[None], Rr[None], right_pos[None], config.hand_model)[0],
         ])
         states[i] = unified_space.encode_state(unified_space.UnifiedState(
             head_rot=geometry.encode_rot6d(rotation(rot_noise[i, 6:9])),

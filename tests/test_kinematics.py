@@ -14,23 +14,22 @@ from crossemb.embodiments import (
 from crossemb.errors import CrossembError, DimensionMismatch, NonFiniteTarget, RetargetFailure
 from crossemb.geometry import Pose
 from crossemb.kinematics import (
-    HAND_ACTUATOR_COUNT,
     IkParams,
     Joint,
     KinematicChain,
     RobotCommand,
     _embed_rows,
+    _fingertip_rows,
     _fk_frames,
+    _hand_actuators,
     _ik_rows,
+    _jacobians,
     _retarget_rows,
     embed_robot_state,
     forward_kinematics,
-    hand_fingertips,
     ik_solve,
-    jacobian,
     neck_angles_from_head_rotation,
     retarget_action,
-    retarget_hand,
 )
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -144,7 +143,7 @@ def test_fk_zero_q_is_product_of_origins():
     chain = random_chain(rng, 4)
     T = fk_matrix_chain_oracle(chain, np.zeros(4))
     pose = forward_kinematics(chain, np.zeros(4))
-    np.testing.assert_allclose(pose.to_matrix(), T, atol=1e-12)
+    np.testing.assert_allclose(homogeneous(pose.rotation, pose.translation), T, atol=1e-12)
 
 
 def test_fk_matches_matrix_chain_oracle():
@@ -154,7 +153,7 @@ def test_fk_matches_matrix_chain_oracle():
         q = rng.uniform(-np.pi, np.pi, size=7)
         T = fk_matrix_chain_oracle(chain, q)
         pose = forward_kinematics(chain, q)
-        assert np.max(np.abs(pose.to_matrix() - T)) <= 1e-12
+        assert np.max(np.abs(homogeneous(pose.rotation, pose.translation) - T)) <= 1e-12
 
 
 def test_fk_dimension_mismatch():
@@ -171,7 +170,7 @@ def test_jacobian_single_z_joint():
         base_frame=Pose.identity(),
         tip_offset=Pose.from_translation([1.0, 0, 0]),
     )
-    J = jacobian(chain, np.zeros(1))
+    J = _jacobians(*_fk_frames(chain.arrays, np.zeros((1, 1)))[1:], 1.0)[0]
     np.testing.assert_allclose(J[:, 0], [0, 1, 0, 0, 0, 1], atol=1e-12)
 
 
@@ -181,7 +180,7 @@ def test_jacobian_zero_lever_arm():
         base_frame=Pose.identity(),
         tip_offset=Pose.identity(),
     )
-    J = jacobian(chain, np.zeros(1))
+    J = _jacobians(*_fk_frames(chain.arrays, np.zeros((1, 1)))[1:], 1.0)[0]
     np.testing.assert_allclose(J[:3, 0], 0, atol=1e-12)
     np.testing.assert_allclose(J[3:, 0], Z, atol=1e-12)
 
@@ -193,7 +192,7 @@ def test_jacobian_matches_central_differences():
         n = int(rng.integers(2, 8))
         chain = random_chain(rng, n)
         q = rng.uniform(-2.0, 2.0, size=n)
-        J = jacobian(chain, q)
+        J = _jacobians(*_fk_frames(chain.arrays, q[None])[1:], 1.0)[0]
         J_fd = finite_difference_jacobian(chain, q)
         scale = max(1.0, np.max(np.abs(J_fd)))
         worst = max(worst, np.max(np.abs(J - J_fd)) / scale)
@@ -330,17 +329,16 @@ def hand_formula_oracle(fingertips, wrist_R, wrist_t, model):
 
 def test_hand_full_extent_zero_closure():
     model = default_hand_model()
-    wrist = Pose.identity()
     tips = model.finger_dirs * model.fingertip_extent[:, None]
-    act = retarget_hand(tips, wrist, model)
+    act = _hand_actuators(tips[None], np.eye(3)[None], np.zeros((1, 3)), model)[0]
     np.testing.assert_allclose(act[:5], 0.0, atol=1e-12)
 
 
 def test_hand_coincident_full_closure():
     model = default_hand_model()
-    wrist = Pose(np.eye(3), np.array([0.2, -0.1, 0.5]))
-    tips = np.tile(wrist.translation, (5, 1))
-    act = retarget_hand(tips, wrist, model)
+    wrist_t = np.array([0.2, -0.1, 0.5])
+    tips = np.tile(wrist_t, (5, 1))
+    act = _hand_actuators(tips[None], np.eye(3)[None], wrist_t[None], model)[0]
     np.testing.assert_allclose(act[:5], 1.0, atol=1e-12)
 
 
@@ -351,7 +349,7 @@ def test_hand_matches_formula_oracle():
     t = rng.normal(size=3)
     wrist = Pose(R, t)
     tips = wrist.apply(model.finger_dirs * (0.5 * model.fingertip_extent)[:, None])
-    act = retarget_hand(tips, wrist, model)
+    act = _hand_actuators(tips[None], R[None], t[None], model)[0]
     expected = hand_formula_oracle(tips, R, t, model)
     np.testing.assert_allclose(act, expected, atol=1e-12)
     np.testing.assert_allclose(act[:5], 0.5, atol=1e-12)
@@ -359,11 +357,10 @@ def test_hand_matches_formula_oracle():
 
 def test_hand_monotone_in_distance():
     model = default_hand_model()
-    wrist = Pose.identity()
     prev = None
     for scale in np.linspace(1.0, 0.0, 11):
         tips = model.finger_dirs * (scale * model.fingertip_extent)[:, None]
-        act = retarget_hand(tips, wrist, model)
+        act = _hand_actuators(tips[None], np.eye(3)[None], np.zeros((1, 3)), model)[0]
         if prev is not None:
             assert np.all(act[:5] >= prev[:5] - 1e-12)
         prev = act
@@ -377,16 +374,10 @@ def test_hand_roundtrip_bijective():
         act[:5] = rng.random(5) * 0.98
         act[5] = rng.random()
         R = geometry.quat_to_matrix(geometry.quat_normalize(rng.normal(size=4)))
-        wrist = Pose(R, rng.normal(size=3))
-        tips = hand_fingertips(act, wrist, model)
-        back = retarget_hand(tips, wrist, model)
+        t = rng.normal(size=3)
+        tips = _fingertip_rows(act[None], R[None], t[None], model)[0]
+        back = _hand_actuators(tips[None], R[None], t[None], model)[0]
         assert np.max(np.abs(back - act)) < 1e-6
-
-
-def test_hand_rejects_nonfinite():
-    model = default_hand_model()
-    with pytest.raises(RetargetFailure):
-        retarget_hand(np.full((5, 3), np.nan), Pose.identity(), model)
 
 
 # --- command embedding and retargeting --------------------------------------
@@ -470,11 +461,12 @@ def test_retarget_random_reachable_actions():
         cmd = out
 
 
-def test_retarget_rejects_nonfinite():
+@pytest.mark.parametrize("index", [20, 30], ids=["wrist", "fingertip"])
+def test_retarget_rejects_nonfinite(index):
     cfg = humanoid_a_config()
     cmd = home_command(cfg)
     vec = unified_space.encode_state(embed_robot_state(cmd, cfg))
-    vec[20] = np.nan
+    vec[index] = np.nan
     with pytest.raises(RetargetFailure):
         retarget_action(vec, cfg, cmd)
 
@@ -496,7 +488,6 @@ def test_embodiment_config_shapes():
     assert a.left_arm.n_joints == 5 and a.right_arm.n_joints == 5
     assert b.left_arm.n_joints == 7 and b.right_arm.n_joints == 7
     assert a.neck.n_joints == 2 and b.neck.n_joints == 2
-    assert a.hand_model.actuator_joint_range.shape == (HAND_ACTUATOR_COUNT, 2) == (6, 2)
 
 
 def test_table_limits_transcription():
@@ -664,7 +655,7 @@ RESTART_CASE_B_INIT = [0.296, 1.673, 2.635, 2.418, -1.562, 1.921, -1.465]
 def retarget_oracle(action, cfg, cmd, params=IkParams()):
     """`retarget_action` of one row from its per-arm parts: each wrist by
     `ik_solve` on its own chain, the neck by `neck_angles_from_head_rotation`
-    and `neck.clamp`, each hand by `retarget_hand`. Returns the command
+    and `neck.clamp`, each hand by `_hand_actuators` of one row. Returns the command
     vector, the two `IkSolution`s and whether the limits moved the neck;
     raises what retarget_action raises for the row."""
     U = unified_space
@@ -679,7 +670,8 @@ def retarget_oracle(action, cfg, cmd, params=IkParams()):
     raw = np.array(neck_angles_from_head_rotation(head_R))
     neck = cfg.neck.clamp(raw)
     tips = action[U.FINGERTIPS].reshape(2, 5, 3)
-    hands = [retarget_hand(t, wrist, cfg.hand_model) for t, wrist in zip(tips, wrists)]
+    hands = [_hand_actuators(t[None], wrist.rotation[None], wrist.translation[None],
+                             cfg.hand_model)[0] for t, wrist in zip(tips, wrists)]
     vector = np.concatenate([arms[0][0], arms[1][0], neck, *hands])
     return vector, arms, not np.isclose(neck, raw, atol=1e-12).all()
 

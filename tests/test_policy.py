@@ -28,6 +28,9 @@ from crossemb.policy import (
 )
 from crossemb.unified_space import compute_stats, eef_indices
 
+# Identity rotations, zero positions.
+IDENTITY_STATE = np.array([1.0, 0, 0, 0, 1, 0] * 3 + [0.0] * 36)
+
 
 def eq1_loss_oracle(pred, target, lam):
     """One-line independent evaluation of the training loss."""
@@ -41,15 +44,14 @@ def make_pairs(tag, count, K=3, F=4, seed=0, constant_action=False):
     """`count` episodes of K + 1 frames, one pair each: frame 0 is the
     state, frames 1..K the action chunk."""
     rng = np.random.default_rng(seed)
-    base = unified_space.identity_state_vector()
     episodes = []
-    const_chunk = np.tile(base, (K, 1))
+    const_chunk = np.tile(IDENTITY_STATE, (K, 1))
     for i in range(count):
-        state = base + np.concatenate([np.zeros(18), rng.normal(scale=0.1, size=36)])
+        state = IDENTITY_STATE + np.concatenate([np.zeros(18), rng.normal(scale=0.1, size=36)])
         chunk = (
             const_chunk
             if constant_action
-            else np.tile(base, (K, 1))
+            else np.tile(IDENTITY_STATE, (K, 1))
             + np.concatenate([np.zeros(18), rng.normal(scale=0.1, size=36)])
         )
         feature = rng.normal(size=F)
@@ -185,7 +187,7 @@ def test_mixed_batch_matches_per_row_oracle():
     for i, tag in enumerate(["human", "robot", "human", "robot", "human"]):
         rng = np.random.default_rng(i)
         n = 6 + i
-        states = np.tile(unified_space.identity_state_vector(), (n, 1))
+        states = np.tile(IDENTITY_STATE, (n, 1))
         states[:, 18:] += rng.normal(scale=0.1, size=(n, 36))
         episodes.append(DemonstrationEpisode(
             id=f"{tag}{i}", embodiment_tag=tag, instruction="",
@@ -443,7 +445,7 @@ def two_tag_pairs(K=3, F=4, joint_space_robot=False):
     for i, tag in enumerate(["human", "robot", "human", "robot", "human", "robot"]):
         rng = np.random.default_rng(20 + i)
         n = 8 + i
-        states = np.tile(unified_space.identity_state_vector(), (n, 1))
+        states = np.tile(IDENTITY_STATE, (n, 1))
         states[:, 18:] += rng.normal(scale=0.1, size=(n, 36))
         episodes.append(DemonstrationEpisode(
             id=f"{tag}{i}", embodiment_tag=tag, instruction="",
@@ -505,7 +507,7 @@ def test_predict_equals_forward_with_identity_stats():
     model = small_model(K=2, F=3, hidden=(6,))
     model.weights[-1][:] = rng.normal(scale=0.05, size=model.weights[-1].shape)
     # no stats attached: predict = forward + re-orthogonalization
-    state = unified_space.identity_state_vector()
+    state = IDENTITY_STATE
     feature = rng.normal(size=3)
     raw = forward(model, state, feature)
     out = predict(model, state, feature)
@@ -528,7 +530,8 @@ def test_predict_rotation_blocks_orthonormal():
     for state, feature in zip(states[:10], feats[:10]):
         chunk = predict(model, state, feature, tag="human")
         for k in range(chunk.shape[0]):
-            for sl in unified_space.ROTATION_SLICES:
+            for sl in (unified_space.HEAD_ROT, unified_space.LEFT_WRIST_ROT,
+                       unified_space.RIGHT_WRIST_ROT):
                 R = decode_rot6d(chunk[k, sl])  # must not raise
                 assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-9
 

@@ -18,9 +18,11 @@ from crossemb.unified_space import (
     denormalize,
     eef_indices,
     encode_state,
-    identity_state_vector,
     normalize,
 )
+
+# Identity rotations, zero positions.
+IDENTITY_STATE = np.array([1.0, 0, 0, 0, 1, 0] * 3 + [0.0] * 36)
 
 
 def two_pass_stats_oracle(frames):
@@ -49,13 +51,16 @@ def make_state(rng):
 
 
 def test_identity_state_layout():
-    vec = identity_state_vector()
-    assert vec.shape == (54,)
-    expected_head = [1, 0, 0, 0, 1, 0]
-    np.testing.assert_allclose(vec[:6], expected_head)
-    np.testing.assert_allclose(vec[6:12], expected_head)
-    np.testing.assert_allclose(vec[12:18], expected_head)
-    np.testing.assert_allclose(vec[18:], 0)
+    """Rotation codes occupy columns 0:18, head then left and right wrist;
+    `rotation_codes` reads them as a view."""
+    codes = unified_space.rotation_codes(IDENTITY_STATE)
+    assert codes.shape == (3, 6) and np.shares_memory(codes, IDENTITY_STATE)
+    np.testing.assert_array_equal(geometry.decode_rot6d(codes), np.tile(np.eye(3), (3, 1, 1)))
+    np.testing.assert_array_equal(IDENTITY_STATE[18:], 0.0)
+    rows = np.random.default_rng(0).normal(size=(4, 2, 54))
+    blocks = (unified_space.HEAD_ROT, unified_space.LEFT_WRIST_ROT, unified_space.RIGHT_WRIST_ROT)
+    for k, sl in enumerate(blocks):
+        np.testing.assert_array_equal(unified_space.rotation_codes(rows)[..., k, :], rows[..., sl])
 
 
 def test_roundtrip_bit_exact():
@@ -116,7 +121,7 @@ def test_eef_indices_exact():
 
 
 def test_hand_reach_validation():
-    vec = identity_state_vector()
+    vec = IDENTITY_STATE.copy()
     vec[24:27] = [1.0, 0, 0]  # left thumb 1 m from wrist at origin
     with pytest.raises(InvalidComponent):
         unified_space.check_state_rows(vec[None], unified_space.DEFAULT_MAX_HAND_REACH)
@@ -124,7 +129,7 @@ def test_hand_reach_validation():
 
 
 def test_check_state_rows_names_first_failing_row():
-    rows = np.tile(identity_state_vector(), (5, 1))
+    rows = np.tile(IDENTITY_STATE, (5, 1))
     unified_space.check_state_rows(rows, unified_space.DEFAULT_MAX_HAND_REACH)
     cases = [
         ((3, 21), np.nan, r"^row 3: right_wrist_pos contains non-finite values$"),
@@ -149,11 +154,10 @@ def test_check_state_rows_names_first_failing_row():
 # --- statistics ----------------------------------------------------------
 
 def test_constant_dataset_stats():
-    vec = identity_state_vector()
-    frames = np.tile(vec, (5, 1))
+    frames = np.tile(IDENTITY_STATE, (5, 1))
     stats = compute_stats({"human": frames}, mode=MODE_SHARED, epsilon=1e-6)
     entry = stats.resolve("human")
-    np.testing.assert_allclose(entry.mean, vec)
+    np.testing.assert_allclose(entry.mean, IDENTITY_STATE)
     np.testing.assert_allclose(entry.std, 1e-6)
 
 
