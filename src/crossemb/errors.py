@@ -1,4 +1,9 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Every error pickles to its own type, message and attributes, so that one
+raised in a worker process reaches the caller intact: a subclass whose
+constructor does not take the message alone defines `__reduce__` from
+its constructor arguments."""
 
 
 class CrossembError(Exception):
@@ -24,6 +29,9 @@ class InsufficientFrames(CrossembError):
         super().__init__(f"embodiment tag {tag!r} has only {count} frame(s); need >= 2")
         self.tag = tag
         self.count = count
+
+    def __reduce__(self):
+        return type(self), (self.tag, self.count)
 
 
 class UnknownEmbodimentTag(CrossembError):
@@ -60,6 +68,9 @@ class ParseError(CrossembError):
         self.flag = flag
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.line_no, self.reason, self.flag)
+
 
 class InvalidMetadata(CrossembError):
     """A capture's meta.json, a dataset's manifest.json or statistics file,
@@ -84,6 +95,9 @@ class BodyMotionRejected(CrossembError):
         )
         self.excursion_m = excursion_m
         self.threshold_m = threshold_m
+
+    def __reduce__(self):
+        return type(self), (self.excursion_m, self.threshold_m)
 
 
 class ChecksumMismatch(CrossembError):
@@ -112,6 +126,9 @@ class EmptySource(CrossembError):
     def __init__(self, tag: str):
         super().__init__(f"pair source for tag {tag!r} is empty")
         self.tag = tag
+
+    def __reduce__(self):
+        return type(self), (self.tag,)
 
 
 class NonFiniteLoss(CrossembError):

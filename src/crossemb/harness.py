@@ -26,12 +26,27 @@ count, seed), `run_conditions` draws the robot demos and the human goals
 and seeds once, builds the human demos once per retime flag needed, and
 trains and evaluates each condition once; `ABLATION_CONDITIONS` also get
 their commanded-speed variance.
+
+The conditions are independent jobs, and they run in parallel: one
+`fork` process pool per `run_conditions` call, with a worker per
+available core (at most one per job). The parent draws each (robot
+count, seed) group's demos, in the same RNG order as a serial run, while
+the workers train the jobs already sent; it collects every result and
+shuts the pool down before it yields the first row, so no worker
+outlives the call. A job computes exactly what it would in process, as
+long as BLAS runs one thread in both. crossemb sets that up when it is
+imported (see the package docstring); where it could not (numpy loaded
+first while a BLAS thread variable was unset, or one is set to another
+value), the jobs run one after another in the calling process, where a
+multi-threaded BLAS has the cores to itself. Spans or counters recorded
+inside a worker stay in that worker.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -318,20 +333,6 @@ def _draw_demos(
     return robot, human
 
 
-def build_demo_bundles(
-    task: ReachTask,
-    config: EmbodimentConfig,
-    n_robot: int,
-    n_human: int,
-    seed: int,
-) -> dict[str, list[DemoBundle]]:
-    """Robot and retimed human demos by tag; "human" is left out when
-    there are none."""
-    robot, human = _draw_demos(task, config, n_robot, n_human, seed, (True,))
-    human = human[True]
-    return {"robot": robot, "human": human} if human else {"robot": robot}
-
-
 def pairs_from_bundles(
     bundles: Mapping[str, Sequence[DemoBundle]],
     chunk_length: int,
@@ -504,6 +505,28 @@ def speed_fluctuation(
     return float(np.mean(variances)) if variances else 0.0
 
 
+def _run_condition(
+    name: str,
+    n_robot: int,
+    seed: int,
+    bundles: dict[str, list[DemoBundle]],
+    task: ReachTask,
+    config: EmbodimentConfig,
+    settings: ExperimentSettings,
+) -> tuple[dict, PolicyModel]:
+    """One job of `run_conditions`: train condition `name` on `bundles`,
+    evaluate it, and return its row and model."""
+    cond = CONDITIONS[name]
+    model = train_policy_on_bundles(bundles, settings, seed, cond.joint_space)
+    row = {"condition": name, "robot_demos": int(n_robot), "seed": int(seed),
+           **evaluate_policy(model, task, config, settings, seed, cond.joint_space)}
+    if name in ABLATION_CONDITIONS:
+        row["displacement_variance"] = speed_fluctuation(
+            model, task, config, settings, seed, joint_space=cond.joint_space
+        )
+    return row, model
+
+
 def run_conditions(
     names: Sequence[str],
     robot_counts: Sequence[int],
@@ -517,25 +540,46 @@ def run_conditions(
     robot count and seed, in that order; yield its row, model and
     training bundles. A row holds `condition`, `robot_demos`, `seed`, the
     `evaluate_policy` metrics and, for `ABLATION_CONDITIONS`, the
-    `displacement_variance`."""
+    `displacement_variance`. The jobs run in a process pool (see the
+    module docstring); the first job error is raised here."""
+    from . import _BLAS_PINNED
+
     retime_flags = dict.fromkeys(CONDITIONS[name].retimed for name in names
                                  if CONDITIONS[name].human)
-    for n_robot in robot_counts:
-        for seed in seeds:
-            robot, human = _draw_demos(task, config, n_robot, human_demos, seed, retime_flags)
-            for name in names:
-                cond = CONDITIONS[name]
-                bundles = {"robot": robot}
-                if cond.human and human[cond.retimed]:
-                    bundles["human"] = human[cond.retimed]
-                model = train_policy_on_bundles(bundles, settings, seed, cond.joint_space)
-                row = {"condition": name, "robot_demos": int(n_robot), "seed": int(seed),
-                       **evaluate_policy(model, task, config, settings, seed, cond.joint_space)}
-                if name in ABLATION_CONDITIONS:
-                    row["displacement_variance"] = speed_fluctuation(
-                        model, task, config, settings, seed, joint_space=cond.joint_space
-                    )
-                yield row, model, bundles
+
+    def jobs():
+        for n_robot in robot_counts:
+            for seed in seeds:
+                robot, human = _draw_demos(task, config, n_robot, human_demos, seed,
+                                           retime_flags)
+                for name in names:
+                    cond = CONDITIONS[name]
+                    bundles = {"robot": robot}
+                    if cond.human and human[cond.retimed]:
+                        bundles["human"] = human[cond.retimed]
+                    yield name, n_robot, seed, bundles
+
+    n_jobs = len(names) * len(robot_counts) * len(seeds)
+    workers = min(n_jobs, len(os.sched_getaffinity(0))) if _BLAS_PINNED else 1
+    if workers <= 1:
+        for name, n_robot, seed, bundles in jobs():
+            yield *_run_condition(name, n_robot, seed, bundles, task, config, settings), bundles
+        return
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [
+            (pool.submit(_run_condition, name, n_robot, seed, bundles, task, config, settings),
+             bundles)
+            for name, n_robot, seed, bundles in jobs()
+        ]
+        results = [(*future.result(), bundles) for future, bundles in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    yield from results
 
 
 def cotraining_experiment(

@@ -121,6 +121,8 @@ def nearest_frames(times: np.ndarray, query: np.ndarray) -> np.ndarray:
     query time; ties go to the earlier frame."""
     after = np.searchsorted(times, query, side="left")  # first frame at or after
     left, right = np.maximum(after - 1, 0), np.minimum(after, len(times) - 1)
+    # The first of a run of frames with equal times.
+    left = np.searchsorted(times, times[left], side="left")
     return np.where(np.abs(times[left] - query) <= np.abs(times[right] - query), left, right)
 
 

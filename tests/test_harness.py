@@ -1,13 +1,20 @@
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossemb
 from crossemb import geometry, harness, tasks, unified_space
 from crossemb.embodiments import humanoid_a_config, humanoid_b_config
-from crossemb.errors import CrossembError
+from crossemb.errors import CrossembError, EmptyDataset
 from crossemb.kinematics import (
     IkParams,
     RobotCommand,
@@ -24,8 +31,9 @@ from crossemb.harness import (
     OracleReplayAgent,
     PolicyAgent,
     RolloutResult,
+    _draw_demos,
+    _run_condition,
     ablation_suite,
-    build_demo_bundles,
     cotraining_experiment,
     embodiment_probe_accuracy,
     evaluate_policy,
@@ -279,17 +287,23 @@ def test_rollout_deterministic(task):
     np.testing.assert_array_equal(r1.commanded_displacements, r2.commanded_displacements)
 
 
-def test_build_demo_bundles_layout(task):
-    bundles = build_demo_bundles(task, CFG, n_robot=4, n_human=9, seed=0)
-    assert len(bundles["robot"]) == 4
-    assert len(bundles["human"]) == 9
-    cells = {tuple(np.round(b.episode.metadata["goal"][:2], 3)) for b in bundles["human"]}
+def draw_bundles(task, n_robot, n_human):
+    """Robot and retimed human demos of seed 0, by tag."""
+    robot, human = _draw_demos(task, CFG, n_robot, n_human, 0, (True,))
+    return {"robot": robot, "human": human[True]}
+
+
+def test_draw_demos_layout(task):
+    robot, human = _draw_demos(task, CFG, 4, 9, 0, (True, False))
+    assert len(robot) == 4
+    assert len(human[True]) == len(human[False]) == 9
+    cells = {tuple(np.round(b.episode.metadata["goal"][:2], 3)) for b in human[True]}
     assert len(cells) == 9  # one goal per cell
-    assert bundles["robot"][0].joint_states is not None
+    assert robot[0].joint_states is not None
 
 
 def test_train_policy_smoke_and_probe(task):
-    bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=9, seed=0)
+    bundles = draw_bundles(task, 2, 9)
     model = train_policy_on_bundles(bundles, FAST, seed=0)
     pairs = pairs_from_bundles(bundles, FAST.chunk_length)
     acc = embodiment_probe_accuracy(model, pairs, seed=0)
@@ -299,7 +313,7 @@ def test_train_policy_smoke_and_probe(task):
 
 
 def test_joint_space_condition_trains(task):
-    bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=4, seed=0)
+    bundles = draw_bundles(task, 2, 4)
     model = train_policy_on_bundles(bundles, FAST, seed=0, joint_space_robot_states=True)
     res = rollout(
         PolicyAgent(model), CFG, task, task.grid.cell_center(4),
@@ -309,7 +323,7 @@ def test_joint_space_condition_trains(task):
 
 
 def test_joint_space_pairs_swap_only_robot_states(task):
-    bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=2, seed=0)
+    bundles = draw_bundles(task, 2, 2)
     unified = pairs_from_bundles(bundles, FAST.chunk_length)
     joint = pairs_from_bundles(bundles, FAST.chunk_length, joint_space_robot_states=True)
     by_id = {b.episode.id: b for items in bundles.values() for b in items}
@@ -371,7 +385,7 @@ def test_ablation_report_schema(tmp_path):
 
 
 def test_speed_fluctuation_runs(task):
-    bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=4, seed=0)
+    bundles = draw_bundles(task, 2, 4)
     model = train_policy_on_bundles(bundles, FAST, seed=0)
     v = speed_fluctuation(model, task, CFG, FAST, seed=0, n_rollouts=2)
     assert np.isfinite(v) and v >= 0.0
@@ -382,7 +396,7 @@ def test_speed_fluctuation_runs(task):
 
 @pytest.fixture(scope="module")
 def models(task):
-    bundles = build_demo_bundles(task, CFG, n_robot=2, n_human=4, seed=0)
+    bundles = draw_bundles(task, 2, 4)
     return (train_policy_on_bundles(bundles, FAST, seed=0),
             train_policy_on_bundles(bundles, FAST, seed=0, joint_space_robot_states=True))
 
@@ -459,10 +473,11 @@ def test_rollout_counts_errors_apart_from_clamps(task):
     assert len(res.ik_statuses) == 1 + 2 * 7
 
 
-# SHA-256 of the reduced reports below, without `wall_time_s`, as produced
-# by the per-goal rollout loop that the lockstep rollouts replaced.
-REDUCED_COTRAINING_DIGEST = "3aefe1c02665a569aaa9da6c2ce984567a15fff4c429eadc732010eae58515ef"
-REDUCED_ABLATION_DIGEST = "72fdb6bfdc8810236107766c995150bdad781ff125eacd676a5a39c82fd0f35c"
+# SHA-256 of the reduced reports below, without `wall_time_s`, with one
+# BLAS thread, as produced by the in-process, per-goal rollout loop that
+# the lockstep rollouts and the process pool replaced.
+REDUCED_COTRAINING_DIGEST = "a471490e6becf92e8d541e96d5ad5305b654f73dd9b5d64d811111fa53586b93"
+REDUCED_ABLATION_DIGEST = "c709095abe8455c956491f3bc9a0660144c5f3d670acb636feec1c4ba55c57ce"
 
 
 def report_digest(report):
@@ -519,3 +534,83 @@ def test_ablation_builds_each_demo_set_once(monkeypatch):
     assert sorted(human_calls) == sorted(
         (f"human-{seed}-{i}", flag) for seed in (0, 1) for i in range(3) for flag in (True, False)
     )
+
+
+# --- conditions in a process pool --------------------------------------------
+
+POOL_SETTINGS = ExperimentSettings(train_steps=60, max_steps=12, id_eval_goals=1,
+                                   ood_eval_goals_per_cell=1)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Run `run_conditions` in a two-worker pool whatever the machine and
+    the BLAS set-up; the list collects each job sent to a pool."""
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def counting_submit(pool, fn, *args, **kwargs):
+        submitted.append(fn)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(crossemb, "_BLAS_PINNED", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    return submitted
+
+
+def test_pooled_conditions_equal_in_process_jobs(task, pooled):
+    """Six jobs on two workers: every row and model equals the job run in
+    this process, by bytes, in the serial order."""
+    counts = (2, 3)
+    got = harness.run_conditions(harness.ABLATION_CONDITIONS, counts, 3, (0,), task, CFG,
+                                 POOL_SETTINGS)
+    first = next(got)
+    assert multiprocessing.active_children() == []  # a consumer may stop here
+    got = [first, *got]
+    assert len(pooled) == 6
+    assert [(row["condition"], row["robot_demos"]) for row, _, _ in got] == [
+        (name, n) for n in counts for name in harness.ABLATION_CONDITIONS
+    ]
+    for row, model, bundles in got:
+        want_row, want_model = _run_condition(row["condition"], row["robot_demos"], 0, bundles,
+                                              task, CFG, POOL_SETTINGS)
+        assert json.dumps(row) == json.dumps(want_row)
+        for got_arrays, want_arrays in ((model.weights, want_model.weights),
+                                        (model.biases, want_model.biases)):
+            assert [a.tobytes() for a in got_arrays] == [b.tobytes() for b in want_arrays]
+
+
+def test_job_error_reaches_caller_and_leaves_no_worker(pooled):
+    """No robot demos: the robot-only job fails in its worker with the
+    error a serial run raises first."""
+    settings = ExperimentSettings(train_steps=10, max_steps=5, id_eval_goals=1,
+                                  ood_eval_goals_per_cell=0)
+    with pytest.raises(EmptyDataset) as info:
+        cotraining_experiment(robot_counts=(0,), human_demos=2, seeds=(0,), settings=settings)
+    assert str(info.value) == "no frames to compute statistics over"
+    assert len(pooled) == 2
+    assert multiprocessing.active_children() == []
+
+
+ONE = {var: "1" for var in crossemb._BLAS_VARS}
+
+
+@pytest.mark.parametrize("preset, numpy_first, pinned, values", [
+    ({}, False, True, ONE),
+    ({}, True, False, ONE),
+    (ONE, True, True, ONE),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False, False, ONE | {"OPENBLAS_NUM_THREADS": "2"}),
+], ids=["unset", "numpy_first", "numpy_first_preset", "two_threads"])
+def test_import_pins_one_blas_thread(preset, numpy_first, pinned, values):
+    """Importing crossemb sets each unset BLAS thread variable to 1, and
+    counts BLAS as pinned only where numpy cannot have loaded otherwise."""
+    env = {k: v for k, v in os.environ.items() if k not in ONE} | preset
+    env["PYTHONPATH"] = str(Path(crossemb.__file__).parents[1])
+    code = ("import numpy\n" if numpy_first else "") + (
+        "import json, os, crossemb\n"
+        "print(json.dumps([crossemb._BLAS_PINNED, {v: os.environ[v] for v in crossemb._BLAS_VARS}]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert json.loads(proc.stdout) == [pinned, values]

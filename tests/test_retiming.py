@@ -170,6 +170,13 @@ def test_sync_tie_prefers_earlier_visual():
     assert res.pairs[0][1][1] == "early"
 
 
+def test_sync_duplicate_visual_times_pair_the_earlier_frame():
+    """From either side of a run of equal visual times, a record pairs
+    the run's first frame."""
+    res = sync_streams([(0.8, "p"), (1.2, "q")], [(1.0, "a"), (1.0, "b")], max_skew=1.0)
+    assert [vrec for _, vrec in res.pairs] == [(1.0, "a"), (1.0, "a")]
+
+
 def test_sync_drops_beyond_max_skew():
     res = sync_streams([(0.0, "a"), (5.0, "b")], [(0.01, "v")], max_skew=0.1)
     assert len(res.pairs) == 1
