@@ -35,8 +35,10 @@ from crossemb.kinematics import (
 Z = np.array([0.0, 0.0, 1.0])
 # ik_fixture_digest() of the sequential solver this one replaced.
 IK_FIXTURE_DIGEST = "2a9564c0dae396467b6ba963868537dddac9a6fed64a5c78a1bdb4ca11b18175"
-# retarget_fixture_digest() of the per-arm retarget_action this one replaced.
-RETARGET_FIXTURE_DIGEST = "3fdb001e1821664222e80e1210e97de40acc4f90c710433e39b6af3bc2732d66"
+# retarget_fixture_digests() of the per-arm retarget_action this one
+# replaced: over the rows with both wrists in reach, and over the rest.
+RETARGET_NEAR_DIGEST = "24129ef4dd906340c11eb2b023c81ae6333523343284d01f7d24723d0d80e007"
+RETARGET_FAR_DIGEST = "516602845b110c5f0cf4b0f577fd6c0f8ca3b5bdeb3814e4cbccc4d9f757b262"
 
 
 # --- oracles ---------------------------------------------------------------
@@ -732,14 +734,31 @@ def test_retarget_rows_equal_per_row_retarget_action():
         assert ik_solve(cfg.right_arm, right_target, q_init, IkParams(restarts=0))[1] == "best_effort"
 
 
-def retarget_fixture_digest():
+def reach_oracle(chain):
+    """The first joint's world origin and the sum of the lengths of the
+    later joint origins and the tip offset, from the chain's own parts."""
+    root = chain.base_frame.apply(chain.joints[0].origin.translation)
+    reach = sum(np.linalg.norm(p.translation)
+                for p in [j.origin for j in chain.joints[1:]] + [chain.tip_offset])
+    return root, reach
+
+
+def out_of_reach(chain, point, params=IkParams()):
+    root, reach = reach_oracle(chain)
+    return np.linalg.norm(point - root) > reach + params.pos_tol
+
+
+def retarget_fixture_digests():
     """SHA-256 over commands, statuses and errors of `retarget_action` on
     warm reach streams, the six unreachable targets 2 m out along +-x, +-y,
-    +-z, position-only solving and no restarts, on both humanoids."""
+    +-z, position-only solving and no restarts, on both humanoids: one over
+    the rows whose wrist targets are both within reach, one over the rest."""
     U = unified_space
-    h = hashlib.sha256()
+    near, far = hashlib.sha256(), hashlib.sha256()
 
     def run(action, cfg, q_prev, params=IkParams()):
+        h = far if any(out_of_reach(chain, action[sl], params) for chain, sl in (
+            (cfg.left_arm, U.LEFT_WRIST_POS), (cfg.right_arm, U.RIGHT_WRIST_POS))) else near
         out, diag = retarget_action(action, cfg, q_prev, params)
         h.update(out.vector().tobytes())
         for limb in (diag.left, diag.right):
@@ -769,11 +788,11 @@ def retarget_fixture_digest():
                            np.zeros(2), home.left_hand, home.right_hand)
         run(action, cfg, low, IkParams(orientation_weight=0.0))
         run(action, cfg, low, IkParams(restarts=0))
-    return h.hexdigest()
+    return near.hexdigest(), far.hexdigest()
 
 
 def test_retarget_outputs_pinned():
-    assert retarget_fixture_digest() == RETARGET_FIXTURE_DIGEST
+    assert retarget_fixture_digests() == (RETARGET_NEAR_DIGEST, RETARGET_FAR_DIGEST)
 
 
 def test_embed_rows_equal_per_row_embed_robot_state():
