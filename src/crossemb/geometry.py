@@ -78,7 +78,8 @@ def decode_rot6d_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # sin(angle between a and b) = |b_orth| / |b|
         parallel = nbo / nb < PARALLEL_ANGLE_TOL
         c2 = b_orth / nbo[..., None]
-        R = np.stack([c1, c2, cross(c1, c2)], axis=-1)
+        R = np.empty(r.shape[:-1] + (3, 3))
+        R[..., 0], R[..., 1], R[..., 2] = c1, c2, cross(c1, c2)
     defect = np.where(
         ~np.isfinite(r).all(axis=-1), 1,
         np.where((na < 1e-9) | (nb < 1e-9), 2, np.where(parallel, 3, 0)),
@@ -213,6 +214,12 @@ def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
     return R.reshape(R.shape[:-1] + (3, 3))
 
 
+# Flat (row-major) indices of R21, R02, R10 and of R12, R20, R01: the
+# differences are the rotation axis times 2 sin(angle).
+_ANTISYM_PLUS = np.array([7, 2, 3])
+_ANTISYM_MINUS = np.array([5, 6, 1])
+
+
 def rotation_log(R: np.ndarray) -> np.ndarray:
     """Axis-angle vector (axis * angle) of a rotation matrix; a stack
     (..., 3, 3) gives (..., 3)."""
@@ -220,10 +227,8 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
     trace = R[..., 0, 0] + R[..., 1, 1] + R[..., 2, 2]
     cos_theta = np.minimum(np.maximum((trace - 1.0) * 0.5, -1.0), 1.0)
     theta = np.arccos(cos_theta)
-    w = np.stack(
-        [R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0], R[..., 1, 0] - R[..., 0, 1]],
-        axis=-1,
-    )
+    flat = R.reshape(R.shape[:-2] + (9,))
+    w = flat.take(_ANTISYM_PLUS, axis=-1) - flat.take(_ANTISYM_MINUS, axis=-1)
     with np.errstate(invalid="ignore"):  # 0 / 0 at theta == 0, zeroed below
         out = w * (theta / (2.0 * np.sin(theta)))[..., None]
     out[theta < 1e-9] = 0.0

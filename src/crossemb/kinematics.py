@@ -22,6 +22,17 @@ chain as one batch, the seeds of each failed row forming a group: the
 first converged seed in seed order wins, else the first seed of least
 weighted error, as if the seeds were tried one after another.
 
+A reach test marks the rows that can never converge. Every joint turns
+about a point at or past the first joint's origin (the chain's `root`,
+fixed by its base frame), and rotations keep lengths, so no tip lies
+farther from the root than the sum of the later offsets' lengths (its
+`reach`). A row whose target is farther than `reach + pos_tol` from the
+root is far. Far rows still descend from every seed, for the best
+effort, but each descent stops once an accepted step gains less than
+`pos_tol` of weighted error, instead of creeping on for up to
+`max_iters` steps. Rows in reach are untouched by the test, and far rows
+never converge, so the test changes no converged result.
+
 `_retarget_rows` solves both arms of a batch of unified actions as one
 `_ik_rows` batch (rows whose action is non-finite or holds a rotation
 code that does not decode get the error `retarget_action` raises for
@@ -33,6 +44,8 @@ and `embed_robot_state` are their batches of one.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -91,16 +104,26 @@ class _ChainArrays(NamedTuple):
     tip_R: np.ndarray         # (3, 3)
     lo: np.ndarray            # (n,) joint limits, radians
     hi: np.ndarray            # (n,)
+    root: np.ndarray          # (3,) first joint's origin, fixed by the base frame
+    reach: np.ndarray         # () sum of |offsets[1:]|: no tip is farther from root
 
     def take(self, index) -> "_ChainArrays":
         """The arrays at `index` of the leading axis (an int or rows)."""
         return _ChainArrays(*(a[index] for a in self))
 
-    def for_rows(self, arm: np.ndarray) -> "_ChainArrays":
-        """Of a stack (K, n, ...), the arrays of rows on chains `arm`: that
-        chain's own when every row is on one, else one chain per row."""
+
+class _Chains(NamedTuple):
+    """The K chains the rows of an IK batch run on: their arrays stacked
+    (K, n, ...), and each chain's own arrays, built once."""
+
+    stack: _ChainArrays
+    own: tuple[_ChainArrays, ...]
+
+    def for_rows(self, arm: np.ndarray) -> _ChainArrays:
+        """The arrays of rows on chains `arm`: that chain's own when every
+        row is on one, else one chain per row."""
         k = arm[0]
-        return self.take(k if (arm == k).all() else arm)
+        return self.own[k] if (arm == k).all() else self.stack.take(arm)
 
 
 @dataclass(frozen=True)
@@ -115,13 +138,17 @@ class KinematicChain:
         if len(self.joints) < 1:
             raise ValueError("chain needs at least one joint")
         object.__setattr__(self, "joints", tuple(self.joints))
+        offsets = np.array([j.origin.translation for j in self.joints]
+                           + [self.tip_offset.translation])
+        base_R, base_t = self.base_frame.rotation, self.base_frame.translation
+        # root and reach: see the module docstring.
         arrays = _ChainArrays(
             np.array([j.axis for j in self.joints]),
             np.array([j.origin.rotation for j in self.joints]),
-            np.array([j.origin.translation for j in self.joints] + [self.tip_offset.translation]),
-            self.base_frame.rotation, self.base_frame.translation, self.tip_offset.rotation,
+            offsets, base_R, base_t, self.tip_offset.rotation,
             np.array([j.limits[0] for j in self.joints]),
             np.array([j.limits[1] for j in self.joints]),
+            base_t + base_R @ offsets[0], np.array(geometry.norms(offsets[1:]).sum()),
         )
         for a in arrays:
             a.flags.writeable = False
@@ -163,15 +190,14 @@ def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     n = Q.shape[-1]
     joint_R = geometry.rotation_about_axis(chain.axes, Q)
     # Frames before each joint's origin (and the tip's) and after its origin
-    # rotation; R gains the batch axis at the first joint rotation.
+    # rotation, each product written in place.
     before = np.empty(Q.shape[:-1] + (n + 1, 3, 3))
     after = np.empty(Q.shape + (3, 3))
-    R = chain.base_R
+    before[..., 0, :, :] = chain.base_R
     for i in range(n):
-        before[..., i, :, :] = R
-        after[..., i, :, :] = R = R @ chain.origin_R[..., i, :, :]
-        R = R @ joint_R[..., i, :, :]
-    before[..., n, :, :] = R
+        np.matmul(before[..., i, :, :], chain.origin_R[..., i, :, :], out=after[..., i, :, :])
+        np.matmul(after[..., i, :, :], joint_R[..., i, :, :], out=before[..., i + 1, :, :])
+    R = before[..., n, :, :]
     # Positions sum the rotated offsets from the base one joint at a time.
     steps = np.empty(Q.shape[:-1] + (n + 2, 3))
     steps[..., 0, :] = chain.base_t
@@ -208,10 +234,19 @@ class IkParams:
     restarts: int = 30               # deterministic extra seeds on failure
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.orientation_weight < 0:
-            raise ValueError("orientation_weight must be >= 0")
+        for name, least in (("max_iters", 1), ("restarts", 0)):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, op in (("pos_tol", ">"), ("rot_tol", ">"), ("orientation_weight", ">=")):
+            value = getattr(self, name)
+            if not (_is_number(value, numbers.Real) and math.isfinite(value)
+                    and (value > 0 if op == ">" else value >= 0)):
+                raise ValueError(f"{name} must be a finite number {op} 0, got {value!r}")
+
+
+def _is_number(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 class IkSolution(tuple):
@@ -238,10 +273,10 @@ def _pose_errors(R, t, target_R, target_t, w: float):
     return geometry.norms(e_pos), geometry.norms(e_rot), e
 
 
-def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
+def _dls_attempts(chains, arm, far, target_R, target_t, group, Q0, params):
     """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep,
-    row b on the chain arms[arm[b]] towards its own target (target_R[b],
-    target_t[b]).
+    row b on the chain of index arm[b] in `chains` towards its own target
+    (target_R[b], target_t[b]).
 
     Each row runs the single-descent recipe on its own state. Its damping
     factor adapts per step (halved on improvement, grown fivefold per
@@ -249,7 +284,9 @@ def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
     near-singular configurations; columns of joints pinned at a limit and
     pushed further out are masked so clamping cannot stall the descent.
     A row leaves the batch when it converges or when all 6 trials are
-    rejected.
+    rejected. A row marked `far` (B,), whose target lies beyond its
+    chain's reach and so can never converge, also leaves once an accepted
+    step lowers its weighted error by less than `pos_tol`.
 
     `group` (B,) numbers the rows' groups 0..G-1, non-decreasing: within a
     group rows are seeds in order of preference. A group's result is its
@@ -259,17 +296,20 @@ def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
     """
     w = params.orientation_weight
     B = len(Q0)
-    chain = arms.for_rows(arm)
-    Q = np.minimum(np.maximum(Q0, chain.lo), chain.hi)
-    R, t, axes, origins = _fk_frames(chain, Q)
+    every = chains.for_rows(arm)  # the arrays of all B rows
+    Q = np.minimum(np.maximum(Q0, every.lo), every.hi)
+    R, t, axes, origins = _fk_frames(every, Q)
     pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t, w)
     err = pos_err + w * rot_err
     lam = np.full(B, _DAMPING)
     live = np.arange(B)  # rows still descending, ascending
     first_ok = np.full(group[-1] + 1, B)  # per group; B: none converged yet
+    stalled = np.zeros(B, dtype=bool) if far.any() else None  # far rows that stopped gaining
     # One more convergence test follows the last allowed step.
     for step in range(params.max_iters + 1):
-        done = (pos_err[live] <= params.pos_tol) & ((w == 0.0) | (rot_err[live] <= params.rot_tol))
+        done = pos_err[live] <= params.pos_tol
+        if w != 0.0:
+            done &= rot_err[live] <= params.rot_tol
         if done.any():
             np.minimum.at(first_ok, group[live[done]], live[done])
             live = live[~done & (live < first_ok[group[live]])]
@@ -278,21 +318,29 @@ def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
         J = _jacobians(t[live], axes[live], origins[live], w)
         grad = np.vecmat(e[live], J)
         q = Q[live]
-        chain = arms.for_rows(arm[live])
+        chain = every if live.size == B else chains.for_rows(arm[live])
         pinned = ((q <= chain.lo + 1e-12) & (grad < 0)) | ((q >= chain.hi - 1e-12) & (grad > 0))
-        Jm = J * ~pinned[:, None, :]
-        waiting = np.ones(live.size, dtype=bool)  # rows of `live` with no step accepted yet
+        Jt = J * ~pinned[:, None, :]
+        rows = live  # the rows of this trial: those with no step accepted yet
         for _trial in range(6):
-            rows = live[waiting]
-            Jt = Jm[waiting]
-            A = Jt @ Jt.transpose(0, 2, 1) + (lam[rows] * lam[rows])[:, None, None] * _EYE6
+            lam_rows, err_rows = lam[rows], err[rows]
+            A = Jt @ Jt.transpose(0, 2, 1) + (lam_rows * lam_rows)[:, None, None] * _EYE6
             x = np.linalg.solve(A, e[rows][..., None])[..., 0]
             q_new = Q[rows] + _STEP_SCALE * np.vecmat(x, Jt)
             q_new = np.minimum(np.maximum(q_new, chain.lo), chain.hi)
             R2, t2, axes2, origins2 = _fk_frames(chain, q_new)
             pos2, rot2, e2 = _pose_errors(R2, t2, target_R[rows], target_t[rows], w)
             err2 = pos2 + w * rot2
-            acc = err2 < err[rows]
+            acc = err2 < err_rows
+            if stalled is not None:
+                stalled[rows] |= acc & far[rows] & (err_rows - err2 < params.pos_tol)
+            if acc.all():  # every row steps: no masking
+                Q[rows], t[rows], axes[rows], origins[rows] = q_new, t2, axes2, origins2
+                e[rows] = e2
+                pos_err[rows], rot_err[rows], err[rows] = pos2, rot2, err2
+                lam[rows] = np.maximum(lam_rows * 0.5, 1e-5)
+                rows = rows[:0]
+                break
             up = rows[acc]
             Q[up], t[up], axes[up], origins[up], e[up] = (
                 q_new[acc], t2[acc], axes2[acc], origins2[acc], e2[acc]
@@ -300,11 +348,14 @@ def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
             pos_err[up], rot_err[up], err[up] = pos2[acc], rot2[acc], err2[acc]
             lam[up] = np.maximum(lam[up] * 0.5, 1e-5)
             lam[rows[~acc]] *= 5.0
-            waiting[waiting] = ~acc
-            if not waiting.any():
-                break
-            chain = arms.for_rows(arm[rows[~acc]])
-        live = live[~waiting]
+            if acc.any():
+                Jt = Jt[~acc]
+                rows = rows[~acc]
+                chain = chains.for_rows(arm[rows])
+        if rows.size:  # these rows had all 6 trials rejected
+            live = np.setdiff1d(live, rows, assume_unique=True)
+        if stalled is not None:
+            live = live[~stalled[live]]
     converged = first_ok < B
     best = first_ok.copy()
     for g in np.flatnonzero(~converged):
@@ -313,22 +364,32 @@ def _dls_attempts(arms, arm, target_R, target_t, group, Q0, params):
     return Q[best], pos_err[best], rot_err[best], converged
 
 
-def _ik_rows(arms, arm, target_R, target_t, Q_init, params):
-    """IK for B rows at once, row b on chain arms[arm[b]] of the stack
-    `arms` (K, n, ...) from Q_init[b] towards its own target: each row's
-    result equals `ik_solve` of that row alone on its chain.
+def _far_rows(stack: _ChainArrays, arm, target_t, pos_tol: float) -> np.ndarray:
+    """Whether each row's target lies farther than its chain's reach plus
+    `pos_tol` from the chain's root: no joint values bring such a row's tip
+    within `pos_tol` of its target, so it can never converge."""
+    return geometry.norms(target_t - stack.root[arm]) > stack.reach[arm] + pos_tol
+
+
+def _ik_rows(chains, arm, target_R, target_t, Q_init, params):
+    """IK for B rows at once, row b on the chain of index arm[b] in
+    `chains` from Q_init[b] towards its own target: each row's result
+    equals `ik_solve` of that row alone on its chain.
 
     Attempt 0 of every row runs as one lockstep batch. The rows that fail
     then descend from all restart seeds of their chain as one batch,
     grouped by row, and keep the restart result if it converged or has
-    less error. Returns q (B, n), pos_err, rot_err and converged (B,).
+    less error. Rows `_far_rows` marks stop their descents early (see
+    `_dls_attempts`). Returns q (B, n), pos_err, rot_err and converged (B,).
     """
     B = len(Q_init)
-    q, pos_err, rot_err, ok = _dls_attempts(arms, arm, target_R, target_t, np.arange(B), Q_init,
-                                            params)
+    stack = chains.stack
+    far = _far_rows(stack, arm, target_t, params.pos_tol)
+    q, pos_err, rot_err, ok = _dls_attempts(chains, arm, far, target_R, target_t, np.arange(B),
+                                            Q_init, params)
     failed = np.flatnonzero(~ok)
     if failed.size and params.restarts > 0:
-        lo, hi = arms.lo[:, None], arms.hi[:, None]
+        lo, hi = stack.lo[:, None], stack.hi[:, None]
         rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
         u = rng.random((params.restarts - 1, lo.shape[-1]))
         # Per chain (K, restarts, n): mid-range, then the seeded draws.
@@ -336,7 +397,7 @@ def _ik_rows(arms, arm, target_R, target_t, Q_init, params):
         group = np.repeat(np.arange(failed.size), params.restarts)
         rows = failed[group]
         rq, rpos, rrot, rok = _dls_attempts(
-            arms, arm[rows], target_R[rows], target_t[rows], group,
+            chains, arm[rows], far[rows], target_R[rows], target_t[rows], group,
             seeds[arm[failed]].reshape(-1, lo.shape[-1]), params,
         )
         w = params.orientation_weight
@@ -360,13 +421,16 @@ def ik_solve(
     seeded in-limit restarts runs as one lockstep batch, so results are
     deterministic and equal to trying the seeds one after another. The
     returned joints are always clamped within limits; status is
-    `converged` or `best_effort` (closest local solution found).
+    `converged` or `best_effort` (closest local solution found). A
+    target farther from the chain's first joint than its reach plus
+    `pos_tol` is always `best_effort`; its descents stop once a step
+    gains less than `pos_tol` (see the module docstring).
     """
     q_init = _check_q(chain, q_init)
     if not (np.all(np.isfinite(target.rotation)) and np.all(np.isfinite(target.translation))):
         raise NonFiniteTarget("IK target contains non-finite values")
     q, pos_err, rot_err, ok = _ik_rows(
-        chain.arrays.take(np.newaxis), np.zeros(1, dtype=int),  # a stack of one chain
+        _Chains(chain.arrays.take(np.newaxis), (chain.arrays,)), np.zeros(1, dtype=int),
         target.rotation[None], target.translation[None], q_init[None], params,
     )
     return IkSolution(q[0], STATUS_CONVERGED if ok[0] else STATUS_BEST_EFFORT,
@@ -423,8 +487,8 @@ class EmbodimentConfig:
     neck: KinematicChain
     hand_model: HandModel
     canonical_frame_offset: float = 0.60  # meters, head-to-torso drop
-    # Both arms' arrays stacked (2, n, ...), left then right.
-    arms: _ChainArrays = field(init=False, repr=False, compare=False)
+    # Both arms, left then right: their arrays stacked (2, n, ...) and each arm's own.
+    arms: _Chains = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_left, n_right = self.left_arm.n_joints, self.right_arm.n_joints
@@ -433,10 +497,11 @@ class EmbodimentConfig:
                              f"got {n_left} and {n_right}")
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
-        arms = _ChainArrays(*map(np.stack, zip(self.left_arm.arrays, self.right_arm.arrays)))
-        for a in arms:
+        own = (self.left_arm.arrays, self.right_arm.arrays)
+        stack = _ChainArrays(*map(np.stack, zip(*own)))
+        for a in stack:
             a.flags.writeable = False
-        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "arms", _Chains(stack, own))
 
 
 @dataclass(frozen=True)
@@ -462,7 +527,7 @@ class RobotCommand:
             object.__setattr__(self, name, arr)
         for name in ("left_hand", "right_hand"):
             vals = getattr(self, name)
-            if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+            if ((vals < -1e-12) | (vals > 1.0 + 1e-12)).any():
                 raise ValueError(f"{name} values must lie in [0, 1]")
 
     def vector(self) -> np.ndarray:
@@ -494,8 +559,11 @@ class RobotCommand:
 def _split_commands(config: EmbodimentConfig, commands: np.ndarray) -> list[np.ndarray]:
     """Views of a batch of command vectors (B, n_cmd) (see `RobotCommand.vector`):
     left arm, right arm, neck, left hand, right hand."""
-    n_l, n_r = config.left_arm.n_joints, config.right_arm.n_joints
-    return np.split(commands, np.cumsum([n_l, n_r, 2, HAND_ACTUATOR_COUNT]), axis=1)
+    a = config.left_arm.n_joints
+    b = a + config.right_arm.n_joints
+    c = b + 2
+    d = c + HAND_ACTUATOR_COUNT
+    return [commands[:, :a], commands[:, a:b], commands[:, b:c], commands[:, c:d], commands[:, d:]]
 
 
 def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
@@ -507,7 +575,8 @@ def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray
     about the palm normal, normalized over the model's rotation range.
     Total and monotone: closing distance never decreases closure.
     """
-    dist = np.linalg.norm(tips - wrist_t[:, None, :], axis=-1)
+    d = tips - wrist_t[:, None, :]
+    dist = np.sqrt(np.add.reduce(d * d, axis=-1))  # np.linalg.norm(d, axis=-1)
     closure = 1.0 - np.minimum(np.maximum(dist / hand_model.fingertip_extent, 0.0), 1.0)
 
     # Thumb rotation from the wrist-frame tip direction.
@@ -612,6 +681,8 @@ def _retarget_rows(
                        np.zeros((B, 2)), np.zeros(B, bool), errors)
     if not solve.any():
         return out
+    if solve.all():
+        solve = slice(None)  # views of every row, not copies
     A = actions[solve]
     S = len(A)
     wrist_R = np.concatenate([left_R[solve], right_R[solve]])
@@ -623,7 +694,9 @@ def _retarget_rows(
     out.converged[solve] = ok.reshape(2, S).T
     neck_raw = np.stack(neck_angles_from_head_rotation(head_R[solve]), axis=1)
     neck_q = config.neck.clamp(neck_raw)
-    out.neck_clamped[solve] = ~np.isclose(neck_q, neck_raw, atol=1e-12).all(axis=1)
+    # np.isclose(neck_q, neck_raw, atol=1e-12) of finite angles
+    close = np.abs(neck_q - neck_raw) <= 1e-12 + 1e-5 * np.abs(neck_raw)
+    out.neck_clamped[solve] = ~close.all(axis=1)
     tips = A[:, U.FINGERTIPS].reshape(S, 2, -1, 3).swapaxes(0, 1).reshape(2 * S, -1, 3)
     hands = _hand_actuators(tips, wrist_R, wrist_t, config.hand_model)  # left, then right
     out.commands[solve] = np.concatenate([q[:S], q[S:], neck_q, hands[:S], hands[S:]], axis=1)
@@ -646,9 +719,10 @@ def retarget_action(
     rows = _retarget_rows(action[None], config, _command_vector(config, q_prev)[None], params)
     if rows.errors[0] is not None:
         raise rows.errors[0]
-    limbs = [LimbResult(STATUS_CONVERGED if ok else STATUS_BEST_EFFORT, float(p), float(r))
-             for ok, p, r in zip(rows.converged[0], rows.pos_err[0], rows.rot_err[0])]
-    clamps = [f"{side}_arm:best_effort" for side, ok in zip(("left", "right"), rows.converged[0])
+    converged = rows.converged[0].tolist()
+    limbs = [LimbResult(STATUS_CONVERGED if ok else STATUS_BEST_EFFORT, p, r)
+             for ok, p, r in zip(converged, rows.pos_err[0].tolist(), rows.rot_err[0].tolist())]
+    clamps = [f"{side}_arm:best_effort" for side, ok in zip(("left", "right"), converged)
               if not ok] + ["neck:limit"] * bool(rows.neck_clamped[0])
     return (RobotCommand.from_vector(config, rows.commands[0]),
             RetargetDiagnostics(*limbs, clamp_events=tuple(clamps)))
@@ -662,7 +736,7 @@ def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     B = len(commands)
     left_q, right_q, neck_q, left_hand, right_hand = _split_commands(config, commands)
     # Each arm's arrays broadcast over its rows: R (2, B, 3, 3), t (2, B, 3).
-    R, t, _, _ = _fk_frames(config.arms.take(np.s_[:, None]), np.stack([left_q, right_q]))
+    R, t, _, _ = _fk_frames(config.arms.stack.take(np.s_[:, None]), np.stack([left_q, right_q]))
     head_R = _fk_frames(config.neck.arrays, neck_q)[0]
     out = np.empty((B, U.STATE_DIM))
     out[:, U.HEAD_ROT] = geometry.encode_rot6d(head_R)

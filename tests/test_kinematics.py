@@ -18,10 +18,12 @@ from crossemb.kinematics import (
     Joint,
     KinematicChain,
     RobotCommand,
+    _Chains,
     _embed_rows,
     _fingertip_rows,
     _fk_frames,
     _hand_actuators,
+    _far_rows,
     _ik_rows,
     _jacobians,
     _retarget_rows,
@@ -35,10 +37,11 @@ from crossemb.kinematics import (
 Z = np.array([0.0, 0.0, 1.0])
 # ik_fixture_digest() of the sequential solver this one replaced.
 IK_FIXTURE_DIGEST = "2a9564c0dae396467b6ba963868537dddac9a6fed64a5c78a1bdb4ca11b18175"
-# retarget_fixture_digests() of the per-arm retarget_action this one
-# replaced: over the rows with both wrists in reach, and over the rest.
+# retarget_fixture_digests(): over the rows with both wrists in reach, as
+# the per-arm retarget_action this one replaced gave it, and over the rest,
+# whose descents stop once they stop gaining.
 RETARGET_NEAR_DIGEST = "24129ef4dd906340c11eb2b023c81ae6333523343284d01f7d24723d0d80e007"
-RETARGET_FAR_DIGEST = "516602845b110c5f0cf4b0f577fd6c0f8ca3b5bdeb3814e4cbccc4d9f757b262"
+RETARGET_FAR_DIGEST = "22b25a47c9ad25942bc572308d028542c137b6a445cb489a74e3b580d4f682f1"
 
 
 # --- oracles ---------------------------------------------------------------
@@ -95,6 +98,20 @@ def two_link_ik_oracle(target_xy, l1=1.0, l2=1.0):
         q1 = np.arctan2(y, x) - np.arctan2(l2 * s2, l1 + l2 * c2)
         sols.append(np.array([q1, q2]))
     return sols
+
+
+def reach_oracle(chain):
+    """The first joint's world origin and the sum of the lengths of the
+    later joint origins and the tip offset, from the chain's own parts."""
+    root = chain.base_frame.apply(chain.joints[0].origin.translation)
+    reach = sum(np.linalg.norm(p.translation)
+                for p in [j.origin for j in chain.joints[1:]] + [chain.tip_offset])
+    return root, reach
+
+
+def out_of_reach(chain, point, params=IkParams()):
+    root, reach = reach_oracle(chain)
+    return np.linalg.norm(point - root) > reach + params.pos_tol
 
 
 def random_chain(rng, n_joints):
@@ -308,6 +325,72 @@ def test_ik_deterministic():
     q2, s2 = ik_solve(chain, target, chain.mid_range())
     assert s1 == s2
     np.testing.assert_array_equal(q1, q2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iters": 2.5}, {"max_iters": 0}, {"max_iters": True}, {"restarts": 1.5},
+    {"restarts": -1}, {"pos_tol": -1.0}, {"pos_tol": float("nan")}, {"pos_tol": 0.0},
+    {"rot_tol": -1.0}, {"rot_tol": float("inf")}, {"orientation_weight": float("nan")},
+    {"orientation_weight": -0.5}, {"pos_tol": "0.001"},
+], ids=repr)
+def test_ik_params_rejects_invalid_values(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        IkParams(**kwargs)
+
+
+# --- reach test: targets no joint values can bring within pos_tol -----------
+
+def reach_chains():
+    return [planar_two_link()] + [arm for cfg in (humanoid_a_config(), humanoid_b_config())
+                                  for arm in (cfg.left_arm, cfg.right_arm)]
+
+
+def test_chain_reach_bounds_every_tip():
+    rng = np.random.default_rng(17)
+    for chain in reach_chains():
+        root, reach = reach_oracle(chain)
+        np.testing.assert_allclose(chain.arrays.root, root, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(chain.arrays.reach, reach, rtol=1e-15)
+        lo, hi = chain.lower_limits, chain.upper_limits
+        for q in lo + rng.random((200, chain.n_joints)) * (hi - lo):
+            assert np.linalg.norm(forward_kinematics(chain, q).translation - root) <= reach + 1e-12
+    # The bound is tight: the stretched planar arm reaches it.
+    chain = planar_two_link()
+    assert np.linalg.norm(forward_kinematics(chain, np.zeros(2)).translation) == chain.arrays.reach
+
+
+def test_far_rows_at_the_reach_boundary():
+    rng = np.random.default_rng(19)
+    tol = IkParams().pos_tol
+    for chain in reach_chains():
+        root, reach = chain.arrays.root, chain.arrays.reach
+        dirs = rng.normal(size=(8, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        targets = np.concatenate([root + (reach + 2 * tol) * dirs, root + (reach - tol) * dirs])
+        far = _far_rows(chain.arrays.take(np.newaxis), np.zeros(16, dtype=int), targets, tol)
+        assert far.tolist() == [True] * 8 + [False] * 8
+        assert [out_of_reach(chain, t) for t in targets] == far.tolist()
+
+
+def test_far_row_never_converges():
+    rng = np.random.default_rng(23)
+    tol = IkParams().pos_tol
+    for chain in reach_chains():
+        root, reach = chain.arrays.root, chain.arrays.reach
+        home = chain.mid_range()
+        start = forward_kinematics(chain, home)
+        for params in (IkParams(), IkParams(orientation_weight=0.0)):
+            d = rng.normal(size=3)
+            target = Pose(start.rotation, root + (reach + 2 * tol) * d / np.linalg.norm(d))
+            solution = ik_solve(chain, target, home, params)
+            assert solution[1] == "best_effort"
+            assert solution.pos_err > tol
+    # On the planar arm the best effort still lies on the reach sphere.
+    chain = planar_two_link()
+    target = Pose(np.eye(3), np.array([chain.arrays.reach + 2 * tol, 0.0, 0.0]))
+    solution = ik_solve(chain, target, np.array([0.3, 0.3]), IkParams(orientation_weight=0.0))
+    assert solution[1] == "best_effort" and abs(solution.pos_err - 2 * tol) <= 1e-9
 
 
 # --- hand retargeting -------------------------------------------------------
@@ -537,11 +620,11 @@ def test_fk_frames_batch_rows_equal_single_calls():
             assert pose.translation.tobytes() == batch[1][b].tobytes()
     # Per-row arrays of both arms: every row as on its own arm's arrays.
     for cfg in (humanoid_a_config(), humanoid_b_config()):
-        lo, hi = cfg.arms.lo, cfg.arms.hi
+        lo, hi = cfg.arms.stack.lo, cfg.arms.stack.hi
         for B in (1, 5, 30):
             arm = rng.integers(0, 2, size=B)
             Q = lo[arm] + rng.random((B, lo.shape[1])) * (hi - lo)[arm]
-            rows = _fk_frames(cfg.arms.take(arm), Q)
+            rows = _fk_frames(cfg.arms.stack.take(arm), Q)
             for k, chain in enumerate((cfg.left_arm, cfg.right_arm)):
                 own = _fk_frames(chain.arrays, Q[arm == k])
                 for got, want in zip(rows, own):
@@ -632,7 +715,7 @@ def ik_rows_fixture():
 def test_ik_rows_equal_per_row_ik_solve(params):
     chain, targets, q_init = ik_rows_fixture()
     q, pos_err, rot_err, ok = _ik_rows(
-        chain.arrays.take(np.newaxis), np.zeros(len(targets), dtype=int),
+        _Chains(chain.arrays.take(np.newaxis), (chain.arrays,)), np.zeros(len(targets), dtype=int),
         np.array([t.rotation for t in targets]),
         np.array([t.translation for t in targets]), q_init, params,
     )
@@ -732,20 +815,6 @@ def test_retarget_rows_equal_per_row_retarget_action():
         right_target = Pose(geometry.decode_rot6d(actions[6, U.RIGHT_WRIST_ROT]),
                             actions[6, U.RIGHT_WRIST_POS])
         assert ik_solve(cfg.right_arm, right_target, q_init, IkParams(restarts=0))[1] == "best_effort"
-
-
-def reach_oracle(chain):
-    """The first joint's world origin and the sum of the lengths of the
-    later joint origins and the tip offset, from the chain's own parts."""
-    root = chain.base_frame.apply(chain.joints[0].origin.translation)
-    reach = sum(np.linalg.norm(p.translation)
-                for p in [j.origin for j in chain.joints[1:]] + [chain.tip_offset])
-    return root, reach
-
-
-def out_of_reach(chain, point, params=IkParams()):
-    root, reach = reach_oracle(chain)
-    return np.linalg.norm(point - root) > reach + params.pos_tol
 
 
 def retarget_fixture_digests():
