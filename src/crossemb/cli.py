@@ -20,7 +20,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import geometry, harness, policy, retiming, unified_space
 from .embodiments import load_embodiment_config
-from .errors import CrossembError, InvalidMetadata, ParseError
+from .errors import CrossembError, ParseError
 from .kinematics import IkParams, RobotCommand, forward_kinematics, ik_solve, retarget_action
 from .geometry import Pose
 
@@ -149,23 +149,6 @@ def _cmd_retime(args) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
-    manifest, episodes = dataset_mod.read_dataset(args.dataset)
-    root = Path(args.dataset)
-    (root / "stats").mkdir(exist_ok=True)
-    files = {}
-    for kind in ("state", "action"):
-        stats = dataset_mod.stats_from_episodes(
-            episodes, mode=args.mode, epsilon=args.epsilon, kind=kind
-        )
-        rel = f"stats/{kind}.json"
-        (root / rel).write_text(_dumps(stats.to_json_dict()))
-        files[kind] = rel
-    dataset_mod.write_dataset(episodes, args.dataset, stats_files=files)
-    print(f"wrote stats for {len(episodes)} episode(s): {files}")
-    return EXIT_OK
-
-
 def _cmd_train(args) -> int:
     for flag, value in (("--steps", args.steps), ("--batch-size", args.batch_size),
                         ("--chunk-length", args.chunk_length), ("--stride", args.stride)):
@@ -174,14 +157,6 @@ def _cmd_train(args) -> int:
     hidden = _parse_counts(args.hidden, "--hidden", minimum=1)
     manifest, episodes = dataset_mod.read_dataset(args.dataset)
     pairs = dataset_mod.episodes_to_pairs_by_tag(episodes, args.chunk_length, args.stride)
-    ratio = dataset_mod.default_ratio(pairs)
-    sampler = dataset_mod.MixedSampler(pairs, ratio, seed=args.seed)
-    state_stats = dataset_mod.stats_from_episodes(
-        episodes, mode=args.mode, epsilon=args.epsilon, kind="state"
-    )
-    action_stats = dataset_mod.stats_from_episodes(
-        episodes, mode=args.mode, epsilon=args.epsilon, kind="action"
-    )
     config = policy.PolicyConfig(
         feature_dim=manifest["feature_dim"],
         chunk_length=args.chunk_length,
@@ -190,8 +165,8 @@ def _cmd_train(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    model = policy.init_model(config, state_stats, action_stats)
-    model, report = policy.train(model, sampler.stream(), args.steps)
+    model, report = harness.train_on_pairs(pairs, dataset_mod.default_ratio(pairs), config,
+                                           args.steps)
     policy.save_checkpoint(model, args.out)
     print(f"trained {args.steps} step(s); final loss {report.total[-1]:.6f}; saved {args.out}")
     return EXIT_OK
@@ -201,7 +176,7 @@ def _cmd_predict(args) -> int:
     model = policy.load_checkpoint(args.checkpoint)
     state = _parse_floats(args.state, "--state", unified_space.STATE_DIM)
     feature = _parse_floats(args.feature, "--feature", model.config.feature_dim)
-    chunk = policy.predict(model, state, feature, tag=args.tag)
+    chunk = policy.predict(model, state, feature)
     print(_dumps({"action_chunk": chunk.tolist()}))
     return EXIT_OK
 
@@ -373,18 +348,6 @@ def _cmd_validate(args) -> int:
             )
         except CrossembError as exc:
             problems.append(f"{ep.id} {exc}")
-    stats_files = manifest.get("stats_files") or {}
-    for kind, rel in stats_files.items():
-        path = Path(args.dataset) / rel
-        try:
-            stats = unified_space.NormalizationStats.from_json_dict(
-                dataset_mod._read_json_object(path)
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise InvalidMetadata(f"{path}: not valid statistics: {exc!r}") from exc
-        for tag, entry in stats.entries.items():
-            if np.any(entry.std < stats.epsilon - 1e-12):
-                problems.append(f"stats {kind}/{tag}: std below epsilon")
     if problems:
         for p in problems:
             print(f"FAIL {p}")
@@ -418,16 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_retime)
 
-    p = sub.add_parser("stats", help="compute normalization statistics for a dataset")
-    p.add_argument("--config")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--mode", choices=[unified_space.MODE_SHARED,
-                                      unified_space.MODE_PER_EMBODIMENT],
-                   default=unified_space.MODE_SHARED)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("train", help="train a policy on a dataset")
+    p = sub.add_parser("train", help="train a policy on a dataset; its normalization "
+                       "statistics, shared by every embodiment, go in the checkpoint")
     p.add_argument("--config")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
@@ -438,10 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=[unified_space.MODE_SHARED,
-                                      unified_space.MODE_PER_EMBODIMENT],
-                   default=unified_space.MODE_SHARED)
-    p.add_argument("--epsilon", type=float, default=1e-6)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict an action chunk from a checkpoint")
@@ -449,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", required=True, help="54 comma-separated values")
     p.add_argument("--feature", required=True, help="F comma-separated values")
-    p.add_argument("--tag")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("retarget", help="retarget a unified action to a robot command")

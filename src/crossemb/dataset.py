@@ -7,7 +7,9 @@ pairs the pose or joint records with visual frames (`_synced_frames`)
 and turns them into one (N, 54) state array per capture, checked once by
 `unified_space.check_state_rows`. Processed episodes are little-endian
 float64 blocks (`pack_blocks`, the layout checkpoints share) indexed by
-manifest.json, so write/read round-trips are bit-exact.
+manifest.json, so write/read round-trips are bit-exact. The manifest
+lists episodes and checksums only: normalization statistics are computed
+at training time (`harness.train_on_pairs`) and live in the checkpoint.
 
 Training pairs are ACT-style chunks: state `obs[s]`, feature
 `features[s]` and actions `frames[s+1 : s+1+K]`, with s = `starts[row]`.
@@ -456,11 +458,7 @@ def _episode_from_bytes(blob: bytes, entry: dict) -> DemonstrationEpisode:
     )
 
 
-def write_dataset(
-    episodes: Sequence[DemonstrationEpisode],
-    directory: str | Path,
-    stats_files: Mapping[str, str] | None = None,
-) -> dict:
+def write_dataset(episodes: Sequence[DemonstrationEpisode], directory: str | Path) -> dict:
     """Write episodes plus manifest.json; returns the manifest dict."""
     root = Path(directory)
     (root / "episodes").mkdir(parents=True, exist_ok=True)
@@ -487,14 +485,15 @@ def write_dataset(
         "format_version": FORMAT_VERSION,
         "feature_dim": dims.pop() if dims else 0,
         "episodes": entries,
-        "stats_files": dict(stats_files) if stats_files else None,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 
 
 def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode]]:
-    """Load manifest + episodes, verifying version and checksums."""
+    """Load manifest + episodes, verifying version and checksums. Keys the
+    manifest holds besides those `write_dataset` writes (such as the
+    `stats_files` of older datasets) are ignored."""
     root = Path(directory)
     where = str(root / "manifest.json")
     manifest = _read_json_object(root / "manifest.json")
@@ -502,10 +501,7 @@ def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode
         raise VersionUnsupported(
             f"dataset format_version {manifest.get('format_version')!r} unsupported"
         )
-    _check_fields(
-        manifest, where, required={"episodes": list, "feature_dim": int},
-        optional={"stats_files": (dict, type(None))},
-    )
+    _check_fields(manifest, where, required={"episodes": list, "feature_dim": int})
     for i, entry in enumerate(manifest["episodes"]):
         if not isinstance(entry, dict):
             raise InvalidMetadata(f"{where}: episode entry {i} is not a JSON object")
@@ -558,9 +554,9 @@ class PairSet:
         self, state_stats: NormalizationStats | None, action_stats: NormalizationStats | None
     ) -> PairSet:
         """This set with `obs` in state-normalized and `frames` in
-        action-normalized units for its tag."""
-        return replace(self, obs=unified_space.normalize(self.obs, state_stats, self.tag),
-                       frames=unified_space.normalize(self.frames, action_stats, self.tag))
+        action-normalized units."""
+        return replace(self, obs=unified_space.normalize(self.obs, state_stats),
+                       frames=unified_space.normalize(self.frames, action_stats))
 
 
 def extract_pairs(
@@ -676,15 +672,14 @@ def default_ratio(pairs_by_tag: Mapping[str, PairSet]) -> dict[str, float]:
 
 
 def stats_from_episodes(
-    episodes: Sequence[DemonstrationEpisode],
-    mode: str = unified_space.MODE_SHARED,
-    epsilon: float = 1e-6,
-    kind: str = "state",
+    episodes: Sequence[DemonstrationEpisode], kind: str = "state"
 ) -> NormalizationStats:
-    """State stats use every frame; action stats use frames 1..N (targets)."""
+    """Statistics over episode frames, by `unified_space.compute_stats` with
+    its default epsilon: state stats use every frame, action stats frames
+    1..N (targets). Training uses `harness.stats_from_pairs` instead."""
     frames: dict[str, list[np.ndarray]] = {}
     for ep in episodes:
         arr = ep.states if kind == "state" else ep.states[1:]
         frames.setdefault(ep.embodiment_tag, []).append(arr)
     stacked = {tag: np.concatenate(chunks, axis=0) for tag, chunks in frames.items()}
-    return unified_space.compute_stats(stacked, mode=mode, epsilon=epsilon)
+    return unified_space.compute_stats(stacked)

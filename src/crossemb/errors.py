@@ -22,22 +22,6 @@ class EmptyDataset(CrossembError):
     """Statistics requested over zero frames."""
 
 
-class InsufficientFrames(CrossembError):
-    """An embodiment tag has too few frames for per-embodiment statistics."""
-
-    def __init__(self, tag: str, count: int):
-        super().__init__(f"embodiment tag {tag!r} has only {count} frame(s); need >= 2")
-        self.tag = tag
-        self.count = count
-
-    def __reduce__(self):
-        return type(self), (self.tag, self.count)
-
-
-class UnknownEmbodimentTag(CrossembError):
-    """Tag not resolvable under the normalization statistics mode."""
-
-
 class DegenerateTrajectory(CrossembError):
     """Trajectory has fewer than two frames or non-increasing timestamps."""
 
@@ -73,9 +57,9 @@ class ParseError(CrossembError):
 
 
 class InvalidMetadata(CrossembError):
-    """A capture's meta.json, a dataset's manifest.json or statistics file,
-    or an embodiment config file is unparsable, not a JSON object, or lacks
-    or mistypes a required field."""
+    """A capture's meta.json, a dataset's manifest.json or an embodiment
+    config file is unparsable, not a JSON object, or lacks or mistypes a
+    required field."""
 
 
 class UnreadableFile(CrossembError):
@@ -109,7 +93,8 @@ class VersionUnsupported(CrossembError):
 
 
 class CorruptCheckpoint(CrossembError):
-    """Checkpoint header is undecodable or disagrees with the bytes after it."""
+    """Checkpoint header is undecodable, holds invalid normalization
+    statistics, or disagrees with the bytes after it."""
 
 
 class CorruptEpisode(CrossembError):

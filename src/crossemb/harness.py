@@ -64,7 +64,7 @@ from .kinematics import (
     _embed_rows,
     _retarget_rows,
 )
-from .policy import PolicyConfig, PolicyModel, init_model, predict, train
+from .policy import PolicyConfig, PolicyModel, TrainReport, init_model, predict, train
 from .tasks import (
     DemoBundle,
     ReachTask,
@@ -150,12 +150,11 @@ class RolloutResult:
 class PolicyAgent:
     """Adapts a trained model to the rollout loop."""
 
-    def __init__(self, model: PolicyModel, tag: str | None = "robot"):
+    def __init__(self, model: PolicyModel):
         self.model = model
-        self.tag = tag
 
     def predict(self, state: np.ndarray, feature: np.ndarray, step: int) -> np.ndarray:
-        return predict(self.model, state, feature, tag=self.tag)
+        return predict(self.model, state, feature)
 
     @property
     def chunk_length(self) -> int:
@@ -352,12 +351,27 @@ def pairs_from_bundles(
 def stats_from_pairs(
     pairs_by_tag: Mapping[str, PairSet],
 ) -> tuple[NormalizationStats, NormalizationStats]:
-    """Shared-mode state and action statistics over every pair."""
+    """State and action statistics shared by every tag: each pair's state,
+    and each frame of its action chunk."""
     states, actions = {}, {}
     for tag, pair_set in pairs_by_tag.items():
         states[tag], _, actions[tag] = pair_set.take(np.arange(len(pair_set)))
     return (compute_stats(states, epsilon=STATS_EPSILON),
             compute_stats(actions, epsilon=STATS_EPSILON))
+
+
+def train_on_pairs(
+    pairs_by_tag: Mapping[str, PairSet],
+    ratio: Mapping[str, float],
+    config: PolicyConfig,
+    steps: int,
+) -> tuple[PolicyModel, TrainReport]:
+    """The one training recipe, for `crossemb train` and the experiments:
+    `stats_from_pairs`, a `MixedSampler` mixing tags by `ratio` under
+    `config.seed`, `init_model` and `steps` steps of `train`."""
+    state_stats, action_stats = stats_from_pairs(pairs_by_tag)
+    sampler = MixedSampler(pairs_by_tag, ratio, seed=config.seed)
+    return train(init_model(config, state_stats, action_stats), sampler.stream(), steps)
 
 
 def train_policy_on_bundles(
@@ -367,12 +381,10 @@ def train_policy_on_bundles(
     joint_space_robot_states: bool = False,
 ) -> PolicyModel:
     pairs = pairs_from_bundles(bundles, settings.chunk_length, joint_space_robot_states)
-    state_stats, action_stats = stats_from_pairs(pairs)
     # A tag without bundles stays in the ratio, so the sampler rejects it.
     ratio = {tag: 1.0 for tag in bundles}
     if "human" in ratio:
         ratio["human"] = settings.human_weight
-    sampler = MixedSampler(pairs, ratio, seed=seed)
     cfg = PolicyConfig(
         feature_dim=settings.feature_dim,
         chunk_length=settings.chunk_length,
@@ -381,9 +393,7 @@ def train_policy_on_bundles(
         batch_size=settings.batch_size,
         seed=seed,
     )
-    model = init_model(cfg, state_stats, action_stats)
-    model, _ = train(model, sampler.stream(), settings.train_steps)
-    return model
+    return train_on_pairs(pairs, ratio, cfg, settings.train_steps)[0]
 
 
 def evaluation_goals(
@@ -582,6 +592,17 @@ def run_conditions(
     yield from results
 
 
+def _settings_for(settings: ExperimentSettings | None, human_demos: int) -> ExperimentSettings:
+    """`settings`, or the defaults with `human_demos`; ValueError if
+    `settings.human_demos` disagrees with the experiment's `human_demos`."""
+    if settings is None:
+        return ExperimentSettings(human_demos=human_demos)
+    if settings.human_demos != human_demos:
+        raise ValueError(f"settings.human_demos is {settings.human_demos} but the experiment "
+                         f"draws {human_demos} human demos")
+    return settings
+
+
 def cotraining_experiment(
     robot_counts: Sequence[int] = (4, 8, 16, 32),
     human_demos: int = 72,
@@ -598,7 +619,7 @@ def cotraining_experiment(
     from .embodiments import humanoid_b_config
 
     config = config or humanoid_b_config()
-    settings = settings or ExperimentSettings(human_demos=human_demos)
+    settings = _settings_for(settings, human_demos)
     task = make_reach_task(config, feature_dim=settings.feature_dim)
     rows = []
     probe_values = []
@@ -643,7 +664,7 @@ def ablation_suite(
     from .embodiments import humanoid_b_config
 
     config = config or humanoid_b_config()
-    settings = settings or ExperimentSettings()
+    settings = _settings_for(settings, human_demos)
     task = make_reach_task(config, feature_dim=settings.feature_dim)
     t0 = time.perf_counter()
     rows = [

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import geometry, unified_space
 from .dataset import PairSet, _read_file, pack_blocks, unpack_blocks
-from .errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss, VersionUnsupported
+from .errors import (
+    CorruptCheckpoint,
+    DimensionMismatch,
+    InvalidComponent,
+    NonFiniteLoss,
+    VersionUnsupported,
+)
 from .unified_space import STATE_DIM, NormalizationStats
 
 # Wrist translations (`eef_indices`), and every column but the leading head rotation.
@@ -267,16 +273,11 @@ def train(
     return model, report
 
 
-def predict(
-    model: PolicyModel,
-    state: np.ndarray,
-    feature: np.ndarray,
-    tag: str | None = None,
-) -> np.ndarray:
+def predict(model: PolicyModel, state: np.ndarray, feature: np.ndarray) -> np.ndarray:
     """Physical-units action chunk (K, 54), rotations re-orthogonalized."""
     raw_state = np.asarray(state, dtype=float)
-    chunk = forward(model, unified_space.normalize(raw_state, model.state_stats, tag), feature)
-    chunk = np.array(unified_space.denormalize(chunk, model.action_stats, tag))
+    chunk = forward(model, unified_space.normalize(raw_state, model.state_stats), feature)
+    chunk = np.array(unified_space.denormalize(chunk, model.action_stats))
     if not model.config.action_includes_head:
         # Head excluded from the action: carry the current head rotation.
         chunk[:, unified_space.HEAD_ROT] = raw_state[unified_space.HEAD_ROT]
@@ -331,6 +332,10 @@ def save_checkpoint(model: PolicyModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> PolicyModel:
+    """Inverse of `save_checkpoint`. CorruptCheckpoint for a header that
+    does not decode, or whose statistics are not the shared form with
+    finite values and every std positive and at least epsilon
+    (`NormalizationStats.from_json_dict`)."""
     blob = _read_file(path)
     if blob[:8] != CHECKPOINT_MAGIC:
         raise VersionUnsupported(f"bad checkpoint magic {blob[:8]!r}")
@@ -346,10 +351,10 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
         config = _config_from_dict(header["config"])
         steps_completed = int(header["steps_completed"])
         state_stats, action_stats = (
-            NormalizationStats.from_json_dict(header[key]) if header.get(key) else None
+            NormalizationStats.from_json_dict(header[key]) if header.get(key) is not None else None
             for key in ("state_stats", "action_stats")
         )
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, InvalidComponent) as exc:
         raise CorruptCheckpoint(f"bad checkpoint header: {exc!r}") from exc
     dims = _layer_dims(config)
     shapes = [s for layer in zip(dims[:-1], dims[1:]) for s in (layer, layer[1:])]

@@ -17,18 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import geometry
-from .errors import (
-    EmptyDataset,
-    InsufficientFrames,
-    InvalidComponent,
-    UnknownEmbodimentTag,
-)
+from .errors import EmptyDataset, InvalidComponent
 
 STATE_DIM = 54
 HEAD_ROT = slice(0, 6)
@@ -44,8 +39,6 @@ FINGERS_PER_HAND = 5
 DEFAULT_MAX_HAND_REACH = 0.35
 
 SHARED_KEY = "shared"
-MODE_SHARED = "shared"
-MODE_PER_EMBODIMENT = "per_embodiment"
 
 
 def rotation_codes(x: np.ndarray) -> np.ndarray:
@@ -148,112 +141,76 @@ def decode_state(vec: np.ndarray) -> UnifiedState:
 
 
 @dataclass(frozen=True)
-class StatsEntry:
-    mean: np.ndarray  # (54,)
-    std: np.ndarray   # (54,), clamped below by epsilon
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        std = np.array(self.std, dtype=float)
-        if mean.shape != (STATE_DIM,) or std.shape != (STATE_DIM,):
-            raise InvalidComponent("stats entries must be 54-vectors")
-        mean.flags.writeable = False
-        std.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-
-
-@dataclass(frozen=True)
 class NormalizationStats:
-    """Per-dimension mean/std, either one shared entry or one per tag."""
+    """Per-dimension mean and std over the frames of every embodiment tag
+    together: one shared entry, so normalizing needs no tag. `std` is
+    clamped below by `epsilon`. The JSON form keeps the layout of the
+    former shared mode, `{"mode": "shared", "epsilon": ..., "entries":
+    {"shared": {"mean": ..., "std": ...}}}`, so stored checkpoints and
+    their digests stay valid."""
 
-    mode: str
+    mean: np.ndarray  # (54,)
+    std: np.ndarray   # (54,)
     epsilon: float
-    entries: Mapping[str, StatsEntry] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in (MODE_SHARED, MODE_PER_EMBODIMENT):
-            raise ValueError(f"unknown normalization mode {self.mode!r}")
-        object.__setattr__(self, "entries", dict(self.entries))
-
-    def resolve(self, tag: str | None) -> StatsEntry:
-        if self.mode == MODE_SHARED:
-            return self.entries[SHARED_KEY]
-        if tag is None or tag not in self.entries:
-            raise UnknownEmbodimentTag(f"tag {tag!r} not present in per-embodiment stats")
-        return self.entries[tag]
+        for name in ("mean", "std"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != (STATE_DIM,):
+                raise InvalidComponent(f"stats {name} must be a 54-vector, got {arr.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": SHARED_KEY,
             "epsilon": self.epsilon,
-            "entries": {
-                tag: {"mean": entry.mean.tolist(), "std": entry.std.tolist()}
-                for tag, entry in sorted(self.entries.items())
-            },
+            "entries": {SHARED_KEY: {"mean": self.mean.tolist(), "std": self.std.tolist()}},
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "NormalizationStats":
-        entries = {
-            tag: StatsEntry(np.array(e["mean"]), np.array(e["std"]))
-            for tag, e in doc["entries"].items()
-        }
-        return NormalizationStats(mode=doc["mode"], epsilon=float(doc["epsilon"]), entries=entries)
+        """Inverse of `to_json_dict`. ValueError (InvalidComponent for a
+        wrong shape) unless `doc` has that form with finite values and every
+        std positive and at least `epsilon`."""
+        if doc["mode"] != SHARED_KEY or set(doc["entries"]) != {SHARED_KEY}:
+            raise ValueError("statistics must hold exactly one shared entry")
+        entry = doc["entries"][SHARED_KEY]
+        stats = NormalizationStats(entry["mean"], entry["std"], float(doc["epsilon"]))
+        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
+            raise ValueError("statistics hold non-finite values")
+        if not ((stats.std > 0) & (stats.std >= stats.epsilon)).all():
+            raise ValueError(f"statistics std is not positive or below epsilon {stats.epsilon!r}")
+        return stats
 
     def digest(self) -> str:
         payload = json.dumps(self.to_json_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
 
 
-def _entry_from_frames(frames: np.ndarray, epsilon: float) -> StatsEntry:
-    mean = frames.mean(axis=0)
-    # Population (1/N) convention.
-    std = np.sqrt(np.mean((frames - mean) ** 2, axis=0))
-    return StatsEntry(mean=mean, std=np.maximum(std, epsilon))
-
-
 def compute_stats(
-    frames_by_tag: Mapping[str, np.ndarray],
-    mode: str = MODE_SHARED,
-    epsilon: float = 1e-6,
+    frames_by_tag: Mapping[str, np.ndarray], epsilon: float = 1e-6
 ) -> NormalizationStats:
-    """Mean/std over flattened 54-vectors, grouped according to `mode`."""
-    if mode not in (MODE_SHARED, MODE_PER_EMBODIMENT):
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    arrays = {
-        tag: np.asarray(frames, dtype=float).reshape(-1, STATE_DIM)
-        for tag, frames in frames_by_tag.items()
-        if len(frames) > 0
-    }
-    total = sum(a.shape[0] for a in arrays.values())
-    if total == 0:
+    """Mean and population (1/N) std over the flattened 54-vectors of every
+    tag, stacked in sorted tag order."""
+    arrays = [np.asarray(frames_by_tag[tag], dtype=float).reshape(-1, STATE_DIM)
+              for tag in sorted(frames_by_tag) if len(frames_by_tag[tag]) > 0]
+    if not arrays:
         raise EmptyDataset("no frames to compute statistics over")
-    if mode == MODE_SHARED:
-        stacked = np.concatenate(list(arrays[tag] for tag in sorted(arrays)), axis=0)
-        entries = {SHARED_KEY: _entry_from_frames(stacked, epsilon)}
-    else:
-        for tag, arr in sorted(arrays.items()):
-            if arr.shape[0] < 2:
-                raise InsufficientFrames(tag, arr.shape[0])
-        entries = {tag: _entry_from_frames(arr, epsilon) for tag, arr in sorted(arrays.items())}
-    return NormalizationStats(mode=mode, epsilon=epsilon, entries=entries)
+    stacked = np.concatenate(arrays, axis=0)
+    mean = stacked.mean(axis=0)
+    std = np.sqrt(np.mean((stacked - mean) ** 2, axis=0))
+    return NormalizationStats(mean, np.maximum(std, epsilon), epsilon)
 
 
-def normalize(
-    x: np.ndarray, stats: NormalizationStats | None, tag: str | None = None
-) -> np.ndarray:
+def normalize(x: np.ndarray, stats: NormalizationStats | None) -> np.ndarray:
     """(x - mean) / std elementwise; works on (54,) or (..., 54). No stats: x as is."""
     if stats is None:
         return np.asarray(x, dtype=float)
-    entry = stats.resolve(tag)
-    return (np.asarray(x, dtype=float) - entry.mean) / entry.std
+    return (np.asarray(x, dtype=float) - stats.mean) / stats.std
 
 
-def denormalize(
-    y: np.ndarray, stats: NormalizationStats | None, tag: str | None = None
-) -> np.ndarray:
+def denormalize(y: np.ndarray, stats: NormalizationStats | None) -> np.ndarray:
     if stats is None:
         return np.asarray(y, dtype=float)
-    entry = stats.resolve(tag)
-    return np.asarray(y, dtype=float) * entry.std + entry.mean
+    return np.asarray(y, dtype=float) * stats.std + stats.mean

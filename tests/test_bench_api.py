@@ -1,12 +1,13 @@
-"""Every crossemb name the benchmark uses still resolves.
+"""Every crossemb name the benchmark and the claims gate use still resolves.
 
 The benchmark under `bench/` drives crossemb through module attributes and
 traces functions by dotted path. Its tracer only warns about a path that
 no longer resolves, so deleting or renaming a traced function would
-silently turn a per-layer metric into null. These tests read the
-benchmark's sources as text, without importing them, and resolve each
-`module.attr` chain rooted at a crossemb import, each keyword those calls
-pass, and each `Target` path of the tracer.
+silently turn a per-layer metric into null. The claims gate under `gate/`
+runs outside this suite, so a signature change there would show only in
+a gate run. These tests read those sources as text, without importing
+them, and resolve each `module.attr` chain rooted at a crossemb import,
+each keyword those calls pass, and each `Target` path of the tracer.
 """
 
 import ast
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _trees(source: str):
@@ -88,11 +90,19 @@ def used_names(source: str) -> list:
     return out
 
 
+def _assert_names_resolve(path: Path):
+    used = used_names(path.read_text())
+    assert used, f"no crossemb names found in {path.relative_to(ROOT)}"
+    assert [(name, problem) for name, problem in used if problem] == []
+
+
 @pytest.mark.parametrize("source", ["workloads.py", "run.py"])
 def test_bench_module_attributes_resolve(source):
-    used = used_names((BENCH / source).read_text())
-    assert used, f"no crossemb names found in bench/{source}"
-    assert [(name, problem) for name, problem in used if problem] == []
+    _assert_names_resolve(BENCH / source)
+
+
+def test_gate_attributes_resolve():
+    _assert_names_resolve(ROOT / "gate" / "test_paper_claims.py")
 
 
 def test_traced_targets_resolve():

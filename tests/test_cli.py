@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from crossemb import geometry, harness, unified_space
+from crossemb import dataset, geometry, harness, policy, unified_space
 from crossemb.cli import cli
 from crossemb.dataset import read_dataset, write_dataset
 from crossemb.embodiments import config_to_json_dict, humanoid_a_config
@@ -13,6 +13,7 @@ from crossemb.kinematics import forward_kinematics
 from crossemb.retiming import Trajectory, retime
 
 from test_dataset import IDENTITY_STATE, synthetic_episode, write_human_raw, write_robot_raw
+from test_policy import BAD_STATS_HEADERS, rewrite_header
 
 
 @pytest.fixture
@@ -77,18 +78,6 @@ def test_validate_check_reach_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli(["validate", "--dataset", str(tmp_path / "d"), "--check-reach"]) == 1
     assert "FAIL e0 row 7: left fingertip 0 is 1.000 m from wrist" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("text", ["{broken", '{"mode": "shared", "epsilon": 1e-06}', "[]"],
-                         ids=["unparsable", "no_entries", "not_object"])
-def test_validate_bad_stats_file_exit_1(tmp_path, text, capsys):
-    write_dataset([synthetic_episode("e0", "robot")], tmp_path / "d")
-    assert cli(["stats", "--dataset", str(tmp_path / "d")]) == 0
-    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 0
-    (tmp_path / "d" / "stats" / "state.json").write_text(text)
-    capsys.readouterr()
-    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
-    assert "state.json" in capsys.readouterr().err
 
 
 def test_validate_malformed_manifest_exit_1(tmp_path, capsys):
@@ -161,6 +150,8 @@ def test_retime_golden_file(tmp_path, capsys):
 
 
 def test_ingest_stats_validate_pipeline(tmp_path, config_file):
+    """Ingest, validate, then train: the statistics, one entry shared by
+    both tags, are computed by `train` and stored in the checkpoint."""
     h = write_human_raw(tmp_path, n=12, episode_id="h1")
     r = write_robot_raw(tmp_path, n=12, episode_id="r1")
     data_dir = tmp_path / "data"
@@ -168,12 +159,18 @@ def test_ingest_stats_validate_pipeline(tmp_path, config_file):
         "ingest", "--raw", str(h), str(r), "--out", str(data_dir),
         "--embodiment-config", config_file, "--feature-dim", "4",
     ]) == 0
-    assert cli(["stats", "--dataset", str(data_dir), "--epsilon", "1e-5"]) == 0
     assert cli(["validate", "--dataset", str(data_dir)]) == 0
-    stats_doc = json.loads((data_dir / "stats" / "state.json").read_text())
-    assert stats_doc["mode"] == "shared"
-    assert set(stats_doc["entries"]) == {"shared"}
-    assert len(stats_doc["entries"]["shared"]["mean"]) == 54
+    ckpt = tmp_path / "model.ckpt"
+    assert cli(["train", "--dataset", str(data_dir), "--out", str(ckpt), "--chunk-length", "3",
+                "--hidden", "8", "--steps", "2", "--batch-size", "4"]) == 0
+    model = policy.load_checkpoint(ckpt)
+    _, episodes = read_dataset(data_dir)
+    pairs = dataset.episodes_to_pairs_by_tag(episodes, 3)
+    assert {ep.embodiment_tag for ep in episodes} == {"human", "robot"}
+    for stored, computed in zip((model.state_stats, model.action_stats),
+                                harness.stats_from_pairs(pairs)):
+        assert stored.to_json_dict()["entries"].keys() == {"shared"}
+        assert stored.digest() == computed.digest()
 
 
 def test_train_and_predict_cli(tmp_path):
@@ -190,8 +187,7 @@ def test_train_and_predict_cli(tmp_path):
     state = ",".join(str(v) for v in IDENTITY_STATE)
     feature = "0,0,0,0"
     assert cli([
-        "predict", "--checkpoint", str(ckpt), "--state", state,
-        "--feature", feature, "--tag", "human",
+        "predict", "--checkpoint", str(ckpt), "--state", state, "--feature", feature,
     ]) == 0
 
 
@@ -295,7 +291,23 @@ def test_predict_truncated_checkpoint_exit_1(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:-8])
     state = ",".join(str(v) for v in IDENTITY_STATE)
     assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
-                "--feature", "0,0,0,0", "--tag", "human"]) == 1
+                "--feature", "0,0,0,0"]) == 1
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATS_HEADERS))
+def test_predict_checkpoint_with_invalid_stats_exit_1(tmp_path, case, capsys):
+    eps = [synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)]
+    write_dataset(eps, tmp_path / "d")
+    ckpt = tmp_path / "model.ckpt"
+    assert cli(["train", "--dataset", str(tmp_path / "d"), "--out", str(ckpt),
+                "--chunk-length", "3", "--hidden", "8", "--steps", "2",
+                "--batch-size", "4"]) == 0
+    ckpt.write_bytes(rewrite_header(ckpt.read_bytes(), BAD_STATS_HEADERS[case]))
+    state = ",".join(str(v) for v in IDENTITY_STATE)
+    capsys.readouterr()
+    assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
+                "--feature", "0,0,0,0"]) == 1
+    assert "bad checkpoint header" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -482,7 +494,7 @@ def test_binary_or_frames_path_that_is_a_directory_exit_1(tmp_path, command, cap
     else:
         blocked = tmp_path / "model.ckpt"
         argv = ["predict", "--checkpoint", str(blocked), "--state", state,
-                "--feature", "0,0,0,0", "--tag", "human"]
+                "--feature", "0,0,0,0"]
     if blocked.exists():
         blocked.unlink()
     blocked.mkdir()

@@ -321,6 +321,29 @@ def test_ingest_image_ref_features(tmp_path):
     )
 
 
+@pytest.mark.parametrize("first", ["a", "b"])
+def test_ingest_duplicate_visual_timestamps_pair_the_earlier_record(tmp_path, first):
+    """Two visual records at one time, 5 ms before pose record 5, which
+    lost its own feature: the pose record, coming from after the pair of
+    equal times, pairs the one earlier in the file, and nothing is dropped."""
+    root = write_human_raw(tmp_path, n=12)
+    lines = [json.loads(l) for l in (root / "frames.jsonl").read_text().splitlines()]
+    del lines[5]["feature_vector"]
+    features = {"a": [9.0, 9.0, 9.0, 9.0], "b": [-9.0, -9.0, -9.0, -9.0]}
+    order = [first, "b" if first == "a" else "a"]
+    lines[5:5] = [{"t": lines[5]["t"] - 0.005, "feature_vector": features[key]}
+                  for key in order]
+    (root / "frames.jsonl").write_text("\n".join(json.dumps(r) for r in lines) + "\n")
+    ep = ingest(load_raw_capture(root))
+    assert ep.metadata["dropped_frames"] == 0
+    kept = {tuple(row) for row in ep.features.tolist()}
+    assert tuple(features[order[0]]) in kept
+    assert tuple(features[order[1]]) not in kept
+    # Every other pose record keeps its own feature.
+    assert len(kept) == 12
+
+
+
 # --- storage -------------------------------------------------------------
 
 def test_write_read_empty(tmp_path):
@@ -398,7 +421,6 @@ BAD_MANIFEST = {
     "no_episodes": _drop("episodes"),
     "no_feature_dim": _drop("feature_dim"),
     "episodes_not_list": lambda doc: doc.update(episodes={"ep0": {}}),
-    "stats_files_not_object": lambda doc: doc.update(stats_files=["state.json"]),
     "entry_not_object": lambda doc: doc["episodes"].__setitem__(0, "episodes/ep0.bin"),
     "entry_no_file": _drop_entry("file"),
     "entry_no_sha256": _drop_entry("sha256"),
@@ -407,6 +429,20 @@ BAD_MANIFEST = {
     "entry_file_absolute": lambda doc: doc["episodes"][0].update(file="/etc/hostname"),
     "entry_file_outside": lambda doc: doc["episodes"][0].update(file="../d/episodes/ep0.bin"),
 }
+
+
+def test_read_ignores_stats_files_of_older_manifests(tmp_path):
+    """Datasets written when the manifest could name statistics files
+    still read, with or without them."""
+    eps = [synthetic_episode("ep0", "robot")]
+    write_dataset(eps, tmp_path / "d")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    assert "stats_files" not in doc
+    for stats_files in (None, {"state": "stats/state.json"}, ["state.json"]):
+        manifest_path.write_text(json.dumps(doc | {"stats_files": stats_files}))
+        _, back = read_dataset(tmp_path / "d")
+        np.testing.assert_array_equal(back[0].states, eps[0].states)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MANIFEST))

@@ -7,12 +7,10 @@ from crossemb.errors import (
     BodyMotionRejected,
     CrossembError,
     EmptySource,
-    InsufficientFrames,
     ParseError,
 )
 
 CUSTOM = [
-    InsufficientFrames("robot", 1),
     ParseError(3, "expected a JSON object"),
     ParseError(None, "must be >= 1", flag="--seeds"),
     BodyMotionRejected(0.2, 0.15),

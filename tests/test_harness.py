@@ -343,7 +343,7 @@ def test_joint_space_pairs_swap_only_robot_states(task):
 
 def test_cotraining_zero_human_identical_rows():
     settings = ExperimentSettings(train_steps=150, max_steps=20, id_eval_goals=2,
-                                  ood_eval_goals_per_cell=1)
+                                  ood_eval_goals_per_cell=1, human_demos=0)
     report = cotraining_experiment(
         robot_counts=(2,), human_demos=0, seeds=(0,), settings=settings
     )
@@ -359,7 +359,7 @@ def test_cotraining_report_shape_and_schema(tmp_path):
     import jsonschema
 
     settings = ExperimentSettings(train_steps=100, max_steps=15, id_eval_goals=1,
-                                  ood_eval_goals_per_cell=0)
+                                  ood_eval_goals_per_cell=0, human_demos=4)
     report = cotraining_experiment(
         robot_counts=(2, 3), human_demos=4, seeds=(0, 1), settings=settings,
         out_dir=tmp_path,
@@ -376,7 +376,7 @@ def test_ablation_report_schema(tmp_path):
     import jsonschema
 
     settings = ExperimentSettings(train_steps=100, max_steps=15, id_eval_goals=1,
-                                  ood_eval_goals_per_cell=0)
+                                  ood_eval_goals_per_cell=0, human_demos=4)
     report = ablation_suite(seeds=(0,), n_robot=2, human_demos=4,
                             settings=settings, out_dir=tmp_path)
     jsonschema.validate(report, ABLATION_REPORT_SCHEMA)
@@ -527,13 +527,31 @@ def test_ablation_builds_each_demo_set_once(monkeypatch):
     monkeypatch.setattr(harness, "generate_robot_demo", robot_demo)
     monkeypatch.setattr(harness, "generate_human_demo", human_demo)
     settings = ExperimentSettings(train_steps=10, max_steps=5, id_eval_goals=1,
-                                  ood_eval_goals_per_cell=0)
+                                  ood_eval_goals_per_cell=0, human_demos=3)
     report = ablation_suite(seeds=(0, 1), n_robot=2, human_demos=3, settings=settings)
     assert len(report["rows"]) == 6
     assert robot_calls == [("robot-0-0", "robot-0-1"), ("robot-1-0", "robot-1-1")]
     assert sorted(human_calls) == sorted(
         (f"human-{seed}-{i}", flag) for seed in (0, 1) for i in range(3) for flag in (True, False)
     )
+
+
+@pytest.mark.parametrize("experiment", ["cotraining", "ablation"])
+def test_settings_human_demos_must_match_the_experiment(monkeypatch, experiment):
+    """Given settings whose `human_demos` differ from the experiment's raise
+    before any demo is drawn; default settings take the experiment's."""
+    monkeypatch.setattr(harness, "_draw_demos", lambda *args: pytest.fail("demos drawn"))
+    run = {
+        "cotraining": lambda **kw: cotraining_experiment(robot_counts=(2,), seeds=(0,), **kw),
+        "ablation": lambda **kw: ablation_suite(seeds=(0,), n_robot=2, **kw),
+    }[experiment]
+    with pytest.raises(ValueError, match="human_demos"):
+        run(human_demos=5, settings=ExperimentSettings(human_demos=3))
+    used = []
+    monkeypatch.setattr(harness, "run_conditions",
+                        lambda *args: used.append(args[-1]) or iter(()))
+    run(human_demos=5)
+    assert [settings.human_demos for settings in used] == [5]
 
 
 # --- conditions in a process pool --------------------------------------------
@@ -585,7 +603,7 @@ def test_job_error_reaches_caller_and_leaves_no_worker(pooled):
     """No robot demos: the robot-only job fails in its worker with the
     error a serial run raises first."""
     settings = ExperimentSettings(train_steps=10, max_steps=5, id_eval_goals=1,
-                                  ood_eval_goals_per_cell=0)
+                                  ood_eval_goals_per_cell=0, human_demos=2)
     with pytest.raises(EmptyDataset) as info:
         cotraining_experiment(robot_counts=(0,), human_demos=2, seeds=(0,), settings=settings)
     assert str(info.value) == "no frames to compute statistics over"

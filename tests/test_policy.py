@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -180,8 +181,8 @@ def test_loss_dimension_mismatch():
 
 
 def test_mixed_batch_matches_per_row_oracle():
-    """A two-tag batch under per-embodiment stats equals, bit for bit, each
-    row normalized on its own straight from the episodes, in stream order."""
+    """A two-tag batch under shared stats equals, bit for bit, each row
+    normalized on its own straight from the episodes, in stream order."""
     K, F = 3, 4
     episodes = []
     for i, tag in enumerate(["human", "robot", "human", "robot", "human"]):
@@ -194,11 +195,10 @@ def test_mixed_batch_matches_per_row_oracle():
             times=np.arange(n) / 30.0, states=states, features=rng.normal(size=(n, F)),
         ))
     pairs = episodes_to_pairs_by_tag(episodes, K)
-    mode = unified_space.MODE_PER_EMBODIMENT
     model = init_model(
         PolicyConfig(feature_dim=F, chunk_length=K, hidden_layers=(4,)),
-        stats_from_episodes(episodes, mode=mode, kind="state"),
-        stats_from_episodes(episodes, mode=mode, kind="action"),
+        stats_from_episodes(episodes, kind="state"),
+        stats_from_episodes(episodes, kind="action"),
     )
     stream = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=4).stream()
     refs = [next(stream) for _ in range(24)]
@@ -206,18 +206,17 @@ def test_mixed_batch_matches_per_row_oracle():
     x, target = assemble_batch(model, refs, {})
 
     by_id = {ep.id: ep for ep in episodes}
+    s_stats, a_stats = model.state_stats, model.action_stats
     for i, (pair_set, row) in enumerate(refs):
         ep_id, start = pair_set.ids[row].split("#")
         ep, start = by_id[ep_id], int(start)
-        s_entry = model.state_stats.entries[ep.embodiment_tag]
-        a_entry = model.action_stats.entries[ep.embodiment_tag]
         np.testing.assert_array_equal(
-            x[i], np.concatenate([(ep.states[start] - s_entry.mean) / s_entry.std,
+            x[i], np.concatenate([(ep.states[start] - s_stats.mean) / s_stats.std,
                                   ep.features[start]])
         )
         for k in range(K):
             np.testing.assert_array_equal(
-                target[i, k], (ep.states[start + 1 + k] - a_entry.mean) / a_entry.std
+                target[i, k], (ep.states[start + 1 + k] - a_stats.mean) / a_stats.std
             )
 
 
@@ -415,6 +414,67 @@ def test_load_checkpoint_rejects_undecodable_header(tmp_path, mangle):
         load_checkpoint(path)
 
 
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """A checkpoint's bytes with `edit` applied to its decoded JSON header."""
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16 : 16 + header_len])
+    edit(header)
+    text = json.dumps(header, sort_keys=True).encode()
+    return blob[:8] + struct.pack("<Q", len(text)) + text + blob[16 + header_len :]
+
+
+def _bad_std(header):
+    header["state_stats"]["entries"]["shared"]["std"] = [-1.0] * 54
+    header["action_stats"]["entries"]["shared"]["std"] = [0.0] * 54
+
+
+def _per_embodiment(header):
+    """The per-embodiment form that older checkpoints could hold."""
+    for key in ("state_stats", "action_stats"):
+        entry = header[key]["entries"]["shared"]
+        header[key] = {"mode": "per_embodiment", "epsilon": header[key]["epsilon"],
+                       "entries": {"human": entry, "robot": entry}}
+
+
+def _no_shared_entry(header):
+    header["state_stats"]["entries"] = {
+        "human": header["state_stats"]["entries"]["shared"]}
+
+
+def _nonfinite_mean(header):
+    header["action_stats"]["entries"]["shared"]["mean"][20] = float("nan")
+
+
+def _empty_stats(header):
+    """Not `null`, which stands for a model trained without statistics."""
+    header["state_stats"] = {}
+
+
+BAD_STATS_HEADERS = {"bad_std": _bad_std, "per_embodiment": _per_embodiment,
+                     "no_shared_entry": _no_shared_entry, "nonfinite_mean": _nonfinite_mean,
+                     "empty_stats": _empty_stats}
+
+
+def trained_checkpoint(tmp_path):
+    pairs = make_pairs("human", 10)
+    model = init_model(PolicyConfig(feature_dim=4, chunk_length=3, hidden_layers=(4,)),
+                       *make_stats(pairs))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATS_HEADERS))
+def test_load_checkpoint_rejects_invalid_stats(tmp_path, case):
+    """Only the shared statistics form loads, with finite values and every
+    std positive and at least epsilon."""
+    path, blob = trained_checkpoint(tmp_path)
+    assert load_checkpoint(path).state_stats is not None
+    path.write_bytes(rewrite_header(blob, BAD_STATS_HEADERS[case]))
+    with pytest.raises(CorruptCheckpoint, match="bad checkpoint header"):
+        load_checkpoint(path)
+
+
 def test_resumed_training_equals_uninterrupted(tmp_path):
     pairs = make_pairs("human", 30)
     state_stats, action_stats = make_stats(pairs)
@@ -462,7 +522,6 @@ def two_tag_pairs(K=3, F=4, joint_space_robot=False):
 
 PINNED_TRAIN_DIGESTS = {
     "shared": "686d3108708c853e6a0ebfd67d903a96d3055ea39f932d9c87e0ac8119d20f31",
-    "per_embodiment": "02f02fdb68e52c071a7012d8a6ce4865e3feb7be16c6d8493677cba31730eddb",
     "head_excluded": "fd04fd3f33c45354c2a8995dd0293603c585a3217b2d1766f7ec9580408271d7",
     "smoothed": "10b9b789102cf9890708b95b2efecb3e726dbff19418075860bc372348644d61",
     "joint_space_obs": "46eac958f4249b78c59aa8bd7f00a217f9965030a5d77d052ef82c923d86d8aa",
@@ -474,15 +533,13 @@ def test_train_outputs_pinned(case):
     """Weights, biases and loss curve after 60 mixed two-tag steps, recorded
     before batches were gathered from pair sets normalized once."""
     episodes, pairs = two_tag_pairs(joint_space_robot=case == "joint_space_obs")
-    mode = unified_space.MODE_PER_EMBODIMENT if case == "per_embodiment" else (
-        unified_space.MODE_SHARED)
     if case == "joint_space_obs":
         states, _, actions = zip(*(pairs[t].take(np.arange(len(pairs[t]))) for t in pairs))
         state_stats = compute_stats(dict(zip(pairs, states)))
         action_stats = compute_stats(dict(zip(pairs, actions)))
     else:
-        state_stats = stats_from_episodes(episodes, mode=mode, kind="state")
-        action_stats = stats_from_episodes(episodes, mode=mode, kind="action")
+        state_stats = stats_from_episodes(episodes, kind="state")
+        action_stats = stats_from_episodes(episodes, kind="action")
     cfg = PolicyConfig(
         feature_dim=4, chunk_length=3, hidden_layers=(12, 8), learning_rate=0.05,
         batch_size=8, seed=3, smoothing_delta=0.05 if case == "smoothed" else 0.0,
@@ -528,7 +585,7 @@ def test_predict_rotation_blocks_orthonormal():
 
     states, feats, _ = all_pairs(pairs)
     for state, feature in zip(states[:10], feats[:10]):
-        chunk = predict(model, state, feature, tag="human")
+        chunk = predict(model, state, feature)
         for k in range(chunk.shape[0]):
             for sl in (unified_space.HEAD_ROT, unified_space.LEFT_WRIST_ROT,
                        unified_space.RIGHT_WRIST_ROT):
@@ -543,7 +600,7 @@ def test_normalize_denormalize_consistency():
     from crossemb.unified_space import denormalize, normalize
 
     np.testing.assert_allclose(
-        denormalize(normalize(x, state_stats, "human"), state_stats, "human"), x,
+        denormalize(normalize(x, state_stats), state_stats), x,
         atol=1e-10,
     )
 
@@ -557,6 +614,6 @@ def test_action_excluding_head_carries_state_head():
     model = init_model(cfg, state_stats, action_stats)
     model, _ = train(model, build_sampler(pairs).stream(), steps=50)
     states, feats, _ = all_pairs(pairs)
-    chunk = predict(model, states[0], feats[0], tag="human")
+    chunk = predict(model, states[0], feats[0])
     for k in range(chunk.shape[0]):
         np.testing.assert_allclose(chunk[k, :6], states[0][:6], atol=1e-12)

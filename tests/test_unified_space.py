@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from crossemb import geometry, unified_space
-from crossemb.errors import (
-    EmptyDataset,
-    InsufficientFrames,
-    InvalidComponent,
-    UnknownEmbodimentTag,
-)
+from crossemb.errors import EmptyDataset, InvalidComponent
 from crossemb.unified_space import (
-    MODE_PER_EMBODIMENT,
-    MODE_SHARED,
     NormalizationStats,
     UnifiedState,
     compute_stats,
@@ -155,64 +148,46 @@ def test_check_state_rows_names_first_failing_row():
 
 def test_constant_dataset_stats():
     frames = np.tile(IDENTITY_STATE, (5, 1))
-    stats = compute_stats({"human": frames}, mode=MODE_SHARED, epsilon=1e-6)
-    entry = stats.resolve("human")
-    np.testing.assert_allclose(entry.mean, IDENTITY_STATE)
-    np.testing.assert_allclose(entry.std, 1e-6)
+    stats = compute_stats({"human": frames}, epsilon=1e-6)
+    np.testing.assert_allclose(stats.mean, IDENTITY_STATE)
+    np.testing.assert_allclose(stats.std, 1e-6)
 
 
 def test_population_convention():
     frames = np.stack([np.zeros(54), np.full(54, 2.0)])
-    stats = compute_stats({"x": frames}, mode=MODE_SHARED, epsilon=1e-6)
-    entry = stats.resolve(None)
-    np.testing.assert_allclose(entry.mean, 1.0)
-    np.testing.assert_allclose(entry.std, 1.0)
+    stats = compute_stats({"x": frames}, epsilon=1e-6)
+    np.testing.assert_allclose(stats.mean, 1.0)
+    np.testing.assert_allclose(stats.std, 1.0)
 
 
 def test_stats_match_two_pass_oracle():
     rng = np.random.default_rng(4)
     frames = rng.normal(size=(1000, 54))
-    stats = compute_stats({"human": frames}, mode=MODE_SHARED, epsilon=1e-12)
+    stats = compute_stats({"human": frames}, epsilon=1e-12)
     mean, std = two_pass_stats_oracle(frames)
-    entry = stats.resolve(None)
-    np.testing.assert_allclose(entry.mean, mean, atol=1e-10)
-    np.testing.assert_allclose(entry.std, std, atol=1e-10)
+    np.testing.assert_allclose(stats.mean, mean, atol=1e-10)
+    np.testing.assert_allclose(stats.std, std, atol=1e-10)
 
 
-def test_per_embodiment_mode_and_errors():
+def test_stats_pool_every_tag_in_sorted_order():
+    """One entry over all tags: the frames of each tag in sorted tag
+    order, the same bits as stacking them by hand."""
     rng = np.random.default_rng(5)
     human = rng.normal(size=(10, 54))
-    robot = rng.normal(loc=3.0, size=(10, 54))
-    stats = compute_stats(
-        {"human": human, "robot": robot}, mode=MODE_PER_EMBODIMENT, epsilon=1e-6
-    )
-    x = rng.normal(size=54)
-    assert not np.allclose(normalize(x, stats, "human"), normalize(x, stats, "robot"))
-    with pytest.raises(UnknownEmbodimentTag):
-        normalize(x, stats, "alien")
-    with pytest.raises(InsufficientFrames):
-        compute_stats({"human": human[:1]}, mode=MODE_PER_EMBODIMENT)
+    robot = rng.normal(loc=3.0, size=(1, 54))  # a single frame is enough
+    stats = compute_stats({"robot": robot, "human": human, "none": np.empty((0, 54))})
+    alone = compute_stats({"all": np.concatenate([human, robot])})
+    np.testing.assert_array_equal(stats.mean, alone.mean)
+    np.testing.assert_array_equal(stats.std, alone.std)
     with pytest.raises(EmptyDataset):
-        compute_stats({}, mode=MODE_SHARED)
-
-
-def test_per_embodiment_identical_data_degrades_to_shared():
-    rng = np.random.default_rng(6)
-    frames = rng.normal(size=(50, 54))
-    per = compute_stats(
-        {"human": frames, "robot": frames}, mode=MODE_PER_EMBODIMENT, epsilon=1e-6
-    )
-    shared = compute_stats({"all": frames}, mode=MODE_SHARED, epsilon=1e-6)
-    np.testing.assert_array_equal(per.resolve("human").mean, shared.resolve(None).mean)
-    np.testing.assert_array_equal(per.resolve("robot").std, shared.resolve(None).std)
+        compute_stats({})
 
 
 def test_normalize_roundtrip_and_zero_at_mean():
     rng = np.random.default_rng(7)
     frames = rng.normal(size=(100, 54))
-    stats = compute_stats({"h": frames}, mode=MODE_SHARED, epsilon=1e-6)
-    entry = stats.resolve(None)
-    np.testing.assert_allclose(normalize(entry.mean, stats), 0.0, atol=1e-12)
+    stats = compute_stats({"h": frames}, epsilon=1e-6)
+    np.testing.assert_allclose(normalize(stats.mean, stats), 0.0, atol=1e-12)
     x = rng.normal(size=54)
     np.testing.assert_allclose(denormalize(normalize(x, stats), stats), x, atol=1e-10)
 
@@ -220,21 +195,28 @@ def test_normalize_roundtrip_and_zero_at_mean():
 def test_normalized_dataset_is_standardized():
     rng = np.random.default_rng(8)
     frames = rng.normal(loc=2.0, scale=3.0, size=(500, 54))
-    stats = compute_stats({"h": frames}, mode=MODE_SHARED, epsilon=1e-6)
+    stats = compute_stats({"h": frames}, epsilon=1e-6)
     normed = normalize(frames, stats)
     assert np.max(np.abs(normed.mean(axis=0))) <= 1e-8
     assert np.max(np.abs(normed.std(axis=0) - 1.0)) <= 1e-6
 
 
+# Digest of the statistics below, as shared-mode statistics hashed before
+# per-embodiment statistics were removed.
+STATS_DIGEST = "a620160b448e44472aece2c561a7a4fcd823e07a5dbd995987f8424d13143e90"
+
+
 def test_stats_json_roundtrip_and_digest():
+    """The JSON form, and so every stored checkpoint's stats and digest,
+    is the one shared-mode statistics had."""
     rng = np.random.default_rng(9)
     frames = rng.normal(size=(20, 54))
-    stats = compute_stats(
-        {"human": frames, "robot": frames + 1}, mode=MODE_PER_EMBODIMENT, epsilon=1e-5
-    )
+    stats = compute_stats({"human": frames, "robot": frames + 1}, epsilon=1e-5)
     doc = stats.to_json_dict()
-    assert doc["mode"] == MODE_PER_EMBODIMENT
-    assert set(doc["entries"].keys()) == {"human", "robot"}
+    assert doc == {"mode": "shared", "epsilon": 1e-5,
+                   "entries": {"shared": {"mean": stats.mean.tolist(),
+                                          "std": stats.std.tolist()}}}
     back = NormalizationStats.from_json_dict(doc)
-    assert back.digest() == stats.digest()
-    np.testing.assert_array_equal(back.resolve("human").mean, stats.resolve("human").mean)
+    assert back.digest() == stats.digest() == STATS_DIGEST
+    np.testing.assert_array_equal(back.mean, stats.mean)
+    np.testing.assert_array_equal(back.std, stats.std)
