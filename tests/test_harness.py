@@ -458,6 +458,44 @@ def test_rollouts_rows_equal_single_goal_rollouts(task, models, case):
         assert all(res.errors == 0 for res in results)
 
 
+def rollout_digest_update(h, results):
+    """Feed every field of `results` but the IK statuses into `h`."""
+    for res in results:
+        h.update(json.dumps([res.success, res.steps_executed, res.clamp_events, res.errors,
+                             res.final_goal_error.hex()]).encode())
+        for arr in (res.tracking_error, res.commanded_displacements):
+            h.update(arr.dtype.str.encode() + arr.tobytes())
+
+
+PINNED_ROLLOUT_DIGESTS = {
+    "degenerate": "82e37e7ef28ad35fad6e7c2e35be949c5a62c78d69003f2b70d033d730596f3e",
+    "hold": "c90fa89bc8dce970f6ea9a25934c5fe2f6019c6f140d2648ea62fa4b0150990e",
+    "joint_space": "39448c7e8885165f4a2809d8c94f91962b4074abd8291b371299182ec745cf1d",
+    "oracle": "6d776dfe629e2995f2f63854a17d7ba21094c94c16c9bc2ecc2818ac8e264129",
+    "policy": "044e7312b292527a69ff815d2b972f1aac71e2a39a72fea501b026d8024d003a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ROLLOUT_DIGESTS))
+def test_rollouts_pinned(task, models, case):
+    """Replanning every 1, 3, 4, 8 and 12 steps with chunks of 8, over 23
+    steps (no multiple of the period), with and without the stop on the
+    goal; recorded on the nested chunk-and-replan loop that the one step
+    loop replaced."""
+    model, joint_model = models
+    agent = {"oracle": oracle_agent(task), "hold": HoldAgent(), "degenerate": DegenerateAtStep(),
+             "policy": PolicyAgent(model), "joint_space": PolicyAgent(joint_model)}[case]
+    goals = [task.grid.cell_center(4)] + [task.grid.cell_center(c) for c in (0, 5, 8)]
+    h = hashlib.sha256()
+    for replan_every in (1, 3, 4, 8, 12):
+        for stop_on_goal in (True, False):
+            rollout_digest_update(h, rollouts(
+                agent, CFG, task, goals, [3, 1, 4, 1], max_steps=23, replan_every=replan_every,
+                joint_space=case == "joint_space", stop_on_goal=stop_on_goal,
+            ))
+    assert h.hexdigest() == PINNED_ROLLOUT_DIGESTS[case]
+
+
 def test_rollouts_of_no_goals():
     assert rollouts(HoldAgent(), CFG, make_reach_task(CFG), [], []) == []
 
