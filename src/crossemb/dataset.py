@@ -551,7 +551,7 @@ class PairSet:
         return self.obs[at], self.features[at], self.frames[chunk_rows]
 
     def normalized(
-        self, state_stats: NormalizationStats | None, action_stats: NormalizationStats | None
+        self, state_stats: NormalizationStats, action_stats: NormalizationStats
     ) -> PairSet:
         """This set with `obs` in state-normalized and `frames` in
         action-normalized units."""
@@ -617,9 +617,8 @@ class MixedSampler:
         self._shares = [ratio[t] / total for t in self.tags]
         self.seed = seed
 
-    def stream(self, skip: int = 0) -> Iterator[tuple[PairSet, int]]:
-        """Infinite deterministic stream of (pair_set, row) references;
-        `skip` fast-forwards."""
+    def stream(self) -> Iterator[tuple[PairSet, int]]:
+        """Infinite deterministic stream of (pair_set, row) references."""
         sets, shares = self._sets, self._shares
         seeds = [np.random.SeedSequence(self.seed, spawn_key=(i,)) for i in range(len(sets))]
         rows = [_epoch_rows(seed, len(pairs)) for seed, pairs in zip(seeds, sets)]
@@ -634,9 +633,7 @@ class MixedSampler:
                 if deficit > top:
                     tag, top = other, deficit
             emitted[tag] += 1
-            row = next(rows[tag])
-            if step > skip:
-                yield sets[tag], row
+            yield sets[tag], next(rows[tag])
 
 
 def _epoch_rows(seed: np.random.SeedSequence, n: int) -> Iterator[int]:

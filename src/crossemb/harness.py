@@ -7,12 +7,13 @@ data lifts out-of-distribution success, skipping the slow-down step
 inflates commanded-speed variance, and the unified state space beats a
 joint-space state.
 
-Rollouts run in lockstep: `rollouts` steps every goal of an evaluation
-together, one row per goal, with one batched retarget (`_retarget_rows`)
-and one batched state embedding (`_embed_rows`) per step. Each row keeps
-its own command, feature RNG, step count and exit: it leaves on reaching
-its goal (with `stop_on_goal`) or at `max_steps`, and the rows still
-running share one step count, so they replan together. `agent.predict`
+Rollouts run in lockstep: `rollouts` is one loop over steps, with one
+batched retarget (`_retarget_rows`) and one batched state embedding
+(`_embed_rows`) of every goal still running, one row per goal. Each row
+keeps its own command and feature RNG, and leaves on reaching its goal
+(with `stop_on_goal`) or at `max_steps`. The running rows share the step
+count, so they replan together, every `replan_every` steps or every
+chunk of `chunk_length` actions if that is shorter. `agent.predict`
 stays one call per row: a batched forward takes a matrix-matrix BLAS
 product where one row takes a matrix-vector one, and the two differ in
 the last bits. Every result therefore equals that of its goal run alone;
@@ -57,13 +58,7 @@ import numpy as np
 from . import geometry
 from . import policy as policy_mod
 from .dataset import MixedSampler, PairSet, episodes_to_pairs_by_tag
-from .kinematics import (
-    STATUS_BEST_EFFORT,
-    STATUS_CONVERGED,
-    EmbodimentConfig,
-    _embed_rows,
-    _retarget_rows,
-)
+from .kinematics import EmbodimentConfig, _embed_rows, _retarget_rows
 from .policy import PolicyConfig, PolicyModel, TrainReport, init_model, predict, train
 from .tasks import (
     DemoBundle,
@@ -77,6 +72,7 @@ from .tasks import (
 from .unified_space import (
     LEFT_WRIST_POS,
     RIGHT_WRIST_POS,
+    STATE_DIM,
     NormalizationStats,
     compute_stats,
 )
@@ -84,6 +80,8 @@ from .unified_space import (
 REPORT_SCHEMA_VERSION = 1
 # Lower bound on the per-dimension std of the training statistics.
 STATS_EPSILON = 0.02
+# Human:robot mixing ratio of the experiments' training streams.
+HUMAN_WEIGHT = 3.0
 CSV_COLUMNS = ("condition", "robot_demos", "seed", "id_success", "ood_success",
                "mean_tracking_error_m")
 
@@ -142,7 +140,6 @@ class RolloutResult:
     tracking_error: np.ndarray  # per executed step, meters
     clamp_events: int           # best-effort arm solves and neck clamps
     errors: int                 # actions that could not be retargeted
-    ik_statuses: tuple[str, ...]
     final_goal_error: float
     commanded_displacements: np.ndarray  # per executed step, meters
 
@@ -186,16 +183,21 @@ def rollouts(
     stop_on_goal: bool = True,
 ) -> list[RolloutResult]:
     """Closed-loop execution towards each goal, its feature noise seeded
-    by the matching seed: predict a chunk, retarget and execute its first
-    `replan_every` actions through the kinematic plant, repeat. With
-    `joint_space` the agent observes the zero-padded command vector
-    instead of the unified state.
+    by the matching seed: predict a `(chunk_length, 54)` chunk, retarget
+    and execute its first `replan_every` actions (at most the chunk)
+    through the kinematic plant, repeat. With `joint_space` the agent
+    observes the zero-padded command vector instead of the unified state.
+    ValueError for `replan_every` < 1 or `max_steps` < 0.
 
     The goals run in lockstep (see the module docstring); result i equals
     that of goal i run alone.
     """
     if replan_every is None:
         replan_every = max(1, agent.chunk_length // 2)
+    if replan_every < 1 or max_steps < 0:
+        raise ValueError(f"need replan_every >= 1 and max_steps >= 0, got {replan_every} "
+                         f"and {max_steps}")
+    period = min(replan_every, agent.chunk_length)
     goals = np.array(goals, dtype=float).reshape(-1, 3)
     n = len(goals)
     if len(seeds) != n:
@@ -205,68 +207,56 @@ def rollouts(
     unified = _embed_rows(config, commands)
     prev_cmd_wrist = unified[:, RIGHT_WRIST_POS].copy()
 
-    tracking, displacements, statuses = ([[] for _ in range(n)] for _ in range(3))
+    chunks = np.empty((n, period, STATE_DIM))
+    tracking = np.empty((n, max_steps))
+    displacements = np.empty((n, max_steps))
     clamp_events = np.zeros(n, dtype=int)
     errors = np.zeros(n, dtype=int)
     success = np.zeros(n, dtype=bool)
     executed = np.zeros(n, dtype=int)
-    active = np.flatnonzero(executed < max_steps)
-    while active.size:
-        chunks = {}
-        for i in active:
-            obs = _joint_states(commands[i]) if joint_space else unified[i]
-            feature = task.codec.observe(goals[i], feature_rngs[i])
-            chunks[i] = agent.predict(obs, feature, int(executed[i]))
-        stepping = active
-        for j in range(replan_every):
-            stepping = np.array([i for i in stepping if j < len(chunks[i])], dtype=int)
-            if not stepping.size:
-                break
-            actions = np.array([chunks[i][j] for i in stepping], dtype=float)
-            rows = _retarget_rows(actions, config, commands[stepping])
-            failed = np.array([e is not None for e in rows.errors], dtype=bool)
-            for k, i in enumerate(stepping):
-                if failed[k]:
-                    # Degenerate action: the row holds its previous command.
-                    statuses[i].append("error")
-                else:
-                    statuses[i] += [STATUS_CONVERGED if ok else STATUS_BEST_EFFORT
-                                    for ok in rows.converged[k]]
-            errors[stepping] += failed
-            clamp_events[stepping] += np.where(
-                failed, 0, (~rows.converged).sum(axis=1) + rows.neck_clamped
-            )
-            commands[stepping] = rows.commands
-            achieved = _embed_rows(config, rows.commands)
-            # A fresh array: an agent may keep the observations it was given.
-            unified = unified.copy()
-            unified[stepping] = achieved
-            cmd_wrist = actions[:, RIGHT_WRIST_POS]
-            moved = geometry.norms(cmd_wrist - prev_cmd_wrist[stepping])
-            prev_cmd_wrist[stepping] = cmd_wrist
-            err_l = geometry.norms(achieved[:, LEFT_WRIST_POS] - actions[:, LEFT_WRIST_POS])
-            err_r = geometry.norms(achieved[:, RIGHT_WRIST_POS] - actions[:, RIGHT_WRIST_POS])
-            worst = np.where(err_r > err_l, err_r, err_l)  # max() of the scalar loop
-            for k, i in enumerate(stepping):
-                displacements[i].append(float(moved[k]))
-                tracking[i].append(float(worst[k]))
-            executed[stepping] += 1
-            reached = task.goal_reached(achieved, goals[stepping])
-            success[stepping] |= reached
-            leave = (reached & stop_on_goal) | (executed[stepping] >= max_steps)
-            active = np.setdiff1d(active, stepping[leave])
-            stepping = stepping[~leave]
+    active = np.arange(n)
+    for step in range(max_steps):
+        if not active.size:
+            break
+        if step % period == 0:
+            for i in active:
+                obs = _joint_states(commands[i]) if joint_space else unified[i]
+                feature = task.codec.observe(goals[i], feature_rngs[i])
+                chunks[i] = agent.predict(obs, feature, step)[:period]
+        actions = chunks[active, step % period]
+        rows = _retarget_rows(actions, config, commands[active])
+        # A degenerate action fails to retarget: its row holds its previous command.
+        failed = np.array([e is not None for e in rows.errors], dtype=bool)
+        errors[active] += failed
+        clamp_events[active] += np.where(
+            failed, 0, (~rows.converged).sum(axis=1) + rows.neck_clamped
+        )
+        commands[active] = rows.commands
+        achieved = _embed_rows(config, rows.commands)
+        # A fresh array: an agent may keep the observations it was given.
+        unified = unified.copy()
+        unified[active] = achieved
+        cmd_wrist = actions[:, RIGHT_WRIST_POS]
+        displacements[active, step] = geometry.norms(cmd_wrist - prev_cmd_wrist[active])
+        prev_cmd_wrist[active] = cmd_wrist
+        err_l = geometry.norms(achieved[:, LEFT_WRIST_POS] - actions[:, LEFT_WRIST_POS])
+        err_r = geometry.norms(achieved[:, RIGHT_WRIST_POS] - actions[:, RIGHT_WRIST_POS])
+        tracking[active, step] = np.where(err_r > err_l, err_r, err_l)  # max() of the scalar loop
+        executed[active] += 1
+        reached = task.goal_reached(achieved, goals[active])
+        success[active] |= reached
+        if stop_on_goal:
+            active = active[~reached]
     final_err = geometry.norms(unified[:, RIGHT_WRIST_POS] - goals)
     return [
         RolloutResult(
             success=bool(success[i]),
             steps_executed=int(executed[i]),
-            tracking_error=np.array(tracking[i]),
+            tracking_error=tracking[i, : executed[i]],
             clamp_events=int(clamp_events[i]),
             errors=int(errors[i]),
-            ik_statuses=tuple(statuses[i]),
             final_goal_error=float(final_err[i]),
-            commanded_displacements=np.array(displacements[i]),
+            commanded_displacements=displacements[i, : executed[i]],
         )
         for i in range(n)
     ]
@@ -301,7 +291,6 @@ class ExperimentSettings:
     learning_rate: float = 0.05
     batch_size: int = 32
     train_steps: int = 4000
-    human_weight: float = 3.0   # human:robot mixing ratio
     max_steps: int = 80
     replan_every: int = 4
     id_eval_goals: int = 4
@@ -384,7 +373,7 @@ def train_policy_on_bundles(
     # A tag without bundles stays in the ratio, so the sampler rejects it.
     ratio = {tag: 1.0 for tag in bundles}
     if "human" in ratio:
-        ratio["human"] = settings.human_weight
+        ratio["human"] = HUMAN_WEIGHT
     cfg = PolicyConfig(
         feature_dim=settings.feature_dim,
         chunk_length=settings.chunk_length,

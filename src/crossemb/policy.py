@@ -1,9 +1,10 @@
 """Chunked-action behavior cloning with hand-written gradients.
 
-The model is an MLP over the concatenated (normalized proprio, feature)
-input producing a K x 54 action chunk in normalized space. The training
-loss is an L1 term over the whole chunk plus a weighted L1 term over the
-wrist-translation entries:
+Every model has one shape: an MLP over the concatenated (normalized
+54-vector state, zero-padded if joint-space; feature) input producing a
+K x 54 action chunk, head included, in normalized space. It carries its
+state and action statistics. The training loss is an L1 term over the
+whole chunk plus a weighted L1 term over the wrist translations (`EEF`):
 
     total = mean|pred - target| + lambda_eef * mean|pred_EEF - target_EEF|
 
@@ -31,33 +32,33 @@ from .errors import (
     NonFiniteLoss,
     VersionUnsupported,
 )
-from .unified_space import STATE_DIM, NormalizationStats
+from .unified_space import EEF, STATE_DIM, NormalizationStats
 
-# Wrist translations (`eef_indices`), and every column but the leading head rotation.
-_EEF = slice(unified_space.LEFT_WRIST_POS.start, unified_space.RIGHT_WRIST_POS.stop)
-_NOT_HEAD = slice(unified_space.HEAD_ROT.stop, STATE_DIM)
+# Bound on the global gradient norm of one training step.
+GRAD_CLIP = 1.0
 
 CHECKPOINT_MAGIC = b"CEPOLIC1"
 CHECKPOINT_VERSION = 1
+# The header `config` entries fixed by the one model shape; other values
+# describe a model this code cannot run.
+_FIXED_CONFIG = {"proprio_dim": STATE_DIM, "grad_clip": GRAD_CLIP, "action_includes_head": True}
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """The model sizes and training settings that differ between models."""
+
     feature_dim: int
     chunk_length: int
-    proprio_dim: int = STATE_DIM
     hidden_layers: tuple[int, ...] = (256, 256)
     lambda_eef: float = 2.0
     learning_rate: float = 1e-3
     batch_size: int = 64
-    grad_clip: float = 1.0
     seed: int = 0
     smoothing_delta: float = 0.0
-    action_includes_head: bool = True
 
     def __post_init__(self):
-        sizes = (self.feature_dim, self.chunk_length, self.proprio_dim, self.batch_size,
-                 *self.hidden_layers)
+        sizes = (self.feature_dim, self.chunk_length, self.batch_size, *self.hidden_layers)
         if min(sizes) < 1:
             raise ValueError("dimensions, batch_size and hidden layer widths must be >= 1")
         if self.lambda_eef < 0:
@@ -72,20 +73,20 @@ class PolicyModel:
     config: PolicyConfig
     weights: list[np.ndarray]  # per layer, (fan_in, fan_out)
     biases: list[np.ndarray]   # per layer, (fan_out,)
-    state_stats: NormalizationStats | None = None
-    action_stats: NormalizationStats | None = None
+    state_stats: NormalizationStats
+    action_stats: NormalizationStats
     steps_completed: int = 0
 
 
 def _layer_dims(config: PolicyConfig) -> list[int]:
-    return [config.proprio_dim + config.feature_dim, *config.hidden_layers,
+    return [STATE_DIM + config.feature_dim, *config.hidden_layers,
             config.chunk_length * STATE_DIM]
 
 
 def init_model(
     config: PolicyConfig,
-    state_stats: NormalizationStats | None = None,
-    action_stats: NormalizationStats | None = None,
+    state_stats: NormalizationStats,
+    action_stats: NormalizationStats,
 ) -> PolicyModel:
     """Seeded init; the output layer starts at zero so the initial policy
     predicts the (normalized) dataset mean."""
@@ -125,8 +126,8 @@ def forward(model: PolicyModel, state: np.ndarray, feature: np.ndarray) -> np.nd
     """Normalized-space chunk prediction, shape (K, 54)."""
     state = np.asarray(state, dtype=float)
     feature = np.asarray(feature, dtype=float)
-    if state.shape != (model.config.proprio_dim,):
-        raise DimensionMismatch(f"state must be ({model.config.proprio_dim},)")
+    if state.shape != (STATE_DIM,):
+        raise DimensionMismatch(f"state must be ({STATE_DIM},)")
     if feature.shape != (model.config.feature_dim,):
         raise DimensionMismatch(f"feature must be ({model.config.feature_dim},)")
     x = np.concatenate([state, feature])[None, :]
@@ -144,14 +145,13 @@ def _abs_smoothed(r: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return a, g
 
 
-def _loss_terms(a: np.ndarray, lambda_eef: float, include_head: bool):
+def _loss_terms(a: np.ndarray, lambda_eef: float):
     """(total, base, eef) from the residual magnitudes `a` (K, 54) or (B, K, 54).
-    Each mean runs over a (B, kept entries) copy in Fortran order: the layout
-    of a boolean-mask gather, which fixes numpy's summation order."""
+    Each mean runs over a (B, entries) copy in Fortran order: the layout of
+    a boolean-mask gather, which fixes numpy's summation order."""
     rows = a.shape[:-2] + (-1,)
-    kept = a if include_head else a[..., _NOT_HEAD]
-    base = float(np.asfortranarray(kept.reshape(rows)).mean())
-    eef = float(np.asfortranarray(a[..., _EEF].reshape(rows)).mean())
+    base = float(np.asfortranarray(a.reshape(rows)).mean())
+    eef = float(np.asfortranarray(a[..., EEF].reshape(rows)).mean())
     return base + lambda_eef * eef, base, eef
 
 
@@ -167,7 +167,7 @@ def loss(
     if pred.shape != target.shape or pred.shape[-1] != STATE_DIM:
         raise DimensionMismatch(f"pred {pred.shape} vs target {target.shape}")
     a, _ = _abs_smoothed(pred - target, smoothing_delta)
-    return _loss_terms(a, lambda_eef, True)
+    return _loss_terms(a, lambda_eef)
 
 
 @dataclass
@@ -188,15 +188,15 @@ def assemble_batch(model: PolicyModel, refs: Sequence[tuple[PairSet, int]],
     cfg = model.config
     owners, rows = zip(*refs)
     rows = np.array(rows)
-    x = np.empty((len(rows), cfg.proprio_dim + cfg.feature_dim))
+    x = np.empty((len(rows), STATE_DIM + cfg.feature_dim))
     target = np.empty((len(rows), cfg.chunk_length, STATE_DIM))
     for pair_set in dict.fromkeys(owners):
         if pair_set not in normalized:
             normalized[pair_set] = pair_set.normalized(model.state_stats, model.action_stats)
         slots = [i for i, owner in enumerate(owners) if owner is pair_set]
         states, feats, chunks = normalized[pair_set].take(rows[slots])
-        x[slots, : cfg.proprio_dim] = states
-        x[slots, cfg.proprio_dim :] = feats
+        x[slots, :STATE_DIM] = states
+        x[slots, STATE_DIM:] = feats
         target[slots] = chunks
     return x, target
 
@@ -212,15 +212,12 @@ def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
     acts, out = _forward_cached(model, x)
     pred = out.reshape(B, cfg.chunk_length, STATE_DIM)
     a, g = _abs_smoothed(pred - target, cfg.smoothing_delta)
-    total, base, eef = _loss_terms(a, cfg.lambda_eef, cfg.action_includes_head)
+    total, base, eef = _loss_terms(a, cfg.lambda_eef)
     if not math.isfinite(total):
         raise NonFiniteLoss(f"loss is {total}")
-    n_base = a.size if cfg.action_includes_head else a[..., _NOT_HEAD].size
     # 0.0 + turns a -0.0 gradient entry into +0.0.
-    dpred = 0.0 + g / n_base
-    if not cfg.action_includes_head:
-        dpred[..., unified_space.HEAD_ROT] = 0.0
-    dpred[..., _EEF] += cfg.lambda_eef * g[..., _EEF] / a[..., _EEF].size
+    dpred = 0.0 + g / a.size
+    dpred[..., EEF] += cfg.lambda_eef * g[..., EEF] / a[..., EEF].size
     delta = dpred.reshape(B, -1)
 
     grad_w = [np.empty_like(W) for W in model.weights]
@@ -256,9 +253,7 @@ def train(
         x, target = assemble_batch(model, refs, normalized)
         total, base, eef, grad_w, grad_b = backward(model, x, target)
         norm = _global_norm(grad_w, grad_b)
-        scale = 1.0
-        if cfg.grad_clip > 0 and norm > cfg.grad_clip:
-            scale = cfg.grad_clip / norm
+        scale = GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0
         lr = cfg.learning_rate * scale
         for i in range(len(model.weights)):
             model.weights[i] -= lr * grad_w[i]
@@ -275,12 +270,8 @@ def train(
 
 def predict(model: PolicyModel, state: np.ndarray, feature: np.ndarray) -> np.ndarray:
     """Physical-units action chunk (K, 54), rotations re-orthogonalized."""
-    raw_state = np.asarray(state, dtype=float)
-    chunk = forward(model, unified_space.normalize(raw_state, model.state_stats), feature)
-    chunk = np.array(unified_space.denormalize(chunk, model.action_stats))
-    if not model.config.action_includes_head:
-        # Head excluded from the action: carry the current head rotation.
-        chunk[:, unified_space.HEAD_ROT] = raw_state[unified_space.HEAD_ROT]
+    chunk = forward(model, unified_space.normalize(state, model.state_stats), feature)
+    chunk = unified_space.denormalize(chunk, model.action_stats)
     codes = geometry.encode_rot6d(geometry.decode_rot6d(unified_space.rotation_codes(chunk)))
     chunk[:, unified_space.ROTATIONS] = codes.reshape(-1, 18)
     return chunk
@@ -298,13 +289,16 @@ def penultimate_activations(model: PolicyModel, x: np.ndarray) -> np.ndarray:
 
 
 def _config_to_dict(cfg: PolicyConfig) -> dict:
-    doc = asdict(cfg)
+    doc = asdict(cfg) | _FIXED_CONFIG
     doc["hidden_layers"] = list(cfg.hidden_layers)
     return doc
 
 
 def _config_from_dict(doc: dict) -> PolicyConfig:
     doc = dict(doc)
+    for key, value in _FIXED_CONFIG.items():
+        if doc.pop(key) != value:
+            raise ValueError(f"config {key} must be {value!r}")
     doc["hidden_layers"] = tuple(doc["hidden_layers"])
     return PolicyConfig(**doc)
 
@@ -315,14 +309,12 @@ def save_checkpoint(model: PolicyModel, path: str | Path) -> None:
         "format_version": CHECKPOINT_VERSION,
         "config": _config_to_dict(model.config),
         "steps_completed": model.steps_completed,
-        "eef_indices": unified_space.eef_indices().tolist(),
+        "eef_indices": list(range(STATE_DIM)[EEF]),
         "param_shapes": [list(W.shape) for W in model.weights],
-        "state_stats": model.state_stats.to_json_dict() if model.state_stats else None,
-        "action_stats": model.action_stats.to_json_dict() if model.action_stats else None,
-        "stats_digests": {
-            "state": model.state_stats.digest() if model.state_stats else None,
-            "action": model.action_stats.digest() if model.action_stats else None,
-        },
+        "state_stats": model.state_stats.to_json_dict(),
+        "action_stats": model.action_stats.to_json_dict(),
+        "stats_digests": {"state": model.state_stats.digest(),
+                          "action": model.action_stats.digest()},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
     params = [p for layer in zip(model.weights, model.biases) for p in layer]
@@ -333,9 +325,10 @@ def save_checkpoint(model: PolicyModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> PolicyModel:
     """Inverse of `save_checkpoint`. CorruptCheckpoint for a header that
-    does not decode, or whose statistics are not the shared form with
-    finite values and every std positive and at least epsilon
-    (`NormalizationStats.from_json_dict`)."""
+    does not decode, holds another model shape (`_FIXED_CONFIG`), or whose
+    statistics are not the shared form with finite values and every std
+    positive and at least epsilon (`NormalizationStats.from_json_dict`) or
+    differ from their stored digest."""
     blob = _read_file(path)
     if blob[:8] != CHECKPOINT_MAGIC:
         raise VersionUnsupported(f"bad checkpoint magic {blob[:8]!r}")
@@ -350,10 +343,11 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
     try:
         config = _config_from_dict(header["config"])
         steps_completed = int(header["steps_completed"])
-        state_stats, action_stats = (
-            NormalizationStats.from_json_dict(header[key]) if header.get(key) is not None else None
-            for key in ("state_stats", "action_stats")
-        )
+        stats = {}
+        for kind in ("state", "action"):
+            stats[kind] = NormalizationStats.from_json_dict(header[f"{kind}_stats"])
+            if stats[kind].digest() != header["stats_digests"][kind]:
+                raise ValueError(f"{kind} statistics differ from their stored digest")
     except (ValueError, TypeError, KeyError, AttributeError, InvalidComponent) as exc:
         raise CorruptCheckpoint(f"bad checkpoint header: {exc!r}") from exc
     dims = _layer_dims(config)
@@ -363,7 +357,7 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
         config=config,
         weights=params[0::2],
         biases=params[1::2],
-        state_stats=state_stats,
-        action_stats=action_stats,
+        state_stats=stats["state"],
+        action_stats=stats["action"],
         steps_completed=steps_completed,
     )

@@ -33,6 +33,7 @@ LEFT_WRIST_POS = slice(18, 21)
 RIGHT_WRIST_POS = slice(21, 24)
 FINGERTIPS = slice(24, 54)
 ROTATIONS = slice(0, 18)  # the three rotation codes, head first
+EEF = slice(LEFT_WRIST_POS.start, RIGHT_WRIST_POS.stop)  # both wrist positions
 
 FINGERS_PER_HAND = 5
 # Anatomical sanity bound on wrist-to-fingertip distance, meters.
@@ -45,11 +46,6 @@ def rotation_codes(x: np.ndarray) -> np.ndarray:
     """The rotation codes of states (..., 54) as (..., 3, 6): head, left
     wrist, right wrist. A view of `x` where its strides allow one."""
     return x[..., ROTATIONS].reshape(x.shape[:-1] + (3, 6))
-
-
-def eef_indices() -> np.ndarray:
-    """Indices of the left and right wrist translation entries."""
-    return np.arange(18, 24)
 
 
 @dataclass(frozen=True)
@@ -203,14 +199,10 @@ def compute_stats(
     return NormalizationStats(mean, np.maximum(std, epsilon), epsilon)
 
 
-def normalize(x: np.ndarray, stats: NormalizationStats | None) -> np.ndarray:
-    """(x - mean) / std elementwise; works on (54,) or (..., 54). No stats: x as is."""
-    if stats is None:
-        return np.asarray(x, dtype=float)
+def normalize(x: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """(x - mean) / std elementwise; works on (54,) or (..., 54)."""
     return (np.asarray(x, dtype=float) - stats.mean) / stats.std
 
 
-def denormalize(y: np.ndarray, stats: NormalizationStats | None) -> np.ndarray:
-    if stats is None:
-        return np.asarray(y, dtype=float)
+def denormalize(y: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return np.asarray(y, dtype=float) * stats.std + stats.mean

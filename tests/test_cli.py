@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from crossemb.kinematics import forward_kinematics
 from crossemb.retiming import Trajectory, retime
 
 from test_dataset import IDENTITY_STATE, synthetic_episode, write_human_raw, write_robot_raw
-from test_policy import BAD_STATS_HEADERS, rewrite_header
+from test_policy import BAD_STATS_HEADERS, OTHER_SHAPE_HEADERS, rewrite_header
 
 
 @pytest.fixture
@@ -308,6 +309,16 @@ def test_predict_checkpoint_with_invalid_stats_exit_1(tmp_path, case, capsys):
     assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
                 "--feature", "0,0,0,0"]) == 1
     assert "bad checkpoint header" in capsys.readouterr().err
+
+
+def test_predict_checkpoint_of_another_model_shape_exit_1(tiny_checkpoint, capsys):
+    ckpt = Path(tiny_checkpoint)
+    ckpt.write_bytes(rewrite_header(ckpt.read_bytes(), OTHER_SHAPE_HEADERS["proprio_dim_40"]))
+    state = ",".join(str(v) for v in IDENTITY_STATE)
+    capsys.readouterr()
+    assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
+                "--feature", "0,0,0,0"]) == 1
+    assert "proprio_dim" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -507,8 +507,16 @@ def test_rollout_counts_errors_apart_from_clamps(task):
                   max_steps=8, replan_every=4)
     assert res.steps_executed == 8
     assert res.errors == 1 and res.clamp_events == 0
-    assert res.ik_statuses.count("error") == 1
-    assert len(res.ik_statuses) == 1 + 2 * 7
+
+
+@pytest.mark.parametrize("kwargs", [dict(replan_every=0), dict(replan_every=-2),
+                                    dict(max_steps=-1)],
+                         ids=["replan_every_0", "replan_every_-2", "max_steps_-1"])
+def test_rollouts_reject_bad_replan_and_step_counts(task, kwargs):
+    """A period below 1 once looped without end; a negative step count is
+    no horizon."""
+    with pytest.raises(ValueError):
+        rollout(HoldAgent(), CFG, task, task.grid.cell_center(0), **kwargs)
 
 
 # SHA-256 of the reduced reports below, without `wall_time_s`, with one

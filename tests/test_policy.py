@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import struct
 
@@ -27,7 +28,7 @@ from crossemb.policy import (
     save_checkpoint,
     train,
 )
-from crossemb.unified_space import compute_stats, eef_indices
+from crossemb.unified_space import NormalizationStats, compute_stats
 
 # Identity rotations, zero positions.
 IDENTITY_STATE = np.array([1.0, 0, 0, 0, 1, 0] * 3 + [0.0] * 36)
@@ -37,7 +38,7 @@ def eq1_loss_oracle(pred, target, lam):
     """One-line independent evaluation of the training loss."""
     r = np.abs(np.asarray(pred) - np.asarray(target))
     base = r.mean()
-    eef = r[..., eef_indices()].mean()
+    eef = r[..., 18:24].mean()
     return base + lam * eef, base, eef
 
 
@@ -74,6 +75,10 @@ def all_pairs(pairs):
     return pairs.take(np.arange(len(pairs)))
 
 
+# Mean 0 and std 1: normalizing with these changes no value.
+UNIT_STATS = NormalizationStats(np.zeros(54), np.ones(54), 1e-6)
+
+
 def small_model(K=2, F=3, hidden=(6,), seed=0, delta=0.0, lam=2.0, lr=1e-2):
     cfg = PolicyConfig(
         feature_dim=F,
@@ -85,7 +90,7 @@ def small_model(K=2, F=3, hidden=(6,), seed=0, delta=0.0, lam=2.0, lr=1e-2):
         seed=seed,
         smoothing_delta=delta,
     )
-    return init_model(cfg)
+    return init_model(cfg, UNIT_STATS, UNIT_STATS)
 
 
 # --- forward ----------------------------------------------------------------
@@ -348,6 +353,11 @@ def test_constant_action_dataset_converges():
     assert all(np.isfinite(v) and v >= 0 for v in report.total)
 
 
+# SHA-256 of the checkpoint below, recorded while the header's fixed
+# config entries were still settable fields.
+PINNED_CHECKPOINT = "8b7922c8b4ac8ab79d8c302fe33e02ccc37d130a3c16c7aa4ddcb9bb509f7bbf"
+
+
 def test_training_seed_determinism_and_checkpoint_roundtrip(tmp_path):
     pairs = make_pairs("human", 30)
     state_stats, action_stats = make_stats(pairs)
@@ -363,6 +373,7 @@ def test_training_seed_determinism_and_checkpoint_roundtrip(tmp_path):
     save_checkpoint(m1, tmp_path / "a.ckpt")
     save_checkpoint(m2, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    assert hashlib.sha256((tmp_path / "a.ckpt").read_bytes()).hexdigest() == PINNED_CHECKPOINT
 
     loaded = load_checkpoint(tmp_path / "a.ckpt")
     for W0, W1 in zip(m1.weights, loaded.weights):
@@ -446,13 +457,34 @@ def _nonfinite_mean(header):
 
 
 def _empty_stats(header):
-    """Not `null`, which stands for a model trained without statistics."""
     header["state_stats"] = {}
+
+
+def _null_stats(header):
+    header["action_stats"] = None
+
+
+def _digest_mismatch(header):
+    """Valid statistics that are not those the stored digest was taken of."""
+    header["state_stats"]["entries"]["shared"]["mean"][18] += 1.0
 
 
 BAD_STATS_HEADERS = {"bad_std": _bad_std, "per_embodiment": _per_embodiment,
                      "no_shared_entry": _no_shared_entry, "nonfinite_mean": _nonfinite_mean,
-                     "empty_stats": _empty_stats}
+                     "empty_stats": _empty_stats, "null_stats": _null_stats,
+                     "digest_mismatch": _digest_mismatch}
+
+
+def _config_edit(key, value):
+    def edit(header):
+        header["config"][key] = value
+    return edit
+
+
+# Headers of a model shape other than the one this code runs.
+OTHER_SHAPE_HEADERS = {"head_excluded": _config_edit("action_includes_head", False),
+                       "proprio_dim_40": _config_edit("proprio_dim", 40),
+                       "grad_clip_0": _config_edit("grad_clip", 0.0)}
 
 
 def trained_checkpoint(tmp_path):
@@ -475,6 +507,14 @@ def test_load_checkpoint_rejects_invalid_stats(tmp_path, case):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("case", sorted(OTHER_SHAPE_HEADERS))
+def test_load_checkpoint_rejects_other_model_shapes(tmp_path, case):
+    path, blob = trained_checkpoint(tmp_path)
+    path.write_bytes(rewrite_header(blob, OTHER_SHAPE_HEADERS[case]))
+    with pytest.raises(CorruptCheckpoint, match="bad checkpoint header"):
+        load_checkpoint(path)
+
+
 def test_resumed_training_equals_uninterrupted(tmp_path):
     pairs = make_pairs("human", 30)
     state_stats, action_stats = make_stats(pairs)
@@ -490,7 +530,7 @@ def test_resumed_training_equals_uninterrupted(tmp_path):
     resumed = load_checkpoint(tmp_path / "half.ckpt")
     skip = resumed.steps_completed * cfg.batch_size
     resumed, _ = train(
-        resumed, build_sampler(pairs, seed=2).stream(skip=skip), steps=40
+        resumed, itertools.islice(build_sampler(pairs, seed=2).stream(), skip, None), steps=40
     )
     for W0, W1 in zip(full.weights, resumed.weights):
         np.testing.assert_array_equal(W0, W1)
@@ -522,7 +562,6 @@ def two_tag_pairs(K=3, F=4, joint_space_robot=False):
 
 PINNED_TRAIN_DIGESTS = {
     "shared": "686d3108708c853e6a0ebfd67d903a96d3055ea39f932d9c87e0ac8119d20f31",
-    "head_excluded": "fd04fd3f33c45354c2a8995dd0293603c585a3217b2d1766f7ec9580408271d7",
     "smoothed": "10b9b789102cf9890708b95b2efecb3e726dbff19418075860bc372348644d61",
     "joint_space_obs": "46eac958f4249b78c59aa8bd7f00a217f9965030a5d77d052ef82c923d86d8aa",
 }
@@ -543,7 +582,6 @@ def test_train_outputs_pinned(case):
     cfg = PolicyConfig(
         feature_dim=4, chunk_length=3, hidden_layers=(12, 8), learning_rate=0.05,
         batch_size=8, seed=3, smoothing_delta=0.05 if case == "smoothed" else 0.0,
-        action_includes_head=case != "head_excluded",
     )
     model = init_model(cfg, state_stats, action_stats)
     sampler = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=5)
@@ -563,7 +601,7 @@ def test_predict_equals_forward_with_identity_stats():
     rng = np.random.default_rng(11)
     model = small_model(K=2, F=3, hidden=(6,))
     model.weights[-1][:] = rng.normal(scale=0.05, size=model.weights[-1].shape)
-    # no stats attached: predict = forward + re-orthogonalization
+    # unit stats: predict = forward + re-orthogonalization
     state = IDENTITY_STATE
     feature = rng.normal(size=3)
     raw = forward(model, state, feature)
@@ -603,17 +641,3 @@ def test_normalize_denormalize_consistency():
         denormalize(normalize(x, state_stats), state_stats), x,
         atol=1e-10,
     )
-
-
-def test_action_excluding_head_carries_state_head():
-    pairs = make_pairs("human", 30, K=2)
-    state_stats, action_stats = make_stats(pairs)
-    cfg = PolicyConfig(feature_dim=4, chunk_length=2, hidden_layers=(8,),
-                       learning_rate=0.02, batch_size=4, seed=4,
-                       action_includes_head=False)
-    model = init_model(cfg, state_stats, action_stats)
-    model, _ = train(model, build_sampler(pairs).stream(), steps=50)
-    states, feats, _ = all_pairs(pairs)
-    chunk = predict(model, states[0], feats[0])
-    for k in range(chunk.shape[0]):
-        np.testing.assert_allclose(chunk[k, :6], states[0][:6], atol=1e-12)

@@ -8,8 +8,8 @@ from crossemb.unified_space import (
     UnifiedState,
     compute_stats,
     decode_state,
+    EEF,
     denormalize,
-    eef_indices,
     encode_state,
     normalize,
 )
@@ -105,7 +105,7 @@ def test_encode_rejects_bad_rotation_and_nonfinite():
 
 
 def test_eef_indices_exact():
-    idx = eef_indices()
+    idx = np.arange(54)[EEF]
     assert set(idx.tolist()) == {18, 19, 20, 21, 22, 23}
     assert len(idx) == 6
     complement = set(range(54)) - set(idx.tolist())
