@@ -37,7 +37,7 @@ METRICS = ("id_success", "ood_success", "displacement_variance")
 def per_seed():
     """{condition: {metric: [value per seed]}}"""
     config = humanoid_b_config()
-    task = make_reach_task(config, feature_dim=SETTINGS.feature_dim)
+    task = make_reach_task(config, feature_dim=harness.EXPERIMENT_POLICY.feature_dim)
     out = {name: {key: [] for key in METRICS} for name in NAMES}
     for row, _, _ in harness.run_conditions(NAMES, (N_ROBOT,), HUMAN_DEMOS, SEEDS,
                                             task, config, SETTINGS):

@@ -21,9 +21,9 @@ import sys
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Whether BLAS runs one thread here: numpy loads after the variables are
 # set, or it loaded first with each of them at 1 already.
-_BLAS_PINNED = "numpy" not in sys.modules or all(os.environ.get(v) == "1" for v in _BLAS_VARS)
+BLAS_PINNED = "numpy" not in sys.modules or all(os.environ.get(v) == "1" for v in _BLAS_VARS)
 for _var in _BLAS_VARS:
-    _BLAS_PINNED &= os.environ.setdefault(_var, "1") == "1"
+    BLAS_PINNED &= os.environ.setdefault(_var, "1") == "1"
 del _var
 
 from . import (  # noqa: E402

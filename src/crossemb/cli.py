@@ -43,7 +43,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     )
     if not path or not argv or argv[0] not in commands:
         return
-    doc = dataset_mod._read_json_object(path, "config file")
+    doc = dataset_mod.read_json_object(path, "config file")
     flags = {a.dest: a for a in commands[argv[0]]._actions if a.option_strings}
     for key, value in doc.items():
         action = flags.get(key.replace("-", "_"))
@@ -78,6 +78,15 @@ def _parse_counts(text: str, flag: str, minimum: int = 0) -> tuple[int, ...]:
     if not np.all((values >= minimum) & (values == np.floor(values))):
         raise ParseError(None, f"expected whole numbers >= {minimum}, got {text!r}", flag)
     return tuple(int(v) for v in values)
+
+
+def _check_retime_flags(alpha: float, rate: float) -> None:
+    """ParseError unless `--alpha` and `--rate` are values `retiming.retime`
+    takes: a finite slow-down >= 1 and a finite rate > 0."""
+    if not (np.isfinite(alpha) and alpha >= 1.0):
+        raise ParseError(None, f"expected a finite number >= 1, got {alpha}", "--alpha")
+    if not (np.isfinite(rate) and rate > 0.0):
+        raise ParseError(None, f"expected a finite number > 0, got {rate}", "--rate")
 
 
 def _chain(config, name: str):
@@ -123,6 +132,7 @@ def _trajectory_from_json(doc: dict) -> retiming.Trajectory:
 
 
 def _cmd_ingest(args) -> int:
+    _check_retime_flags(args.alpha, args.rate)
     options = dataset_mod.IngestOptions(
         alpha=args.alpha,
         out_rate=args.rate,
@@ -139,7 +149,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_retime(args) -> int:
-    traj = _trajectory_from_json(dataset_mod._read_json_object(args.input, "trajectory"))
+    _check_retime_flags(args.alpha, args.rate)
+    traj = _trajectory_from_json(dataset_mod.read_json_object(args.input, "trajectory"))
     out = retiming.retime(traj, args.alpha, args.rate)
     text = _dumps(_trajectory_to_json(out))
     if args.output:

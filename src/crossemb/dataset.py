@@ -50,7 +50,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .geometry import Pose
-from .kinematics import EmbodimentConfig, RobotCommand, _command_vector, _embed_rows
+from .kinematics import EmbodimentConfig, RobotCommand, command_vector, embed_rows
 from .retiming import Trajectory, sync_streams
 from .unified_space import NormalizationStats
 
@@ -60,6 +60,8 @@ DEFAULT_ALPHA = 4.0
 DEFAULT_OUT_RATE = 30.0
 # Human captures whose head strays farther (m) from its first position are rejected.
 BODY_MOTION_THRESHOLD_M = 0.15
+# Drop of the canonical frame's origin below the first head position, meters.
+TORSO_OFFSET_M = 0.60
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,6 @@ class IngestOptions:
     alpha: float = DEFAULT_ALPHA
     out_rate: float = DEFAULT_OUT_RATE
     feature_dim: int = 16          # for synthesized features from image refs
-    torso_offset: float = 0.60     # canonical-frame drop below the head, meters
 
 
 def synthetic_features(key: str, dim: int) -> np.ndarray:
@@ -136,7 +137,7 @@ def _pose_from_record(doc: dict, line_no: int, key: str) -> Pose:
         raise ParseError(line_no, f"bad pose field {key!r}: {exc}") from exc
 
 
-def _read_file(path: str | Path, text: bool = False) -> str | bytes:
+def read_file(path: str | Path, text: bool = False) -> str | bytes:
     """The bytes (or decoded text) of file `path`; UnreadableFile if it is
     a directory or cannot be read or decoded."""
     try:
@@ -145,7 +146,7 @@ def _read_file(path: str | Path, text: bool = False) -> str | bytes:
         raise UnreadableFile(f"{path}: cannot read: {exc}") from exc
 
 
-def _read_json_object(path: str | Path, what: str = "") -> dict:
+def read_json_object(path: str | Path, what: str = "") -> dict:
     """The JSON object stored in `path`; InvalidMetadata, naming the file
     as `what` and its path, if it cannot be read or holds anything else."""
     name = f"{what} {path}" if what else str(path)
@@ -173,7 +174,7 @@ def _check_fields(doc: dict, where: str, required: dict, optional: dict | None =
 def load_raw_capture(path: str | Path) -> RawCapture:
     """Read <dir>/meta.json and <dir>/frames.jsonl."""
     root = Path(path)
-    meta = _read_json_object(root / "meta.json")
+    meta = read_json_object(root / "meta.json")
     _check_fields(
         meta,
         str(root / "meta.json"),
@@ -184,7 +185,7 @@ def load_raw_capture(path: str | Path) -> RawCapture:
         raise InvalidMetadata(f"{root / 'meta.json'}: kind must be 'robot' or 'human'")
     records = []
     # read_text already turned every line ending into "\n".
-    for line_no, line in enumerate(_read_file(root / "frames.jsonl", text=True).split("\n"), 1):
+    for line_no, line in enumerate(read_file(root / "frames.jsonl", text=True).split("\n"), 1):
         line = line.strip()
         if not line:
             continue
@@ -212,11 +213,11 @@ def load_raw_capture(path: str | Path) -> RawCapture:
     )
 
 
-def canonical_frame(head_pose: Pose, torso_offset: float) -> Pose:
+def canonical_frame(head_pose: Pose) -> Pose:
     """Gravity-aligned frame anchored at the episode's first head pose.
 
     x-axis: the head's forward (+x) direction projected to horizontal;
-    origin: the head position dropped by `torso_offset` along world z.
+    origin: the head position dropped by `TORSO_OFFSET_M` along world z.
     """
     fwd = head_pose.rotation[:, 0].copy()
     fwd[2] = 0.0
@@ -229,7 +230,7 @@ def canonical_frame(head_pose: Pose, torso_offset: float) -> Pose:
     z = np.array([0.0, 0.0, 1.0])
     y = np.cross(z, fwd)
     R = np.stack([fwd, y, z], axis=1)
-    origin = head_pose.translation - np.array([0.0, 0.0, torso_offset])
+    origin = head_pose.translation - np.array([0.0, 0.0, TORSO_OFFSET_M])
     return Pose(R, origin)
 
 
@@ -298,9 +299,7 @@ def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpiso
     first, times, docs, feats, dropped = _synced_frames(
         raw, (*(key for key, _ in _HUMAN_POSES), "fingertips"), options
     )
-    base_inv = canonical_frame(
-        _pose_from_record(first, first["_line"], "head_pose"), options.torso_offset
-    ).inverse()
+    base_inv = canonical_frame(_pose_from_record(first, first["_line"], "head_pose")).inverse()
     states = np.empty((len(docs), U.STATE_DIM))
     positions = np.empty((len(docs), len(_HUMAN_POSES), 3))  # head, left, right
     for k, doc in enumerate(docs):
@@ -367,7 +366,7 @@ def _ingest_robot(
     for doc in docs:
         try:
             cmd = RobotCommand(*(np.array(doc["joints"][key], dtype=float) for key in _JOINT_KEYS))
-            commands.append(_command_vector(config, cmd))
+            commands.append(command_vector(config, cmd))
         except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise ParseError(doc["_line"], f"bad joints record: {exc}") from exc
     return DemonstrationEpisode(
@@ -375,7 +374,7 @@ def _ingest_robot(
         embodiment_tag=raw.embodiment_tag,
         instruction=raw.instruction,
         times=times,
-        states=_embed_rows(config, np.array(commands)),
+        states=embed_rows(config, np.array(commands)),
         features=feats,
         metadata={
             "device": raw.device,
@@ -496,7 +495,7 @@ def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode
     `stats_files` of older datasets) are ignored."""
     root = Path(directory)
     where = str(root / "manifest.json")
-    manifest = _read_json_object(root / "manifest.json")
+    manifest = read_json_object(root / "manifest.json")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise VersionUnsupported(
             f"dataset format_version {manifest.get('format_version')!r} unsupported"
@@ -515,7 +514,7 @@ def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode
             raise InvalidMetadata(f"{where}: episode entry {i}: file must lie inside the dataset")
     episodes = []
     for entry in manifest["episodes"]:
-        blob = _read_file(root / entry["file"])
+        blob = read_file(root / entry["file"])
         digest = hashlib.sha256(blob).hexdigest()
         if digest != entry["sha256"]:
             raise ChecksumMismatch(f"episode {entry['id']}: checksum mismatch")

@@ -1,4 +1,4 @@
-"""Reference embodiment configurations and config-file serialization.
+"""Reference embodiment configurations and config-file loading.
 
 Two humanoids are shipped: `humanoid_a` (5-joint arms, wrist roll only)
 and `humanoid_b` (7-joint arms with a full 3-DoF wrist). Their arm joint
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .dataset import _read_json_object
+from .dataset import read_json_object
 from .errors import InvalidMetadata
 from .geometry import Pose
 from .kinematics import (
@@ -158,34 +158,11 @@ BUILTIN_CONFIGS = {
 }
 
 
-def _pose_to_json(p: Pose) -> dict:
-    return {
-        "translation": p.translation.tolist(),
-        "rotation_quaternion": geometry.quat_from_matrix(p.rotation).tolist(),
-    }
-
-
 def _pose_from_json(doc: dict) -> Pose:
     return Pose(
         geometry.quat_to_matrix(np.array(doc["rotation_quaternion"], dtype=float)),
         np.array(doc["translation"], dtype=float),
     )
-
-
-def _chain_to_json(chain: KinematicChain) -> dict:
-    return {
-        "base_frame": _pose_to_json(chain.base_frame),
-        "tip_offset": _pose_to_json(chain.tip_offset),
-        "joints": [
-            {
-                "name": j.name,
-                "axis": j.axis.tolist(),
-                "origin": _pose_to_json(j.origin),
-                "limits_deg": [float(np.rad2deg(j.limits[0])), float(np.rad2deg(j.limits[1]))],
-            }
-            for j in chain.joints
-        ],
-    }
 
 
 def _chain_from_json(doc: dict) -> KinematicChain:
@@ -203,28 +180,6 @@ def _chain_from_json(doc: dict) -> KinematicChain:
         base_frame=_pose_from_json(doc["base_frame"]),
         tip_offset=_pose_from_json(doc["tip_offset"]),
     )
-
-
-def config_to_json_dict(config: EmbodimentConfig) -> dict:
-    hm = config.hand_model
-    return {
-        "name": config.name,
-        "canonical_frame_offset_m": config.canonical_frame_offset,
-        "left_arm": _chain_to_json(config.left_arm),
-        "right_arm": _chain_to_json(config.right_arm),
-        "neck": _chain_to_json(config.neck),
-        "hand_model": {
-            "fingers": FINGERS_PER_HAND,
-            "actuators": HAND_ACTUATOR_COUNT,
-            "fingertip_extent_m": hm.fingertip_extent.tolist(),
-            "finger_dirs": hm.finger_dirs.tolist(),
-            "palm_normal": hm.palm_normal.tolist(),
-            "thumb_rot_range_deg": [
-                float(np.rad2deg(hm.thumb_rot_range[0])),
-                float(np.rad2deg(hm.thumb_rot_range[1])),
-            ],
-        },
-    }
 
 
 def config_from_json_dict(doc: dict) -> EmbodimentConfig:
@@ -261,6 +216,6 @@ def load_embodiment_config(path: str | Path) -> EmbodimentConfig:
     if key in BUILTIN_CONFIGS:
         return BUILTIN_CONFIGS[key]()
     try:
-        return config_from_json_dict(_read_json_object(path, "embodiment config"))
+        return config_from_json_dict(read_json_object(path, "embodiment config"))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidMetadata(f"embodiment config {path}: {exc!r}") from exc

@@ -8,8 +8,8 @@ inflates commanded-speed variance, and the unified state space beats a
 joint-space state.
 
 Rollouts run in lockstep: `rollouts` is one loop over steps, with one
-batched retarget (`_retarget_rows`) and one batched state embedding
-(`_embed_rows`) of every goal still running, one row per goal. Each row
+batched retarget (`retarget_rows`) and one batched state embedding
+(`embed_rows`) of every goal still running, one row per goal. Each row
 keeps its own command and feature RNG, and leaves on reaching its goal
 (with `stop_on_goal`) or at `max_steps`. The running rows share the step
 count, so they replan together, every `replan_every` steps or every
@@ -19,6 +19,11 @@ product where one row takes a matrix-vector one, and the two differ in
 the last bits. Every result therefore equals that of its goal run alone;
 `rollout` is `rollouts` of one goal. Agents must be stateless: `predict`
 may depend only on its arguments, since rows call it interleaved.
+
+The experiments train one model shape, `EXPERIMENT_POLICY`, its seed
+replaced per job, and replan every `REPLAN_EVERY` steps; an
+`ExperimentSettings` sets only their sizes: training steps, rollout
+length, evaluation goals and human demos.
 
 Both experiments are views of one condition table. `CONDITIONS` maps a
 name to three facts: whether human demos join the robot demos, whether
@@ -58,15 +63,15 @@ import numpy as np
 from . import geometry
 from . import policy as policy_mod
 from .dataset import MixedSampler, PairSet, episodes_to_pairs_by_tag
-from .kinematics import EmbodimentConfig, _embed_rows, _retarget_rows
+from .kinematics import EmbodimentConfig, embed_rows, retarget_rows
 from .policy import PolicyConfig, PolicyModel, TrainReport, init_model, predict, train
 from .tasks import (
     DemoBundle,
     ReachTask,
-    _joint_states,
     generate_human_demo,
     generate_robot_demo,
     goal_cell,
+    joint_space_states,
     make_reach_task,
 )
 from .unified_space import (
@@ -82,6 +87,11 @@ REPORT_SCHEMA_VERSION = 1
 STATS_EPSILON = 0.02
 # Human:robot mixing ratio of the experiments' training streams.
 HUMAN_WEIGHT = 3.0
+# The experiments' model and training settings; each job replaces the seed.
+EXPERIMENT_POLICY = PolicyConfig(feature_dim=12, chunk_length=8, hidden_layers=(64, 64),
+                                 learning_rate=0.05, batch_size=32)
+# Actions the experiments' rollouts execute from each predicted chunk.
+REPLAN_EVERY = 4
 CSV_COLUMNS = ("condition", "robot_demos", "seed", "id_success", "ood_success",
                "mean_tracking_error_m")
 
@@ -108,25 +118,6 @@ COTRAINING_REPORT_SCHEMA = {
                     "ood_success": {"type": "number"},
                     "mean_tracking_error_m": {"type": "number"},
                 },
-            },
-        },
-    },
-}
-
-ABLATION_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "task", "seeds", "conditions", "rows"],
-    "properties": {
-        "schema_version": {"type": "integer"},
-        "task": {"type": "string"},
-        "seeds": {"type": "array", "items": {"type": "integer"}},
-        "conditions": {"type": "array", "items": {"type": "string"}},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["condition", "seed", "ood_success",
-                             "displacement_variance", "trained"],
             },
         },
     },
@@ -204,7 +195,7 @@ def rollouts(
         raise ValueError(f"{n} goals but {len(seeds)} seeds")
     feature_rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     commands = np.tile(task.home_command(config).vector(), (n, 1))
-    unified = _embed_rows(config, commands)
+    unified = embed_rows(config, commands)
     prev_cmd_wrist = unified[:, RIGHT_WRIST_POS].copy()
 
     chunks = np.empty((n, period, STATE_DIM))
@@ -220,11 +211,11 @@ def rollouts(
             break
         if step % period == 0:
             for i in active:
-                obs = _joint_states(commands[i]) if joint_space else unified[i]
+                obs = joint_space_states(commands[i]) if joint_space else unified[i]
                 feature = task.codec.observe(goals[i], feature_rngs[i])
                 chunks[i] = agent.predict(obs, feature, step)[:period]
         actions = chunks[active, step % period]
-        rows = _retarget_rows(actions, config, commands[active])
+        rows = retarget_rows(actions, config, commands[active])
         # A degenerate action fails to retarget: its row holds its previous command.
         failed = np.array([e is not None for e in rows.errors], dtype=bool)
         errors[active] += failed
@@ -232,7 +223,7 @@ def rollouts(
             failed, 0, (~rows.converged).sum(axis=1) + rows.neck_clamped
         )
         commands[active] = rows.commands
-        achieved = _embed_rows(config, rows.commands)
+        achieved = embed_rows(config, rows.commands)
         # A fresh array: an agent may keep the observations it was given.
         unified = unified.copy()
         unified[active] = achieved
@@ -285,14 +276,10 @@ def rollout(
 
 @dataclass(frozen=True)
 class ExperimentSettings:
-    feature_dim: int = 12
-    chunk_length: int = 8
-    hidden_layers: tuple[int, ...] = (64, 64)
-    learning_rate: float = 0.05
-    batch_size: int = 32
+    """The sizes of an experiment run (see the module docstring)."""
+
     train_steps: int = 4000
     max_steps: int = 80
-    replan_every: int = 4
     id_eval_goals: int = 4
     ood_eval_goals_per_cell: int = 1
     human_demos: int = 72
@@ -369,20 +356,14 @@ def train_policy_on_bundles(
     seed: int,
     joint_space_robot_states: bool = False,
 ) -> PolicyModel:
-    pairs = pairs_from_bundles(bundles, settings.chunk_length, joint_space_robot_states)
+    pairs = pairs_from_bundles(bundles, EXPERIMENT_POLICY.chunk_length,
+                               joint_space_robot_states)
     # A tag without bundles stays in the ratio, so the sampler rejects it.
     ratio = {tag: 1.0 for tag in bundles}
     if "human" in ratio:
         ratio["human"] = HUMAN_WEIGHT
-    cfg = PolicyConfig(
-        feature_dim=settings.feature_dim,
-        chunk_length=settings.chunk_length,
-        hidden_layers=settings.hidden_layers,
-        learning_rate=settings.learning_rate,
-        batch_size=settings.batch_size,
-        seed=seed,
-    )
-    return train_on_pairs(pairs, ratio, cfg, settings.train_steps)[0]
+    config = replace(EXPERIMENT_POLICY, seed=seed)
+    return train_on_pairs(pairs, ratio, config, settings.train_steps)[0]
 
 
 def evaluation_goals(
@@ -414,7 +395,7 @@ def evaluate_policy(
     id_goals, ood_goals = evaluation_goals(task, settings, seed)
     seeds = [seed * 1000 + i for goals in (id_goals, ood_goals) for i in range(len(goals))]
     results = rollouts(PolicyAgent(model), config, task, id_goals + ood_goals, seeds,
-                       settings.max_steps, settings.replan_every, joint_space)
+                       settings.max_steps, REPLAN_EVERY, joint_space)
     success = [res.success for res in results]
     id_success, ood_success = success[: len(id_goals)], success[len(id_goals) :]
     tracking = [float(res.tracking_error.mean()) for res in results if res.tracking_error.size]
@@ -498,7 +479,7 @@ def speed_fluctuation(
         goals.append(task.grid.sample_goal(cell, rng))
     results = rollouts(PolicyAgent(model), config, task, goals,
                        [seed * 77 + i for i in range(n_rollouts)], settings.max_steps,
-                       settings.replan_every, joint_space, stop_on_goal=False)
+                       REPLAN_EVERY, joint_space, stop_on_goal=False)
     variances = [float(np.var(res.commanded_displacements))
                  for res in results if res.commanded_displacements.size]
     return float(np.mean(variances)) if variances else 0.0
@@ -541,7 +522,7 @@ def run_conditions(
     `evaluate_policy` metrics and, for `ABLATION_CONDITIONS`, the
     `displacement_variance`. The jobs run in a process pool (see the
     module docstring); the first job error is raised here."""
-    from . import _BLAS_PINNED
+    from . import BLAS_PINNED
 
     retime_flags = dict.fromkeys(CONDITIONS[name].retimed for name in names
                                  if CONDITIONS[name].human)
@@ -559,7 +540,7 @@ def run_conditions(
                     yield name, n_robot, seed, bundles
 
     n_jobs = len(names) * len(robot_counts) * len(seeds)
-    workers = min(n_jobs, len(os.sched_getaffinity(0))) if _BLAS_PINNED else 1
+    workers = min(n_jobs, len(os.sched_getaffinity(0))) if BLAS_PINNED else 1
     if workers <= 1:
         for name, n_robot, seed, bundles in jobs():
             yield *_run_condition(name, n_robot, seed, bundles, task, config, settings), bundles
@@ -609,7 +590,7 @@ def cotraining_experiment(
 
     config = config or humanoid_b_config()
     settings = _settings_for(settings, human_demos)
-    task = make_reach_task(config, feature_dim=settings.feature_dim)
+    task = make_reach_task(config, feature_dim=EXPERIMENT_POLICY.feature_dim)
     rows = []
     probe_values = []
     t0 = time.perf_counter()
@@ -624,7 +605,7 @@ def cotraining_experiment(
                 b for b in bundles["human"]
                 if goal_cell(task, np.array(b.episode.metadata["goal"])) in task.robot_cells
             ]}
-            pairs = pairs_from_bundles(matched, settings.chunk_length)
+            pairs = pairs_from_bundles(matched, EXPERIMENT_POLICY.chunk_length)
             probe_values.append(embodiment_probe_accuracy(model, pairs, row["seed"]))
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -654,7 +635,7 @@ def ablation_suite(
 
     config = config or humanoid_b_config()
     settings = _settings_for(settings, human_demos)
-    task = make_reach_task(config, feature_dim=settings.feature_dim)
+    task = make_reach_task(config, feature_dim=EXPERIMENT_POLICY.feature_dim)
     t0 = time.perf_counter()
     rows = [
         {key: row[key] for key in ("condition", "seed", "ood_success", "id_success",

@@ -33,13 +33,15 @@ effort, but each descent stops once an accepted step gains less than
 `max_iters` steps. Rows in reach are untouched by the test, and far rows
 never converge, so the test changes no converged result.
 
-`_retarget_rows` solves both arms of a batch of unified actions as one
+`retarget_rows` solves both arms of a batch of unified actions as one
 `_ik_rows` batch (rows whose action is non-finite or holds a rotation
 code that does not decode get the error `retarget_action` raises for
-them), and `_embed_rows` turns command vectors (`RobotCommand.vector`)
-into unified 54-vectors. Rollouts, demo generation and capture ingest
-run on these rows; `ik_solve`, `retarget_action`, `forward_kinematics`
-and `embed_robot_state` are their batches of one.
+them), and `embed_rows` turns command vectors (`RobotCommand.vector`,
+checked against a config by `command_vector`) into unified 54-vectors,
+placing fingertips with `fingertip_rows`. These row functions are the
+public API that rollouts, demo generation and capture ingest run on;
+`ik_solve`, `retarget_action`, `forward_kinematics` and
+`embed_robot_state` are their batches of one.
 """
 
 from __future__ import annotations
@@ -592,7 +594,7 @@ def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray
     return np.concatenate([closure, thumb_rot[:, None]], axis=1)
 
 
-def _fingertip_rows(actuators, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
+def fingertip_rows(actuators, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
     """Inverse of `_hand_actuators`: actuators (B, 6) and wrist poses
     (B, 3, 3), (B, 3) to fingertips (B, 5, 3) placed along the model rays."""
     act = np.minimum(np.maximum(actuators, 0.0), 1.0)
@@ -630,8 +632,8 @@ class RetargetDiagnostics:
     clamp_events: tuple[str, ...]
 
 
-class _RetargetRows(NamedTuple):
-    """Per-row outcome of `_retarget_rows`; arm columns are (left, right)."""
+class RetargetRows(NamedTuple):
+    """Per-row outcome of `retarget_rows`; arm columns are (left, right)."""
 
     commands: np.ndarray      # (B, n_cmd); a failed row keeps its previous command
     converged: np.ndarray     # (B, 2) bool
@@ -658,12 +660,12 @@ def _decode_actions(actions: np.ndarray):
     return (rotations[:, 0], rotations[:, 1], rotations[:, 2]), errors
 
 
-def _retarget_rows(
+def retarget_rows(
     actions: np.ndarray,
     config: EmbodimentConfig,
     commands: np.ndarray,
     params: IkParams = IkParams(),
-) -> _RetargetRows:
+) -> RetargetRows:
     """`retarget_action` for a batch: row b retargets actions[b] (B, 54)
     warm-started at the command vector commands[b] (B, n_cmd).
 
@@ -677,7 +679,7 @@ def _retarget_rows(
     U = unified_space
     (head_R, left_R, right_R), errors = _decode_actions(actions)
     solve = np.array([e is None for e in errors], dtype=bool)
-    out = _RetargetRows(commands.copy(), np.zeros((B, 2), bool), np.zeros((B, 2)),
+    out = RetargetRows(commands.copy(), np.zeros((B, 2), bool), np.zeros((B, 2)),
                        np.zeros((B, 2)), np.zeros(B, bool), errors)
     if not solve.any():
         return out
@@ -709,14 +711,14 @@ def retarget_action(
     q_prev: RobotCommand,
     params: IkParams = IkParams(),
 ) -> tuple[RobotCommand, RetargetDiagnostics]:
-    """Convert one unified action into a robot command: `_retarget_rows` of
+    """Convert one unified action into a robot command: `retarget_rows` of
     one row, warm-started at `q_prev`. The wrists go through DLS IK, the
     neck takes the head rotation's yaw/pitch (roll discarded, clamped) and
     the hands the fingertip-distance closure map."""
     action = np.asarray(action, dtype=float)
     if action.shape != (unified_space.STATE_DIM,):
         raise DimensionMismatch(f"action must be (54,), got {action.shape}")
-    rows = _retarget_rows(action[None], config, _command_vector(config, q_prev)[None], params)
+    rows = retarget_rows(action[None], config, command_vector(config, q_prev)[None], params)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     converged = rows.converged[0].tolist()
@@ -728,7 +730,7 @@ def retarget_action(
             RetargetDiagnostics(*limbs, clamp_events=tuple(clamps)))
 
 
-def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
+def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     """`embed_robot_state` for a batch of command vectors (B, n_cmd): FK of
     both arms as one batch and of the neck, written as unified 54-vectors
     (B, 54) and checked as `encode_state` checks them."""
@@ -742,7 +744,7 @@ def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     out[:, U.HEAD_ROT] = geometry.encode_rot6d(head_R)
     out[:, U.LEFT_WRIST_ROT], out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(R)
     out[:, U.LEFT_WRIST_POS], out[:, U.RIGHT_WRIST_POS] = t
-    tips = _fingertip_rows(np.concatenate([left_hand, right_hand]), R.reshape(-1, 3, 3),
+    tips = fingertip_rows(np.concatenate([left_hand, right_hand]), R.reshape(-1, 3, 3),
                            t.reshape(-1, 3), config.hand_model)
     tips = np.concatenate([tips[:B], tips[B:]], axis=1)
     out[:, U.FINGERTIPS] = tips.reshape(-1, 3 * 2 * U.FINGERS_PER_HAND)
@@ -750,7 +752,7 @@ def _embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     return out
 
 
-def _command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:
+def command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:
     """`cmd.vector()`, once its arms have `config`'s joint counts."""
     for chain, q in ((config.left_arm, cmd.left_arm_q), (config.right_arm, cmd.right_arm_q)):
         _check_q(chain, q)
@@ -761,4 +763,4 @@ def embed_robot_state(
     cmd: RobotCommand, config: EmbodimentConfig
 ) -> unified_space.UnifiedState:
     """Express a robot command (or joint readings) as a unified state."""
-    return unified_space.decode_state(_embed_rows(config, _command_vector(config, cmd)[None])[0])
+    return unified_space.decode_state(embed_rows(config, command_vector(config, cmd)[None])[0])

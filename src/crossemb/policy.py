@@ -4,12 +4,10 @@ Every model has one shape: an MLP over the concatenated (normalized
 54-vector state, zero-padded if joint-space; feature) input producing a
 K x 54 action chunk, head included, in normalized space. It carries its
 state and action statistics. The training loss is an L1 term over the
-whole chunk plus a weighted L1 term over the wrist translations (`EEF`):
+whole chunk plus an L1 term over the wrist translations (`EEF`),
+weighted by `LAMBDA_EEF`:
 
-    total = mean|pred - target| + lambda_eef * mean|pred_EEF - target_EEF|
-
-With `smoothing_delta` > 0 the absolute value is replaced by its Huber
-smoothing near zero (used by gradient checks only).
+    total = mean|pred - target| + LAMBDA_EEF * mean|pred_EEF - target_EEF|
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, unified_space
-from .dataset import PairSet, _read_file, pack_blocks, unpack_blocks
+from .dataset import PairSet, pack_blocks, read_file, unpack_blocks
 from .errors import (
     CorruptCheckpoint,
     DimensionMismatch,
@@ -36,12 +34,16 @@ from .unified_space import EEF, STATE_DIM, NormalizationStats
 
 # Bound on the global gradient norm of one training step.
 GRAD_CLIP = 1.0
+# Weight of the wrist-translation L1 term in the training loss.
+LAMBDA_EEF = 2.0
 
 CHECKPOINT_MAGIC = b"CEPOLIC1"
 CHECKPOINT_VERSION = 1
-# The header `config` entries fixed by the one model shape; other values
-# describe a model this code cannot run.
-_FIXED_CONFIG = {"proprio_dim": STATE_DIM, "grad_clip": GRAD_CLIP, "action_includes_head": True}
+# The header `config` entries fixed by the one model shape and training
+# loss (`smoothing_delta` 0 is the exact L1 loss); other values describe
+# a model this code cannot run.
+_FIXED_CONFIG = {"proprio_dim": STATE_DIM, "grad_clip": GRAD_CLIP, "action_includes_head": True,
+                 "lambda_eef": LAMBDA_EEF, "smoothing_delta": 0.0}
 
 
 @dataclass(frozen=True)
@@ -51,20 +53,14 @@ class PolicyConfig:
     feature_dim: int
     chunk_length: int
     hidden_layers: tuple[int, ...] = (256, 256)
-    lambda_eef: float = 2.0
     learning_rate: float = 1e-3
     batch_size: int = 64
     seed: int = 0
-    smoothing_delta: float = 0.0
 
     def __post_init__(self):
         sizes = (self.feature_dim, self.chunk_length, self.batch_size, *self.hidden_layers)
         if min(sizes) < 1:
             raise ValueError("dimensions, batch_size and hidden layer widths must be >= 1")
-        if self.lambda_eef < 0:
-            raise ValueError("lambda_eef must be >= 0")
-        if self.smoothing_delta < 0:
-            raise ValueError("smoothing_delta must be >= 0")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
 
 
@@ -135,39 +131,23 @@ def forward(model: PolicyModel, state: np.ndarray, feature: np.ndarray) -> np.nd
     return out[0].reshape(model.config.chunk_length, STATE_DIM)
 
 
-def _abs_smoothed(r: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """|r| and its derivative, Huber-smoothed below `delta` when it is > 0."""
-    a, g = np.abs(r), np.sign(r)
-    if delta > 0.0:
-        small = a < delta
-        a[small] = r[small] * r[small] / (2.0 * delta) + delta / 2.0
-        g[small] = r[small] / delta
-    return a, g
-
-
-def _loss_terms(a: np.ndarray, lambda_eef: float):
+def _loss_terms(a: np.ndarray):
     """(total, base, eef) from the residual magnitudes `a` (K, 54) or (B, K, 54).
     Each mean runs over a (B, entries) copy in Fortran order: the layout of
     a boolean-mask gather, which fixes numpy's summation order."""
     rows = a.shape[:-2] + (-1,)
     base = float(np.asfortranarray(a.reshape(rows)).mean())
     eef = float(np.asfortranarray(a[..., EEF].reshape(rows)).mean())
-    return base + lambda_eef * eef, base, eef
+    return base + LAMBDA_EEF * eef, base, eef
 
 
-def loss(
-    pred: np.ndarray,
-    target: np.ndarray,
-    lambda_eef: float,
-    smoothing_delta: float = 0.0,
-) -> tuple[float, float, float]:
+def loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, float, float]:
     """Returns (total, base, eef). Arrays may be (K, 54) or (B, K, 54)."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape or pred.shape[-1] != STATE_DIM:
         raise DimensionMismatch(f"pred {pred.shape} vs target {target.shape}")
-    a, _ = _abs_smoothed(pred - target, smoothing_delta)
-    return _loss_terms(a, lambda_eef)
+    return _loss_terms(np.abs(pred - target))
 
 
 @dataclass
@@ -211,13 +191,14 @@ def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
     B = x.shape[0]
     acts, out = _forward_cached(model, x)
     pred = out.reshape(B, cfg.chunk_length, STATE_DIM)
-    a, g = _abs_smoothed(pred - target, cfg.smoothing_delta)
-    total, base, eef = _loss_terms(a, cfg.lambda_eef)
+    residual = pred - target
+    a, g = np.abs(residual), np.sign(residual)
+    total, base, eef = _loss_terms(a)
     if not math.isfinite(total):
         raise NonFiniteLoss(f"loss is {total}")
     # 0.0 + turns a -0.0 gradient entry into +0.0.
     dpred = 0.0 + g / a.size
-    dpred[..., EEF] += cfg.lambda_eef * g[..., EEF] / a[..., EEF].size
+    dpred[..., EEF] += LAMBDA_EEF * g[..., EEF] / a[..., EEF].size
     delta = dpred.reshape(B, -1)
 
     grad_w = [np.empty_like(W) for W in model.weights]
@@ -329,7 +310,7 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
     statistics are not the shared form with finite values and every std
     positive and at least epsilon (`NormalizationStats.from_json_dict`) or
     differ from their stored digest."""
-    blob = _read_file(path)
+    blob = read_file(path)
     if blob[:8] != CHECKPOINT_MAGIC:
         raise VersionUnsupported(f"bad checkpoint magic {blob[:8]!r}")
     try:

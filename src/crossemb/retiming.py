@@ -64,7 +64,8 @@ class Trajectory:
 
 def retime(traj: Trajectory, alpha: float, out_rate: float) -> Trajectory:
     """Stretch a trajectory by the slow-down factor `alpha` (finite, >= 1;
-    1 leaves the timing as it is) and resample uniformly at `out_rate`.
+    1 leaves the timing as it is) and resample uniformly at `out_rate`
+    (finite, > 0); ValueError for any other value of either.
 
     Output duration equals alpha * input duration to within one output
     frame period; the first and last output states equal the input
@@ -75,8 +76,8 @@ def retime(traj: Trajectory, alpha: float, out_rate: float) -> Trajectory:
     a = float(alpha)
     if not np.isfinite(a) or a < 1.0:
         raise ValueError(f"alpha must be finite and >= 1, got {a}")
-    if out_rate <= 0:
-        raise ValueError(f"out_rate must be positive, got {out_rate}")
+    if not np.isfinite(out_rate) or out_rate <= 0:
+        raise ValueError(f"out_rate must be finite and positive, got {out_rate}")
     times = traj.times
     t0 = times[0]
     n_intervals = max(1, int(round(a * traj.duration * out_rate)))

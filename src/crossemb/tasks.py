@@ -3,7 +3,15 @@
 The reach task mirrors the grid-placement evaluation: goals live on a
 3x3 grid of 10 cm cells; robot demonstrations cover only two cells while
 human-style demonstrations cover all nine, with a wider start
-distribution and 4x faster motion (slowed down at ingestion).
+distribution and 4x faster motion (slowed down at ingestion). The
+task's fixed values (grid, robot cells, goal tolerance, rates, durations
+and the slow-down `alpha`) are class constants of `ReachTask`; an
+instance holds only its goal feature codec and its home arm joints.
+
+Demo generation runs on rows: `teleop_simulate` tracks references with
+`kinematics.retarget_rows` and `embed_rows`, reach trajectories place
+fingertips with `fingertip_rows`, and `joint_space_states` gives the
+zero-padded joint view of the state-space ablation.
 """
 
 from __future__ import annotations
@@ -20,10 +28,10 @@ from .kinematics import (
     EmbodimentConfig,
     IkParams,
     RobotCommand,
-    _embed_rows,
-    _fingertip_rows,
-    _retarget_rows,
+    embed_rows,
+    fingertip_rows,
     forward_kinematics,
+    retarget_rows,
 )
 from .retiming import Trajectory
 
@@ -98,21 +106,23 @@ def _smooth_noise(rng, n_frames: int, dim: int, amplitude: float, times: np.ndar
 
 @dataclass(frozen=True)
 class ReachTask:
-    """Right-arm reach to a goal point on the table grid."""
+    """Right-arm reach to a goal point on the table grid: robot demos
+    cover cells 4 and 5, human demos run `alpha` times faster than the
+    robot's 2.4 s moves at 10 Hz. Only the goal features and the home arm
+    joints (both arms) differ between tasks."""
 
-    name: str
-    config_name: str
-    grid: GoalGrid
-    robot_cells: tuple[int, ...]
-    goal_tolerance: float
-    rate: float                 # robot control rate, Hz
-    move_duration: float        # robot-speed move time, seconds
-    hold_duration: float
-    human_capture_rate: float
-    alpha: float
+    name = "reach"
+    grid = GoalGrid()
+    robot_cells = (4, 5)
+    goal_tolerance = 0.02
+    rate = 10.0                 # robot control rate, Hz
+    move_duration = 2.4         # robot-speed move time, seconds
+    hold_duration = 0.4
+    human_capture_rate = 30.0
+    alpha = 4.0
+
     codec: FeatureCodec
-    home_right_q: np.ndarray
-    home_left_q: np.ndarray
+    home_arm_q: np.ndarray
 
     @property
     def ood_cells(self) -> tuple[int, ...]:
@@ -120,8 +130,8 @@ class ReachTask:
 
     def home_command(self, config: EmbodimentConfig) -> RobotCommand:
         return RobotCommand(
-            left_arm_q=self.home_left_q,
-            right_arm_q=self.home_right_q,
+            left_arm_q=self.home_arm_q,
+            right_arm_q=self.home_arm_q,
             neck_q=np.zeros(2),
             left_hand=HAND_REST.copy(),
             right_hand=HAND_REST.copy(),
@@ -135,24 +145,9 @@ class ReachTask:
 
 
 def make_reach_task(config: EmbodimentConfig, feature_dim: int = 12) -> ReachTask:
-    """The reach task on `config`: robot demos cover cells 4 and 5, human
-    demos run 4x faster than the robot's 2.4 s moves at 10 Hz."""
+    """The reach task on `config`, its goal features `feature_dim` wide."""
     home = HOME_ARM_Q_7 if config.right_arm.n_joints == 7 else HOME_ARM_Q_5
-    return ReachTask(
-        name="reach",
-        config_name=config.name,
-        grid=GoalGrid(),
-        robot_cells=(4, 5),
-        goal_tolerance=0.02,
-        rate=10.0,
-        move_duration=2.4,
-        hold_duration=0.4,
-        human_capture_rate=30.0,
-        alpha=4.0,
-        codec=FeatureCodec(feature_dim),
-        home_right_q=home.copy(),
-        home_left_q=home.copy(),
-    )
+    return ReachTask(codec=FeatureCodec(feature_dim), home_arm_q=home.copy())
 
 
 def ideal_reach_trajectory(
@@ -167,8 +162,8 @@ def ideal_reach_trajectory(
     start_spread: float = 0.0,
 ) -> Trajectory:
     """Minimum-jerk right-wrist reach with smooth pose jitter everywhere."""
-    right_home = forward_kinematics(config.right_arm, task.home_right_q)
-    left_home = forward_kinematics(config.left_arm, task.home_left_q)
+    right_home = forward_kinematics(config.right_arm, task.home_arm_q)
+    left_home = forward_kinematics(config.left_arm, task.home_arm_q)
     p0 = right_home.translation + start_spread * rng.uniform(-1.0, 1.0, size=3)
     total = move_duration + hold_duration
     n = int(round(total * capture_rate)) + 1
@@ -207,8 +202,8 @@ def ideal_reach_trajectory(
     states[:, U.LEFT_WRIST_POS] = left_pos
     states[:, U.RIGHT_WRIST_POS] = right_pos
     tips = np.concatenate([
-        _fingertip_rows(left_act, Rl, left_pos, config.hand_model),
-        _fingertip_rows(right_act, Rr, right_pos, config.hand_model),
+        fingertip_rows(left_act, Rl, left_pos, config.hand_model),
+        fingertip_rows(right_act, Rr, right_pos, config.hand_model),
     ], axis=1)
     states[:, U.FINGERTIPS] = tips.reshape(n, -1)
     U.check_state_rows(states)
@@ -229,7 +224,7 @@ class DemoBundle:
     joint_states: np.ndarray | None = None  # (N, 54), zero-padded joint form
 
 
-def _joint_states(commands: np.ndarray) -> np.ndarray:
+def joint_space_states(commands: np.ndarray) -> np.ndarray:
     """Command vectors (..., n_cmd) zero-padded to 54 dims: the joint-space
     state of the state-space ablation."""
     out = np.zeros(commands.shape[:-1] + (unified_space.STATE_DIM,))
@@ -257,13 +252,13 @@ def teleop_simulate(
     cmd = np.tile(home_cmd.vector(), (D, 1))
     commands = np.empty((D, N, cmd.shape[1]))
     for k in range(N):
-        rows = _retarget_rows(references[:, k], config, cmd, ik_params)
+        rows = retarget_rows(references[:, k], config, cmd, ik_params)
         for error in rows.errors:
             if error is not None:
                 raise error
         cmd = commands[:, k] = rows.commands
-    states = _embed_rows(config, commands.reshape(D * N, -1)).reshape(D, N, -1)
-    return states, _joint_states(commands)
+    states = embed_rows(config, commands.reshape(D * N, -1)).reshape(D, N, -1)
+    return states, joint_space_states(commands)
 
 
 def generate_robot_demo(

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossemb import dataset, geometry, harness, policy, unified_space
+from crossemb import dataset, harness, policy, unified_space
 from crossemb.cli import cli
 from crossemb.dataset import read_dataset, write_dataset
-from crossemb.embodiments import config_to_json_dict, humanoid_a_config
+from crossemb.embodiments import humanoid_a_config, load_embodiment_config
 from crossemb.kinematics import forward_kinematics
 from crossemb.retiming import Trajectory, retime
 
@@ -17,11 +17,31 @@ from test_dataset import IDENTITY_STATE, synthetic_episode, write_human_raw, wri
 from test_policy import BAD_STATS_HEADERS, OTHER_SHAPE_HEADERS, rewrite_header
 
 
+# humanoid_a as a config file, in the format `load_embodiment_config` reads.
+HUMANOID_A_FILE = Path(__file__).resolve().parent / "data" / "humanoid_a.json"
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "a.json"
-    path.write_text(json.dumps(config_to_json_dict(humanoid_a_config())))
+    path.write_text(HUMANOID_A_FILE.read_text())
     return str(path)
+
+
+def test_config_file_loads_equal_to_builtin():
+    """The committed file is humanoid_a: its degrees and quaternions load
+    to the builtin's radians and rotations to within rounding."""
+    loaded, builtin = load_embodiment_config(HUMANOID_A_FILE), humanoid_a_config()
+    assert loaded.name == builtin.name
+    assert loaded.canonical_frame_offset == builtin.canonical_frame_offset
+    for chain in ("left_arm", "right_arm", "neck"):
+        a, b = getattr(loaded, chain), getattr(builtin, chain)
+        assert [j.name for j in a.joints] == [j.name for j in b.joints]
+        for x, y in zip(a.arrays, b.arrays):
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+    for field in dataclasses.fields(builtin.hand_model):
+        np.testing.assert_allclose(getattr(loaded.hand_model, field.name),
+                                   getattr(builtin.hand_model, field.name), rtol=0, atol=1e-12)
 
 
 def fixture_traj_doc(n=10, rate=30.0):
@@ -312,13 +332,19 @@ def test_predict_checkpoint_with_invalid_stats_exit_1(tmp_path, case, capsys):
 
 
 def test_predict_checkpoint_of_another_model_shape_exit_1(tiny_checkpoint, capsys):
+    """Each header of `OTHER_SHAPE_HEADERS` fails, naming its config entry."""
     ckpt = Path(tiny_checkpoint)
-    ckpt.write_bytes(rewrite_header(ckpt.read_bytes(), OTHER_SHAPE_HEADERS["proprio_dim_40"]))
+    blob = ckpt.read_bytes()
     state = ",".join(str(v) for v in IDENTITY_STATE)
-    capsys.readouterr()
-    assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
-                "--feature", "0,0,0,0"]) == 1
-    assert "proprio_dim" in capsys.readouterr().err
+    for case, edit in sorted(OTHER_SHAPE_HEADERS.items()):
+        header = {"config": {}}
+        edit(header)
+        [key] = header["config"]
+        ckpt.write_bytes(rewrite_header(blob, edit))
+        capsys.readouterr()
+        assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
+                    "--feature", "0,0,0,0"]) == 1, case
+        assert key in capsys.readouterr().err, case
 
 
 @pytest.fixture
@@ -474,6 +500,26 @@ def test_retime_malformed_input_exit_1(tmp_path, doc, capsys):
     src.write_text(json.dumps(doc))
     assert cli(["retime", "--input", str(src), "--alpha", "4"]) == 1
     assert "--input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("retime", "--alpha", "0.5"), ("retime", "--alpha", "nan"), ("retime", "--rate", "0"),
+    ("ingest", "--alpha", "0.5"), ("ingest", "--rate", "0"), ("ingest", "--rate", "nan"),
+])
+def test_bad_alpha_or_rate_exit_1(tmp_path, command, flag, value, capsys):
+    """Checked before any capture or trajectory is read."""
+    if command == "retime":
+        src = tmp_path / "traj.json"
+        src.write_text(json.dumps(fixture_traj_doc()))
+        argv = ["retime", "--input", str(src), "--alpha", "4"]
+    else:
+        raw = write_human_raw(tmp_path, n=12, episode_id="h1")
+        argv = ["ingest", "--raw", str(raw), "--out", str(tmp_path / "data"),
+                "--feature-dim", "4"]
+    capsys.readouterr()
+    assert cli(argv + [flag, value]) == 1
+    assert f"error: {flag}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("command", ["fk", "retime", "config"])

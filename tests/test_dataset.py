@@ -8,6 +8,7 @@ import pytest
 from crossemb import dataset as ds
 from crossemb import geometry, unified_space
 from crossemb.dataset import (
+    TORSO_OFFSET_M,
     DemonstrationEpisode,
     IngestOptions,
     MixedSampler,
@@ -30,7 +31,6 @@ from crossemb.errors import (
     ParseError,
     VersionUnsupported,
 )
-from crossemb.geometry import Pose
 
 # Identity rotations, zero positions.
 IDENTITY_STATE = np.array([1.0, 0, 0, 0, 1, 0] * 3 + [0.0] * 36)
@@ -143,9 +143,9 @@ def test_ingest_human_retimes(tmp_path):
 
 def test_ingest_human_canonical_frame(tmp_path):
     raw = load_raw_capture(write_human_raw(tmp_path, n=10))
-    options = IngestOptions(alpha=4.0, out_rate=30.0, feature_dim=4, torso_offset=0.6)
+    options = IngestOptions(alpha=4.0, out_rate=30.0, feature_dim=4)
     ep = ingest(raw, options=options)
-    # First head pose maps to (0, 0, torso_offset); wrists land relative to it.
+    # First head pose maps to (0, 0, TORSO_OFFSET_M); wrists land relative to it.
     state = unified_space.decode_state(ep.states[0])
     np.testing.assert_allclose(state.left_wrist_pos, [0.2, 0.2, 0.1], atol=1e-9)
 
@@ -165,7 +165,7 @@ def test_ingest_human_conversion_matches_oracle(tmp_path):
     fwd /= np.linalg.norm(fwd)
     z = np.array([0.0, 0.0, 1.0])
     Rc = np.stack([fwd, np.cross(z, fwd), z], axis=1)
-    oc = np.array(h0["translation"]) - np.array([0, 0, options.torso_offset])
+    oc = np.array(h0["translation"]) - np.array([0, 0, TORSO_OFFSET_M])
     # frame 0 of the episode equals the re-expressed first raw frame exactly
     lw = np.array(lines[0]["left_wrist_pose"]["translation"])
     expected = Rc.T @ (lw - oc)

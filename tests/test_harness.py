@@ -18,15 +18,15 @@ from crossemb.errors import CrossembError, EmptyDataset
 from crossemb.kinematics import (
     IkParams,
     RobotCommand,
-    _embed_rows,
-    _fingertip_rows,
+    embed_rows,
+    fingertip_rows,
     forward_kinematics,
     retarget_action,
 )
 from crossemb.harness import (
-    ABLATION_REPORT_SCHEMA,
     CONDITIONS,
     COTRAINING_REPORT_SCHEMA,
+    EXPERIMENT_POLICY,
     ExperimentSettings,
     OracleReplayAgent,
     PolicyAgent,
@@ -42,7 +42,6 @@ from crossemb.harness import (
     rollouts,
     speed_fluctuation,
     train_policy_on_bundles,
-    write_report,
 )
 from crossemb.tasks import (
     generate_human_demo,
@@ -82,7 +81,7 @@ def per_demo_teleop_reference(states, config, home, params):
     commands = np.array(commands)
     joints = np.zeros((len(commands), 54))
     joints[:, : commands.shape[1]] = commands
-    return _embed_rows(config, commands), joints
+    return embed_rows(config, commands), joints
 
 
 # The 5-joint arms of humanoid_a cannot follow the reach's wrist rotations,
@@ -178,8 +177,8 @@ def per_frame_reach_states(task, config, goal, rng, capture_rate, move_duration,
                            hold_duration, start_spread):
     """Reference for `ideal_reach_trajectory`: the same draws, each frame
     built on its own through `UnifiedState` and `encode_state`."""
-    right_home = forward_kinematics(config.right_arm, task.home_right_q)
-    left_home = forward_kinematics(config.left_arm, task.home_left_q)
+    right_home = forward_kinematics(config.right_arm, task.home_arm_q)
+    left_home = forward_kinematics(config.left_arm, task.home_arm_q)
     p0 = right_home.translation + start_spread * rng.uniform(-1.0, 1.0, size=3)
     n = int(round((move_duration + hold_duration) * capture_rate)) + 1
     times = np.arange(n) / capture_rate
@@ -209,8 +208,8 @@ def per_frame_reach_states(task, config, goal, rng, capture_rate, move_duration,
         left_act = np.clip(tasks.HAND_REST + hand_noise[i, :6], 0.0, 1.0)
         right_act = np.clip(tasks.HAND_REST + hand_noise[i, 6:], 0.0, 1.0)
         tips = np.concatenate([
-            _fingertip_rows(left_act[None], Rl[None], left_pos[None], config.hand_model)[0],
-            _fingertip_rows(right_act[None], Rr[None], right_pos[None], config.hand_model)[0],
+            fingertip_rows(left_act[None], Rl[None], left_pos[None], config.hand_model)[0],
+            fingertip_rows(right_act[None], Rr[None], right_pos[None], config.hand_model)[0],
         ])
         states[i] = unified_space.encode_state(unified_space.UnifiedState(
             head_rot=geometry.encode_rot6d(rotation(rot_noise[i, 6:9])),
@@ -305,7 +304,7 @@ def test_draw_demos_layout(task):
 def test_train_policy_smoke_and_probe(task):
     bundles = draw_bundles(task, 2, 9)
     model = train_policy_on_bundles(bundles, FAST, seed=0)
-    pairs = pairs_from_bundles(bundles, FAST.chunk_length)
+    pairs = pairs_from_bundles(bundles, EXPERIMENT_POLICY.chunk_length)
     acc = embodiment_probe_accuracy(model, pairs, seed=0)
     assert 0.5 <= acc <= 1.0
     metrics = evaluate_policy(model, task, CFG, FAST, seed=0)
@@ -324,8 +323,9 @@ def test_joint_space_condition_trains(task):
 
 def test_joint_space_pairs_swap_only_robot_states(task):
     bundles = draw_bundles(task, 2, 2)
-    unified = pairs_from_bundles(bundles, FAST.chunk_length)
-    joint = pairs_from_bundles(bundles, FAST.chunk_length, joint_space_robot_states=True)
+    unified = pairs_from_bundles(bundles, EXPERIMENT_POLICY.chunk_length)
+    joint = pairs_from_bundles(bundles, EXPERIMENT_POLICY.chunk_length,
+                               joint_space_robot_states=True)
     by_id = {b.episode.id: b for items in bundles.values() for b in items}
     for tag in ("robot", "human"):
         rows = np.arange(len(joint[tag]))
@@ -370,6 +370,26 @@ def test_cotraining_report_shape_and_schema(tmp_path):
     csv_text = (tmp_path / "cotraining.csv").read_text().splitlines()
     assert csv_text[0] == "condition,robot_demos,seed,id_success,ood_success,mean_tracking_error_m"
     assert len(csv_text) == 1 + len(report["rows"])
+
+
+ABLATION_REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "task", "seeds", "conditions", "rows"],
+    "properties": {
+        "schema_version": {"type": "integer"},
+        "task": {"type": "string"},
+        "seeds": {"type": "array", "items": {"type": "integer"}},
+        "conditions": {"type": "array", "items": {"type": "string"}},
+        "rows": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["condition", "seed", "ood_success",
+                             "displacement_variance", "trained"],
+            },
+        },
+    },
+}
 
 
 def test_ablation_report_schema(tmp_path):
@@ -617,7 +637,7 @@ def pooled(monkeypatch):
         submitted.append(fn)
         return submit(pool, fn, *args, **kwargs)
 
-    monkeypatch.setattr(crossemb, "_BLAS_PINNED", True)
+    monkeypatch.setattr(crossemb, "BLAS_PINNED", True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
     return submitted
@@ -673,7 +693,7 @@ def test_import_pins_one_blas_thread(preset, numpy_first, pinned, values):
     env["PYTHONPATH"] = str(Path(crossemb.__file__).parents[1])
     code = ("import numpy\n" if numpy_first else "") + (
         "import json, os, crossemb\n"
-        "print(json.dumps([crossemb._BLAS_PINNED, {v: os.environ[v] for v in crossemb._BLAS_VARS}]))"
+        "print(json.dumps([crossemb.BLAS_PINNED, {v: os.environ[v] for v in crossemb._BLAS_VARS}]))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)

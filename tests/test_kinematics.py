@@ -19,14 +19,14 @@ from crossemb.kinematics import (
     KinematicChain,
     RobotCommand,
     _Chains,
-    _embed_rows,
-    _fingertip_rows,
+    embed_rows,
+    fingertip_rows,
     _fk_frames,
     _hand_actuators,
     _far_rows,
     _ik_rows,
     _jacobians,
-    _retarget_rows,
+    retarget_rows,
     embed_robot_state,
     forward_kinematics,
     ik_solve,
@@ -460,7 +460,7 @@ def test_hand_roundtrip_bijective():
         act[5] = rng.random()
         R = geometry.quat_to_matrix(geometry.quat_normalize(rng.normal(size=4)))
         t = rng.normal(size=3)
-        tips = _fingertip_rows(act[None], R[None], t[None], model)[0]
+        tips = fingertip_rows(act[None], R[None], t[None], model)[0]
         back = _hand_actuators(tips[None], R[None], t[None], model)[0]
         assert np.max(np.abs(back - act)) < 1e-6
 
@@ -787,7 +787,7 @@ def test_retarget_rows_equal_per_row_retarget_action():
         restart[n:2 * n] = q
         actions[6] = U.encode_state(embed_robot_state(RobotCommand.from_vector(cfg, restart), cfg))
         prev[6, n:2 * n] = q_init
-        rows = _retarget_rows(actions, cfg, prev)
+        rows = retarget_rows(actions, cfg, prev)
         for b, action in enumerate(actions):
             q_prev = RobotCommand.from_vector(cfg, prev[b])
             try:
@@ -869,7 +869,7 @@ def test_embed_rows_equal_per_row_embed_robot_state():
     for cfg in (humanoid_a_config(), humanoid_b_config()):
         n_arms = cfg.left_arm.n_joints + cfg.right_arm.n_joints
         commands = np.hstack([rng.normal(scale=1.5, size=(6, n_arms + 2)), rng.random((6, 12))])
-        batch = _embed_rows(cfg, commands)
+        batch = embed_rows(cfg, commands)
         for row, vec in zip(commands, batch):
             single = embed_robot_state(RobotCommand.from_vector(cfg, row), cfg)
             assert unified_space.encode_state(single).tobytes() == vec.tobytes()

@@ -17,6 +17,7 @@ from crossemb.dataset import (
 )
 from crossemb.errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss
 from crossemb.policy import (
+    LAMBDA_EEF,
     PolicyConfig,
     assemble_batch,
     backward,
@@ -79,16 +80,14 @@ def all_pairs(pairs):
 UNIT_STATS = NormalizationStats(np.zeros(54), np.ones(54), 1e-6)
 
 
-def small_model(K=2, F=3, hidden=(6,), seed=0, delta=0.0, lam=2.0, lr=1e-2):
+def small_model(K=2, F=3, hidden=(6,), seed=0, lr=1e-2):
     cfg = PolicyConfig(
         feature_dim=F,
         chunk_length=K,
         hidden_layers=hidden,
-        lambda_eef=lam,
         learning_rate=lr,
         batch_size=4,
         seed=seed,
-        smoothing_delta=delta,
     )
     return init_model(cfg, UNIT_STATS, UNIT_STATS)
 
@@ -141,7 +140,7 @@ def test_config_rejects_empty_batch_and_layers():
 
 def test_loss_zero_for_equal():
     pred = np.ones((3, 54))
-    total, base, eef = loss(pred, pred, 2.0)
+    total, base, eef = loss(pred, pred)
     assert total == base == eef == 0.0
 
 
@@ -150,7 +149,7 @@ def test_loss_single_residual_frozen_value():
     pred = np.zeros((K, 54))
     target = np.zeros((K, 54))
     pred[0, 18] = 0.1  # left wrist x
-    total, base, eef = loss(pred, target, 2.0)
+    total, base, eef = loss(pred, target)
     assert abs(base - 0.1 / 54) <= 1e-15
     assert abs(eef - 0.1 / 6) <= 1e-15
     assert abs(total - (0.1 / 54 + 2 * 0.1 / 6)) <= 1e-15
@@ -163,9 +162,8 @@ def test_loss_matches_oracle_random():
         K = int(rng.integers(1, 6))
         pred = rng.normal(size=(K, 54))
         target = rng.normal(size=(K, 54))
-        lam = float(rng.random() * 4)
-        got = loss(pred, target, lam)
-        want = eq1_loss_oracle(pred, target, lam)
+        got = loss(pred, target)
+        want = eq1_loss_oracle(pred, target, LAMBDA_EEF)
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12
 
@@ -174,15 +172,14 @@ def test_loss_decomposition_and_lambda_scaling():
     rng = np.random.default_rng(2)
     pred = rng.normal(size=(4, 54))
     target = rng.normal(size=(4, 54))
-    total, base, eef = loss(pred, target, 2.0)
-    assert abs(total - base - 2.0 * eef) <= 1e-12
-    total4, _, _ = loss(pred, target, 4.0)
-    assert total4 > total  # nonzero EEF residual
+    total, base, eef = loss(pred, target)
+    assert abs(total - base - LAMBDA_EEF * eef) <= 1e-12
+    assert total > base  # nonzero EEF residual
 
 
 def test_loss_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        loss(np.zeros((2, 54)), np.zeros((3, 54)), 2.0)
+        loss(np.zeros((2, 54)), np.zeros((3, 54)))
 
 
 def test_mixed_batch_matches_per_row_oracle():
@@ -245,20 +242,21 @@ def batch_loss(model, x, target):
 
 
 def test_zero_residual_zero_gradients_with_smoothing():
-    model = small_model(delta=1e-2)
+    """The L1 loss is exact (no smoothing): zero residuals give a zero
+    loss, and sign(0) = 0 gives zero gradients."""
+    model = small_model()
     rng = np.random.default_rng(3)
     model.weights[-1][:] = 0.0
     x = rng.normal(size=(4, 57))
     target = np.zeros((4, 2, 54))
     total, base, eef, gw, gb = backward(model, x, target)
-    assert total == pytest.approx(model.config.smoothing_delta / 2 * 3, abs=1e-9)
-    # residuals are exactly zero at the quadratic floor: gradient vanishes
+    assert total == base == eef == 0.0
     for g in (*gw, *gb):
         np.testing.assert_array_equal(g, 0.0)
 
 
 def test_single_parameter_sign():
-    model = small_model(K=1, hidden=(4,), delta=0.0)
+    model = small_model(K=1, hidden=(4,))
     rng = np.random.default_rng(4)
     for W in model.weights:
         W[:] = rng.normal(scale=0.3, size=W.shape)
@@ -280,13 +278,13 @@ def test_single_parameter_sign():
 
 
 def test_gradients_match_central_differences():
-    model = small_model(K=2, F=3, hidden=(5,), seed=5, delta=1e-3)
+    model = small_model(K=2, F=3, hidden=(5,), seed=5)
     rng = np.random.default_rng(5)
     for W, b in zip(model.weights, model.biases):
         W[:] = rng.normal(scale=0.4, size=W.shape)
         b[:] = rng.normal(scale=0.1, size=b.shape)
     x = rng.normal(size=(3, 57))
-    # keep residuals away from the Huber kink at |r| = delta
+    # keep residuals away from the L1 kink at r = 0
     target = rng.normal(size=(3, 2, 54)) + 0.5
     _, _, _, gw, gb = backward(model, x, target)
     analytic = np.concatenate([g.ravel() for g in (*gw, *gb)])
@@ -484,7 +482,9 @@ def _config_edit(key, value):
 # Headers of a model shape other than the one this code runs.
 OTHER_SHAPE_HEADERS = {"head_excluded": _config_edit("action_includes_head", False),
                        "proprio_dim_40": _config_edit("proprio_dim", 40),
-                       "grad_clip_0": _config_edit("grad_clip", 0.0)}
+                       "grad_clip_0": _config_edit("grad_clip", 0.0),
+                       "lambda_eef_1": _config_edit("lambda_eef", 1.0),
+                       "smoothing_delta_0.05": _config_edit("smoothing_delta", 0.05)}
 
 
 def trained_checkpoint(tmp_path):
@@ -562,7 +562,6 @@ def two_tag_pairs(K=3, F=4, joint_space_robot=False):
 
 PINNED_TRAIN_DIGESTS = {
     "shared": "686d3108708c853e6a0ebfd67d903a96d3055ea39f932d9c87e0ac8119d20f31",
-    "smoothed": "10b9b789102cf9890708b95b2efecb3e726dbff19418075860bc372348644d61",
     "joint_space_obs": "46eac958f4249b78c59aa8bd7f00a217f9965030a5d77d052ef82c923d86d8aa",
 }
 
@@ -579,10 +578,8 @@ def test_train_outputs_pinned(case):
     else:
         state_stats = stats_from_episodes(episodes, kind="state")
         action_stats = stats_from_episodes(episodes, kind="action")
-    cfg = PolicyConfig(
-        feature_dim=4, chunk_length=3, hidden_layers=(12, 8), learning_rate=0.05,
-        batch_size=8, seed=3, smoothing_delta=0.05 if case == "smoothed" else 0.0,
-    )
+    cfg = PolicyConfig(feature_dim=4, chunk_length=3, hidden_layers=(12, 8), learning_rate=0.05,
+                       batch_size=8, seed=3)
     model = init_model(cfg, state_stats, action_stats)
     sampler = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=5)
     model, report = train(model, sampler.stream(), steps=60, report_every=7)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossemb import geometry, retiming, unified_space
+from crossemb import geometry, unified_space
 from crossemb.dataset import BODY_MOTION_THRESHOLD_M
 from crossemb.errors import DegenerateTrajectory, EmptyStream
 from crossemb.retiming import (
@@ -47,6 +47,12 @@ def test_slowdown_factor_validation():
         with pytest.raises(ValueError):
             retime(traj, alpha, 30.0)
     assert len(retime(traj, 4.0, 30.0)) == 37
+
+
+@pytest.mark.parametrize("out_rate", [0.0, -30.0, float("nan"), float("inf")])
+def test_output_rate_validation(out_rate):
+    with pytest.raises(ValueError, match="out_rate"):
+        retime(make_fixture_trajectory(n=10, rate=30.0), 4.0, out_rate)
 
 
 def test_retime_fixture_frame_count_and_endpoints():
