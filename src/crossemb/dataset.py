@@ -15,10 +15,10 @@ Training pairs are ACT-style chunks: state `obs[s]`, feature
 `features[s]` and actions `frames[s+1 : s+1+K]`, with s = `starts[row]`.
 One `PairSet` per tag holds its episodes concatenated into `frames`,
 `obs` (both (M, 54)) and `features` (M, F), plus `starts` (N,) and the
-"<episode>#<start>" `ids`; chunks never cross episodes. Training maps each
-set once to `PairSet.normalized` (`policy.assemble_batch` keeps the
-normalized forms) and batches only gather (`PairSet.take`).
-`MixedSampler.stream()` yields `(pair_set, row)`, scheduled with plain list arithmetic.
+"<episode>#<start>" `ids`; chunks never cross episodes. Training stacks
+each set once, normalized, into a `policy.BatchTable` and gathers batches
+from it. `MixedSampler.stream()` yields `(pair_set, row)`, scheduled with
+plain list arithmetic.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -60,8 +60,6 @@ DEFAULT_ALPHA = 4.0
 DEFAULT_OUT_RATE = 30.0
 # Human captures whose head strays farther (m) from its first position are rejected.
 BODY_MOTION_THRESHOLD_M = 0.15
-# Drop of the canonical frame's origin below the first head position, meters.
-TORSO_OFFSET_M = 0.60
 
 
 @dataclass(frozen=True)
@@ -213,11 +211,12 @@ def load_raw_capture(path: str | Path) -> RawCapture:
     )
 
 
-def canonical_frame(head_pose: Pose) -> Pose:
+def canonical_frame(head_pose: Pose, drop: float) -> Pose:
     """Gravity-aligned frame anchored at the episode's first head pose.
 
     x-axis: the head's forward (+x) direction projected to horizontal;
-    origin: the head position dropped by `TORSO_OFFSET_M` along world z.
+    origin: the head position dropped by `drop` meters along world z
+    (an embodiment's `canonical_frame_offset`).
     """
     fwd = head_pose.rotation[:, 0].copy()
     fwd[2] = 0.0
@@ -230,7 +229,7 @@ def canonical_frame(head_pose: Pose) -> Pose:
     z = np.array([0.0, 0.0, 1.0])
     y = np.cross(z, fwd)
     R = np.stack([fwd, y, z], axis=1)
-    origin = head_pose.translation - np.array([0.0, 0.0, TORSO_OFFSET_M])
+    origin = head_pose.translation - np.array([0.0, 0.0, drop])
     return Pose(R, origin)
 
 
@@ -294,12 +293,13 @@ _HUMAN_POSES = (
 )
 
 
-def _ingest_human(raw: RawCapture, options: IngestOptions) -> DemonstrationEpisode:
+def _ingest_human(raw: RawCapture, drop: float, options: IngestOptions) -> DemonstrationEpisode:
     U = unified_space
     first, times, docs, feats, dropped = _synced_frames(
         raw, (*(key for key, _ in _HUMAN_POSES), "fingertips"), options
     )
-    base_inv = canonical_frame(_pose_from_record(first, first["_line"], "head_pose")).inverse()
+    head = _pose_from_record(first, first["_line"], "head_pose")
+    base_inv = canonical_frame(head, drop).inverse()
     states = np.empty((len(docs), U.STATE_DIM))
     positions = np.empty((len(docs), len(_HUMAN_POSES), 3))  # head, left, right
     for k, doc in enumerate(docs):
@@ -394,15 +394,17 @@ def ingest(
 ) -> DemonstrationEpisode:
     """Convert a raw capture into a processed episode.
 
-    Human captures are re-expressed in the canonical base frame, stream
-    synchronized, checked for body motion, and retimed; robot captures
-    are embedded as one batch and never retimed.
+    Human captures are re-expressed in the canonical base frame, its
+    origin `config.canonical_frame_offset` below the first head position
+    (the field's default without a config), stream synchronized, checked
+    for body motion, and retimed; robot captures are embedded as one
+    batch and never retimed.
     """
     if raw.kind == "robot":
         if config is None:
             raise ValueError("robot captures require an EmbodimentConfig")
         return _ingest_robot(raw, config, options)
-    return _ingest_human(raw, options)
+    return _ingest_human(raw, (config or EmbodimentConfig).canonical_frame_offset, options)
 
 
 # --------------------------------------------------------------------------
@@ -549,14 +551,6 @@ class PairSet:
         chunk_rows = at[:, None] + np.arange(1, self.chunk_length + 1)
         return self.obs[at], self.features[at], self.frames[chunk_rows]
 
-    def normalized(
-        self, state_stats: NormalizationStats, action_stats: NormalizationStats
-    ) -> PairSet:
-        """This set with `obs` in state-normalized and `frames` in
-        action-normalized units."""
-        return replace(self, obs=unified_space.normalize(self.obs, state_stats),
-                       frames=unified_space.normalize(self.frames, action_stats))
-
 
 def extract_pairs(
     episodes: Sequence[DemonstrationEpisode], chunk_length: int, stride: int = 1
@@ -617,10 +611,14 @@ class MixedSampler:
         self.seed = seed
 
     def stream(self) -> Iterator[tuple[PairSet, int]]:
-        """Infinite deterministic stream of (pair_set, row) references."""
+        """Infinite deterministic stream of (pair_set, row) references. Tag i
+        draws its rows from a permutation of its set, drawn anew each epoch by
+        a PCG64 seeded with child i of `SeedSequence(seed)`; the tag's count
+        of emitted items is its cursor."""
         sets, shares = self._sets, self._shares
-        seeds = [np.random.SeedSequence(self.seed, spawn_key=(i,)) for i in range(len(sets))]
-        rows = [_epoch_rows(seed, len(pairs)) for seed, pairs in zip(seeds, sets)]
+        sizes = [len(pairs) for pairs in sets]
+        rngs = list(map(np.random.default_rng, np.random.SeedSequence(self.seed).spawn(len(sets))))
+        perms: list[list[int]] = [[] for _ in sets]
         emitted = [0] * len(sets)
         step = 0
         while True:
@@ -631,15 +629,11 @@ class MixedSampler:
                 deficit = shares[other] * step - emitted[other]
                 if deficit > top:
                     tag, top = other, deficit
+            k = emitted[tag] % sizes[tag]
+            if k == 0:
+                perms[tag] = rngs[tag].permutation(sizes[tag]).tolist()
             emitted[tag] += 1
-            yield sets[tag], next(rows[tag])
-
-
-def _epoch_rows(seed: np.random.SeedSequence, n: int) -> Iterator[int]:
-    """Rows 0..n-1, in a fresh seeded permutation each epoch."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    while True:
-        yield from rng.permutation(n).tolist()
+            yield sets[tag], perms[tag][k]
 
 
 def pair_stream_digest(sampler: MixedSampler, n: int = 10_000) -> str:

@@ -205,7 +205,8 @@ def config_from_json_dict(doc: dict) -> EmbodimentConfig:
         right_arm=_chain_from_json(doc["right_arm"]),
         neck=_chain_from_json(doc["neck"]),
         hand_model=hand,
-        canonical_frame_offset=float(doc.get("canonical_frame_offset_m", 0.60)),
+        canonical_frame_offset=float(
+            doc.get("canonical_frame_offset_m", EmbodimentConfig.canonical_frame_offset)),
     )
 
 

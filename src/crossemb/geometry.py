@@ -163,15 +163,6 @@ def quat_from_matrix(R: np.ndarray) -> np.ndarray:
     return quat_normalize(np.moveaxis(q, 0, -1))
 
 
-def quat_rotation_angle(q0: np.ndarray, q1: np.ndarray) -> float:
-    """Rotation angle (radians, in [0, pi]) carrying q0 onto q1."""
-    q0, q1 = np.asarray(q0, dtype=float), np.asarray(q1, dtype=float)
-    # conj(q0) q1 has scalar part q0 . q1 and vector part w0 v1 - w1 v0 - v0 x v1
-    v = q0[0] * q1[1:] - q1[0] * q0[1:] - cross(q0[1:], q1[1:])
-    # atan2 form stays accurate for tiny angles where acos loses digits
-    return 2.0 * np.arctan2(np.linalg.norm(v), abs(q0 @ q1))
-
-
 def slerp(q0: np.ndarray, q1: np.ndarray, t) -> np.ndarray:
     """Shortest-arc spherical interpolation; angle from q0 is linear in t.
 

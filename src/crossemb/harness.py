@@ -149,19 +149,6 @@ class PolicyAgent:
         return self.model.config.chunk_length
 
 
-class OracleReplayAgent:
-    """Replays a reference trajectory; isolates pipeline error from policy error."""
-
-    def __init__(self, reference_states: np.ndarray, chunk_length: int):
-        self.reference = np.asarray(reference_states, dtype=float)
-        self.chunk_length = chunk_length
-
-    def predict(self, state: np.ndarray, feature: np.ndarray, step: int) -> np.ndarray:
-        n = self.reference.shape[0]
-        idx = np.minimum(np.arange(step + 1, step + 1 + self.chunk_length), n - 1)
-        return self.reference[idx]
-
-
 def rollouts(
     agent,
     config: EmbodimentConfig,
@@ -420,10 +407,11 @@ def embodiment_probe_accuracy(
     rng = np.random.Generator(np.random.PCG64(seed))
     feats, labels = [], []
     n = min(256, *(len(pairs_by_tag[t]) for t in tags))
+    table = policy_mod.BatchTable()
     for label, tag in enumerate(tags):
         pair_set = pairs_by_tag[tag]
         idx = rng.permutation(len(pair_set))[:n]
-        x, _ = policy_mod.assemble_batch(model, [(pair_set, i) for i in idx], {})
+        x, _ = policy_mod.assemble_batch(model, [(pair_set, i) for i in idx], table)
         feats.append(policy_mod.penultimate_activations(model, x))
         labels.append(np.full(n, label))
     X = np.concatenate(feats)

@@ -16,6 +16,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -112,8 +113,10 @@ def _forward_cached(model: PolicyModel, x: np.ndarray):
     h = x
     last = len(model.weights) - 1
     for i, (W, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ W + b
-        h = z if i == last else np.tanh(z)
+        h = h @ W
+        h += b
+        if i < last:
+            np.tanh(h, out=h)
         acts.append(h)
     return acts, h
 
@@ -133,11 +136,12 @@ def forward(model: PolicyModel, state: np.ndarray, feature: np.ndarray) -> np.nd
 
 def _loss_terms(a: np.ndarray):
     """(total, base, eef) from the residual magnitudes `a` (K, 54) or (B, K, 54).
-    Each mean runs over a (B, entries) copy in Fortran order: the layout of
-    a boolean-mask gather, which fixes numpy's summation order."""
+    Each mean is a sum over a (B, entries) copy in Fortran order, the layout
+    of a boolean-mask gather that fixes numpy's summation order, divided by
+    its size: the bits of `.mean()` on that copy."""
     rows = a.shape[:-2] + (-1,)
-    base = float(np.asfortranarray(a.reshape(rows)).mean())
-    eef = float(np.asfortranarray(a[..., EEF].reshape(rows)).mean())
+    copies = np.asfortranarray(a.reshape(rows)), np.asfortranarray(a[..., EEF].reshape(rows))
+    base, eef = (float(np.add.reduce(c, axis=None) / c.size) for c in copies)
     return base + LAMBDA_EEF * eef, base, eef
 
 
@@ -159,26 +163,42 @@ class TrainReport:
     grad_norm: list[float] = field(default_factory=list)
 
 
-def assemble_batch(model: PolicyModel, refs: Sequence[tuple[PairSet, int]],
-                   normalized: dict[PairSet, PairSet]):
+@dataclass(eq=False)
+class BatchTable:
+    """Pair sets normalized once under one model's statistics and stacked,
+    so that a batch is one index array. `rows[pair_set][row]` is the
+    table row of a set's pair (IndexError past the set's end): its row of
+    `inputs` (normalized `[obs | features]`) and of `starts` (its state's
+    row in `frames`, the stacked normalized frames its chunk follows)."""
+
+    rows: dict[PairSet, range] = field(default_factory=dict)
+    inputs: np.ndarray | None = None  # (N, 54 + F)
+    frames: np.ndarray | None = None  # (M, 54)
+    starts: np.ndarray | None = None  # (N,)
+
+    def add(self, pair_set: PairSet, model: PolicyModel) -> None:
+        at = pair_set.starts
+        inputs = np.concatenate([unified_space.normalize(pair_set.obs[at], model.state_stats),
+                                 pair_set.features[at]], axis=1)
+        frames = unified_space.normalize(pair_set.frames, model.action_stats)
+        if self.rows:
+            at = np.concatenate([self.starts, at + len(self.frames)])
+            inputs = np.concatenate([self.inputs, inputs])
+            frames = np.concatenate([self.frames, frames])
+        self.rows[pair_set] = range(len(inputs) - len(pair_set), len(inputs))
+        self.inputs, self.frames, self.starts = inputs, frames, at
+
+
+def assemble_batch(model: PolicyModel, refs: Sequence[tuple[PairSet, int]], table: BatchTable):
     """Gather `(pair_set, row)` references into normalized (x, target) arrays,
-    rows in the order of `refs`. `normalized` maps each set to its
-    `PairSet.normalized` form under the model's stats and gains the sets it
-    lacks, so a dict kept across batches normalizes each set once."""
-    cfg = model.config
-    owners, rows = zip(*refs)
-    rows = np.array(rows)
-    x = np.empty((len(rows), STATE_DIM + cfg.feature_dim))
-    target = np.empty((len(rows), cfg.chunk_length, STATE_DIM))
-    for pair_set in dict.fromkeys(owners):
-        if pair_set not in normalized:
-            normalized[pair_set] = pair_set.normalized(model.state_stats, model.action_stats)
-        slots = [i for i, owner in enumerate(owners) if owner is pair_set]
-        states, feats, chunks = normalized[pair_set].take(rows[slots])
-        x[slots, :STATE_DIM] = states
-        x[slots, STATE_DIM:] = feats
-        target[slots] = chunks
-    return x, target
+    rows in the order of `refs`, by one `take` from `table`'s inputs and one
+    from its frames. The table first stacks each set it lacks, normalized
+    under the model's stats; a table kept across batches does so once."""
+    for pair_set in dict.fromkeys(s for s, _ in refs if s not in table.rows):
+        table.add(pair_set, model)
+    idx = [table.rows[pair_set][row] for pair_set, row in refs]
+    chunk_rows = table.starts[idx][:, None] + np.arange(1, model.config.chunk_length + 1)
+    return table.inputs.take(idx, axis=0), table.frames.take(chunk_rows, axis=0)
 
 
 def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
@@ -186,30 +206,32 @@ def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
 
     x: (B, in_dim), target: (B, K, 54) in normalized space.
     Returns (total, base, eef, grad_weights, grad_biases).
+    The loss gradient is `sign(residual) * w`, `w` the row of 1/n with
+    LAMBDA_EEF/n_eef added on `EEF`: the sign is -1, 0 or +1 and rounding
+    is symmetric, so each entry has the bits of the per-term sum
+    `g/n + LAMBDA_EEF*g/n_eef`. `+= 0.0` turns -0.0 into +0.0.
     """
     cfg = model.config
     B = x.shape[0]
     acts, out = _forward_cached(model, x)
-    pred = out.reshape(B, cfg.chunk_length, STATE_DIM)
-    residual = pred - target
-    a, g = np.abs(residual), np.sign(residual)
-    total, base, eef = _loss_terms(a)
+    residual = out.reshape(B, cfg.chunk_length, STATE_DIM) - target
+    total, base, eef = _loss_terms(np.abs(residual))
     if not math.isfinite(total):
         raise NonFiniteLoss(f"loss is {total}")
-    # 0.0 + turns a -0.0 gradient entry into +0.0.
-    dpred = 0.0 + g / a.size
-    dpred[..., EEF] += LAMBDA_EEF * g[..., EEF] / a[..., EEF].size
+    w = np.full(STATE_DIM, 1.0 / residual.size)
+    w[EEF] += LAMBDA_EEF / residual[..., EEF].size
+    dpred = np.sign(residual)
+    dpred *= w
+    dpred += 0.0
     delta = dpred.reshape(B, -1)
 
-    grad_w = [np.empty_like(W) for W in model.weights]
-    grad_b = [np.empty_like(b) for b in model.biases]
+    grad_w, grad_b = [], []
     for i in range(len(model.weights) - 1, -1, -1):
-        h_in = acts[i]
-        grad_w[i] = h_in.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        grad_w.append(acts[i].T @ delta)
+        grad_b.append(delta.sum(axis=0))
         if i > 0:
             delta = (delta @ model.weights[i].T) * (1.0 - acts[i] ** 2)
-    return total, base, eef, grad_w, grad_b
+    return total, base, eef, grad_w[::-1], grad_b[::-1]
 
 
 def _global_norm(grads_w, grads_b) -> float:
@@ -223,22 +245,26 @@ def train(
     report_every: int = 50,
 ) -> tuple[PolicyModel, TrainReport]:
     """Plain SGD with global gradient-norm clipping; deterministic. Each
-    step draws `batch_size` `(pair_set, row)` items from `pair_stream` and
-    gathers them from each set's normalized form, made once per set by
-    `assemble_batch`."""
+    step takes the next `batch_size` `(pair_set, row)` items of
+    `pair_stream`, gathers them through `assemble_batch` from one
+    `BatchTable` kept for the run, and updates the parameters in place.
+    ValueError if `report_every` < 1 or the stream ends before a full batch."""
+    if report_every < 1:
+        raise ValueError(f"report_every must be >= 1, got {report_every}")
     cfg = model.config
     report = TrainReport()
-    normalized: dict[PairSet, PairSet] = {}
+    table = BatchTable()
     for step in range(1, steps + 1):
-        refs = [next(pair_stream) for _ in range(cfg.batch_size)]
-        x, target = assemble_batch(model, refs, normalized)
+        refs = list(islice(pair_stream, cfg.batch_size))
+        if len(refs) < cfg.batch_size:
+            raise ValueError(f"pair stream ran out in step {step} ({len(refs)} items)")
+        x, target = assemble_batch(model, refs, table)
         total, base, eef, grad_w, grad_b = backward(model, x, target)
         norm = _global_norm(grad_w, grad_b)
-        scale = GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0
-        lr = cfg.learning_rate * scale
-        for i in range(len(model.weights)):
-            model.weights[i] -= lr * grad_w[i]
-            model.biases[i] -= lr * grad_b[i]
+        lr = cfg.learning_rate * (GRAD_CLIP / norm if norm > GRAD_CLIP else 1.0)
+        for param, grad in zip((*model.weights, *model.biases), (*grad_w, *grad_b)):
+            grad *= lr
+            param -= grad
         model.steps_completed += 1
         if step % report_every == 0 or step == steps:
             report.steps.append(model.steps_completed)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from crossemb import dataset as ds
 from crossemb import geometry, unified_space
 from crossemb.dataset import (
-    TORSO_OFFSET_M,
     DemonstrationEpisode,
     IngestOptions,
     MixedSampler,
@@ -145,18 +145,14 @@ def test_ingest_human_canonical_frame(tmp_path):
     raw = load_raw_capture(write_human_raw(tmp_path, n=10))
     options = IngestOptions(alpha=4.0, out_rate=30.0, feature_dim=4)
     ep = ingest(raw, options=options)
-    # First head pose maps to (0, 0, TORSO_OFFSET_M); wrists land relative to it.
+    # First head pose maps to (0, 0, 0.60), the default drop; wrists land relative to it.
     state = unified_space.decode_state(ep.states[0])
     np.testing.assert_allclose(state.left_wrist_pos, [0.2, 0.2, 0.1], atol=1e-9)
 
 
-def test_ingest_human_conversion_matches_oracle(tmp_path):
-    """Canonical-frame re-expression equals an independent reimplementation."""
-    raw_dir = write_human_raw(tmp_path, n=100)
-    raw = load_raw_capture(raw_dir)
-    options = IngestOptions(alpha=4.0, out_rate=30.0, feature_dim=4)
-    ep = ingest(raw, options=options)
-
+def canonical_wrist_oracle(raw_dir, drop):
+    """The first frame's left wrist in the canonical frame, reimplemented:
+    origin `drop` m below the first head position, x the head's heading."""
     lines = [json.loads(l) for l in (raw_dir / "frames.jsonl").read_text().splitlines()]
     h0 = lines[0]["head_pose"]
     R0 = geometry.quat_to_matrix(np.array(h0["rotation_quaternion"]))
@@ -165,12 +161,38 @@ def test_ingest_human_conversion_matches_oracle(tmp_path):
     fwd /= np.linalg.norm(fwd)
     z = np.array([0.0, 0.0, 1.0])
     Rc = np.stack([fwd, np.cross(z, fwd), z], axis=1)
-    oc = np.array(h0["translation"]) - np.array([0, 0, TORSO_OFFSET_M])
-    # frame 0 of the episode equals the re-expressed first raw frame exactly
+    oc = np.array(h0["translation"]) - np.array([0, 0, drop])
     lw = np.array(lines[0]["left_wrist_pose"]["translation"])
-    expected = Rc.T @ (lw - oc)
+    return Rc.T @ (lw - oc)
+
+
+def test_ingest_human_conversion_matches_oracle(tmp_path):
+    """Canonical-frame re-expression equals an independent reimplementation;
+    without a config the origin drops 0.60 m below the first head position."""
+    raw_dir = write_human_raw(tmp_path, n=100)
+    options = IngestOptions(alpha=4.0, out_rate=30.0, feature_dim=4)
+    ep = ingest(load_raw_capture(raw_dir), options=options)
+    # frame 0 of the episode equals the re-expressed first raw frame exactly
     state = unified_space.decode_state(ep.states[0])
-    np.testing.assert_allclose(state.left_wrist_pos, expected, atol=1e-9)
+    np.testing.assert_allclose(state.left_wrist_pos, canonical_wrist_oracle(raw_dir, 0.60),
+                               atol=1e-9)
+
+
+def test_ingest_human_drop_follows_config(tmp_path):
+    """Ingest under a config places the canonical origin its
+    `canonical_frame_offset` below the first head position."""
+    raw_dir = write_human_raw(tmp_path, n=100)
+    config = replace(humanoid_a_config(), canonical_frame_offset=0.5)
+    ep = ingest(load_raw_capture(raw_dir), config=config,
+                options=IngestOptions(alpha=4.0, out_rate=30.0, feature_dim=4))
+    state = unified_space.decode_state(ep.states[0])
+    np.testing.assert_allclose(state.left_wrist_pos, canonical_wrist_oracle(raw_dir, 0.5),
+                               atol=1e-9)
+    default = ingest(load_raw_capture(raw_dir), options=IngestOptions(feature_dim=4))
+    # A 0.1 m shorter drop raises the origin, so the wrist sits 0.1 m lower.
+    np.testing.assert_allclose(state.left_wrist_pos[2] + 0.1,
+                               unified_space.decode_state(default.states[0]).left_wrist_pos[2],
+                               atol=1e-9)
 
 
 def test_ingest_rejects_body_motion(tmp_path):

@@ -28,7 +28,6 @@ from crossemb.harness import (
     COTRAINING_REPORT_SCHEMA,
     EXPERIMENT_POLICY,
     ExperimentSettings,
-    OracleReplayAgent,
     PolicyAgent,
     RolloutResult,
     _draw_demos,
@@ -53,6 +52,19 @@ from crossemb.tasks import (
 
 CFG = humanoid_b_config()
 FAST = ExperimentSettings(train_steps=300, max_steps=30)
+
+
+class OracleReplayAgent:
+    """Replays a reference trajectory; isolates pipeline error from policy error."""
+
+    def __init__(self, reference_states: np.ndarray, chunk_length: int):
+        self.reference = np.asarray(reference_states, dtype=float)
+        self.chunk_length = chunk_length
+
+    def predict(self, state: np.ndarray, feature: np.ndarray, step: int) -> np.ndarray:
+        n = self.reference.shape[0]
+        idx = np.minimum(np.arange(step + 1, step + 1 + self.chunk_length), n - 1)
+        return self.reference[idx]
 
 
 @pytest.fixture(scope="module")

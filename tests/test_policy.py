@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from crossemb import unified_space
+from crossemb import policy, unified_space
 from crossemb.dataset import (
     DemonstrationEpisode,
     MixedSampler,
@@ -19,6 +19,7 @@ from crossemb.errors import CorruptCheckpoint, DimensionMismatch, NonFiniteLoss
 from crossemb.policy import (
     LAMBDA_EEF,
     PolicyConfig,
+    BatchTable,
     assemble_batch,
     backward,
     forward,
@@ -205,7 +206,7 @@ def test_mixed_batch_matches_per_row_oracle():
     stream = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=4).stream()
     refs = [next(stream) for _ in range(24)]
     assert {pair_set.tag for pair_set, _ in refs} == {"human", "robot"}
-    x, target = assemble_batch(model, refs, {})
+    x, target = assemble_batch(model, refs, BatchTable())
 
     by_id = {ep.id: ep for ep in episodes}
     s_stats, a_stats = model.state_stats, model.action_stats
@@ -311,6 +312,82 @@ def test_nonfinite_loss_raises():
     x = np.full((2, 57), np.nan)
     with pytest.raises(NonFiniteLoss):
         backward(model, x, np.zeros((2, 2, 54)))
+
+
+def reference_forward(model, x):
+    """The activations and output of the layer loop `z = h @ W + b`,
+    `h = tanh(z)` except at the output layer."""
+    acts, h = [x], x
+    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ W + b
+        h = z if i == len(model.weights) - 1 else np.tanh(z)
+        acts.append(h)
+    return acts, h
+
+
+def reference_backward(model, acts, out, target):
+    """The loss and gradients by the per-term formula: the loss gradient is
+    `0.0 + g / n` with `LAMBDA_EEF * g / n_eef` added on the wrist columns,
+    `g = sign(residual)`, each mean a `.mean()` of a Fortran-order copy."""
+    B = out.shape[0]
+    residual = out.reshape(B, model.config.chunk_length, 54) - target
+    a, g = np.abs(residual), np.sign(residual)
+    rows = (B, -1)
+    base = float(np.asfortranarray(a.reshape(rows)).mean())
+    eef = float(np.asfortranarray(a[..., 18:24].reshape(rows)).mean())
+    dpred = 0.0 + g / a.size
+    dpred[..., 18:24] += LAMBDA_EEF * g[..., 18:24] / a[..., 18:24].size
+    delta = dpred.reshape(B, -1)
+    grad_w = [np.empty_like(W) for W in model.weights]
+    grad_b = [np.empty_like(b) for b in model.biases]
+    for i in range(len(model.weights) - 1, -1, -1):
+        grad_w[i] = acts[i].T @ delta
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model.weights[i].T) * (1.0 - acts[i] ** 2)
+    return base + LAMBDA_EEF * eef, base, eef, grad_w, grad_b
+
+
+def assert_same_bits(got, want):
+    assert got[:3] == want[:3]
+    for g, w in zip((*got[3], *got[4]), (*want[3], *want[4])):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def random_model(B, K, F, hidden, seed):
+    rng = np.random.default_rng(seed)
+    model = small_model(K=K, F=F, hidden=hidden, seed=seed)
+    for W, b in zip(model.weights, model.biases):
+        W[:] = rng.normal(scale=0.3, size=W.shape)
+        b[:] = rng.normal(scale=0.1, size=b.shape)
+    return model, rng.normal(size=(B, 54 + F)), rng.normal(size=(B, K, 54))
+
+
+@pytest.mark.parametrize("B, K, F, hidden", [(1, 1, 3, (4,)), (4, 2, 3, (6,)),
+                                             (8, 3, 5, (12, 8)), (32, 8, 12, (64, 64))])
+def test_backward_bits_match_per_term_formula(B, K, F, hidden):
+    """`backward` keeps the bits of the per-term gradient formula, with some
+    residuals exactly zero (target equal to the prediction)."""
+    model, x, target = random_model(B, K, F, hidden, seed=B + K)
+    acts, out = reference_forward(model, x)
+    pred = out.reshape(target.shape)
+    target[:, 0, ::5] = pred[:, 0, ::5]
+    target[..., 19] = pred[..., 19]  # a wrist column
+    assert_same_bits(backward(model, x, target), reference_backward(model, acts, out, target))
+
+
+def test_backward_bits_with_negative_zero_residuals(monkeypatch):
+    """A -0.0 prediction against a +0.0 target is a -0.0 residual; its
+    gradient entry is +0.0 in both forms, wrist columns included."""
+    model, x, target = random_model(4, 2, 3, (6,), seed=9)
+    acts, out = reference_forward(model, x)
+    out[:, ::7] = -0.0
+    target.reshape(4, -1)[:, ::7] = 0.0
+    residual = out.reshape(target.shape) - target
+    assert np.signbit(residual[residual == 0]).all() and (residual == 0).sum() == 4 * 16
+    assert np.signbit(residual[..., 18:24][residual[..., 18:24] == 0]).size > 0
+    monkeypatch.setattr(policy, "_forward_cached", lambda m, x: (acts, out))
+    assert_same_bits(backward(model, x, target), reference_backward(model, acts, out, target))
 
 
 # --- training ----------------------------------------------------------------
@@ -590,6 +667,81 @@ def test_train_outputs_pinned(case):
     for values in (report.total, report.base, report.eef, report.grad_norm):
         h.update(np.asarray(values, dtype=float).tobytes())
     assert h.hexdigest() == PINNED_TRAIN_DIGESTS[case]
+
+
+def spy(monkeypatch, name, calls):
+    """Replace `policy.<name>` by a wrapper appending (args, result) to `calls`."""
+    original = getattr(policy, name)
+
+    def wrapper(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(policy, name, wrapper)
+
+
+def per_set_gather(model, refs):
+    """Each reference normalized and gathered on its own from its set."""
+    s_stats, a_stats = model.state_stats, model.action_stats
+    K = model.config.chunk_length
+    x, target = [], []
+    for pair_set, row in refs:
+        at = pair_set.starts[row]
+        x.append(np.concatenate([(pair_set.obs[at] - s_stats.mean) / s_stats.std,
+                                 pair_set.features[at]]))
+        target.append((pair_set.frames[at + 1 : at + 1 + K] - a_stats.mean) / a_stats.std)
+    return np.array(x), np.array(target)
+
+
+@pytest.mark.parametrize("joint_space", [False, True])
+def test_batch_table_grows_mid_run_and_matches_per_set_gather(monkeypatch, joint_space):
+    """The robot set first appears in step 3, so the batch table stacks it
+    mid-run; every batch still equals a per-set gather, for a shared and a
+    joint-space `obs`."""
+    episodes, pairs = two_tag_pairs(joint_space_robot=joint_space)
+    cfg = PolicyConfig(feature_dim=4, chunk_length=3, hidden_layers=(6,), batch_size=5, seed=1)
+    model = init_model(cfg, stats_from_episodes(episodes, kind="state"),
+                       stats_from_episodes(episodes, kind="action"))
+    human, robot = pairs["human"], pairs["robot"]
+    refs = [(human, i) for i in range(10)]
+    refs += [(robot if i % 2 else human, (7 * i) % len(human)) for i in range(20)]
+    assert refs[11][0] is robot and all(pair_set is human for pair_set, _ in refs[:11])
+    calls = []
+    spy(monkeypatch, "assemble_batch", calls)
+    train(model, iter(refs), steps=6)
+    for step, ((_, batch, _), (x, target)) in enumerate(calls):
+        assert batch == refs[5 * step : 5 * step + 5]
+        want_x, want_target = per_set_gather(model, batch)
+        assert x.tobytes() == want_x.tobytes() and target.tobytes() == want_target.tobytes()
+    [table] = {id(args[2]): args[2] for args, _ in calls}.values()
+    assert list(table.rows) == [human, robot] and len(table.inputs) == len(human) + len(robot)
+    with pytest.raises(IndexError):  # a row past its set's end does not read the next set
+        assemble_batch(model, [(human, len(human))], table)
+
+
+def test_train_calls_layers_through_module_attributes(monkeypatch):
+    """`train` looks up `policy.assemble_batch` and `policy.backward` on the
+    module once per step, so tracers that replace them see every step."""
+    pairs = make_pairs("human", 12)
+    model = init_model(small_model(K=3, F=4).config, *make_stats(pairs))
+    assembled, backwards = [], []
+    spy(monkeypatch, "assemble_batch", assembled)
+    spy(monkeypatch, "backward", backwards)
+    train(model, build_sampler(pairs).stream(), steps=7)
+    assert len(assembled) == len(backwards) == 7
+
+
+def test_train_rejects_bad_report_every_and_short_stream():
+    pairs = make_pairs("human", 12)
+    model = init_model(small_model(K=3, F=4).config, *make_stats(pairs))
+    with pytest.raises(ValueError, match="report_every"):
+        train(model, build_sampler(pairs).stream(), steps=3, report_every=0)
+    assert model.steps_completed == 0
+    refs = list(itertools.islice(build_sampler(pairs).stream(), 2 * 4 + 3))
+    with pytest.raises(ValueError, match=r"ran out in step 3 \(3 items\)"):
+        train(model, iter(refs), steps=3)
+    assert model.steps_completed == 2
 
 
 # --- predict -----------------------------------------------------------------

@@ -11,6 +11,7 @@ from crossemb.retiming import (
     retime,
     sync_streams,
 )
+from test_geometry import quat_rotation_angle
 
 # Identity rotations, zero positions.
 IDENTITY_STATE = np.array([1.0, 0, 0, 0, 1, 0] * 3 + [0.0] * 36)
@@ -91,7 +92,7 @@ def test_retime_uniform_rotation_steps():
         q1 = geometry.quat_from_matrix(
             geometry.decode_rot6d(out.states[i + 1][unified_space.LEFT_WRIST_ROT])
         )
-        assert abs(geometry.quat_rotation_angle(q0, q1) - step) <= 1e-9
+        assert abs(quat_rotation_angle(q0, q1) - step) <= 1e-9
 
 
 def test_retime_alpha_one_reproduces_input():
