@@ -42,6 +42,8 @@ IK_FIXTURE_DIGEST = "2a9564c0dae396467b6ba963868537dddac9a6fed64a5c78a1bdb4ca11b
 # whose descents stop once they stop gaining.
 RETARGET_NEAR_DIGEST = "24129ef4dd906340c11eb2b023c81ae6333523343284d01f7d24723d0d80e007"
 RETARGET_FAR_DIGEST = "22b25a47c9ad25942bc572308d028542c137b6a445cb489a74e3b580d4f682f1"
+# fk_fixture_digest() of the FK whose chain arrays held the rows first.
+FK_FIXTURE_DIGEST = "5103cbd447a5d3ffaa96b042de9c8daea9dfb3606d9ebf2b2847fb287f708023"
 
 
 # --- oracles ---------------------------------------------------------------
@@ -629,6 +631,47 @@ def test_fk_frames_batch_rows_equal_single_calls():
                 own = _fk_frames(chain.arrays, Q[arm == k])
                 for got, want in zip(rows, own):
                     assert got[arm == k].tobytes() == want.tobytes()
+
+
+def fk_frames_rows(frames):
+    """`_fk_frames` outputs R, t, axes, origins with the rows first and,
+    for axes and origins, the joints after them: (..., n, 3)."""
+    return frames
+
+
+def fk_fixture_digest():
+    """SHA-256 over the bytes of `_fk_frames` outputs on fixed joint
+    batches, in each form of chain arrays FK receives (a chain's own
+    arrays, per-row arrays of both arms, and the per-arm arrays that
+    broadcast over rows in `embed_rows`), and of `embed_rows`, on both
+    humanoids' arms and neck. Joints lie within and beyond the limits."""
+    h = hashlib.sha256()
+
+    def update(frames):
+        for a in fk_frames_rows(frames):
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    rng = np.random.default_rng(20)
+    for cfg in (humanoid_a_config(), humanoid_b_config()):
+        for chain in (cfg.left_arm, cfg.right_arm, cfg.neck):
+            lo, hi = chain.lower_limits, chain.upper_limits
+            Q = lo - 0.2 + rng.random((7, chain.n_joints)) * (hi - lo + 0.4)
+            update(_fk_frames(chain.arrays, Q))
+            update(_fk_frames(chain.arrays, Q[:1]))
+        lo, hi = cfg.arms.stack.lo, cfg.arms.stack.hi
+        for arm in (np.array([0, 1]), np.array([1, 0, 0, 1, 1, 0, 1])):
+            Q = lo[arm] + rng.random((len(arm), lo.shape[-1])) * (hi - lo)[arm]
+            update(_fk_frames(cfg.arms.stack.take(arm), Q))
+        Q = lo[:, None] + rng.random((2, 6, lo.shape[-1])) * (hi - lo)[:, None]
+        update(_fk_frames(cfg.arms.stack.take(np.s_[:, None]), Q))
+        n_arms = cfg.left_arm.n_joints + cfg.right_arm.n_joints
+        commands = np.hstack([rng.normal(scale=1.5, size=(6, n_arms + 2)), rng.random((6, 12))])
+        h.update(embed_rows(cfg, commands).tobytes())
+    return h.hexdigest()
+
+
+def test_fk_outputs_pinned():
+    assert fk_fixture_digest() == FK_FIXTURE_DIGEST
 
 
 def ik_fixture_digest():
