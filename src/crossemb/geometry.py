@@ -191,6 +191,11 @@ _SKEW_COMPONENT = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
 _SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
 
 
+def cross_matrices(axis: np.ndarray) -> np.ndarray:
+    """[k]x of each vector k of a stack (..., 3), flattened row-major (..., 9)."""
+    return axis[..., _SKEW_COMPONENT] * _SKEW_SIGN
+
+
 def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
     """Rodrigues rotation about a unit axis: (1 - c) k k^T + s [k]x + c I.
 

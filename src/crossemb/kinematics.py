@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import geometry, unified_space
 from .errors import (
@@ -68,6 +69,8 @@ _EYE6 = np.eye(6)  # the damping term's identity
 # Initial DLS damping factor and the fraction of each solved step taken.
 _DAMPING = 0.05
 _STEP_SCALE = 0.5
+# The LAPACK gufunc behind np.linalg.solve for one right-hand side per row.
+_solve = _umath_linalg.solve1
 
 # Actuators per hand: thumb and finger closures, then thumb rotation.
 HAND_ACTUATOR_COUNT = 6
@@ -95,28 +98,51 @@ class Joint:
 
 
 class _ChainArrays(NamedTuple):
-    """A chain's geometry as FK and IK read it: one chain's own arrays, or
-    stacked with a leading axis, per arm (2, n, ...) or per row (B, n, ...)."""
+    """The geometry of the chains a batch's rows run on, as FK and IK read
+    it. Per-joint arrays are joint-major, (n, R, ...), so FK takes joint i
+    as `a[i]`; the others lead with the rows, (R, ...). R is 1 for a
+    chain's own arrays (they broadcast over any rows), K for K chains
+    stacked, or one chain per row."""
 
-    axes: np.ndarray          # (n, 3) unit joint axes, joint frame
-    origin_R: np.ndarray      # (n, 3, 3) joint origin rotations
-    offsets: np.ndarray       # (n + 1, 3) joint origin translations, then the tip's
-    base_R: np.ndarray        # (3, 3)
-    base_t: np.ndarray        # (3,)
-    tip_R: np.ndarray         # (3, 3)
-    lo: np.ndarray            # (n,) joint limits, radians
-    hi: np.ndarray            # (n,)
-    root: np.ndarray          # (3,) first joint's origin, fixed by the base frame
-    reach: np.ndarray         # () sum of |offsets[1:]|: no tip is farther from root
+    axes: np.ndarray          # (n, R, 3) unit joint axes, joint frame
+    kk: np.ndarray            # (n, R, 9) k k^T of each axis k, row-major
+    skew: np.ndarray          # (n, R, 9) [k]x of each axis k, row-major
+    origin_R: np.ndarray | None  # (n, R, 3, 3) joint origin rotations; None: all identity
+    offsets: np.ndarray       # (n + 1, R, 3) joint origin translations, then the tip's
+    base_R: np.ndarray        # (R, 3, 3)
+    base_t: np.ndarray        # (R, 3)
+    tip_R: np.ndarray | None  # (R, 3, 3); None: identity
+    lo: np.ndarray            # (R, n) joint limits, radians
+    hi: np.ndarray            # (R, n)
+    root: np.ndarray          # (R, 3) first joint's origin, fixed by the base frame
+    reach: np.ndarray         # (R,) sum of |offsets[1:]|: no tip is farther from root
 
     def take(self, index) -> "_ChainArrays":
-        """The arrays at `index` of the leading axis (an int or rows)."""
-        return _ChainArrays(*(a[index] for a in self))
+        """The arrays at `index` of the rows axis: rows, or a tuple of
+        index items such as `np.s_[:, None]`."""
+        index = index if isinstance(index, tuple) else (index,)
+        joint_major = (slice(None), *index)
+        return _ChainArrays(*(None if a is None else a[joint_major if f < 5 else index]
+                              for f, a in enumerate(self)))
+
+
+def _stack_chains(own) -> _ChainArrays:
+    """The arrays of chains `own` (each with R = 1) stacked, R = K."""
+    fields = []
+    for f, parts in enumerate(zip(*own)):
+        if any(a is None for a in parts):
+            if all(a is None for a in parts):
+                fields.append(None)
+                continue
+            shape = next(a.shape for a in parts if a is not None)
+            parts = [np.broadcast_to(np.eye(3), shape) if a is None else a for a in parts]
+        fields.append(np.concatenate(parts, axis=int(f < 5)))
+    return _ChainArrays(*fields)
 
 
 class _Chains(NamedTuple):
     """The K chains the rows of an IK batch run on: their arrays stacked
-    (K, n, ...), and each chain's own arrays, built once."""
+    (R = K), and each chain's own arrays, built once."""
 
     stack: _ChainArrays
     own: tuple[_ChainArrays, ...]
@@ -125,7 +151,12 @@ class _Chains(NamedTuple):
         """The arrays of rows on chains `arm`: that chain's own when every
         row is on one, else one chain per row."""
         k = arm[0]
-        return self.own[k] if (arm == k).all() else self.stack.take(arm)
+        if (arm == k).all():
+            return self.own[k]
+        K = len(self.own)
+        if len(arm) == K and (arm == np.arange(K)).all():  # one row per chain, in order
+            return self.stack
+        return self.stack.take(arm)
 
 
 @dataclass(frozen=True)
@@ -133,7 +164,7 @@ class KinematicChain:
     joints: tuple[Joint, ...]
     base_frame: Pose
     tip_offset: Pose
-    # The chain's geometry as arrays, built once.
+    # The chain's geometry as arrays (R = 1), built once.
     arrays: _ChainArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -142,18 +173,23 @@ class KinematicChain:
         object.__setattr__(self, "joints", tuple(self.joints))
         offsets = np.array([j.origin.translation for j in self.joints]
                            + [self.tip_offset.translation])
+        axes = np.array([j.axis for j in self.joints])
+        origin_R = np.array([j.origin.rotation for j in self.joints])[:, None]
+        tip_R = self.tip_offset.rotation[None]
         base_R, base_t = self.base_frame.rotation, self.base_frame.translation
         # root and reach: see the module docstring.
         arrays = _ChainArrays(
-            np.array([j.axis for j in self.joints]),
-            np.array([j.origin.rotation for j in self.joints]),
-            offsets, base_R, base_t, self.tip_offset.rotation,
-            np.array([j.limits[0] for j in self.joints]),
-            np.array([j.limits[1] for j in self.joints]),
-            base_t + base_R @ offsets[0], np.array(geometry.norms(offsets[1:]).sum()),
+            axes[:, None], (axes[:, :, None] * axes[:, None, :]).reshape(-1, 1, 9),
+            geometry.cross_matrices(axes)[:, None],
+            None if (origin_R == np.eye(3)).all() else origin_R, offsets[:, None],
+            base_R[None], base_t[None], None if (tip_R == np.eye(3)).all() else tip_R,
+            np.array([[j.limits[0] for j in self.joints]]),
+            np.array([[j.limits[1] for j in self.joints]]),
+            (base_t + base_R @ offsets[0])[None], geometry.norms(offsets[1:]).sum()[None],
         )
         for a in arrays:
-            a.flags.writeable = False
+            if a is not None:
+                a.flags.writeable = False
         object.__setattr__(self, "arrays", arrays)
 
     @property
@@ -162,11 +198,11 @@ class KinematicChain:
 
     @property
     def lower_limits(self) -> np.ndarray:
-        return self.arrays.lo
+        return self.arrays.lo[0]
 
     @property
     def upper_limits(self) -> np.ndarray:
-        return self.arrays.hi
+        return self.arrays.hi[0]
 
     def mid_range(self) -> np.ndarray:
         return 0.5 * (self.lower_limits + self.upper_limits)
@@ -186,38 +222,50 @@ def _check_q(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
 
 def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     """Tip poses plus per-joint world axes and origins (for the Jacobian)
-    of a (B, n) batch of joint vectors: R (B, 3, 3), t (B, 3), axes and
-    origins (B, n, 3). `chain` holds one chain's own arrays, shared by all
-    rows, or per-row arrays (B, n, ...); leading axes broadcast."""
+    of a batch of joint vectors Q (..., n): R (..., 3, 3), t (..., 3), and
+    joint-major axes and origins (n, ..., 3). The rows of `chain` (R of
+    its arrays) broadcast against Q's leading axes."""
     n = Q.shape[-1]
-    joint_R = geometry.rotation_about_axis(chain.axes, Q)
+    rows = Q.shape[:-1]
+    # Rodrigues per joint: (1 - c) k k^T + s [k]x + c I.
+    angle = Q.transpose(-1, *range(len(rows)))[..., None]
+    c, s = np.cos(angle), np.sin(angle)
+    joint_R = chain.kk * (1.0 - c) + chain.skew * s
+    joint_R[..., ::4] += c
+    joint_R = joint_R.reshape(joint_R.shape[:-1] + (3, 3))
     # Frames before each joint's origin (and the tip's) and after its origin
-    # rotation, each product written in place.
-    before = np.empty(Q.shape[:-1] + (n + 1, 3, 3))
-    after = np.empty(Q.shape + (3, 3))
-    before[..., 0, :, :] = chain.base_R
-    for i in range(n):
-        np.matmul(before[..., i, :, :], chain.origin_R[..., i, :, :], out=after[..., i, :, :])
-        np.matmul(after[..., i, :, :], joint_R[..., i, :, :], out=before[..., i + 1, :, :])
-    R = before[..., n, :, :]
+    # rotation, each product written in place. An identity rotation is
+    # skipped: BLAS products ignore the sign of zero operands and give no
+    # -0, so X @ I is X where X is a product, and (X @ I) @ Y is X @ Y.
+    before = np.empty((n + 1, *rows, 3, 3))
+    before[0] = chain.base_R
+    if chain.origin_R is None:
+        after = before[:n]
+        for i in range(n):
+            np.matmul(before[i], joint_R[i], out=before[i + 1])
+    else:
+        after = np.empty((n, *rows, 3, 3))
+        for i in range(n):
+            np.matmul(before[i], chain.origin_R[i], out=after[i])
+            np.matmul(after[i], joint_R[i], out=before[i + 1])
     # Positions sum the rotated offsets from the base one joint at a time.
-    steps = np.empty(Q.shape[:-1] + (n + 2, 3))
-    steps[..., 0, :] = chain.base_t
-    steps[..., 1:, :] = (before @ chain.offsets[..., None])[..., 0]
-    t = np.cumsum(steps, axis=-2)
-    return R @ chain.tip_R, t[..., -1, :], (after @ chain.axes[..., None])[..., 0], t[..., 1:-1, :]
+    steps = np.empty((n + 2, *rows, 3))
+    steps[0] = chain.base_t
+    steps[1:] = (before @ chain.offsets[..., None])[..., 0]
+    t = np.cumsum(steps, axis=0)
+    R = before[n] if chain.tip_R is None else before[n] @ chain.tip_R
+    return R, t[-1], (after @ chain.axes[..., None])[..., 0], t[1:-1]
 
 
 def _jacobians(t, axes, origins, w):
-    """Geometric Jacobians (B, 6, n) with the angular rows scaled by w.
+    """Geometric Jacobians (B, 6, n) with the angular rows scaled by w,
+    of tips t (B, 3) and joint-major axes and origins (n, B, 3).
 
     C-contiguous on purpose: `J @ J.T` on a transposed view takes another
     BLAS path and drifts in the last bits.
     """
-    linear = geometry.cross(axes, t[:, None, :] - origins)
-    return np.ascontiguousarray(
-        np.concatenate([linear, w * axes], axis=2).transpose(0, 2, 1)
-    )
+    linear = geometry.cross(axes, t - origins)
+    return np.ascontiguousarray(np.concatenate([linear, w * axes], axis=2).transpose(1, 2, 0))
 
 
 def forward_kinematics(chain: KinematicChain, q: np.ndarray) -> Pose:
@@ -275,7 +323,7 @@ def _pose_errors(R, t, target_R, target_t, w: float):
     return geometry.norms(e_pos), geometry.norms(e_rot), e
 
 
-def _dls_attempts(chains, arm, far, target_R, target_t, group, Q0, params):
+def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
     """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep,
     row b on the chain of index arm[b] in `chains` towards its own target
     (target_R[b], target_t[b]).
@@ -290,80 +338,127 @@ def _dls_attempts(chains, arm, far, target_R, target_t, group, Q0, params):
     chain's reach and so can never converge, also leaves once an accepted
     step lowers its weighted error by less than `pos_tol`.
 
-    `group` (B,) numbers the rows' groups 0..G-1, non-decreasing: within a
-    group rows are seeds in order of preference. A group's result is its
-    first converged row, else its first row of least pos_err + w * rot_err;
-    rows after a converged row of their group can no longer be chosen and
-    are dropped. Returns q (G, n), pos_err, rot_err and converged (G,).
+    The state is held for the live rows only. Rows that leave write their
+    result out once, and the rest are gathered once; a trial that every
+    row accepts replaces the state arrays by its own.
+
+    Rows come in groups of `size` consecutive rows, seeds in order of
+    preference. A group's result is its first converged row, else its
+    first row of least pos_err + w * rot_err; rows after a converged row
+    of their group can no longer be chosen and are dropped. Returns q
+    (G, n), pos_err, rot_err and converged (G,).
     """
     w = params.orientation_weight
     B = len(Q0)
-    every = chains.for_rows(arm)  # the arrays of all B rows
-    Q = np.minimum(np.maximum(Q0, every.lo), every.hi)
-    R, t, axes, origins = _fk_frames(every, Q)
+    chain = chains.for_rows(arm)
+    Q = np.minimum(np.maximum(Q0, chain.lo), chain.hi)
+    R, t, axes, origins = _fk_frames(chain, Q)
     pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t, w)
     err = pos_err + w * rot_err
     lam = np.full(B, _DAMPING)
-    live = np.arange(B)  # rows still descending, ascending
-    first_ok = np.full(group[-1] + 1, B)  # per group; B: none converged yet
-    stalled = np.zeros(B, dtype=bool) if far.any() else None  # far rows that stopped gaining
+    far = far if far.any() else None
+    idx = np.arange(B)  # the live rows' numbers, ascending
+    first_ok = np.full(B // size, B)  # per group; B: none converged yet
+    q_out = pos_out = rot_out = None  # every row's result, once a row left early
+    out = None  # live rows that stopped: every trial rejected, or stalled
     # One more convergence test follows the last allowed step.
     for step in range(params.max_iters + 1):
-        done = pos_err[live] <= params.pos_tol
+        done = pos_err <= params.pos_tol
         if w != 0.0:
-            done &= rot_err[live] <= params.rot_tol
+            done &= rot_err <= params.rot_tol
         if done.any():
-            np.minimum.at(first_ok, group[live[done]], live[done])
-            live = live[~done & (live < first_ok[group[live]])]
-        if step == params.max_iters or not live.size:
-            break
-        J = _jacobians(t[live], axes[live], origins[live], w)
-        grad = np.vecmat(e[live], J)
-        q = Q[live]
-        chain = every if live.size == B else chains.for_rows(arm[live])
-        pinned = ((q <= chain.lo + 1e-12) & (grad < 0)) | ((q >= chain.hi - 1e-12) & (grad > 0))
-        Jt = J * ~pinned[:, None, :]
-        rows = live  # the rows of this trial: those with no step accepted yet
-        for _trial in range(6):
-            lam_rows, err_rows = lam[rows], err[rows]
-            A = Jt @ Jt.transpose(0, 2, 1) + (lam_rows * lam_rows)[:, None, None] * _EYE6
-            x = np.linalg.solve(A, e[rows][..., None])[..., 0]
-            q_new = Q[rows] + _STEP_SCALE * np.vecmat(x, Jt)
-            q_new = np.minimum(np.maximum(q_new, chain.lo), chain.hi)
-            R2, t2, axes2, origins2 = _fk_frames(chain, q_new)
-            pos2, rot2, e2 = _pose_errors(R2, t2, target_R[rows], target_t[rows], w)
-            err2 = pos2 + w * rot2
-            acc = err2 < err_rows
-            if stalled is not None:
-                stalled[rows] |= acc & far[rows] & (err_rows - err2 < params.pos_tol)
-            if acc.all():  # every row steps: no masking
-                Q[rows], t[rows], axes[rows], origins[rows] = q_new, t2, axes2, origins2
-                e[rows] = e2
-                pos_err[rows], rot_err[rows], err[rows] = pos2, rot2, err2
-                lam[rows] = np.maximum(lam_rows * 0.5, 1e-5)
-                rows = rows[:0]
+            if size == 1:  # a row is its own group
+                first_ok[idx[done]] = idx[done]
+                gone = done
+            else:
+                np.minimum.at(first_ok, idx[done] // size, idx[done])
+                gone = idx >= first_ok[idx // size]
+            out = gone if out is None else out | gone
+        if out is not None and out.any():
+            if out.all():
                 break
-            up = rows[acc]
-            Q[up], t[up], axes[up], origins[up], e[up] = (
-                q_new[acc], t2[acc], axes2[acc], origins2[acc], e2[acc]
-            )
-            pos_err[up], rot_err[up], err[up] = pos2[acc], rot2[acc], err2[acc]
-            lam[up] = np.maximum(lam[up] * 0.5, 1e-5)
-            lam[rows[~acc]] *= 5.0
+            if q_out is None:
+                q_out, pos_out, rot_out = np.empty_like(Q0), np.empty(B), np.empty(B)
+            gone = idx[out]
+            q_out[gone], pos_out[gone], rot_out[gone] = Q[out], pos_err[out], rot_err[out]
+            keep = ~out
+            idx, arm, Q, t, e, lam = idx[keep], arm[keep], Q[keep], t[keep], e[keep], lam[keep]
+            pos_err, rot_err, err = pos_err[keep], rot_err[keep], err[keep]
+            axes, origins = axes[:, keep], origins[:, keep]
+            target_R, target_t = target_R[keep], target_t[keep]
+            far = None if far is None else far[keep]
+            chain = chains.for_rows(arm)
+        out = None
+        if step == params.max_iters:
+            break
+        J = _jacobians(t, axes, origins, w)
+        grad = np.vecmat(e, J)
+        pinned = ((Q <= chain.lo + 1e-12) & (grad < 0)) | ((Q >= chain.hi - 1e-12) & (grad > 0))
+        Jt = J * ~pinned[:, None, :]
+        stalled = None if far is None else np.zeros(len(idx), dtype=bool)
+        # The trial's rows (those with no step accepted yet) as positions in
+        # the live rows, None for all, and their part of the state.
+        rows = None
+        tc, tq, te, tlam, terr, tR, tt, tfar = chain, Q, e, lam, err, target_R, target_t, far
+        for _trial in range(6):
+            A = Jt @ Jt.transpose(0, 2, 1) + (tlam * tlam)[:, None, None] * _EYE6
+            # np.linalg.solve without its checks: A is positive definite.
+            x = _solve(A, te)
+            q_new = np.minimum(np.maximum(tq + _STEP_SCALE * np.vecmat(x, Jt), tc.lo), tc.hi)
+            R2, t2, axes2, origins2 = _fk_frames(tc, q_new)
+            pos2, rot2, e2 = _pose_errors(R2, t2, tR, tt, w)
+            err2 = pos2 + w * rot2
+            acc = err2 < terr
+            if tfar is not None:
+                stall = acc & tfar & (terr - err2 < params.pos_tol)
+            if rows is None and acc.all():  # every row steps: take the trial's state
+                Q, t, axes, origins, e = q_new, t2, axes2, origins2, e2
+                pos_err, rot_err, err = pos2, rot2, err2
+                lam = np.maximum(lam * 0.5, 1e-5)
+                if stalled is not None:
+                    stalled = stall
+                rows = idx[:0]
+                break
             if acc.any():
-                Jt = Jt[~acc]
-                rows = rows[~acc]
-                chain = chains.for_rows(arm[rows])
-        if rows.size:  # these rows had all 6 trials rejected
-            live = np.setdiff1d(live, rows, assume_unique=True)
+                up = np.flatnonzero(acc) if rows is None else rows[acc]
+                Q[up], t[up], e[up] = q_new[acc], t2[acc], e2[acc]
+                axes[:, up], origins[:, up] = axes2[:, acc], origins2[:, acc]
+                pos_err[up], rot_err[up], err[up] = pos2[acc], rot2[acc], err2[acc]
+                lam[up] = np.maximum(tlam[acc] * 0.5, 1e-5)
+                if stalled is not None:
+                    stalled[up] = stall[acc]
+                rej = ~acc
+                rows = np.flatnonzero(rej) if rows is None else rows[rej]
+                if not rows.size:
+                    break
+                Jt, tlam, terr, tq, te, tR, tt = (
+                    Jt[rej], tlam[rej], terr[rej], tq[rej], te[rej], tR[rej], tt[rej]
+                )
+                tfar = None if tfar is None else tfar[rej]
+                tc = chains.for_rows(arm[rows])
+            tlam = tlam * 5.0
+            if rows is None:
+                lam = tlam
+            else:
+                lam[rows] = tlam
+        if rows is None or rows.size:  # these rows had all 6 trials rejected
+            out = np.zeros(len(idx), dtype=bool)
+            out[np.s_[:] if rows is None else rows] = True
         if stalled is not None:
-            live = live[~stalled[live]]
+            out = stalled if out is None else out | stalled
+    if q_out is None:  # no row left before the others
+        q_out, pos_out, rot_out = Q, pos_err, rot_err
+    else:
+        q_out[idx], pos_out[idx], rot_out[idx] = Q, pos_err, rot_err
     converged = first_ok < B
-    best = first_ok.copy()
-    for g in np.flatnonzero(~converged):
-        rows = np.flatnonzero(group == g)
-        best[g] = rows[np.argmin(err[rows])]
-    return Q[best], pos_err[best], rot_err[best], converged
+    if size == 1:
+        return q_out, pos_out, rot_out, converged
+    best = first_ok
+    if not converged.all():
+        # The first row of least error of each group, for groups with none converged.
+        least = np.argmin((pos_out + w * rot_out).reshape(-1, size), axis=1)
+        best = np.where(converged, first_ok, least + np.arange(0, B, size))
+    return q_out[best], pos_out[best], rot_out[best], converged
 
 
 def _far_rows(stack: _ChainArrays, arm, target_t, pos_tol: float) -> np.ndarray:
@@ -384,22 +479,19 @@ def _ik_rows(chains, arm, target_R, target_t, Q_init, params):
     less error. Rows `_far_rows` marks stop their descents early (see
     `_dls_attempts`). Returns q (B, n), pos_err, rot_err and converged (B,).
     """
-    B = len(Q_init)
     stack = chains.stack
     far = _far_rows(stack, arm, target_t, params.pos_tol)
-    q, pos_err, rot_err, ok = _dls_attempts(chains, arm, far, target_R, target_t, np.arange(B),
-                                            Q_init, params)
-    failed = np.flatnonzero(~ok)
-    if failed.size and params.restarts > 0:
+    q, pos_err, rot_err, ok = _dls_attempts(chains, arm, far, target_R, target_t, 1, Q_init, params)
+    if params.restarts > 0 and not ok.all():
+        failed = np.flatnonzero(~ok)
         lo, hi = stack.lo[:, None], stack.hi[:, None]
         rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
         u = rng.random((params.restarts - 1, lo.shape[-1]))
         # Per chain (K, restarts, n): mid-range, then the seeded draws.
         seeds = np.concatenate([0.5 * (lo + hi), lo + u * (hi - lo)], axis=1)
-        group = np.repeat(np.arange(failed.size), params.restarts)
-        rows = failed[group]
+        rows = np.repeat(failed, params.restarts)
         rq, rpos, rrot, rok = _dls_attempts(
-            chains, arm[rows], far[rows], target_R[rows], target_t[rows], group,
+            chains, arm[rows], far[rows], target_R[rows], target_t[rows], params.restarts,
             seeds[arm[failed]].reshape(-1, lo.shape[-1]), params,
         )
         w = params.orientation_weight
@@ -429,10 +521,13 @@ def ik_solve(
     gains less than `pos_tol` (see the module docstring).
     """
     q_init = _check_q(chain, q_init)
-    if not (np.all(np.isfinite(target.rotation)) and np.all(np.isfinite(target.translation))):
-        raise NonFiniteTarget("IK target contains non-finite values")
+    finite_target = np.isfinite(target.rotation).all() and np.isfinite(target.translation).all()
+    if not (finite_target and np.isfinite(q_init).all()):
+        if not finite_target:
+            raise NonFiniteTarget("IK target contains non-finite values")
+        raise RetargetFailure("IK initial joints contain non-finite values")
     q, pos_err, rot_err, ok = _ik_rows(
-        _Chains(chain.arrays.take(np.newaxis), (chain.arrays,)), np.zeros(1, dtype=int),
+        _Chains(chain.arrays, (chain.arrays,)), np.zeros(1, dtype=int),
         target.rotation[None], target.translation[None], q_init[None], params,
     )
     return IkSolution(q[0], STATUS_CONVERGED if ok[0] else STATUS_BEST_EFFORT,
@@ -489,7 +584,7 @@ class EmbodimentConfig:
     neck: KinematicChain
     hand_model: HandModel
     canonical_frame_offset: float = 0.60  # meters, head-to-torso drop
-    # Both arms, left then right: their arrays stacked (2, n, ...) and each arm's own.
+    # Both arms, left then right: their arrays stacked (R = 2) and each arm's own.
     arms: _Chains = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -500,51 +595,69 @@ class EmbodimentConfig:
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
         own = (self.left_arm.arrays, self.right_arm.arrays)
-        stack = _ChainArrays(*map(np.stack, zip(*own)))
+        stack = _stack_chains(own)
         for a in stack:
-            a.flags.writeable = False
+            if a is not None:
+                a.flags.writeable = False
         object.__setattr__(self, "arms", _Chains(stack, own))
+
+
+_COMMAND_PARTS = ("left_arm_q", "right_arm_q", "neck_q", "left_hand", "right_hand")
 
 
 @dataclass(frozen=True)
 class RobotCommand:
-    """Joint-space command: arms, 2-DoF neck, two 6-actuator hands."""
+    """Joint-space command: arms, 2-DoF neck, two 6-actuator hands. The
+    parts are read-only views of one flat command vector (see `vector`)."""
 
     left_arm_q: np.ndarray
     right_arm_q: np.ndarray
     neck_q: np.ndarray    # (2,) yaw, pitch radians
     left_hand: np.ndarray  # (6,) in [0, 1]
     right_hand: np.ndarray # (6,) in [0, 1]
+    _vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, size in (("neck_q", 2), ("left_hand", 6), ("right_hand", 6)):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (size,):
+        parts = [np.asarray(getattr(self, name), dtype=float) for name in _COMMAND_PARTS]
+        for name, part, size in zip(_COMMAND_PARTS[2:], parts[2:], (2, 6, 6)):
+            if part.shape != (size,):
                 raise DimensionMismatch(f"{name} must have shape ({size},)")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name in ("left_arm_q", "right_arm_q"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name in ("left_hand", "right_hand"):
-            vals = getattr(self, name)
-            if ((vals < -1e-12) | (vals > 1.0 + 1e-12)).any():
-                raise ValueError(f"{name} values must lie in [0, 1]")
+        for name, part in zip(_COMMAND_PARTS[:2], parts[:2]):
+            if part.ndim != 1:
+                raise DimensionMismatch(f"{name} must be one-dimensional, got shape {part.shape}")
+        self._adopt(np.concatenate(parts), len(parts[0]), len(parts[1]))
+
+    def _adopt(self, vec: np.ndarray, n_left: int, n_right: int) -> None:
+        """Make `vec`, a fresh command vector, read-only and the parts views of it."""
+        vec.flags.writeable = False
+        a = n_left
+        b = a + n_right
+        for name, part in zip(_COMMAND_PARTS + ("_vector",),
+                              (vec[:a], vec[a:b], vec[b:b + 2], vec[b + 2:b + 8], vec[b + 8:], vec)):
+            object.__setattr__(self, name, part)
+        bad = (vec[b + 2:] < -1e-12) | (vec[b + 2:] > 1.0 + 1e-12)
+        if bad.any():
+            raise ValueError(f"{'left_hand' if bad[:6].any() else 'right_hand'} "
+                             "values must lie in [0, 1]")
 
     def vector(self) -> np.ndarray:
         """Flat command vector: left arm, right arm, neck, left hand, right hand."""
-        return np.concatenate(
-            [self.left_arm_q, self.right_arm_q, self.neck_q, self.left_hand, self.right_hand]
-        )
+        return self._vector.copy()
 
     @staticmethod
     def from_vector(config: EmbodimentConfig, vec: np.ndarray) -> "RobotCommand":
         """Inverse of `vector` for `config`'s arm sizes."""
-        return RobotCommand(*(part[0] for part in _split_commands(config, np.asarray(vec)[None])))
+        vec = np.array(vec, dtype=float)
+        n_left, n_right = config.left_arm.n_joints, config.right_arm.n_joints
+        size = n_left + n_right + 2 + 2 * HAND_ACTUATOR_COUNT
+        if vec.shape != (size,):
+            raise DimensionMismatch(f"command vector must have shape ({size},), got {vec.shape}")
+        cmd = object.__new__(RobotCommand)
+        cmd._adopt(vec, n_left, n_right)
+        return cmd
 
     def validate_limits(self, config: EmbodimentConfig) -> list[str]:
-        """Names of joints outside their configured limits."""
+        """Names of joints outside their configured limits; a NaN joint is outside."""
         bad = []
         for label, chain, q in (
             ("left_arm", config.left_arm, self.left_arm_q),
@@ -553,7 +666,7 @@ class RobotCommand:
         ):
             for joint, value in zip(chain.joints, q):
                 lo, hi = joint.limits
-                if value < lo - 1e-9 or value > hi + 1e-9:
+                if not lo - 1e-9 <= value <= hi + 1e-9:
                     bad.append(f"{label}.{joint.name}")
         return bad
 
@@ -643,21 +756,32 @@ class RetargetRows(NamedTuple):
     errors: list              # per row the CrossembError it raised, else None
 
 
-def _decode_actions(actions: np.ndarray):
+def _decode_actions(actions: np.ndarray, warm: np.ndarray):
     """Head, left wrist and right wrist rotations (B, 3, 3) each of a batch
-    of unified actions (B, 54), and per row the error retargeting raises
-    for it, else None: non-finite values, or else the first rotation code
-    (left wrist, right wrist, head) that does not decode."""
+    of unified actions (B, 54); per row the error retargeting raises for
+    it, else None; and the mask of the rows to solve, None if every row is.
+    A row fails on non-finite values in its action, else on non-finite
+    warm-start joints `warm` (B, m), else on the first rotation code (left
+    wrist, right wrist, head) that does not decode."""
     rotations, defect = geometry.decode_rot6d_rows(unified_space.rotation_codes(actions))
-    finite = np.isfinite(actions).all(axis=1)
-    defect = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
+    rotations = (rotations[:, 0], rotations[:, 1], rotations[:, 2])
     errors = [None] * len(actions)
-    for b in np.flatnonzero(~finite | defect.any(axis=1)):
+    # A finite sum means finite terms; an overflowing one is checked row by row.
+    if math.isfinite(np.add.reduce(actions, axis=None) + np.add.reduce(warm, axis=None)) \
+            and not defect.any():
+        return rotations, errors, None
+    finite = np.isfinite(actions).all(axis=1)
+    finite_warm = np.isfinite(warm).all(axis=1)
+    defect = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
+    solve = finite & finite_warm & ~defect.any(axis=1)
+    for b in np.flatnonzero(~solve):
         if not finite[b]:
             errors[b] = RetargetFailure("action contains non-finite values")
+        elif not finite_warm[b]:
+            errors[b] = RetargetFailure("warm-start arm joints contain non-finite values")
         else:
             errors[b] = DegenerateRotation6D(geometry.ROT6D_DEFECTS[defect[b][defect[b] > 0][0]])
-    return (rotations[:, 0], rotations[:, 1], rotations[:, 2]), errors
+    return rotations, errors, solve
 
 
 def retarget_rows(
@@ -671,37 +795,44 @@ def retarget_rows(
 
     Both arms of every row are solved as one `_ik_rows` batch (left rows,
     then right rows); neck and hands run as one batch. A row whose action
-    holds non-finite values or a rotation code that does not decode is
-    not solved: it keeps its previous command and gets the error
-    `retarget_action` raises for it.
+    holds non-finite values or a rotation code that does not decode, or
+    whose warm-start arm joints are non-finite, is not solved: it keeps
+    its previous command and gets the error `retarget_action` raises for
+    it.
     """
-    B = len(actions)
     U = unified_space
-    (head_R, left_R, right_R), errors = _decode_actions(actions)
-    solve = np.array([e is None for e in errors], dtype=bool)
-    out = RetargetRows(commands.copy(), np.zeros((B, 2), bool), np.zeros((B, 2)),
-                       np.zeros((B, 2)), np.zeros(B, bool), errors)
-    if not solve.any():
-        return out
-    if solve.all():
-        solve = slice(None)  # views of every row, not copies
-    A = actions[solve]
-    S = len(A)
-    wrist_R = np.concatenate([left_R[solve], right_R[solve]])
-    wrist_t = np.concatenate([A[:, U.LEFT_WRIST_POS], A[:, U.RIGHT_WRIST_POS]])
-    q0 = np.concatenate(_split_commands(config, commands[solve])[:2])
+    n = config.left_arm.n_joints
+    (head_R, left_R, right_R), errors, solve = _decode_actions(actions, commands[:, :2 * n])
+    if solve is not None:
+        B = len(actions)
+        out = RetargetRows(commands.copy(), np.zeros((B, 2), bool), np.zeros((B, 2)),
+                           np.zeros((B, 2)), np.zeros(B, bool), errors)
+        if not solve.any():
+            return out
+        actions, commands = actions[solve], commands[solve]
+        head_R, left_R, right_R = head_R[solve], left_R[solve], right_R[solve]
+    S = len(actions)
+    wrist_R = np.concatenate([left_R, right_R])
+    wrist_t = np.concatenate([actions[:, U.LEFT_WRIST_POS], actions[:, U.RIGHT_WRIST_POS]])
+    q0 = np.concatenate([commands[:, :n], commands[:, n:2 * n]])
     q, pos_err, rot_err, ok = _ik_rows(config.arms, np.repeat([0, 1], S), wrist_R, wrist_t, q0,
                                        params)
-    out.pos_err[solve], out.rot_err[solve] = pos_err.reshape(2, S).T, rot_err.reshape(2, S).T
-    out.converged[solve] = ok.reshape(2, S).T
-    neck_raw = np.stack(neck_angles_from_head_rotation(head_R[solve]), axis=1)
+    neck_raw = np.empty((S, 2))
+    neck_raw[:, 0], neck_raw[:, 1] = neck_angles_from_head_rotation(head_R)
     neck_q = config.neck.clamp(neck_raw)
-    # np.isclose(neck_q, neck_raw, atol=1e-12) of finite angles
-    close = np.abs(neck_q - neck_raw) <= 1e-12 + 1e-5 * np.abs(neck_raw)
-    out.neck_clamped[solve] = ~close.all(axis=1)
-    tips = A[:, U.FINGERTIPS].reshape(S, 2, -1, 3).swapaxes(0, 1).reshape(2 * S, -1, 3)
+    moved = neck_q != neck_raw
+    if moved.any():
+        # np.isclose(neck_q, neck_raw, atol=1e-12) of finite angles
+        moved = np.abs(neck_q - neck_raw) > 1e-12 + 1e-5 * np.abs(neck_raw)
+    tips = actions[:, U.FINGERTIPS].reshape(S, 2, -1, 3).swapaxes(0, 1).reshape(2 * S, -1, 3)
     hands = _hand_actuators(tips, wrist_R, wrist_t, config.hand_model)  # left, then right
-    out.commands[solve] = np.concatenate([q[:S], q[S:], neck_q, hands[:S], hands[S:]], axis=1)
+    rows = RetargetRows(np.concatenate([q[:S], q[S:], neck_q, hands[:S], hands[S:]], axis=1),
+                        ok.reshape(2, S).T, pos_err.reshape(2, S).T, rot_err.reshape(2, S).T,
+                        moved.any(axis=1), errors)
+    if solve is None:
+        return rows
+    for got, part in zip(out[:5], rows):
+        got[solve] = part
     return out
 
 
@@ -718,7 +849,8 @@ def retarget_action(
     action = np.asarray(action, dtype=float)
     if action.shape != (unified_space.STATE_DIM,):
         raise DimensionMismatch(f"action must be (54,), got {action.shape}")
-    rows = retarget_rows(action[None], config, command_vector(config, q_prev)[None], params)
+    _check_arms(config, q_prev)
+    rows = retarget_rows(action[None], config, q_prev._vector[None], params)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     converged = rows.converged[0].tolist()
@@ -726,8 +858,9 @@ def retarget_action(
              for ok, p, r in zip(converged, rows.pos_err[0].tolist(), rows.rot_err[0].tolist())]
     clamps = [f"{side}_arm:best_effort" for side, ok in zip(("left", "right"), converged)
               if not ok] + ["neck:limit"] * bool(rows.neck_clamped[0])
-    return (RobotCommand.from_vector(config, rows.commands[0]),
-            RetargetDiagnostics(*limbs, clamp_events=tuple(clamps)))
+    cmd = object.__new__(RobotCommand)
+    cmd._adopt(rows.commands[0], config.left_arm.n_joints, config.right_arm.n_joints)
+    return cmd, RetargetDiagnostics(*limbs, clamp_events=tuple(clamps))
 
 
 def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
@@ -752,10 +885,15 @@ def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     return out
 
 
-def command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:
-    """`cmd.vector()`, once its arms have `config`'s joint counts."""
+def _check_arms(config: EmbodimentConfig, cmd: RobotCommand) -> None:
+    """Raise DimensionMismatch unless `cmd`'s arms have `config`'s joint counts."""
     for chain, q in ((config.left_arm, cmd.left_arm_q), (config.right_arm, cmd.right_arm_q)):
         _check_q(chain, q)
+
+
+def command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:
+    """`cmd.vector()`, once its arms have `config`'s joint counts."""
+    _check_arms(config, cmd)
     return cmd.vector()
 
 

@@ -42,7 +42,8 @@ IK_FIXTURE_DIGEST = "2a9564c0dae396467b6ba963868537dddac9a6fed64a5c78a1bdb4ca11b
 # whose descents stop once they stop gaining.
 RETARGET_NEAR_DIGEST = "24129ef4dd906340c11eb2b023c81ae6333523343284d01f7d24723d0d80e007"
 RETARGET_FAR_DIGEST = "22b25a47c9ad25942bc572308d028542c137b6a445cb489a74e3b580d4f682f1"
-# fk_fixture_digest() of the FK whose chain arrays held the rows first.
+# fk_fixture_digest() of the FK whose chain arrays held the rows first, as
+# the joint-major FK gives it.
 FK_FIXTURE_DIGEST = "5103cbd447a5d3ffaa96b042de9c8daea9dfb3606d9ebf2b2847fb287f708023"
 
 
@@ -352,25 +353,25 @@ def test_chain_reach_bounds_every_tip():
     rng = np.random.default_rng(17)
     for chain in reach_chains():
         root, reach = reach_oracle(chain)
-        np.testing.assert_allclose(chain.arrays.root, root, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(chain.arrays.reach, reach, rtol=1e-15)
+        np.testing.assert_allclose(chain.arrays.root[0], root, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(chain.arrays.reach[0], reach, rtol=1e-15)
         lo, hi = chain.lower_limits, chain.upper_limits
         for q in lo + rng.random((200, chain.n_joints)) * (hi - lo):
             assert np.linalg.norm(forward_kinematics(chain, q).translation - root) <= reach + 1e-12
     # The bound is tight: the stretched planar arm reaches it.
     chain = planar_two_link()
-    assert np.linalg.norm(forward_kinematics(chain, np.zeros(2)).translation) == chain.arrays.reach
+    assert np.linalg.norm(forward_kinematics(chain, np.zeros(2)).translation) == chain.arrays.reach[0]
 
 
 def test_far_rows_at_the_reach_boundary():
     rng = np.random.default_rng(19)
     tol = IkParams().pos_tol
     for chain in reach_chains():
-        root, reach = chain.arrays.root, chain.arrays.reach
+        root, reach = chain.arrays.root[0], chain.arrays.reach[0]
         dirs = rng.normal(size=(8, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         targets = np.concatenate([root + (reach + 2 * tol) * dirs, root + (reach - tol) * dirs])
-        far = _far_rows(chain.arrays.take(np.newaxis), np.zeros(16, dtype=int), targets, tol)
+        far = _far_rows(chain.arrays, np.zeros(16, dtype=int), targets, tol)
         assert far.tolist() == [True] * 8 + [False] * 8
         assert [out_of_reach(chain, t) for t in targets] == far.tolist()
 
@@ -379,7 +380,7 @@ def test_far_row_never_converges():
     rng = np.random.default_rng(23)
     tol = IkParams().pos_tol
     for chain in reach_chains():
-        root, reach = chain.arrays.root, chain.arrays.reach
+        root, reach = chain.arrays.root[0], chain.arrays.reach[0]
         home = chain.mid_range()
         start = forward_kinematics(chain, home)
         for params in (IkParams(), IkParams(orientation_weight=0.0)):
@@ -390,7 +391,7 @@ def test_far_row_never_converges():
             assert solution.pos_err > tol
     # On the planar arm the best effort still lies on the reach sphere.
     chain = planar_two_link()
-    target = Pose(np.eye(3), np.array([chain.arrays.reach + 2 * tol, 0.0, 0.0]))
+    target = Pose(np.eye(3), np.array([chain.arrays.reach[0] + 2 * tol, 0.0, 0.0]))
     solution = ik_solve(chain, target, np.array([0.3, 0.3]), IkParams(orientation_weight=0.0))
     assert solution[1] == "best_effort" and abs(solution.pos_err - 2 * tol) <= 1e-9
 
@@ -612,9 +613,9 @@ def test_fk_frames_batch_rows_equal_single_calls():
                   humanoid_b_config().neck, random_chain(rng, 6)):
         lo, hi = chain.lower_limits, chain.upper_limits
         Q = lo + rng.random((9, chain.n_joints)) * (hi - lo)
-        batch = _fk_frames(chain.arrays, Q)
+        batch = fk_frames_rows(_fk_frames(chain.arrays, Q))
         for b in range(len(Q)):
-            single = _fk_frames(chain.arrays, Q[b][None])
+            single = fk_frames_rows(_fk_frames(chain.arrays, Q[b][None]))
             for got, want in zip(batch, single):
                 assert got[b].tobytes() == want[0].tobytes()
             pose = forward_kinematics(chain, Q[b])
@@ -626,9 +627,9 @@ def test_fk_frames_batch_rows_equal_single_calls():
         for B in (1, 5, 30):
             arm = rng.integers(0, 2, size=B)
             Q = lo[arm] + rng.random((B, lo.shape[1])) * (hi - lo)[arm]
-            rows = _fk_frames(cfg.arms.stack.take(arm), Q)
+            rows = fk_frames_rows(_fk_frames(cfg.arms.stack.take(arm), Q))
             for k, chain in enumerate((cfg.left_arm, cfg.right_arm)):
-                own = _fk_frames(chain.arrays, Q[arm == k])
+                own = fk_frames_rows(_fk_frames(chain.arrays, Q[arm == k]))
                 for got, want in zip(rows, own):
                     assert got[arm == k].tobytes() == want.tobytes()
 
@@ -636,7 +637,8 @@ def test_fk_frames_batch_rows_equal_single_calls():
 def fk_frames_rows(frames):
     """`_fk_frames` outputs R, t, axes, origins with the rows first and,
     for axes and origins, the joints after them: (..., n, 3)."""
-    return frames
+    R, t, axes, origins = frames
+    return R, t, np.moveaxis(axes, 0, -2), np.moveaxis(origins, 0, -2)
 
 
 def fk_fixture_digest():
@@ -758,7 +760,7 @@ def ik_rows_fixture():
 def test_ik_rows_equal_per_row_ik_solve(params):
     chain, targets, q_init = ik_rows_fixture()
     q, pos_err, rot_err, ok = _ik_rows(
-        _Chains(chain.arrays.take(np.newaxis), (chain.arrays,)), np.zeros(len(targets), dtype=int),
+        _Chains(chain.arrays, (chain.arrays,)), np.zeros(len(targets), dtype=int),
         np.array([t.rotation for t in targets]),
         np.array([t.translation for t in targets]), q_init, params,
     )
