@@ -225,11 +225,13 @@ def rotation_log(R: np.ndarray) -> np.ndarray:
     theta = np.arccos(cos_theta)
     flat = R.reshape(R.shape[:-2] + (9,))
     w = flat.take(_ANTISYM_PLUS, axis=-1) - flat.take(_ANTISYM_MINUS, axis=-1)
+    small, near_pi = theta < 1e-9, theta > np.pi - 1e-6
+    if not (small | near_pi).any():
+        return w * (theta / (2.0 * np.sin(theta)))[..., None]
     with np.errstate(invalid="ignore"):  # 0 / 0 at theta == 0, zeroed below
         out = w * (theta / (2.0 * np.sin(theta)))[..., None]
-    out[theta < 1e-9] = 0.0
-    near_pi = theta > np.pi - 1e-6
-    for idx in map(tuple, np.argwhere(near_pi) if near_pi.any() else ()):
+    out[small] = 0.0
+    for idx in map(tuple, np.argwhere(near_pi)):
         # Near pi the antisymmetric part vanishes; recover the axis from
         # the symmetric part R + I = 2 aa^T (choose largest diagonal).
         A = (R[idx] + np.eye(3)) * 0.5

@@ -65,7 +65,6 @@ from .geometry import Pose
 
 STATUS_CONVERGED = "converged"
 STATUS_BEST_EFFORT = "best_effort"
-_EYE6 = np.eye(6)  # the damping term's identity
 # Initial DLS damping factor and the fraction of each solved step taken.
 _DAMPING = 0.05
 _STEP_SCALE = 0.5
@@ -317,10 +316,13 @@ class IkSolution(tuple):
 def _pose_errors(R, t, target_R, target_t, w: float):
     """Per-row position and rotation error norms of a (B,) batch of poses
     against per-row targets, and the stacked errors [e_pos, w * e_rot] (B, 6)."""
-    e_pos = target_t - t
-    e_rot = geometry.rotation_log(target_R @ R.transpose(0, 2, 1))
-    e = np.concatenate([e_pos, w * e_rot], axis=1)
-    return geometry.norms(e_pos), geometry.norms(e_rot), e
+    e = np.empty((len(t), 2, 3))
+    np.subtract(target_t, t, out=e[:, 0])
+    e[:, 1] = geometry.rotation_log(target_R @ R.transpose(0, 2, 1))
+    err = geometry.norms(e)
+    if w != 1.0:
+        e[:, 1] *= w
+    return err[:, 0], err[:, 1], e.reshape(-1, 6)
 
 
 def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
@@ -391,17 +393,21 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
         out = None
         if step == params.max_iters:
             break
-        J = _jacobians(t, axes, origins, w)
-        grad = np.vecmat(e, J)
-        pinned = ((Q <= chain.lo + 1e-12) & (grad < 0)) | ((Q >= chain.hi - 1e-12) & (grad > 0))
-        Jt = J * ~pinned[:, None, :]
+        Jt = _jacobians(t, axes, origins, w)
+        at_lo, at_hi = Q <= chain.lo + 1e-12, Q >= chain.hi - 1e-12
+        if (at_lo | at_hi).any():
+            grad = np.vecmat(e, Jt)
+            Jt = Jt * ~((at_lo & (grad < 0)) | (at_hi & (grad > 0)))[:, None, :]
         stalled = None if far is None else np.zeros(len(idx), dtype=bool)
         # The trial's rows (those with no step accepted yet) as positions in
         # the live rows, None for all, and their part of the state.
         rows = None
         tc, tq, te, tlam, terr, tR, tt, tfar = chain, Q, e, lam, err, target_R, target_t, far
         for _trial in range(6):
-            A = Jt @ Jt.transpose(0, 2, 1) + (tlam * tlam)[:, None, None] * _EYE6
+            # J J^T + lam^2 I: a product holds no -0, so adding 0 off the
+            # diagonal changes nothing.
+            A = Jt @ Jt.transpose(0, 2, 1)
+            A.reshape(-1, 36)[:, ::7] += (tlam * tlam)[:, None]
             # np.linalg.solve without its checks: A is positive definite.
             x = _solve(A, te)
             q_new = np.minimum(np.maximum(tq + _STEP_SCALE * np.vecmat(x, Jt), tc.lo), tc.hi)
@@ -695,7 +701,7 @@ def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray
     closure = 1.0 - np.minimum(np.maximum(dist / hand_model.fingertip_extent, 0.0), 1.0)
 
     # Thumb rotation from the wrist-frame tip direction.
-    local = (wrist_R.transpose(0, 2, 1) @ (tips[:, 0] - wrist_t)[..., None])[..., 0]
+    local = (wrist_R.transpose(0, 2, 1) @ d[:, 0, :, None])[..., 0]
     n = hand_model.palm_normal
     ref = hand_model.finger_dirs[0]
     in_plane = local - np.vecdot(local, n)[:, None] * n
