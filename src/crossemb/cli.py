@@ -90,11 +90,9 @@ def _check_retime_flags(alpha: float, rate: float) -> None:
 
 
 def _chain(config, name: str):
-    try:
-        return {"left_arm": config.left_arm, "right_arm": config.right_arm,
-                "neck": config.neck}[name]
-    except KeyError:
+    if name not in ("left_arm", "right_arm", "neck"):
         raise CrossembError(f"unknown chain {name!r}; use left_arm, right_arm, or neck")
+    return getattr(config, name)
 
 
 def _trajectory_to_json(traj: retiming.Trajectory) -> dict:
@@ -375,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="convert raw capture directories into a dataset")
-    p.add_argument("--config")
     p.add_argument("--raw", nargs="+", required=True, help="raw episode directories")
     p.add_argument("--out", required=True)
     p.add_argument("--embodiment-config", dest="embodiment_config")
@@ -385,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("retime", help="retime a trajectory JSON file")
-    p.add_argument("--config")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--rate", type=float, default=30.0)
@@ -394,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a policy on a dataset; its normalization "
                        "statistics, shared by every embodiment, go in the checkpoint")
-    p.add_argument("--config")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--chunk-length", dest="chunk_length", type=int, default=30)
@@ -407,21 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="predict an action chunk from a checkpoint")
-    p.add_argument("--config")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--state", required=True, help="54 comma-separated values")
     p.add_argument("--feature", required=True, help="F comma-separated values")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("retarget", help="retarget a unified action to a robot command")
-    p.add_argument("--config")
     p.add_argument("--embodiment-config", dest="embodiment_config", required=True)
     p.add_argument("--action", required=True, help="54 comma-separated values")
     p.add_argument("--q-prev", dest="q_prev", help="warm-start command values")
     p.set_defaults(func=_cmd_retarget)
 
     p = sub.add_parser("fk", help="forward kinematics of a chain")
-    p.add_argument("--config")
     p.add_argument("--embodiment-config", dest="embodiment_config", required=True)
     p.add_argument("--chain", default="right_arm")
     p.add_argument("--q", required=True, help="joint values, comma separated (radians)")
@@ -429,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fk)
 
     p = sub.add_parser("ik", help="inverse kinematics for a chain")
-    p.add_argument("--config")
     p.add_argument("--embodiment-config", dest="embodiment_config", required=True)
     p.add_argument("--chain", default="right_arm")
     p.add_argument("--target-pos", dest="target_pos", required=True)
@@ -438,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ik)
 
     p = sub.add_parser("rollout", help="closed-loop rollout of a checkpoint")
-    p.add_argument("--config")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--embodiment-config", dest="embodiment_config", default="humanoid_b")
     p.add_argument("--goal", help="x,y,z")
@@ -448,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rollout)
 
     p = sub.add_parser("experiment", help="run the co-training or ablation experiment")
-    p.add_argument("--config")
     p.add_argument("kind", choices=["cotraining", "ablation"])
     p.add_argument("--out", required=True)
     p.add_argument("--robot-counts", dest="robot_counts", default="4,8,16,32")
@@ -457,11 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("validate", help="run the invariant suite over a dataset")
-    p.add_argument("--config")
     p.add_argument("--dataset", required=True)
     p.add_argument("--check-reach", dest="check_reach", action="store_true")
     p.set_defaults(func=_cmd_validate)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file of flag defaults (see the module docstring)")
     return parser
 
 

@@ -7,12 +7,13 @@ state between calls.
 
 The FK, Jacobian and IK core runs on batches: joint vectors are the rows
 of a (B, n) array, giving tip rotations (B, 3, 3), tip positions (B, 3),
-world joint axes and origins (B, n, 3) and Jacobians (B, 6, n). A chain's
-geometry is a set of arrays (`_ChainArrays`), shared by every row or
-given per row, so rows on different chains of one joint count (a
-config's two arms) run as one batch. Every row goes through the same
-floating-point operations as a batch of one on its own chain, so no
-result depends on the batch it ran in.
+world joint axes and origins (n, B, 3) and Jacobians (B, 6, n). A
+chain's geometry is a set of arrays (`_ChainArrays`), shared by every row
+or given per row, so rows on different chains of one joint count (a
+config's two arms) run as one batch; per-joint arrays, each axis's
+Rodrigues terms k k^T and [k]x among them, are joint-major. Every row
+goes through the same floating-point operations as a batch of one on its
+own chain, so no result depends on the batch it ran in.
 
 IK takes one target per row. `_ik_rows` first descends every row from
 its own initial joints as one lockstep batch, each row with its own
@@ -20,7 +21,9 @@ damping and joint-limit mask, leaving the batch when it converges or
 stalls. The rows that fail then descend from all restart seeds of their
 chain as one batch, the seeds of each failed row forming a group: the
 first converged seed in seed order wins, else the first seed of least
-weighted error, as if the seeds were tried one after another.
+weighted error, as if the seeds were tried one after another. A descent
+holds state for its live rows only: leaving rows write their result out
+once, and a trial that every row accepts becomes the state as it is.
 
 A reach test marks the rows that can never converge. Every joint turns
 about a point at or past the first joint's origin (the chain's `root`,
@@ -35,13 +38,13 @@ never converge, so the test changes no converged result.
 
 `retarget_rows` solves both arms of a batch of unified actions as one
 `_ik_rows` batch (rows whose action is non-finite or holds a rotation
-code that does not decode get the error `retarget_action` raises for
-them), and `embed_rows` turns command vectors (`RobotCommand.vector`,
-checked against a config by `command_vector`) into unified 54-vectors,
-placing fingertips with `fingertip_rows`. These row functions are the
-public API that rollouts, demo generation and capture ingest run on;
-`ik_solve`, `retarget_action`, `forward_kinematics` and
-`embed_robot_state` are their batches of one.
+code that does not decode, or whose warm start is non-finite, get the
+error `retarget_action` raises for them), and `embed_rows` turns command
+vectors (`RobotCommand.vector`, checked against a config by
+`command_vector`) into unified 54-vectors, placing fingertips with
+`fingertip_rows`. These row functions are the public API that rollouts,
+demo generation and capture ingest run on; `ik_solve`, `retarget_action`,
+`forward_kinematics` and `embed_robot_state` are their batches of one.
 """
 
 from __future__ import annotations
@@ -106,11 +109,11 @@ class _ChainArrays(NamedTuple):
     axes: np.ndarray          # (n, R, 3) unit joint axes, joint frame
     kk: np.ndarray            # (n, R, 9) k k^T of each axis k, row-major
     skew: np.ndarray          # (n, R, 9) [k]x of each axis k, row-major
-    origin_R: np.ndarray | None  # (n, R, 3, 3) joint origin rotations; None: all identity
+    origin_R: np.ndarray      # (n, R, 3, 3) joint origin rotations
     offsets: np.ndarray       # (n + 1, R, 3) joint origin translations, then the tip's
     base_R: np.ndarray        # (R, 3, 3)
     base_t: np.ndarray        # (R, 3)
-    tip_R: np.ndarray | None  # (R, 3, 3); None: identity
+    tip_R: np.ndarray         # (R, 3, 3)
     lo: np.ndarray            # (R, n) joint limits, radians
     hi: np.ndarray            # (R, n)
     root: np.ndarray          # (R, 3) first joint's origin, fixed by the base frame
@@ -121,41 +124,17 @@ class _ChainArrays(NamedTuple):
         index items such as `np.s_[:, None]`."""
         index = index if isinstance(index, tuple) else (index,)
         joint_major = (slice(None), *index)
-        return _ChainArrays(*(None if a is None else a[joint_major if f < 5 else index]
-                              for f, a in enumerate(self)))
+        return _ChainArrays(*(a[joint_major if f < 5 else index] for f, a in enumerate(self)))
 
-
-def _stack_chains(own) -> _ChainArrays:
-    """The arrays of chains `own` (each with R = 1) stacked, R = K."""
-    fields = []
-    for f, parts in enumerate(zip(*own)):
-        if any(a is None for a in parts):
-            if all(a is None for a in parts):
-                fields.append(None)
-                continue
-            shape = next(a.shape for a in parts if a is not None)
-            parts = [np.broadcast_to(np.eye(3), shape) if a is None else a for a in parts]
-        fields.append(np.concatenate(parts, axis=int(f < 5)))
-    return _ChainArrays(*fields)
-
-
-class _Chains(NamedTuple):
-    """The K chains the rows of an IK batch run on: their arrays stacked
-    (R = K), and each chain's own arrays, built once."""
-
-    stack: _ChainArrays
-    own: tuple[_ChainArrays, ...]
-
-    def for_rows(self, arm: np.ndarray) -> _ChainArrays:
-        """The arrays of rows on chains `arm`: that chain's own when every
-        row is on one, else one chain per row."""
+    def for_rows(self, arm: np.ndarray) -> "_ChainArrays":
+        """The arrays of rows on chains `arm` of these K chains: a view of
+        one chain's when every row is on it, else one chain per row."""
         k = arm[0]
         if (arm == k).all():
-            return self.own[k]
-        K = len(self.own)
-        if len(arm) == K and (arm == np.arange(K)).all():  # one row per chain, in order
-            return self.stack
-        return self.stack.take(arm)
+            return self.take(slice(k, k + 1))
+        if len(arm) == len(self.reach) and (arm == np.arange(len(arm))).all():
+            return self  # one row per chain, in order
+        return self.take(arm)
 
 
 @dataclass(frozen=True)
@@ -173,22 +152,19 @@ class KinematicChain:
         offsets = np.array([j.origin.translation for j in self.joints]
                            + [self.tip_offset.translation])
         axes = np.array([j.axis for j in self.joints])
-        origin_R = np.array([j.origin.rotation for j in self.joints])[:, None]
-        tip_R = self.tip_offset.rotation[None]
         base_R, base_t = self.base_frame.rotation, self.base_frame.translation
         # root and reach: see the module docstring.
         arrays = _ChainArrays(
             axes[:, None], (axes[:, :, None] * axes[:, None, :]).reshape(-1, 1, 9),
             geometry.cross_matrices(axes)[:, None],
-            None if (origin_R == np.eye(3)).all() else origin_R, offsets[:, None],
-            base_R[None], base_t[None], None if (tip_R == np.eye(3)).all() else tip_R,
+            np.array([j.origin.rotation for j in self.joints])[:, None], offsets[:, None],
+            base_R[None], base_t[None], self.tip_offset.rotation[None],
             np.array([[j.limits[0] for j in self.joints]]),
             np.array([[j.limits[1] for j in self.joints]]),
             (base_t + base_R @ offsets[0])[None], geometry.norms(offsets[1:]).sum()[None],
         )
         for a in arrays:
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
         object.__setattr__(self, "arrays", arrays)
 
     @property
@@ -213,9 +189,7 @@ class KinematicChain:
 def _check_q(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (chain.n_joints,):
-        raise DimensionMismatch(
-            f"expected {chain.n_joints} joint values, got shape {q.shape}"
-        )
+        raise DimensionMismatch(f"expected {chain.n_joints} joint values, got shape {q.shape}")
     return q
 
 
@@ -224,8 +198,7 @@ def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     of a batch of joint vectors Q (..., n): R (..., 3, 3), t (..., 3), and
     joint-major axes and origins (n, ..., 3). The rows of `chain` (R of
     its arrays) broadcast against Q's leading axes."""
-    n = Q.shape[-1]
-    rows = Q.shape[:-1]
+    n, rows = Q.shape[-1], Q.shape[:-1]
     # Rodrigues per joint: (1 - c) k k^T + s [k]x + c I.
     angle = Q.transpose(-1, *range(len(rows)))[..., None]
     c, s = np.cos(angle), np.sin(angle)
@@ -233,36 +206,26 @@ def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     joint_R[..., ::4] += c
     joint_R = joint_R.reshape(joint_R.shape[:-1] + (3, 3))
     # Frames before each joint's origin (and the tip's) and after its origin
-    # rotation, each product written in place. An identity rotation is
-    # skipped: BLAS products ignore the sign of zero operands and give no
-    # -0, so X @ I is X where X is a product, and (X @ I) @ Y is X @ Y.
+    # rotation, each product written in place.
     before = np.empty((n + 1, *rows, 3, 3))
+    after = np.empty((n, *rows, 3, 3))
     before[0] = chain.base_R
-    if chain.origin_R is None:
-        after = before[:n]
-        for i in range(n):
-            np.matmul(before[i], joint_R[i], out=before[i + 1])
-    else:
-        after = np.empty((n, *rows, 3, 3))
-        for i in range(n):
-            np.matmul(before[i], chain.origin_R[i], out=after[i])
-            np.matmul(after[i], joint_R[i], out=before[i + 1])
+    for i in range(n):
+        np.matmul(before[i], chain.origin_R[i], out=after[i])
+        np.matmul(after[i], joint_R[i], out=before[i + 1])
     # Positions sum the rotated offsets from the base one joint at a time.
     steps = np.empty((n + 2, *rows, 3))
     steps[0] = chain.base_t
     steps[1:] = (before @ chain.offsets[..., None])[..., 0]
     t = np.cumsum(steps, axis=0)
-    R = before[n] if chain.tip_R is None else before[n] @ chain.tip_R
-    return R, t[-1], (after @ chain.axes[..., None])[..., 0], t[1:-1]
+    return before[n] @ chain.tip_R, t[-1], (after @ chain.axes[..., None])[..., 0], t[1:-1]
 
 
 def _jacobians(t, axes, origins, w):
-    """Geometric Jacobians (B, 6, n) with the angular rows scaled by w,
-    of tips t (B, 3) and joint-major axes and origins (n, B, 3).
-
-    C-contiguous on purpose: `J @ J.T` on a transposed view takes another
-    BLAS path and drifts in the last bits.
-    """
+    """Geometric Jacobians (B, 6, n), angular rows scaled by w, of tips t
+    (B, 3) and joint-major axes and origins (n, B, 3). C-contiguous on
+    purpose: `J @ J.T` on a transposed view takes another BLAS path and
+    drifts in the last bits."""
     linear = geometry.cross(axes, t - origins)
     return np.ascontiguousarray(np.concatenate([linear, w * axes], axis=2).transpose(1, 2, 0))
 
@@ -316,13 +279,10 @@ class IkSolution(tuple):
 def _pose_errors(R, t, target_R, target_t, w: float):
     """Per-row position and rotation error norms of a (B,) batch of poses
     against per-row targets, and the stacked errors [e_pos, w * e_rot] (B, 6)."""
-    e = np.empty((len(t), 2, 3))
-    np.subtract(target_t, t, out=e[:, 0])
-    e[:, 1] = geometry.rotation_log(target_R @ R.transpose(0, 2, 1))
-    err = geometry.norms(e)
-    if w != 1.0:
-        e[:, 1] *= w
-    return err[:, 0], err[:, 1], e.reshape(-1, 6)
+    e_pos = target_t - t
+    e_rot = geometry.rotation_log(target_R @ R.transpose(0, 2, 1))
+    e = np.concatenate([e_pos, w * e_rot], axis=1)
+    return geometry.norms(e_pos), geometry.norms(e_rot), e
 
 
 def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
@@ -335,33 +295,24 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
     rejected trial, at most 6 trials per step) so the iteration rides out
     near-singular configurations; columns of joints pinned at a limit and
     pushed further out are masked so clamping cannot stall the descent.
-    A row leaves the batch when it converges or when all 6 trials are
-    rejected. A row marked `far` (B,), whose target lies beyond its
-    chain's reach and so can never converge, also leaves once an accepted
-    step lowers its weighted error by less than `pos_tol`.
-
-    The state is held for the live rows only. Rows that leave write their
-    result out once, and the rest are gathered once; a trial that every
-    row accepts replaces the state arrays by its own.
+    A row leaves when it converges, when all 6 trials are rejected, or,
+    marked `far` (B,), once an accepted step gains less than `pos_tol`.
 
     Rows come in groups of `size` consecutive rows, seeds in order of
-    preference. A group's result is its first converged row, else its
-    first row of least pos_err + w * rot_err; rows after a converged row
-    of their group can no longer be chosen and are dropped. Returns q
-    (G, n), pos_err, rot_err and converged (G,).
+    preference: a group's result is its first converged row, else its
+    first row of least pos_err + w * rot_err, and rows after a converged
+    row of their group are dropped. Returns q (G, n), pos_err, rot_err
+    and converged (G,).
     """
-    w = params.orientation_weight
-    B = len(Q0)
+    w, B = params.orientation_weight, len(Q0)
     chain = chains.for_rows(arm)
     Q = np.minimum(np.maximum(Q0, chain.lo), chain.hi)
     R, t, axes, origins = _fk_frames(chain, Q)
     pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t, w)
-    err = pos_err + w * rot_err
-    lam = np.full(B, _DAMPING)
+    err, lam, idx = pos_err + w * rot_err, np.full(B, _DAMPING), np.arange(B)
     far = far if far.any() else None
-    idx = np.arange(B)  # the live rows' numbers, ascending
     first_ok = np.full(B // size, B)  # per group; B: none converged yet
-    q_out = pos_out = rot_out = None  # every row's result, once a row left early
+    results = np.empty_like(Q0), np.empty(B), np.empty(B)  # q, pos_err, rot_err per row
     out = None  # live rows that stopped: every trial rejected, or stalled
     # One more convergence test follows the last allowed step.
     for step in range(params.max_iters + 1):
@@ -369,102 +320,79 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
         if w != 0.0:
             done &= rot_err <= params.rot_tol
         if done.any():
-            if size == 1:  # a row is its own group
-                first_ok[idx[done]] = idx[done]
-                gone = done
-            else:
-                np.minimum.at(first_ok, idx[done] // size, idx[done])
-                gone = idx >= first_ok[idx // size]
+            np.minimum.at(first_ok, idx[done] // size, idx[done])
+            gone = idx >= first_ok[idx // size]
             out = gone if out is None else out | gone
         if out is not None and out.any():
             if out.all():
                 break
-            if q_out is None:
-                q_out, pos_out, rot_out = np.empty_like(Q0), np.empty(B), np.empty(B)
-            gone = idx[out]
-            q_out[gone], pos_out[gone], rot_out[gone] = Q[out], pos_err[out], rot_err[out]
+            for r, a in zip(results, (Q, pos_err, rot_err)):
+                r[idx[out]] = a[out]
             keep = ~out
-            idx, arm, Q, t, e, lam = idx[keep], arm[keep], Q[keep], t[keep], e[keep], lam[keep]
-            pos_err, rot_err, err = pos_err[keep], rot_err[keep], err[keep]
-            axes, origins = axes[:, keep], origins[:, keep]
-            target_R, target_t = target_R[keep], target_t[keep]
+            idx, arm, Q, t, e, pos_err, rot_err, err, target_R, target_t = (
+                a[keep] for a in (idx, arm, Q, t, e, pos_err, rot_err, err, target_R, target_t))
+            axes, origins, lam = axes[:, keep], origins[:, keep], lam[keep]
             far = None if far is None else far[keep]
             chain = chains.for_rows(arm)
-        out = None
         if step == params.max_iters:
             break
-        Jt = _jacobians(t, axes, origins, w)
+        J = _jacobians(t, axes, origins, w)
         at_lo, at_hi = Q <= chain.lo + 1e-12, Q >= chain.hi - 1e-12
         if (at_lo | at_hi).any():
-            grad = np.vecmat(e, Jt)
-            Jt = Jt * ~((at_lo & (grad < 0)) | (at_hi & (grad > 0)))[:, None, :]
-        stalled = None if far is None else np.zeros(len(idx), dtype=bool)
-        # The trial's rows (those with no step accepted yet) as positions in
-        # the live rows, None for all, and their part of the state.
-        rows = None
-        tc, tq, te, tlam, terr, tR, tt, tfar = chain, Q, e, lam, err, target_R, target_t, far
+            grad = np.vecmat(e, J)
+            J = J * ~((at_lo & (grad < 0)) | (at_hi & (grad > 0)))[:, None, :]
+        out = None if far is None else np.zeros(len(idx), dtype=bool)  # stalled rows, so far
+        # The trial's rows: positions of the live rows with no step accepted
+        # yet (None: all), and their part of the state.
+        rows, tc, tq, te, tlam, terr, tR, tt = None, chain, Q, e, lam, err, target_R, target_t
         for _trial in range(6):
-            # J J^T + lam^2 I: a product holds no -0, so adding 0 off the
-            # diagonal changes nothing.
-            A = Jt @ Jt.transpose(0, 2, 1)
+            A = J @ J.transpose(0, 2, 1)
+            # + lam^2 I: a BLAS product sums from +0, holds no -0, and adding 0
+            # off the diagonal would change no bit.
             A.reshape(-1, 36)[:, ::7] += (tlam * tlam)[:, None]
-            # np.linalg.solve without its checks: A is positive definite.
-            x = _solve(A, te)
-            q_new = np.minimum(np.maximum(tq + _STEP_SCALE * np.vecmat(x, Jt), tc.lo), tc.hi)
+            x = _solve(A, te)  # np.linalg.solve without its checks: A is positive definite
+            q_new = np.minimum(np.maximum(tq + _STEP_SCALE * np.vecmat(x, J), tc.lo), tc.hi)
             R2, t2, axes2, origins2 = _fk_frames(tc, q_new)
             pos2, rot2, e2 = _pose_errors(R2, t2, tR, tt, w)
             err2 = pos2 + w * rot2
             acc = err2 < terr
-            if tfar is not None:
-                stall = acc & tfar & (terr - err2 < params.pos_tol)
+            slow = None if far is None else terr - err2 < params.pos_tol
             if rows is None and acc.all():  # every row steps: take the trial's state
                 Q, t, axes, origins, e = q_new, t2, axes2, origins2, e2
                 pos_err, rot_err, err = pos2, rot2, err2
                 lam = np.maximum(lam * 0.5, 1e-5)
-                if stalled is not None:
-                    stalled = stall
+                out = None if far is None else far & slow
                 rows = idx[:0]
                 break
+            rows = np.arange(len(idx)) if rows is None else rows
             if acc.any():
-                up = np.flatnonzero(acc) if rows is None else rows[acc]
-                Q[up], t[up], e[up] = q_new[acc], t2[acc], e2[acc]
+                up = rows[acc]
+                for a, a2 in ((Q, q_new), (t, t2), (e, e2), (pos_err, pos2), (rot_err, rot2),
+                              (err, err2)):
+                    a[up] = a2[acc]
                 axes[:, up], origins[:, up] = axes2[:, acc], origins2[:, acc]
-                pos_err[up], rot_err[up], err[up] = pos2[acc], rot2[acc], err2[acc]
                 lam[up] = np.maximum(tlam[acc] * 0.5, 1e-5)
-                if stalled is not None:
-                    stalled[up] = stall[acc]
-                rej = ~acc
-                rows = np.flatnonzero(rej) if rows is None else rows[rej]
+                if far is not None:
+                    out[up] = far[up] & slow[acc]
+                rows, J, tlam = rows[~acc], J[~acc], tlam[~acc]
                 if not rows.size:
                     break
-                Jt, tlam, terr, tq, te, tR, tt = (
-                    Jt[rej], tlam[rej], terr[rej], tq[rej], te[rej], tR[rej], tt[rej]
-                )
-                tfar = None if tfar is None else tfar[rej]
                 tc = chains.for_rows(arm[rows])
+                tq, te, terr, tR, tt = Q[rows], e[rows], err[rows], target_R[rows], target_t[rows]
             tlam = tlam * 5.0
-            if rows is None:
-                lam = tlam
-            else:
-                lam[rows] = tlam
-        if rows is None or rows.size:  # these rows had all 6 trials rejected
-            out = np.zeros(len(idx), dtype=bool)
-            out[np.s_[:] if rows is None else rows] = True
-        if stalled is not None:
-            out = stalled if out is None else out | stalled
-    if q_out is None:  # no row left before the others
-        q_out, pos_out, rot_out = Q, pos_err, rot_err
-    else:
-        q_out[idx], pos_out[idx], rot_out[idx] = Q, pos_err, rot_err
-    converged = first_ok < B
-    if size == 1:
-        return q_out, pos_out, rot_out, converged
-    best = first_ok
+            lam[rows] = tlam
+        if rows.size:  # these rows had all 6 trials rejected
+            out = np.zeros(len(idx), dtype=bool) if out is None else out
+            out[rows] = True
+    for r, a in zip(results, (Q, pos_err, rot_err)):
+        r[idx] = a
+    q, pos_err, rot_err = results
+    converged, best = first_ok < B, first_ok
     if not converged.all():
-        # The first row of least error of each group, for groups with none converged.
-        least = np.argmin((pos_out + w * rot_out).reshape(-1, size), axis=1)
+        # Per group with none converged, its first row of least error.
+        least = np.argmin((pos_err + w * rot_err).reshape(-1, size), axis=1)
         best = np.where(converged, first_ok, least + np.arange(0, B, size))
-    return q_out[best], pos_out[best], rot_out[best], converged
+    return q[best], pos_err[best], rot_err[best], converged
 
 
 def _far_rows(stack: _ChainArrays, arm, target_t, pos_tol: float) -> np.ndarray:
@@ -477,20 +405,14 @@ def _far_rows(stack: _ChainArrays, arm, target_t, pos_tol: float) -> np.ndarray:
 def _ik_rows(chains, arm, target_R, target_t, Q_init, params):
     """IK for B rows at once, row b on the chain of index arm[b] in
     `chains` from Q_init[b] towards its own target: each row's result
-    equals `ik_solve` of that row alone on its chain.
-
-    Attempt 0 of every row runs as one lockstep batch. The rows that fail
-    then descend from all restart seeds of their chain as one batch,
-    grouped by row, and keep the restart result if it converged or has
-    less error. Rows `_far_rows` marks stop their descents early (see
-    `_dls_attempts`). Returns q (B, n), pos_err, rot_err and converged (B,).
+    equals `ik_solve` of that row alone on its chain (see the module
+    docstring). Returns q (B, n), pos_err, rot_err and converged (B,).
     """
-    stack = chains.stack
-    far = _far_rows(stack, arm, target_t, params.pos_tol)
+    far = _far_rows(chains, arm, target_t, params.pos_tol)
     q, pos_err, rot_err, ok = _dls_attempts(chains, arm, far, target_R, target_t, 1, Q_init, params)
     if params.restarts > 0 and not ok.all():
         failed = np.flatnonzero(~ok)
-        lo, hi = stack.lo[:, None], stack.hi[:, None]
+        lo, hi = chains.lo[:, None], chains.hi[:, None]
         rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
         u = rng.random((params.restarts - 1, lo.shape[-1]))
         # Per chain (K, restarts, n): mid-range, then the seeded draws.
@@ -517,23 +439,22 @@ def ik_solve(
 ) -> IkSolution:
     """Damped-least-squares IK: dq = J^T (J J^T + damping^2 I)^-1 e.
 
-    The first attempt starts at `q_init`; on failure a fixed set of
-    seeded in-limit restarts runs as one lockstep batch, so results are
-    deterministic and equal to trying the seeds one after another. The
-    returned joints are always clamped within limits; status is
-    `converged` or `best_effort` (closest local solution found). A
+    The first attempt starts at `q_init` (RetargetFailure if not finite);
+    on failure seeded in-limit restarts run as one lockstep batch, so
+    results are deterministic and equal to trying the seeds one after
+    another. The returned joints are always clamped within limits; status
+    is `converged` or `best_effort` (closest local solution found). A
     target farther from the chain's first joint than its reach plus
     `pos_tol` is always `best_effort`; its descents stop once a step
     gains less than `pos_tol` (see the module docstring).
     """
     q_init = _check_q(chain, q_init)
-    finite_target = np.isfinite(target.rotation).all() and np.isfinite(target.translation).all()
-    if not (finite_target and np.isfinite(q_init).all()):
-        if not finite_target:
-            raise NonFiniteTarget("IK target contains non-finite values")
+    if not (np.isfinite(target.rotation).all() and np.isfinite(target.translation).all()):
+        raise NonFiniteTarget("IK target contains non-finite values")
+    if not np.isfinite(q_init).all():
         raise RetargetFailure("IK initial joints contain non-finite values")
     q, pos_err, rot_err, ok = _ik_rows(
-        _Chains(chain.arrays, (chain.arrays,)), np.zeros(1, dtype=int),
+        chain.arrays, np.zeros(1, dtype=int),
         target.rotation[None], target.translation[None], q_init[None], params,
     )
     return IkSolution(q[0], STATUS_CONVERGED if ok[0] else STATUS_BEST_EFFORT,
@@ -562,8 +483,7 @@ class HandModel:
             raise ValueError("fingertip_extent must be 5 positive lengths")
         if dirs.shape != (5, 3):
             raise ValueError("finger_dirs must be (5, 3)")
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
             raise ValueError("finger_dirs rows must be unit-norm")
         if abs(np.linalg.norm(normal) - 1.0) > 1e-9:
             raise ValueError("palm_normal must be unit-norm")
@@ -574,11 +494,9 @@ class HandModel:
         lo, hi = self.thumb_rot_range
         if not (-np.pi < lo < hi < np.pi):
             raise ValueError("thumb_rot_range must satisfy -pi < lo < hi < pi")
-        for arr in (ext, dirs, normal):
-            arr.flags.writeable = False
-        object.__setattr__(self, "fingertip_extent", ext)
-        object.__setattr__(self, "finger_dirs", dirs)
-        object.__setattr__(self, "palm_normal", normal)
+        for name, a in (("fingertip_extent", ext), ("finger_dirs", dirs), ("palm_normal", normal)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "thumb_rot_range", (float(lo), float(hi)))
 
 
@@ -590,8 +508,8 @@ class EmbodimentConfig:
     neck: KinematicChain
     hand_model: HandModel
     canonical_frame_offset: float = 0.60  # meters, head-to-torso drop
-    # Both arms, left then right: their arrays stacked (R = 2) and each arm's own.
-    arms: _Chains = field(init=False, repr=False, compare=False)
+    # Both arms' arrays, left then right (R = 2).
+    arms: _ChainArrays = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_left, n_right = self.left_arm.n_joints, self.right_arm.n_joints
@@ -600,12 +518,12 @@ class EmbodimentConfig:
                              f"got {n_left} and {n_right}")
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
-        own = (self.left_arm.arrays, self.right_arm.arrays)
-        stack = _stack_chains(own)
-        for a in stack:
-            if a is not None:
-                a.flags.writeable = False
-        object.__setattr__(self, "arms", _Chains(stack, own))
+        # Per-joint arrays stack on their rows axis, 1; the others on 0.
+        own = zip(self.left_arm.arrays, self.right_arm.arrays)
+        arms = _ChainArrays(*(np.concatenate(a, axis=int(f < 5)) for f, a in enumerate(own)))
+        for a in arms:
+            a.flags.writeable = False
+        object.__setattr__(self, "arms", arms)
 
 
 _COMMAND_PARTS = ("left_arm_q", "right_arm_q", "neck_q", "left_hand", "right_hand")
@@ -613,8 +531,8 @@ _COMMAND_PARTS = ("left_arm_q", "right_arm_q", "neck_q", "left_hand", "right_han
 
 @dataclass(frozen=True)
 class RobotCommand:
-    """Joint-space command: arms, 2-DoF neck, two 6-actuator hands. The
-    parts are read-only views of one flat command vector (see `vector`)."""
+    """Joint-space command: arms, 2-DoF neck, two 6-actuator hands, each a
+    read-only view of one flat command vector (see `vector`)."""
 
     left_arm_q: np.ndarray
     right_arm_q: np.ndarray
@@ -625,26 +543,22 @@ class RobotCommand:
 
     def __post_init__(self):
         parts = [np.asarray(getattr(self, name), dtype=float) for name in _COMMAND_PARTS]
-        for name, part, size in zip(_COMMAND_PARTS[2:], parts[2:], (2, 6, 6)):
-            if part.shape != (size,):
-                raise DimensionMismatch(f"{name} must have shape ({size},)")
-        for name, part in zip(_COMMAND_PARTS[:2], parts[:2]):
-            if part.ndim != 1:
-                raise DimensionMismatch(f"{name} must be one-dimensional, got shape {part.shape}")
+        for name, part, size in zip(_COMMAND_PARTS, parts, (None, None, 2, 6, 6)):
+            if part.ndim != 1 or part.shape != (size or len(part),):
+                raise DimensionMismatch(f"{name} must have shape ({size or 'n'},)")
         self._adopt(np.concatenate(parts), len(parts[0]), len(parts[1]))
 
-    def _adopt(self, vec: np.ndarray, n_left: int, n_right: int) -> None:
-        """Make `vec`, a fresh command vector, read-only and the parts views of it."""
+    def _adopt(self, vec: np.ndarray, a: int, b: int) -> None:
+        """Make `vec`, a fresh command vector with arms of a and b joints,
+        read-only and the parts views of it."""
         vec.flags.writeable = False
-        a = n_left
-        b = a + n_right
+        b, c = a + b, a + b + 2
         for name, part in zip(_COMMAND_PARTS + ("_vector",),
-                              (vec[:a], vec[a:b], vec[b:b + 2], vec[b + 2:b + 8], vec[b + 8:], vec)):
+                              (vec[:a], vec[a:b], vec[b:c], vec[c:c + 6], vec[c + 6:], vec)):
             object.__setattr__(self, name, part)
-        bad = (vec[b + 2:] < -1e-12) | (vec[b + 2:] > 1.0 + 1e-12)
+        bad = (vec[c:] < -1e-12) | (vec[c:] > 1.0 + 1e-12)
         if bad.any():
-            raise ValueError(f"{'left_hand' if bad[:6].any() else 'right_hand'} "
-                             "values must lie in [0, 1]")
+            raise ValueError(f"{_COMMAND_PARTS[4 - bad[:6].any()]} values must lie in [0, 1]")
 
     def vector(self) -> np.ndarray:
         """Flat command vector: left arm, right arm, neck, left hand, right hand."""
@@ -653,38 +567,20 @@ class RobotCommand:
     @staticmethod
     def from_vector(config: EmbodimentConfig, vec: np.ndarray) -> "RobotCommand":
         """Inverse of `vector` for `config`'s arm sizes."""
-        vec = np.array(vec, dtype=float)
-        n_left, n_right = config.left_arm.n_joints, config.right_arm.n_joints
-        size = n_left + n_right + 2 + 2 * HAND_ACTUATOR_COUNT
-        if vec.shape != (size,):
-            raise DimensionMismatch(f"command vector must have shape ({size},), got {vec.shape}")
+        vec, a, b = np.array(vec, dtype=float), config.left_arm.n_joints, config.right_arm.n_joints
+        if vec.shape != (a + b + 2 + 2 * HAND_ACTUATOR_COUNT,):
+            raise DimensionMismatch(f"command vector must have shape ({a + b + 14},)")
         cmd = object.__new__(RobotCommand)
-        cmd._adopt(vec, n_left, n_right)
+        cmd._adopt(vec, a, b)
         return cmd
 
     def validate_limits(self, config: EmbodimentConfig) -> list[str]:
         """Names of joints outside their configured limits; a NaN joint is outside."""
-        bad = []
-        for label, chain, q in (
-            ("left_arm", config.left_arm, self.left_arm_q),
-            ("right_arm", config.right_arm, self.right_arm_q),
-            ("neck", config.neck, self.neck_q),
-        ):
-            for joint, value in zip(chain.joints, q):
-                lo, hi = joint.limits
-                if not lo - 1e-9 <= value <= hi + 1e-9:
-                    bad.append(f"{label}.{joint.name}")
-        return bad
-
-
-def _split_commands(config: EmbodimentConfig, commands: np.ndarray) -> list[np.ndarray]:
-    """Views of a batch of command vectors (B, n_cmd) (see `RobotCommand.vector`):
-    left arm, right arm, neck, left hand, right hand."""
-    a = config.left_arm.n_joints
-    b = a + config.right_arm.n_joints
-    c = b + 2
-    d = c + HAND_ACTUATOR_COUNT
-    return [commands[:, :a], commands[:, a:b], commands[:, b:c], commands[:, c:d], commands[:, d:]]
+        return [f"{label}.{joint.name}" for label, q in (
+                    ("left_arm", self.left_arm_q), ("right_arm", self.right_arm_q),
+                    ("neck", self.neck_q))
+                for joint, value in zip(getattr(config, label).joints, q)
+                if not joint.limits[0] - 1e-9 <= value <= joint.limits[1] + 1e-9]
 
 
 def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray:
@@ -762,34 +658,6 @@ class RetargetRows(NamedTuple):
     errors: list              # per row the CrossembError it raised, else None
 
 
-def _decode_actions(actions: np.ndarray, warm: np.ndarray):
-    """Head, left wrist and right wrist rotations (B, 3, 3) each of a batch
-    of unified actions (B, 54); per row the error retargeting raises for
-    it, else None; and the mask of the rows to solve, None if every row is.
-    A row fails on non-finite values in its action, else on non-finite
-    warm-start joints `warm` (B, m), else on the first rotation code (left
-    wrist, right wrist, head) that does not decode."""
-    rotations, defect = geometry.decode_rot6d_rows(unified_space.rotation_codes(actions))
-    rotations = (rotations[:, 0], rotations[:, 1], rotations[:, 2])
-    errors = [None] * len(actions)
-    # A finite sum means finite terms; an overflowing one is checked row by row.
-    if math.isfinite(np.add.reduce(actions, axis=None) + np.add.reduce(warm, axis=None)) \
-            and not defect.any():
-        return rotations, errors, None
-    finite = np.isfinite(actions).all(axis=1)
-    finite_warm = np.isfinite(warm).all(axis=1)
-    defect = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
-    solve = finite & finite_warm & ~defect.any(axis=1)
-    for b in np.flatnonzero(~solve):
-        if not finite[b]:
-            errors[b] = RetargetFailure("action contains non-finite values")
-        elif not finite_warm[b]:
-            errors[b] = RetargetFailure("warm-start arm joints contain non-finite values")
-        else:
-            errors[b] = DegenerateRotation6D(geometry.ROT6D_DEFECTS[defect[b][defect[b] > 0][0]])
-    return rotations, errors, solve
-
-
 def retarget_rows(
     actions: np.ndarray,
     config: EmbodimentConfig,
@@ -800,25 +668,37 @@ def retarget_rows(
     warm-started at the command vector commands[b] (B, n_cmd).
 
     Both arms of every row are solved as one `_ik_rows` batch (left rows,
-    then right rows); neck and hands run as one batch. A row whose action
-    holds non-finite values or a rotation code that does not decode, or
-    whose warm-start arm joints are non-finite, is not solved: it keeps
-    its previous command and gets the error `retarget_action` raises for
-    it.
+    then right rows); neck and hands run as one batch. A row is not solved
+    when its action holds non-finite values, else when its warm-start arm
+    joints do, else when a rotation code (left wrist, right wrist, head)
+    does not decode: it keeps its previous command and gets the error
+    `retarget_action` raises for it.
     """
     U = unified_space
-    n = config.left_arm.n_joints
-    (head_R, left_R, right_R), errors, solve = _decode_actions(actions, commands[:, :2 * n])
-    if solve is not None:
-        B = len(actions)
-        out = RetargetRows(commands.copy(), np.zeros((B, 2), bool), np.zeros((B, 2)),
-                           np.zeros((B, 2)), np.zeros(B, bool), errors)
-        if not solve.any():
-            return out
-        actions, commands = actions[solve], commands[solve]
-        head_R, left_R, right_R = head_R[solve], left_R[solve], right_R[solve]
-    S = len(actions)
-    wrist_R = np.concatenate([left_R, right_R])
+    S, n = len(actions), config.left_arm.n_joints
+    rotations, defect = geometry.decode_rot6d_rows(U.rotation_codes(actions))
+    warm = commands[:, :2 * n]
+    # A finite sum has finite terms; an overflowing one is checked row by row.
+    if not (math.isfinite(np.add.reduce(actions, axis=None) + np.add.reduce(warm, axis=None))
+            and not defect.any()):
+        finite, finite_warm = np.isfinite(actions).all(axis=1), np.isfinite(warm).all(axis=1)
+        d = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
+        solve, errors = finite & finite_warm & ~d.any(axis=1), [None] * S
+        for b in np.flatnonzero(~solve):
+            if not finite[b]:
+                errors[b] = RetargetFailure("action contains non-finite values")
+            elif not finite_warm[b]:
+                errors[b] = RetargetFailure("warm-start arm joints contain non-finite values")
+            else:
+                errors[b] = DegenerateRotation6D(geometry.ROT6D_DEFECTS[d[b][d[b] > 0][0]])
+        out = RetargetRows(commands.copy(), np.zeros((S, 2), bool), np.zeros((S, 2)),
+                           np.zeros((S, 2)), np.zeros(S, bool), errors)
+        if solve.any():
+            rows = retarget_rows(actions[solve], config, commands[solve], params)
+            for got, part in zip(out[:5], rows):
+                got[solve] = part
+        return out
+    head_R, wrist_R = rotations[:, 0], np.concatenate([rotations[:, 1], rotations[:, 2]])
     wrist_t = np.concatenate([actions[:, U.LEFT_WRIST_POS], actions[:, U.RIGHT_WRIST_POS]])
     q0 = np.concatenate([commands[:, :n], commands[:, n:2 * n]])
     q, pos_err, rot_err, ok = _ik_rows(config.arms, np.repeat([0, 1], S), wrist_R, wrist_t, q0,
@@ -832,14 +712,9 @@ def retarget_rows(
         moved = np.abs(neck_q - neck_raw) > 1e-12 + 1e-5 * np.abs(neck_raw)
     tips = actions[:, U.FINGERTIPS].reshape(S, 2, -1, 3).swapaxes(0, 1).reshape(2 * S, -1, 3)
     hands = _hand_actuators(tips, wrist_R, wrist_t, config.hand_model)  # left, then right
-    rows = RetargetRows(np.concatenate([q[:S], q[S:], neck_q, hands[:S], hands[S:]], axis=1),
+    return RetargetRows(np.concatenate([q[:S], q[S:], neck_q, hands[:S], hands[S:]], axis=1),
                         ok.reshape(2, S).T, pos_err.reshape(2, S).T, rot_err.reshape(2, S).T,
-                        moved.any(axis=1), errors)
-    if solve is None:
-        return rows
-    for got, part in zip(out[:5], rows):
-        got[solve] = part
-    return out
+                        moved.any(axis=1), [None] * S)
 
 
 def retarget_action(
@@ -855,8 +730,7 @@ def retarget_action(
     action = np.asarray(action, dtype=float)
     if action.shape != (unified_space.STATE_DIM,):
         raise DimensionMismatch(f"action must be (54,), got {action.shape}")
-    _check_arms(config, q_prev)
-    rows = retarget_rows(action[None], config, q_prev._vector[None], params)
+    rows = retarget_rows(action[None], config, command_vector(config, q_prev)[None], params)
     if rows.errors[0] is not None:
         raise rows.errors[0]
     converged = rows.converged[0].tolist()
@@ -864,9 +738,8 @@ def retarget_action(
              for ok, p, r in zip(converged, rows.pos_err[0].tolist(), rows.rot_err[0].tolist())]
     clamps = [f"{side}_arm:best_effort" for side, ok in zip(("left", "right"), converged)
               if not ok] + ["neck:limit"] * bool(rows.neck_clamped[0])
-    cmd = object.__new__(RobotCommand)
-    cmd._adopt(rows.commands[0], config.left_arm.n_joints, config.right_arm.n_joints)
-    return cmd, RetargetDiagnostics(*limbs, clamp_events=tuple(clamps))
+    return (RobotCommand.from_vector(config, rows.commands[0]),
+            RetargetDiagnostics(*limbs, clamp_events=tuple(clamps)))
 
 
 def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
@@ -875,31 +748,28 @@ def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     (B, 54) and checked as `encode_state` checks them."""
     U = unified_space
     B = len(commands)
-    left_q, right_q, neck_q, left_hand, right_hand = _split_commands(config, commands)
+    n = config.left_arm.n_joints
     # Each arm's arrays broadcast over its rows: R (2, B, 3, 3), t (2, B, 3).
-    R, t, _, _ = _fk_frames(config.arms.stack.take(np.s_[:, None]), np.stack([left_q, right_q]))
-    head_R = _fk_frames(config.neck.arrays, neck_q)[0]
+    R, t, _, _ = _fk_frames(config.arms.take(np.s_[:, None]),
+                            np.stack([commands[:, :n], commands[:, n:2 * n]]))
+    head_R = _fk_frames(config.neck.arrays, commands[:, 2 * n:2 * n + 2])[0]
     out = np.empty((B, U.STATE_DIM))
     out[:, U.HEAD_ROT] = geometry.encode_rot6d(head_R)
     out[:, U.LEFT_WRIST_ROT], out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(R)
     out[:, U.LEFT_WRIST_POS], out[:, U.RIGHT_WRIST_POS] = t
-    tips = fingertip_rows(np.concatenate([left_hand, right_hand]), R.reshape(-1, 3, 3),
-                           t.reshape(-1, 3), config.hand_model)
+    hands = commands[:, 2 * n + 2:].reshape(B, 2, HAND_ACTUATOR_COUNT).swapaxes(0, 1)
+    tips = fingertip_rows(hands.reshape(-1, HAND_ACTUATOR_COUNT), R.reshape(-1, 3, 3),
+                          t.reshape(-1, 3), config.hand_model)
     tips = np.concatenate([tips[:B], tips[B:]], axis=1)
     out[:, U.FINGERTIPS] = tips.reshape(-1, 3 * 2 * U.FINGERS_PER_HAND)
     U.check_state_rows(out)
     return out
 
 
-def _check_arms(config: EmbodimentConfig, cmd: RobotCommand) -> None:
-    """Raise DimensionMismatch unless `cmd`'s arms have `config`'s joint counts."""
-    for chain, q in ((config.left_arm, cmd.left_arm_q), (config.right_arm, cmd.right_arm_q)):
-        _check_q(chain, q)
-
-
 def command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:
     """`cmd.vector()`, once its arms have `config`'s joint counts."""
-    _check_arms(config, cmd)
+    for chain, q in ((config.left_arm, cmd.left_arm_q), (config.right_arm, cmd.right_arm_q)):
+        _check_q(chain, q)
     return cmd.vector()
 
 

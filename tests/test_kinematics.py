@@ -18,7 +18,6 @@ from crossemb.kinematics import (
     Joint,
     KinematicChain,
     RobotCommand,
-    _Chains,
     embed_rows,
     fingertip_rows,
     _fk_frames,
@@ -623,11 +622,11 @@ def test_fk_frames_batch_rows_equal_single_calls():
             assert pose.translation.tobytes() == batch[1][b].tobytes()
     # Per-row arrays of both arms: every row as on its own arm's arrays.
     for cfg in (humanoid_a_config(), humanoid_b_config()):
-        lo, hi = cfg.arms.stack.lo, cfg.arms.stack.hi
+        lo, hi = cfg.arms.lo, cfg.arms.hi
         for B in (1, 5, 30):
             arm = rng.integers(0, 2, size=B)
             Q = lo[arm] + rng.random((B, lo.shape[1])) * (hi - lo)[arm]
-            rows = fk_frames_rows(_fk_frames(cfg.arms.stack.take(arm), Q))
+            rows = fk_frames_rows(_fk_frames(cfg.arms.take(arm), Q))
             for k, chain in enumerate((cfg.left_arm, cfg.right_arm)):
                 own = fk_frames_rows(_fk_frames(chain.arrays, Q[arm == k]))
                 for got, want in zip(rows, own):
@@ -660,12 +659,12 @@ def fk_fixture_digest():
             Q = lo - 0.2 + rng.random((7, chain.n_joints)) * (hi - lo + 0.4)
             update(_fk_frames(chain.arrays, Q))
             update(_fk_frames(chain.arrays, Q[:1]))
-        lo, hi = cfg.arms.stack.lo, cfg.arms.stack.hi
+        lo, hi = cfg.arms.lo, cfg.arms.hi
         for arm in (np.array([0, 1]), np.array([1, 0, 0, 1, 1, 0, 1])):
             Q = lo[arm] + rng.random((len(arm), lo.shape[-1])) * (hi - lo)[arm]
-            update(_fk_frames(cfg.arms.stack.take(arm), Q))
+            update(_fk_frames(cfg.arms.take(arm), Q))
         Q = lo[:, None] + rng.random((2, 6, lo.shape[-1])) * (hi - lo)[:, None]
-        update(_fk_frames(cfg.arms.stack.take(np.s_[:, None]), Q))
+        update(_fk_frames(cfg.arms.take(np.s_[:, None]), Q))
         n_arms = cfg.left_arm.n_joints + cfg.right_arm.n_joints
         commands = np.hstack([rng.normal(scale=1.5, size=(6, n_arms + 2)), rng.random((6, 12))])
         h.update(embed_rows(cfg, commands).tobytes())
@@ -760,7 +759,7 @@ def ik_rows_fixture():
 def test_ik_rows_equal_per_row_ik_solve(params):
     chain, targets, q_init = ik_rows_fixture()
     q, pos_err, rot_err, ok = _ik_rows(
-        _Chains(chain.arrays, (chain.arrays,)), np.zeros(len(targets), dtype=int),
+        chain.arrays, np.zeros(len(targets), dtype=int),
         np.array([t.rotation for t in targets]),
         np.array([t.translation for t in targets]), q_init, params,
     )
