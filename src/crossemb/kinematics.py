@@ -13,7 +13,11 @@ or given per row, so rows on different chains of one joint count (a
 config's two arms) run as one batch; per-joint arrays, each axis's
 Rodrigues terms k k^T and [k]x among them, are joint-major. Every row
 goes through the same floating-point operations as a batch of one on its
-own chain, so no result depends on the batch it ran in.
+own chain, so no result depends on the batch it ran in. A BLAS product
+(numpy's matmul of float arrays) sums from +0, so it holds no -0 and
+ignores the sign of zero operands: X @ I is X for a product X, which
+lets FK skip identity origin rotations and the damping add lam^2 on the
+diagonal of J J^T alone, without changing a bit.
 
 IK takes one target per row. `_ik_rows` first descends every row from
 its own initial joints as one lockstep batch, each row with its own
@@ -100,16 +104,15 @@ class Joint:
 
 
 class _ChainArrays(NamedTuple):
-    """The geometry of the chains a batch's rows run on, as FK and IK read
-    it. Per-joint arrays are joint-major, (n, R, ...), so FK takes joint i
-    as `a[i]`; the others lead with the rows, (R, ...). R is 1 for a
-    chain's own arrays (they broadcast over any rows), K for K chains
-    stacked, or one chain per row."""
+    """The geometry of the chains a batch's rows run on: per-joint arrays
+    joint-major, (n, R, ...), so FK takes joint i as `a[i]`, the others
+    (R, ...). R is 1 for a chain's own arrays (they broadcast over any
+    rows), K for K chains stacked, or one chain per row."""
 
     axes: np.ndarray          # (n, R, 3) unit joint axes, joint frame
     kk: np.ndarray            # (n, R, 9) k k^T of each axis k, row-major
     skew: np.ndarray          # (n, R, 9) [k]x of each axis k, row-major
-    origin_R: np.ndarray      # (n, R, 3, 3) joint origin rotations
+    origin_R: np.ndarray | None  # (n, R, 3, 3) joint origin rotations; None: all identity
     offsets: np.ndarray       # (n + 1, R, 3) joint origin translations, then the tip's
     base_R: np.ndarray        # (R, 3, 3)
     base_t: np.ndarray        # (R, 3)
@@ -120,11 +123,9 @@ class _ChainArrays(NamedTuple):
     reach: np.ndarray         # (R,) sum of |offsets[1:]|: no tip is farther from root
 
     def take(self, index) -> "_ChainArrays":
-        """The arrays at `index` of the rows axis: rows, or a tuple of
-        index items such as `np.s_[:, None]`."""
-        index = index if isinstance(index, tuple) else (index,)
-        joint_major = (slice(None), *index)
-        return _ChainArrays(*(a[joint_major if f < 5 else index] for f, a in enumerate(self)))
+        """The arrays at `index` (rows or a slice) of the rows axis."""
+        return _ChainArrays(*(a if a is None else a[:, index] if f < 5 else a[index]
+                              for f, a in enumerate(self)))
 
     def for_rows(self, arm: np.ndarray) -> "_ChainArrays":
         """The arrays of rows on chains `arm` of these K chains: a view of
@@ -152,18 +153,19 @@ class KinematicChain:
         offsets = np.array([j.origin.translation for j in self.joints]
                            + [self.tip_offset.translation])
         axes = np.array([j.axis for j in self.joints])
+        origin_R = np.array([j.origin.rotation for j in self.joints])[:, None]
         base_R, base_t = self.base_frame.rotation, self.base_frame.translation
         # root and reach: see the module docstring.
         arrays = _ChainArrays(
             axes[:, None], (axes[:, :, None] * axes[:, None, :]).reshape(-1, 1, 9),
             geometry.cross_matrices(axes)[:, None],
-            np.array([j.origin.rotation for j in self.joints])[:, None], offsets[:, None],
+            None if (origin_R == np.eye(3)).all() else origin_R, offsets[:, None],
             base_R[None], base_t[None], self.tip_offset.rotation[None],
             np.array([[j.limits[0] for j in self.joints]]),
             np.array([[j.limits[1] for j in self.joints]]),
             (base_t + base_R @ offsets[0])[None], geometry.norms(offsets[1:]).sum()[None],
         )
-        for a in arrays:
+        for a in filter(lambda a: a is not None, arrays):
             a.flags.writeable = False
         object.__setattr__(self, "arrays", arrays)
 
@@ -206,12 +208,14 @@ def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     joint_R[..., ::4] += c
     joint_R = joint_R.reshape(joint_R.shape[:-1] + (3, 3))
     # Frames before each joint's origin (and the tip's) and after its origin
-    # rotation, each product written in place.
+    # rotation, each product written in place; identity origin rotations
+    # are skipped (see the module docstring).
     before = np.empty((n + 1, *rows, 3, 3))
-    after = np.empty((n, *rows, 3, 3))
     before[0] = chain.base_R
+    after = before[:n] if chain.origin_R is None else np.empty((n, *rows, 3, 3))
     for i in range(n):
-        np.matmul(before[i], chain.origin_R[i], out=after[i])
+        if chain.origin_R is not None:
+            np.matmul(before[i], chain.origin_R[i], out=after[i])
         np.matmul(after[i], joint_R[i], out=before[i + 1])
     # Positions sum the rotated offsets from the base one joint at a time.
     steps = np.empty((n + 2, *rows, 3))
@@ -288,15 +292,13 @@ def _pose_errors(R, t, target_R, target_t, w: float):
 def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
     """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep,
     row b on the chain of index arm[b] in `chains` towards its own target
-    (target_R[b], target_t[b]).
-
-    Each row runs the single-descent recipe on its own state. Its damping
+    (target_R[b], target_t[b]), each on its own state. A row's damping
     factor adapts per step (halved on improvement, grown fivefold per
-    rejected trial, at most 6 trials per step) so the iteration rides out
-    near-singular configurations; columns of joints pinned at a limit and
-    pushed further out are masked so clamping cannot stall the descent.
-    A row leaves when it converges, when all 6 trials are rejected, or,
-    marked `far` (B,), once an accepted step gains less than `pos_tol`.
+    rejected trial, at most 6 trials per step) to ride out near-singular
+    configurations; columns of joints pinned at a limit and pushed further
+    out are masked so clamping cannot stall the descent. A row leaves when
+    it converges, when all 6 trials are rejected, or, marked `far` (B,),
+    once an accepted step gains less than `pos_tol`.
 
     Rows come in groups of `size` consecutive rows, seeds in order of
     preference: a group's result is its first converged row, else its
@@ -316,9 +318,7 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
     out = None  # live rows that stopped: every trial rejected, or stalled
     # One more convergence test follows the last allowed step.
     for step in range(params.max_iters + 1):
-        done = pos_err <= params.pos_tol
-        if w != 0.0:
-            done &= rot_err <= params.rot_tol
+        done = (pos_err <= params.pos_tol) & ((rot_err <= params.rot_tol) | (w == 0.0))
         if done.any():
             np.minimum.at(first_ok, idx[done] // size, idx[done])
             gone = idx >= first_ok[idx // size]
@@ -347,9 +347,7 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
         rows, tc, tq, te, tlam, terr, tR, tt = None, chain, Q, e, lam, err, target_R, target_t
         for _trial in range(6):
             A = J @ J.transpose(0, 2, 1)
-            # + lam^2 I: a BLAS product sums from +0, holds no -0, and adding 0
-            # off the diagonal would change no bit.
-            A.reshape(-1, 36)[:, ::7] += (tlam * tlam)[:, None]
+            A.reshape(-1, 36)[:, ::7] += (tlam * tlam)[:, None]  # + lam^2 I; see module docstring
             x = _solve(A, te)  # np.linalg.solve without its checks: A is positive definite
             q_new = np.minimum(np.maximum(tq + _STEP_SCALE * np.vecmat(x, J), tc.lo), tc.hi)
             R2, t2, axes2, origins2 = _fk_frames(tc, q_new)
@@ -397,8 +395,7 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
 
 def _far_rows(stack: _ChainArrays, arm, target_t, pos_tol: float) -> np.ndarray:
     """Whether each row's target lies farther than its chain's reach plus
-    `pos_tol` from the chain's root: no joint values bring such a row's tip
-    within `pos_tol` of its target, so it can never converge."""
+    `pos_tol` from its root, so that the row can never converge."""
     return geometry.norms(target_t - stack.root[arm]) > stack.reach[arm] + pos_tol
 
 
@@ -518,10 +515,15 @@ class EmbodimentConfig:
                              f"got {n_left} and {n_right}")
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
-        # Per-joint arrays stack on their rows axis, 1; the others on 0.
-        own = zip(self.left_arm.arrays, self.right_arm.arrays)
-        arms = _ChainArrays(*(np.concatenate(a, axis=int(f < 5)) for f, a in enumerate(own)))
-        for a in arms:
+        # Per-joint arrays stack on their rows axis, 1; the others on 0. Identity
+        # origin rotations are spelt out unless both arms have them.
+        own = [arm.arrays for arm in (self.left_arm, self.right_arm)]
+        if (own[0].origin_R is None) != (own[1].origin_R is None):
+            own = [a._replace(origin_R=np.broadcast_to(np.eye(3), (len(a.axes), 1, 3, 3)))
+                   if a.origin_R is None else a for a in own]
+        arms = _ChainArrays(*(a[0] if a[0] is None else np.concatenate(a, axis=int(f < 5))
+                              for f, a in enumerate(zip(*own))))
+        for a in filter(lambda a: a is not None, arms):
             a.flags.writeable = False
         object.__setattr__(self, "arms", arms)
 
@@ -668,11 +670,10 @@ def retarget_rows(
     warm-started at the command vector commands[b] (B, n_cmd).
 
     Both arms of every row are solved as one `_ik_rows` batch (left rows,
-    then right rows); neck and hands run as one batch. A row is not solved
-    when its action holds non-finite values, else when its warm-start arm
-    joints do, else when a rotation code (left wrist, right wrist, head)
-    does not decode: it keeps its previous command and gets the error
-    `retarget_action` raises for it.
+    then right rows); neck and hands run as one batch. A row whose action
+    or warm-start arm joints hold non-finite values, or whose rotation code
+    does not decode, keeps its previous command and gets the error
+    `retarget_action` raises for it, in that order of checks.
     """
     U = unified_space
     S, n = len(actions), config.left_arm.n_joints
@@ -749,17 +750,16 @@ def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     U = unified_space
     B = len(commands)
     n = config.left_arm.n_joints
-    # Each arm's arrays broadcast over its rows: R (2, B, 3, 3), t (2, B, 3).
-    R, t, _, _ = _fk_frames(config.arms.take(np.s_[:, None]),
-                            np.stack([commands[:, :n], commands[:, n:2 * n]]))
+    # Left arm rows, then right arm rows: R (2B, 3, 3), t (2B, 3).
+    R, t, _, _ = _fk_frames(config.arms.take(np.arange(2 * B) // max(B, 1)),
+                            np.concatenate([commands[:, :n], commands[:, n:2 * n]]))
     head_R = _fk_frames(config.neck.arrays, commands[:, 2 * n:2 * n + 2])[0]
     out = np.empty((B, U.STATE_DIM))
     out[:, U.HEAD_ROT] = geometry.encode_rot6d(head_R)
-    out[:, U.LEFT_WRIST_ROT], out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(R)
-    out[:, U.LEFT_WRIST_POS], out[:, U.RIGHT_WRIST_POS] = t
+    out[:, U.LEFT_WRIST_ROT], out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(R).reshape(2, B, 6)
+    out[:, U.LEFT_WRIST_POS], out[:, U.RIGHT_WRIST_POS] = t.reshape(2, B, 3)
     hands = commands[:, 2 * n + 2:].reshape(B, 2, HAND_ACTUATOR_COUNT).swapaxes(0, 1)
-    tips = fingertip_rows(hands.reshape(-1, HAND_ACTUATOR_COUNT), R.reshape(-1, 3, 3),
-                          t.reshape(-1, 3), config.hand_model)
+    tips = fingertip_rows(hands.reshape(-1, HAND_ACTUATOR_COUNT), R, t, config.hand_model)
     tips = np.concatenate([tips[:B], tips[B:]], axis=1)
     out[:, U.FINGERTIPS] = tips.reshape(-1, 3 * 2 * U.FINGERS_PER_HAND)
     U.check_state_rows(out)

@@ -643,9 +643,10 @@ def fk_frames_rows(frames):
 def fk_fixture_digest():
     """SHA-256 over the bytes of `_fk_frames` outputs on fixed joint
     batches, in each form of chain arrays FK receives (a chain's own
-    arrays, per-row arrays of both arms, and the per-arm arrays that
-    broadcast over rows in `embed_rows`), and of `embed_rows`, on both
-    humanoids' arms and neck. Joints lie within and beyond the limits."""
+    arrays, per-row arrays of both arms, and both arms' rows as a per-arm
+    batch, which `embed_rows` ran as arm arrays broadcast over rows), and
+    of `embed_rows`, on both humanoids' arms and neck. Joints lie within
+    and beyond the limits."""
     h = hashlib.sha256()
 
     def update(frames):
@@ -663,8 +664,12 @@ def fk_fixture_digest():
         for arm in (np.array([0, 1]), np.array([1, 0, 0, 1, 1, 0, 1])):
             Q = lo[arm] + rng.random((len(arm), lo.shape[-1])) * (hi - lo)[arm]
             update(_fk_frames(cfg.arms.take(arm), Q))
+        # Both arms' rows, six each, shaped (2, 6, ...) as a per-arm batch.
         Q = lo[:, None] + rng.random((2, 6, lo.shape[-1])) * (hi - lo)[:, None]
-        update(_fk_frames(cfg.arms.take(np.s_[:, None]), Q))
+        R, t, axes, origins = _fk_frames(cfg.arms.take(np.repeat([0, 1], 6)), Q.reshape(12, -1))
+        n = len(axes)
+        update((R.reshape(2, 6, 3, 3), t.reshape(2, 6, 3), axes.reshape(n, 2, 6, 3),
+                origins.reshape(n, 2, 6, 3)))
         n_arms = cfg.left_arm.n_joints + cfg.right_arm.n_joints
         commands = np.hstack([rng.normal(scale=1.5, size=(6, n_arms + 2)), rng.random((6, 12))])
         h.update(embed_rows(cfg, commands).tobytes())
