@@ -1,11 +1,12 @@
 import hashlib
 import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crossemb import geometry, unified_space
+from crossemb import geometry, kinematics, unified_space
 from crossemb.embodiments import (
     default_hand_model,
     humanoid_a_config,
@@ -779,6 +780,149 @@ def test_ik_rows_equal_per_row_ik_solve(params):
         # The restart row converges only through its seeds; the far one never.
         assert statuses[1:3] == ["converged", "best_effort"]
         assert ik_solve(chain, targets[1], q_init[1], IkParams(restarts=0))[1] == "best_effort"
+
+
+def leave_rule(chain, target, q_init, params, monkeypatch):
+    """How the one descent of `ik_solve` from `q_init` (no restarts) leaves
+    the batch, and after how many pose evaluations: the weighted errors
+    `_pose_errors` gives (the start, then each trial) replayed through the
+    acceptance rule. A step is accepted when it lowers the error; the
+    descent ends converged, after 6 rejected trials in a row, or, for a
+    far target, on an accepted step that gains less than `pos_tol`."""
+    errs = []
+    real = kinematics._pose_errors
+
+    def spy(R, t, target_R, target_t, w):
+        pos, rot, e = real(R, t, target_R, target_t, w)
+        errs.append(pos[0] + w * rot[0])
+        return pos, rot, e
+
+    with monkeypatch.context() as m:
+        m.setattr(kinematics, "_pose_errors", spy)
+        status = ik_solve(chain, target, q_init, replace(params, restarts=0))[1]
+    err, rejected, gain = errs[0], 0, None
+    for e in errs[1:]:
+        if e < err:
+            err, rejected, gain = e, 0, err - e
+        else:
+            rejected += 1
+    if status == "converged":
+        return "converged", len(errs)
+    if rejected == 6:
+        return "rejected", len(errs)
+    assert out_of_reach(chain, target.translation, params) and gain < params.pos_tol
+    return "stalled", len(errs)
+
+
+def mixed_arm_rows():
+    """Targets on both arms of humanoid B, in one batch: reachable poses,
+    a rotated pose from the lower limits, and targets 2 m out along +z and
+    -x, each arm's rows interleaved with the other's."""
+    cfg = humanoid_b_config()
+    rows = []
+    for k, chain in enumerate((cfg.left_arm, cfg.right_arm)):
+        home = chain.mid_range()
+        start = forward_kinematics(chain, home)
+        rng = np.random.default_rng(3)
+        for scale in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8):
+            q = chain.clamp(home + rng.normal(scale=scale, size=chain.n_joints))
+            rows.append((k, forward_kinematics(chain, q), home))
+        for offset in ([0.0, 0.0, 2.0], [-2.0, 0.0, 0.0]):
+            rows.append((k, Pose(start.rotation, start.translation + offset), home))
+        rows.append((k, Pose(geometry.rotation_about_axis(Z, 1.0),
+                             start.translation + [0.1, -0.1, 0.1]), chain.lower_limits))
+    rows = rows[0::2] + rows[1::2]  # left and right rows alternate in the batch
+    return cfg, rows
+
+
+@pytest.mark.parametrize("params", [IkParams(), IkParams(restarts=0)],
+                         ids=["default", "no_restarts"])
+def test_ik_rows_on_both_arms_equal_per_row_ik_solve(params, monkeypatch):
+    """Rows of a batch on both arms' chains, leaving the first descent at
+    different iterations by each rule (converged, six rejected trials, a
+    far row's stall), equal `ik_solve` of each row alone, bit for bit."""
+    cfg, rows = mixed_arm_rows()
+    chains = (cfg.left_arm, cfg.right_arm)
+    leaves = [leave_rule(chains[k], target, q0, params, monkeypatch) for k, target, q0 in rows]
+    for rule in ("converged", "rejected", "stalled"):
+        assert len({n for r, n in leaves if r == rule}) >= 1 + (rule != "stalled"), leaves
+    assert len({n for _, n in leaves}) >= 8
+    arm = np.array([k for k, _, _ in rows])
+    assert 0 < arm.sum() < len(arm)
+    q, pos_err, rot_err, ok = _ik_rows(
+        cfg.arms, arm, np.array([t.rotation for _, t, _ in rows]),
+        np.array([t.translation for _, t, _ in rows]), np.array([q0 for _, _, q0 in rows]), params,
+    )
+    for b, (k, target, q0) in enumerate(rows):
+        single = ik_solve(chains[k], target, q0, params)
+        assert q[b].tobytes() == single[0].tobytes()
+        assert (pos_err[b], rot_err[b]) == (single.pos_err, single.rot_err)
+        assert ok[b] == (single[1] == "converged")
+
+
+def test_nonfinite_warm_start_is_an_error(monkeypatch):
+    """A NaN or inf arm joint in the warm start is a RetargetFailure, not a
+    NaN command: for its row of `retarget_rows`, from `retarget_action`,
+    and from `ik_solve` before any descent."""
+    U = unified_space
+    cfg = humanoid_b_config()
+    cmd = home_command(cfg)
+    action = U.encode_state(embed_robot_state(cmd, cfg))
+    action[U.LEFT_WRIST_POS] += [2.0, 0.0, 0.0]  # out of the left arm's reach
+    for bad_value in (np.nan, np.inf):
+        warm = cmd.vector()
+        warm[2] = bad_value  # a left arm joint
+        with pytest.raises(RetargetFailure, match="warm-start"):
+            retarget_action(action, cfg, RobotCommand.from_vector(cfg, warm))
+        rows = retarget_rows(np.stack([action, action]), cfg, np.stack([warm, cmd.vector()]))
+        assert isinstance(rows.errors[0], RetargetFailure) and rows.errors[1] is None
+        assert rows.commands[0].tobytes() == warm.tobytes()
+        out, diag = retarget_action(action, cfg, cmd)
+        assert rows.commands[1].tobytes() == out.vector().tobytes()
+        assert diag.left.status == "best_effort" and np.isfinite(diag.left.pos_err)
+        with monkeypatch.context() as m:
+            m.setattr(kinematics, "_dls_attempts", None)  # any descent would fail
+            with pytest.raises(RetargetFailure, match="initial joints"):
+                ik_solve(cfg.left_arm, forward_kinematics(cfg.left_arm, cmd.left_arm_q),
+                         warm[:cfg.left_arm.n_joints])
+    # With both non-finite, the target is reported, as before.
+    bad = object.__new__(Pose)  # Pose construction refuses NaN
+    object.__setattr__(bad, "rotation", np.eye(3))
+    object.__setattr__(bad, "translation", np.full(3, np.nan))
+    with pytest.raises(NonFiniteTarget):
+        ik_solve(cfg.left_arm, bad, warm[:cfg.left_arm.n_joints])
+
+
+def test_validate_limits_counts_nan_joints_as_outside():
+    cfg = humanoid_b_config()
+    cmd = home_command(cfg)
+    assert cmd.validate_limits(cfg) == []
+    n = cfg.left_arm.n_joints
+    vec = cmd.vector()
+    vec[[1, 2 * n]] = np.nan  # a left arm joint and the neck yaw
+    vec[n + 3] = cfg.right_arm.joints[3].limits[1] + 1e-3
+    assert RobotCommand.from_vector(cfg, vec).validate_limits(cfg) == [
+        f"left_arm.{cfg.left_arm.joints[1].name}", f"right_arm.{cfg.right_arm.joints[3].name}",
+        f"neck.{cfg.neck.joints[0].name}"]
+
+
+def test_robot_command_parts_view_one_vector():
+    cfg = humanoid_b_config()
+    cmd = home_command(cfg)
+    vec = cmd.vector()
+    again = RobotCommand.from_vector(cfg, vec)
+    for name in ("left_arm_q", "right_arm_q", "neck_q", "left_hand", "right_hand"):
+        part = getattr(again, name)
+        assert part.tobytes() == getattr(cmd, name).tobytes() and not part.flags.writeable
+        assert np.shares_memory(part, again._vector)
+    vec[0] += 1.0  # vector() is a copy, and from_vector copied it
+    assert again.vector()[0] == vec[0] - 1.0
+    with pytest.raises(DimensionMismatch):
+        RobotCommand.from_vector(cfg, vec[:-1])
+    with pytest.raises(DimensionMismatch):
+        RobotCommand(np.zeros((2, 2)), cmd.right_arm_q, cmd.neck_q, cmd.left_hand, cmd.right_hand)
+    with pytest.raises(ValueError, match="left_hand"):
+        RobotCommand(cmd.left_arm_q, cmd.right_arm_q, cmd.neck_q, np.full(6, 1.5), cmd.right_hand)
 
 
 # Humanoid B's right arm: attempt 0 from the init fails, a restart converges.
