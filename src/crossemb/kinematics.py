@@ -130,12 +130,10 @@ class _ChainArrays(NamedTuple):
     def for_rows(self, arm: np.ndarray) -> "_ChainArrays":
         """The arrays of rows on chains `arm` of these K chains: a view of
         one chain's when every row is on it, else one chain per row."""
-        k = arm[0]
-        if (arm == k).all():
-            return self.take(slice(k, k + 1))
         if len(arm) == len(self.reach) and (arm == np.arange(len(arm))).all():
             return self  # one row per chain, in order
-        return self.take(arm)
+        k = arm[0]
+        return self.take(slice(k, k + 1) if (arm == k).all() else arm)
 
 
 @dataclass(frozen=True)
@@ -197,12 +195,12 @@ def _check_q(chain: KinematicChain, q: np.ndarray) -> np.ndarray:
 
 def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     """Tip poses plus per-joint world axes and origins (for the Jacobian)
-    of a batch of joint vectors Q (..., n): R (..., 3, 3), t (..., 3), and
-    joint-major axes and origins (n, ..., 3). The rows of `chain` (R of
-    its arrays) broadcast against Q's leading axes."""
-    n, rows = Q.shape[-1], Q.shape[:-1]
+    of a batch of joint vectors Q (B, n): R (B, 3, 3), t (B, 3), and
+    joint-major axes and origins (n, B, 3). The rows of `chain` (R of its
+    arrays, 1 or B) broadcast against Q's rows."""
+    B, n = Q.shape
     # Rodrigues per joint: (1 - c) k k^T + s [k]x + c I.
-    angle = Q.transpose(-1, *range(len(rows)))[..., None]
+    angle = Q.T[..., None]
     c, s = np.cos(angle), np.sin(angle)
     joint_R = chain.kk * (1.0 - c) + chain.skew * s
     joint_R[..., ::4] += c
@@ -210,15 +208,15 @@ def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     # Frames before each joint's origin (and the tip's) and after its origin
     # rotation, each product written in place; identity origin rotations
     # are skipped (see the module docstring).
-    before = np.empty((n + 1, *rows, 3, 3))
+    before = np.empty((n + 1, B, 3, 3))
     before[0] = chain.base_R
-    after = before[:n] if chain.origin_R is None else np.empty((n, *rows, 3, 3))
+    after = before[:n] if chain.origin_R is None else np.empty((n, B, 3, 3))
     for i in range(n):
         if chain.origin_R is not None:
             np.matmul(before[i], chain.origin_R[i], out=after[i])
         np.matmul(after[i], joint_R[i], out=before[i + 1])
     # Positions sum the rotated offsets from the base one joint at a time.
-    steps = np.empty((n + 2, *rows, 3))
+    steps = np.empty((n + 2, B, 3))
     steps[0] = chain.base_t
     steps[1:] = (before @ chain.offsets[..., None])[..., 0]
     t = np.cumsum(steps, axis=0)
@@ -318,7 +316,9 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
     out = None  # live rows that stopped: every trial rejected, or stalled
     # One more convergence test follows the last allowed step.
     for step in range(params.max_iters + 1):
-        done = (pos_err <= params.pos_tol) & ((rot_err <= params.rot_tol) | (w == 0.0))
+        done = pos_err <= params.pos_tol
+        if w != 0.0:
+            done &= rot_err <= params.rot_tol
         if done.any():
             np.minimum.at(first_ok, idx[done] // size, idx[done])
             gone = idx >= first_ok[idx // size]
@@ -596,7 +596,7 @@ def _hand_actuators(tips, wrist_R, wrist_t, hand_model: HandModel) -> np.ndarray
     """
     d = tips - wrist_t[:, None, :]
     dist = np.sqrt(np.add.reduce(d * d, axis=-1))  # np.linalg.norm(d, axis=-1)
-    closure = 1.0 - np.minimum(np.maximum(dist / hand_model.fingertip_extent, 0.0), 1.0)
+    closure = 1.0 - np.minimum(dist / hand_model.fingertip_extent, 1.0)  # dist >= +0
 
     # Thumb rotation from the wrist-frame tip direction.
     local = (wrist_R.transpose(0, 2, 1) @ d[:, 0, :, None])[..., 0]
