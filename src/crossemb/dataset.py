@@ -636,6 +636,17 @@ class MixedSampler:
             yield sets[tag], perms[tag][k]
 
 
+def pair_stream_digest(sampler: MixedSampler, n: int = 10_000) -> str:
+    """SHA-256 over the first n pair ids; stable for a fixed seed."""
+    h = hashlib.sha256()
+    stream = sampler.stream()
+    for _ in range(n):
+        pair_set, row = next(stream)
+        h.update(pair_set.ids[row].encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def episodes_to_pairs_by_tag(
     episodes: Sequence[DemonstrationEpisode], chunk_length: int, stride: int = 1
 ) -> dict[str, PairSet]:

@@ -14,10 +14,9 @@ config's two arms) run as one batch; per-joint arrays, each axis's
 Rodrigues terms k k^T and [k]x among them, are joint-major. Every row
 goes through the same floating-point operations as a batch of one on its
 own chain, so no result depends on the batch it ran in. A BLAS product
-(numpy's matmul of float arrays) sums from +0, so it holds no -0 and
-ignores the sign of zero operands: X @ I is X for a product X, which
-lets FK skip identity origin rotations and the damping add lam^2 on the
-diagonal of J J^T alone, without changing a bit.
+(numpy's float matmul) sums from +0: it holds no -0 and ignores the sign
+of zero operands, so FK skips identity origin rotations and the damping
+adds lam^2 to the diagonal of J J^T alone, and no bit changes.
 
 IK takes one target per row. `_ik_rows` first descends every row from
 its own initial joints as one lockstep batch, each row with its own
@@ -41,14 +40,13 @@ effort, but each descent stops once an accepted step gains less than
 never converge, so the test changes no converged result.
 
 `retarget_rows` solves both arms of a batch of unified actions as one
-`_ik_rows` batch (rows whose action is non-finite or holds a rotation
-code that does not decode, or whose warm start is non-finite, get the
-error `retarget_action` raises for them), and `embed_rows` turns command
-vectors (`RobotCommand.vector`, checked against a config by
-`command_vector`) into unified 54-vectors, placing fingertips with
-`fingertip_rows`. These row functions are the public API that rollouts,
-demo generation and capture ingest run on; `ik_solve`, `retarget_action`,
-`forward_kinematics` and `embed_robot_state` are their batches of one.
+`_ik_rows` batch (invalid rows get the error `retarget_action` raises),
+and `embed_rows` turns command vectors (`RobotCommand.vector`, checked
+against a config by `command_vector`) into unified 54-vectors, placing
+fingertips with `fingertip_rows`. These row functions are the public API
+that rollouts, demo generation and capture ingest run on; `ik_solve`,
+`retarget_action`, `forward_kinematics` and `embed_robot_state` are their
+batches of one.
 """
 
 from __future__ import annotations
@@ -224,10 +222,9 @@ def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
 
 
 def _jacobians(t, axes, origins, w):
-    """Geometric Jacobians (B, 6, n), angular rows scaled by w, of tips t
-    (B, 3) and joint-major axes and origins (n, B, 3). C-contiguous on
-    purpose: `J @ J.T` on a transposed view takes another BLAS path and
-    drifts in the last bits."""
+    """Geometric Jacobians (B, 6, n), angular rows scaled by w, of tips t (B, 3)
+    and joint-major axes and origins (n, B, 3); C-contiguous, since `J @ J.T`
+    on a transposed view takes another BLAS path, drifting in the last bits."""
     linear = geometry.cross(axes, t - origins)
     return np.ascontiguousarray(np.concatenate([linear, w * axes], axis=2).transpose(1, 2, 0))
 
@@ -314,8 +311,7 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
     first_ok = np.full(B // size, B)  # per group; B: none converged yet
     results = np.empty_like(Q0), np.empty(B), np.empty(B)  # q, pos_err, rot_err per row
     out = None  # live rows that stopped: every trial rejected, or stalled
-    # One more convergence test follows the last allowed step.
-    for step in range(params.max_iters + 1):
+    for step in range(params.max_iters + 1):  # a convergence test follows the last step
         done = pos_err <= params.pos_tol
         if w != 0.0:
             done &= rot_err <= params.rot_tol
@@ -342,8 +338,7 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
             grad = np.vecmat(e, J)
             J = J * ~((at_lo & (grad < 0)) | (at_hi & (grad > 0)))[:, None, :]
         out = None if far is None else np.zeros(len(idx), dtype=bool)  # stalled rows, so far
-        # The trial's rows: positions of the live rows with no step accepted
-        # yet (None: all), and their part of the state.
+        # The trial's rows (live positions with no step accepted; None: all), their state.
         rows, tc, tq, te, tlam, terr, tR, tt = None, chain, Q, e, lam, err, target_R, target_t
         for _trial in range(6):
             A = J @ J.transpose(0, 2, 1)
@@ -358,9 +353,8 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
             if rows is None and acc.all():  # every row steps: take the trial's state
                 Q, t, axes, origins, e = q_new, t2, axes2, origins2, e2
                 pos_err, rot_err, err = pos2, rot2, err2
-                lam = np.maximum(lam * 0.5, 1e-5)
+                lam, rows = np.maximum(lam * 0.5, 1e-5), idx[:0]
                 out = None if far is None else far & slow
-                rows = idx[:0]
                 break
             rows = np.arange(len(idx)) if rows is None else rows
             if acc.any():
@@ -417,8 +411,7 @@ def _ik_rows(chains, arm, target_R, target_t, Q_init, params):
         rows = np.repeat(failed, params.restarts)
         rq, rpos, rrot, rok = _dls_attempts(
             chains, arm[rows], far[rows], target_R[rows], target_t[rows], params.restarts,
-            seeds[arm[failed]].reshape(-1, lo.shape[-1]), params,
-        )
+            seeds[arm[failed]].reshape(-1, lo.shape[-1]), params)
         w = params.orientation_weight
         # Attempt 0 keeps ties: the seeds are tried after it.
         better = rok | (rpos + w * rrot < pos_err[failed] + w * rot_err[failed])
@@ -515,8 +508,7 @@ class EmbodimentConfig:
                              f"got {n_left} and {n_right}")
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
-        # Per-joint arrays stack on their rows axis, 1; the others on 0. Identity
-        # origin rotations are spelt out unless both arms have them.
+        # Stacked on the rows axis; identity origins spelt out unless on both arms.
         own = [arm.arrays for arm in (self.left_arm, self.right_arm)]
         if (own[0].origin_R is None) != (own[1].origin_R is None):
             own = [a._replace(origin_R=np.broadcast_to(np.eye(3), (len(a.axes), 1, 3, 3)))
@@ -551,8 +543,7 @@ class RobotCommand:
         self._adopt(np.concatenate(parts), len(parts[0]), len(parts[1]))
 
     def _adopt(self, vec: np.ndarray, a: int, b: int) -> None:
-        """Make `vec`, a fresh command vector with arms of a and b joints,
-        read-only and the parts views of it."""
+        """Freeze `vec` (fresh; arms of a and b joints) and make the parts its views."""
         vec.flags.writeable = False
         b, c = a + b, a + b + 2
         for name, part in zip(_COMMAND_PARTS + ("_vector",),
@@ -686,12 +677,10 @@ def retarget_rows(
         d = defect[:, [1, 2, 0]]  # the order retarget_action decodes them in
         solve, errors = finite & finite_warm & ~d.any(axis=1), [None] * S
         for b in np.flatnonzero(~solve):
-            if not finite[b]:
-                errors[b] = RetargetFailure("action contains non-finite values")
-            elif not finite_warm[b]:
-                errors[b] = RetargetFailure("warm-start arm joints contain non-finite values")
-            else:
-                errors[b] = DegenerateRotation6D(geometry.ROT6D_DEFECTS[d[b][d[b] > 0][0]])
+            errors[b] = (RetargetFailure("action contains non-finite values") if not finite[b]
+                         else RetargetFailure("warm-start arm joints contain non-finite values")
+                         if not finite_warm[b]
+                         else DegenerateRotation6D(geometry.ROT6D_DEFECTS[d[b][d[b] > 0][0]]))
         out = RetargetRows(commands.copy(), np.zeros((S, 2), bool), np.zeros((S, 2)),
                            np.zeros((S, 2)), np.zeros(S, bool), errors)
         if solve.any():

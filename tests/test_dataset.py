@@ -15,6 +15,7 @@ from crossemb.dataset import (
     extract_pairs,
     ingest,
     load_raw_capture,
+    pair_stream_digest,
     read_dataset,
     write_dataset,
 )
@@ -33,17 +34,6 @@ from crossemb.errors import (
 
 # Identity rotations, zero positions.
 IDENTITY_STATE = np.array([1.0, 0, 0, 0, 1, 0] * 3 + [0.0] * 36)
-
-
-def pair_stream_digest(sampler: MixedSampler, n: int = 10_000) -> str:
-    """SHA-256 over the first n pair ids; stable for a fixed seed."""
-    h = hashlib.sha256()
-    stream = sampler.stream()
-    for _ in range(n):
-        pair_set, row = next(stream)
-        h.update(pair_set.ids[row].encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 def pose_json(R=None, t=(0.0, 0.0, 0.0)):
