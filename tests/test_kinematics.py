@@ -15,6 +15,7 @@ from crossemb.embodiments import (
 from crossemb.errors import CrossembError, DimensionMismatch, NonFiniteTarget, RetargetFailure
 from crossemb.geometry import Pose
 from crossemb.kinematics import (
+    EmbodimentConfig,
     IkParams,
     Joint,
     KinematicChain,
@@ -632,6 +633,39 @@ def test_fk_frames_batch_rows_equal_single_calls():
                 own = fk_frames_rows(_fk_frames(chain.arrays, Q[arm == k]))
                 for got, want in zip(rows, own):
                     assert got[arm == k].tobytes() == want.tobytes()
+
+
+def test_arms_with_identity_origins_on_one_side_only():
+    """A config whose left arm has identity origin rotations (FK skips
+    them) and whose right arm has turned ones stacks them spelt out; FK
+    and IK rows on that stack equal each arm's own, bit for bit."""
+    cfg = humanoid_b_config()
+    turned = KinematicChain(
+        tuple(replace(j, origin=Pose(geometry.rotation_about_axis(Z, 0.1 * (i + 1)),
+                                     j.origin.translation))
+              for i, j in enumerate(cfg.right_arm.joints)),
+        cfg.right_arm.base_frame, cfg.right_arm.tip_offset)
+    mixed = EmbodimentConfig("mixed", cfg.left_arm, turned, cfg.neck, cfg.hand_model)
+    assert cfg.left_arm.arrays.origin_R is None and turned.arrays.origin_R is not None
+    assert mixed.arms.origin_R.shape == (7, 2, 3, 3)
+    rng = np.random.default_rng(31)
+    arm = np.array([0, 1, 1, 0, 1, 0])
+    lo, hi = mixed.arms.lo[arm], mixed.arms.hi[arm]
+    Q = lo + rng.random(lo.shape) * (hi - lo)
+    rows = fk_frames_rows(_fk_frames(mixed.arms.take(arm), Q))
+    chains = (mixed.left_arm, mixed.right_arm)
+    for k, chain in enumerate(chains):
+        own = fk_frames_rows(_fk_frames(chain.arrays, Q[arm == k]))
+        for got, want in zip(rows, own):
+            assert got[arm == k].tobytes() == want.tobytes()
+    targets = [forward_kinematics(chains[k], q + 0.2) for k, q in zip(arm, Q)]
+    q, pos_err, rot_err, ok = _ik_rows(mixed.arms, arm, np.array([t.rotation for t in targets]),
+                                       np.array([t.translation for t in targets]), Q, IkParams())
+    for b, (k, target) in enumerate(zip(arm, targets)):
+        single = ik_solve(chains[k], target, Q[b])
+        assert q[b].tobytes() == single[0].tobytes()
+        assert (pos_err[b], rot_err[b], ok[b]) == (single.pos_err, single.rot_err,
+                                                   single[1] == "converged")
 
 
 def fk_frames_rows(frames):
