@@ -37,6 +37,7 @@ from . import geometry, retiming, unified_space
 from .errors import (
     BodyMotionRejected,
     ChecksumMismatch,
+    ConfigRequired,
     CorruptEpisode,
     CrossembError,
     DegenerateTrajectory,
@@ -402,7 +403,8 @@ def ingest(
     """
     if raw.kind == "robot":
         if config is None:
-            raise ValueError("robot captures require an EmbodimentConfig")
+            raise ConfigRequired(f"capture {raw.episode_id!r}: robot captures require an "
+                                 "embodiment config")
         return _ingest_robot(raw, config, options)
     return _ingest_human(raw, (config or EmbodimentConfig).canonical_frame_offset, options)
 
@@ -492,7 +494,8 @@ def write_dataset(episodes: Sequence[DemonstrationEpisode], directory: str | Pat
 
 
 def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode]]:
-    """Load manifest + episodes, verifying version and checksums. Keys the
+    """Load manifest + episodes, verifying version, checksums and that each
+    episode has the manifest's `feature_dim` feature columns. Keys the
     manifest holds besides those `write_dataset` writes (such as the
     `stats_files` of older datasets) are ignored."""
     root = Path(directory)
@@ -520,7 +523,11 @@ def read_dataset(directory: str | Path) -> tuple[dict, list[DemonstrationEpisode
         digest = hashlib.sha256(blob).hexdigest()
         if digest != entry["sha256"]:
             raise ChecksumMismatch(f"episode {entry['id']}: checksum mismatch")
-        episodes.append(_episode_from_bytes(blob, entry))
+        ep = _episode_from_bytes(blob, entry)
+        if ep.feature_dim != manifest["feature_dim"]:
+            raise InvalidMetadata(f"{where}: feature_dim {manifest['feature_dim']}, but episode "
+                                  f"{ep.id} has {ep.feature_dim} feature columns")
+        episodes.append(ep)
     return manifest, episodes
 
 

@@ -62,6 +62,10 @@ class InvalidMetadata(CrossembError):
     required field."""
 
 
+class ConfigRequired(CrossembError):
+    """A robot capture was ingested without an embodiment config."""
+
+
 class UnreadableFile(CrossembError):
     """An input path is a directory, or a file that cannot be read or decoded."""
 

@@ -523,17 +523,18 @@ class EmbodimentConfig:
 _COMMAND_PARTS = ("left_arm_q", "right_arm_q", "neck_q", "left_hand", "right_hand")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotCommand:
     """Joint-space command: arms, 2-DoF neck, two 6-actuator hands, each a
-    read-only view of one flat command vector (see `vector`)."""
+    read-only view of one flat command vector (see `vector`). Compared by
+    identity; compare `vector()`s for equal values."""
 
     left_arm_q: np.ndarray
     right_arm_q: np.ndarray
     neck_q: np.ndarray    # (2,) yaw, pitch radians
     left_hand: np.ndarray  # (6,) in [0, 1]
     right_hand: np.ndarray # (6,) in [0, 1]
-    _vector: np.ndarray = field(init=False, repr=False, compare=False)
+    _vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         parts = [np.asarray(getattr(self, name), dtype=float) for name in _COMMAND_PARTS]

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, retiming, unified_space
-from .dataset import DemonstrationEpisode
+from .dataset import DEFAULT_ALPHA, DemonstrationEpisode
 from .errors import DimensionMismatch
 from .kinematics import (
     EmbodimentConfig,
@@ -119,7 +119,7 @@ class ReachTask:
     move_duration = 2.4         # robot-speed move time, seconds
     hold_duration = 0.4
     human_capture_rate = 30.0
-    alpha = 4.0
+    alpha = DEFAULT_ALPHA
 
     codec: FeatureCodec
     home_arm_q: np.ndarray

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from crossemb import dataset, harness, policy, unified_space
-from crossemb.cli import cli
+from crossemb.cli import build_parser, cli
 from crossemb.dataset import read_dataset, write_dataset
 from crossemb.embodiments import humanoid_a_config, load_embodiment_config
 from crossemb.kinematics import forward_kinematics
@@ -559,3 +560,158 @@ def test_binary_or_frames_path_that_is_a_directory_exit_1(tmp_path, command, cap
     blocked.mkdir()
     assert cli(argv) == 1
     assert f"{blocked}: cannot read" in capsys.readouterr().err
+
+
+def test_ingest_robot_capture_without_config_exit_1(tmp_path, capsys):
+    raw = write_robot_raw(tmp_path)
+    assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "o")]) == 1
+    assert "robot captures require an embodiment config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("feature_dim", [4, 0, -2])
+def test_manifest_feature_dim_unlike_the_episodes_exit_1(tmp_path, feature_dim, capsys):
+    eps = [synthetic_episode(f"e{i}", "human", n=12, feature_dim=16, seed=i) for i in range(2)]
+    write_dataset(eps, tmp_path / "d")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(doc | {"feature_dim": feature_dim}))
+    capsys.readouterr()
+    assert cli(["train", "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "m.ckpt"),
+                "--chunk-length", "3", "--hidden", "8", "--steps", "2", "--batch-size", "4"]) == 1
+    assert f"feature_dim {feature_dim}, but episode e0 has 16" in capsys.readouterr().err
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+    assert "validation failed" in capsys.readouterr().out
+
+
+def _subcommands():
+    """(name, parser) of each subcommand of `crossemb`."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices.items())
+
+
+# Each subcommand's required arguments. None of the paths exists: a malformed
+# value must be refused before any input is read.
+WALK_ARGV = {
+    "experiment": ["cotraining", "--out", "o"],
+    "fk": ["--embodiment-config", "humanoid_a", "--q", "0,0,0,0,0"],
+    "ik": ["--embodiment-config", "humanoid_a", "--target-pos", "0.3,-0.2,0.2"],
+    "ingest": ["--raw", "r", "--out", "o"],
+    "predict": ["--checkpoint", "m.ckpt", "--state", ",".join(map(str, IDENTITY_STATE)),
+                "--feature", "0,0,0,0"],
+    "retarget": ["--embodiment-config", "humanoid_a",
+                 "--action", ",".join(map(str, IDENTITY_STATE))],
+    "retime": ["--input", "t.json", "--alpha", "4"],
+    "rollout": ["--checkpoint", "m.ckpt"],
+    "train": ["--dataset", "d", "--out", "m.ckpt"],
+    "validate": ["--dataset", "d"],
+}
+VALUE_FLAGS = [pytest.param(name, a.option_strings[-1], a.nargs == "+",
+                            id=f"{name} {a.option_strings[-1]}")
+               for name, p in _subcommands() for a in p._actions
+               if a.option_strings and a.nargs != 0 and a.dest != "config"]
+SWITCHES = [(name, a.option_strings[-1]) for name, p in _subcommands()
+            for a in p._actions if a.option_strings and a.nargs == 0 and a.dest != "help"]
+
+
+def test_walk_covers_every_subcommand():
+    assert sorted(WALK_ARGV) == [name for name, _ in _subcommands()]
+
+
+@pytest.mark.parametrize("command, flag, many", VALUE_FLAGS)
+def test_every_value_flag_checks_its_value(tmp_path, monkeypatch, command, flag, many, capsys):
+    """An empty value fails the flag's check on the command line and in a
+    config file alike: exit 1, one error naming the flag or its key. A flag
+    added without a check runs its command instead, and fails here."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_draw_demos", lambda *a, **k: pytest.fail("demos were drawn"))
+    key = flag[2:]
+    config = write_config(tmp_path, {key: [""] if many else ""})
+    for argv, named in (([flag, ""], f"error: {flag}: expected"),
+                        (["--config", config], f"error: config file {config}: bad {key!r}")):
+        capsys.readouterr()
+        assert cli([command, *WALK_ARGV[command], *argv]) == 1, argv
+        assert capsys.readouterr().err.startswith(named), argv
+
+
+@pytest.mark.parametrize("command", sorted(WALK_ARGV))
+def test_config_path_is_checked_and_no_config_key(tmp_path, monkeypatch, command, capsys):
+    """`--config ""` is malformed; `config` and `help` are no config keys."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli([command, *WALK_ARGV[command], "--config", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: --config: expected")
+    for key, value in (("config", "other.json"), ("help", True)):
+        config = write_config(tmp_path, {key: value})
+        assert cli([command, *WALK_ARGV[command], "--config", config]) == 1, key
+        assert f"unknown key {key!r}" in capsys.readouterr().err, key
+
+
+@pytest.mark.parametrize("command, flag", SWITCHES, ids=lambda v: v)
+def test_every_switch_takes_a_boolean_from_config(tmp_path, monkeypatch, command, flag, capsys):
+    monkeypatch.chdir(tmp_path)
+    key = flag[2:]
+    for value in ("false", 0, None, [True]):
+        config = write_config(tmp_path, {key: value})
+        capsys.readouterr()
+        assert cli([command, *WALK_ARGV[command], "--config", config]) == 1, value
+        assert f"{key!r} must be true or false" in capsys.readouterr().err, value
+
+
+@pytest.mark.parametrize("value", ["r", [], [1], 5])
+def test_raw_takes_a_list_of_strings_from_config(tmp_path, monkeypatch, value, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, {"raw": value})
+    assert cli(["ingest", "--out", "o", "--config", config]) == 1
+    assert "'raw' must be a non-empty list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, doc, named", [
+    (["train", "--seed", "-1"], None, "--seed"),
+    (["train", "--lr", "-5"], None, "--lr"),
+    (["train", "--steps", "abc"], None, "--steps"),
+    (["train"], {"hidden": [64, 64]}, "'hidden'"),
+    (["train"], {"steps": 2.5}, "'steps'"),
+    (["train"], {"steps": True}, "'steps'"),
+    (["ingest", "--raw", "{raw}", "--feature-dim", "-3"], None, "--feature-dim"),
+    (["ingest", "--raw", "{raw}", "--feature-dim", "0"], None, "--feature-dim"),
+    (["ingest", "--raw", "{raw}"], {"out": 5}, "'out'"),
+    (["ingest"], {"raw": "{raw}"}, "'raw'"),
+    (["fk", "--embodiment-config", "humanoid_a"], {"q": [0] * 7}, "'q'"),
+    (["fk", "--embodiment-config", "humanoid_a", "--chain", "neck", "--q", "90,0"],
+     {"degrees": "no"}, "'degrees'"),
+    (["validate", "--dataset", "{d}"], {"check_reach": "false"}, "'check_reach'"),
+], ids=["seed", "lr", "steps_text", "hidden_list", "steps_fraction", "steps_bool",
+        "feature_dim_negative", "feature_dim_0", "out_number", "raw_text", "q_list",
+        "degrees_text", "check_reach_text"])
+def test_malformed_value_exit_1_before_any_output(tmp_path, argv, doc, named, capsys):
+    """Values that once raised a bare exception, or ran as something else."""
+    write_dataset([synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)],
+                  tmp_path / "d")
+    paths = {"d": str(tmp_path / "d"), "raw": str(write_human_raw(tmp_path, n=12))}
+    base = {"train": ["--dataset", "{d}", "--out", "{out}", "--chunk-length", "3",
+                      "--hidden", "8", "--steps", "2", "--batch-size", "4"],
+            "ingest": ["--out", "{out}", "--feature-dim", "4"]}.get(argv[0], [])
+    argv = [a.format(out=tmp_path / "out", **paths) for a in argv[:1] + base + argv[1:]]
+    if doc is not None:
+        doc = {k: v.format(**paths) if isinstance(v, str) else v for k, v in doc.items()}
+        argv += ["--config", write_config(tmp_path, doc)]
+    capsys.readouterr()
+    assert cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert not captured.out and not (tmp_path / "out").exists()
+
+
+def test_config_numbers_run_as_their_command_line_text(tmp_path):
+    """A JSON number, or text, for a numeric flag trains the model its
+    command-line text does; a whole float counts as whole."""
+    write_dataset([synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)],
+                  tmp_path / "d")
+    base = ["train", "--dataset", str(tmp_path / "d"), "--chunk-length", "3",
+            "--batch-size", "4"]
+    assert cli(base + ["--out", str(tmp_path / "a.ckpt"), "--hidden", "8,8", "--steps", "2",
+                       "--lr", "0.002", "--seed", "3"]) == 0
+    config = write_config(tmp_path, {"hidden": "8,8", "steps": 2.0, "lr": 2e-3, "seed": 3})
+    assert cli(base + ["--out", str(tmp_path / "b.ckpt"), "--config", config]) == 0
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

@@ -23,6 +23,7 @@ from crossemb.embodiments import humanoid_a_config
 from crossemb.errors import (
     BodyMotionRejected,
     ChecksumMismatch,
+    ConfigRequired,
     CorruptEpisode,
     CrossembError,
     EmptySource,
@@ -130,6 +131,12 @@ def test_ingest_robot_constant_joints(tmp_path):
     assert abs(ep.metadata["duration_s"] - 9 / 30.0) <= 1e-9
     for s in ep.states[1:]:
         np.testing.assert_array_equal(s, ep.states[0])
+
+
+def test_ingest_robot_without_config_is_an_error(tmp_path):
+    raw = load_raw_capture(write_robot_raw(tmp_path))
+    with pytest.raises(ConfigRequired, match="'r1': robot captures require an embodiment config"):
+        ingest(raw, options=IngestOptions(feature_dim=4))
 
 
 def test_ingest_human_retimes(tmp_path):
@@ -476,6 +483,21 @@ def test_read_rejects_malformed_manifest(tmp_path, case):
     manifest_path.write_text(json.dumps(doc))
     with pytest.raises(InvalidMetadata):
         read_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize("feature_dim", [3, 5, 0, -2])
+def test_read_rejects_manifest_feature_dim_other_than_the_episodes(tmp_path, feature_dim):
+    """The episodes are 4 wide; an empty dataset keeps its manifest's 0."""
+    write_dataset([synthetic_episode("ep0", "robot"), synthetic_episode("ep1", "human")],
+                  tmp_path / "d")
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(doc | {"feature_dim": feature_dim}))
+    with pytest.raises(InvalidMetadata, match=f"feature_dim {feature_dim}, but episode ep0 has 4"):
+        read_dataset(tmp_path / "d")
+    write_dataset([], tmp_path / "empty")
+    assert read_dataset(tmp_path / "empty") == ({"format_version": 1, "feature_dim": 0,
+                                                 "episodes": []}, [])
 
 
 @pytest.mark.parametrize(

@@ -959,6 +959,14 @@ def test_robot_command_parts_view_one_vector():
         RobotCommand(cmd.left_arm_q, cmd.right_arm_q, cmd.neck_q, np.full(6, 1.5), cmd.right_hand)
 
 
+def test_robot_command_equality_is_identity():
+    """Commands with equal parts compare by identity, as booleans."""
+    cfg = humanoid_b_config()
+    a, b = home_command(cfg), home_command(cfg)
+    assert (a == b) is False and (a != b) is True and (a == a) is True
+    assert len({a, b, a}) == 2
+
+
 # Humanoid B's right arm: attempt 0 from the init fails, a restart converges.
 RESTART_CASE_B_Q = [-0.14, 0.646, -2.421, -0.874, 0.984, 2.239, 0.335]
 RESTART_CASE_B_INIT = [0.296, 1.673, 2.635, 2.418, -1.562, 1.921, -1.465]
