@@ -4,12 +4,13 @@ Raw captures are JSON Lines (one frame per line) plus a meta.json sidecar.
 Human frames carry world-frame head/wrist poses and ten fingertips; robot
 frames carry joint readings and require an embodiment config. Ingest
 pairs the pose or joint records with visual frames (`_synced_frames`)
-and turns them into one (N, 54) state array per capture, checked once by
-`unified_space.check_state_rows`. Processed episodes are little-endian
-float64 blocks (`pack_blocks`, the layout checkpoints share) indexed by
-manifest.json, so write/read round-trips are bit-exact. The manifest
-lists episodes and checksums only: normalization statistics are computed
-at training time (`harness.train_on_pairs`) and live in the checkpoint.
+and turns them into one (N, 54) state array per capture, written by
+`unified_space.state_rows` (human) or `kinematics.embed_rows` (robot).
+Processed episodes are little-endian float64 blocks (`pack_blocks`, the
+layout checkpoints share) indexed by manifest.json, so write/read
+round-trips are bit-exact. The manifest lists episodes and checksums
+only: normalization statistics are computed at training time
+(`harness.train_on_pairs`) and live in the checkpoint.
 
 Training pairs are ACT-style chunks: state `obs[s]`, feature
 `features[s]` and actions `frames[s+1 : s+1+K]`, with s = `starts[row]`.
@@ -124,14 +125,20 @@ def synthetic_features(key: str, dim: int) -> np.ndarray:
     return rng.standard_normal(dim)
 
 
+def pose_from_json(doc: dict) -> Pose:
+    """The pose of a `{"translation": [x, y, z], "rotation_quaternion":
+    [w, x, y, z]}` object; KeyError, TypeError or ValueError unless `doc`
+    is one."""
+    t = np.array(doc["translation"], dtype=float)
+    q = np.array(doc["rotation_quaternion"], dtype=float)
+    if t.shape != (3,) or q.shape != (4,):
+        raise ValueError("wrong arity")
+    return Pose(geometry.quat_to_matrix(q), t)
+
+
 def _pose_from_record(doc: dict, line_no: int, key: str) -> Pose:
     try:
-        entry = doc[key]
-        t = np.array(entry["translation"], dtype=float)
-        q = np.array(entry["rotation_quaternion"], dtype=float)
-        if t.shape != (3,) or q.shape != (4,):
-            raise ValueError("wrong arity")
-        return Pose(geometry.quat_to_matrix(q), t)
+        return pose_from_json(doc[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(line_no, f"bad pose field {key!r}: {exc}") from exc
 
@@ -287,38 +294,31 @@ def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestO
     return proprio[0][1], times, docs, np.array(feats), sync.dropped
 
 
-_HUMAN_POSES = (
-    ("head_pose", unified_space.HEAD_ROT),
-    ("left_wrist_pose", unified_space.LEFT_WRIST_ROT),
-    ("right_wrist_pose", unified_space.RIGHT_WRIST_ROT),
-)
+_HUMAN_POSES = ("head_pose", "left_wrist_pose", "right_wrist_pose")
 
 
 def _ingest_human(raw: RawCapture, drop: float, options: IngestOptions) -> DemonstrationEpisode:
-    U = unified_space
-    first, times, docs, feats, dropped = _synced_frames(
-        raw, (*(key for key, _ in _HUMAN_POSES), "fingertips"), options
-    )
+    first, times, docs, feats, dropped = _synced_frames(raw, (*_HUMAN_POSES, "fingertips"),
+                                                        options)
     head = _pose_from_record(first, first["_line"], "head_pose")
     base_inv = canonical_frame(head, drop).inverse()
-    states = np.empty((len(docs), U.STATE_DIM))
-    positions = np.empty((len(docs), len(_HUMAN_POSES), 3))  # head, left, right
+    rotations = np.empty((len(docs), len(_HUMAN_POSES), 3, 3))  # head, left, right
+    positions = np.empty((len(docs), len(_HUMAN_POSES), 3))
+    tips = np.empty((len(docs), 10, 3))
     for k, doc in enumerate(docs):
         line_no = doc["_line"]
-        for j, (key, rot_sl) in enumerate(_HUMAN_POSES):
+        for j, key in enumerate(_HUMAN_POSES):
             pose = base_inv.compose(_pose_from_record(doc, line_no, key))
-            states[k, rot_sl] = geometry.encode_rot6d(pose.rotation)
-            positions[k, j] = pose.translation
+            rotations[k, j], positions[k, j] = pose.rotation, pose.translation
         try:
-            tips = np.array(doc["fingertips"], dtype=float)
+            frame_tips = np.array(doc["fingertips"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise ParseError(line_no, f"bad fingertips: {exc}") from exc
-        if tips.shape != (10, 3):
-            raise ParseError(line_no, f"fingertips must be 10x3, got {tips.shape}")
-        states[k, U.FINGERTIPS] = base_inv.apply(tips).reshape(-1)
-    states[:, U.LEFT_WRIST_POS] = positions[:, 1]
-    states[:, U.RIGHT_WRIST_POS] = positions[:, 2]
-    U.check_state_rows(states)
+        if frame_tips.shape != (10, 3):
+            raise ParseError(line_no, f"fingertips must be 10x3, got {frame_tips.shape}")
+        tips[k] = base_inv.apply(frame_tips)
+    states = unified_space.state_rows(*geometry.encode_rot6d(rotations.swapaxes(0, 1)),
+                                      *positions[:, 1:].swapaxes(0, 1), tips)
 
     traj = Trajectory(
         times=times,

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry
-from .dataset import read_json_object
+from .dataset import pose_from_json, read_json_object
 from .errors import InvalidMetadata
 from .geometry import Pose
 from .kinematics import (
@@ -158,27 +157,20 @@ BUILTIN_CONFIGS = {
 }
 
 
-def _pose_from_json(doc: dict) -> Pose:
-    return Pose(
-        geometry.quat_to_matrix(np.array(doc["rotation_quaternion"], dtype=float)),
-        np.array(doc["translation"], dtype=float),
-    )
-
-
 def _chain_from_json(doc: dict) -> KinematicChain:
     joints = tuple(
         Joint(
             name=j["name"],
             axis=np.array(j["axis"], dtype=float),
-            origin=_pose_from_json(j["origin"]),
+            origin=pose_from_json(j["origin"]),
             limits=(np.deg2rad(j["limits_deg"][0]), np.deg2rad(j["limits_deg"][1])),
         )
         for j in doc["joints"]
     )
     return KinematicChain(
         joints=joints,
-        base_frame=_pose_from_json(doc["base_frame"]),
-        tip_offset=_pose_from_json(doc["tip_offset"]),
+        base_frame=pose_from_json(doc["base_frame"]),
+        tip_offset=pose_from_json(doc["tip_offset"]),
     )
 
 

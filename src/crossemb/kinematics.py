@@ -41,12 +41,12 @@ never converge, so the test changes no converged result.
 
 `retarget_rows` solves both arms of a batch of unified actions as one
 `_ik_rows` batch (invalid rows get the error `retarget_action` raises),
-and `embed_rows` turns command vectors (`RobotCommand.vector`, checked
-against a config by `command_vector`) into unified 54-vectors, placing
-fingertips with `fingertip_rows`. These row functions are the public API
-that rollouts, demo generation and capture ingest run on; `ik_solve`,
-`retarget_action`, `forward_kinematics` and `embed_robot_state` are their
-batches of one.
+and `embed_rows` hands the FK frames of command vectors
+(`RobotCommand.vector`, checked against a config by `command_vector`) and
+their `fingertip_rows` to `unified_space.state_rows`. These row functions
+are the public API that rollouts, demo generation and capture ingest run
+on; `ik_solve`, `retarget_action`, `forward_kinematics` and
+`embed_robot_state` are their batches of one.
 """
 
 from __future__ import annotations
@@ -508,6 +508,13 @@ class EmbodimentConfig:
                              f"got {n_left} and {n_right}")
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
+        # Retargeting reads the neck back with `neck_angles_from_head_rotation`.
+        neck, eye = self.neck.arrays, np.eye(3)
+        if not (np.array_equal(neck.axes[:, 0], eye[[2, 1]]) and neck.origin_R is None
+                and (neck.base_R == eye).all() and (neck.tip_R == eye).all()
+                and -np.pi / 2 < neck.lo[0, 1] and neck.hi[0, 1] < np.pi / 2):
+            raise ValueError("neck must turn about z, then y, with identity base, origin and "
+                             "tip rotations and pitch limits inside (-90, 90) degrees")
         # Stacked on the rows axis; identity origins spelt out unless on both arms.
         own = [arm.arrays for arm in (self.left_arm, self.right_arm)]
         if (own[0].origin_R is None) != (own[1].origin_R is None):
@@ -735,25 +742,18 @@ def retarget_action(
 
 def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     """`embed_robot_state` for a batch of command vectors (B, n_cmd): FK of
-    both arms as one batch and of the neck, written as unified 54-vectors
-    (B, 54) and checked as `encode_state` checks them."""
-    U = unified_space
+    both arms as one batch and of the neck, as `unified_space.state_rows`."""
     B = len(commands)
     n = config.left_arm.n_joints
     # Left arm rows, then right arm rows: R (2B, 3, 3), t (2B, 3).
     R, t, _, _ = _fk_frames(config.arms.take(np.arange(2 * B) // max(B, 1)),
                             np.concatenate([commands[:, :n], commands[:, n:2 * n]]))
     head_R = _fk_frames(config.neck.arrays, commands[:, 2 * n:2 * n + 2])[0]
-    out = np.empty((B, U.STATE_DIM))
-    out[:, U.HEAD_ROT] = geometry.encode_rot6d(head_R)
-    out[:, U.LEFT_WRIST_ROT], out[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(R).reshape(2, B, 6)
-    out[:, U.LEFT_WRIST_POS], out[:, U.RIGHT_WRIST_POS] = t.reshape(2, B, 3)
     hands = commands[:, 2 * n + 2:].reshape(B, 2, HAND_ACTUATOR_COUNT).swapaxes(0, 1)
     tips = fingertip_rows(hands.reshape(-1, HAND_ACTUATOR_COUNT), R, t, config.hand_model)
-    tips = np.concatenate([tips[:B], tips[B:]], axis=1)
-    out[:, U.FINGERTIPS] = tips.reshape(-1, 3 * 2 * U.FINGERS_PER_HAND)
-    U.check_state_rows(out)
-    return out
+    return unified_space.state_rows(geometry.encode_rot6d(head_R),
+                                    *geometry.encode_rot6d(R).reshape(2, B, 6), *t.reshape(2, B, 3),
+                                    np.concatenate([tips[:B], tips[B:]], axis=1))
 
 
 def command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:

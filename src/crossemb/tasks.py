@@ -9,9 +9,10 @@ and the slow-down `alpha`) are class constants of `ReachTask`; an
 instance holds only its goal feature codec and its home arm joints.
 
 Demo generation runs on rows: `teleop_simulate` tracks references with
-`kinematics.retarget_rows` and `embed_rows`, reach trajectories place
-fingertips with `fingertip_rows`, and `joint_space_states` gives the
-zero-padded joint view of the state-space ablation.
+`kinematics.retarget_rows` and `embed_rows`, reach trajectories give
+their frames and `fingertip_rows` to `unified_space.state_rows`, and
+`joint_space_states` gives the zero-padded joint view of the state-space
+ablation.
 """
 
 from __future__ import annotations
@@ -194,22 +195,14 @@ def ideal_reach_trajectory(
     left_pos = left_home.translation + left_noise
     left_act = np.clip(HAND_REST + hand_noise[:, :6], 0.0, 1.0)
     right_act = np.clip(HAND_REST + hand_noise[:, 6:], 0.0, 1.0)
-    U = unified_space
-    states = np.empty((n, U.STATE_DIM))
-    states[:, U.HEAD_ROT] = geometry.encode_rot6d(noise_R[:, 2])
-    states[:, U.LEFT_WRIST_ROT] = geometry.encode_rot6d(Rl)
-    states[:, U.RIGHT_WRIST_ROT] = geometry.encode_rot6d(Rr)
-    states[:, U.LEFT_WRIST_POS] = left_pos
-    states[:, U.RIGHT_WRIST_POS] = right_pos
     tips = np.concatenate([
         fingertip_rows(left_act, Rl, left_pos, config.hand_model),
         fingertip_rows(right_act, Rr, right_pos, config.hand_model),
     ], axis=1)
-    states[:, U.FINGERTIPS] = tips.reshape(n, -1)
-    U.check_state_rows(states)
     return Trajectory(
         times=times,
-        states=states,
+        states=unified_space.state_rows(*geometry.encode_rot6d(np.stack([noise_R[:, 2], Rl, Rr])),
+                                        left_pos, right_pos, tips),
         embodiment_tag=embodiment_tag,
         nominal_rate=capture_rate,
         head_positions=head_positions,

@@ -11,6 +11,10 @@ Layout of the flat vector (indices, all float64):
 
 Positions are expressed in the episode's canonical base frame (see
 `dataset.canonical_frame`). Actions use the identical layout.
+
+`state_rows` is the one writer of the layout: every module builds states
+through it. One table of components drives it, `UnifiedState`'s shapes,
+`decode_state`'s views and the names in `check_state_rows`' errors.
 """
 
 from __future__ import annotations
@@ -34,6 +38,15 @@ RIGHT_WRIST_POS = slice(21, 24)
 FINGERTIPS = slice(24, 54)
 ROTATIONS = slice(0, 18)  # the three rotation codes, head first
 EEF = slice(LEFT_WRIST_POS.start, RIGHT_WRIST_POS.stop)  # both wrist positions
+# (name, columns, shape of one state's value) of each component, in layout order.
+_COMPONENTS = (
+    ("head_rot", HEAD_ROT, (6,)),
+    ("left_wrist_rot", LEFT_WRIST_ROT, (6,)),
+    ("right_wrist_rot", RIGHT_WRIST_ROT, (6,)),
+    ("left_wrist_pos", LEFT_WRIST_POS, (3,)),
+    ("right_wrist_pos", RIGHT_WRIST_POS, (3,)),
+    ("fingertips", FINGERTIPS, (10, 3)),  # left thumb..pinky, right thumb..pinky
+)
 
 FINGERS_PER_HAND = 5
 # Anatomical sanity bound on wrist-to-fingertip distance, meters.
@@ -60,15 +73,7 @@ class UnifiedState:
     fingertips: np.ndarray      # (10, 3) left thumb..pinky, right thumb..pinky
 
     def __post_init__(self):
-        shapes = {
-            "head_rot": (6,),
-            "left_wrist_rot": (6,),
-            "right_wrist_rot": (6,),
-            "left_wrist_pos": (3,),
-            "right_wrist_pos": (3,),
-            "fingertips": (10, 3),
-        }
-        for name, shape in shapes.items():
+        for name, _, shape in _COMPONENTS:
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise InvalidComponent(f"{name} must have shape {shape}, got {arr.shape}")
@@ -76,21 +81,27 @@ class UnifiedState:
             object.__setattr__(self, name, arr)
 
 
-def encode_state(state: UnifiedState) -> np.ndarray:
-    """Flatten to the canonical 54-vector; inverse of `decode_state`."""
-    out = np.empty(STATE_DIM)
-    out[HEAD_ROT] = state.head_rot
-    out[LEFT_WRIST_ROT] = state.left_wrist_rot
-    out[RIGHT_WRIST_ROT] = state.right_wrist_rot
-    out[LEFT_WRIST_POS] = state.left_wrist_pos
-    out[RIGHT_WRIST_POS] = state.right_wrist_pos
-    out[FINGERTIPS] = state.fingertips.reshape(-1)
-    check_state_rows(out[None])
+def state_rows(head_rot, left_wrist_rot, right_wrist_rot, left_wrist_pos, right_wrist_pos,
+               fingertips) -> np.ndarray:
+    """B states (B, 54) from their components, each with B leading rows:
+    (B, 6) rotation codes, (B, 3) positions and (B, 10, 3) fingertips.
+    InvalidComponent for a component of another shape, or rows that fail
+    `check_state_rows`."""
+    parts = (head_rot, left_wrist_rot, right_wrist_rot, left_wrist_pos, right_wrist_pos,
+             fingertips)
+    B = len(head_rot)
+    out = np.empty((B, STATE_DIM))
+    for (name, columns, shape), part in zip(_COMPONENTS, parts):
+        if np.shape(part) != (B, *shape):
+            raise InvalidComponent(f"{name} must have shape {(B, *shape)}, got {np.shape(part)}")
+        out[:, columns] = np.reshape(part, (B, columns.stop - columns.start))
+    check_state_rows(out)
     return out
 
 
-_COMPONENT_NAMES = ("head_rot", "left_wrist_rot", "right_wrist_rot",
-                    "left_wrist_pos", "right_wrist_pos", "fingertips")
+def encode_state(state: UnifiedState) -> np.ndarray:
+    """Flatten to the canonical 54-vector; inverse of `decode_state`."""
+    return state_rows(*(getattr(state, name)[None] for name, _, _ in _COMPONENTS))[0]
 
 
 def check_state_rows(rows: np.ndarray, max_reach: float | None = None) -> None:
@@ -100,7 +111,7 @@ def check_state_rows(rows: np.ndarray, max_reach: float | None = None) -> None:
     `max_reach` meters of its wrist. The error names the first failing row
     and its first failing component, in layout order."""
     _, defect = geometry.decode_rot6d_rows(rotation_codes(rows))
-    positions = [rows[:, sl] for sl in (LEFT_WRIST_POS, RIGHT_WRIST_POS, FINGERTIPS)]
+    positions = [rows[:, columns] for _, columns, _ in _COMPONENTS[3:]]
     bad = [defect > 0, *(~np.isfinite(p).all(axis=1, keepdims=True) for p in positions)]
     if max_reach is not None:
         tips = rows[:, FINGERTIPS].reshape(-1, 2, FINGERS_PER_HAND, 3)
@@ -112,9 +123,9 @@ def check_state_rows(rows: np.ndarray, max_reach: float | None = None) -> None:
         return
     row, col = np.argwhere(bad)[0]
     if col < 3:
-        reason = f"{_COMPONENT_NAMES[col]}: {geometry.ROT6D_DEFECTS[defect[row, col]]}"
+        reason = f"{_COMPONENTS[col][0]}: {geometry.ROT6D_DEFECTS[defect[row, col]]}"
     elif col < 6:
-        reason = f"{_COMPONENT_NAMES[col]} contains non-finite values"
+        reason = f"{_COMPONENTS[col][0]} contains non-finite values"
     else:
         side, finger = divmod(col - 6, FINGERS_PER_HAND)
         reason = (f"{('left', 'right')[side]} fingertip {finger} is "
@@ -126,14 +137,8 @@ def decode_state(vec: np.ndarray) -> UnifiedState:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (STATE_DIM,):
         raise InvalidComponent(f"state vector must have shape (54,), got {vec.shape}")
-    return UnifiedState(
-        head_rot=vec[HEAD_ROT],
-        left_wrist_rot=vec[LEFT_WRIST_ROT],
-        right_wrist_rot=vec[RIGHT_WRIST_ROT],
-        left_wrist_pos=vec[LEFT_WRIST_POS],
-        right_wrist_pos=vec[RIGHT_WRIST_POS],
-        fingertips=vec[FINGERTIPS].reshape(10, 3),
-    )
+    return UnifiedState(**{name: vec[columns].reshape(shape)
+                           for name, columns, shape in _COMPONENTS})
 
 
 @dataclass(frozen=True)

@@ -89,8 +89,8 @@ def test_validate_non_increasing_times_exit_1(tmp_path, capsys):
     manifest_path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
-    out = capsys.readouterr().out
-    assert "validation failed" in out and "strictly increasing" in out
+    err = capsys.readouterr().err
+    assert "error:" in err and "strictly increasing" in err
 
 
 def test_validate_check_reach_exit_1(tmp_path, capsys):
@@ -113,7 +113,7 @@ def test_validate_malformed_manifest_exit_1(tmp_path, capsys):
     assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
     manifest_path.write_text("{not json")
     assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
-    assert "manifest.json" in capsys.readouterr().out
+    assert "manifest.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("meta", ['{"device": "vr"}', "[]", "{not json"])
@@ -457,6 +457,18 @@ BAD_EMBODIMENT_CONFIGS = {
     "one_joint_neck": lambda doc: doc["neck"]["joints"].pop(),
     "five_and_seven_joint_arms": lambda doc: doc["right_arm"]["joints"].extend(
         doc["right_arm"]["joints"][:2]),
+    # Necks whose joints retargeting cannot read back as ZYX yaw and pitch.
+    "neck_axes_y_then_z": lambda doc: [joint.update(axis=axis) for joint, axis in zip(
+        doc["neck"]["joints"], ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]))],
+    "neck_pitch_to_90": lambda doc: doc["neck"]["joints"][1].update(limits_deg=[-45.0, 90.0]),
+    "neck_pitch_to_minus_90": lambda doc: doc["neck"]["joints"][1].update(
+        limits_deg=[-90.0, 45.0]),
+    "neck_turned_base": lambda doc: doc["neck"]["base_frame"].update(
+        rotation_quaternion=[1.0, 0.0, 0.0, 0.1]),
+    "neck_turned_origin": lambda doc: doc["neck"]["joints"][1]["origin"].update(
+        rotation_quaternion=[1.0, 0.0, 0.0, 0.1]),
+    "neck_turned_tip": lambda doc: doc["neck"]["tip_offset"].update(
+        rotation_quaternion=[1.0, 0.0, 0.0, 0.1]),
 }
 
 
@@ -581,7 +593,7 @@ def test_manifest_feature_dim_unlike_the_episodes_exit_1(tmp_path, feature_dim, 
                 "--chunk-length", "3", "--hidden", "8", "--steps", "2", "--batch-size", "4"]) == 1
     assert f"feature_dim {feature_dim}, but episode e0 has 16" in capsys.readouterr().err
     assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
-    assert "validation failed" in capsys.readouterr().out
+    assert "error:" in capsys.readouterr().err
 
 
 def _subcommands():

@@ -56,12 +56,28 @@ def test_identity_state_layout():
         np.testing.assert_array_equal(unified_space.rotation_codes(rows)[..., k, :], rows[..., sl])
 
 
+COMPONENTS = ("head_rot", "left_wrist_rot", "right_wrist_rot", "left_wrist_pos",
+              "right_wrist_pos", "fingertips")
+
+
+def component_rows(states):
+    """The components of `states`, each stacked with one row per state."""
+    return [np.array([getattr(s, name) for s in states]).reshape(len(states), *shape)
+            for name, shape in zip(COMPONENTS, [(6,)] * 3 + [(3,)] * 2 + [(10, 3)])]
+
+
 def test_roundtrip_bit_exact():
+    """`state_rows` of a batch (of 0, 1 or 5 states) writes each row as
+    `encode_state` of that row's state; decoding a row and encoding it
+    again gives its bytes."""
     rng = np.random.default_rng(0)
-    state = make_state(rng)
-    vec = encode_state(state)
-    back = decode_state(vec)
-    assert np.array_equal(encode_state(back), vec)
+    for n in (0, 1, 5):
+        states = [make_state(rng) for _ in range(n)]
+        rows = unified_space.state_rows(*component_rows(states))
+        assert rows.shape == (n, 54) and rows.dtype == np.float64
+        for state, vec in zip(states, rows):
+            assert encode_state(state).tobytes() == vec.tobytes()
+            assert encode_state(decode_state(vec)).tobytes() == vec.tobytes()
 
 
 def test_layout_indices_for_left_wrist():
@@ -102,6 +118,13 @@ def test_encode_rejects_bad_rotation_and_nonfinite():
     )
     with pytest.raises(InvalidComponent):
         encode_state(bad_pos)
+    # In a batch, the error names the first bad row and its component.
+    parts = component_rows([state, state, bad_pos, bad_rot])
+    with pytest.raises(InvalidComponent, match=r"^row 2: left_wrist_pos contains non-finite"):
+        unified_space.state_rows(*parts)
+    parts[5] = parts[5][:, :5]
+    with pytest.raises(InvalidComponent, match=r"^fingertips must have shape \(4, 10, 3\)"):
+        unified_space.state_rows(*parts)
 
 
 def test_eef_indices_exact():
