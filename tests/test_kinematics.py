@@ -36,13 +36,13 @@ from crossemb.kinematics import (
 )
 
 Z = np.array([0.0, 0.0, 1.0])
-# ik_fixture_digest() of the sequential solver this one replaced.
-IK_FIXTURE_DIGEST = "2a9564c0dae396467b6ba963868537dddac9a6fed64a5c78a1bdb4ca11b18175"
-# retarget_fixture_digests(): over the rows with both wrists in reach, as
-# the per-arm retarget_action this one replaced gave it, and over the rest,
-# whose descents stop once they stop gaining.
-RETARGET_NEAR_DIGEST = "24129ef4dd906340c11eb2b023c81ae6333523343284d01f7d24723d0d80e007"
-RETARGET_FAR_DIGEST = "22b25a47c9ad25942bc572308d028542c137b6a445cb489a74e3b580d4f682f1"
+# ik_fixture_digest() and retarget_fixture_digests() (over the rows with
+# both wrists in reach, and over the rest, whose descents stop once they
+# stop gaining), as recorded on the solver whose orientation weight was
+# still settable.
+IK_FIXTURE_DIGEST = "526065f1bc8dbadfff2a56c6ced7afdf94b9bac0b1ca8f10819d95b355bf739b"
+RETARGET_NEAR_DIGEST = "352282f7695c2dd1acf1dc647c78a26cabe5f5490aa2deeaca60a122af27ef40"
+RETARGET_FAR_DIGEST = "319e5f218a82ddf853eefff7c87c30cae4e61ae687019eb258f4365b0beea06e"
 # fk_fixture_digest() of the FK whose chain arrays held the rows first, as
 # the joint-major FK gives it.
 FK_FIXTURE_DIGEST = "5103cbd447a5d3ffaa96b042de9c8daea9dfb3606d9ebf2b2847fb287f708023"
@@ -717,8 +717,8 @@ def test_fk_outputs_pinned():
 
 def ik_fixture_digest():
     """SHA-256 over joints and status of a fixed set of IK solves: warm
-    streams, unreachable targets 2 m out along +-x, +-y, +-z, position-only
-    solving and no restarts, on the 5-DoF and the 7-DoF arm."""
+    streams, unreachable targets 2 m out along +-x, +-y, +-z, and a rotated
+    target without restarts, on the 5-DoF and the 7-DoF arm."""
     h = hashlib.sha256()
 
     def solve(chain, target, q_init, params=IkParams()):
@@ -738,7 +738,6 @@ def ik_fixture_digest():
         for direction in np.vstack([np.eye(3), -np.eye(3)]):
             solve(chain, Pose(start.rotation, start.translation + 2.0 * direction), home)
         reach = Pose(geometry.rotation_about_axis(Z, 1.0), start.translation + [0.1, -0.1, 0.1])
-        solve(chain, reach, chain.lower_limits, IkParams(orientation_weight=0.0))
         solve(chain, reach, chain.lower_limits, IkParams(restarts=0))
     return h.hexdigest()
 
@@ -1055,7 +1054,7 @@ def test_retarget_rows_equal_per_row_retarget_action():
 def retarget_fixture_digests():
     """SHA-256 over commands, statuses and errors of `retarget_action` on
     warm reach streams, the six unreachable targets 2 m out along +-x, +-y,
-    +-z, position-only solving and no restarts, on both humanoids: one over
+    +-z, and a rotated target without restarts, on both humanoids: one over
     the rows whose wrist targets are both within reach, one over the rest."""
     U = unified_space
     near, far = hashlib.sha256(), hashlib.sha256()
@@ -1090,7 +1089,6 @@ def retarget_fixture_digests():
         action[U.LEFT_WRIST_POS] += [0.05, 0.1, -0.05]
         low = RobotCommand(cfg.left_arm.lower_limits, cfg.right_arm.lower_limits,
                            np.zeros(2), home.left_hand, home.right_hand)
-        run(action, cfg, low, IkParams(orientation_weight=0.0))
         run(action, cfg, low, IkParams(restarts=0))
     return near.hexdigest(), far.hexdigest()
 
