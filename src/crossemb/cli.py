@@ -29,7 +29,7 @@ from . import dataset as dataset_mod
 from . import geometry, harness, policy, retiming, unified_space
 from .embodiments import load_embodiment_config
 from .errors import CrossembError, ParseError
-from .kinematics import IkParams, RobotCommand, forward_kinematics, ik_solve, retarget_action
+from .kinematics import RobotCommand, forward_kinematics, ik_solve, retarget_action
 from .geometry import Pose
 from .tasks import GoalGrid, make_reach_task
 
@@ -256,7 +256,7 @@ def _cmd_ik(args) -> int:
     target = Pose(rotation, args.target_pos)
     q_init = chain.mid_range() if args.q_init is None else args.q_init
     _numbers(q_init, "--q-init", chain.n_joints)
-    q, status = ik_solve(chain, target, q_init, IkParams())
+    q, status = ik_solve(chain, target, q_init)
     achieved = forward_kinematics(chain, q)
     print(
         _dumps(

@@ -92,6 +92,8 @@ EXPERIMENT_POLICY = PolicyConfig(feature_dim=12, chunk_length=8, hidden_layers=(
                                  learning_rate=0.05, batch_size=32)
 # Actions the experiments' rollouts execute from each predicted chunk.
 REPLAN_EVERY = 4
+# Rollouts, each to a seeded random goal, that `speed_fluctuation` averages.
+FLUCTUATION_ROLLOUTS = 6
 CSV_COLUMNS = ("condition", "robot_demos", "seed", "id_success", "ood_success",
                "mean_tracking_error_m")
 
@@ -455,18 +457,18 @@ def speed_fluctuation(
     config: EmbodimentConfig,
     settings: ExperimentSettings,
     seed: int,
-    n_rollouts: int = 6,
     joint_space: bool = False,
 ) -> float:
-    """Mean per-rollout variance of commanded wrist displacement, measured
-    over a fixed horizon (no early stop, so arrival holds count)."""
+    """Mean per-rollout variance of commanded wrist displacement over
+    `FLUCTUATION_ROLLOUTS` rollouts to seeded random goals, measured over
+    a fixed horizon (no early stop, so arrival holds count)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     goals = []
-    for _ in range(n_rollouts):
+    for _ in range(FLUCTUATION_ROLLOUTS):
         cell = int(rng.integers(0, task.grid.n_cells))
         goals.append(task.grid.sample_goal(cell, rng))
     results = rollouts(PolicyAgent(model), config, task, goals,
-                       [seed * 77 + i for i in range(n_rollouts)], settings.max_steps,
+                       [seed * 77 + i for i in range(FLUCTUATION_ROLLOUTS)], settings.max_steps,
                        REPLAN_EVERY, joint_space, stop_on_goal=False)
     variances = [float(np.var(res.commanded_displacements))
                  for res in results if res.commanded_displacements.size]

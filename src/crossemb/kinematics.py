@@ -18,15 +18,17 @@ own chain, so no result depends on the batch it ran in. A BLAS product
 of zero operands, so FK skips identity origin rotations and the damping
 adds lam^2 to the diagonal of J J^T alone, and no bit changes.
 
-IK takes one target per row. `_ik_rows` first descends every row from
-its own initial joints as one lockstep batch, each row with its own
-damping and joint-limit mask, leaving the batch when it converges or
-stalls. The rows that fail then descend from all restart seeds of their
-chain as one batch, the seeds of each failed row forming a group: the
-first converged seed in seed order wins, else the first seed of least
-weighted error, as if the seeds were tried one after another. A descent
-holds state for its live rows only: leaving rows write their result out
-once, and a trial that every row accepts becomes the state as it is.
+IK takes one target per row, at the fixed settings of `IkParams`.
+`_ik_rows` first descends every row from its own initial joints as one
+lockstep batch, each row with its own damping and joint-limit mask,
+leaving the batch when it converges (position and rotation error both
+within tolerance) or stalls. The rows that fail then descend from all
+restart seeds of their chain as one batch, the seeds of each failed row
+forming a group: the first converged seed in seed order wins, else the
+first seed of least summed error pos_err + rot_err, as if the seeds were
+tried one after another. A descent holds state for its live rows only:
+leaving rows write their result out once, and a trial that every row
+accepts becomes the state as it is.
 
 A reach test marks the rows that can never converge. Every joint turns
 about a point at or past the first joint's origin (the chain's `root`,
@@ -35,9 +37,9 @@ farther from the root than the sum of the later offsets' lengths (its
 `reach`). A row whose target is farther than `reach + pos_tol` from the
 root is far. Far rows still descend from every seed, for the best
 effort, but each descent stops once an accepted step gains less than
-`pos_tol` of weighted error, instead of creeping on for up to
-`max_iters` steps. Rows in reach are untouched by the test, and far rows
-never converge, so the test changes no converged result.
+`pos_tol` of summed error, instead of creeping on for up to
+`IkParams.max_iters` steps. Rows in reach are untouched by the test, and
+far rows never converge, so the test changes no converged result.
 
 `retarget_rows` solves both arms of a batch of unified actions as one
 `_ik_rows` batch (invalid rows get the error `retarget_action` raises),
@@ -52,7 +54,6 @@ on; `ik_solve`, `retarget_action`, `forward_kinematics` and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -221,12 +222,12 @@ def _fk_frames(chain: _ChainArrays, Q: np.ndarray):
     return before[n] @ chain.tip_R, t[-1], (after @ chain.axes[..., None])[..., 0], t[1:-1]
 
 
-def _jacobians(t, axes, origins, w):
-    """Geometric Jacobians (B, 6, n), angular rows scaled by w, of tips t (B, 3)
-    and joint-major axes and origins (n, B, 3); C-contiguous, since `J @ J.T`
-    on a transposed view takes another BLAS path, drifting in the last bits."""
+def _jacobians(t, axes, origins):
+    """Geometric Jacobians (B, 6, n) of tips t (B, 3) and joint-major axes
+    and origins (n, B, 3); C-contiguous, since `J @ J.T` on a transposed
+    view takes another BLAS path, drifting in the last bits."""
     linear = geometry.cross(axes, t - origins)
-    return np.ascontiguousarray(np.concatenate([linear, w * axes], axis=2).transpose(1, 2, 0))
+    return np.ascontiguousarray(np.concatenate([linear, axes], axis=2).transpose(1, 2, 0))
 
 
 def forward_kinematics(chain: KinematicChain, q: np.ndarray) -> Pose:
@@ -236,28 +237,14 @@ def forward_kinematics(chain: KinematicChain, q: np.ndarray) -> Pose:
     return Pose(R[0], t[0])
 
 
-@dataclass(frozen=True)
 class IkParams:
-    max_iters: int = 100
-    pos_tol: float = 1e-3            # meters
-    rot_tol: float = np.deg2rad(0.5) # radians
-    orientation_weight: float = 1.0  # 0 gives position-only solving
-    restarts: int = 30               # deterministic extra seeds on failure
+    """The IK's fixed settings, read by the solver as class attributes. The
+    benchmark's retarget check reads `IkParams().pos_tol` and `.rot_tol`."""
 
-    def __post_init__(self):
-        for name, least in (("max_iters", 1), ("restarts", 0)):
-            value = getattr(self, name)
-            if not (_is_number(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        for name, op in (("pos_tol", ">"), ("rot_tol", ">"), ("orientation_weight", ">=")):
-            value = getattr(self, name)
-            if not (_is_number(value, numbers.Real) and math.isfinite(value)
-                    and (value > 0 if op == ">" else value >= 0)):
-                raise ValueError(f"{name} must be a finite number {op} 0, got {value!r}")
-
-
-def _is_number(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    max_iters = 100           # descent steps per attempt
+    pos_tol = 1e-3            # meters
+    rot_tol = np.deg2rad(0.5) # radians
+    restarts = 30             # deterministic extra seeds on failure
 
 
 class IkSolution(tuple):
@@ -275,16 +262,16 @@ class IkSolution(tuple):
         return (*self, self.pos_err, self.rot_err)
 
 
-def _pose_errors(R, t, target_R, target_t, w: float):
+def _pose_errors(R, t, target_R, target_t):
     """Per-row position and rotation error norms of a (B,) batch of poses
-    against per-row targets, and the stacked errors [e_pos, w * e_rot] (B, 6)."""
+    against per-row targets, and the stacked errors [e_pos, e_rot] (B, 6)."""
     e_pos = target_t - t
     e_rot = geometry.rotation_log(target_R @ R.transpose(0, 2, 1))
-    e = np.concatenate([e_pos, w * e_rot], axis=1)
+    e = np.concatenate([e_pos, e_rot], axis=1)
     return geometry.norms(e_pos), geometry.norms(e_rot), e
 
 
-def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
+def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0):
     """Damped-least-squares descents from the rows of Q0 (B, n), in lockstep,
     row b on the chain of index arm[b] in `chains` towards its own target
     (target_R[b], target_t[b]), each on its own state. A row's damping
@@ -297,24 +284,22 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
 
     Rows come in groups of `size` consecutive rows, seeds in order of
     preference: a group's result is its first converged row, else its
-    first row of least pos_err + w * rot_err, and rows after a converged
+    first row of least pos_err + rot_err, and rows after a converged
     row of their group are dropped. Returns q (G, n), pos_err, rot_err
     and converged (G,).
     """
-    w, B = params.orientation_weight, len(Q0)
+    B = len(Q0)
     chain = chains.for_rows(arm)
     Q = np.minimum(np.maximum(Q0, chain.lo), chain.hi)
     R, t, axes, origins = _fk_frames(chain, Q)
-    pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t, w)
-    err, lam, idx = pos_err + w * rot_err, np.full(B, _DAMPING), np.arange(B)
+    pos_err, rot_err, e = _pose_errors(R, t, target_R, target_t)
+    err, lam, idx = pos_err + rot_err, np.full(B, _DAMPING), np.arange(B)
     far = far if far.any() else None
     first_ok = np.full(B // size, B)  # per group; B: none converged yet
     results = np.empty_like(Q0), np.empty(B), np.empty(B)  # q, pos_err, rot_err per row
     out = None  # live rows that stopped: every trial rejected, or stalled
-    for step in range(params.max_iters + 1):  # a convergence test follows the last step
-        done = pos_err <= params.pos_tol
-        if w != 0.0:
-            done &= rot_err <= params.rot_tol
+    for step in range(IkParams.max_iters + 1):  # a convergence test follows the last step
+        done = (pos_err <= IkParams.pos_tol) & (rot_err <= IkParams.rot_tol)
         if done.any():
             np.minimum.at(first_ok, idx[done] // size, idx[done])
             gone = idx >= first_ok[idx // size]
@@ -330,9 +315,9 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
             axes, origins, lam = axes[:, keep], origins[:, keep], lam[keep]
             far = None if far is None else far[keep]
             chain = chains.for_rows(arm)
-        if step == params.max_iters:
+        if step == IkParams.max_iters:
             break
-        J = _jacobians(t, axes, origins, w)
+        J = _jacobians(t, axes, origins)
         at_lo, at_hi = Q <= chain.lo + 1e-12, Q >= chain.hi - 1e-12
         if (at_lo | at_hi).any():
             grad = np.vecmat(e, J)
@@ -346,10 +331,10 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
             x = _solve(A, te)  # np.linalg.solve without its checks: A is positive definite
             q_new = np.minimum(np.maximum(tq + _STEP_SCALE * np.vecmat(x, J), tc.lo), tc.hi)
             R2, t2, axes2, origins2 = _fk_frames(tc, q_new)
-            pos2, rot2, e2 = _pose_errors(R2, t2, tR, tt, w)
-            err2 = pos2 + w * rot2
+            pos2, rot2, e2 = _pose_errors(R2, t2, tR, tt)
+            err2 = pos2 + rot2
             acc = err2 < terr
-            slow = None if far is None else terr - err2 < params.pos_tol
+            slow = None if far is None else terr - err2 < IkParams.pos_tol
             if rows is None and acc.all():  # every row steps: take the trial's state
                 Q, t, axes, origins, e = q_new, t2, axes2, origins2, e2
                 pos_err, rot_err, err = pos2, rot2, err2
@@ -382,61 +367,57 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0, params):
     converged, best = first_ok < B, first_ok
     if not converged.all():
         # Per group with none converged, its first row of least error.
-        least = np.argmin((pos_err + w * rot_err).reshape(-1, size), axis=1)
+        least = np.argmin((pos_err + rot_err).reshape(-1, size), axis=1)
         best = np.where(converged, first_ok, least + np.arange(0, B, size))
     return q[best], pos_err[best], rot_err[best], converged
 
 
-def _far_rows(stack: _ChainArrays, arm, target_t, pos_tol: float) -> np.ndarray:
+def _far_rows(stack: _ChainArrays, arm, target_t) -> np.ndarray:
     """Whether each row's target lies farther than its chain's reach plus
     `pos_tol` from its root, so that the row can never converge."""
-    return geometry.norms(target_t - stack.root[arm]) > stack.reach[arm] + pos_tol
+    return geometry.norms(target_t - stack.root[arm]) > stack.reach[arm] + IkParams.pos_tol
 
 
-def _ik_rows(chains, arm, target_R, target_t, Q_init, params):
+def _ik_rows(chains, arm, target_R, target_t, Q_init):
     """IK for B rows at once, row b on the chain of index arm[b] in
     `chains` from Q_init[b] towards its own target: each row's result
     equals `ik_solve` of that row alone on its chain (see the module
     docstring). Returns q (B, n), pos_err, rot_err and converged (B,).
     """
-    far = _far_rows(chains, arm, target_t, params.pos_tol)
-    q, pos_err, rot_err, ok = _dls_attempts(chains, arm, far, target_R, target_t, 1, Q_init, params)
-    if params.restarts > 0 and not ok.all():
+    far = _far_rows(chains, arm, target_t)
+    q, pos_err, rot_err, ok = _dls_attempts(chains, arm, far, target_R, target_t, 1, Q_init)
+    restarts = IkParams.restarts
+    if restarts > 0 and not ok.all():
         failed = np.flatnonzero(~ok)
         lo, hi = chains.lo[:, None], chains.hi[:, None]
         rng = np.random.Generator(np.random.PCG64(seed=0x1B5))
-        u = rng.random((params.restarts - 1, lo.shape[-1]))
+        u = rng.random((restarts - 1, lo.shape[-1]))
         # Per chain (K, restarts, n): mid-range, then the seeded draws.
         seeds = np.concatenate([0.5 * (lo + hi), lo + u * (hi - lo)], axis=1)
-        rows = np.repeat(failed, params.restarts)
+        rows = np.repeat(failed, restarts)
         rq, rpos, rrot, rok = _dls_attempts(
-            chains, arm[rows], far[rows], target_R[rows], target_t[rows], params.restarts,
-            seeds[arm[failed]].reshape(-1, lo.shape[-1]), params)
-        w = params.orientation_weight
+            chains, arm[rows], far[rows], target_R[rows], target_t[rows], restarts,
+            seeds[arm[failed]].reshape(-1, lo.shape[-1]))
         # Attempt 0 keeps ties: the seeds are tried after it.
-        better = rok | (rpos + w * rrot < pos_err[failed] + w * rot_err[failed])
+        better = rok | (rpos + rrot < pos_err[failed] + rot_err[failed])
         up = failed[better]
         q[up], pos_err[up], rot_err[up] = rq[better], rpos[better], rrot[better]
         ok[up] = rok[better]
     return q, pos_err, rot_err, ok
 
 
-def ik_solve(
-    chain: KinematicChain,
-    target: Pose,
-    q_init: np.ndarray,
-    params: IkParams = IkParams(),
-) -> IkSolution:
-    """Damped-least-squares IK: dq = J^T (J J^T + damping^2 I)^-1 e.
+def ik_solve(chain: KinematicChain, target: Pose, q_init: np.ndarray) -> IkSolution:
+    """Damped-least-squares IK on position and rotation at the `IkParams`
+    settings: dq = J^T (J J^T + damping^2 I)^-1 e.
 
     The first attempt starts at `q_init` (RetargetFailure if not finite);
     on failure seeded in-limit restarts run as one lockstep batch, so
     results are deterministic and equal to trying the seeds one after
     another. The returned joints are always clamped within limits; status
-    is `converged` or `best_effort` (closest local solution found). A
-    target farther from the chain's first joint than its reach plus
-    `pos_tol` is always `best_effort`; its descents stop once a step
-    gains less than `pos_tol` (see the module docstring).
+    is `converged` (both tolerances met) or `best_effort` (closest local
+    solution found). A target farther from the chain's first joint than
+    its reach plus `pos_tol` is always `best_effort`; its descents stop
+    once a step gains less than `pos_tol` (see the module docstring).
     """
     q_init = _check_q(chain, q_init)
     if not (np.isfinite(target.rotation).all() and np.isfinite(target.translation).all()):
@@ -445,7 +426,7 @@ def ik_solve(
         raise RetargetFailure("IK initial joints contain non-finite values")
     q, pos_err, rot_err, ok = _ik_rows(
         chain.arrays, np.zeros(1, dtype=int),
-        target.rotation[None], target.translation[None], q_init[None], params,
+        target.rotation[None], target.translation[None], q_init[None],
     )
     return IkSolution(q[0], STATUS_CONVERGED if ok[0] else STATUS_BEST_EFFORT,
                       pos_err[0], rot_err[0])
@@ -508,6 +489,9 @@ class EmbodimentConfig:
                              f"got {n_left} and {n_right}")
         if self.neck.n_joints != 2:
             raise ValueError(f"neck must have exactly 2 joints, got {self.neck.n_joints}")
+        if not math.isfinite(self.canonical_frame_offset):
+            raise ValueError(f"canonical_frame_offset must be finite, "
+                             f"got {self.canonical_frame_offset!r}")
         # Retargeting reads the neck back with `neck_angles_from_head_rotation`.
         neck, eye = self.neck.arrays, np.eye(3)
         if not (np.array_equal(neck.axes[:, 0], eye[[2, 1]]) and neck.origin_R is None
@@ -660,10 +644,7 @@ class RetargetRows(NamedTuple):
 
 
 def retarget_rows(
-    actions: np.ndarray,
-    config: EmbodimentConfig,
-    commands: np.ndarray,
-    params: IkParams = IkParams(),
+    actions: np.ndarray, config: EmbodimentConfig, commands: np.ndarray
 ) -> RetargetRows:
     """`retarget_action` for a batch: row b retargets actions[b] (B, 54)
     warm-started at the command vector commands[b] (B, n_cmd).
@@ -692,15 +673,14 @@ def retarget_rows(
         out = RetargetRows(commands.copy(), np.zeros((S, 2), bool), np.zeros((S, 2)),
                            np.zeros((S, 2)), np.zeros(S, bool), errors)
         if solve.any():
-            rows = retarget_rows(actions[solve], config, commands[solve], params)
+            rows = retarget_rows(actions[solve], config, commands[solve])
             for got, part in zip(out[:5], rows):
                 got[solve] = part
         return out
     head_R, wrist_R = rotations[:, 0], np.concatenate([rotations[:, 1], rotations[:, 2]])
     wrist_t = np.concatenate([actions[:, U.LEFT_WRIST_POS], actions[:, U.RIGHT_WRIST_POS]])
     q0 = np.concatenate([commands[:, :n], commands[:, n:2 * n]])
-    q, pos_err, rot_err, ok = _ik_rows(config.arms, np.repeat([0, 1], S), wrist_R, wrist_t, q0,
-                                       params)
+    q, pos_err, rot_err, ok = _ik_rows(config.arms, np.repeat([0, 1], S), wrist_R, wrist_t, q0)
     neck_raw = np.empty((S, 2))
     neck_raw[:, 0], neck_raw[:, 1] = neck_angles_from_head_rotation(head_R)
     neck_q = config.neck.clamp(neck_raw)
@@ -716,19 +696,17 @@ def retarget_rows(
 
 
 def retarget_action(
-    action: np.ndarray,
-    config: EmbodimentConfig,
-    q_prev: RobotCommand,
-    params: IkParams = IkParams(),
+    action: np.ndarray, config: EmbodimentConfig, q_prev: RobotCommand
 ) -> tuple[RobotCommand, RetargetDiagnostics]:
     """Convert one unified action into a robot command: `retarget_rows` of
-    one row, warm-started at `q_prev`. The wrists go through DLS IK, the
-    neck takes the head rotation's yaw/pitch (roll discarded, clamped) and
-    the hands the fingertip-distance closure map."""
+    one row, warm-started at `q_prev`. The wrist poses go through
+    `ik_solve`'s DLS IK, the neck takes the head rotation's yaw/pitch
+    (roll discarded, clamped) and the hands the fingertip-distance closure
+    map."""
     action = np.asarray(action, dtype=float)
     if action.shape != (unified_space.STATE_DIM,):
         raise DimensionMismatch(f"action must be (54,), got {action.shape}")
-    rows = retarget_rows(action[None], config, command_vector(config, q_prev)[None], params)
+    rows = retarget_rows(action[None], config, command_vector(config, q_prev)[None])
     if rows.errors[0] is not None:
         raise rows.errors[0]
     converged = rows.converged[0].tolist()

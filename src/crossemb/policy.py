@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -37,6 +38,8 @@ from .unified_space import EEF, STATE_DIM, NormalizationStats
 GRAD_CLIP = 1.0
 # Weight of the wrist-translation L1 term in the training loss.
 LAMBDA_EEF = 2.0
+# Training steps between two entries of a `TrainReport`.
+REPORT_EVERY = 50
 
 CHECKPOINT_MAGIC = b"CEPOLIC1"
 CHECKPOINT_VERSION = 1
@@ -49,7 +52,9 @@ _FIXED_CONFIG = {"proprio_dim": STATE_DIM, "grad_clip": GRAD_CLIP, "action_inclu
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """The model sizes and training settings that differ between models."""
+    """The model sizes and training settings that differ between models.
+    ValueError unless the sizes are integers >= 1, `seed` an integer >= 0
+    and `learning_rate` a finite number >= 0."""
 
     feature_dim: int
     chunk_length: int
@@ -59,10 +64,25 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        sizes = (self.feature_dim, self.chunk_length, self.batch_size, *self.hidden_layers)
-        if min(sizes) < 1:
-            raise ValueError("dimensions, batch_size and hidden layer widths must be >= 1")
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        hidden = tuple(self.hidden_layers)
+        for name, value, least in (("feature_dim", self.feature_dim, 1),
+                                   ("chunk_length", self.chunk_length, 1),
+                                   ("batch_size", self.batch_size, 1),
+                                   *(("hidden_layers", h, 1) for h in hidden),
+                                   ("seed", self.seed, 0)):
+            _check_whole(name, value, least)
+        lr = self.learning_rate
+        if not (isinstance(lr, numbers.Real) and not isinstance(lr, bool) and math.isfinite(lr)
+                and lr >= 0):
+            raise ValueError(f"learning_rate must be a finite number >= 0, got {lr!r}")
+        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in hidden))
+
+
+def _check_whole(name: str, value, least: int) -> None:
+    """ValueError unless `value` is an integer (not a bool) >= `least`."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -242,15 +262,13 @@ def train(
     model: PolicyModel,
     pair_stream: Iterator[tuple[PairSet, int]],
     steps: int,
-    report_every: int = 50,
 ) -> tuple[PolicyModel, TrainReport]:
     """Plain SGD with global gradient-norm clipping; deterministic. Each
     step takes the next `batch_size` `(pair_set, row)` items of
     `pair_stream`, gathers them through `assemble_batch` from one
     `BatchTable` kept for the run, and updates the parameters in place.
-    ValueError if `report_every` < 1 or the stream ends before a full batch."""
-    if report_every < 1:
-        raise ValueError(f"report_every must be >= 1, got {report_every}")
+    The report holds every `REPORT_EVERY`-th step and the last one.
+    ValueError if the stream ends before a full batch."""
     cfg = model.config
     report = TrainReport()
     table = BatchTable()
@@ -266,7 +284,7 @@ def train(
             grad *= lr
             param -= grad
         model.steps_completed += 1
-        if step % report_every == 0 or step == steps:
+        if step % REPORT_EVERY == 0 or step == steps:
             report.steps.append(model.steps_completed)
             report.total.append(total)
             report.base.append(base)
@@ -332,8 +350,9 @@ def save_checkpoint(model: PolicyModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> PolicyModel:
     """Inverse of `save_checkpoint`. CorruptCheckpoint for a header that
-    does not decode, holds another model shape (`_FIXED_CONFIG`), or whose
-    statistics are not the shared form with finite values and every std
+    does not decode, holds another model shape (`_FIXED_CONFIG`), a config
+    `PolicyConfig` refuses or a step count that is not an integer >= 0, or
+    whose statistics are not the shared form with finite values and every std
     positive and at least epsilon (`NormalizationStats.from_json_dict`) or
     differ from their stored digest."""
     blob = read_file(path)
@@ -349,7 +368,8 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
         raise VersionUnsupported(f"checkpoint version {version!r}")
     try:
         config = _config_from_dict(header["config"])
-        steps_completed = int(header["steps_completed"])
+        steps_completed = header["steps_completed"]
+        _check_whole("steps_completed", steps_completed, 0)
         stats = {}
         for kind in ("state", "action"):
             stats[kind] = NormalizationStats.from_json_dict(header[f"{kind}_stats"])

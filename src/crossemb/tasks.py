@@ -27,7 +27,6 @@ from .dataset import DEFAULT_ALPHA, DemonstrationEpisode
 from .errors import DimensionMismatch
 from .kinematics import (
     EmbodimentConfig,
-    IkParams,
     RobotCommand,
     embed_rows,
     fingertip_rows,
@@ -229,7 +228,6 @@ def teleop_simulate(
     references: np.ndarray,
     config: EmbodimentConfig,
     home_cmd: RobotCommand,
-    ik_params: IkParams = IkParams(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Track D unified-space references (D, N, 54) with IK, all D in
     lockstep: frame k of every reference is retargeted in one batch, each
@@ -245,7 +243,7 @@ def teleop_simulate(
     cmd = np.tile(home_cmd.vector(), (D, 1))
     commands = np.empty((D, N, cmd.shape[1]))
     for k in range(N):
-        rows = retarget_rows(references[:, k], config, cmd, ik_params)
+        rows = retarget_rows(references[:, k], config, cmd)
         for error in rows.errors:
             if error is not None:
                 raise error

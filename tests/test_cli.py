@@ -15,7 +15,7 @@ from crossemb.kinematics import forward_kinematics
 from crossemb.retiming import Trajectory, retime
 
 from test_dataset import IDENTITY_STATE, synthetic_episode, write_human_raw, write_robot_raw
-from test_policy import BAD_STATS_HEADERS, OTHER_SHAPE_HEADERS, rewrite_header
+from test_policy import BAD_STATS_HEADERS, MISTYPED_HEADERS, OTHER_SHAPE_HEADERS, rewrite_header
 
 
 # humanoid_a as a config file, in the format `load_embodiment_config` reads.
@@ -350,6 +350,16 @@ def test_predict_checkpoint_of_another_model_shape_exit_1(tiny_checkpoint, capsy
         assert key in capsys.readouterr().err, case
 
 
+def test_predict_checkpoint_with_mistyped_config_exit_1(tiny_checkpoint, capsys):
+    ckpt = Path(tiny_checkpoint)
+    ckpt.write_bytes(rewrite_header(ckpt.read_bytes(), MISTYPED_HEADERS["feature_dim_4.0"]))
+    state = ",".join(str(v) for v in IDENTITY_STATE)
+    capsys.readouterr()
+    assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
+                "--feature", "0,0,0,0"]) == 1
+    assert "feature_dim must be an integer" in capsys.readouterr().err
+
+
 @pytest.fixture
 def tiny_checkpoint(tmp_path):
     eps = [synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)]
@@ -469,6 +479,7 @@ BAD_EMBODIMENT_CONFIGS = {
         rotation_quaternion=[1.0, 0.0, 0.0, 0.1]),
     "neck_turned_tip": lambda doc: doc["neck"]["tip_offset"].update(
         rotation_quaternion=[1.0, 0.0, 0.0, 0.1]),
+    "nan_canonical_frame_offset": lambda doc: doc.update(canonical_frame_offset_m=float("nan")),
 }
 
 

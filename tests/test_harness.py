@@ -83,12 +83,12 @@ def test_demo_generators_deterministic(task):
     np.testing.assert_array_equal(h1.episode.states, h2.episode.states)
 
 
-def per_demo_teleop_reference(states, config, home, params):
+def per_demo_teleop_reference(states, config, home):
     """Achieved states and joint view of one demo tracked frame by frame
     with `retarget_action`, each frame warm-started at the last command."""
     cmd, commands = home, []
     for state in states:
-        cmd, _ = retarget_action(state, config, cmd, params)
+        cmd, _ = retarget_action(state, config, cmd)
         commands.append(cmd.vector())
     commands = np.array(commands)
     joints = np.zeros((len(commands), 54))
@@ -99,11 +99,13 @@ def per_demo_teleop_reference(states, config, home, params):
 # The 5-joint arms of humanoid_a cannot follow the reach's wrist rotations,
 # so nearly every solve restarts; a shorter reference and fewer iterations
 # keep its per-demo loop short.
-@pytest.mark.parametrize("config, params, n_frames", [
-    (humanoid_a_config(), IkParams(max_iters=20, restarts=2), 8),
-    (humanoid_b_config(), IkParams(), None),
+@pytest.mark.parametrize("config, ik_settings, n_frames", [
+    (humanoid_a_config(), {"max_iters": 20, "restarts": 2}, 8),
+    (humanoid_b_config(), {}, None),
 ], ids=["humanoid_a", "humanoid_b"])
-def test_lockstep_teleop_equals_per_demo_retarget_loop(config, params, n_frames):
+def test_lockstep_teleop_equals_per_demo_retarget_loop(config, ik_settings, n_frames, monkeypatch):
+    for name, value in ik_settings.items():
+        monkeypatch.setattr(IkParams, name, value)
     task = make_reach_task(config)
     home = task.home_command(config)
     references = np.stack([
@@ -113,9 +115,9 @@ def test_lockstep_teleop_equals_per_demo_retarget_loop(config, params, n_frames)
                                start_spread=0.01).states
         for i, rng in enumerate(np.random.default_rng(s) for s in range(8))
     ])[:, :n_frames]
-    want = [per_demo_teleop_reference(ref, config, home, params) for ref in references]
+    want = [per_demo_teleop_reference(ref, config, home) for ref in references]
     for D in (1, 3, 8):
-        states, joints = teleop_simulate(references[:D], config, home, params)
+        states, joints = teleop_simulate(references[:D], config, home)
         assert states.shape == joints.shape == references[:D].shape
         for d in range(D):
             assert states[d].tobytes() == want[d][0].tobytes()
@@ -416,10 +418,11 @@ def test_ablation_report_schema(tmp_path):
     assert all(r["trained"] for r in report["rows"])
 
 
-def test_speed_fluctuation_runs(task):
+def test_speed_fluctuation_runs(task, monkeypatch):
+    monkeypatch.setattr(harness, "FLUCTUATION_ROLLOUTS", 2)
     bundles = draw_bundles(task, 2, 4)
     model = train_policy_on_bundles(bundles, FAST, seed=0)
-    v = speed_fluctuation(model, task, CFG, FAST, seed=0, n_rollouts=2)
+    v = speed_fluctuation(model, task, CFG, FAST, seed=0)
     assert np.isfinite(v) and v >= 0.0
 
 

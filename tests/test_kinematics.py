@@ -113,9 +113,9 @@ def reach_oracle(chain):
     return root, reach
 
 
-def out_of_reach(chain, point, params=IkParams()):
+def out_of_reach(chain, point):
     root, reach = reach_oracle(chain)
-    return np.linalg.norm(point - root) > reach + params.pos_tol
+    return np.linalg.norm(point - root) > reach + IkParams.pos_tol
 
 
 def random_chain(rng, n_joints):
@@ -193,7 +193,7 @@ def test_jacobian_single_z_joint():
         base_frame=Pose.identity(),
         tip_offset=Pose.from_translation([1.0, 0, 0]),
     )
-    J = _jacobians(*_fk_frames(chain.arrays, np.zeros((1, 1)))[1:], 1.0)[0]
+    J = _jacobians(*_fk_frames(chain.arrays, np.zeros((1, 1)))[1:])[0]
     np.testing.assert_allclose(J[:, 0], [0, 1, 0, 0, 0, 1], atol=1e-12)
 
 
@@ -203,7 +203,7 @@ def test_jacobian_zero_lever_arm():
         base_frame=Pose.identity(),
         tip_offset=Pose.identity(),
     )
-    J = _jacobians(*_fk_frames(chain.arrays, np.zeros((1, 1)))[1:], 1.0)[0]
+    J = _jacobians(*_fk_frames(chain.arrays, np.zeros((1, 1)))[1:])[0]
     np.testing.assert_allclose(J[:3, 0], 0, atol=1e-12)
     np.testing.assert_allclose(J[3:, 0], Z, atol=1e-12)
 
@@ -215,7 +215,7 @@ def test_jacobian_matches_central_differences():
         n = int(rng.integers(2, 8))
         chain = random_chain(rng, n)
         q = rng.uniform(-2.0, 2.0, size=n)
-        J = _jacobians(*_fk_frames(chain.arrays, q[None])[1:], 1.0)[0]
+        J = _jacobians(*_fk_frames(chain.arrays, q[None])[1:])[0]
         J_fd = finite_difference_jacobian(chain, q)
         scale = max(1.0, np.max(np.abs(J_fd)))
         worst = max(worst, np.max(np.abs(J - J_fd)) / scale)
@@ -234,25 +234,26 @@ def test_ik_already_at_target():
     np.testing.assert_array_equal(q, q0)
 
 
-def test_ik_two_link_elbow_down_branch():
+def test_ik_two_link_elbow_down_branch(monkeypatch):
+    monkeypatch.setattr(IkParams, "restarts", 0)
     chain = planar_two_link()
-    target = Pose(np.eye(3), np.array([1.0, 1.0, 0.0]))
-    params = IkParams(orientation_weight=0.0, restarts=0)
-    q, status = ik_solve(chain, target, np.zeros(2), params)
-    assert status == "converged"
     sols = two_link_ik_oracle((1.0, 1.0))
-    # elbow-down solution is (0, 90deg)
+    # elbow-down solution is (0, 90deg); its tip turns about z by q1 + q2
     np.testing.assert_allclose(sols[0], [0.0, np.pi / 2], atol=1e-12)
+    target = Pose(geometry.rotation_about_axis(Z, sols[0].sum()), np.array([1.0, 1.0, 0.0]))
+    q, status = ik_solve(chain, target, np.zeros(2))
+    assert status == "converged"
     assert np.max(np.abs(q - sols[0])) < 2e-3
     tip = forward_kinematics(chain, q).translation
     assert np.linalg.norm(tip - target.translation) <= 1e-3
 
 
-def test_ik_unreachable_best_effort_on_reach_sphere():
+def test_ik_unreachable_best_effort_on_reach_sphere(monkeypatch):
+    monkeypatch.setattr(IkParams, "restarts", 2)
     chain = planar_two_link()
+    # The stretched arm on +x has the identity rotation.
     target = Pose(np.eye(3), np.array([3.0, 0.0, 0.0]))
-    params = IkParams(orientation_weight=0.0, restarts=2)
-    q, status = ik_solve(chain, target, np.array([0.3, 0.3]), params)
+    q, status = ik_solve(chain, target, np.array([0.3, 0.3]))
     assert status == "best_effort"
     tip = forward_kinematics(chain, q).translation
     residual = np.linalg.norm(tip - target.translation)
@@ -331,18 +332,6 @@ def test_ik_deterministic():
     np.testing.assert_array_equal(q1, q2)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"max_iters": 2.5}, {"max_iters": 0}, {"max_iters": True}, {"restarts": 1.5},
-    {"restarts": -1}, {"pos_tol": -1.0}, {"pos_tol": float("nan")}, {"pos_tol": 0.0},
-    {"rot_tol": -1.0}, {"rot_tol": float("inf")}, {"orientation_weight": float("nan")},
-    {"orientation_weight": -0.5}, {"pos_tol": "0.001"},
-], ids=repr)
-def test_ik_params_rejects_invalid_values(kwargs):
-    (name,) = kwargs
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        IkParams(**kwargs)
-
-
 # --- reach test: targets no joint values can bring within pos_tol -----------
 
 def reach_chains():
@@ -366,34 +355,35 @@ def test_chain_reach_bounds_every_tip():
 
 def test_far_rows_at_the_reach_boundary():
     rng = np.random.default_rng(19)
-    tol = IkParams().pos_tol
+    tol = IkParams.pos_tol
     for chain in reach_chains():
         root, reach = chain.arrays.root[0], chain.arrays.reach[0]
         dirs = rng.normal(size=(8, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         targets = np.concatenate([root + (reach + 2 * tol) * dirs, root + (reach - tol) * dirs])
-        far = _far_rows(chain.arrays, np.zeros(16, dtype=int), targets, tol)
+        far = _far_rows(chain.arrays, np.zeros(16, dtype=int), targets)
         assert far.tolist() == [True] * 8 + [False] * 8
         assert [out_of_reach(chain, t) for t in targets] == far.tolist()
 
 
 def test_far_row_never_converges():
     rng = np.random.default_rng(23)
-    tol = IkParams().pos_tol
+    tol = IkParams.pos_tol
     for chain in reach_chains():
         root, reach = chain.arrays.root[0], chain.arrays.reach[0]
         home = chain.mid_range()
         start = forward_kinematics(chain, home)
-        for params in (IkParams(), IkParams(orientation_weight=0.0)):
+        for _ in range(2):
             d = rng.normal(size=3)
             target = Pose(start.rotation, root + (reach + 2 * tol) * d / np.linalg.norm(d))
-            solution = ik_solve(chain, target, home, params)
+            solution = ik_solve(chain, target, home)
             assert solution[1] == "best_effort"
             assert solution.pos_err > tol
-    # On the planar arm the best effort still lies on the reach sphere.
+    # On the planar arm the best effort still lies on the reach sphere: the
+    # stretched arm on +x, whose rotation is the identity.
     chain = planar_two_link()
     target = Pose(np.eye(3), np.array([chain.arrays.reach[0] + 2 * tol, 0.0, 0.0]))
-    solution = ik_solve(chain, target, np.array([0.3, 0.3]), IkParams(orientation_weight=0.0))
+    solution = ik_solve(chain, target, np.array([0.3, 0.3]))
     assert solution[1] == "best_effort" and abs(solution.pos_err - 2 * tol) <= 1e-9
 
 
@@ -532,7 +522,6 @@ def test_retarget_random_reachable_actions():
     cfg = humanoid_b_config()
     rng = np.random.default_rng(7)
     cmd = home_command(cfg)
-    params = IkParams()
     for _ in range(10):
         target_cmd = RobotCommand(
             left_arm_q=cfg.left_arm.clamp(cmd.left_arm_q + rng.normal(scale=0.2, size=7)),
@@ -542,10 +531,10 @@ def test_retarget_random_reachable_actions():
             right_hand=rng.random(6),
         )
         action = unified_space.encode_state(embed_robot_state(target_cmd, cfg))
-        out, diag = retarget_action(action, cfg, cmd, params)
+        out, diag = retarget_action(action, cfg, cmd)
         achieved = unified_space.encode_state(embed_robot_state(out, cfg))
         for sl in (unified_space.LEFT_WRIST_POS, unified_space.RIGHT_WRIST_POS):
-            assert np.linalg.norm(achieved[sl] - action[sl]) <= params.pos_tol
+            assert np.linalg.norm(achieved[sl] - action[sl]) <= IkParams.pos_tol
         assert not RobotCommand.validate_limits(out, cfg)
         cmd = out
 
@@ -660,7 +649,7 @@ def test_arms_with_identity_origins_on_one_side_only():
             assert got[arm == k].tobytes() == want.tobytes()
     targets = [forward_kinematics(chains[k], q + 0.2) for k, q in zip(arm, Q)]
     q, pos_err, rot_err, ok = _ik_rows(mixed.arms, arm, np.array([t.rotation for t in targets]),
-                                       np.array([t.translation for t in targets]), Q, IkParams())
+                                       np.array([t.translation for t in targets]), Q)
     for b, (k, target) in enumerate(zip(arm, targets)):
         single = ik_solve(chains[k], target, Q[b])
         assert q[b].tobytes() == single[0].tobytes()
@@ -721,8 +710,10 @@ def ik_fixture_digest():
     target without restarts, on the 5-DoF and the 7-DoF arm."""
     h = hashlib.sha256()
 
-    def solve(chain, target, q_init, params=IkParams()):
-        q, status = ik_solve(chain, target, q_init, params)
+    def solve(chain, target, q_init, restarts=IkParams.restarts):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(IkParams, "restarts", restarts)
+            q, status = ik_solve(chain, target, q_init)
         h.update(np.asarray(q).tobytes())
         h.update(status.encode())
         return q
@@ -738,7 +729,7 @@ def ik_fixture_digest():
         for direction in np.vstack([np.eye(3), -np.eye(3)]):
             solve(chain, Pose(start.rotation, start.translation + 2.0 * direction), home)
         reach = Pose(geometry.rotation_about_axis(Z, 1.0), start.translation + [0.1, -0.1, 0.1])
-        solve(chain, reach, chain.lower_limits, IkParams(restarts=0))
+        solve(chain, reach, chain.lower_limits, restarts=0)
     return h.hexdigest()
 
 
@@ -753,22 +744,23 @@ RESTART_CASE_INIT = [-2.8623399732707004, -0.33161255787892263, 4.45058959258554
                      -1.239183768915974, -3.0543261909900767]
 
 
-def test_ik_restarts_return_earliest_converging_seed():
+def test_ik_restarts_return_earliest_converging_seed(monkeypatch):
     chain = humanoid_a_config().right_arm
     target = forward_kinematics(chain, np.array(RESTART_CASE_Q))
     q_init = np.array(RESTART_CASE_INIT)
-    one = IkParams(restarts=0)
-    # Sequential reference: every attempt on its own, in ik_solve's order.
-    attempts = [ik_solve(chain, target, q0, one) for q0 in [q_init, *restart_seeds(chain)]]
-    converged = [i for i, (_, status) in enumerate(attempts) if status == "converged"]
-    assert attempts[0][1] == "best_effort"
-    assert len(converged) >= 2
-    # A later seed converges in fewer iterations than the earliest one, so
-    # the earliest must win even though it is not the first to finish.
-    short = IkParams(max_iters=12, restarts=0)
     seeds = [q_init, *restart_seeds(chain)]
-    assert ik_solve(chain, target, seeds[converged[0]], short)[1] == "best_effort"
-    assert any(ik_solve(chain, target, seeds[i], short)[1] == "converged" for i in converged[1:])
+    with monkeypatch.context() as m:
+        m.setattr(IkParams, "restarts", 0)
+        # Sequential reference: every attempt on its own, in ik_solve's order.
+        attempts = [ik_solve(chain, target, q0) for q0 in seeds]
+        converged = [i for i, (_, status) in enumerate(attempts) if status == "converged"]
+        assert attempts[0][1] == "best_effort"
+        assert len(converged) >= 2
+        # A later seed converges in fewer iterations than the earliest one, so
+        # the earliest must win even though it is not the first to finish.
+        m.setattr(IkParams, "max_iters", 12)
+        assert ik_solve(chain, target, seeds[converged[0]])[1] == "best_effort"
+        assert any(ik_solve(chain, target, seeds[i])[1] == "converged" for i in converged[1:])
     q, status = ik_solve(chain, target, q_init)
     assert status == "converged"
     assert q.tobytes() == attempts[converged[0]][0].tobytes()
@@ -792,30 +784,30 @@ def ik_rows_fixture():
     return chain, targets, q_init
 
 
-@pytest.mark.parametrize("params", [IkParams(), IkParams(orientation_weight=0.0),
-                                    IkParams(restarts=0)],
-                         ids=["default", "position_only", "no_restarts"])
-def test_ik_rows_equal_per_row_ik_solve(params):
+@pytest.mark.parametrize("restarts", [IkParams.restarts, 0], ids=["default", "no_restarts"])
+def test_ik_rows_equal_per_row_ik_solve(restarts, monkeypatch):
+    monkeypatch.setattr(IkParams, "restarts", restarts)
     chain, targets, q_init = ik_rows_fixture()
     q, pos_err, rot_err, ok = _ik_rows(
         chain.arrays, np.zeros(len(targets), dtype=int),
         np.array([t.rotation for t in targets]),
-        np.array([t.translation for t in targets]), q_init, params,
+        np.array([t.translation for t in targets]), q_init,
     )
     statuses = []
     for b, target in enumerate(targets):
-        single = ik_solve(chain, target, q_init[b], params)
+        single = ik_solve(chain, target, q_init[b])
         assert q[b].tobytes() == single[0].tobytes()
         assert (pos_err[b], rot_err[b]) == (single.pos_err, single.rot_err)
         statuses.append(single[1])
         assert ok[b] == (single[1] == "converged")
-    if params.restarts:
+    if restarts:
         # The restart row converges only through its seeds; the far one never.
         assert statuses[1:3] == ["converged", "best_effort"]
-        assert ik_solve(chain, targets[1], q_init[1], IkParams(restarts=0))[1] == "best_effort"
+        monkeypatch.setattr(IkParams, "restarts", 0)
+        assert ik_solve(chain, targets[1], q_init[1])[1] == "best_effort"
 
 
-def leave_rule(chain, target, q_init, params, monkeypatch):
+def leave_rule(chain, target, q_init, monkeypatch):
     """How the one descent of `ik_solve` from `q_init` (no restarts) leaves
     the batch, and after how many pose evaluations: the weighted errors
     `_pose_errors` gives (the start, then each trial) replayed through the
@@ -825,14 +817,15 @@ def leave_rule(chain, target, q_init, params, monkeypatch):
     errs = []
     real = kinematics._pose_errors
 
-    def spy(R, t, target_R, target_t, w):
-        pos, rot, e = real(R, t, target_R, target_t, w)
-        errs.append(pos[0] + w * rot[0])
+    def spy(R, t, target_R, target_t):
+        pos, rot, e = real(R, t, target_R, target_t)
+        errs.append(pos[0] + rot[0])
         return pos, rot, e
 
     with monkeypatch.context() as m:
         m.setattr(kinematics, "_pose_errors", spy)
-        status = ik_solve(chain, target, q_init, replace(params, restarts=0))[1]
+        m.setattr(IkParams, "restarts", 0)
+        status = ik_solve(chain, target, q_init)[1]
     err, rejected, gain = errs[0], 0, None
     for e in errs[1:]:
         if e < err:
@@ -843,7 +836,7 @@ def leave_rule(chain, target, q_init, params, monkeypatch):
         return "converged", len(errs)
     if rejected == 6:
         return "rejected", len(errs)
-    assert out_of_reach(chain, target.translation, params) and gain < params.pos_tol
+    assert out_of_reach(chain, target.translation) and gain < IkParams.pos_tol
     return "stalled", len(errs)
 
 
@@ -868,15 +861,15 @@ def mixed_arm_rows():
     return cfg, rows
 
 
-@pytest.mark.parametrize("params", [IkParams(), IkParams(restarts=0)],
-                         ids=["default", "no_restarts"])
-def test_ik_rows_on_both_arms_equal_per_row_ik_solve(params, monkeypatch):
+@pytest.mark.parametrize("restarts", [IkParams.restarts, 0], ids=["default", "no_restarts"])
+def test_ik_rows_on_both_arms_equal_per_row_ik_solve(restarts, monkeypatch):
     """Rows of a batch on both arms' chains, leaving the first descent at
     different iterations by each rule (converged, six rejected trials, a
     far row's stall), equal `ik_solve` of each row alone, bit for bit."""
     cfg, rows = mixed_arm_rows()
     chains = (cfg.left_arm, cfg.right_arm)
-    leaves = [leave_rule(chains[k], target, q0, params, monkeypatch) for k, target, q0 in rows]
+    leaves = [leave_rule(chains[k], target, q0, monkeypatch) for k, target, q0 in rows]
+    monkeypatch.setattr(IkParams, "restarts", restarts)
     for rule in ("converged", "rejected", "stalled"):
         assert len({n for r, n in leaves if r == rule}) >= 1 + (rule != "stalled"), leaves
     assert len({n for _, n in leaves}) >= 8
@@ -884,10 +877,10 @@ def test_ik_rows_on_both_arms_equal_per_row_ik_solve(params, monkeypatch):
     assert 0 < arm.sum() < len(arm)
     q, pos_err, rot_err, ok = _ik_rows(
         cfg.arms, arm, np.array([t.rotation for _, t, _ in rows]),
-        np.array([t.translation for _, t, _ in rows]), np.array([q0 for _, _, q0 in rows]), params,
+        np.array([t.translation for _, t, _ in rows]), np.array([q0 for _, _, q0 in rows]),
     )
     for b, (k, target, q0) in enumerate(rows):
-        single = ik_solve(chains[k], target, q0, params)
+        single = ik_solve(chains[k], target, q0)
         assert q[b].tobytes() == single[0].tobytes()
         assert (pos_err[b], rot_err[b]) == (single.pos_err, single.rot_err)
         assert ok[b] == (single[1] == "converged")
@@ -971,7 +964,7 @@ RESTART_CASE_B_Q = [-0.14, 0.646, -2.421, -0.874, 0.984, 2.239, 0.335]
 RESTART_CASE_B_INIT = [0.296, 1.673, 2.635, 2.418, -1.562, 1.921, -1.465]
 
 
-def retarget_oracle(action, cfg, cmd, params=IkParams()):
+def retarget_oracle(action, cfg, cmd):
     """`retarget_action` of one row from its per-arm parts: each wrist by
     `ik_solve` on its own chain, the neck by `neck_angles_from_head_rotation`
     and `neck.clamp`, each hand by `_hand_actuators` of one row. Returns the command
@@ -984,7 +977,7 @@ def retarget_oracle(action, cfg, cmd, params=IkParams()):
         geometry.decode_rot6d(action[sl]) for sl in (U.LEFT_WRIST_ROT, U.RIGHT_WRIST_ROT, U.HEAD_ROT)
     )
     wrists = (Pose(left_R, action[U.LEFT_WRIST_POS]), Pose(right_R, action[U.RIGHT_WRIST_POS]))
-    arms = [ik_solve(chain, wrist, q0, params) for chain, wrist, q0 in zip(
+    arms = [ik_solve(chain, wrist, q0) for chain, wrist, q0 in zip(
         (cfg.left_arm, cfg.right_arm), wrists, (cmd.left_arm_q, cmd.right_arm_q))]
     raw = np.array(neck_angles_from_head_rotation(head_R))
     neck = cfg.neck.clamp(raw)
@@ -995,7 +988,7 @@ def retarget_oracle(action, cfg, cmd, params=IkParams()):
     return vector, arms, not np.isclose(neck, raw, atol=1e-12).all()
 
 
-def test_retarget_rows_equal_per_row_retarget_action():
+def test_retarget_rows_equal_per_row_retarget_action(monkeypatch):
     """Every row of a batch equals the per-arm oracle and `retarget_action`
     of that row alone, bit for bit, on the 5-DoF and the 7-DoF humanoid."""
     U = unified_space
@@ -1048,7 +1041,9 @@ def test_retarget_rows_equal_per_row_retarget_action():
         assert not rows.converged[4].any() and rows.neck_clamped[5] and rows.converged[6].all()
         right_target = Pose(geometry.decode_rot6d(actions[6, U.RIGHT_WRIST_ROT]),
                             actions[6, U.RIGHT_WRIST_POS])
-        assert ik_solve(cfg.right_arm, right_target, q_init, IkParams(restarts=0))[1] == "best_effort"
+        with monkeypatch.context() as m:
+            m.setattr(IkParams, "restarts", 0)
+            assert ik_solve(cfg.right_arm, right_target, q_init)[1] == "best_effort"
 
 
 def retarget_fixture_digests():
@@ -1059,10 +1054,12 @@ def retarget_fixture_digests():
     U = unified_space
     near, far = hashlib.sha256(), hashlib.sha256()
 
-    def run(action, cfg, q_prev, params=IkParams()):
-        h = far if any(out_of_reach(chain, action[sl], params) for chain, sl in (
+    def run(action, cfg, q_prev, restarts=IkParams.restarts):
+        h = far if any(out_of_reach(chain, action[sl]) for chain, sl in (
             (cfg.left_arm, U.LEFT_WRIST_POS), (cfg.right_arm, U.RIGHT_WRIST_POS))) else near
-        out, diag = retarget_action(action, cfg, q_prev, params)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(IkParams, "restarts", restarts)
+            out, diag = retarget_action(action, cfg, q_prev)
         h.update(out.vector().tobytes())
         for limb in (diag.left, diag.right):
             h.update(limb.status.encode())
@@ -1089,7 +1086,7 @@ def retarget_fixture_digests():
         action[U.LEFT_WRIST_POS] += [0.05, 0.1, -0.05]
         low = RobotCommand(cfg.left_arm.lower_limits, cfg.right_arm.lower_limits,
                            np.zeros(2), home.left_hand, home.right_hand)
-        run(action, cfg, low, IkParams(restarts=0))
+        run(action, cfg, low, restarts=0)
     return near.hexdigest(), far.hexdigest()
 
 

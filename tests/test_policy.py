@@ -422,8 +422,7 @@ def test_constant_action_dataset_converges():
     cfg = PolicyConfig(feature_dim=4, chunk_length=3, hidden_layers=(16,),
                        learning_rate=0.05, batch_size=8, seed=1)
     model = init_model(cfg, state_stats, action_stats)
-    model, report = train(model, build_sampler(pairs).stream(), steps=2000,
-                          report_every=100)
+    model, report = train(model, build_sampler(pairs).stream(), steps=2000)
     assert report.total[-1] < 1e-3
     assert all(np.isfinite(v) and v >= 0 for v in report.total)
 
@@ -562,6 +561,18 @@ OTHER_SHAPE_HEADERS = {"head_excluded": _config_edit("action_includes_head", Fal
                        "grad_clip_0": _config_edit("grad_clip", 0.0),
                        "lambda_eef_1": _config_edit("lambda_eef", 1.0),
                        "smoothing_delta_0.05": _config_edit("smoothing_delta", 0.05)}
+# Headers whose sizes, seed, learning rate or step count have the wrong type or range.
+MISTYPED_HEADERS = {"feature_dim_4.0": _config_edit("feature_dim", 4.0),
+                    "hidden_layers_3.5": _config_edit("hidden_layers", [3.5]),
+                    "batch_size_2.0": _config_edit("batch_size", 2.0),
+                    "chunk_length_true": _config_edit("chunk_length", True),
+                    "seed_-1": _config_edit("seed", -1),
+                    "seed_1.5": _config_edit("seed", 1.5),
+                    "learning_rate_nan": _config_edit("learning_rate", float("nan")),
+                    "learning_rate_x": _config_edit("learning_rate", "x"),
+                    "learning_rate_-1": _config_edit("learning_rate", -1.0),
+                    "steps_completed_-5": lambda header: header.update(steps_completed=-5),
+                    "steps_completed_2.5": lambda header: header.update(steps_completed=2.5)}
 
 
 def trained_checkpoint(tmp_path):
@@ -584,10 +595,10 @@ def test_load_checkpoint_rejects_invalid_stats(tmp_path, case):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("case", sorted(OTHER_SHAPE_HEADERS))
+@pytest.mark.parametrize("case", sorted(OTHER_SHAPE_HEADERS | MISTYPED_HEADERS))
 def test_load_checkpoint_rejects_other_model_shapes(tmp_path, case):
     path, blob = trained_checkpoint(tmp_path)
-    path.write_bytes(rewrite_header(blob, OTHER_SHAPE_HEADERS[case]))
+    path.write_bytes(rewrite_header(blob, (OTHER_SHAPE_HEADERS | MISTYPED_HEADERS)[case]))
     with pytest.raises(CorruptCheckpoint, match="bad checkpoint header"):
         load_checkpoint(path)
 
@@ -644,7 +655,7 @@ PINNED_TRAIN_DIGESTS = {
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_TRAIN_DIGESTS))
-def test_train_outputs_pinned(case):
+def test_train_outputs_pinned(case, monkeypatch):
     """Weights, biases and loss curve after 60 mixed two-tag steps, recorded
     before batches were gathered from pair sets normalized once."""
     episodes, pairs = two_tag_pairs(joint_space_robot=case == "joint_space_obs")
@@ -659,7 +670,8 @@ def test_train_outputs_pinned(case):
                        batch_size=8, seed=3)
     model = init_model(cfg, state_stats, action_stats)
     sampler = MixedSampler(pairs, {"human": 2.0, "robot": 1.0}, seed=5)
-    model, report = train(model, sampler.stream(), steps=60, report_every=7)
+    monkeypatch.setattr(policy, "REPORT_EVERY", 7)
+    model, report = train(model, sampler.stream(), steps=60)
     h = hashlib.sha256()
     for arr in (*model.weights, *model.biases):
         h.update(arr.tobytes())
@@ -732,12 +744,9 @@ def test_train_calls_layers_through_module_attributes(monkeypatch):
     assert len(assembled) == len(backwards) == 7
 
 
-def test_train_rejects_bad_report_every_and_short_stream():
+def test_train_rejects_short_stream():
     pairs = make_pairs("human", 12)
     model = init_model(small_model(K=3, F=4).config, *make_stats(pairs))
-    with pytest.raises(ValueError, match="report_every"):
-        train(model, build_sampler(pairs).stream(), steps=3, report_every=0)
-    assert model.steps_completed == 0
     refs = list(itertools.islice(build_sampler(pairs).stream(), 2 * 4 + 3))
     with pytest.raises(ValueError, match=r"ran out in step 3 \(3 items\)"):
         train(model, iter(refs), steps=3)

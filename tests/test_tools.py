@@ -1,5 +1,7 @@
-"""tools/ab_interleaved.py refuses runs it cannot keep apart or summarize."""
+"""tools/ab_interleaved.py refuses runs it cannot keep apart or summarize,
+and reports every pair it times."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,18 @@ def test_ab_interleaved_refuses(args, message):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert message in proc.stderr
+
+
+def test_ab_interleaved_prints_every_pair(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the tool sets these on import; restored afterwards
+    spec = importlib.util.spec_from_file_location("ab_interleaved", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = tool.summary([0.5, 0.4, 0.6, 0.3], [0.45, 0.42, 0.5, 0.3])
+    assert lines[:4] == ["pair 0: A first, A 0.5000 s, B 0.4500 s",
+                         "pair 1: B first, A 0.4000 s, B 0.4200 s",
+                         "pair 2: A first, A 0.6000 s, B 0.5000 s",
+                         "pair 3: B first, A 0.3000 s, B 0.3000 s"]
+    assert lines[4].startswith("A: median 0.4500 s") and lines[5].startswith("B: median 0.4350 s")
+    assert lines[6] == "B faster in 2 of 4 pairs; median per-pair ratio B/A 0.950"

@@ -7,8 +7,9 @@ Loads each checkout's `src/crossemb` and `bench/workloads.py` into one
 interpreter, builds the workload on both sides from the same seed, runs
 one untimed warm-up pass per side, then alternates timed passes (A then B,
 then B then A, ...), so both sides see the same CPU-speed drift. Prints
-each side's median and quartiles of the pass wall time (the `wall_s` of
-`bench/run.py`), how many pairs B won, and the median per-pair ratio B/A.
+one line per pair (its index, the side that ran first, and both pass wall
+times, the `wall_s` of `bench/run.py`), then each side's median and
+quartiles, how many pairs B won, and the median per-pair ratio B/A.
 
 Only the retarget and ingest_train workloads are allowed. cotrain is
 refused: its conditions run in forked pool workers, which resolve
@@ -81,6 +82,22 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def summary(a_walls: list[float], b_walls: list[float]) -> list[str]:
+    """The report of pairs of walls, A's and B's, of which pair i ran A
+    first when i is even: a line per pair, then the statistics."""
+    lines = [f"pair {i}: {'AB'[i % 2]} first, A {a:.4f} s, B {b:.4f} s"
+             for i, (a, b) in enumerate(zip(a_walls, b_walls))]
+    for label, walls in (("A", a_walls), ("B", b_walls)):
+        q1, q2, q3 = quartiles(walls)
+        lines.append(f"{label}: median {q2:.4f} s, quartiles {q1:.4f} / {q3:.4f} s "
+                     f"over {len(walls)} passes")
+    wins = sum(b < a for a, b in zip(a_walls, b_walls))
+    ratio = statistics.median(b / a for a, b in zip(a_walls, b_walls))
+    lines.append(f"B faster in {wins} of {len(a_walls)} pairs; "
+                 f"median per-pair ratio B/A {ratio:.3f}")
+    return lines
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="checkout A (the reference)")
@@ -113,14 +130,7 @@ def main(argv=None) -> int:
                 side.run()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    a, b = sides
-    for side in sides:
-        q1, q2, q3 = quartiles(side.walls)
-        print(f"{side.label}: median {q2:.4f} s, quartiles {q1:.4f} / {q3:.4f} s "
-              f"over {len(side.walls)} passes")
-    wins = sum(y < x for x, y in zip(a.walls, b.walls))
-    ratio = statistics.median(y / x for x, y in zip(a.walls, b.walls))
-    print(f"B faster in {wins} of {args.pairs} pairs; median per-pair ratio B/A {ratio:.3f}")
+    print("\n".join(summary(sides[0].walls, sides[1].walls)))
     return 0
 
 
