@@ -264,16 +264,17 @@ def test_oracle_replay_rollout(task):
         embodiment_tag="robot", start_spread=0.0,
     )
     agent = OracleReplayAgent(reference.states, chunk_length=8)
-    res = rollout(agent, CFG, task, goal, max_steps=60, replan_every=4, seed=0)
+    res = rollout(agent, CFG, task, goal, max_steps=60, seed=0)
     assert res.success
     assert res.tracking_error.max() <= 2e-3
 
 
 class HoldAgent:
-    chunk_length = 8
+    def __init__(self, chunk_length=8):
+        self.chunk_length = chunk_length
 
     def predict(self, state, feature, step):
-        return np.tile(state, (8, 1))
+        return np.tile(state, (self.chunk_length, 1))
 
 
 def test_rollout_zero_motion_model_fails(task):
@@ -440,25 +441,24 @@ class DegenerateAtStep:
     """Replays the current state; action 1 of the chunk predicted at step
     `step` (or at every step) has a zero left-wrist rotation column."""
 
-    chunk_length = 8
-
-    def __init__(self, step=None):
+    def __init__(self, step=None, chunk_length=8):
         self.step = step
+        self.chunk_length = chunk_length
 
     def predict(self, state, feature, step):
-        chunk = np.tile(state, (8, 1))
+        chunk = np.tile(state, (self.chunk_length, 1))
         if self.step is None or step == self.step:
             chunk[1, 6:9] = 0.0
         return chunk
 
 
-def oracle_agent(task):
+def oracle_agent(task, chunk_length=8):
     reference = ideal_reach_trajectory(
         task, CFG, task.grid.cell_center(4), np.random.Generator(np.random.PCG64(0)),
         capture_rate=task.rate, move_duration=task.move_duration,
         hold_duration=task.hold_duration, embodiment_tag="robot", start_spread=0.0,
     )
-    return OracleReplayAgent(reference.states, chunk_length=8)
+    return OracleReplayAgent(reference.states, chunk_length)
 
 
 def assert_same_rollout(got, want):
@@ -476,7 +476,7 @@ def test_rollouts_rows_equal_single_goal_rollouts(task, models, case):
     agent = {"oracle": oracle_agent(task), "policy": PolicyAgent(model),
              "no_stop": PolicyAgent(model), "joint_space": PolicyAgent(joint_model),
              "error_row": DegenerateAtStep()}[case]
-    kwargs = dict(max_steps=24, replan_every=4)
+    kwargs = dict(max_steps=24)
     if case == "no_stop":
         kwargs["stop_on_goal"] = False
     if case == "joint_space":
@@ -505,27 +505,33 @@ def rollout_digest_update(h, results):
 PINNED_ROLLOUT_DIGESTS = {
     "degenerate": "82e37e7ef28ad35fad6e7c2e35be949c5a62c78d69003f2b70d033d730596f3e",
     "hold": "c90fa89bc8dce970f6ea9a25934c5fe2f6019c6f140d2648ea62fa4b0150990e",
-    "joint_space": "39448c7e8885165f4a2809d8c94f91962b4074abd8291b371299182ec745cf1d",
+    "joint_space": "2eb97d9de83db88a3dec3fc564a2db54266fc8b87eddd95a62adc3afc1e7639e",
     "oracle": "6d776dfe629e2995f2f63854a17d7ba21094c94c16c9bc2ecc2818ac8e264129",
-    "policy": "044e7312b292527a69ff815d2b972f1aac71e2a39a72fea501b026d8024d003a",
+    "policy": "f63e45f8c18e6643d7075e28a630a913b342595888ed3b01238d16eef3203694",
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_ROLLOUT_DIGESTS))
 def test_rollouts_pinned(task, models, case):
-    """Replanning every 1, 3, 4, 8 and 12 steps with chunks of 8, over 23
-    steps (no multiple of the period), with and without the stop on the
-    goal; recorded on the nested chunk-and-replan loop that the one step
-    loop replaced."""
+    """Rollouts over 23 steps (no multiple of the period), with and
+    without the stop on the goal. An agent replans every half chunk, so
+    the replay agents run chunks of 2 * min(p, 8) for p in 1, 3, 4, 8 and
+    12; their digests were recorded with chunks of 8 replanned every p
+    steps (at most the chunk) on the nested chunk-and-replan loop that the
+    one step loop replaced. The trained models' chunk of 8 replans every 4."""
     model, joint_model = models
-    agent = {"oracle": oracle_agent(task), "hold": HoldAgent(), "degenerate": DegenerateAtStep(),
-             "policy": PolicyAgent(model), "joint_space": PolicyAgent(joint_model)}[case]
+    if case in ("policy", "joint_space"):
+        agents = [PolicyAgent(model if case == "policy" else joint_model)]
+    else:
+        make = {"oracle": lambda k: oracle_agent(task, k), "hold": HoldAgent,
+                "degenerate": lambda k: DegenerateAtStep(chunk_length=k)}[case]
+        agents = [make(2 * min(period, 8)) for period in (1, 3, 4, 8, 12)]
     goals = [task.grid.cell_center(4)] + [task.grid.cell_center(c) for c in (0, 5, 8)]
     h = hashlib.sha256()
-    for replan_every in (1, 3, 4, 8, 12):
+    for agent in agents:
         for stop_on_goal in (True, False):
             rollout_digest_update(h, rollouts(
-                agent, CFG, task, goals, [3, 1, 4, 1], max_steps=23, replan_every=replan_every,
+                agent, CFG, task, goals, [3, 1, 4, 1], max_steps=23,
                 joint_space=case == "joint_space", stop_on_goal=stop_on_goal,
             ))
     assert h.hexdigest() == PINNED_ROLLOUT_DIGESTS[case]
@@ -538,8 +544,7 @@ def test_rollouts_of_no_goals():
 def test_rollout_counts_errors_apart_from_clamps(task):
     """One degenerate action is held over, counted once in `errors` and
     never in `clamp_events`."""
-    res = rollout(DegenerateAtStep(step=0), CFG, task, task.grid.cell_center(0),
-                  max_steps=8, replan_every=4)
+    res = rollout(DegenerateAtStep(step=0), CFG, task, task.grid.cell_center(0), max_steps=8)
     assert res.steps_executed == 8
     assert res.errors == 1 and res.clamp_events == 0
 
