@@ -28,7 +28,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import geometry, harness, policy, retiming, unified_space
 from .embodiments import load_embodiment_config
-from .errors import CrossembError, ParseError
+from .errors import CrossembError, InvalidMetadata, ParseError
 from .kinematics import RobotCommand, forward_kinematics, ik_solve, retarget_action
 from .geometry import Pose
 from .tasks import GoalGrid, make_reach_task
@@ -186,6 +186,9 @@ def _cmd_retime(args) -> int:
 
 def _cmd_train(args) -> int:
     manifest, episodes = dataset_mod.read_dataset(args.dataset)
+    if manifest["feature_dim"] < 1:
+        raise InvalidMetadata(f"dataset {args.dataset}: feature_dim {manifest['feature_dim']}; "
+                              "training needs at least one feature column")
     pairs = dataset_mod.episodes_to_pairs_by_tag(episodes, args.chunk_length, args.stride)
     config = policy.PolicyConfig(
         feature_dim=manifest["feature_dim"],

@@ -117,6 +117,24 @@ class IngestOptions:
     feature_dim: int = 16          # for synthesized features from image refs
 
 
+def new_episode(
+    episode_id: str, tag: str, instruction: str, times: np.ndarray, states: np.ndarray,
+    features: np.ndarray, device: str, scene: str, retimed: bool, alpha: float, **extras,
+) -> DemonstrationEpisode:
+    """An episode with the metadata every episode carries (`device`,
+    `scene`, `duration_s` from first to last time, `retimed` and
+    `alpha_applied`), then its source's `extras`."""
+    metadata = {"device": device, "scene": scene, "duration_s": float(times[-1] - times[0]),
+                "retimed": retimed, "alpha_applied": alpha, **extras}
+    return DemonstrationEpisode(episode_id, tag, instruction, times, states, features, metadata)
+
+
+def _capture_episode(raw: RawCapture, times, states, features, retimed, alpha, **extras):
+    """The episode of capture `raw`: its id, tag, instruction, device and scene."""
+    return new_episode(raw.episode_id, raw.embodiment_tag, raw.instruction, times, states,
+                       features, raw.device, raw.scene, retimed, alpha, **extras)
+
+
 def synthetic_features(key: str, dim: int) -> np.ndarray:
     """Deterministic stand-in feature vector for an image reference."""
     digest = hashlib.sha256(key.encode()).digest()
@@ -258,8 +276,9 @@ def _visual_feature(doc: dict, feature_dim: int) -> np.ndarray:
         feature = np.array(doc["feature_vector"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(doc["_line"], f"bad feature_vector: {exc}") from exc
-    if feature.ndim != 1:
-        raise ParseError(doc["_line"], f"feature_vector must be a flat list, got {feature.shape}")
+    if feature.ndim != 1 or not feature.size:
+        raise ParseError(doc["_line"],
+                         f"feature_vector must be a non-empty flat list, got {feature.shape}")
     return feature
 
 
@@ -337,23 +356,8 @@ def _ingest_human(raw: RawCapture, drop: float, options: IngestOptions) -> Demon
     src_times = (retimed.times - retimed.times[0]) / options.alpha + traj.times[0]
     idx = retiming.nearest_frames(traj.times, src_times)
 
-    return DemonstrationEpisode(
-        id=raw.episode_id,
-        embodiment_tag=raw.embodiment_tag,
-        instruction=raw.instruction,
-        times=retimed.times,
-        states=retimed.states,
-        features=feats[idx],
-        metadata={
-            "device": raw.device,
-            "scene": raw.scene,
-            "duration_s": float(retimed.times[-1] - retimed.times[0]),
-            "retimed": True,
-            "alpha_applied": options.alpha,
-            "dropped_frames": dropped,
-            "head_excursion_m": excursion,
-        },
-    )
+    return _capture_episode(raw, retimed.times, retimed.states, feats[idx], True, options.alpha,
+                            dropped_frames=dropped, head_excursion_m=excursion)
 
 
 _JOINT_KEYS = ("left_arm", "right_arm", "neck", "left_hand", "right_hand")
@@ -370,22 +374,8 @@ def _ingest_robot(
             commands.append(command_vector(config, cmd))
         except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
             raise ParseError(doc["_line"], f"bad joints record: {exc}") from exc
-    return DemonstrationEpisode(
-        id=raw.episode_id,
-        embodiment_tag=raw.embodiment_tag,
-        instruction=raw.instruction,
-        times=times,
-        states=embed_rows(config, np.array(commands)),
-        features=feats,
-        metadata={
-            "device": raw.device,
-            "scene": raw.scene,
-            "duration_s": float(times[-1] - times[0]),
-            "retimed": False,
-            "alpha_applied": 1.0,
-            "dropped_frames": dropped,
-        },
-    )
+    return _capture_episode(raw, times, embed_rows(config, np.array(commands)), feats, False, 1.0,
+                            dropped_frames=dropped)
 
 
 def ingest(
@@ -462,12 +452,21 @@ def _episode_from_bytes(blob: bytes, entry: dict) -> DemonstrationEpisode:
 
 
 def write_dataset(episodes: Sequence[DemonstrationEpisode], directory: str | Path) -> dict:
-    """Write episodes plus manifest.json; returns the manifest dict."""
-    root = Path(directory)
-    (root / "episodes").mkdir(parents=True, exist_ok=True)
+    """Write episodes plus manifest.json; returns the manifest dict. Before
+    writing anything, InvalidMetadata for a repeated episode id or one that
+    is no plain file name (empty, `.`, `..`, or holding `/`, `\\` or NUL)."""
     dims = {ep.feature_dim for ep in episodes}
     if len(dims) > 1:
         raise DegenerateTrajectory(f"feature dims differ across episodes: {sorted(dims)}")
+    seen = set()
+    for ep in episodes:
+        if ep.id in seen:
+            raise InvalidMetadata(f"episode id {ep.id!r} is repeated")
+        if ep.id in ("", ".", "..") or any(c in ep.id for c in "/\\\0"):
+            raise InvalidMetadata(f"episode id {ep.id!r} is not a file name")
+        seen.add(ep.id)
+    root = Path(directory)
+    (root / "episodes").mkdir(parents=True, exist_ok=True)
     entries = []
     for ep in episodes:
         blob = _episode_bytes(ep)

@@ -12,16 +12,16 @@ batched retarget (`retarget_rows`) and one batched state embedding
 (`embed_rows`) of every goal still running, one row per goal. Each row
 keeps its own command and feature RNG, and leaves on reaching its goal
 (with `stop_on_goal`) or at `max_steps`. The running rows share the step
-count, so they replan together, every `replan_every` steps or every
-chunk of `chunk_length` actions if that is shorter. `agent.predict`
-stays one call per row: a batched forward takes a matrix-matrix BLAS
-product where one row takes a matrix-vector one, and the two differ in
-the last bits. Every result therefore equals that of its goal run alone;
-`rollout` is `rollouts` of one goal. Agents must be stateless: `predict`
-may depend only on its arguments, since rows call it interleaved.
+count, so they replan together, every `max(1, agent.chunk_length // 2)`
+steps. `agent.predict` stays one call per row: a batched forward takes
+a matrix-matrix BLAS product where one row takes a matrix-vector one,
+and the two differ in the last bits. Every result therefore equals that
+of its goal run alone; `rollout` is `rollouts` of one goal. Agents must
+be stateless: `predict` may depend only on its arguments, since rows
+call it interleaved.
 
 The experiments train one model shape, `EXPERIMENT_POLICY`, its seed
-replaced per job, and replan every `REPLAN_EVERY` steps; an
+replaced per job, so their rollouts replan every 4 steps; an
 `ExperimentSettings` sets only their sizes: training steps, rollout
 length, evaluation goals and human demos.
 
@@ -90,8 +90,6 @@ HUMAN_WEIGHT = 3.0
 # The experiments' model and training settings; each job replaces the seed.
 EXPERIMENT_POLICY = PolicyConfig(feature_dim=12, chunk_length=8, hidden_layers=(64, 64),
                                  learning_rate=0.05, batch_size=32)
-# Actions the experiments' rollouts execute from each predicted chunk.
-REPLAN_EVERY = 4
 # Rollouts, each to a seeded random goal, that `speed_fluctuation` averages.
 FLUCTUATION_ROLLOUTS = 6
 CSV_COLUMNS = ("condition", "robot_demos", "seed", "id_success", "ood_success",
@@ -158,26 +156,22 @@ def rollouts(
     goals: Sequence[np.ndarray],
     seeds: Sequence[int],
     max_steps: int = 40,
-    replan_every: int | None = None,
     joint_space: bool = False,
     stop_on_goal: bool = True,
 ) -> list[RolloutResult]:
     """Closed-loop execution towards each goal, its feature noise seeded
     by the matching seed: predict a `(chunk_length, 54)` chunk, retarget
-    and execute its first `replan_every` actions (at most the chunk)
-    through the kinematic plant, repeat. With `joint_space` the agent
-    observes the zero-padded command vector instead of the unified state.
-    ValueError for `replan_every` < 1 or `max_steps` < 0.
+    and execute its first half (at least one action) through the
+    kinematic plant, repeat. With `joint_space` the agent observes the
+    zero-padded command vector instead of the unified state. ValueError
+    for `max_steps` < 0.
 
     The goals run in lockstep (see the module docstring); result i equals
     that of goal i run alone.
     """
-    if replan_every is None:
-        replan_every = max(1, agent.chunk_length // 2)
-    if replan_every < 1 or max_steps < 0:
-        raise ValueError(f"need replan_every >= 1 and max_steps >= 0, got {replan_every} "
-                         f"and {max_steps}")
-    period = min(replan_every, agent.chunk_length)
+    if max_steps < 0:
+        raise ValueError(f"need max_steps >= 0, got {max_steps}")
+    period = max(1, agent.chunk_length // 2)
     goals = np.array(goals, dtype=float).reshape(-1, 3)
     n = len(goals)
     if len(seeds) != n:
@@ -248,14 +242,12 @@ def rollout(
     task: ReachTask,
     goal: np.ndarray,
     max_steps: int = 40,
-    replan_every: int | None = None,
     seed: int = 0,
     joint_space: bool = False,
     stop_on_goal: bool = True,
 ) -> RolloutResult:
     """`rollouts` of a single goal."""
-    return rollouts(agent, config, task, [goal], [seed], max_steps, replan_every, joint_space,
-                    stop_on_goal)[0]
+    return rollouts(agent, config, task, [goal], [seed], max_steps, joint_space, stop_on_goal)[0]
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +376,7 @@ def evaluate_policy(
     id_goals, ood_goals = evaluation_goals(task, settings, seed)
     seeds = [seed * 1000 + i for goals in (id_goals, ood_goals) for i in range(len(goals))]
     results = rollouts(PolicyAgent(model), config, task, id_goals + ood_goals, seeds,
-                       settings.max_steps, REPLAN_EVERY, joint_space)
+                       settings.max_steps, joint_space)
     success = [res.success for res in results]
     id_success, ood_success = success[: len(id_goals)], success[len(id_goals) :]
     tracking = [float(res.tracking_error.mean()) for res in results if res.tracking_error.size]
@@ -469,7 +461,7 @@ def speed_fluctuation(
         goals.append(task.grid.sample_goal(cell, rng))
     results = rollouts(PolicyAgent(model), config, task, goals,
                        [seed * 77 + i for i in range(FLUCTUATION_ROLLOUTS)], settings.max_steps,
-                       REPLAN_EVERY, joint_space, stop_on_goal=False)
+                       joint_space, stop_on_goal=False)
     variances = [float(np.var(res.commanded_displacements))
                  for res in results if res.commanded_displacements.size]
     return float(np.mean(variances)) if variances else 0.0
@@ -552,15 +544,34 @@ def run_conditions(
     yield from results
 
 
-def _settings_for(settings: ExperimentSettings | None, human_demos: int) -> ExperimentSettings:
-    """`settings`, or the defaults with `human_demos`; ValueError if
-    `settings.human_demos` disagrees with the experiment's `human_demos`."""
+def _experiment_setup(
+    config: EmbodimentConfig | None, settings: ExperimentSettings | None, human_demos: int
+) -> tuple[EmbodimentConfig, ExperimentSettings, ReachTask]:
+    """An experiment's embodiment (humanoid_b unless given), its settings
+    (the defaults with `human_demos` unless given; ValueError if they
+    disagree with `human_demos`) and its reach task."""
+    from .embodiments import humanoid_b_config
+
+    config = config or humanoid_b_config()
     if settings is None:
-        return ExperimentSettings(human_demos=human_demos)
-    if settings.human_demos != human_demos:
+        settings = ExperimentSettings(human_demos=human_demos)
+    elif settings.human_demos != human_demos:
         raise ValueError(f"settings.human_demos is {settings.human_demos} but the experiment "
                          f"draws {human_demos} human demos")
-    return settings
+    return config, settings, make_reach_task(config, feature_dim=EXPERIMENT_POLICY.feature_dim)
+
+
+def _finish_report(name: str, task: ReachTask, seeds: Sequence[int], started: float,
+                   out_dir: str | Path | None, **fields) -> dict:
+    """The report of experiment `name`: `schema_version`, `task`, `seeds`,
+    `fields` and the `wall_time_s` since `started`, written to `out_dir`
+    by `write_report` if given."""
+    report = {"schema_version": REPORT_SCHEMA_VERSION, "task": task.name,
+              "seeds": [int(s) for s in seeds], **fields,
+              "wall_time_s": time.perf_counter() - started}
+    if out_dir is not None:
+        write_report(report, out_dir, name)
+    return report
 
 
 def cotraining_experiment(
@@ -576,13 +587,8 @@ def cotraining_experiment(
     With `human_demos` = 0 both conditions run identical code paths and
     produce identical rows.
     """
-    from .embodiments import humanoid_b_config
-
-    config = config or humanoid_b_config()
-    settings = _settings_for(settings, human_demos)
-    task = make_reach_task(config, feature_dim=EXPERIMENT_POLICY.feature_dim)
-    rows = []
-    probe_values = []
+    config, settings, task = _experiment_setup(config, settings, human_demos)
+    rows, probe_values = [], []
     t0 = time.perf_counter()
     for row, model, bundles in run_conditions(("robot_only", "cotrained"), robot_counts,
                                               human_demos, seeds, task, config, settings):
@@ -597,19 +603,10 @@ def cotraining_experiment(
             ]}
             pairs = pairs_from_bundles(matched, EXPERIMENT_POLICY.chunk_length)
             probe_values.append(embodiment_probe_accuracy(model, pairs, row["seed"]))
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "task": task.name,
-        "robot_demo_counts": [int(n) for n in robot_counts],
-        "human_demos": int(human_demos),
-        "seeds": [int(s) for s in seeds],
-        "rows": rows,
-        "embodiment_probe_accuracy": probe_values,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    if out_dir is not None:
-        write_report(report, out_dir, "cotraining")
-    return report
+    return _finish_report("cotraining", task, seeds, t0, out_dir,
+                          robot_demo_counts=[int(n) for n in robot_counts],
+                          human_demos=int(human_demos), rows=rows,
+                          embodiment_probe_accuracy=probe_values)
 
 
 def ablation_suite(
@@ -621,11 +618,7 @@ def ablation_suite(
     out_dir: str | Path | None = None,
 ) -> dict:
     """State-space and action-speed ablation on a human-heavy mix."""
-    from .embodiments import humanoid_b_config
-
-    config = config or humanoid_b_config()
-    settings = _settings_for(settings, human_demos)
-    task = make_reach_task(config, feature_dim=EXPERIMENT_POLICY.feature_dim)
+    config, settings, task = _experiment_setup(config, settings, human_demos)
     t0 = time.perf_counter()
     rows = [
         {key: row[key] for key in ("condition", "seed", "ood_success", "id_success",
@@ -633,17 +626,8 @@ def ablation_suite(
         for row, _, _ in run_conditions(ABLATION_CONDITIONS, (n_robot,), human_demos, seeds,
                                         task, config, settings)
     ]
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "task": task.name,
-        "seeds": [int(s) for s in seeds],
-        "conditions": list(ABLATION_CONDITIONS),
-        "rows": rows,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    if out_dir is not None:
-        write_report(report, out_dir, "ablation")
-    return report
+    return _finish_report("ablation", task, seeds, t0, out_dir,
+                          conditions=list(ABLATION_CONDITIONS), rows=rows)
 
 
 def write_report(report: dict, out_dir: str | Path, name: str) -> None:

@@ -229,7 +229,8 @@ def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
     The loss gradient is `sign(residual) * w`, `w` the row of 1/n with
     LAMBDA_EEF/n_eef added on `EEF`: the sign is -1, 0 or +1 and rounding
     is symmetric, so each entry has the bits of the per-term sum
-    `g/n + LAMBDA_EEF*g/n_eef`. `+= 0.0` turns -0.0 into +0.0.
+    `g/n + LAMBDA_EEF*g/n_eef`. `np.sign` of a -0.0 residual is +0.0
+    and `w` is positive, so no entry is -0.0.
     """
     cfg = model.config
     B = x.shape[0]
@@ -242,7 +243,6 @@ def backward(model: PolicyModel, x: np.ndarray, target: np.ndarray):
     w[EEF] += LAMBDA_EEF / residual[..., EEF].size
     dpred = np.sign(residual)
     dpred *= w
-    dpred += 0.0
     delta = dpred.reshape(B, -1)
 
     grad_w, grad_b = [], []

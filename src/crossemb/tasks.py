@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, retiming, unified_space
-from .dataset import DEFAULT_ALPHA, DemonstrationEpisode
+from .dataset import DEFAULT_ALPHA, DemonstrationEpisode, new_episode
 from .errors import DimensionMismatch
 from .kinematics import (
     EmbodimentConfig,
@@ -252,6 +252,18 @@ def teleop_simulate(
     return states, joint_space_states(commands)
 
 
+def _reach_episode(
+    task: ReachTask, goal: np.ndarray, rng: np.random.Generator, demo_id: str, tag: str,
+    times: np.ndarray, states: np.ndarray, device: str, retimed: bool, alpha: float,
+) -> DemonstrationEpisode:
+    """A reach demo's episode: one goal feature per frame, observed with
+    `rng`, the goal's cell in the instruction and the goal in the metadata."""
+    features = np.stack([task.codec.observe(goal, rng) for _ in range(len(times))])
+    return new_episode(demo_id, tag, f"reach the point in cell {goal_cell(task, goal)}", times,
+                       states, features, device, "grid-table", retimed, alpha,
+                       goal=np.asarray(goal).tolist())
+
+
 def generate_robot_demo(
     task: ReachTask,
     config: EmbodimentConfig,
@@ -274,29 +286,12 @@ def generate_robot_demo(
     states, joint_views = teleop_simulate(
         [ref.states for ref in references], config, task.home_command(config)
     )
-    bundles = []
-    for goal, rng, demo_id, reference, demo_states, joint_view in zip(
-        goals, rngs, demo_ids, references, states, joint_views, strict=True
-    ):
-        feats = np.stack([task.codec.observe(goal, rng) for _ in range(len(reference))])
-        episode = DemonstrationEpisode(
-            id=demo_id,
-            embodiment_tag="robot",
-            instruction=f"reach the point in cell {goal_cell(task, goal)}",
-            times=reference.times,
-            states=demo_states,
-            features=feats,
-            metadata={
-                "device": "teleop-sim",
-                "scene": "grid-table",
-                "duration_s": float(reference.times[-1]),
-                "retimed": False,
-                "alpha_applied": 1.0,
-                "goal": np.asarray(goal).tolist(),
-            },
-        )
-        bundles.append(DemoBundle(episode=episode, joint_states=joint_view))
-    return bundles
+    return [
+        DemoBundle(_reach_episode(task, goal, rng, demo_id, "robot", reference.times,
+                                  demo_states, "teleop-sim", False, 1.0), joint_view)
+        for goal, rng, demo_id, reference, demo_states, joint_view in zip(
+            goals, rngs, demo_ids, references, states, joint_views, strict=True)
+    ]
 
 
 def generate_human_demo(
@@ -326,26 +321,8 @@ def generate_human_demo(
     )
     alpha = task.alpha if retime_demo else 1.0
     resampled = retiming.retime(raw, alpha, task.rate)
-    feats = np.stack(
-        [task.codec.observe(goal, rng) for _ in range(len(resampled))]
-    )
-    episode = DemonstrationEpisode(
-        id=demo_id,
-        embodiment_tag="human",
-        instruction=f"reach the point in cell {goal_cell(task, goal)}",
-        times=resampled.times,
-        states=resampled.states,
-        features=feats,
-        metadata={
-            "device": "vr-sim",
-            "scene": "grid-table",
-            "duration_s": float(resampled.times[-1] - resampled.times[0]),
-            "retimed": retime_demo,
-            "alpha_applied": alpha,
-            "goal": np.asarray(goal).tolist(),
-        },
-    )
-    return DemoBundle(episode=episode)
+    return DemoBundle(_reach_episode(task, goal, rng, demo_id, "human", resampled.times,
+                                     resampled.states, "vr-sim", retime_demo, alpha))
 
 
 def goal_cell(task: ReachTask, goal: np.ndarray) -> int:

@@ -592,6 +592,105 @@ def test_ingest_robot_capture_without_config_exit_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def files_under(root):
+    return {p for p in Path(root).rglob("*") if p.is_file()}
+
+
+def test_ingest_captures_of_one_name_exit_1(tmp_path, capsys):
+    """Two capture directories named `cap`, their meta without `id`: both
+    episodes would be `cap`, the second file overwriting the first."""
+    raws = []
+    for side in ("x", "y"):
+        (tmp_path / side).mkdir()
+        raws.append(write_human_raw(tmp_path / side, episode_id="cap"))
+    for raw in raws:
+        meta = json.loads((raw / "meta.json").read_text())
+        del meta["id"]
+        (raw / "meta.json").write_text(json.dumps(meta))
+    before = files_under(tmp_path)
+    capsys.readouterr()
+    assert cli(["ingest", "--raw", *map(str, raws), "--out", str(tmp_path / "ds")]) == 1
+    assert "error: episode id 'cap' is repeated" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("episode_id", ["../../escaped", "", ".", "..", "a\\b", "a\0b"],
+                         ids=["escape", "empty", "dot", "dotdot", "backslash", "nul"])
+def test_ingest_id_that_is_no_file_name_exit_1(tmp_path, episode_id, capsys):
+    """Nothing is written, inside `--out` or outside it."""
+    (tmp_path / "caps").mkdir()
+    raw = write_human_raw(tmp_path / "caps", episode_id="h1")
+    meta = json.loads((raw / "meta.json").read_text())
+    (raw / "meta.json").write_text(json.dumps(meta | {"id": episode_id}))
+    before = files_under(tmp_path)
+    capsys.readouterr()
+    assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "caps" / "ds")]) == 1
+    assert "is not a file name" in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+
+
+def test_ingest_zero_width_features_exit_1(tmp_path, capsys):
+    raw = write_human_raw(tmp_path)
+    lines = [json.loads(line) for line in (raw / "frames.jsonl").read_text().splitlines()]
+    (raw / "frames.jsonl").write_text("".join(json.dumps(rec | {"feature_vector": []}) + "\n"
+                                              for rec in lines))
+    capsys.readouterr()
+    assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "ds")]) == 1
+    assert "error: line 1: feature_vector must be a non-empty flat list" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("episodes", [1, 0], ids=["zero_width_episode", "no_episodes"])
+def test_train_without_feature_columns_exit_1(tmp_path, episodes, capsys):
+    """A dataset of zero-width features, as ingest once wrote, or a
+    hand-written manifest of feature_dim 0 and no episodes."""
+    write_dataset([synthetic_episode(f"e{i}", "human", n=12, feature_dim=0)
+                   for i in range(episodes)], tmp_path / "d")
+    assert json.loads((tmp_path / "d" / "manifest.json").read_text())["feature_dim"] == 0
+    capsys.readouterr()
+    assert cli(["train", "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "m.ckpt"),
+                "--chunk-length", "3", "--hidden", "8", "--steps", "2", "--batch-size", "4"]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_validate_flags_unretimed_human_and_scaled_robot_episodes(tmp_path, capsys):
+    write_dataset([synthetic_episode("h0", "human"), synthetic_episode("r0", "robot")],
+                  tmp_path / "d")
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 0
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["episodes"][0]["metadata"]["retimed"] = False
+    doc["episodes"][1]["metadata"]["alpha_applied"] = 4.0
+    manifest_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli(["validate", "--dataset", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL h0: human episode not retimed", "FAIL r0: robot episode has alpha != 1"]
+
+
+# Default settings of a few training steps and rollouts and no OOD goals:
+# the experiment command's whole path at a tiny size.
+TINY = dict(train_steps=5, max_steps=3, id_eval_goals=1, ood_eval_goals_per_cell=0)
+
+
+@pytest.mark.parametrize("kind, rows", [("cotraining", 2), ("ablation", 3)])
+def test_experiment_writes_the_harness_report(tmp_path, monkeypatch, kind, rows, capsys):
+    monkeypatch.setattr(harness.ExperimentSettings.__init__, "__defaults__", tuple(
+        TINY.get(f.name, f.default) for f in dataclasses.fields(harness.ExperimentSettings)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli(["experiment", kind, "--out", str(out), "--robot-counts", "2", "--seeds", "1",
+                "--human-demos", "2"]) == 0
+    assert capsys.readouterr().out == f"experiment {kind}: {rows} rows written to {out}\n"
+    got = json.loads((out / f"{kind}.json").read_text())
+    want = (harness.cotraining_experiment(robot_counts=(2,), human_demos=2, seeds=(0,))
+            if kind == "cotraining" else harness.ablation_suite(seeds=(0,), human_demos=2))
+    del got["wall_time_s"], want["wall_time_s"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)  # NaN probes too
+    assert len((out / f"{kind}.csv").read_text().splitlines()) == 1 + rows
+
+
 @pytest.mark.parametrize("feature_dim", [4, 0, -2])
 def test_manifest_feature_dim_unlike_the_episodes_exit_1(tmp_path, feature_dim, capsys):
     eps = [synthetic_episode(f"e{i}", "human", n=12, feature_dim=16, seed=i) for i in range(2)]

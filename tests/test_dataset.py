@@ -301,6 +301,18 @@ def test_ingest_rejects_bad_feature_vector(tmp_path, feature):
     assert err.value.line_no == 4
 
 
+def test_ingest_rejects_empty_feature_vectors(tmp_path):
+    """All of them empty, so no width differs; the dataset would have no
+    feature column."""
+    root = write_robot_raw(tmp_path)
+    lines = [json.loads(line) for line in (root / "frames.jsonl").read_text().splitlines()]
+    (root / "frames.jsonl").write_text(
+        "".join(json.dumps(rec | {"feature_vector": []}) + "\n" for rec in lines))
+    with pytest.raises(ParseError) as err:
+        ingest(load_raw_capture(root), config=humanoid_a_config())
+    assert err.value.line_no == 1
+
+
 @pytest.mark.parametrize("joints", [
     {"left_arm": [0.0] * 4}, {"right_arm": [0.0] * 7}, {"neck": [0.0] * 3},
     {"left_hand": [1.5] * 6}, {"right_hand": None},
@@ -380,6 +392,23 @@ def test_write_read_empty(tmp_path):
     m2, eps = read_dataset(tmp_path / "d")
     assert eps == []
     assert m2["episodes"] == []
+
+
+@pytest.mark.parametrize("ids, message", [
+    (["a", "b", "a"], "'a' is repeated"),
+    (["a", "../../escaped"], "is not a file name"),
+    (["sub/a"], "is not a file name"),
+    (["a\\b"], "is not a file name"),
+    (["a\0b"], "is not a file name"),
+    ([""], "is not a file name"),
+    (["."], "is not a file name"),
+    ([".."], "is not a file name"),
+], ids=["repeated", "escape", "slash", "backslash", "nul", "empty", "dot", "dotdot"])
+def test_write_dataset_refuses_ids_before_writing(tmp_path, ids, message):
+    eps = [synthetic_episode(ep_id, "robot") for ep_id in ids]
+    with pytest.raises(InvalidMetadata, match=message):
+        write_dataset(eps, tmp_path / "a" / "d")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_read_roundtrip_bit_exact(tmp_path):

@@ -549,12 +549,9 @@ def test_rollout_counts_errors_apart_from_clamps(task):
     assert res.errors == 1 and res.clamp_events == 0
 
 
-@pytest.mark.parametrize("kwargs", [dict(replan_every=0), dict(replan_every=-2),
-                                    dict(max_steps=-1)],
-                         ids=["replan_every_0", "replan_every_-2", "max_steps_-1"])
+@pytest.mark.parametrize("kwargs", [dict(max_steps=-1)], ids=["max_steps_-1"])
 def test_rollouts_reject_bad_replan_and_step_counts(task, kwargs):
-    """A period below 1 once looped without end; a negative step count is
-    no horizon."""
+    """A negative step count is no horizon."""
     with pytest.raises(ValueError):
         rollout(HoldAgent(), CFG, task, task.grid.cell_center(0), **kwargs)
 
@@ -679,6 +676,26 @@ def test_pooled_conditions_equal_in_process_jobs(task, pooled):
     for row, model, bundles in got:
         want_row, want_model = _run_condition(row["condition"], row["robot_demos"], 0, bundles,
                                               task, CFG, POOL_SETTINGS)
+        assert json.dumps(row) == json.dumps(want_row)
+        for got_arrays, want_arrays in ((model.weights, want_model.weights),
+                                        (model.biases, want_model.biases)):
+            assert [a.tobytes() for a in got_arrays] == [b.tobytes() for b in want_arrays]
+
+
+def test_in_process_conditions_equal_pooled_jobs(task, pooled, monkeypatch):
+    """Where BLAS is not pinned to one thread, the jobs run one after
+    another in this process: same rows, models and order as the pool."""
+    def run():
+        return list(harness.run_conditions(harness.ABLATION_CONDITIONS, (2,), 3, (0,), task, CFG,
+                                           POOL_SETTINGS))
+
+    pooled_results = run()
+    assert len(pooled) == 3
+    monkeypatch.setattr(crossemb, "BLAS_PINNED", False)
+    in_process = run()
+    assert len(pooled) == 3  # nothing more was sent to a pool
+    assert len(in_process) == len(pooled_results)
+    for (row, model, _), (want_row, want_model, _) in zip(in_process, pooled_results):
         assert json.dumps(row) == json.dumps(want_row)
         for got_arrays, want_arrays in ((model.weights, want_model.weights),
                                         (model.biases, want_model.biases)):

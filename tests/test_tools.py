@@ -1,5 +1,6 @@
 """tools/ab_interleaved.py refuses runs it cannot keep apart or summarize,
-and reports every pair it times."""
+and reports every pair it times; tools/unrun_lines.py lists the statements
+no line of which ran."""
 
 import importlib.util
 import subprocess
@@ -36,3 +37,37 @@ def test_ab_interleaved_prints_every_pair(monkeypatch):
                          "pair 3: B first, A 0.3000 s, B 0.3000 s"]
     assert lines[4].startswith("A: median 0.4500 s") and lines[5].startswith("B: median 0.4350 s")
     assert lines[6] == "B faster in 2 of 4 pairs; median per-pair ratio B/A 0.950"
+
+
+UNRUN_SOURCE = '''"""Module docstring."""
+import os
+
+
+def f(x):
+    """Docstring."""
+    if x:
+        return (1 +
+                2)
+    raise ValueError(
+        "no")
+
+
+@staticmethod
+def g():
+    pass
+'''
+
+
+def test_unrun_lines_lists_statements_no_line_of_which_ran():
+    spec = importlib.util.spec_from_file_location("unrun_lines", ROOT / "tools" / "unrun_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.statements(UNRUN_SOURCE) == [(2, 2), (5, 11), (7, 9), (8, 9), (10, 11), (14, 16),
+                                             (16, 16)]
+    # The return ran on its second line only; the decorator line stands for g's definition.
+    hits = {2, 5, 7, 9, 14}
+    assert tool.unrun_statements(UNRUN_SOURCE, hits) == [(10, 11), (16, 16)]
+    assert tool.listing("m.py", UNRUN_SOURCE, hits) == ['m.py:10-11: raise ValueError(',
+                                                        "m.py:16: pass"]
+    assert tool.unrun_statements(UNRUN_SOURCE, set()) == tool.statements(UNRUN_SOURCE)
+    assert "forked workers" in tool.NOTE
