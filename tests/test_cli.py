@@ -650,7 +650,8 @@ def test_train_without_feature_columns_exit_1(tmp_path, episodes, capsys):
     capsys.readouterr()
     assert cli(["train", "--dataset", str(tmp_path / "d"), "--out", str(tmp_path / "m.ckpt"),
                 "--chunk-length", "3", "--hidden", "8", "--steps", "2", "--batch-size", "4"]) == 1
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "training needs at least one feature column" in err
     assert not (tmp_path / "m.ckpt").exists()
 
 
