@@ -384,6 +384,57 @@ def test_ingest_duplicate_visual_timestamps_pair_the_earlier_record(tmp_path, fi
     assert len(kept) == 12
 
 
+def rewrite_records(root, edit):
+    """Replace capture `root`'s records by `edit(records)`, records as dicts."""
+    records = [json.loads(l) for l in (root / "frames.jsonl").read_text().splitlines()]
+    (root / "frames.jsonl").write_text("".join(json.dumps(r) + "\n" for r in edit(records)))
+
+
+def _turned(records):
+    """The human records seen from a world frame turned and shifted, each
+    right wrist also turned by its own angle."""
+    W = geometry.rotation_about_axis(np.array([0.36, -0.48, 0.8]), 0.7)
+    shift = np.array([1.2, -0.5, 0.1])
+    for k, rec in enumerate(records):
+        for key in ("head_pose", "left_wrist_pose", "right_wrist_pose"):
+            R = geometry.quat_to_matrix(np.array(rec[key]["rotation_quaternion"]))
+            if key == "right_wrist_pose":
+                R = R @ geometry.rotation_about_axis(np.array([0.0, 1.0, 0.0]), 0.1 * k)
+            rec[key] = pose_json(W @ R, W @ np.array(rec[key]["translation"]) + shift)
+        rec["fingertips"] = (np.array(rec["fingertips"]) @ W.T + shift).tolist()
+    return records
+
+
+def _moving_joints(records):
+    for k, rec in enumerate(records):
+        rec["joints"]["left_arm"] = [0.03 * k, 0.1, -0.02 * k, 0.2, 0.01 * k]
+        rec["joints"]["neck"] = [0.05 * k, -0.02 * k]
+        rec["joints"]["right_hand"] = [0.1 * (k % 10)] * 6
+    return records
+
+
+PINNED_INGEST_BYTES = "d9465cb9471d01546df7166846672fa5a16d25ade7edc2efac365e8517690fb4"
+
+
+def test_ingest_bytes_pinned(tmp_path):
+    """SHA-256 of manifest.json and the episode files that ingest and
+    `write_dataset` make of the suite's captures: plain, turned in the
+    world, and a robot capture with moving joints."""
+    turned = write_human_raw(tmp_path, n=30, episode_id="turned")
+    rewrite_records(turned, _turned)
+    robot = write_robot_raw(tmp_path, n=12)
+    rewrite_records(robot, _moving_joints)
+    cfg = humanoid_a_config()
+    episodes = [ingest(load_raw_capture(root), config=cfg, options=IngestOptions(feature_dim=4))
+                for root in (write_human_raw(tmp_path), turned, robot)]
+    write_dataset(episodes, tmp_path / "d")
+    h = hashlib.sha256()
+    for path in sorted((tmp_path / "d").rglob("*.*")):
+        h.update(path.relative_to(tmp_path / "d").as_posix().encode())
+        h.update(path.read_bytes())
+    assert h.hexdigest() == PINNED_INGEST_BYTES
+
+
 
 # --- storage -------------------------------------------------------------
 
