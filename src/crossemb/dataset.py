@@ -4,7 +4,9 @@ Raw captures are JSON Lines (one frame per line) plus a meta.json sidecar.
 Human frames carry world-frame head/wrist poses and ten fingertips; robot
 frames carry joint readings and require an embodiment config. Ingest
 pairs the pose or joint records with visual frames (`_synced_frames`)
-and turns them into one (N, 54) state array per capture, written by
+and reads each synced record once into rows of per-capture arrays
+(`_record_arrays`; masked checks name the first bad record). Geometry
+runs once per capture, and the (N, 54) states are written by
 `unified_space.state_rows` (human) or `kinematics.embed_rows` (robot).
 Processed episodes are little-endian float64 blocks (`pack_blocks`, the
 layout checkpoints share) indexed by manifest.json, so write/read
@@ -42,7 +44,6 @@ from .errors import (
     CorruptEpisode,
     CrossembError,
     DegenerateTrajectory,
-    DimensionMismatch,
     EmptySource,
     EpisodeTooShort,
     FrameSyncExhausted,
@@ -52,7 +53,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .geometry import Pose
-from .kinematics import EmbodimentConfig, RobotCommand, command_vector, embed_rows
+from .kinematics import HAND_ACTUATOR_COUNT, EmbodimentConfig, embed_rows, hands_outside
 from .retiming import Trajectory, sync_streams
 from .unified_space import NormalizationStats
 
@@ -154,13 +155,6 @@ def pose_from_json(doc: dict) -> Pose:
     return Pose(geometry.quat_to_matrix(q), t)
 
 
-def _pose_from_record(doc: dict, line_no: int, key: str) -> Pose:
-    try:
-        return pose_from_json(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(line_no, f"bad pose field {key!r}: {exc}") from exc
-
-
 def read_file(path: str | Path, text: bool = False) -> str | bytes:
     """The bytes (or decoded text) of file `path`; UnreadableFile if it is
     a directory or cannot be read or decoded."""
@@ -259,16 +253,6 @@ def canonical_frame(head_pose: Pose, drop: float) -> Pose:
     return Pose(R, origin)
 
 
-def _split_streams(records: Sequence[dict], pose_keys: tuple[str, ...]):
-    proprio, visual = [], []
-    for doc in records:
-        if all(k in doc for k in pose_keys):
-            proprio.append((float(doc["t"]), doc))
-        if "feature_vector" in doc or "image_ref" in doc:
-            visual.append((float(doc["t"]), doc))
-    return proprio, visual
-
-
 def _visual_feature(doc: dict, feature_dim: int) -> np.ndarray:
     if "feature_vector" not in doc:
         return synthetic_features(str(doc["image_ref"]), feature_dim)
@@ -282,24 +266,21 @@ def _visual_feature(doc: dict, feature_dim: int) -> np.ndarray:
     return feature
 
 
-def _default_skew(visual: Sequence[tuple[float, dict]]) -> float:
-    if len(visual) < 2:
-        return np.inf
-    periods = np.diff([t for t, _ in visual])
-    return float(np.median(periods)) / 2.0
-
-
 def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestOptions):
     """Pair the capture's records holding every key of `pose_keys` with
     their nearest visual frames (`sync_streams`). Returns the first such
     record, the synced pairs' times (N,), records and visual features
     (N, F), and how many records sync dropped."""
-    proprio, visual = _split_streams(raw.records, pose_keys)
+    proprio = [(float(doc["t"]), doc) for doc in raw.records if all(k in doc for k in pose_keys)]
+    visual = [(float(doc["t"]), doc) for doc in raw.records
+              if "feature_vector" in doc or "image_ref" in doc]
     if len(proprio) < 2:
         raise FrameSyncExhausted("fewer than two proprioceptive records in the capture")
     if not visual:
         raise FrameSyncExhausted("no visual records in the capture")
-    sync = sync_streams(proprio, visual, _default_skew(visual))
+    # Half the median visual frame period; a single visual frame bounds no skew.
+    skew = float(np.median(np.diff([t for t, _ in visual]))) / 2.0 if len(visual) > 1 else np.inf
+    sync = sync_streams(proprio, visual, skew)
     if len(sync.pairs) < 2:
         raise FrameSyncExhausted(
             f"synchronization left {len(sync.pairs)} frame(s); dropped {sync.dropped}"
@@ -313,31 +294,59 @@ def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestO
     return proprio[0][1], times, docs, np.array(feats), sync.dropped
 
 
+def _record_arrays(docs: Sequence[dict], fields) -> list[np.ndarray]:
+    """One float array (N, *shape) per field (what, read, shape, check) of
+    `fields`: `read(doc)` of each record. ParseError, naming `what`, at the
+    first record whose value is no array of `shape` numbers or is flagged
+    by `check`, None or (rows -> one flag per row, reason)."""
+    arrays, first, error = [], len(docs), None
+    for what, read, shape, check in fields:
+        rows = []
+        for doc in docs[:first]:
+            try:
+                row = np.array(read(doc), dtype=float)
+                if row.shape != shape:
+                    raise ValueError(f"expected shape {shape}, got {row.shape}")
+            except (KeyError, TypeError, ValueError) as exc:
+                first, error = len(rows), f"{what}: {exc}"
+                break
+            rows.append(row)
+        rows = np.array(rows).reshape(len(rows), *shape)
+        if check and check[0](rows).any():
+            first, error = int(np.argmax(check[0](rows))), f"{what}: {check[1]}"
+        arrays.append(rows)
+    if error is not None:
+        raise ParseError(docs[first]["_line"], error)
+    return arrays
+
+
 _HUMAN_POSES = ("head_pose", "left_wrist_pose", "right_wrist_pose")
+_POSE_PARTS = (("translation", 3, (lambda t: ~np.isfinite(t).all(axis=1),
+                                   "pose contains non-finite values")),
+               ("rotation_quaternion", 4, (geometry.degenerate_quats,
+                                           "quaternion norm is degenerate")))
+# Each pose's translation and quaternion, then the fingertips.
+_HUMAN_FIELDS = [(f"bad pose field {key!r}", lambda d, key=key, part=part: d[key][part], (size,),
+                  check) for key in _HUMAN_POSES for part, size, check in _POSE_PARTS]
+_HUMAN_FIELDS.append(("bad fingertips", lambda d: d["fingertips"], (10, 3), None))
 
 
 def _ingest_human(raw: RawCapture, drop: float, options: IngestOptions) -> DemonstrationEpisode:
     first, times, docs, feats, dropped = _synced_frames(raw, (*_HUMAN_POSES, "fingertips"),
                                                         options)
-    head = _pose_from_record(first, first["_line"], "head_pose")
-    base_inv = canonical_frame(head, drop).inverse()
-    rotations = np.empty((len(docs), len(_HUMAN_POSES), 3, 3))  # head, left, right
-    positions = np.empty((len(docs), len(_HUMAN_POSES), 3))
-    tips = np.empty((len(docs), 10, 3))
-    for k, doc in enumerate(docs):
-        line_no = doc["_line"]
-        for j, key in enumerate(_HUMAN_POSES):
-            pose = base_inv.compose(_pose_from_record(doc, line_no, key))
-            rotations[k, j], positions[k, j] = pose.rotation, pose.translation
-        try:
-            frame_tips = np.array(doc["fingertips"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(line_no, f"bad fingertips: {exc}") from exc
-        if frame_tips.shape != (10, 3):
-            raise ParseError(line_no, f"fingertips must be 10x3, got {frame_tips.shape}")
-        tips[k] = base_inv.apply(frame_tips)
-    states = unified_space.state_rows(*geometry.encode_rot6d(rotations.swapaxes(0, 1)),
-                                      *positions[:, 1:].swapaxes(0, 1), tips)
+    try:
+        head = pose_from_json(first["head_pose"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(first["_line"], f"bad pose field 'head_pose': {exc}") from exc
+    base = canonical_frame(head, drop).inverse()
+    R, origin = base.rotation, base.translation
+    *poses, tips = _record_arrays(docs, _HUMAN_FIELDS)
+    # (N, 3, 3) translations and (N, 3, 4) quaternions, poses in `_HUMAN_POSES` order.
+    t, q = np.stack(poses[0::2], axis=1), np.stack(poses[1::2], axis=1)
+    positions = (R @ t[..., None])[..., 0] + origin
+    states = unified_space.state_rows(
+        *geometry.encode_rot6d((R @ geometry.quat_to_matrix(q)).swapaxes(0, 1)),
+        *positions[:, 1:].swapaxes(0, 1), tips @ R.T + origin)
 
     traj = Trajectory(
         times=times,
@@ -367,14 +376,14 @@ def _ingest_robot(
     raw: RawCapture, config: EmbodimentConfig, options: IngestOptions
 ) -> DemonstrationEpisode:
     _, times, docs, feats, dropped = _synced_frames(raw, ("joints",), options)
-    commands = []
-    for doc in docs:
-        try:
-            cmd = RobotCommand(*(np.array(doc["joints"][key], dtype=float) for key in _JOINT_KEYS))
-            commands.append(command_vector(config, cmd))
-        except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-            raise ParseError(doc["_line"], f"bad joints record: {exc}") from exc
-    return _capture_episode(raw, times, embed_rows(config, np.array(commands)), feats, False, 1.0,
+    sizes = (config.left_arm.n_joints, config.right_arm.n_joints, 2,
+             HAND_ACTUATOR_COUNT, HAND_ACTUATOR_COUNT)
+    hands = (lambda v: hands_outside(v).any(axis=1), "values must lie in [0, 1]")
+    commands = np.concatenate(_record_arrays(docs, [
+        (f"bad joints record: {key}", lambda d, key=key: d["joints"][key], (size,),
+         hands if key.endswith("hand") else None) for key, size in zip(_JOINT_KEYS, sizes)]),
+        axis=1)
+    return _capture_episode(raw, times, embed_rows(config, commands), feats, False, 1.0,
                             dropped_frames=dropped)
 
 

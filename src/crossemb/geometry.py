@@ -119,11 +119,17 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.ascontiguousarray(q, dtype=float)  # `norms` of strided rows may sum in another order
     if q.ndim == 0 or q.shape[-1] != 4:
         raise ValueError(f"quaternion must have 4 components, got {q.shape}")
-    n = norms(q)[..., None]
-    if np.any((n < 1e-12) | ~np.isfinite(n)):
+    if np.any(degenerate_quats(q)):
         raise ValueError("quaternion norm is degenerate")
-    q = q / n
+    q = q / norms(q)[..., None]
     return np.where(q[..., :1] < 0.0, -q, q)
+
+
+def degenerate_quats(q: np.ndarray) -> np.ndarray:
+    """Which quaternions of a stack (..., 4) `quat_normalize` refuses: those
+    whose norm is below 1e-12 or not finite."""
+    n = norms(q)
+    return (n < 1e-12) | ~np.isfinite(n)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:

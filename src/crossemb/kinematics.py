@@ -514,6 +514,11 @@ class EmbodimentConfig:
 _COMMAND_PARTS = ("left_arm_q", "right_arm_q", "neck_q", "left_hand", "right_hand")
 
 
+def hands_outside(values: np.ndarray) -> np.ndarray:
+    """Which hand actuator values lie outside [0, 1] by more than 1e-12 (NaN does not)."""
+    return (values < -1e-12) | (values > 1.0 + 1e-12)
+
+
 @dataclass(frozen=True, eq=False)
 class RobotCommand:
     """Joint-space command: arms, 2-DoF neck, two 6-actuator hands, each a
@@ -541,7 +546,7 @@ class RobotCommand:
         for name, part in zip(_COMMAND_PARTS + ("_vector",),
                               (vec[:a], vec[a:b], vec[b:c], vec[c:c + 6], vec[c + 6:], vec)):
             object.__setattr__(self, name, part)
-        bad = (vec[c:] < -1e-12) | (vec[c:] > 1.0 + 1e-12)
+        bad = hands_outside(vec[c:])
         if bad.any():
             raise ValueError(f"{_COMMAND_PARTS[4 - bad[:6].any()]} values must lie in [0, 1]")
 

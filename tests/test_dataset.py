@@ -26,8 +26,10 @@ from crossemb.errors import (
     ConfigRequired,
     CorruptEpisode,
     CrossembError,
+    DegenerateTrajectory,
     EmptySource,
     EpisodeTooShort,
+    FrameSyncExhausted,
     InvalidMetadata,
     ParseError,
     VersionUnsupported,
@@ -269,6 +271,14 @@ BAD_POSES = {
     "short_translation": ("left_wrist_pose", {"translation": [0.3, 0.2],
                                               "rotation_quaternion": [1, 0, 0, 0]}),
     "fingertips_not_numbers": ("fingertips", [["a", "b", "c"]] * 10),
+    "fingertips_10x2": ("fingertips", [[0.3, 0.2]] * 10),
+    "fingertips_9x3": ("fingertips", [[0.3, 0.2, 1.0]] * 9),
+    "nested_translation": ("left_wrist_pose", {"translation": [[0.3, 0.2, 1.0]],
+                                               "rotation_quaternion": [1, 0, 0, 0]}),
+    "nested_quaternion": ("head_pose", {"translation": [0.1, 0.0, 1.5],
+                                        "rotation_quaternion": [[1], [0], [0], [0]]}),
+    "pose_not_object": ("right_wrist_pose", [0.3, -0.2, 1.0]),
+    "no_quaternion": ("right_wrist_pose", {"translation": [0.3, -0.2, 1.0]}),
 }
 
 
@@ -284,6 +294,18 @@ def test_ingest_rejects_bad_pose(tmp_path, case):
     with pytest.raises(ParseError) as err:
         ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
     assert err.value.line_no == 5
+
+
+@pytest.mark.parametrize("head", [{"translation": [0.1, 0.0]}, [0.1, 0.0, 1.5]],
+                         ids=["short_translation", "not_object"])
+def test_ingest_rejects_bad_first_head_pose(tmp_path, head):
+    """The first head pose places the canonical frame, before any record
+    is read into rows."""
+    root = write_human_raw(tmp_path)
+    rewrite_records(root, lambda recs: [recs[0] | {"head_pose": head}] + recs[1:])
+    with pytest.raises(ParseError, match="bad pose field 'head_pose'") as err:
+        ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
+    assert err.value.line_no == 1
 
 
 @pytest.mark.parametrize("feature", [["a", "b", "c", "d"], [1.0, 2.0, 3.0], [[1.0, 2.0]] * 2],
@@ -316,7 +338,9 @@ def test_ingest_rejects_empty_feature_vectors(tmp_path):
 @pytest.mark.parametrize("joints", [
     {"left_arm": [0.0] * 4}, {"right_arm": [0.0] * 7}, {"neck": [0.0] * 3},
     {"left_hand": [1.5] * 6}, {"right_hand": None},
-], ids=["short_left_arm", "long_right_arm", "long_neck", "hand_out_of_range", "no_hand"])
+    {"left_arm": [[0.0] * 5]}, {"neck": [[0.0], [0.0]]}, {"right_hand": [-1e-11] + [0.5] * 5},
+], ids=["short_left_arm", "long_right_arm", "long_neck", "hand_out_of_range", "no_hand",
+        "nested_left_arm", "nested_neck", "hand_below_slack"])
 def test_ingest_rejects_bad_joints_record(tmp_path, joints):
     root = write_robot_raw(tmp_path)
     lines = (root / "frames.jsonl").read_text().splitlines()
@@ -328,6 +352,122 @@ def test_ingest_rejects_bad_joints_record(tmp_path, joints):
         ingest(load_raw_capture(root), config=humanoid_a_config(),
                options=IngestOptions(feature_dim=4))
     assert err.value.line_no == 3
+
+
+def test_ingest_accepts_hand_values_within_the_slack(tmp_path):
+    """Hand values may stray 1e-12 outside [0, 1], as in a `RobotCommand`."""
+    root = write_robot_raw(tmp_path)
+    rewrite_records(root, lambda recs: [r | {"joints": r["joints"] | {
+        "left_hand": [1.0 + 5e-13] * 6, "right_hand": [-5e-13] * 6}} for r in recs])
+    ep = ingest(load_raw_capture(root), config=humanoid_a_config(),
+                options=IngestOptions(feature_dim=4))
+    assert len(ep) == 10
+
+
+ZERO_QUATERNION = {"translation": [0.3, 0.2, 1.0], "rotation_quaternion": [0, 0, 0, 0]}
+NESTED_TRANSLATION = {"translation": [[0.3, 0.2, 1.0]], "rotation_quaternion": [1, 0, 0, 0]}
+NAN_TRANSLATION = {"translation": [float("nan"), 0.2, 1.0], "rotation_quaternion": [1, 0, 0, 0]}
+
+
+@pytest.mark.parametrize("edits", [
+    {6: ("head_pose", NESTED_TRANSLATION), 3: ("right_wrist_pose", ZERO_QUATERNION)},
+    {3: ("right_wrist_pose", NESTED_TRANSLATION), 6: ("head_pose", ZERO_QUATERNION)},
+    {3: ("fingertips", [[0.0, 0.0]] * 10), 6: ("left_wrist_pose", NAN_TRANSLATION)},
+    {6: ("fingertips", [[0.0, 0.0]] * 10), 3: ("left_wrist_pose", NAN_TRANSLATION)},
+    {5: ("head_pose", ZERO_QUATERNION), 3: ("right_wrist_pose", NAN_TRANSLATION)},
+], ids=["value_then_arity", "arity_then_value", "tips_then_pose", "pose_then_tips",
+        "right_then_head"])
+def test_ingest_reports_the_first_bad_pose_record(tmp_path, edits):
+    """Of several bad records the first in synced order is reported,
+    whichever check each fails."""
+    root = write_human_raw(tmp_path)
+
+    def edit(records):
+        for k, (key, value) in edits.items():
+            records[k][key] = value
+        return records
+
+    rewrite_records(root, edit)
+    with pytest.raises(ParseError) as err:
+        ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
+    assert err.value.line_no == 4
+
+
+@pytest.mark.parametrize("edits", [
+    {2: {"left_hand": [1.5] * 6}, 5: {"left_arm": [0.0] * 4}},
+    {2: {"neck": [[0.0, 0.0]]}, 5: {"right_hand": [-0.5] * 6}},
+    {5: {"left_arm": [0.0] * 4}, 2: {"right_hand": [-0.5] * 6}},
+], ids=["range_then_arity", "arity_then_range", "later_field_first"])
+def test_ingest_reports_the_first_bad_joints_record(tmp_path, edits):
+    root = write_robot_raw(tmp_path)
+
+    def edit(records):
+        for k, joints in edits.items():
+            records[k]["joints"].update(joints)
+        return records
+
+    rewrite_records(root, edit)
+    with pytest.raises(ParseError) as err:
+        ingest(load_raw_capture(root), config=humanoid_a_config(),
+               options=IngestOptions(feature_dim=4))
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("pitch", [-np.pi / 2, np.pi / 2], ids=["up", "down"])
+def test_ingest_head_looking_straight_up_or_down_keeps_world_heading(tmp_path, pitch):
+    """A first head pose whose forward axis is vertical has no heading; the
+    canonical frame then keeps the world x axis."""
+    root = write_human_raw(tmp_path)
+    R = geometry.rotation_about_axis(np.array([0.0, 1.0, 0.0]), pitch)
+    rewrite_records(root, lambda recs: [
+        r | {"head_pose": pose_json(R, r["head_pose"]["translation"])} for r in recs])
+    state = unified_space.decode_state(
+        ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4)).states[0])
+    np.testing.assert_allclose(state.left_wrist_pos, [0.2, 0.2, 0.1], atol=1e-9)
+    np.testing.assert_allclose(state.head_rot, geometry.encode_rot6d(R), atol=1e-9)
+
+
+def test_ingest_single_visual_frame_pairs_every_record(tmp_path):
+    """One visual frame gives no frame period to bound the skew by: every
+    pose record pairs with it."""
+    root = write_human_raw(tmp_path)
+
+    def keep_first_feature(records):
+        for r in records[1:]:
+            del r["feature_vector"]
+        return records
+
+    rewrite_records(root, keep_first_feature)
+    ep = ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
+    assert ep.metadata["dropped_frames"] == 0
+    np.testing.assert_array_equal(ep.features, np.tile([0.0, 0.5, -0.5, 1.0], (len(ep), 1)))
+
+
+def _without_features(records):
+    return [{k: v for k, v in r.items() if k != "feature_vector"} for r in records]
+
+
+SYNC_EXHAUSTED = {
+    "one_pose_record": (lambda recs: recs[:1] + [
+        {"t": r["t"], "feature_vector": r["feature_vector"]} for r in recs[1:]],
+        "fewer than two proprioceptive records"),
+    "no_visual_records": (_without_features, "no visual records"),
+    "visual_far_from_poses": (lambda recs: _without_features(recs) + [
+        {"t": 100.0 + i, "feature_vector": [0.0] * 4} for i in range(2)],
+        r"synchronization left 0 frame\(s\); dropped 12"),
+    "one_pose_near_visual": (lambda recs: _without_features(recs) + [
+        {"t": recs[-1]["t"] + 0.001 + 0.01 * i, "feature_vector": [0.0] * 4} for i in range(2)],
+        r"synchronization left 1 frame\(s\); dropped 11"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNC_EXHAUSTED))
+def test_ingest_sync_exhausted(tmp_path, case):
+    root = write_human_raw(tmp_path)
+    edit, message = SYNC_EXHAUSTED[case]
+    rewrite_records(root, edit)
+    with pytest.raises(FrameSyncExhausted, match=message):
+        ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
 
 
 BAD_META = {
@@ -538,6 +678,28 @@ BAD_MANIFEST = {
     "entry_file_absolute": lambda doc: doc["episodes"][0].update(file="/etc/hostname"),
     "entry_file_outside": lambda doc: doc["episodes"][0].update(file="../d/episodes/ep0.bin"),
 }
+
+
+def test_read_rejects_bad_episode_magic(tmp_path):
+    """An episode file of another format, stored under a matching checksum."""
+    write_dataset([synthetic_episode("ep0", "robot")], tmp_path / "d")
+    path = tmp_path / "d" / "episodes" / "ep0.bin"
+    blob = b"CEEPISO9" + path.read_bytes()[8:]
+    path.write_bytes(blob)
+    manifest_path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["episodes"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+    manifest_path.write_text(json.dumps(doc))
+    with pytest.raises(VersionUnsupported, match="bad episode magic b'CEEPISO9'"):
+        read_dataset(tmp_path / "d")
+
+
+def test_write_dataset_refuses_episodes_of_different_feature_widths(tmp_path):
+    eps = [synthetic_episode("a", "robot", feature_dim=4),
+           synthetic_episode("b", "human", feature_dim=5)]
+    with pytest.raises(DegenerateTrajectory, match=r"feature dims differ across episodes: \[4, 5\]"):
+        write_dataset(eps, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
 
 
 def test_read_ignores_stats_files_of_older_manifests(tmp_path):
