@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossemb import dataset, harness, policy, unified_space
+from crossemb import dataset, geometry, harness, policy, unified_space
 from crossemb.cli import build_parser, cli
 from crossemb.dataset import read_dataset, write_dataset
 from crossemb.embodiments import humanoid_a_config, load_embodiment_config
-from crossemb.kinematics import forward_kinematics
+from crossemb.kinematics import IkParams, forward_kinematics
 from crossemb.retiming import Trajectory, retime
 
 from test_dataset import IDENTITY_STATE, synthetic_episode, write_human_raw, write_robot_raw
@@ -147,6 +147,45 @@ def test_ik_byte_stable(config_file, capsys):
     assert out1 == out2
     doc = json.loads(out1)
     assert doc["status"] in ("converged", "best_effort")
+
+
+def test_ik_target_quat(capsys):
+    """A unit `--target-quat` is the rotation IK solves for; a zero one
+    exits 1 naming the flag."""
+    chain = load_embodiment_config("humanoid_b").right_arm
+    target = forward_kinematics(chain, chain.mid_range() + 0.2)
+    argv = ["ik", "--embodiment-config", "humanoid_b", "--chain", "right_arm",
+            "--target-pos=" + ",".join(map(str, target.translation.tolist()))]
+    quat = geometry.quat_from_matrix(target.rotation)
+    rotation_errors = []
+    for extra in (["--target-quat=" + ",".join(map(str, quat.tolist()))], []):
+        assert cli(argv + extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "converged"
+        achieved = forward_kinematics(chain, np.array(doc["q"])).rotation
+        rotation_errors.append(np.linalg.norm(geometry.rotation_log(achieved.T @ target.rotation)))
+    # Without the flag IK solves for the identity rotation instead.
+    assert rotation_errors[0] <= IkParams.rot_tol < rotation_errors[1]
+    assert cli(argv + ["--target-quat", "0,0,0,0"]) == 1
+    assert "error: --target-quat: quaternion norm is degenerate" in capsys.readouterr().err
+
+
+def test_retime_head_positions_to_stdout(tmp_path, capsys):
+    """Without `--output` the retimed trajectory, head positions included,
+    goes to stdout."""
+    doc = fixture_traj_doc()
+    head = np.array([[0.01 * i, 0.0, 0.6] for i in range(len(doc["frames"]))])
+    src = tmp_path / "traj.json"
+    src.write_text(json.dumps(doc | {"head_positions": head.tolist()}))
+    assert cli(["retime", "--input", str(src), "--alpha", "4", "--rate", "30"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lib = retime(Trajectory(times=np.array([f["t"] for f in doc["frames"]]),
+                            states=np.array([f["state"] for f in doc["frames"]]),
+                            embodiment_tag="human", nominal_rate=30.0, head_positions=head),
+                 4.0, 30.0)
+    np.testing.assert_array_equal(out["head_positions"], lib.head_positions)
+    np.testing.assert_array_equal([f["state"] for f in out["frames"]], lib.states)
+    assert list(tmp_path.iterdir()) == [src]
 
 
 def test_retime_golden_file(tmp_path, capsys):
