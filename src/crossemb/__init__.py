@@ -11,20 +11,39 @@ conditions run in parallel forked workers (`harness.run_conditions`),
 and a multi-threaded BLAS both oversubscribes the cores there and
 changes results in the last bits. Importing crossemb sets
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless
-they are set already; BLAS reads them when numpy loads, so a process
-that loads numpy first must set them itself.
+they are set already. BLAS reads them when numpy loads; where numpy
+loaded first with one unset, crossemb sets the OpenBLAS of numpy's
+wheel to one thread. `BLAS_PINNED` is True only where BLAS runs one.
 """
 
+import ctypes
+import glob
 import os
 import sys
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Whether BLAS runs one thread here: numpy loads after the variables are
-# set, or it loaded first with each of them at 1 already.
-BLAS_PINNED = "numpy" not in sys.modules or all(os.environ.get(v) == "1" for v in _BLAS_VARS)
-for _var in _BLAS_VARS:
-    BLAS_PINNED &= os.environ.setdefault(_var, "1") == "1"
-del _var
+# Whether the variables pin BLAS: numpy loads after they are set, or it
+# loaded first with each of them at 1 already.
+_VARS_PIN = "numpy" not in sys.modules or all(os.environ.get(v) == "1" for v in _BLAS_VARS)
+_ONE_ASKED = all([os.environ.setdefault(v, "1") == "1" for v in _BLAS_VARS])
+
+
+def _pin_bundled_openblas() -> bool:
+    """Set the OpenBLAS bundled with numpy's wheel (numpy.libs) to one
+    thread; whether it then runs one. False where numpy has none."""
+    import numpy
+
+    for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas*"):
+        try:
+            lib = ctypes.CDLL(path)
+            lib.scipy_openblas_set_num_threads64_(1)
+            return lib.scipy_openblas_get_num_threads64_() == 1
+        except (OSError, AttributeError):
+            pass
+    return False
+
+
+BLAS_PINNED = _ONE_ASKED and (_VARS_PIN or _pin_bundled_openblas())
 
 from . import (  # noqa: E402
     dataset,

@@ -41,10 +41,10 @@ the workers train the jobs already sent; it collects every result and
 shuts the pool down before it yields the first row, so no worker
 outlives the call. A job computes exactly what it would in process, as
 long as BLAS runs one thread in both. crossemb sets that up when it is
-imported (see the package docstring); where it could not (numpy loaded
-first while a BLAS thread variable was unset, or one is set to another
-value), the jobs run one after another in the calling process, where a
-multi-threaded BLAS has the cores to itself. Spans or counters recorded
+imported (see the package docstring); where it could not (a BLAS thread
+variable set to another value, or numpy loaded first without a bundled
+OpenBLAS), the jobs run one after another in the calling process, where
+a multi-threaded BLAS has the cores to itself. Spans or counters recorded
 inside a worker stay in that worker.
 """
 

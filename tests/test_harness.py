@@ -13,6 +13,7 @@ import pytest
 
 import crossemb
 from crossemb import geometry, harness, tasks, unified_space
+from crossemb.dataset import DemonstrationEpisode, write_dataset
 from crossemb.embodiments import humanoid_a_config, humanoid_b_config
 from crossemb.errors import CrossembError, EmptyDataset
 from crossemb.kinematics import (
@@ -715,19 +716,28 @@ def test_job_error_reaches_caller_and_leaves_no_worker(pooled):
 
 
 ONE = {var: "1" for var in crossemb._BLAS_VARS}
+# Whether numpy bundles the OpenBLAS that crossemb pins where numpy loaded first.
+BUNDLED = crossemb._pin_bundled_openblas()
+
+
+def blas_env(preset):
+    """This process's environment without BLAS thread variables, plus
+    `preset`, importing crossemb from this tree."""
+    env = {k: v for k, v in os.environ.items() if k not in ONE} | preset
+    return env | {"PYTHONPATH": str(Path(crossemb.__file__).parents[1])}
 
 
 @pytest.mark.parametrize("preset, numpy_first, pinned, values", [
     ({}, False, True, ONE),
-    ({}, True, False, ONE),
+    ({}, True, BUNDLED, ONE),
     (ONE, True, True, ONE),
     ({"OPENBLAS_NUM_THREADS": "2"}, False, False, ONE | {"OPENBLAS_NUM_THREADS": "2"}),
 ], ids=["unset", "numpy_first", "numpy_first_preset", "two_threads"])
 def test_import_pins_one_blas_thread(preset, numpy_first, pinned, values):
     """Importing crossemb sets each unset BLAS thread variable to 1, and
-    counts BLAS as pinned only where numpy cannot have loaded otherwise."""
-    env = {k: v for k, v in os.environ.items() if k not in ONE} | preset
-    env["PYTHONPATH"] = str(Path(crossemb.__file__).parents[1])
+    counts BLAS as pinned where numpy loads after them, or where numpy
+    loaded first and crossemb pinned numpy's bundled OpenBLAS."""
+    env = blas_env(preset)
     code = ("import numpy\n" if numpy_first else "") + (
         "import json, os, crossemb\n"
         "print(json.dumps([crossemb.BLAS_PINNED, {v: os.environ[v] for v in crossemb._BLAS_VARS}]))"
@@ -735,3 +745,28 @@ def test_import_pins_one_blas_thread(preset, numpy_first, pinned, values):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert json.loads(proc.stdout) == [pinned, values]
+
+
+@pytest.mark.skipif(not BUNDLED, reason="numpy has no bundled OpenBLAS to pin")
+def test_numpy_first_trains_the_pinned_bytes(tmp_path):
+    """A script that imports numpy before crossemb, with no BLAS variable
+    set, trains a few steps at the CLI's shape (chunk 30, 256x256, batch
+    64) to the checkpoint bytes of a run whose variables pin BLAS: there
+    the (64, 256) @ (256, 1620) products give other bits on two BLAS
+    threads than on one. On a 1-CPU machine BLAS runs one thread either
+    way, so there this test cannot tell a pinned run from an unpinned one."""
+    rng = np.random.default_rng(1)
+    write_dataset([DemonstrationEpisode(f"e{i}", ("human", "robot")[i % 2], "", np.arange(40) / 30,
+                                        rng.standard_normal((40, 54)), rng.standard_normal((40, 4)))
+                   for i in range(4)], tmp_path / "d")
+    digests = []
+    for numpy_first, preset in ((False, ONE), (True, {})):
+        out = tmp_path / f"{numpy_first}.ckpt"
+        code = ("import numpy\n" if numpy_first else "") + (
+            "import sys, crossemb\nfrom crossemb.cli import cli\n"
+            "assert cli(sys.argv[1:]) == 0 and crossemb.BLAS_PINNED")
+        subprocess.run([sys.executable, "-c", code, "train", "--dataset", str(tmp_path / "d"),
+                        "--out", str(out), "--steps", "3"], env=blas_env(preset),
+                       capture_output=True, timeout=120, check=True)
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
