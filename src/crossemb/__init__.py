@@ -16,8 +16,6 @@ loaded first with one unset, crossemb sets the OpenBLAS of numpy's
 wheel to one thread. `BLAS_PINNED` is True only where BLAS runs one.
 """
 
-import ctypes
-import glob
 import os
 import sys
 
@@ -25,19 +23,27 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Whether the variables pin BLAS: numpy loads after they are set, or it
 # loaded first with each of them at 1 already.
 _VARS_PIN = "numpy" not in sys.modules or all(os.environ.get(v) == "1" for v in _BLAS_VARS)
+# A list, not a generator, so that every variable is set.
 _ONE_ASKED = all([os.environ.setdefault(v, "1") == "1" for v in _BLAS_VARS])
 
 
 def _pin_bundled_openblas() -> bool:
     """Set the OpenBLAS bundled with numpy's wheel (numpy.libs) to one
     thread; whether it then runs one. False where numpy has none."""
+    import ctypes
+    import glob
+
     import numpy
 
     for path in glob.glob(os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas*"):
         try:
             lib = ctypes.CDLL(path)
-            lib.scipy_openblas_set_num_threads64_(1)
-            return lib.scipy_openblas_get_num_threads64_() == 1
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads(1)
+            return get_threads() == 1
         except (OSError, AttributeError):
             pass
     return False

@@ -30,6 +30,7 @@ from crossemb.errors import (
     EmptySource,
     EpisodeTooShort,
     FrameSyncExhausted,
+    InvalidComponent,
     InvalidMetadata,
     ParseError,
     VersionUnsupported,
@@ -296,8 +297,11 @@ def test_ingest_rejects_bad_pose(tmp_path, case):
     assert err.value.line_no == 5
 
 
-@pytest.mark.parametrize("head", [{"translation": [0.1, 0.0]}, [0.1, 0.0, 1.5]],
-                         ids=["short_translation", "not_object"])
+@pytest.mark.parametrize("head", [
+    {"translation": [0.1, 0.0], "rotation_quaternion": [1, 0, 0, 0]},
+    {"translation": [float("nan"), 0.0, 1.5], "rotation_quaternion": [1, 0, 0, 0]},
+    [0.1, 0.0, 1.5],
+], ids=["short_translation", "nan_translation", "not_object"])
 def test_ingest_rejects_bad_first_head_pose(tmp_path, head):
     """The first head pose places the canonical frame, before any record
     is read into rows."""
@@ -411,6 +415,23 @@ def test_ingest_reports_the_first_bad_joints_record(tmp_path, edits):
         ingest(load_raw_capture(root), config=humanoid_a_config(),
                options=IngestOptions(feature_dim=4))
     assert err.value.line_no == 3
+
+
+def test_ingest_refuses_a_wrist_that_overflows_in_the_canonical_frame(tmp_path):
+    """A finite wrist translation whose canonical-frame value overflows
+    is refused as a non-finite state component."""
+    root = write_human_raw(tmp_path)
+    turn = geometry.rotation_about_axis(np.array([0.0, 0.0, 1.0]), 0.7)
+
+    def edit(records):
+        for r in records:
+            r["head_pose"] = pose_json(turn, r["head_pose"]["translation"])
+        records[4]["left_wrist_pose"]["translation"] = [1.7e308, 1.7e308, 0.0]
+        return records
+
+    rewrite_records(root, edit)
+    with pytest.raises(InvalidComponent, match="row 4: left_wrist_pos contains non-finite values"):
+        ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
 
 
 @pytest.mark.parametrize("pitch", [-np.pi / 2, np.pi / 2], ids=["up", "down"])

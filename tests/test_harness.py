@@ -747,6 +747,14 @@ def test_import_pins_one_blas_thread(preset, numpy_first, pinned, values):
     assert json.loads(proc.stdout) == [pinned, values]
 
 
+def test_no_bundled_openblas_pins_nothing(tmp_path, monkeypatch):
+    """A numpy without a loadable bundled OpenBLAS leaves BLAS unpinned."""
+    (tmp_path / "numpy.libs").mkdir()
+    (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert crossemb._pin_bundled_openblas() is False
+
+
 @pytest.mark.skipif(not BUNDLED, reason="numpy has no bundled OpenBLAS to pin")
 def test_numpy_first_trains_the_pinned_bytes(tmp_path):
     """A script that imports numpy before crossemb, with no BLAS variable
