@@ -107,6 +107,12 @@ def write_robot_raw(tmp_path, n=10, rate=30.0, episode_id="r1"):
     return root
 
 
+def rewrite_records(root, edit):
+    """Replace capture `root`'s records by `edit(records)`, records as dicts."""
+    records = [json.loads(l) for l in (root / "frames.jsonl").read_text().splitlines()]
+    (root / "frames.jsonl").write_text("".join(json.dumps(r) + "\n" for r in edit(records)))
+
+
 def synthetic_episode(ep_id, tag, n=20, feature_dim=4, seed=0):
     rng = np.random.default_rng(seed)
     states = np.tile(IDENTITY_STATE, (n, 1))
@@ -430,7 +436,8 @@ def test_ingest_refuses_a_wrist_that_overflows_in_the_canonical_frame(tmp_path):
         return records
 
     rewrite_records(root, edit)
-    with pytest.raises(InvalidComponent, match="row 4: left_wrist_pos contains non-finite values"):
+    with (pytest.raises(InvalidComponent, match="row 4: left_wrist_pos contains non-finite values"),
+          np.errstate(over="ignore")):
         ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
 
 
@@ -543,12 +550,6 @@ def test_ingest_duplicate_visual_timestamps_pair_the_earlier_record(tmp_path, fi
     assert tuple(features[order[1]]) not in kept
     # Every other pose record keeps its own feature.
     assert len(kept) == 12
-
-
-def rewrite_records(root, edit):
-    """Replace capture `root`'s records by `edit(records)`, records as dicts."""
-    records = [json.loads(l) for l in (root / "frames.jsonl").read_text().splitlines()]
-    (root / "frames.jsonl").write_text("".join(json.dumps(r) + "\n" for r in edit(records)))
 
 
 def _turned(records):

@@ -763,6 +763,8 @@ def test_numpy_first_trains_the_pinned_bytes(tmp_path):
     the (64, 256) @ (256, 1620) products give other bits on two BLAS
     threads than on one. On a 1-CPU machine BLAS runs one thread either
     way, so there this test cannot tell a pinned run from an unpinned one."""
+    # Every state entry varies: trained on states with mostly constant
+    # entries, the weights kept their bits on two threads as well.
     rng = np.random.default_rng(1)
     write_dataset([DemonstrationEpisode(f"e{i}", ("human", "robot")[i % 2], "", np.arange(40) / 30,
                                         rng.standard_normal((40, 54)), rng.standard_normal((40, 4)))
