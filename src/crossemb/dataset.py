@@ -271,27 +271,26 @@ def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestO
     their nearest visual frames (`sync_streams`). Returns the first such
     record, the synced pairs' times (N,), records and visual features
     (N, F), and how many records sync dropped."""
-    proprio = [(float(doc["t"]), doc) for doc in raw.records if all(k in doc for k in pose_keys)]
-    visual = [(float(doc["t"]), doc) for doc in raw.records
-              if "feature_vector" in doc or "image_ref" in doc]
+    proprio = [doc for doc in raw.records if all(k in doc for k in pose_keys)]
+    visual = [doc for doc in raw.records if "feature_vector" in doc or "image_ref" in doc]
     if len(proprio) < 2:
         raise FrameSyncExhausted("fewer than two proprioceptive records in the capture")
     if not visual:
         raise FrameSyncExhausted("no visual records in the capture")
+    times, vis_times = (np.array([d["t"] for d in docs], dtype=float) for docs in (proprio, visual))
     # Half the median visual frame period; a single visual frame bounds no skew.
-    skew = float(np.median(np.diff([t for t, _ in visual]))) / 2.0 if len(visual) > 1 else np.inf
-    sync = sync_streams(proprio, visual, skew)
-    if len(sync.pairs) < 2:
+    skew = float(np.median(np.diff(vis_times))) / 2.0 if len(visual) > 1 else np.inf
+    sync = sync_streams(times, vis_times, skew)
+    if len(sync.proprio) < 2:
         raise FrameSyncExhausted(
-            f"synchronization left {len(sync.pairs)} frame(s); dropped {sync.dropped}"
+            f"synchronization left {len(sync.proprio)} frame(s); dropped {sync.dropped}"
         )
-    times = np.array([t for (t, _), _ in sync.pairs])
-    docs = [doc for (_, doc), _ in sync.pairs]
-    feats = [_visual_feature(vdoc, options.feature_dim) for _, (_, vdoc) in sync.pairs]
-    for (_, (_, vdoc)), feature in zip(sync.pairs, feats):
-        if len(feature) != len(feats[0]):
-            raise ParseError(vdoc["_line"], f"feature length {len(feature)} != {len(feats[0])}")
-    return proprio[0][1], times, docs, np.array(feats), sync.dropped
+    feats = [_visual_feature(visual[j], options.feature_dim) for j in sync.visual.tolist()]
+    for j, feat in zip(sync.visual.tolist(), feats):
+        if len(feat) != len(feats[0]):
+            raise ParseError(visual[j]["_line"], f"feature length {len(feat)} != {len(feats[0])}")
+    docs = [proprio[i] for i in sync.proprio.tolist()]
+    return proprio[0], times[sync.proprio], docs, np.array(feats), sync.dropped
 
 
 def _record_arrays(docs: Sequence[dict], fields) -> list[np.ndarray]:

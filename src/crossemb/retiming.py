@@ -12,7 +12,7 @@ quaternions, slerped and encoded as one batch each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,9 +111,9 @@ def retime(traj: Trajectory, alpha: float, out_rate: float) -> Trajectory:
     )
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    pairs: tuple  # ((proprio_record, visual_record), ...)
+class SyncResult(NamedTuple):
+    proprio: np.ndarray  # (K,) indices of the kept proprio frames
+    visual: np.ndarray   # (K,) index of the visual frame paired with each
     dropped: int
 
 
@@ -127,26 +127,18 @@ def nearest_frames(times: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.where(np.abs(times[left] - query) <= np.abs(times[right] - query), left, right)
 
 
-def sync_streams(
-    proprio: Sequence[tuple[float, Any]],
-    visual: Sequence[tuple[float, Any]],
-    max_skew: float,
-) -> SyncResult:
-    """Pair every proprio record with the closest-timestamp visual frame
-    (`nearest_frames`).
+def sync_streams(proprio_times: np.ndarray, visual_times: np.ndarray,
+                 max_skew: float) -> SyncResult:
+    """Pair every proprio frame with the closest-timestamp visual frame
+    (`nearest_frames`), by index into the two sorted time arrays.
 
-    Pairs whose skew exceeds `max_skew` are dropped and counted. Both
-    inputs must be timestamp-sorted.
+    Pairs whose skew exceeds `max_skew` are dropped and counted.
     """
-    if len(proprio) == 0 or len(visual) == 0:
+    if len(proprio_times) == 0 or len(visual_times) == 0:
         raise EmptyStream("both streams must be nonempty")
-    vis_times = np.array([t for t, _ in visual], dtype=float)
-    prop_times = np.array([t for t, _ in proprio], dtype=float)
-    nearest = nearest_frames(vis_times, prop_times)
-    dropped = np.abs(vis_times[nearest] - prop_times) > max_skew
-    pairs = tuple(((t, payload), visual[j])
-                  for (t, payload), j, drop in zip(proprio, nearest.tolist(), dropped) if not drop)
-    return SyncResult(pairs=pairs, dropped=int(dropped.sum()))
+    nearest = nearest_frames(visual_times, proprio_times)
+    dropped = np.abs(visual_times[nearest] - proprio_times) > max_skew
+    return SyncResult(np.flatnonzero(~dropped), nearest[~dropped], int(dropped.sum()))
 
 
 def body_motion_check(traj: Trajectory) -> float:

@@ -141,52 +141,58 @@ def test_retime_commutes_with_rigid_transform():
 
 # --- stream synchronization ----------------------------------------------
 
-def brute_force_pairing_oracle(proprio, visual, max_skew):
+def brute_force_pairing_oracle(proprio_t, visual_t, max_skew):
+    """(proprio index, nearest visual index) of each pair kept, nearest by
+    a scan that keeps the first of equally near frames, and the dropped
+    count."""
     pairs, dropped = [], 0
-    for t, payload in proprio:
+    for i, t in enumerate(proprio_t):
         best_j, best_dt = None, None
-        for j, (tv, _) in enumerate(visual):
+        for j, tv in enumerate(visual_t):
             dt = abs(tv - t)
             if best_dt is None or dt < best_dt:
                 best_j, best_dt = j, dt
         if best_dt > max_skew:
             dropped += 1
         else:
-            pairs.append((t, best_j))
+            pairs.append((i, best_j))
     return pairs, dropped
 
 
+def sync(proprio_t, visual_t, max_skew):
+    return sync_streams(np.array(proprio_t, dtype=float), np.array(visual_t, dtype=float),
+                        max_skew)
+
+
 def test_sync_nearest_neighbor_simple():
-    res = sync_streams([(0.100, "p")], [(0.095, "a"), (0.128, "b")], max_skew=0.05)
-    assert len(res.pairs) == 1
-    assert res.pairs[0][1][1] == "a"
+    res = sync([0.100], [0.095, 0.128], max_skew=0.05)
+    assert res.proprio.tolist() == [0]
+    assert res.visual.tolist() == [0]
     assert res.dropped == 0
 
 
 def test_sync_identical_timestamps():
-    proprio = [(i / 30.0, i) for i in range(10)]
-    visual = [(i / 30.0, i) for i in range(10)]
-    res = sync_streams(proprio, visual, max_skew=1e-6)
-    assert len(res.pairs) == 10
-    for (tp, _), (tv, _) in res.pairs:
-        assert tp == tv
+    times = np.arange(10) / 30.0
+    res = sync(times, times, max_skew=1e-6)
+    assert len(res.proprio) == len(res.visual) == 10
+    np.testing.assert_array_equal(times[res.proprio], times[res.visual])
 
 
 def test_sync_tie_prefers_earlier_visual():
-    res = sync_streams([(0.5, "p")], [(0.4, "early"), (0.6, "late")], max_skew=1.0)
-    assert res.pairs[0][1][1] == "early"
+    res = sync([0.5], [0.4, 0.6], max_skew=1.0)
+    assert res.visual.tolist() == [0]
 
 
 def test_sync_duplicate_visual_times_pair_the_earlier_frame():
     """From either side of a run of equal visual times, a record pairs
     the run's first frame."""
-    res = sync_streams([(0.8, "p"), (1.2, "q")], [(1.0, "a"), (1.0, "b")], max_skew=1.0)
-    assert [vrec for _, vrec in res.pairs] == [(1.0, "a"), (1.0, "a")]
+    res = sync([0.8, 1.2], [1.0, 1.0], max_skew=1.0)
+    assert res.visual.tolist() == [0, 0]
 
 
 def test_sync_drops_beyond_max_skew():
-    res = sync_streams([(0.0, "a"), (5.0, "b")], [(0.01, "v")], max_skew=0.1)
-    assert len(res.pairs) == 1
+    res = sync([0.0, 5.0], [0.01], max_skew=0.1)
+    assert res.proprio.tolist() == [0]
     assert res.dropped == 1
 
 
@@ -198,26 +204,22 @@ def test_sync_matches_brute_force_oracle():
         if grid:
             proprio_t = np.round(proprio_t / grid) * grid + grid / 2
             visual_t = np.unique(np.round(visual_t / grid)) * grid
-        proprio = sorted((float(t), i) for i, t in enumerate(proprio_t))
-        visual = sorted((float(t), i) for i, t in enumerate(visual_t))
+        proprio, visual = np.sort(proprio_t), np.sort(visual_t)
         max_skew = 0.02
         res = sync_streams(proprio, visual, max_skew)
         oracle_pairs, oracle_dropped = brute_force_pairing_oracle(proprio, visual, max_skew)
         assert res.dropped == oracle_dropped
-        assert len(res.pairs) == len(oracle_pairs)
-        for ((tp, _), vrec), (to, j) in zip(res.pairs, oracle_pairs):
-            assert tp == to
-            assert visual[j] == vrec
+        assert len(res.proprio) == len(res.visual) == len(oracle_pairs)
+        assert list(zip(res.proprio.tolist(), res.visual.tolist())) == oracle_pairs
         # each proprio record appears at most once and output stays sorted
-        times = [tp for (tp, _), _ in res.pairs]
-        assert times == sorted(times)
+        assert (np.diff(res.proprio) > 0).all()
 
 
 def test_sync_empty_stream_raises():
     with pytest.raises(EmptyStream):
-        sync_streams([], [(0.0, "v")], 0.1)
+        sync([], [0.0], 0.1)
     with pytest.raises(EmptyStream):
-        sync_streams([(0.0, "p")], [], 0.1)
+        sync([0.0], [], 0.1)
 
 
 # --- body motion check ----------------------------------------------------
@@ -225,6 +227,8 @@ def test_sync_empty_stream_raises():
 def test_body_motion_stationary_passes():
     traj = make_fixture_trajectory(n=10)
     assert body_motion_check(traj) == 0.0
+    # A trajectory without head positions (a robot log) counts as stationary.
+    assert body_motion_check(Trajectory(traj.times, traj.states, "robot", 30.0)) == 0.0
 
 
 def test_body_motion_drift_fails():
