@@ -654,11 +654,11 @@ def retarget_rows(
     """`retarget_action` for a batch: row b retargets actions[b] (B, 54)
     warm-started at the command vector commands[b] (B, n_cmd).
 
-    Both arms of every row are solved as one `_ik_rows` batch (left rows,
-    then right rows); neck and hands run as one batch. A row whose action
-    or warm-start arm joints hold non-finite values, or whose rotation code
-    does not decode, keeps its previous command and gets the error
-    `retarget_action` raises for it, in that order of checks.
+    Both arms of every row are solved as one `_ik_rows` batch of arm rows,
+    row b's left then right arm; neck and hands run as one batch. A row
+    whose action or warm-start arm joints hold non-finite values, or whose
+    rotation code does not decode, keeps its previous command and gets the
+    error `retarget_action` raises for it, in that order of checks.
     """
     U = unified_space
     S, n = len(actions), config.left_arm.n_joints
@@ -682,21 +682,22 @@ def retarget_rows(
             for got, part in zip(out[:5], rows):
                 got[solve] = part
         return out
-    head_R, wrist_R = rotations[:, 0], np.concatenate([rotations[:, 1], rotations[:, 2]])
-    wrist_t = np.concatenate([actions[:, U.LEFT_WRIST_POS], actions[:, U.RIGHT_WRIST_POS]])
-    q0 = np.concatenate([commands[:, :n], commands[:, n:2 * n]])
-    q, pos_err, rot_err, ok = _ik_rows(config.arms, np.repeat([0, 1], S), wrist_R, wrist_t, q0)
+    wrist_R = rotations[:, 1:].reshape(2 * S, 3, 3)
+    wrist_t = actions[:, U.EEF].reshape(2 * S, 3)
+    q, pos_err, rot_err, ok = _ik_rows(config.arms, np.tile([0, 1], S), wrist_R, wrist_t,
+                                       warm.reshape(2 * S, n))
     neck_raw = np.empty((S, 2))
-    neck_raw[:, 0], neck_raw[:, 1] = neck_angles_from_head_rotation(head_R)
+    neck_raw[:, 0], neck_raw[:, 1] = neck_angles_from_head_rotation(rotations[:, 0])
     neck_q = config.neck.clamp(neck_raw)
     moved = neck_q != neck_raw
     if moved.any():
         # np.isclose(neck_q, neck_raw, atol=1e-12) of finite angles
         moved = np.abs(neck_q - neck_raw) > 1e-12 + 1e-5 * np.abs(neck_raw)
-    tips = actions[:, U.FINGERTIPS].reshape(S, 2, -1, 3).swapaxes(0, 1).reshape(2 * S, -1, 3)
-    hands = _hand_actuators(tips, wrist_R, wrist_t, config.hand_model)  # left, then right
-    return RetargetRows(np.concatenate([q[:S], q[S:], neck_q, hands[:S], hands[S:]], axis=1),
-                        ok.reshape(2, S).T, pos_err.reshape(2, S).T, rot_err.reshape(2, S).T,
+    tips = actions[:, U.FINGERTIPS].reshape(2 * S, U.FINGERS_PER_HAND, 3)
+    hands = _hand_actuators(tips, wrist_R, wrist_t, config.hand_model)
+    return RetargetRows(np.concatenate([q.reshape(S, 2 * n), neck_q,
+                                        hands.reshape(S, 2 * HAND_ACTUATOR_COUNT)], axis=1),
+                        ok.reshape(S, 2), pos_err.reshape(S, 2), rot_err.reshape(S, 2),
                         moved.any(axis=1), [None] * S)
 
 
@@ -728,15 +729,16 @@ def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     both arms as one batch and of the neck, as `unified_space.state_rows`."""
     B = len(commands)
     n = config.left_arm.n_joints
-    # Left arm rows, then right arm rows: R (2B, 3, 3), t (2B, 3).
-    R, t, _, _ = _fk_frames(config.arms.take(np.arange(2 * B) // max(B, 1)),
-                            np.concatenate([commands[:, :n], commands[:, n:2 * n]]))
+    # Arm row 2b is row b's left arm, 2b + 1 its right arm: R (2B, 3, 3), t (2B, 3).
+    R, t, _, _ = _fk_frames(config.arms.take(np.tile([0, 1], B)),
+                            commands[:, :2 * n].reshape(2 * B, n))
     head_R = _fk_frames(config.neck.arrays, commands[:, 2 * n:2 * n + 2])[0]
-    hands = commands[:, 2 * n + 2:].reshape(B, 2, HAND_ACTUATOR_COUNT).swapaxes(0, 1)
-    tips = fingertip_rows(hands.reshape(-1, HAND_ACTUATOR_COUNT), R, t, config.hand_model)
-    return unified_space.state_rows(geometry.encode_rot6d(head_R),
-                                    *geometry.encode_rot6d(R).reshape(2, B, 6), *t.reshape(2, B, 3),
-                                    np.concatenate([tips[:B], tips[B:]], axis=1))
+    hands = commands[:, 2 * n + 2:].reshape(2 * B, HAND_ACTUATOR_COUNT)
+    tips = fingertip_rows(hands, R, t, config.hand_model)
+    codes, t = geometry.encode_rot6d(R).reshape(B, 2, 6), t.reshape(B, 2, 3)
+    return unified_space.state_rows(geometry.encode_rot6d(head_R), codes[:, 0], codes[:, 1],
+                                    t[:, 0], t[:, 1],
+                                    tips.reshape(B, 2 * unified_space.FINGERS_PER_HAND, 3))
 
 
 def command_vector(config: EmbodimentConfig, cmd: RobotCommand) -> np.ndarray:
