@@ -243,11 +243,9 @@ def rollout(
     goal: np.ndarray,
     max_steps: int = 40,
     seed: int = 0,
-    joint_space: bool = False,
-    stop_on_goal: bool = True,
 ) -> RolloutResult:
     """`rollouts` of a single goal."""
-    return rollouts(agent, config, task, [goal], [seed], max_steps, joint_space, stop_on_goal)[0]
+    return rollouts(agent, config, task, [goal], [seed], max_steps)[0]
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +270,11 @@ def _draw_demos(
 ) -> tuple[list[DemoBundle], dict[bool, list[DemoBundle]]]:
     """Robot demos, cycling the task's robot cells, and the human demos
     under each retime flag; human goals sweep every cell. Goals and seeds
-    are drawn once, so the flags' human demos differ only in retiming."""
+    are drawn once for both flags, yet their human demos differ beyond
+    retiming: unretimed, a raw trajectory holds its goal alpha times longer,
+    so it has more frames. Past its start point and right-wrist noise, every
+    draw from the demo's RNG (left wrist, rotations, hands, head, features)
+    differs."""
     root = np.random.SeedSequence(entropy=seed)
     robot_seeds = root.spawn(1)[0].generate_state(max(n_robot, 1))
     human_seeds = root.spawn(2)[1].generate_state(max(n_human, 1))

@@ -330,10 +330,10 @@ def test_train_policy_smoke_and_probe(task):
 def test_joint_space_condition_trains(task):
     bundles = draw_bundles(task, 2, 4)
     model = train_policy_on_bundles(bundles, FAST, seed=0, joint_space_robot_states=True)
-    res = rollout(
-        PolicyAgent(model), CFG, task, task.grid.cell_center(4),
-        max_steps=10, seed=0, joint_space=True,
-    )
+    res = rollouts(
+        PolicyAgent(model), CFG, task, [task.grid.cell_center(4)], [0],
+        max_steps=10, joint_space=True,
+    )[0]
     assert res.steps_executed == 10 or res.success
 
 
@@ -487,7 +487,7 @@ def test_rollouts_rows_equal_single_goal_rollouts(task, models, case):
     seeds = [3, 1, 4, 1]
     results = rollouts(agent, CFG, task, goals, seeds, **kwargs)
     for goal, seed, got in zip(goals, seeds, results):
-        assert_same_rollout(got, rollout(agent, CFG, task, goal, seed=seed, **kwargs))
+        assert_same_rollout(got, rollouts(agent, CFG, task, [goal], [seed], **kwargs)[0])
     if case == "error_row":
         assert all(res.errors == 6 for res in results)
     else:
@@ -555,6 +555,12 @@ def test_rollouts_reject_bad_replan_and_step_counts(task, kwargs):
     """A negative step count is no horizon."""
     with pytest.raises(ValueError):
         rollout(HoldAgent(), CFG, task, task.grid.cell_center(0), **kwargs)
+
+
+def test_rollouts_refuse_a_seed_count_unlike_the_goal_count(task):
+    goals = [task.grid.cell_center(0), task.grid.cell_center(4)]
+    with pytest.raises(ValueError, match="2 goals but 1 seeds"):
+        rollouts(HoldAgent(), CFG, task, goals, [0])
 
 
 # SHA-256 of the reduced reports below, without `wall_time_s`, with one
