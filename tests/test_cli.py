@@ -399,6 +399,21 @@ def test_predict_checkpoint_with_mistyped_config_exit_1(tiny_checkpoint, capsys)
     assert "feature_dim must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["bad_magic", "version_2"])
+def test_predict_checkpoint_of_unknown_format_exit_1(tiny_checkpoint, case, capsys):
+    ckpt = Path(tiny_checkpoint)
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(b"NOTACKPT" + blob[8:] if case == "bad_magic" else
+                     rewrite_header(blob, lambda header: header.update(format_version=2)))
+    state = ",".join(str(v) for v in IDENTITY_STATE)
+    capsys.readouterr()
+    assert cli(["predict", "--checkpoint", str(ckpt), "--state", state,
+                "--feature", "0,0,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert ("bad checkpoint magic b'NOTACKPT'" if case == "bad_magic"
+            else "checkpoint version 2") in err
+
+
 @pytest.fixture
 def tiny_checkpoint(tmp_path):
     eps = [synthetic_episode(f"e{i}", "human", n=12, seed=i) for i in range(2)]
@@ -519,6 +534,21 @@ BAD_EMBODIMENT_CONFIGS = {
     "neck_turned_tip": lambda doc: doc["neck"]["tip_offset"].update(
         rotation_quaternion=[1.0, 0.0, 0.0, 0.1]),
     "nan_canonical_frame_offset": lambda doc: doc.update(canonical_frame_offset_m=float("nan")),
+    "two_value_axis": lambda doc: doc["left_arm"]["joints"][0].update(axis=[0.0, 1.0]),
+    "non_unit_axis": lambda doc: doc["left_arm"]["joints"][0].update(axis=[0.0, 2.0, 0.0]),
+    "swapped_limits": lambda doc: doc["right_arm"]["joints"][1].update(
+        limits_deg=[178.0, -19.0]),
+    "chain_without_joints": lambda doc: doc["left_arm"].update(joints=[]),
+    "zero_fingertip_extent": lambda doc: doc["hand_model"]["fingertip_extent_m"].__setitem__(
+        2, 0.0),
+    "four_finger_dirs": lambda doc: doc["hand_model"]["finger_dirs"].pop(),
+    "non_unit_finger_dir": lambda doc: doc["hand_model"]["finger_dirs"].__setitem__(
+        1, [0.0, 2.0, 0.0]),
+    "non_unit_palm_normal": lambda doc: doc["hand_model"].update(palm_normal=[2.0, 0.0, 0.0]),
+    "thumb_ray_along_palm_normal": lambda doc: doc["hand_model"].update(
+        palm_normal=[0.0, 1.0, 0.0]),
+    "swapped_thumb_range": lambda doc: doc["hand_model"].update(
+        thumb_rot_range_deg=[60.0, -60.0]),
 }
 
 
@@ -565,6 +595,19 @@ def test_retime_malformed_input_exit_1(tmp_path, doc, capsys):
     src.write_text(json.dumps(doc))
     assert cli(["retime", "--input", str(src), "--alpha", "4"]) == 1
     assert "--input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(fixture_traj_doc(), frames=[dict(f, state=f["state"][:53])
+                                      for f in fixture_traj_doc()["frames"]]),
+     "states must be (N, 54)"),
+    (dict(fixture_traj_doc(), head_positions=[[0.0, 0.0]] * 10), "head_positions must be (N, 3)"),
+], ids=["states_53_wide", "head_positions_2_wide"])
+def test_retime_trajectory_of_wrong_width_exit_1(tmp_path, doc, message, capsys):
+    src = tmp_path / "traj.json"
+    src.write_text(json.dumps(doc))
+    assert cli(["retime", "--input", str(src), "--alpha", "4"]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -666,6 +709,19 @@ def test_ingest_id_that_is_no_file_name_exit_1(tmp_path, episode_id, capsys):
     assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "caps" / "ds")]) == 1
     assert "is not a file name" in capsys.readouterr().err
     assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("record", [{"feature_vector": [0.0] * 4}, [0.1]],
+                         ids=["no_t", "not_an_object"])
+def test_ingest_record_without_timestamp_exit_1(tmp_path, record, capsys):
+    raw = write_human_raw(tmp_path)
+    lines = (raw / "frames.jsonl").read_text().splitlines()
+    lines[3] = json.dumps(record)
+    (raw / "frames.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "ds")]) == 1
+    assert "error: line 4: record missing timestamp 't'" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_ingest_zero_width_features_exit_1(tmp_path, capsys):

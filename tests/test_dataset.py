@@ -600,6 +600,16 @@ def test_ingest_bytes_pinned(tmp_path):
 
 # --- storage -------------------------------------------------------------
 
+@pytest.mark.parametrize("states, features, message", [
+    (np.zeros((4, 53)), np.zeros((4, 2)), "states shape"),
+    (np.tile(IDENTITY_STATE, (4, 1)), np.zeros(4), "features shape"),
+    (np.tile(IDENTITY_STATE, (4, 1)), np.zeros((3, 2)), "features shape"),
+], ids=["states_53_wide", "features_1d", "features_3_rows"])
+def test_episode_refuses_states_or_features_of_wrong_shape(states, features, message):
+    with pytest.raises(DegenerateTrajectory, match=message):
+        DemonstrationEpisode("e", "human", "", np.arange(4) / 30.0, states, features)
+
+
 def test_write_read_empty(tmp_path):
     manifest = write_dataset([], tmp_path / "d")
     m2, eps = read_dataset(tmp_path / "d")
@@ -800,6 +810,17 @@ def test_extract_pairs_contents_match_index_oracle():
         assert pairs.ids[i] == f"e#{start}"
 
 
+def test_extract_pairs_refuses_bad_sizes_and_mixed_tags():
+    ep = synthetic_episode("e", "human", n=10)
+    for chunk_length, stride in ((0, 1), (3, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            extract_pairs([ep], chunk_length, stride)
+    with pytest.raises(ValueError, match="exactly one tag"):
+        extract_pairs([ep, synthetic_episode("r", "robot", n=10)], 3)
+    with pytest.raises(ValueError, match="exactly one tag"):
+        extract_pairs([], 3)
+
+
 def test_pairs_never_cross_episodes():
     eps = [synthetic_episode(f"e{i}", "human", n=8, seed=i) for i in range(3)]
     pairs = ds.episodes_to_pairs_by_tag(eps, chunk_length=3)["human"]
@@ -882,6 +903,15 @@ def test_sampler_empty_source():
         MixedSampler({"human": []}, {"human": 1.0}, seed=0)
     with pytest.raises(EmptySource):
         MixedSampler({"human": make_pairs("human", 3)}, {"human": 1.0, "robot": 1.0}, seed=0)
+    with pytest.raises(EmptySource):
+        MixedSampler({"human": make_pairs("human", 3)}, {}, seed=0)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0])
+def test_sampler_refuses_nonpositive_weight(weight):
+    pairs = {"human": make_pairs("human", 3), "robot": make_pairs("robot", 3)}
+    with pytest.raises(ValueError, match="'robot' must be positive"):
+        MixedSampler(pairs, {"human": 1.0, "robot": weight}, seed=0)
 
 
 def test_sampler_digest_pinned():

@@ -108,6 +108,19 @@ def test_decode_rejects_degenerate():
         geometry.decode_rot6d(np.array([1, 0, 0, np.nan, 1, 0]))
 
 
+def test_codecs_and_pose_refuse_wrong_shapes():
+    for r in (np.float64(1.0), np.zeros(5), np.zeros((2, 7))):
+        with pytest.raises(DegenerateRotation6D, match="expected 6 values"):
+            geometry.decode_rot6d(r)
+    for R in (np.eye(2), np.zeros((4, 3, 2))):
+        with pytest.raises(ValueError, match="rotation matrix must be 3x3"):
+            geometry.encode_rot6d(R)
+    with pytest.raises(ValueError, match="rotation must be 3x3"):
+        Pose(np.eye(4), np.zeros(3))
+    with pytest.raises(ValueError, match="translation must be a 3-vector"):
+        Pose(np.eye(3), np.zeros(2))
+
+
 def decode_rot6d_reference(r):
     """The one-code decoder the batched one replaced, operation for operation."""
     a, b = r[:3], r[3:]

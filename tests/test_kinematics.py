@@ -549,6 +549,13 @@ def test_retarget_rejects_nonfinite(index):
         retarget_action(vec, cfg, cmd)
 
 
+@pytest.mark.parametrize("shape", [(53,), (1, 54)], ids=["53", "1x54"])
+def test_retarget_rejects_action_of_wrong_shape(shape):
+    cfg = humanoid_a_config()
+    with pytest.raises(DimensionMismatch, match="action must be"):
+        retarget_action(np.zeros(shape), cfg, home_command(cfg))
+
+
 def test_retarget_deterministic():
     cfg = humanoid_b_config()
     cmd = home_command(cfg)

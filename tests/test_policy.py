@@ -543,10 +543,14 @@ def _digest_mismatch(header):
     header["state_stats"]["entries"]["shared"]["mean"][18] += 1.0
 
 
+def _short_mean(header):
+    header["state_stats"]["entries"]["shared"]["mean"].pop()
+
+
 BAD_STATS_HEADERS = {"bad_std": _bad_std, "per_embodiment": _per_embodiment,
                      "no_shared_entry": _no_shared_entry, "nonfinite_mean": _nonfinite_mean,
                      "empty_stats": _empty_stats, "null_stats": _null_stats,
-                     "digest_mismatch": _digest_mismatch}
+                     "digest_mismatch": _digest_mismatch, "short_mean": _short_mean}
 
 
 def _config_edit(key, value):

@@ -127,6 +127,16 @@ def test_encode_rejects_bad_rotation_and_nonfinite():
         unified_space.state_rows(*parts)
 
 
+def test_unified_state_and_decode_state_refuse_wrong_shapes():
+    state = make_state(np.random.default_rng(3))
+    with pytest.raises(InvalidComponent, match=r"fingertips must have shape \(10, 3\)"):
+        UnifiedState(state.head_rot, state.left_wrist_rot, state.right_wrist_rot,
+                     state.left_wrist_pos, state.right_wrist_pos, state.fingertips[:5])
+    for vec in (IDENTITY_STATE[:53], np.tile(IDENTITY_STATE, (2, 1))):
+        with pytest.raises(InvalidComponent, match="state vector must have shape"):
+            decode_state(vec)
+
+
 def test_eef_indices_exact():
     idx = np.arange(54)[EEF]
     assert set(idx.tolist()) == {18, 19, 20, 21, 22, 23}
