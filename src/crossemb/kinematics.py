@@ -735,9 +735,9 @@ def embed_rows(config: EmbodimentConfig, commands: np.ndarray) -> np.ndarray:
     head_R = _fk_frames(config.neck.arrays, commands[:, 2 * n:2 * n + 2])[0]
     hands = commands[:, 2 * n + 2:].reshape(2 * B, HAND_ACTUATOR_COUNT)
     tips = fingertip_rows(hands, R, t, config.hand_model)
-    codes, t = geometry.encode_rot6d(R).reshape(B, 2, 6), t.reshape(B, 2, 3)
+    codes, pos = geometry.encode_rot6d(R).reshape(B, 2, 6), t.reshape(B, 2, 3)
     return unified_space.state_rows(geometry.encode_rot6d(head_R), codes[:, 0], codes[:, 1],
-                                    t[:, 0], t[:, 1],
+                                    pos[:, 0], pos[:, 1],
                                     tips.reshape(B, 2 * unified_space.FINGERS_PER_HAND, 3))
 
 
