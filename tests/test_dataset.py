@@ -63,13 +63,15 @@ def write_human_raw(tmp_path, n=12, rate=30.0, head_drift=0.0, feature_dim=4,
         t = i / rate
         f = i / (n - 1)
         head_t = (0.1 + head_drift * f, 0.0, 1.5)
+        wrists = np.array([[0.3, 0.2, 1.0], [0.3 + 0.2 * f, -0.2, 1.0]])
         rec = {
             "t": t,
             "head_pose": pose_json(t=head_t),
-            "left_wrist_pose": pose_json(t=(0.3, 0.2, 1.0)),
-            "right_wrist_pose": pose_json(t=(0.3 + 0.2 * f, -0.2, 1.0)),
+            "left_wrist_pose": pose_json(t=wrists[0]),
+            "right_wrist_pose": pose_json(t=wrists[1]),
+            # Five fingertips around each wrist, left hand first.
             "fingertips": (
-                np.array([0.3, 0.2, 1.0]) + rng.normal(scale=0.02, size=(10, 3))
+                wrists.repeat(5, axis=0) + rng.normal(scale=0.02, size=(10, 3))
             ).tolist(),
             "feature_vector": [float(f), 0.5, -0.5, 1.0],
         }
@@ -575,7 +577,7 @@ def _moving_joints(records):
     return records
 
 
-PINNED_INGEST_BYTES = "d9465cb9471d01546df7166846672fa5a16d25ade7edc2efac365e8517690fb4"
+PINNED_INGEST_BYTES = "f6663b504ec308692c160933a8d6a940ae43c7517690573791b4cf4b57a5969e"
 
 
 def test_ingest_bytes_pinned(tmp_path):
