@@ -231,15 +231,15 @@ def load_raw_capture(path: str | Path) -> RawCapture:
     )
 
 
-def canonical_frame(head_pose: Pose, drop: float) -> Pose:
-    """Gravity-aligned frame anchored at the episode's first head pose.
+def canonical_frame(head_R: np.ndarray, head_t: np.ndarray, drop: float):
+    """World-to-canonical rotation R (3, 3) and offset (3,), p -> R @ p +
+    offset, of the gravity-aligned frame at head pose (`head_R`, `head_t`).
 
     x-axis: the head's forward (+x) direction projected to horizontal;
     origin: the head position dropped by `drop` meters along world z
     (an embodiment's `canonical_frame_offset`).
     """
-    fwd = head_pose.rotation[:, 0].copy()
-    fwd[2] = 0.0
+    fwd = np.array([*head_R[:2, 0], 0.0])
     n = np.linalg.norm(fwd)
     if n < 1e-9:
         # Head looking straight up/down; keep the world x direction.
@@ -247,10 +247,9 @@ def canonical_frame(head_pose: Pose, drop: float) -> Pose:
     else:
         fwd /= n
     z = np.array([0.0, 0.0, 1.0])
-    y = np.cross(z, fwd)
-    R = np.stack([fwd, y, z], axis=1)
-    origin = head_pose.translation - np.array([0.0, 0.0, drop])
-    return Pose(R, origin)
+    # Axes as rows, kept a transposed view: its F order keeps the products' bits.
+    R = np.stack([fwd, np.cross(z, fwd), z], axis=1).T
+    return R, -(R @ (head_t - np.array([0.0, 0.0, drop])))
 
 
 def _visual_feature(doc: dict, feature_dim: int) -> np.ndarray:
@@ -268,9 +267,9 @@ def _visual_feature(doc: dict, feature_dim: int) -> np.ndarray:
 
 def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestOptions):
     """Pair the capture's records holding every key of `pose_keys` with
-    their nearest visual frames (`sync_streams`). Returns the first such
-    record, the synced pairs' times (N,), records and visual features
-    (N, F), and how many records sync dropped."""
+    their nearest visual frames (`sync_streams`). Returns the synced
+    pairs' times (N,), records and visual features (N, F), and how many
+    records sync dropped."""
     proprio = [doc for doc in raw.records if all(k in doc for k in pose_keys)]
     visual = [doc for doc in raw.records if "feature_vector" in doc or "image_ref" in doc]
     if len(proprio) < 2:
@@ -290,7 +289,7 @@ def _synced_frames(raw: RawCapture, pose_keys: tuple[str, ...], options: IngestO
         if len(feat) != len(feats[0]):
             raise ParseError(visual[j]["_line"], f"feature length {len(feat)} != {len(feats[0])}")
     docs = [proprio[i] for i in sync.proprio.tolist()]
-    return proprio[0], times[sync.proprio], docs, np.array(feats), sync.dropped
+    return times[sync.proprio], docs, np.array(feats), sync.dropped
 
 
 def _record_arrays(docs: Sequence[dict], fields) -> list[np.ndarray]:
@@ -331,20 +330,14 @@ _HUMAN_FIELDS.append(("bad fingertips", lambda d: d["fingertips"], (10, 3), None
 
 
 def _ingest_human(raw: RawCapture, drop: float, options: IngestOptions) -> DemonstrationEpisode:
-    first, times, docs, feats, dropped = _synced_frames(raw, (*_HUMAN_POSES, "fingertips"),
-                                                        options)
-    try:
-        head = pose_from_json(first["head_pose"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(first["_line"], f"bad pose field 'head_pose': {exc}") from exc
-    base = canonical_frame(head, drop).inverse()
-    R, origin = base.rotation, base.translation
+    times, docs, feats, dropped = _synced_frames(raw, (*_HUMAN_POSES, "fingertips"), options)
     *poses, tips = _record_arrays(docs, _HUMAN_FIELDS)
-    # (N, 3, 3) translations and (N, 3, 4) quaternions, poses in `_HUMAN_POSES` order.
-    t, q = np.stack(poses[0::2], axis=1), np.stack(poses[1::2], axis=1)
+    # (N, 3, 3) translations and (N, 3, 3, 3) rotations, poses in `_HUMAN_POSES` order.
+    t, rot = np.stack(poses[0::2], axis=1), geometry.quat_to_matrix(np.stack(poses[1::2], axis=1))
+    R, origin = canonical_frame(rot[0, 0], t[0, 0], drop)
     positions = (R @ t[..., None])[..., 0] + origin
     states = unified_space.state_rows(
-        *geometry.encode_rot6d((R @ geometry.quat_to_matrix(q)).swapaxes(0, 1)),
+        *geometry.encode_rot6d((R @ rot).swapaxes(0, 1)),
         *positions[:, 1:].swapaxes(0, 1), tips @ R.T + origin)
 
     traj = Trajectory(
@@ -374,7 +367,7 @@ _JOINT_KEYS = ("left_arm", "right_arm", "neck", "left_hand", "right_hand")
 def _ingest_robot(
     raw: RawCapture, config: EmbodimentConfig, options: IngestOptions
 ) -> DemonstrationEpisode:
-    _, times, docs, feats, dropped = _synced_frames(raw, ("joints",), options)
+    times, docs, feats, dropped = _synced_frames(raw, ("joints",), options)
     sizes = (config.left_arm.n_joints, config.right_arm.n_joints, 2,
              HAND_ACTUATOR_COUNT, HAND_ACTUATOR_COUNT)
     hands = (lambda v: hands_outside(v).any(axis=1), "values must lie in [0, 1]")

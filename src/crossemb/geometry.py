@@ -284,10 +284,6 @@ class Pose:
             self.rotation @ other.translation + self.translation,
         )
 
-    def inverse(self) -> "Pose":
-        Rt = self.rotation.T
-        return Pose(Rt, -(Rt @ self.translation))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point (3,) or a row-stack of points (N, 3)."""
         points = np.asarray(points, dtype=float)

@@ -311,13 +311,39 @@ def test_ingest_rejects_bad_pose(tmp_path, case):
     [0.1, 0.0, 1.5],
 ], ids=["short_translation", "nan_translation", "not_object"])
 def test_ingest_rejects_bad_first_head_pose(tmp_path, head):
-    """The first head pose places the canonical frame, before any record
-    is read into rows."""
+    """The first synced record's head pose places the canonical frame; a
+    bad one is refused at its line, as in any other record."""
     root = write_human_raw(tmp_path)
     rewrite_records(root, lambda recs: [recs[0] | {"head_pose": head}] + recs[1:])
     with pytest.raises(ParseError, match="bad pose field 'head_pose'") as err:
         ingest(load_raw_capture(root), options=IngestOptions(feature_dim=4))
     assert err.value.line_no == 1
+
+
+def test_ingest_anchors_on_the_first_synced_record(tmp_path):
+    """A first pose record that sync drops, its head 1 cm beside the next
+    one's, moves no frame of the episode: it ingests to the bytes of the
+    capture without that record, even with a head pose that is no pose."""
+
+    def edit(records):
+        for k, r in enumerate(records):
+            r["head_pose"]["translation"][1] = 0.01 * k
+        del records[0]["feature_vector"]  # 1/30 s from the next visual frame
+        return records
+
+    root, short = (write_human_raw(tmp_path, episode_id=name) for name in ("full", "short"))
+    rewrite_records(root, edit)
+    rewrite_records(short, lambda recs: edit(recs)[1:])
+    options = IngestOptions(feature_dim=4)
+    without = ingest(load_raw_capture(short), options=options)
+    assert without.metadata["dropped_frames"] == 0
+    for head in (None, [0.1, 0.0, 1.5]):
+        if head is not None:
+            rewrite_records(root, lambda recs: [recs[0] | {"head_pose": head}] + recs[1:])
+        ep = ingest(load_raw_capture(root), options=options)
+        assert ep.metadata["dropped_frames"] == 1
+        for name in ("times", "states", "features"):
+            assert getattr(ep, name).tobytes() == getattr(without, name).tobytes(), name
 
 
 @pytest.mark.parametrize("feature", [["a", "b", "c", "d"], [1.0, 2.0, 3.0], [[1.0, 2.0]] * 2],

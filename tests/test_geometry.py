@@ -328,15 +328,6 @@ def test_slerp_tiny_arc_falls_back_to_lerp():
 
 # --- poses ---------------------------------------------------------------
 
-def test_pose_compose_inverse_identity():
-    rng = np.random.default_rng(29)
-    for _ in range(50):
-        p = Pose(random_rotation_oracle(rng), rng.normal(size=3))
-        ident = p.compose(p.inverse())
-        np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-9)
-        np.testing.assert_allclose(ident.translation, 0, atol=1e-9)
-
-
 def test_pose_compose_associative():
     rng = np.random.default_rng(31)
     ps = [Pose(random_rotation_oracle(rng), rng.normal(size=3)) for _ in range(3)]
