@@ -339,6 +339,7 @@ def _ingest_human(raw: RawCapture, drop: float, options: IngestOptions) -> Demon
     states = unified_space.state_rows(
         *geometry.encode_rot6d((R @ rot).swapaxes(0, 1)),
         *positions[:, 1:].swapaxes(0, 1), tips @ R.T + origin)
+    unified_space.check_state_rows(states, unified_space.DEFAULT_MAX_HAND_REACH)
 
     traj = Trajectory(
         times=times,
@@ -389,8 +390,8 @@ def ingest(
     Human captures are re-expressed in the canonical base frame, its
     origin `config.canonical_frame_offset` below the first head position
     (the field's default without a config), stream synchronized, checked
-    for body motion, and retimed; robot captures are embedded as one
-    batch and never retimed.
+    for hand reach and body motion, and retimed; robot captures are
+    embedded as one batch and never retimed.
     """
     if raw.kind == "robot":
         if config is None:

@@ -724,6 +724,19 @@ def test_ingest_record_without_timestamp_exit_1(tmp_path, record, capsys):
     assert not (tmp_path / "ds").exists()
 
 
+def test_ingest_wrist_out_of_reach_of_its_fingertips_exit_1(tmp_path, capsys):
+    """A finite wrist 1.7e308 m out, its fingertips where they were."""
+    raw = write_human_raw(tmp_path)
+    lines = [json.loads(line) for line in (raw / "frames.jsonl").read_text().splitlines()]
+    lines[4]["left_wrist_pose"]["translation"] = [1.7e308, 1.7e308, 0.0]
+    (raw / "frames.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "ds")]) == 1
+    assert "error: row 4: left fingertip 0 is inf m from wrist" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
+
+
 def test_ingest_zero_width_features_exit_1(tmp_path, capsys):
     raw = write_human_raw(tmp_path)
     lines = [json.loads(line) for line in (raw / "frames.jsonl").read_text().splitlines()]
