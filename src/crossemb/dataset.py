@@ -164,15 +164,27 @@ def read_file(path: str | Path, text: bool = False) -> str | bytes:
         raise UnreadableFile(f"{path}: cannot read: {exc}") from exc
 
 
+def _json_int(digits: str) -> int:
+    """`int(digits)`; ValueError, as for JSON that does not decode, if no
+    float holds it (so also past the 4,300 digits that `int` converts)."""
+    if not math.isfinite(float(digits)):
+        raise ValueError(f"integer of {len(digits)} digits is beyond the float range")
+    return int(digits)
+
+
+# The decoder of every JSON input; its errors are ValueErrors.
+JSON_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
 def read_json_object(path: str | Path, what: str = "") -> dict:
     """The JSON object stored in `path`; InvalidMetadata, naming the file
     as `what` and its path, if it cannot be read or holds anything else."""
     name = f"{what} {path}" if what else str(path)
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = JSON_DECODER.decode(Path(path).read_text())
     except OSError as exc:
         raise InvalidMetadata(f"{name}: cannot read: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError too
         raise InvalidMetadata(f"{name}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidMetadata(f"{name}: must hold a JSON object")
@@ -208,8 +220,8 @@ def load_raw_capture(path: str | Path) -> RawCapture:
         if not line:
             continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+            doc = JSON_DECODER.decode(line)
+        except ValueError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "t" not in doc:
             raise ParseError(line_no, "record missing timestamp 't'")

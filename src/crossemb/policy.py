@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry, unified_space
-from .dataset import PairSet, pack_blocks, read_file, unpack_blocks
+from .dataset import JSON_DECODER, PairSet, pack_blocks, read_file, unpack_blocks
 from .errors import (
     CorruptCheckpoint,
     DimensionMismatch,
@@ -360,7 +360,7 @@ def load_checkpoint(path: str | Path) -> PolicyModel:
         raise VersionUnsupported(f"bad checkpoint magic {blob[:8]!r}")
     try:
         (header_len,) = struct.unpack("<Q", blob[8:16])
-        header = json.loads(blob[16 : 16 + header_len].decode())
+        header = JSON_DECODER.decode(blob[16 : 16 + header_len].decode())
         version = header.get("format_version")
     except (struct.error, ValueError, AttributeError) as exc:
         raise CorruptCheckpoint(f"undecodable checkpoint header: {exc!r}") from exc

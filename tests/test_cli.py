@@ -14,7 +14,8 @@ from crossemb.embodiments import humanoid_a_config, load_embodiment_config
 from crossemb.kinematics import IkParams, forward_kinematics
 from crossemb.retiming import Trajectory, retime
 
-from test_dataset import IDENTITY_STATE, synthetic_episode, write_human_raw, write_robot_raw
+from test_dataset import (IDENTITY_STATE, rewrite_records, synthetic_episode, write_human_raw,
+                          write_robot_raw)
 from test_policy import BAD_STATS_HEADERS, MISTYPED_HEADERS, OTHER_SHAPE_HEADERS, rewrite_header
 
 
@@ -595,6 +596,69 @@ def test_retime_malformed_input_exit_1(tmp_path, doc, capsys):
     src.write_text(json.dumps(doc))
     assert cli(["retime", "--input", str(src), "--alpha", "4"]) == 1
     assert "--input" in capsys.readouterr().err
+
+
+# An integer beyond the float range, and one of more digits than `int` converts.
+BIG, HUGE = 10 ** 400, "1" * 5000
+# Where a capture's records get BIG: record, keys down to the container, slot.
+BIG_CAPTURE_SLOTS = {
+    "frames_t": (1, [], "t"),
+    "first_head_translation": (0, ["head_pose", "translation"], 0),
+    "feature_entry": (3, ["feature_vector"], 0),
+    "robot_joints_entry": (2, ["joints", "left_arm"], 0),
+}
+
+
+def write_with_huge(path, doc, key):
+    """Write JSON object `doc` to `path` with `key` set to HUGE, as text."""
+    path.write_text(json.dumps(doc)[:-1] + f', "{key}": {HUGE}}}')
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [*sorted(BIG_CAPTURE_SLOTS), "meta_json", "embodiment_config",
+                                  "checkpoint_stats", "retime_input_time", "config_file"])
+def test_json_integer_beyond_the_float_range_exit_1(tmp_path, config_file, case, request,
+                                                    capsys):
+    """Every JSON input refuses an integer that no float holds, as JSON
+    that does not decode."""
+    raw = (write_robot_raw if case == "robot_joints_entry" else write_human_raw)(tmp_path)
+    argv = ["ingest", "--raw", str(raw), "--out", str(tmp_path / "ds"), "--feature-dim", "4",
+            "--embodiment-config", config_file]
+    traj = fixture_traj_doc()
+    retime = ["retime", "--alpha", "4", "--input", str(tmp_path / "traj.json")]
+    if case in BIG_CAPTURE_SLOTS:
+        k, keys, slot = BIG_CAPTURE_SLOTS[case]
+
+        def edit(records):
+            target = records[k]
+            for key in keys:
+                target = target[key]
+            target[slot] = BIG
+            return records
+
+        rewrite_records(raw, edit)
+    elif case == "meta_json":
+        write_with_huge(raw / "meta.json", json.loads((raw / "meta.json").read_text()), "x")
+    elif case == "embodiment_config":
+        doc = json.loads(Path(config_file).read_text()) | {"canonical_frame_offset_m": BIG}
+        Path(config_file).write_text(json.dumps(doc))
+        argv = ["fk", "--q", "0,0,0,0,0", "--embodiment-config", config_file]
+    elif case == "checkpoint_stats":
+        ckpt = Path(request.getfixturevalue("tiny_checkpoint"))
+        ckpt.write_bytes(rewrite_header(ckpt.read_bytes(), lambda header: header[
+            "state_stats"]["entries"]["shared"]["mean"].__setitem__(0, BIG)))
+        argv = ["predict", "--checkpoint", str(ckpt), "--feature", "0,0,0,0",
+                "--state", ",".join(map(str, IDENTITY_STATE))]
+    elif case == "retime_input_time":
+        traj["frames"][1]["t"] = BIG
+        argv = retime
+    else:
+        argv = retime + ["--config", write_with_huge(tmp_path / "c.json", {"rate": 30}, "alpha")]
+    (tmp_path / "traj.json").write_text(json.dumps(traj))
+    capsys.readouterr()
+    assert cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "digits is beyond the float range" in err
 
 
 @pytest.mark.parametrize("doc, message", [
