@@ -274,6 +274,8 @@ def _visual_feature(doc: dict, feature_dim: int) -> np.ndarray:
     if feature.ndim != 1 or not feature.size:
         raise ParseError(doc["_line"],
                          f"feature_vector must be a non-empty flat list, got {feature.shape}")
+    if not np.isfinite(feature).all():
+        raise ParseError(doc["_line"], "feature_vector contains non-finite values")
     return feature
 
 

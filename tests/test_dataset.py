@@ -361,6 +361,20 @@ def test_ingest_rejects_bad_feature_vector(tmp_path, feature):
     assert err.value.line_no == 4
 
 
+@pytest.mark.parametrize("text", ["NaN", "-Infinity", "1e400"])
+@pytest.mark.parametrize("write_raw", [write_human_raw, write_robot_raw], ids=["human", "robot"])
+def test_ingest_rejects_non_finite_feature_vector(tmp_path, write_raw, text):
+    root = write_raw(tmp_path)
+    rewrite_records(root, lambda recs: recs[:3] + [
+        recs[3] | {"feature_vector": [1.0, 12345.5, 3.0, 4.0]}] + recs[4:])
+    frames = (root / "frames.jsonl").read_text()
+    (root / "frames.jsonl").write_text(frames.replace("12345.5", text))
+    with pytest.raises(ParseError, match="feature_vector contains non-finite values") as err:
+        ingest(load_raw_capture(root), config=humanoid_a_config(),
+               options=IngestOptions(feature_dim=4))
+    assert err.value.line_no == 4
+
+
 def test_ingest_rejects_empty_feature_vectors(tmp_path):
     """All of them empty, so no width differs; the dataset would have no
     feature column."""
