@@ -550,6 +550,10 @@ BAD_EMBODIMENT_CONFIGS = {
         palm_normal=[0.0, 1.0, 0.0]),
     "swapped_thumb_range": lambda doc: doc["hand_model"].update(
         thumb_rot_range_deg=[60.0, -60.0]),
+    "two_value_origin": lambda doc: doc["left_arm"]["joints"][0]["origin"].update(
+        translation=[0.0, 0.1]),
+    "nan_base_frame": lambda doc: doc["right_arm"]["base_frame"].update(
+        translation=[float("nan"), -0.2, 1.3]),
 }
 
 
