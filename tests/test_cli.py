@@ -795,9 +795,12 @@ def test_ingest_record_without_timestamp_exit_1(tmp_path, record, capsys):
 def test_ingest_wrist_out_of_reach_of_its_fingertips_exit_1(tmp_path, capsys):
     """A finite wrist 1.7e308 m out, its fingertips where they were."""
     raw = write_human_raw(tmp_path)
-    lines = [json.loads(line) for line in (raw / "frames.jsonl").read_text().splitlines()]
-    lines[4]["left_wrist_pose"]["translation"] = [1.7e308, 1.7e308, 0.0]
-    (raw / "frames.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+
+    def edit(records):
+        records[4]["left_wrist_pose"]["translation"] = [1.7e308, 1.7e308, 0.0]
+        return records
+
+    rewrite_records(raw, edit)
     capsys.readouterr()
     with np.errstate(over="ignore"):
         assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "ds")]) == 1
