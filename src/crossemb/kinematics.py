@@ -18,17 +18,19 @@ own chain, so no result depends on the batch it ran in. A BLAS product
 of zero operands, so FK skips identity origin rotations and the damping
 adds lam^2 to the diagonal of J J^T alone, and no bit changes.
 
-IK takes one target per row, at the fixed settings of `IkParams`.
-`_ik_rows` first descends every row from its own initial joints as one
-lockstep batch, each row with its own damping and joint-limit mask,
-leaving the batch when it converges (position and rotation error both
-within tolerance) or stalls. The rows that fail then descend from all
-restart seeds of their chain as one batch, the seeds of each failed row
-forming a group: the first converged seed in seed order wins, else the
-first seed of least summed error pos_err + rot_err, as if the seeds were
-tried one after another. A descent holds state for its live rows only:
-leaving rows write their result out once, and a trial that every row
-accepts becomes the state as it is.
+IK takes one target per row, at the fixed settings of `IkParams`. Each
+trial takes the full DLS step of `ik_solve`, clamped to the limits, and
+is kept only if it lowers the error; else the damping grows. `_ik_rows`
+first descends every row from its own initial joints as one lockstep
+batch, each row with its own damping and joint-limit mask, leaving the
+batch when it converges (position and rotation error both within
+tolerance) or stalls. The rows that fail then descend from all restart
+seeds of their chain as one batch, the seeds of each failed row forming
+a group: the first converged seed in seed order wins, else the first
+seed of least summed error pos_err + rot_err, as if the seeds were tried
+one after another. A descent holds state for its live rows only: leaving
+rows write their result out once, and a trial that every row accepts
+becomes the state as it is.
 
 A reach test marks the rows that can never converge. Every joint turns
 about a point at or past the first joint's origin (the chain's `root`,
@@ -71,9 +73,7 @@ from .geometry import Pose
 
 STATUS_CONVERGED = "converged"
 STATUS_BEST_EFFORT = "best_effort"
-# Initial DLS damping factor and the fraction of each solved step taken.
-_DAMPING = 0.05
-_STEP_SCALE = 0.5
+_DAMPING = 0.05  # initial DLS damping factor
 # The LAPACK gufunc behind np.linalg.solve for one right-hand side per row.
 _solve = _umath_linalg.solve1
 
@@ -329,7 +329,7 @@ def _dls_attempts(chains, arm, far, target_R, target_t, size, Q0):
             A = J @ J.transpose(0, 2, 1)
             A.reshape(-1, 36)[:, ::7] += (tlam * tlam)[:, None]  # + lam^2 I; see module docstring
             x = _solve(A, te)  # np.linalg.solve without its checks: A is positive definite
-            q_new = np.minimum(np.maximum(tq + _STEP_SCALE * np.vecmat(x, J), tc.lo), tc.hi)
+            q_new = np.minimum(np.maximum(tq + np.vecmat(x, J), tc.lo), tc.hi)
             R2, t2, axes2, origins2 = _fk_frames(tc, q_new)
             pos2, rot2, e2 = _pose_errors(R2, t2, tR, tt)
             err2 = pos2 + rot2

@@ -506,9 +506,9 @@ def rollout_digest_update(h, results):
 PINNED_ROLLOUT_DIGESTS = {
     "degenerate": "82e37e7ef28ad35fad6e7c2e35be949c5a62c78d69003f2b70d033d730596f3e",
     "hold": "c90fa89bc8dce970f6ea9a25934c5fe2f6019c6f140d2648ea62fa4b0150990e",
-    "joint_space": "2eb97d9de83db88a3dec3fc564a2db54266fc8b87eddd95a62adc3afc1e7639e",
-    "oracle": "6d776dfe629e2995f2f63854a17d7ba21094c94c16c9bc2ecc2818ac8e264129",
-    "policy": "f63e45f8c18e6643d7075e28a630a913b342595888ed3b01238d16eef3203694",
+    "joint_space": "e922bd9e429c195615c47dbe8dbb1205b5c45f9d1b082ba03c12b407fc1f8663",
+    "oracle": "f593428b5c7dd917fe23e8c5eea9d4ba110b1d57274bb27b91936cb32b48f48f",
+    "policy": "3f9b1fd1d38df7bd17608252e0d92e20f28307e939799e81c9d71d68d1dbd407",
 }
 
 
@@ -566,8 +566,8 @@ def test_rollouts_refuse_a_seed_count_unlike_the_goal_count(task):
 # SHA-256 of the reduced reports below, without `wall_time_s`, with one
 # BLAS thread, as produced by the in-process, per-goal rollout loop that
 # the lockstep rollouts and the process pool replaced.
-REDUCED_COTRAINING_DIGEST = "a471490e6becf92e8d541e96d5ad5305b654f73dd9b5d64d811111fa53586b93"
-REDUCED_ABLATION_DIGEST = "c709095abe8455c956491f3bc9a0660144c5f3d670acb636feec1c4ba55c57ce"
+REDUCED_COTRAINING_DIGEST = "feb6516a0ade94a9259062be0a71e9971d3afd78262e3e842ef92cb587232771"
+REDUCED_ABLATION_DIGEST = "a464efc92a646468a6c61f1f8674d96dc0fd7e14c497c4c971ba29aec0c4f5d2"
 
 
 def report_digest(report):

@@ -40,9 +40,9 @@ Z = np.array([0.0, 0.0, 1.0])
 # both wrists in reach, and over the rest, whose descents stop once they
 # stop gaining), as recorded on the solver whose orientation weight was
 # still settable.
-IK_FIXTURE_DIGEST = "526065f1bc8dbadfff2a56c6ced7afdf94b9bac0b1ca8f10819d95b355bf739b"
-RETARGET_NEAR_DIGEST = "352282f7695c2dd1acf1dc647c78a26cabe5f5490aa2deeaca60a122af27ef40"
-RETARGET_FAR_DIGEST = "319e5f218a82ddf853eefff7c87c30cae4e61ae687019eb258f4365b0beea06e"
+IK_FIXTURE_DIGEST = "130021c4a4b9c6765497e6a776a0a34383d4d95a8b90c6c436c1692b0a39abab"
+RETARGET_NEAR_DIGEST = "080cf7933e364be997e3ec4ebc877a29470c759dc241a10f7ee782ace7f80031"
+RETARGET_FAR_DIGEST = "a5293ce84a61ddeb9696798ea75149035cf2a7773fedf26ebc9bb459a444c9cc"
 # fk_fixture_digest() of the FK whose chain arrays held the rows first, as
 # the joint-major FK gives it.
 FK_FIXTURE_DIGEST = "5103cbd447a5d3ffaa96b042de9c8daea9dfb3606d9ebf2b2847fb287f708023"
