@@ -90,6 +90,19 @@ def finite_difference_jacobian(chain, q, h=1e-6):
     return J
 
 
+def geometric_jacobian_oracle(chain, q):
+    """Geometric Jacobian from explicit 4x4 products: column i is
+    [z_i x (p_tip - p_i); z_i], z_i and p_i joint i's world axis and origin."""
+    T = homogeneous(chain.base_frame.rotation, chain.base_frame.translation)
+    columns = []
+    for joint, angle in zip(chain.joints, q):
+        T = T @ homogeneous(joint.origin.rotation, joint.origin.translation)
+        columns.append((T[:3, :3] @ joint.axis, T[:3, 3].copy()))
+        T = T @ homogeneous(rodrigues_oracle(joint.axis, angle), np.zeros(3))
+    tip = fk_matrix_chain_oracle(chain, q)[:3, 3]
+    return np.array([np.concatenate([np.cross(z, tip - p), z]) for z, p in columns]).T
+
+
 def two_link_ik_oracle(target_xy, l1=1.0, l2=1.0):
     """Closed-form planar two-link solutions (elbow-down, elbow-up)."""
     x, y = target_xy
@@ -330,6 +343,29 @@ def test_ik_deterministic():
     q2, s2 = ik_solve(chain, target, chain.mid_range())
     assert s1 == s2
     np.testing.assert_array_equal(q1, q2)
+
+
+def test_ik_step_is_the_full_dls_step(monkeypatch):
+    """One accepted trial moves q0 by the whole of J^T (J J^T + lam^2 I)^-1 e
+    at the initial damping, J from the explicit-product oracle; the half
+    step lies farther from the result."""
+    monkeypatch.setattr(IkParams, "max_iters", 1)
+    monkeypatch.setattr(IkParams, "restarts", 0)
+    for chain in (humanoid_a_config().right_arm, humanoid_b_config().left_arm):
+        q0 = chain.mid_range()
+        target = forward_kinematics(chain, q0 + 0.1 * np.cos(np.arange(chain.n_joints)))
+        pose = forward_kinematics(chain, q0)
+        e = np.concatenate([target.translation - pose.translation,
+                            geometry.rotation_log(target.rotation @ pose.rotation.T)])
+        J = geometric_jacobian_oracle(chain, q0)
+        lam = kinematics._DAMPING
+        dq = J.T @ np.linalg.solve(J @ J.T + lam * lam * np.eye(6), e)
+        full, half = chain.clamp(q0 + dq), chain.clamp(q0 + 0.5 * dq)
+        solution = ik_solve(chain, target, q0)
+        assert solution[1] == "best_effort"  # one step does not reach the tolerances
+        assert solution.pos_err + solution.rot_err < np.linalg.norm(e[:3]) + np.linalg.norm(e[3:])
+        np.testing.assert_allclose(solution[0], full, rtol=0, atol=1e-12)
+        assert np.abs(solution[0] - half).max() > np.abs(solution[0] - full).max() + 1e-3
 
 
 # --- reach test: targets no joint values can bring within pos_tol -----------
