@@ -38,21 +38,19 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
+        hp = None if self.head_positions is None else np.asarray(self.head_positions, dtype=float)
         if times.ndim != 1 or times.shape[0] < 2:
             raise DegenerateTrajectory("trajectory needs at least 2 frames")
         if np.any(np.diff(times) <= 0):
             raise DegenerateTrajectory("timestamps must be strictly increasing")
         if states.shape != (times.shape[0], unified_space.STATE_DIM):
-            raise DegenerateTrajectory(
-                f"states must be (N, 54) matching times, got {states.shape}"
-            )
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        if self.head_positions is not None:
-            hp = np.asarray(self.head_positions, dtype=float)
-            if hp.shape != (times.shape[0], 3):
-                raise DegenerateTrajectory(f"head_positions must be (N, 3), got {hp.shape}")
-            object.__setattr__(self, "head_positions", hp)
+            raise DegenerateTrajectory(f"states must be (N, 54) matching times, got {states.shape}")
+        if hp is not None and hp.shape != (times.shape[0], 3):
+            raise DegenerateTrajectory(f"head_positions must be (N, 3), got {hp.shape}")
+        if not all(np.isfinite(a).all() for a in (times, states, hp) if a is not None):
+            raise DegenerateTrajectory("times, states and head positions must be finite")
+        for name, a in (("times", times), ("states", states), ("head_positions", hp)):
+            object.__setattr__(self, name, a)
 
     @property
     def duration(self) -> float:

@@ -116,7 +116,8 @@ def check_state_rows(rows: np.ndarray, max_reach: float | None = None) -> None:
     if max_reach is not None:
         tips = rows[:, FINGERTIPS].reshape(-1, 2, FINGERS_PER_HAND, 3)
         wrists = np.stack(positions[:2], axis=1)[:, :, None, :]
-        reach = geometry.norms(tips - wrists).reshape(-1, 2 * FINGERS_PER_HAND)
+        with np.errstate(over="ignore"):  # a distance beyond the float range is inf, flagged
+            reach = geometry.norms(tips - wrists).reshape(-1, 2 * FINGERS_PER_HAND)
         bad.append(reach > max_reach)
     bad = np.concatenate(bad, axis=1)
     if not bad.any():

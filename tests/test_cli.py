@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -678,6 +679,24 @@ def test_retime_trajectory_of_wrong_width_exit_1(tmp_path, doc, message, capsys)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["time", "fingertip", "head_position"])
+def test_retime_nan_input_exit_1(tmp_path, where, capsys):
+    """A NaN time, state entry or head position is refused before any
+    output is written."""
+    doc = fixture_traj_doc()
+    if where == "time":
+        doc["frames"][4]["t"] = float("nan")
+    elif where == "fingertip":
+        doc["frames"][2]["state"][unified_space.FINGERTIPS.start + 4] = float("nan")
+    else:
+        doc["head_positions"] = [[0.0, 0.0, 0.6]] * 9 + [[0.0, float("nan"), 0.6]]
+    src, out = tmp_path / "traj.json", tmp_path / "out.json"
+    src.write_text(json.dumps(doc))
+    assert cli(["retime", "--input", str(src), "--alpha", "4", "--output", str(out)]) == 1
+    assert "error: times, states and head positions must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("retime", "--alpha", "0.5"), ("retime", "--alpha", "nan"), ("retime", "--rate", "0"),
     ("ingest", "--alpha", "0.5"), ("ingest", "--rate", "0"), ("ingest", "--rate", "nan"),
@@ -802,7 +821,8 @@ def test_ingest_wrist_out_of_reach_of_its_fingertips_exit_1(tmp_path, capsys):
 
     rewrite_records(raw, edit)
     capsys.readouterr()
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning, numpy's overflow one among them, raises
         assert cli(["ingest", "--raw", str(raw), "--out", str(tmp_path / "ds")]) == 1
     assert "error: row 4: left fingertip 0 is inf m from wrist" in capsys.readouterr().err
     assert not (tmp_path / "ds").exists()
