@@ -37,6 +37,17 @@ def test_ab_interleaved_prints_every_pair(monkeypatch):
                          "pair 3: B first, A 0.3000 s, B 0.3000 s"]
     assert lines[4].startswith("A: median 0.4500 s") and lines[5].startswith("B: median 0.4350 s")
     assert lines[6] == "B faster in 2 of 4 pairs; median per-pair ratio B/A 0.950"
+    assert lines[7] == ("gain rule not met: B won under 9/10 of the pairs; A median - B median "
+                        "0.0150 s <= A quartile distance 0.1500 s")
+    # 9 wins of 10, exactly the bar, and a median gap beyond A's spread.
+    a_walls = [0.50, 0.52, 0.51, 0.53, 0.50, 0.52, 0.51, 0.53, 0.50, 0.52]
+    lines = tool.summary(a_walls, [0.30] * 9 + [0.60])
+    assert lines[-2].startswith("B faster in 9 of 10 pairs")
+    assert lines[-1] == ("gain rule met: B won at least 9/10 of the pairs; A median - B median "
+                         "0.2150 s > A quartile distance 0.0175 s")
+    # Pair 8 is a tie, which counts for neither side: 8 wins of 10 fall short.
+    lines = tool.summary(a_walls, [0.30] * 8 + [0.50, 0.60])
+    assert lines[-1].startswith("gain rule not met: B won under 9/10 of the pairs")
 
 
 UNRUN_SOURCE = '''"""Module docstring."""

@@ -9,7 +9,9 @@ one untimed warm-up pass per side, then alternates timed passes (A then B,
 then B then A, ...), so both sides see the same CPU-speed drift. Prints
 one line per pair (its index, the side that ran first, and both pass wall
 times, the `wall_s` of `bench/run.py`), then each side's median and
-quartiles, how many pairs B won, and the median per-pair ratio B/A.
+quartiles, how many pairs B won, the median per-pair ratio B/A, and
+whether B shows a gain: it won at least 9/10 of the pairs (ties count for
+neither) and A's median exceeds B's by more than A's quartile distance.
 
 Only the retarget and ingest_train workloads are allowed. cotrain is
 refused: its conditions run in forked pool workers, which resolve
@@ -91,10 +93,15 @@ def summary(a_walls: list[float], b_walls: list[float]) -> list[str]:
         q1, q2, q3 = quartiles(walls)
         lines.append(f"{label}: median {q2:.4f} s, quartiles {q1:.4f} / {q3:.4f} s "
                      f"over {len(walls)} passes")
-    wins = sum(b < a for a, b in zip(a_walls, b_walls))
+    n, wins = len(a_walls), sum(b < a for a, b in zip(a_walls, b_walls))
     ratio = statistics.median(b / a for a, b in zip(a_walls, b_walls))
-    lines.append(f"B faster in {wins} of {len(a_walls)} pairs; "
-                 f"median per-pair ratio B/A {ratio:.3f}")
+    lines.append(f"B faster in {wins} of {n} pairs; median per-pair ratio B/A {ratio:.3f}")
+    a_q1, a_q2, a_q3 = quartiles(a_walls)
+    gap, spread = a_q2 - statistics.median(b_walls), a_q3 - a_q1
+    won, apart = 10 * wins >= 9 * n, gap > spread
+    lines.append(f"gain rule {'met' if won and apart else 'not met'}: B won "
+                 f"{'at least' if won else 'under'} 9/10 of the pairs; A median - B median "
+                 f"{gap:.4f} s {'>' if apart else '<='} A quartile distance {spread:.4f} s")
     return lines
 
 
